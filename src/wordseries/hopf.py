@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlin
-from .ncpoly import NCPoly, PhiTable, conc, phi_shuffle, pi1, shuffle
+from .ncpoly import NCPoly, PhiTable, _product, _shuffle_law, conc, pi1, shuffle
 from .words import (
     Alphabet,
     Word,
@@ -177,48 +177,36 @@ class DiagonalReport:
         return self.equal
 
 
-def _tensor_mul(t1: dict, t2: dict, law, bound: int) -> dict:
+def _outer(scale: Fraction):
+    """``word_mul`` sending (u, v) to scale * (u (x) v)."""
+    return lambda u, v: (((u, v), scale),)
+
+
+def _tensor_mul(t1: dict, t2: dict, word_mul, bound: int) -> dict:
     """Product in (words, law) (x) (words, conc), truncated on both factors."""
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for (a, b), c1 in t1.items():
-        for (u, v), c2 in t2.items():
-            if a.grading + u.grading > bound or b.grading + v.grading > bound:
-                continue
-            right = b * v
-            c = c1 * c2
-            for word, k in law(NCPoly.from_word(a), NCPoly.from_word(u)).terms.items():
-                if word.grading > bound:
-                    continue
-                key = (word, right)
-                val = out.get(key, ZERO) + c * k
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-    return out
+
+    def pair_mul(s, t):
+        (a, b), (u, v) = s, t
+        if a.grading + u.grading > bound or b.grading + v.grading > bound:
+            return ()
+        right = b * v
+        return [((w, right), c) for w, c in word_mul(a, u)]
+
+    return _product(t1, t2, pair_mul)
 
 
-def _tensor_exp(left: NCPoly, right: NCPoly, law, bound: int) -> dict:
+def _tensor_exp(left: NCPoly, right: NCPoly, word_mul, bound: int) -> dict:
     """exp(left (x) right): both factors homogeneous of equal grading."""
     grade = left.max_grade()
-    alphabet = left.alphabet
-    out = {(alphabet.empty_word(), alphabet.empty_word()): ONE}
-    lpow = NCPoly.one(alphabet)
-    rpow = NCPoly.one(alphabet)
+    one = left.alphabet.empty_word()
+    out = {(one, one): ONE}
+    lpow = rpow = {one: ONE}
     k = 0
     while (k + 1) * grade <= bound:
         k += 1
-        lpow = law(lpow, left)
-        rpow = conc(rpow, right)
-        inv = Fraction(1, math.factorial(k))
-        for u, cu in lpow.terms.items():
-            for v, cv in rpow.terms.items():
-                key = (u, v)
-                val = out.get(key, ZERO) + inv * cu * cv
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+        lpow = _product(lpow, left.terms, word_mul)
+        rpow = _product(rpow, right.terms)
+        _product(lpow, rpow, _outer(Fraction(1, math.factorial(k))), out=out)
     return out
 
 
@@ -238,11 +226,10 @@ def diagonal_factorization_check(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     bases = DualBases(alphabet, phi)
+    word_mul = _shuffle_law(phi)
     if phi is None:
-        law = shuffle
         left_of, right_of = bases.s, bases.p
     else:
-        law = lambda p, q: phi_shuffle(p, q, phi)
         left_of, right_of = bases.sigma, bases.pi
 
     words = words_up_to_grading(alphabet, bound)
@@ -250,21 +237,14 @@ def diagonal_factorization_check(
 
     side_bases: dict[tuple[Word, Word], Fraction] = {}
     for w in words:
-        for u, cu in left_of(w).terms.items():
-            for v, cv in right_of(w).terms.items():
-                key = (u, v)
-                val = side_bases.get(key, ZERO) + cu * cv
-                if val:
-                    side_bases[key] = val
-                else:
-                    side_bases.pop(key, None)
+        _product(left_of(w).terms, right_of(w).terms, _outer(ONE), out=side_bases)
 
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=decreasing)
     product = {(alphabet.empty_word(), alphabet.empty_word()): ONE}
     for l in factors:
         product = _tensor_mul(
-            product, _tensor_exp(left_of(l), right_of(l), law, bound), law, bound
+            product, _tensor_exp(left_of(l), right_of(l), word_mul, bound), word_mul, bound
         )
 
     for name, other in (("dual-basis sum", side_bases), ("Lyndon product", product)):

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval
 
 from .linrep import LinRep
-from .ncpoly import NCPoly, TruncSeries, shuffle
+from .ncpoly import NCPoly, TruncSeries, _add_term, _product, shuffle
 from .words import Alphabet, Word, words_up_to_grading
 
 ZERO = Fraction(0)
@@ -142,12 +142,9 @@ class CycloRational:
 
     def __mul__(self, other) -> "CycloRational":
         if isinstance(other, CycloRational):
-            out: dict[int, Fraction] = {}
-            for c1, q1 in self.coeffs.items():
-                for c2, q2 in other.coeffs.items():
-                    c = (c1 + c2) % self.order
-                    out[c] = out.get(c, ZERO) + q1 * q2
-            return CycloRational(self.order, out)
+            m = self.order
+            add = lambda c1, c2: (((c1 + c2) % m, ONE),)
+            return CycloRational(m, _product(self.coeffs, other.coeffs, add))
         return CycloRational(self.order, {c: q * Fraction(other) for c, q in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -426,17 +423,13 @@ def _regularize(w: Word, cache: dict) -> dict[tuple[Word, int], Fraction]:
             if t == w:
                 continue
             for key, q in _regularize(t, cache).items():
-                val = out.get(key, ZERO) - c * q
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
+                _add_term(out, key, -c * q)
     cache[w] = out
     return out
 
 
 def _nested_sum(u: Word, z: complex, sigma: SingularitySet, nmax: int) -> ComplexVal:
-    """Li_u(z) for u in the pi_Y domain (or empty), |z| < 1."""
+    """Li_u(z) for u in the pi_Y domain (or empty), |z| < min |s_i|."""
     if not u:
         return ComplexVal(1.0)
     yw = pi_Y(u, sigma)
@@ -449,8 +442,8 @@ def _nested_sum(u: Word, z: complex, sigma: SingularitySet, nmax: int) -> Comple
     terms = np.power(rho * complex(z), n) / n.astype(float) ** s1 * hvals[:-1]
     value = terms.sum()
     peak = float(np.abs(hvals).max())
-    zabs = abs(z)
-    tail = zabs ** (nmax + 1) / (1 - zabs) * max(1.0, peak)
+    r = abs(z) * max(abs(complex(sigma.rho(i))) for i in range(1, sigma.m + 1))
+    tail = r ** (nmax + 1) / (1 - r) * max(1.0, peak)
     rounding = 4 * _EPS * nmax * max(1, len(yw.letters)) * max(1.0, peak)
     return ComplexVal(complex(value), tail + rounding)
 
@@ -459,9 +452,10 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
     """Hyperlogarithm Li_w(z).
 
     Pure x0 powers follow the convention Li_(x0^k) = log(z)^k / k! (any
-    nonzero z); everything else needs |z| < 1 strictly and is evaluated by
-    nested sums after shuffle regularization of trailing x0 letters.  The
-    error field carries the geometric tail bound plus rounding.
+    nonzero z); everything else needs |z| < min(1, min_i |s_i|) strictly and
+    is evaluated by nested sums after shuffle regularization of trailing x0
+    letters.  The error field carries the geometric tail bound, in
+    |z| max_i |rho_i|, plus rounding.
     """
     if sigma is None:
         sigma = SingularitySet.classical()
@@ -478,6 +472,11 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
     if abs(z) >= 1:
         raise ValueError(
             "divergent request: |z| must be < 1 (polyzeta handles the z -> 1 limit)"
+        )
+    radius = min(abs(complex(sigma.s(i))) for i in range(1, sigma.m + 1))
+    if abs(z) >= radius:
+        raise ValueError(
+            f"divergent request: |z| must be < min |s_i| = {radius:.15g} for this singularity set"
         )
     expansion = _regularize(w, {})
     logz = cmath.log(z) if any(j for (_, j) in expansion) else 0.0

@@ -26,13 +26,13 @@ from .ncpoly import (
     NCPoly,
     PhiTable,
     TruncSeries,
+    _add_term,
+    _product,
+    _shuffle_law,
     _values_match,
     coproduct,
     format_fraction,
     parse_fraction,
-    phi_shuffle,
-    shuffle,
-    word_product,
 )
 from .words import Alphabet, Word, alphabet_text, lyndon_words, parse_alphabet, words_up_to_grading
 
@@ -621,31 +621,31 @@ class FactorizationReport:
         return self.equal
 
 
-def _mat_series_scatter(out: dict, w: Word, m: Mat) -> None:
-    cur = out.get(w)
-    out[w] = m if cur is None else mat_add(cur, m)
-
-
-def _mat_series_mul(t1: dict, t2: dict, law: str, phi, bound: int) -> dict:
-    out: dict[Word, Mat] = {}
-    for u, a in t1.items():
-        for v, b in t2.items():
-            if u.grading + v.grading > bound:
-                continue
-            ab = mat_mul(a, b)
-            for w, c in word_product(law, u, v, phi).terms.items():
-                _mat_series_scatter(out, w, mat_scale(c, ab))
+def _matpoly_mul(a: list, b: list, word_mul=None, bound: int | None = None) -> list:
+    """Product of two square matrices whose entries are word -> coefficient maps."""
+    n = len(a)
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                _product(a[i][k], b[k][j], word_mul, bound, out[i][j])
     return out
 
 
-def _mat_series_equal(t1: dict, t2: dict, n: int) -> tuple[bool, str]:
-    zero = exactlin.zeros(n, n)
-    for w in sorted(set(t1) | set(t2), key=Word.sort_key):
-        a = t1.get(w, zero)
-        b = t2.get(w, zero)
-        if a != b:
-            return False, f"first differing word: {w}"
-    return True, ""
+def _matpoly_readout(nu: Vec, m: list, eta: Vec) -> dict:
+    """The word -> coefficient map nu m eta."""
+    out: dict[Word, Fraction] = {}
+    for i, row in enumerate(m):
+        for j, entry in enumerate(row):
+            s = nu[i] * eta[j]
+            if s:
+                for w, c in entry.items():
+                    _add_term(out, w, s * c)
+    return out
+
+
+def _matpoly_identity(alphabet: Alphabet, n: int) -> list:
+    return [[{alphabet.empty_word(): ONE} if i == j else {} for j in range(n)] for i in range(n)]
 
 
 def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = None) -> FactorizationReport:
@@ -653,51 +653,59 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     On y alphabets with a gamma table the Pi/Sigma pair and the phi-shuffle
     take the place of P/S and the shuffle.  Also confirms the scalar readout
-    nu M(X*) eta against the evaluated series.
+    nu M(X*) eta against the evaluated series.  M(X*) is carried as an n x n
+    matrix of polynomials.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     alphabet = r.alphabet
     if alphabet.is_y and phi is None:
         raise ValueError("a y-alphabet factorization needs the gamma table")
-    law = "shuffle" if alphabet.is_x else "phi"
+    n = r.rank
+    word_mul = _shuffle_law(phi)
     bases = DualBases(alphabet, phi)
     left_of, right_of = (bases.s, bases.p) if alphabet.is_x else (bases.sigma, bases.pi)
 
-    lhs: dict[Word, Mat] = {}
+    lhs = [[{} for _ in range(n)] for _ in range(n)]
     for w in words_up_to_grading(alphabet, bound):
-        lhs[w] = r.word_matrix(w)
+        for i, row in enumerate(r.word_matrix(w)):
+            for j, c in enumerate(row):
+                if c:
+                    lhs[i][j][w] = c
 
-    rhs: dict[Word, Mat] = {alphabet.empty_word(): exactlin.identity(r.rank)}
+    rhs = _matpoly_identity(alphabet, n)
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=True)
-    poly_mul = shuffle if law == "shuffle" else (lambda p, q: phi_shuffle(p, q, phi))
     for l in factors:
         a = mu_of_poly(r, right_of(l))
-        s_l = left_of(l)
-        factor: dict[Word, Mat] = {alphabet.empty_word(): exactlin.identity(r.rank)}
-        apow = exactlin.identity(r.rank)
-        spow = NCPoly.one(alphabet)
+        s_l = left_of(l).terms
+        factor = _matpoly_identity(alphabet, n)
+        apow = exactlin.identity(n)
+        spow = {alphabet.empty_word(): ONE}
         k = 0
         while (k + 1) * l.grading <= bound:
             k += 1
             apow = mat_mul(apow, a)
-            spow = poly_mul(spow, s_l)
+            spow = _product(spow, s_l, word_mul)
             scaled = mat_scale(Fraction(1, math.factorial(k)), apow)
-            for w, c in spow.terms.items():
-                if w.grading <= bound:
-                    _mat_series_scatter(factor, w, mat_scale(c, scaled))
-        rhs = _mat_series_mul(rhs, factor, law, phi, bound)
+            for i in range(n):
+                for j in range(n):
+                    if scaled[i][j]:  # spow's words have grading k |l|: no overlap
+                        factor[i][j].update((w, c * scaled[i][j]) for w, c in spow.items())
+        rhs = _matpoly_mul(rhs, factor, word_mul, bound)
 
-    ok, detail = _mat_series_equal(lhs, rhs, r.rank)
-    if not ok:
-        return FactorizationReport(False, "matrix series differ; " + detail)
+    differ = [
+        w
+        for lrow, rrow in zip(lhs, rhs)
+        for left, right in zip(lrow, rrow)
+        for w in left.keys() | right.keys()
+        if left.get(w) != right.get(w)
+    ]
+    if differ:
+        first = min(differ, key=Word.sort_key)
+        return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
 
-    readout = TruncSeries(
-        alphabet,
-        bound,
-        {w: exactlin.dot(vec_mat(r.nu, m), r.eta) for w, m in rhs.items()},
-    )
+    readout = TruncSeries(alphabet, bound, _matpoly_readout(r.nu, rhs, r.eta))
     if readout != r.eval_truncated(bound):
         return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)
@@ -710,7 +718,8 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     truncated geometric series; the strictly upper remainder makes
     D(X*) N(X) nilpotent of order at most the rank, and the series is
     reconstructed as nu (sum of its powers) D(X*) eta, then compared against
-    direct evaluation.
+    direct evaluation.  Matrices of polynomials are n x n lists of
+    word -> coefficient maps.
     """
     n = r.rank
     for letter, m in r.mu.items():
@@ -721,94 +730,54 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                         f"mu({r.alphabet.letter_name(letter)}) is not upper triangular"
                     )
     alphabet = r.alphabet
-    letters = sorted(r.mu, key=alphabet.letter_key)
-    zero_poly = NCPoly.zero(alphabet)
-
-    def entry_poly(select) -> list[list[NCPoly]]:
-        out = [[zero_poly for _ in range(n)] for _ in range(n)]
-        for letter in letters:
-            m = r.mu[letter]
-            lw = Word(alphabet, (letter,))
-            for i in range(n):
-                for j in range(n):
-                    if select(i, j) and m[i][j]:
-                        out[i][j] = out[i][j] + NCPoly.from_word(lw, m[i][j])
-        return out
-
-    diag = entry_poly(lambda i, j: i == j)
-    strict = entry_poly(lambda i, j: i < j)
+    one = alphabet.empty_word()
+    diag = [{} for _ in range(n)]
+    strict = [[{} for _ in range(n)] for _ in range(n)]
+    for letter in sorted(r.mu, key=alphabet.letter_key):
+        m = r.mu[letter]
+        lw = Word(alphabet, (letter,))
+        for i in range(n):
+            if m[i][i]:
+                diag[i][lw] = m[i][i]
+            for j in range(i + 1, n):
+                if m[i][j]:
+                    strict[i][j][lw] = m[i][j]
 
     # D(X*): entrywise star of the diagonal, a truncated geometric series
-    d_star = [[zero_poly for _ in range(n)] for _ in range(n)]
+    d_star = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        acc = NCPoly.one(alphabet)
-        total = NCPoly.one(alphabet)
+        acc = total = {one: ONE}
         for _ in range(bound):
-            acc = _conc_truncated(acc, diag[i][i], bound)
+            acc = _product(acc, diag[i], bound=bound)
             if not acc:
                 break
-            total = total + acc
+            total = {**total, **acc}  # acc holds the words of one length only
         d_star[i][i] = total
 
-    def matpoly_mul(a, b):
-        return [
-            [
-                _sum_polys(
-                    _conc_truncated(a[i][k], b[k][j], bound) for k in range(n)
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    t = matpoly_mul(d_star, strict)
-    powers = [[[NCPoly.one(alphabet) if i == j else zero_poly for j in range(n)] for i in range(n)]]
+    t = _matpoly_mul(d_star, strict, bound=bound)
+    power = geom = _matpoly_identity(alphabet, n)
     order = 0
     while True:
-        nxt = matpoly_mul(powers[-1], t)
-        if all(not nxt[i][j] for i in range(n) for j in range(n)):
+        power = _matpoly_mul(power, t, bound=bound)
+        if not any(entry for row in power for entry in row):
             break
-        powers.append(nxt)
         order += 1
         if order > n:
             return (
                 TruncSeries(alphabet, bound),
                 FactorizationReport(False, "D(X*) N(X) failed to nilpotate within the rank"),
             )
+        for grow, prow in zip(geom, power):
+            for g, p in zip(grow, prow):
+                for w, c in p.items():
+                    _add_term(g, w, c)
 
-    geom = [[_sum_polys(p[i][j] for p in powers) for j in range(n)] for i in range(n)]
-    full = matpoly_mul(geom, d_star)
-    series_poly = _sum_polys(
-        _sum_polys((full[i][j] * (r.nu[i] * r.eta[j]) for j in range(n))) for i in range(n)
-    )
-    rebuilt = TruncSeries.from_poly(series_poly, bound)
+    full = _matpoly_mul(geom, d_star, bound=bound)
+    rebuilt = TruncSeries(alphabet, bound, _matpoly_readout(r.nu, full, r.eta))
     direct = r.eval_truncated(bound)
     ok = rebuilt == direct
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return rebuilt, FactorizationReport(ok, detail)
-
-
-def _conc_truncated(a: NCPoly, b: NCPoly, bound: int) -> NCPoly:
-    out: dict[Word, Fraction] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            if u.grading + v.grading <= bound:
-                w = u * v
-                c = out.get(w, ZERO) + cu * cv
-                if c:
-                    out[w] = c
-                else:
-                    out.pop(w, None)
-    return NCPoly(a.alphabet, out)
-
-
-def _sum_polys(polys) -> NCPoly:
-    total = None
-    for p in polys:
-        total = p if total is None else total + p
-    if total is None:
-        raise ValueError("empty sum")
-    return total
 
 
 # -- Sweedler membership ------------------------------------------------------------

@@ -6,6 +6,11 @@ deformation on weighted alphabets (quasi-shuffle for the constant table 1),
 the dual coproducts, the eulerian idempotent projecting onto primitives, and
 the character / infinitesimal-character tests on truncated series.
 
+The shuffle is the phi-shuffle with gamma = 0: one word recursion
+(``_phi_shuffle_words``) and one letter-split rule serve both, on x and y
+alphabets.  Every bilinear product of the package, here and in ``hopf``,
+``linrep`` and ``hyperlog``, goes through the one kernel ``_product``.
+
 All identities here are exact; nothing in this module touches floating point.
 """
 
@@ -306,8 +311,8 @@ class PhiTable:
         for u, v, w in itertools.product(words, repeat=3):
             if u.grading + v.grading + w.grading > bound:
                 continue
-            left = _poly_phi(phi_shuffle_words(u, v, self), NCPoly.from_word(w), self)
-            right = _poly_phi(NCPoly.from_word(u), phi_shuffle_words(v, w, self), self)
+            left = phi_shuffle(phi_shuffle_words(u, v, self), NCPoly.from_word(w), self)
+            right = phi_shuffle(NCPoly.from_word(u), phi_shuffle_words(v, w, self), self)
             if left != right:
                 raise ValueError(
                     f"gamma table is not associative at ({u}, {v}, {w})"
@@ -317,51 +322,31 @@ class PhiTable:
 # -- products ----------------------------------------------------------------
 
 
-def conc(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Concatenation product, extended bilinearly."""
-    p._same_alphabet(q)
-    out: dict[Word, Fraction] = {}
-    for u, a in p.terms.items():
-        for v, b in q.terms.items():
-            _add_term(out, u * v, a * b)
-    return NCPoly(p.alphabet, out)
+def _product(p_terms: Mapping, q_terms: Mapping, word_mul: Callable | None = None,
+             bound: int | None = None, out: dict | None = None) -> dict:
+    """The one bilinear loop behind every product in the package.
 
-
-_shuffle_cache: dict = {}
-
-
-def _shuffle_words(u: Word, v: Word) -> dict[Word, Fraction]:
-    if not u:
-        return {v: ONE}
-    if not v:
-        return {u: ONE}
-    if u.lex_key() > v.lex_key():  # the product is commutative; normalize the key
-        u, v = v, u
-    key = (u, v)
-    hit = _shuffle_cache.get(key)
-    if hit is not None:
-        return hit
-    out: dict[Word, Fraction] = {}
-    xu = Word(u.alphabet, (u.letters[0],))
-    yv = Word(v.alphabet, (v.letters[0],))
-    for w, c in _shuffle_words(u[1:], v).items():
-        _add_term(out, xu * w, c)
-    for w, c in _shuffle_words(u, v[1:]).items():
-        _add_term(out, yv * w, c)
-    _shuffle_cache[key] = out
-    return out
-
-
-def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Shuffle product, extended bilinearly."""
-    p._same_alphabet(q)
-    out: dict[Word, Fraction] = {}
-    for u, a in p.terms.items():
-        for v, b in q.terms.items():
+    For each pair of terms (u, a), (v, b) with grading(u) + grading(v) <=
+    ``bound`` (every pair when ``bound`` is None), add a * b * c to ``out``
+    for each (w, c) in ``word_mul(u, v)``.  ``word_mul`` None is
+    concatenation, done inline.  Keys need not be words when ``bound`` is
+    None: pairs of words in the coproducts and the diagonal check, color
+    exponents in the cyclotomic numbers.  Terms accumulate into ``out`` when
+    given, else into a fresh map, which is returned.
+    """
+    out = {} if out is None else out
+    for u, a in p_terms.items():
+        room = None if bound is None else bound - u.grading
+        for v, b in q_terms.items():
+            if room is not None and v.grading > room:
+                continue
+            if word_mul is None:
+                _add_term(out, u * v, a * b)
+                continue
             ab = a * b
-            for w, c in _shuffle_words(u, v).items():
+            for w, c in word_mul(u, v):
                 _add_term(out, w, ab * c)
-    return NCPoly(p.alphabet, out)
+    return out
 
 
 def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
@@ -369,7 +354,7 @@ def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
         return {v: ONE}
     if not v:
         return {u: ONE}
-    if u.lex_key() > v.lex_key():
+    if u.lex_key() > v.lex_key():  # the product is commutative; normalize the key
         u, v = v, u
     key = (u, v)
     hit = phi._word_cache.get(key)
@@ -377,16 +362,17 @@ def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
         return hit
     alphabet = u.alphabet
     out: dict[Word, Fraction] = {}
-    (i, ci), (j, cj) = u.letters[0], v.letters[0]
-    xu = Word(alphabet, (u.letters[0],))
-    yv = Word(alphabet, (v.letters[0],))
+    a, b = u.letters[0], v.letters[0]
+    xu = Word(alphabet, (a,))
+    yv = Word(alphabet, (b,))
     for w, c in _phi_shuffle_words(u[1:], v, phi).items():
         _add_term(out, xu * w, c)
     for w, c in _phi_shuffle_words(u, v[1:], phi).items():
         _add_term(out, yv * w, c)
+    i, j = alphabet.letter_weight(a), alphabet.letter_weight(b)
     g = phi.gamma(i, j)
-    if g:
-        color = (ci + cj) % alphabet.color_order if alphabet.color_order else 0
+    if g:  # only y letters merge, so colors are read here only
+        color = (a[1] + b[1]) % alphabet.color_order if alphabet.color_order else 0
         merged = Word(alphabet, ((i + j, color),))
         for w, c in _phi_shuffle_words(u[1:], v[1:], phi).items():
             _add_term(out, merged * w, g * c)
@@ -394,18 +380,31 @@ def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
     return out
 
 
+# gamma identically 0: the plain shuffle, whose word table is shared by all calls
+_SHUFFLE = PhiTable.zero()
+_shuffle_cache = _SHUFFLE._word_cache
+
+
+def _shuffle_law(phi: PhiTable | None = None) -> Callable:
+    """``word_mul`` of the phi-shuffle for ``_product``; the shuffle when phi is None."""
+    table = _SHUFFLE if phi is None else phi
+    return lambda u, v: _phi_shuffle_words(u, v, table).items()
+
+
+def conc(p: NCPoly, q: NCPoly) -> NCPoly:
+    """Concatenation product, extended bilinearly."""
+    p._same_alphabet(q)
+    return NCPoly(p.alphabet, _product(p.terms, q.terms))
+
+
+def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
+    """Shuffle product, extended bilinearly: the phi-shuffle with gamma = 0."""
+    p._same_alphabet(q)
+    return NCPoly(p.alphabet, _product(p.terms, q.terms, _shuffle_law()))
+
+
 def phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> NCPoly:
     return NCPoly(u.alphabet, _phi_shuffle_words(u, v, phi))
-
-
-def _poly_phi(p: NCPoly, q: NCPoly, phi: PhiTable) -> NCPoly:
-    out: dict[Word, Fraction] = {}
-    for u, a in p.terms.items():
-        for v, b in q.terms.items():
-            ab = a * b
-            for w, c in _phi_shuffle_words(u, v, phi).items():
-                _add_term(out, w, ab * c)
-    return NCPoly(p.alphabet, out)
 
 
 def phi_shuffle(p: NCPoly, q: NCPoly, phi: PhiTable) -> NCPoly:
@@ -413,7 +412,7 @@ def phi_shuffle(p: NCPoly, q: NCPoly, phi: PhiTable) -> NCPoly:
     p._same_alphabet(q)
     if not p.alphabet.is_y:
         raise ValueError("phi-shuffle needs a y alphabet")
-    return _poly_phi(p, q, phi)
+    return NCPoly(p.alphabet, _product(p.terms, q.terms, _shuffle_law(phi)))
 
 
 def word_product(law: str, u: Word, v: Word, phi: PhiTable | None = None) -> NCPoly:
@@ -421,7 +420,7 @@ def word_product(law: str, u: Word, v: Word, phi: PhiTable | None = None) -> NCP
     if law == "conc":
         return NCPoly.from_word(u * v)
     if law == "shuffle":
-        return NCPoly(u.alphabet, _shuffle_words(u, v))
+        return phi_shuffle_words(u, v, _SHUFFLE)
     if law == "phi":
         if phi is None:
             raise ValueError("law 'phi' needs a PhiTable")
@@ -441,55 +440,51 @@ def delta_conc(p: NCPoly) -> TensorPoly:
     return TensorPoly(p.alphabet, out)
 
 
-def _letter_rule_shuffle(alphabet: Alphabet, letter) -> list[tuple[Word, Word, Fraction]]:
+def _letter_rule(alphabet: Alphabet, letter, phi: PhiTable) -> dict[tuple[Word, Word], Fraction]:
+    """Coproduct of one letter, dual to the phi-shuffle: x (x) 1 + 1 (x) x plus
+    the gamma-weighted splits of its weight (none when gamma = 0)."""
     one = alphabet.empty_word()
     x = Word(alphabet, (letter,))
-    return [(x, one, ONE), (one, x, ONE)]
-
-
-def _letter_rule_phi(alphabet: Alphabet, letter, phi: PhiTable) -> list[tuple[Word, Word, Fraction]]:
-    out = _letter_rule_shuffle(alphabet, letter)
-    k, c = letter
-    colors = range(alphabet.color_order) if alphabet.color_order else (0,)
+    out = {(x, one): ONE, (one, x): ONE}
+    k = alphabet.letter_weight(letter)
     for i in range(1, k):
         g = phi.gamma(i, k - i)
         if not g:
             continue
+        colors = range(alphabet.color_order) if alphabet.color_order else (0,)
         for c1 in colors:
-            c2 = (c - c1) % alphabet.color_order if alphabet.color_order else 0
-            out.append(
-                (Word(alphabet, ((i, c1),)), Word(alphabet, ((k - i, c2),)), g)
-            )
+            c2 = (letter[1] - c1) % alphabet.color_order if alphabet.color_order else 0
+            out[(Word(alphabet, ((i, c1),)), Word(alphabet, ((k - i, c2),)))] = g
     return out
 
 
-def _conc_morphism_coproduct(p: NCPoly, letter_rule: Callable) -> TensorPoly:
+def _tensor_conc(s: tuple[Word, Word], t: tuple[Word, Word]):
+    """``word_mul`` of conc (x) conc on pairs of words."""
+    return (((s[0] * t[0], s[1] * t[1]), ONE),)
+
+
+def _conc_morphism_coproduct(p: NCPoly, phi: PhiTable) -> TensorPoly:
     out: dict[tuple[Word, Word], Fraction] = {}
     one = p.alphabet.empty_word()
     for w, coeff in p.terms.items():
-        acc = {(one, one): ONE}
+        acc = {(one, one): coeff}
         for letter in w.letters:
-            nxt: dict[tuple[Word, Word], Fraction] = {}
-            rule = letter_rule(p.alphabet, letter)
-            for (u, v), c in acc.items():
-                for lu, lv, g in rule:
-                    _add_term(nxt, (u * lu, v * lv), c * g)
-            acc = nxt
+            acc = _product(acc, _letter_rule(p.alphabet, letter, phi), _tensor_conc)
         for k, c in acc.items():
-            _add_term(out, k, coeff * c)
+            _add_term(out, k, c)
     return TensorPoly(p.alphabet, out)
 
 
 def delta_shuffle(p: NCPoly) -> TensorPoly:
     """Unshuffle coproduct: conc-morphism with primitive letters."""
-    return _conc_morphism_coproduct(p, _letter_rule_shuffle)
+    return _conc_morphism_coproduct(p, _SHUFFLE)
 
 
 def delta_phi(p: NCPoly, phi: PhiTable) -> TensorPoly:
     """Dual of the phi-shuffle: conc-morphism with the letter-split rule."""
     if not p.alphabet.is_y:
         raise ValueError("delta_phi needs a y alphabet")
-    return _conc_morphism_coproduct(p, lambda a, l: _letter_rule_phi(a, l, phi))
+    return _conc_morphism_coproduct(p, phi)
 
 
 def coproduct(law: str, p: NCPoly, phi: PhiTable | None = None) -> TensorPoly:
@@ -541,10 +536,8 @@ def pi1(p: NCPoly, phi: PhiTable | None = None) -> NCPoly:
         if hit is None:
             acc: dict[Word, Fraction] = {}
             for u, v, c in splits(w):
-                if not v:
-                    continue
-                for t, d in conv_power(v, k - 1).terms.items():
-                    _add_term(acc, u * t, c * d)
+                if v:
+                    _product({u: c}, conv_power(v, k - 1).terms, out=acc)
             hit = NCPoly(p.alphabet, acc)
             conv_cache[(w, k)] = hit
         return hit
@@ -627,15 +620,7 @@ class TruncSeries:
     def conc_mul(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy (concatenation) product at the common bound."""
         bound = min(self.bound, other.bound)
-        out: dict[Word, object] = {}
-        for u, a in self.coeffs.items():
-            if u.grading > bound:
-                continue
-            for v, b in other.coeffs.items():
-                if u.grading + v.grading > bound:
-                    continue
-                _add_term(out, u * v, a * b)
-        return TruncSeries(self.alphabet, bound, out)
+        return TruncSeries(self.alphabet, bound, _product(self.coeffs, other.coeffs, bound=bound))
 
     def __eq__(self, other) -> bool:
         return (

@@ -335,15 +335,19 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
 
 
 def lyndon_factorization(w: Word) -> list[Word]:
-    """Unique non-increasing factorization of ``w`` into Lyndon words."""
+    """Unique non-increasing factorization of ``w`` into Lyndon words, in
+    linear time by Duval's algorithm (J. Algorithms 4, 1983)."""
+    key = w.lex_key()
+    n = len(key)
     out = []
-    rest = w
-    while rest:
-        # the first factor is the longest Lyndon prefix
-        for k in range(len(rest), 0, -1):
-            head = rest[:k]
-            if is_lyndon(head):
-                out.append(head)
-                rest = rest[k:]
-                break
+    i = 0
+    while i < n:
+        # key[i:j] is a power of a Lyndon word of length j - k, then a prefix of it
+        j, k = i + 1, i
+        while j < n and key[k] <= key[j]:
+            k = i if key[k] < key[j] else k + 1
+            j += 1
+        while i <= k:
+            out.append(w[i:i + j - k])
+            i += j - k
     return out

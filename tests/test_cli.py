@@ -256,6 +256,15 @@ def test_gamma_file_paths(capsys, tmp_path):
     assert "associative" in err
 
 
+def test_li_outside_the_radius_of_the_sigma_list(capsys):
+    # s_1 = 0.5: the nested sum for |z| = 0.7 diverges and must not print a number
+    code, out, err = run(
+        capsys, "eval", "li", "--word", "x1", "--z", "0.7", "--sigma", "0;0.5"
+    )
+    assert code == 2 and out == ""
+    assert "divergent" in err
+
+
 def test_explicit_sigma_list(capsys):
     # singularities {0, 2}: Li at x1 becomes -log(1 - z/2)
     import math

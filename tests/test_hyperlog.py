@@ -208,6 +208,21 @@ def test_polylog_rejects_divergent():
         polylog(xw("x0 x1"), 1.5)
 
 
+def test_polylog_rejects_z_beyond_the_nearest_singularity():
+    sigma = SingularitySet.from_values([F(0), F(1, 2)])
+    with pytest.raises(ValueError, match="divergent"):
+        polylog(xw("x1"), 0.7, sigma)
+    with pytest.raises(ValueError, match="divergent"):
+        polylog(xw("x1"), -0.5, sigma)
+
+
+def test_polylog_tail_bound_inside_a_small_radius():
+    # s_1 = 1/2, so Li_x1(z) = -log(1 - 2 z); the tail decays like (2 |z|)^n
+    sigma = SingularitySet.from_values([F(0), F(1, 2)])
+    got = polylog(xw("x1"), 0.3, sigma, nmax=20)
+    assert abs(got.value - (-math.log(1 - 0.6))) <= got.err
+
+
 def test_polylog_error_field_is_a_bound():
     rng = random.Random(61)
     words = [w for w in words_up_to_grading(X2, 4) if w and any(a != 0 for a in w.letters)]

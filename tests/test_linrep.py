@@ -494,6 +494,26 @@ def test_mxstar_colored_y():
     assert mxstar_factorization_check(r, 3, phi=STUFFLE).equal
 
 
+def test_mxstar_detects_a_perturbed_factor(monkeypatch):
+    # negative control: perturb mu(P_l) of the first Lyndon factor only
+    from wordseries import linrep
+
+    real = linrep.mu_of_poly
+    seen = []
+
+    def perturbed(r, p):
+        m = real(r, p)
+        if not seen:
+            seen.append(p)
+            m = exactlin.mat_add(m, exactlin.identity(r.rank))
+        return m
+
+    monkeypatch.setattr(linrep, "mu_of_poly", perturbed)
+    report = mxstar_factorization_check(hypergeometric_rep(F(1, 2), F(1, 2), 1), 3)
+    assert report.equal is False
+    assert report.detail.startswith("matrix series differ; first differing word:")
+
+
 def test_sweedler_y_alphabet_series():
     rng = random.Random(59)
     r = minimize(random_linrep(Y, 2, rng, bound=2))

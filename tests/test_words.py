@@ -129,7 +129,12 @@ def test_standard_factorization_properties():
 
 
 def test_lyndon_factorization_unique_non_increasing():
-    for word in words_up_to_grading(X2, 8):
+    words = (
+        words_up_to_grading(X2, 8)
+        + words_up_to_grading(Y, 7)
+        + words_up_to_grading(Alphabet.y(color_order=2), 5)
+    )
+    for word in words:
         if not word:
             continue
         factors = lyndon_factorization(word)
