@@ -13,11 +13,21 @@ with trailing x0 are handled by shuffle regularization against the
 convention Li_(x0)(z) = log z.  The Chen series integrates all word
 coefficients on one shared composite Gauss-Legendre panel grid so that
 shuffle identities survive discretization.
+
+The Chen kernel holds one array per grade instead of one entry per word.
+Grade k lists the (m+1)^k x words in lexicographic order, so the word a w'
+has id a (m+1)^(k-1) + id(w'), and each panel advances a whole grade from
+the node values of the grade below.  Its coefficients are bit-identical to
+integrating word by word.  ``system_output`` pairs these arrays with the
+exact coefficients nu mu(w) eta, computed grade by grade in the same id
+order, and never builds a word.  Both refuse a bound whose word count
+sum_(k<=N) (m+1)^k exceeds a fixed budget of 2^18 words.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -554,8 +564,12 @@ class QuadratureConfig:
     max_doublings: int = 14
 
 
+@functools.lru_cache(maxsize=4)
 def _gl_reference(g: int):
-    """Nodes, weights, and the node-to-node cumulative integration matrix."""
+    """Nodes, weights, and the node-to-node cumulative integration matrix.
+
+    Cached for a few node counts; the arrays are read-only.
+    """
     x, wts = leggauss(g)
     proj = np.empty((g, g))  # value samples -> Legendre coefficients
     for k in range(g):
@@ -566,6 +580,8 @@ def _gl_reference(g: int):
     for i in range(g):
         coeffs = legint(proj[:, i], lbnd=-1)
         cum[:, i] = legval(x, coeffs)
+    for arr in (x, wts, cum):
+        arr.flags.writeable = False
     return x, wts, cum
 
 
@@ -573,33 +589,85 @@ def _panel_edges(z0: float, z: float, panels: int) -> np.ndarray:
     return np.linspace(z0, z, panels + 1)
 
 
-def _chen_values(
-    forms: FormFamily, z0: float, z: float, words: Sequence[Word], panels: int, g: int
-) -> dict[Word, complex]:
+# Chen evaluation admits at most this many words, all gradings <= N together.
+_WORD_BUDGET = 1 << 18
+
+
+def _check_word_budget(letters: int, bound: int) -> None:
+    """Refuse, before any allocation, a bound whose word count
+    sum_(k<=bound) letters^k exceeds the budget."""
+    if letters > 1 and bound > 64:  # far over the budget; no exact count needed
+        words = f"more than {letters}^{bound}"
+    else:
+        words = bound + 1 if letters == 1 else (letters ** (bound + 1) - 1) // (letters - 1)
+        if words <= _WORD_BUDGET:
+            return
+    raise ValueError(
+        f"gradings <= {bound} over {letters} letters hold {words} words, "
+        f"over the budget of {_WORD_BUDGET} words"
+    )
+
+
+def _chen_kernel(
+    forms: FormFamily, z0: float, z: float, bound: int, panels: int, g: int
+) -> list[np.ndarray]:
+    """Chen coefficients of every x word of grading <= bound, one array per grade.
+
+    Grade k lists its (m+1)^k words in lexicographic order, so the word
+    a w' has index a (m+1)^(k-1) + index(w').  On each panel grade k is
+    advanced from the node values of grade k-1 in one step.  The stacked
+    matmuls issue one gemv / dot per word, the same BLAS calls as a per-word
+    ``cum @ integrand``, so every coefficient is bit-identical to it.
+    """
     x, wts, cum = _gl_reference(g)
-    by_length = sorted(words, key=len)
-    totals = {w: (1.0 + 0j if not w else 0.0j) for w in by_length}
+    cum_c, wts_c = cum.astype(complex), wts.astype(complex)
+    letters = forms.sigma.m + 1
+    totals = [np.ones(1, dtype=complex)]
+    totals += [np.zeros(letters**k, dtype=complex) for k in range(1, bound + 1)]
     edges = _panel_edges(z0, z, panels)
-    m = forms.sigma.m
     for a, b in zip(edges[:-1], edges[1:]):
         scale = (b - a) / 2
         nodes = a + (x + 1) * scale
-        u_at = {i: np.array([forms.u(i, t) for t in nodes]) for i in range(m + 1)}
-        vals: dict[Word, np.ndarray] = {}
-        ends: dict[Word, complex] = {}
-        for w in by_length:
-            if not w:
-                vals[w] = np.full(g, 1.0 + 0j)
-                ends[w] = 1.0 + 0j
-                continue
-            head, tail = w.letters[0], w[1:]
-            integrand = u_at[head] * vals[tail]
-            vals[w] = totals[w] + scale * (cum @ integrand)
-            ends[w] = totals[w] + scale * complex(wts @ integrand)
-        for w in by_length:
-            if w:
-                totals[w] = ends[w]
+        u = np.array([[forms.u(i, t) for t in nodes] for i in range(letters)], dtype=complex)
+        vals = np.ones((1, g), dtype=complex)
+        ends = []
+        for k in range(1, bound + 1):
+            integ = (u[:, None, :] * vals[None, :, :]).reshape(-1, g)
+            vals = totals[k][:, None] + scale * np.matmul(cum_c, integ[:, :, None])[:, :, 0]
+            ends.append(totals[k] + scale * np.matmul(integ[:, None, :], wts_c[:, None])[:, 0, 0])
+        totals[1:] = ends
     return totals
+
+
+def _chen_grades(
+    forms: FormFamily, z0: float, z: float, bound: int, quad: QuadratureConfig | None
+) -> tuple[list[np.ndarray], float]:
+    """Per-grade Chen coefficients and their shared quadrature error.
+
+    The panel count doubles until the single-letter coefficients stabilize
+    below the tolerance; all gradings <= bound are then evaluated on it.
+    """
+    quad = quad or QuadratureConfig()
+    sigma = forms.sigma
+    if z <= z0:
+        raise ValueError("need z0 < z")
+    if z0 <= 0:
+        raise ValueError("the path must stay inside (0, min |s_i|)")
+    radius = min(abs(complex(s)) for s in sigma.values[1:]) if sigma.m else math.inf
+    if z >= radius:
+        raise ValueError("path touches or passes a singularity")
+    _check_word_budget(sigma.m + 1, bound)
+    panels = quad.initial_panels
+    prev = _chen_kernel(forms, z0, z, 1, panels, quad.nodes)[1]
+    delta = math.inf
+    for _ in range(quad.max_doublings):
+        panels *= 2
+        cur = _chen_kernel(forms, z0, z, 1, panels, quad.nodes)[1]
+        delta = max(abs(c - p) for c, p in zip(cur, prev))
+        prev = cur
+        if delta < quad.tol:
+            break
+    return _chen_kernel(forms, z0, z, bound, panels, quad.nodes), max(delta, quad.tol)
 
 
 def chen_series(
@@ -612,34 +680,15 @@ def chen_series(
     """Iterated-integral coefficients along the real segment z0 -> z.
 
     All words of grading <= bound are advanced panel by panel on one shared
-    composite Gauss-Legendre grid; the panel count doubles until the single
-    letter coefficients stabilize below the configured tolerance.
+    composite Gauss-Legendre grid, a whole grade at a time; the panel count
+    doubles until the single letter coefficients stabilize below the
+    configured tolerance.  Bounds with more than 2^18 words in all are
+    refused with a ValueError.
     """
-    quad = quad or QuadratureConfig()
-    sigma = forms.sigma
-    if z <= z0:
-        raise ValueError("need z0 < z")
-    if z0 <= 0:
-        raise ValueError("the path must stay inside (0, min |s_i|)")
-    radius = min(abs(complex(s)) for s in sigma.values[1:]) if sigma.m else math.inf
-    if z >= radius:
-        raise ValueError("path touches or passes a singularity")
+    grades, err = _chen_grades(forms, z0, z, bound, quad)
     alphabet = forms.alphabet()
-    letters = [Word(alphabet, (i,)) for i in range(sigma.m + 1)]
-    panels = quad.initial_panels
-    prev = _chen_values(forms, z0, z, [alphabet.empty_word()] + letters, panels, quad.nodes)
-    delta = math.inf
-    for _ in range(quad.max_doublings):
-        panels *= 2
-        cur = _chen_values(forms, z0, z, [alphabet.empty_word()] + letters, panels, quad.nodes)
-        delta = max(abs(cur[l] - prev[l]) for l in letters)
-        prev = cur
-        if delta < quad.tol:
-            break
-    words = words_up_to_grading(alphabet, bound)
-    totals = _chen_values(forms, z0, z, words, panels, quad.nodes)
-    err = max(delta, quad.tol)
-    coeffs = {w: ComplexVal(v, err) for w, v in totals.items()}
+    values = np.concatenate(grades).tolist()
+    coeffs = {w: ComplexVal(v, err) for w, v in zip(words_up_to_grading(alphabet, bound), values)}
     return TruncSeries(alphabet, bound, coeffs)
 
 
@@ -653,26 +702,43 @@ def system_output(
 ) -> ComplexVal:
     """Pair the representation with the Chen series: sum nu mu(w) eta alpha(w).
 
-    The error field adds the quadrature estimates and, as a truncation
-    indicator, the magnitude of the last grading layer.
+    Both factors are computed grade by grade in the word order of the Chen
+    kernel: nu mu(w) eta exactly, as integers over a common denominator,
+    rounded once to a float; the terms are summed one by one in (grading,
+    lex) order.  The error field adds the quadrature estimates and, as a
+    truncation indicator, the magnitude of the last grading layer.  Bounds
+    with more than 2^18 words in all are refused with a ValueError.
     """
     if r.alphabet != forms.alphabet():
         raise ValueError("representation alphabet does not match the forms")
-    alpha = chen_series(forms, z0, z, bound, quad)
-    series = r.eval_truncated(bound)
+    grades, quad_err = _chen_grades(forms, z0, z, bound, quad)
     total = 0j
     err = 0.0
     last_layer = 0.0
-    for w in words_up_to_grading(r.alphabet, bound):
-        c = series.coeff(w)
-        if not c:
-            continue
-        a = alpha.coeff(w)
-        term = complex(c) * a.value
-        total += term
-        err += abs(complex(c)) * a.err
-        if w.grading == bound:
-            last_layer += abs(term)
+    n = r.rank
+    if not n:
+        return ComplexVal(total, err)
+    # nu, the letter matrices and eta times their common denominator d, as
+    # Python integers: nu mu(w) eta = (scaled product) / d^(k+2) at grade k
+    matrix_entries = (q for a in r.alphabet.letters() for row in r.matrix(a) for q in row)
+    entries = [*r.nu, *matrix_entries, *r.eta]
+    d = math.lcm(*(q.denominator for q in entries))
+    ints = np.array([q.numerator * (d // q.denominator) for q in entries], dtype=object)
+    mats, eta = ints[n:-n].reshape(-1, n, n), ints[-n:]
+    rows = ints[None, :n]  # scaled nu mu(w) for the words of one grade, in id order
+    for k in range(bound + 1):
+        if k:
+            rows = np.matmul(rows[:, None, None, :], mats).reshape(-1, n)
+        den = d ** (k + 2)
+        for num, a in zip(rows.dot(eta).tolist(), grades[k].tolist()):
+            if not num:
+                continue
+            c = num / den
+            term = complex(c) * a
+            total += term
+            err += abs(c) * quad_err
+            if k == bound:
+                last_layer += abs(term)
     return ComplexVal(total, err + last_layer)
 
 

@@ -174,6 +174,16 @@ class Word:
         )
         object.__setattr__(self, "_hash", hash((alphabet, self.letters)))
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, letters: tuple, grading: int) -> "Word":
+        """Unchecked constructor for letters already drawn from ``alphabet``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "_grading", grading)
+        object.__setattr__(w, "_hash", hash((alphabet, letters)))
+        return w
+
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
@@ -277,10 +287,10 @@ def is_lyndon(w: Word) -> bool:
 
 
 def _words_of_grading(alphabet: Alphabet, n: int) -> Iterator[Word]:
-    """All words of grading exactly n, in no particular order."""
+    """All words of grading exactly n: lexicographic for x, unordered for y."""
     if alphabet.is_x:
         for tup in itertools.product(alphabet.letters(), repeat=n):
-            yield Word(alphabet, tup)
+            yield Word._trusted(alphabet, tup, n)
         return
     colors = (
         range(alphabet.color_order) if alphabet.color_order is not None else (0,)
@@ -288,7 +298,7 @@ def _words_of_grading(alphabet: Alphabet, n: int) -> Iterator[Word]:
 
     def rec(remaining: int, prefix: tuple):
         if remaining == 0:
-            yield Word(alphabet, prefix)
+            yield Word._trusted(alphabet, prefix, n)
             return
         for k in range(1, remaining + 1):
             for c in colors:
@@ -302,7 +312,8 @@ def words_up_to_grading(alphabet: Alphabet, max_grade: int) -> list[Word]:
     out = []
     for n in range(max_grade + 1):
         out.extend(_words_of_grading(alphabet, n))
-    out.sort(key=Word.sort_key)
+    if not alphabet.is_x:  # x words already come grade by grade in lex order
+        out.sort(key=Word.sort_key)
     return out
 
 

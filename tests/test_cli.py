@@ -230,10 +230,42 @@ def test_exit_codes(capsys):
     assert code == 0  # trivial window still passes
 
 
+def test_chen_bounds_over_the_word_budget_exit_2(capsys, tmp_path):
+    from fractions import Fraction
+
+    from wordseries.hyperlog import hypergeometric_system
+
+    code, out, err = run(capsys, "eval", "chen", "--z0", "0.1", "--z", "0.5", "--N", "30")
+    assert code == 2 and out == ""
+    assert "2147483647 words" in err and "budget" in err
+    rep, _ = hypergeometric_system(Fraction(1, 2), Fraction(1, 2), 1)
+    path = tmp_path / "hg.json"
+    path.write_text(json.dumps(rep.to_json()))
+    code, out, err = run(
+        capsys, "eval", "output", "--rep", str(path), "--z0", "0.1", "--z", "0.4", "--N", "30"
+    )
+    assert code == 2 and out == ""
+    assert "2147483647 words" in err and "budget" in err
+
+
 def test_missing_rep_is_validation_error(capsys):
     code, _, err = run(capsys, "rat", "star")
     assert code == 2
     assert "--rep" in err or "needs" in err
+
+
+def test_requests_share_no_parsed_state(capsys, tmp_path):
+    # main reuses one parser; a request's flags must not leak into the next
+    rep = LinRep.from_poly(NCPoly.from_word(Alphabet.x(2).parse_word("x0"), 2))
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(rep.to_json()))
+    assert run(capsys, "rat", "shuffle", "--rep", str(path), "--rep", str(path))[0] == 0
+    code, _, err = run(capsys, "rat", "star")
+    assert code == 2 and "--rep" in err
+    code, out, _ = run(capsys, "eval", "h", "--word", "y1", "--n", "3")
+    assert code == 0 and out.splitlines()[1].split(",")[1] == "1.83333333333333"
+    code, out, _ = run(capsys, "eval", "h", "--word", "y1")
+    assert code == 0 and out.splitlines()[1].split(",")[1] == f"{sum(1 / k for k in range(1, 101)):.15g}"
 
 
 def test_gamma_file_paths(capsys, tmp_path):

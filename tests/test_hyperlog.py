@@ -348,6 +348,39 @@ def test_chen_grouplike_for_unshuffle():
     assert is_grouplike(series, "shuffle", tol=1e-10)
 
 
+def bits(v: ComplexVal):
+    """Exact bit pattern of a value and its error, signed zeros included."""
+    return v.value.real.hex(), v.value.imag.hex(), float(v.err).hex()
+
+
+@pytest.mark.parametrize(
+    "sigma, bound",
+    [(CLASSIC, 6), (SingularitySet.roots_of_unity(2), 5), (SingularitySet.roots_of_unity(3), 4)],
+)
+@pytest.mark.parametrize("z0, z", [(0.1, 0.5), (0.23, 0.61)])
+def test_chen_series_bit_identical_to_per_word_oracle(sigma, bound, z0, z):
+    from oracles import chen_series_per_word
+
+    forms = FormFamily(sigma)
+    got = chen_series(forms, z0, z, bound)
+    want = chen_series_per_word(forms, z0, z, bound)
+    assert len(got.coeffs) == len(want) == ((sigma.m + 1) ** (bound + 1) - 1) // sigma.m
+    for w, v in want.items():
+        assert got.coeff(w).value == v.value and got.coeff(w).err == v.err
+        assert bits(got.coeff(w)) == bits(v)
+
+
+def test_chen_series_refuses_a_bound_over_the_word_budget():
+    forms = FormFamily(CLASSIC)
+    with pytest.raises(ValueError, match="2147483647 words"):
+        chen_series(forms, 0.1, 0.5, 30)
+    with pytest.raises(ValueError, match="budget"):
+        chen_series(forms, 0.1, 0.5, 10**9)
+    # 3 letters: 3^12 words of grade 11 alone are over 2^18
+    with pytest.raises(ValueError, match="budget"):
+        chen_series(FormFamily(SingularitySet.roots_of_unity(2)), 0.1, 0.5, 11)
+
+
 # -- the dynamical-system output --------------------------------------------------------
 
 
@@ -372,6 +405,44 @@ def exact_nu_eta(r):
 
 
 from oracles import taylor_ode_solution
+
+
+@pytest.mark.parametrize("params", [(F(1, 2), F(1, 2), 1), (F(1, 3), F(-2, 5), F(7, 4))])
+@pytest.mark.parametrize("bound", [0, 3, 8])
+def test_system_output_bit_identical_to_word_sum_oracle(params, bound):
+    from oracles import system_output_word_sum
+
+    r, forms = hypergeometric_system(*params, eta=(F(1, 3), F(-5, 2)))
+    got = system_output(r, forms, 0.05, 0.4, bound)
+    want = system_output_word_sum(r, forms, 0.05, 0.4, bound)
+    assert got.value == want.value and got.err == want.err
+    assert bits(got) == bits(want)
+
+
+def test_system_output_bit_identical_on_three_letters():
+    from oracles import system_output_word_sum
+
+    sigma = SingularitySet.roots_of_unity(2)
+    mu = {
+        0: [[F(1, 2), F(-1, 3)], [0, F(2, 7)]],
+        1: [[0, 1], [F(-5, 3), 0]],
+        2: [[F(3, 2), 0], [F(1, 7), F(-1, 2)]],
+    }
+    r = LinRep(sigma.x_alphabet(), (1, F(-2, 3)), mu, (F(1, 2), 2))
+    forms = FormFamily(sigma)
+    got = system_output(r, forms, 0.1, 0.45, 5)
+    assert bits(got) == bits(system_output_word_sum(r, forms, 0.1, 0.45, 5))
+
+
+def test_system_output_refuses_a_bound_over_the_word_budget():
+    r, forms = hypergeometric_system(F(1, 2), F(1, 2), 1)
+    with pytest.raises(ValueError, match="budget"):
+        system_output(r, forms, 0.05, 0.4, 18)
+
+
+def test_system_output_of_the_zero_representation():
+    got = system_output(LinRep.zero(X2), FormFamily(CLASSIC), 0.1, 0.4, 3)
+    assert got.value == 0 and got.err == 0
 
 
 def test_hypergeometric_system_wiring():
