@@ -295,7 +295,7 @@ def cmd_eval(args) -> int:
     forms = FormFamily(sigma)
     if args.what == "chen":
         series = chen_series(forms, args.z0, args.z, args.N, quad)
-        rows = sorted(series.coeffs.items(), key=lambda t: t[0].sort_key())
+        rows = series.coeffs.items()  # chen_series yields (grading, lex) order
         if args.format == "json":
             print(
                 json.dumps(

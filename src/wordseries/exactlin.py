@@ -1,14 +1,30 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on tuples-of-tuples of ``Fraction``; everything here is
-exact, no pivoting heuristics beyond "first nonzero".  Matrices are immutable
-(tuples), vectors are tuples.  Sizes in this package stay tiny (ranks <= ~10,
-graded pieces <= ~130), so clarity wins over asymptotics.
+Public routines take and return small dense matrices as tuples of tuples of
+``Fraction`` (vectors are tuples).  Elimination runs on Python integers:
+
+* a rational row v is carried as an integer row (w, s): a primitive integer
+  vector w (entries of gcd 1) and one ``Fraction`` scale s, v = s·w;
+* ``RowSpace`` holds the reduced row echelon basis of a span as primitive
+  integer rows, each over its own denominator: the row R with pivot column
+  p stands for R / R[p].  Clearing a column cross-multiplies two integer
+  rows and divides out the gcd of the result, so no ``Fraction`` is built
+  inside the elimination loop.
+
+``RowSpace`` is the one elimination routine: ``rref``, ``rank``, ``solve``
+and ``inverse`` feed their rows into one.  The reduced echelon form of a
+row space is unique, so each returns the same Fractions as Gauss-Jordan
+over Q would.  ``coordinates`` inverts a basis block once and then solves
+x·B = v for many v by integer products.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -102,97 +118,167 @@ def kron_vec(u: Vec, v: Vec) -> Vec:
     return tuple(x * y for x in u for y in v)
 
 
-def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+def _int_row(v: Iterable) -> tuple[list[int], Fraction]:
+    """The integer row (w, s) of a rational row v: v = s·w, with w primitive
+    (entries of gcd 1) and s > 0; the zero row has s = 0."""
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in xs))
+    w = [x.numerator * (d // x.denominator) for x in xs]
+    g = gcd(*w)
+    if g > 1:
+        w = [x // g for x in w]
+    return w, Fraction(g, d)
 
 
-def rank(rows: Sequence[Vec]) -> int:
-    return len(rref(rows)[0])
-
-
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of ``a x = b``, or None if inconsistent."""
-    n, m = len(a), len(a[0]) if a else 0
-    aug = [tuple(a[i]) + (frac(b[i]),) for i in range(n)]
-    red, pivots = rref(aug)
-    if m in pivots:
-        return None
-    x = [ZERO] * m
-    for row, c in zip(red, pivots):
-        x[c] = row[-1]
-    return tuple(x)
-
-
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    aug = [tuple(a[i]) + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in red)
+def _primitive(w: list[int]) -> list[int]:
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
 
 
 class RowSpace:
-    """Incremental row-space basis: feed vectors, keep an rref basis.
+    """Incremental row-space basis: feed vectors, keep the rref basis.
 
-    Used for reachability/observability reductions and bracket closures;
-    remembers which fed vectors were accepted as new directions.
+    Used for reachability/observability reductions and bracket closures, and
+    behind every elimination in this module.  The basis is held as primitive
+    integer rows sorted by pivot column; the row R with pivot p stands for
+    the rref row R / R[p].
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []  # rref form
         self.pivots: list[int] = []
+        self._rows: list[list[int]] = []
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        """The basis in reduced row echelon form."""
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self._rows, self.pivots)]
+
+    def _residue(self, w: list[int]) -> tuple[list[int], int]:
+        """(r, f): w minus its projection on the span is r / f."""
+        f = 1
+        for row, p in zip(self._rows, self.pivots):
+            a = w[p]
+            if a:
+                d = row[p]
+                g = gcd(a, d)
+                a, d = a // g, d // g
+                w = [d * x - a * y for x, y in zip(w, row)]
+                f *= d
+        return w, f
+
+    def _add(self, w: list[int]) -> bool:
+        r = self._residue(w)[0]
+        p = next((i for i, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        r = _primitive(r)
+        c = r[p]
+        for i, row in enumerate(self._rows):
+            a = row[p]
+            if a:  # clear column p; r is 0 at the other pivots
+                g = gcd(a, c)
+                a, d = a // g, c // g
+                self._rows[i] = _primitive([d * x - a * y for x, y in zip(row, r)])
+        k = bisect(self.pivots, p)
+        self.pivots.insert(k, p)
+        self._rows.insert(k, r)
+        return True
 
     def reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        v = [frac(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+        """v minus its projection on the span: zero at every pivot column."""
+        w, s = _int_row(v)
+        r, f = self._residue(w)
+        s /= f
+        return [s * x for x in r]
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Insert ``v``; True if it enlarged the span."""
-        v = self.reduce(v)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
-            return False
-        inv = ONE / v[p]
-        v = [x * inv for x in v]
-        for row in self.rows:
-            if row[p] != 0:
-                f = row[p]
-                row[:] = [x - f * y for x, y in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(p)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
-        return True
+        return self._add(_int_row(v)[0])
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return not any(self._residue(_int_row(v)[0])[0])
+
+
+def _echelon(rows: Sequence[Sequence]) -> RowSpace:
+    """The RowSpace of the given rational rows."""
+    ints = [_int_row(r)[0] for r in rows]
+    space = RowSpace(len(ints[0]) if ints else 0)
+    for w in ints:
+        if len(space) == space.ncols:
+            break
+        space._add(w)
+    return space
+
+
+def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    space = _echelon(rows)
+    return [tuple(row) for row in space.rows], list(space.pivots)
+
+
+def rank(rows: Sequence[Vec]) -> int:
+    return len(_echelon(rows))
+
+
+def solve(a: Mat, b: Vec) -> Vec | None:
+    """One solution of ``a x = b``, or None if inconsistent."""
+    m = len(a[0]) if a else 0
+    space = _echelon([(*a[i], b[i]) for i in range(len(a))])
+    if m in space.pivots:
+        return None
+    x = [ZERO] * m
+    for row, c in zip(space._rows, space.pivots):
+        x[c] = Fraction(row[-1], row[c])
+    return tuple(x)
+
+
+def _inverse_rows(a: Sequence[Sequence]) -> list[list[int]]:
+    """Integer rref rows of [a | I]: row i of the inverse is row[n:] / row[i]."""
+    n = len(a)
+    space = _echelon([(*a[i], *(int(j == i) for j in range(n))) for i in range(n)])
+    if space.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return space._rows
+
+
+def inverse(a: Mat) -> Mat:
+    n = len(a)
+    return tuple(
+        tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(_inverse_rows(a))
+    )
+
+
+def coordinates(basis: Sequence[tuple[list[int], Fraction]], pivots: Sequence[int]):
+    """Solver of x·B = v in one basis B of k independent rows.
+
+    ``basis`` holds the rows as integer rows (w_i, t_i), b_i = t_i·w_i, and
+    ``pivots`` names k columns where the k×k block of B is invertible, such
+    as the pivots of a ``RowSpace`` fed the same rows.  The block is inverted
+    once.  The returned function takes an integer row (w, s) for v = s·w,
+    gets x from w at the pivot columns by one integer vector-matrix product
+    with that inverse, checks the full equation x·B = v, and returns x as a
+    tuple of Fractions, or None when v is outside the span.
+    """
+    k = len(basis)
+    inv = _inverse_rows([[w[p] for p in pivots] for w, _ in basis])
+    q = lcm(*(row[i] for i, row in enumerate(inv)))
+    inv_cols = list(zip(*([x * (q // row[i]) for x in row[k:]] for i, row in enumerate(inv))))
+    basis_cols = list(zip(*(w for w, _ in basis)))  # none when the basis is empty
+    scales = [(t.numerator, t.denominator) for _, t in basis]
+
+    def solve_row(v: tuple[list[int], Fraction]) -> Vec | None:
+        w, s = v
+        at_pivots = [w[p] for p in pivots]
+        z = [sum(map(mul, at_pivots, col)) for col in inv_cols]  # x_i = s·z_i / (q·t_i)
+        if any(sum(map(mul, z, col)) != q * x for col, x in zip_longest(basis_cols, w, fillvalue=())):
+            return None
+        return tuple(
+            Fraction(s.numerator * zi * t_den, s.denominator * q * t_num)
+            for zi, (t_num, t_den) in zip(z, scales)
+        )
+
+    return solve_row

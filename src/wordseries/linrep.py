@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import exactlin
-from .exactlin import Mat, RowSpace, Vec, mat_add, mat_mul, mat_scale, mat_vec, vec_mat
+from .exactlin import Mat, RowSpace, Vec, _int_row, mat_add, mat_mul, mat_scale, mat_vec, vec_mat
 from .hopf import DualBases
 from .ncpoly import (
     NCPoly,
@@ -392,35 +393,45 @@ def rat_phi_shuffle(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
 
 
 def _reachability_reduce(r: LinRep) -> LinRep:
-    space = RowSpace(r.rank)
-    basis: list[Vec] = []
-    if space.add(r.nu):
-        basis.append(r.nu)
-    frontier = list(basis)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for letter in r.mu:
-                image = vec_mat(v, r.mu[letter])
-                if space.add(image):
-                    basis.append(image)
-                    nxt.append(image)
-        frontier = nxt
+    """Restrict r to the span of the vectors nu mu(w), found breadth first.
+
+    Vectors are carried as integer rows (w, s), v = s·w (see ``exactlin``),
+    and each letter matrix as one integer matrix times a scale, so images
+    are integer vector-matrix products.  Each basis vector's images are kept
+    from the search and expressed in the basis by one ``coordinates`` solver,
+    which inverts the basis block once.
+    """
+    n = r.rank
+    mats = {}
+    for letter, m in r.mu.items():
+        flat, scale = _int_row([x for row in m for x in row])
+        mats[letter] = [flat[j::n] for j in range(n)], scale  # columns
+    space = RowSpace(n)
+    start = _int_row(r.nu)
+    basis = [start] if space.add(start[0]) else []
+    images: list[dict] = []
+    while len(images) < len(basis):  # breadth first: basis vectors in order of discovery
+        w, s = basis[len(images)]
+        row = {}
+        for letter, (cols, scale) in mats.items():
+            u, g = _int_row([sum(map(mul, w, col)) for col in cols])
+            row[letter] = image = (u, s * scale * g)
+            if space.add(u):
+                basis.append(image)
+        images.append(row)
     if not basis:
         return LinRep.zero(r.alphabet, r.max_letter_weight)
-    bt = exactlin.transpose(exactlin.matrix(basis))
+    solve_row = exactlin.coordinates(basis, space.pivots)
 
-    def coords(v: Vec) -> Vec:
-        sol = exactlin.solve(bt, v)
-        assert sol is not None, "reachable space is not invariant"
-        return sol
+    def coords(v) -> Vec:
+        x = solve_row(v)
+        assert x is not None, "reachable space is not invariant"
+        return x
 
-    mu = {
-        letter: [coords(vec_mat(b, m)) for b in basis] for letter, m in r.mu.items()
-    }
-    nu = coords(r.nu)
-    eta = [exactlin.dot(b, r.eta) for b in basis]
-    return LinRep(r.alphabet, nu, mu, eta, r.max_letter_weight)
+    mu = {letter: [coords(row[letter]) for row in images] for letter in r.mu}
+    e, se = _int_row(r.eta)
+    eta = [t * se * sum(map(mul, w, e)) for w, t in basis]
+    return LinRep(r.alphabet, coords(start), mu, eta, r.max_letter_weight)
 
 
 def _transpose_rep(r: LinRep) -> LinRep:
@@ -828,9 +839,12 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
 
     space = RowSpace(len(cols))
     basis_words: list[Word] = []
+    basis_rows = []
     for u in words_up_to_grading(series.alphabet, p):
-        if space.add(hankel_row(u)):
+        row = _int_row(hankel_row(u))
+        if space.add(row[0]):
             basis_words.append(u)
+            basis_rows.append(row)
     hankel_rank = len(basis_words)
     if max_rank is not None and hankel_rank > max_rank:
         return SweedlerVerdict(
@@ -842,8 +856,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
         rep = LinRep.zero(series.alphabet)
         return SweedlerVerdict(True, 0, f"zero series on window {n}", delta_conc_decompose(rep))
 
-    basis_rows = [hankel_row(u) for u in basis_words]
-    bt = exactlin.transpose(exactlin.matrix(basis_rows))
+    solve_row = exactlin.coordinates(basis_rows, space.pivots)
     if series.alphabet.is_x:
         letters = series.alphabet.letters()
     else:
@@ -853,7 +866,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
         rows = []
         for u in basis_words:
             shifted = u * Word(series.alphabet, (letter,))
-            sol = exactlin.solve(bt, hankel_row(shifted))
+            sol = solve_row(_int_row(hankel_row(shifted)))
             if sol is None:
                 return SweedlerVerdict(
                     False,
@@ -863,7 +876,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
                 )
             rows.append(sol)
         mu[letter] = rows
-    nu = exactlin.solve(bt, hankel_row(series.alphabet.empty_word()))
+    nu = solve_row(_int_row(hankel_row(series.alphabet.empty_word())))
     if nu is None:
         return SweedlerVerdict(False, None, "row of the empty word leaves the span")
     eta = [series.coeff(u) for u in basis_words]

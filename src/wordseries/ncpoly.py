@@ -376,8 +376,16 @@ def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
         merged = Word(alphabet, ((i + j, color),))
         for w, c in _phi_shuffle_words(u[1:], v[1:], phi).items():
             _add_term(out, merged * w, g * c)
-    phi._word_cache[key] = out
+    cache = phi._word_cache
+    if len(cache) >= _WORD_CACHE_MAX:
+        del cache[next(iter(cache))]  # the oldest entry
+    cache[key] = out
     return out
+
+
+# entries kept per PhiTable word cache: a whole pass of the benchmark's exact
+# workload fills about 200; an evicted pair is recomputed when next needed
+_WORD_CACHE_MAX = 1 << 12
 
 
 # gamma identically 0: the plain shuffle, whose word table is shared by all calls

@@ -1,18 +1,151 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values through a different route than
-the library code under test: truncated polynomial products term by term,
-the Chen series one word at a time and its pairing as a sum over words,
-and an ODE solver by recentered Taylor series.
+the library code under test: Gauss-Jordan elimination over ``Fraction`` and
+minimization with one solve per vector, truncated polynomial products term
+by term, the Chen series one word at a time and its pairing as a sum over
+words, and an ODE solver by recentered Taylor series.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from wordseries import exactlin
 from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
+from wordseries.linrep import LinRep
 from wordseries.ncpoly import NCPoly, PhiTable, phi_shuffle, shuffle
 from wordseries.words import words_up_to_grading
+
+
+def rref_gauss_jordan(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fraction, first nonzero
+    pivot.  Returns (nonzero rows, pivot columns)."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivots
+
+
+def rank_gauss_jordan(rows):
+    return len(rref_gauss_jordan(rows)[0])
+
+
+def solve_gauss_jordan(a, b):
+    """The solution of a x = b with free variables zero, or None."""
+    m = len(a[0]) if a else 0
+    red, pivots = rref_gauss_jordan([tuple(a[i]) + (b[i],) for i in range(len(a))])
+    if m in pivots:
+        return None
+    x = [Fraction(0)] * m
+    for row, c in zip(red, pivots):
+        x[c] = row[-1]
+    return tuple(x)
+
+
+def inverse_gauss_jordan(a):
+    n = len(a)
+    red, pivots = rref_gauss_jordan(
+        [tuple(a[i]) + tuple(int(i == j) for j in range(n)) for i in range(n)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in red)
+
+
+class FractionRowSpace:
+    """Incremental rref basis over Fraction: each new direction is scaled to
+    pivot 1 and cleared from the other rows."""
+
+    def __init__(self, ncols):
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, v):
+        v = [Fraction(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, v):
+        v = self.reduce(v)
+        p = next((i for i, x in enumerate(v) if x != 0), None)
+        if p is None:
+            return False
+        v = [x / v[p] for x in v]
+        for row in self.rows:
+            if row[p] != 0:
+                f = row[p]
+                row[:] = [x - f * y for x, y in zip(row, v)]
+        self.rows.append(v)
+        self.pivots.append(p)
+        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
+        self.rows = [self.rows[i] for i in order]
+        self.pivots = [self.pivots[i] for i in order]
+        return True
+
+    def contains(self, v):
+        return all(x == 0 for x in self.reduce(v))
+
+
+def _reachability_per_vector_solve(r):
+    space = FractionRowSpace(r.rank)
+    basis = []
+    if space.add(r.nu):
+        basis.append(r.nu)
+    frontier = list(basis)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for m in r.mu.values():
+                image = exactlin.vec_mat(v, m)
+                if space.add(image):
+                    basis.append(image)
+                    nxt.append(image)
+        frontier = nxt
+    if not basis:
+        return LinRep.zero(r.alphabet, r.max_letter_weight)
+    bt = exactlin.transpose(basis)
+
+    def coords(v):
+        sol = solve_gauss_jordan(bt, v)
+        assert sol is not None, "reachable space is not invariant"
+        return sol
+
+    mu = {letter: [coords(exactlin.vec_mat(b, m)) for b in basis] for letter, m in r.mu.items()}
+    eta = [exactlin.dot(b, r.eta) for b in basis]
+    return LinRep(r.alphabet, coords(r.nu), mu, eta, r.max_letter_weight)
+
+
+def _transpose_rep(r):
+    mu = {letter: exactlin.transpose(m) for letter, m in r.mu.items()}
+    return LinRep(r.alphabet, r.eta, mu, r.nu, r.max_letter_weight)
+
+
+def minimize_per_vector_solve(r):
+    """minimize with a Fraction solve for every coordinate vector: forward
+    reachability, then the same on the transposed representation."""
+    reduced = _reachability_per_vector_solve(r)
+    return _transpose_rep(_reachability_per_vector_solve(_transpose_rep(reduced)))
 
 
 def conc_truncated(a: NCPoly, b: NCPoly, bound: int) -> NCPoly:

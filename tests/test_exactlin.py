@@ -1,0 +1,160 @@
+"""Exact elimination on integer rows against Gauss-Jordan over Fraction.
+
+Every result of ``rref``, ``rank``, ``solve``, ``inverse``, ``RowSpace`` and
+``coordinates`` must equal the oracle's exactly: same Fractions, same pivot
+columns, same None / ValueError.  Matrices are small and rational, built to
+hold zero rows, repeated rows and combinations of earlier rows.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import FractionRowSpace, inverse_gauss_jordan, rank_gauss_jordan, rref_gauss_jordan, solve_gauss_jordan
+from wordseries import exactlin
+from wordseries.exactlin import RowSpace
+
+ZERO = Fraction(0)
+ratios = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+entries = st.one_of(st.just(ZERO), ratios, st.integers(-3, 3))
+
+
+@st.composite
+def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(0, 6)):
+    n, m = draw(nrows), draw(ncols)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combination"])) if rows else "fresh"
+        if kind == "fresh":
+            row = draw(st.lists(entries, min_size=m, max_size=m))
+        elif kind == "zero":
+            row = [ZERO] * m
+        elif kind == "copy":
+            row = draw(st.sampled_from(rows))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(ratios), draw(ratios)
+            row = [c * x + d * y for x, y in zip(a, b)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_gauss_jordan(a):
+    red, pivots = exactlin.rref(a)
+    assert (red, pivots) == rref_gauss_jordan(a)
+    assert all_fractions(red) and all(type(row) is tuple for row in red)
+    assert exactlin.rank(a) == rank_gauss_jordan(a) == len(pivots)
+
+
+@settings(deadline=None)
+@given(matrices(ncols=st.integers(1, 5)), st.data())
+def test_solve_matches_gauss_jordan(a, data):
+    if data.draw(st.booleans()) and a:  # a consistent right-hand side
+        x = data.draw(st.lists(ratios, min_size=len(a[0]), max_size=len(a[0])))
+        b = exactlin.mat_vec(a, x)
+    else:
+        b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    got = exactlin.solve(a, b)
+    assert got == solve_gauss_jordan(a, b)
+    if got is not None:
+        assert all_fractions([got])
+        assert exactlin.mat_vec(a, got) == tuple(Fraction(y) for y in b)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: matrices(nrows=st.just(n), ncols=st.just(n))))
+def test_inverse_matches_gauss_jordan(a):
+    try:
+        want = inverse_gauss_jordan(a)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            exactlin.inverse(a)
+        return
+    got = exactlin.inverse(a)
+    assert got == want and all_fractions(got)
+    assert exactlin.mat_mul(a, got) == exactlin.identity(len(a))
+
+
+@settings(deadline=None)
+@given(matrices(nrows=st.integers(0, 8), ncols=st.integers(1, 5)), st.data())
+def test_rowspace_matches_fraction_rowspace(vectors, data):
+    ncols = len(vectors[0]) if vectors else 3
+    space, oracle = RowSpace(ncols), FractionRowSpace(ncols)
+    for v in vectors:
+        assert space.add(v) == oracle.add(v)
+        assert space.rows == oracle.rows and space.pivots == oracle.pivots
+        assert len(space) == len(oracle.rows)
+        probe = data.draw(st.sampled_from(vectors)) if data.draw(st.booleans()) else data.draw(
+            st.lists(entries, min_size=ncols, max_size=ncols)
+        )
+        reduced = space.reduce(probe)
+        assert reduced == oracle.reduce(probe) and all_fractions([reduced])
+        assert space.contains(probe) == oracle.contains(probe)
+
+
+@settings(deadline=None)
+@given(matrices(nrows=st.integers(1, 6), ncols=st.integers(1, 6)), st.data())
+def test_coordinates_match_a_solve_in_the_basis(vectors, data):
+    space = RowSpace(len(vectors[0]))
+    basis = [v for v in vectors if space.add(v)]
+    if not basis:
+        return
+    solve_row = exactlin.coordinates([exactlin._int_row(b) for b in basis], space.pivots)
+    if data.draw(st.booleans()):  # inside the span
+        x = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
+        v = exactlin.vec_mat(exactlin.vector(x), basis)
+    else:
+        v = data.draw(st.lists(entries, min_size=len(basis[0]), max_size=len(basis[0])))
+    got = solve_row(exactlin._int_row(v))
+    assert got == solve_gauss_jordan(exactlin.transpose(basis), v)
+    assert (got is None) == (not space.contains(v))
+
+
+def test_empty_inputs():
+    assert exactlin.rref([]) == ([], [])
+    assert exactlin.rank([]) == 0
+    assert exactlin.solve((), ()) == ()
+    assert exactlin.inverse(()) == ()
+    assert exactlin.rref([(), ()]) == ([], [])
+    space = RowSpace(0)
+    assert not space.add(()) and space.contains(()) and space.reduce(()) == []
+    solve_row = exactlin.coordinates([], [])
+    assert solve_row(exactlin._int_row([0, 0])) == ()
+    assert solve_row(exactlin._int_row([0, 1])) is None
+
+
+def test_zero_duplicate_and_dependent_rows():
+    a = ((0, 0, 0), (1, 2, 3), (1, 2, 3), (2, 4, 7), (Fraction(1, 2), 1, 2))
+    red, pivots = exactlin.rref(a)
+    assert pivots == [0, 2]
+    assert red == [(1, 2, 0), (0, 0, 1)]
+    assert exactlin.rank(a) == 2
+    space = RowSpace(3)
+    assert [space.add(v) for v in a] == [False, True, False, True, False]
+    assert space.reduce((0, 1, 0)) == [0, 1, 0]
+    assert space.reduce((5, 10, 1)) == [0, 0, 0]
+
+
+def test_inconsistent_system_and_singular_inverse():
+    assert exactlin.solve(((1, 2), (2, 4)), (1, 3)) is None
+    assert exactlin.solve(((1, 2), (2, 4)), (1, 2)) == (1, 0)  # free variable zero
+    assert exactlin.solve(((), ()), (0, 1)) is None
+    for a in (((1, 2), (2, 4)), ((0, 0), (0, 0)), ((0,),)):
+        with pytest.raises(ValueError, match="singular"):
+            exactlin.inverse(a)
+
+
+def test_large_heights_stay_exact():
+    # entries of forty digits: the integer rows must not lose a bit
+    big = Fraction(10**40 + 7, 3**30)
+    a = ((big, 1, Fraction(1, 10**20)), (2, big, 5), (Fraction(-1, 7), 3, big))
+    assert exactlin.inverse(a) == inverse_gauss_jordan(a)
+    assert exactlin.solve(a, (1, 2, 3)) == solve_gauss_jordan(a, (1, 2, 3))

@@ -370,6 +370,13 @@ def test_chen_series_bit_identical_to_per_word_oracle(sigma, bound, z0, z):
         assert bits(got.coeff(w)) == bits(v)
 
 
+@pytest.mark.parametrize("sigma, bound", [(CLASSIC, 5), (SingularitySet.roots_of_unity(3), 3)])
+def test_chen_series_coefficients_come_in_sort_key_order(sigma, bound):
+    # `eval chen` prints series.coeffs in iteration order without sorting
+    coeffs = chen_series(FormFamily(sigma), 0.1, 0.5, bound).coeffs
+    assert list(coeffs) == sorted(coeffs, key=Word.sort_key)
+
+
 def test_chen_series_refuses_a_bound_over_the_word_budget():
     forms = FormFamily(CLASSIC)
     with pytest.raises(ValueError, match="2147483647 words"):

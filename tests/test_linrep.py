@@ -274,6 +274,48 @@ def test_minimize_matches_hankel_rank():
         assert m.eval_truncated(window) == padded.eval_truncated(window)
 
 
+def rational_linrep(alphabet, rank, rng, bound=None):
+    letters = alphabet.letters() if alphabet.is_x else alphabet.letters(max_weight=bound)
+    pick = lambda: F(rng.choice([0, 0, -2, -1, 1, 2]), rng.randint(1, 3))
+    mu = {letter: [[pick() for _ in range(rank)] for _ in range(rank)] for letter in letters}
+    return LinRep(alphabet, [pick() for _ in range(rank)], mu, [pick() for _ in range(rank)], bound)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])  # seed 2 draws nu = 0 for a rank-3 factor
+def test_minimize_matches_per_vector_solve_oracle(seed):
+    from oracles import minimize_per_vector_solve
+
+    rng = random.Random(seed)
+    a, b = rational_linrep(X2, 3, rng), rational_linrep(X2, 3, rng)
+    kron9 = LinRep(
+        X2,
+        exactlin.kron_vec(a.nu, b.nu),
+        {letter: exactlin.kron(a.mu[letter], b.mu[letter]) for letter in a.mu},
+        exactlin.kron_vec(a.eta, b.eta),
+    )
+    c = rational_linrep(Y, 8, rng, bound=2)
+    doubled = rat_sum(c, c)
+    assert (kron9.rank, doubled.rank) == (9, 16)
+    for r, rank in ((kron9, 9), (doubled, 8)):
+        got = minimize(r)
+        assert got.rank == rank
+        assert got.to_json() == minimize_per_vector_solve(r).to_json()
+
+
+def test_minimize_asserts_an_invariant_reachable_space(monkeypatch):
+    # a space that stops growing after one vector leaves nu mu(x) outside it
+    from wordseries import linrep
+
+    class OneVector(exactlin.RowSpace):
+        def add(self, v):
+            return not len(self) and super().add(v)
+
+    monkeypatch.setattr(linrep, "RowSpace", OneVector)
+    r = LinRep(X2, (1, 0), {0: [[0, 1], [0, 0]], 1: [[0, 0], [0, 0]]}, (0, 1))
+    with pytest.raises(AssertionError, match="reachable space is not invariant"):
+        minimize(r)
+
+
 # -- deconcatenation splitting ------------------------------------------------------
 
 

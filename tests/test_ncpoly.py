@@ -6,10 +6,12 @@ tuples, and dualities are checked coefficient by coefficient.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from wordseries import ncpoly
 from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
@@ -140,6 +142,27 @@ def test_phi_table_symmetry():
     with pytest.raises(ValueError, match="asymmetric"):
         PhiTable({(1, 2): 1, (2, 1): 0}, validate_to=0)
     assert PhiTable({(1, 2): 7}, validate_to=0).gamma(2, 1) == 7
+
+
+def test_products_unchanged_after_the_word_cache_evicts(monkeypatch):
+    rng = random.Random(3)
+    words = [w for w in words_up_to_grading(Y, 4) if w]
+    pairs = []
+    for _ in range(6):
+        p, q = (
+            NCPoly(Y, {w: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for w in rng.sample(words, 3)})
+            for _ in range(2)
+        )
+        pairs.append((p, q))
+    table = PhiTable.stuffle()
+    want = [(phi_shuffle(p, q, table), shuffle(p, q)) for p, q in pairs]
+    assert len(table._word_cache) > 8
+    monkeypatch.setattr(ncpoly, "_WORD_CACHE_MAX", 8)
+    monkeypatch.setattr(ncpoly, "_SHUFFLE", PhiTable.zero())
+    small = PhiTable.stuffle()
+    got = [(phi_shuffle(p, q, small), shuffle(p, q)) for p, q in pairs]
+    assert got == want
+    assert len(small._word_cache) == len(ncpoly._SHUFFLE._word_cache) == 8
 
 
 def test_delta_conc():
