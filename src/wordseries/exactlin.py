@@ -11,11 +11,12 @@ Public routines take and return small dense matrices as tuples of tuples of
   rows and divides out the gcd of the result, so no ``Fraction`` is built
   inside the elimination loop.
 
-``RowSpace`` is the one elimination routine: ``rref``, ``rank``, ``solve``
-and ``inverse`` feed their rows into one.  The reduced echelon form of a
-row space is unique, so each returns the same Fractions as Gauss-Jordan
-over Q would.  ``coordinates`` inverts a basis block once and then solves
-x·B = v for many v by integer products.
+``RowSpace`` is the one elimination routine.  The reduced echelon form of a
+row space is unique, so its rows are the same Fractions as Gauss-Jordan
+over Q would give.  ``coordinates`` feeds a k×k basis block, next to the
+identity, into one RowSpace to invert it, and then solves x·B = v for many
+v by integer products.  Dense solves and inverses have no other entry
+point: the library needs none.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class RowSpace:
     """Incremental row-space basis: feed vectors, keep the rref basis.
 
     Used for reachability/observability reductions and bracket closures, and
-    behind every elimination in this module.  The basis is held as primitive
+    behind the block inverse of ``coordinates``.  The basis is held as primitive
     integer rows sorted by pivot column; the row R with pivot p stands for
     the rref row R / R[p].
     """
@@ -203,53 +204,15 @@ class RowSpace:
         return not any(self._residue(_int_row(v)[0])[0])
 
 
-def _echelon(rows: Sequence[Sequence]) -> RowSpace:
-    """The RowSpace of the given rational rows."""
-    ints = [_int_row(r)[0] for r in rows]
-    space = RowSpace(len(ints[0]) if ints else 0)
-    for w in ints:
-        if len(space) == space.ncols:
-            break
-        space._add(w)
-    return space
-
-
-def rref(rows: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    space = _echelon(rows)
-    return [tuple(row) for row in space.rows], list(space.pivots)
-
-
-def rank(rows: Sequence[Vec]) -> int:
-    return len(_echelon(rows))
-
-
-def solve(a: Mat, b: Vec) -> Vec | None:
-    """One solution of ``a x = b``, or None if inconsistent."""
-    m = len(a[0]) if a else 0
-    space = _echelon([(*a[i], b[i]) for i in range(len(a))])
-    if m in space.pivots:
-        return None
-    x = [ZERO] * m
-    for row, c in zip(space._rows, space.pivots):
-        x[c] = Fraction(row[-1], row[c])
-    return tuple(x)
-
-
 def _inverse_rows(a: Sequence[Sequence]) -> list[list[int]]:
     """Integer rref rows of [a | I]: row i of the inverse is row[n:] / row[i]."""
     n = len(a)
-    space = _echelon([(*a[i], *(int(j == i) for j in range(n))) for i in range(n)])
+    space = RowSpace(2 * n)
+    for i, row in enumerate(a):
+        space._add(_int_row((*row, *(int(j == i) for j in range(n))))[0])
     if space.pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return space._rows
-
-
-def inverse(a: Mat) -> Mat:
-    n = len(a)
-    return tuple(
-        tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(_inverse_rows(a))
-    )
 
 
 def coordinates(basis: Sequence[tuple[list[int], Fraction]], pivots: Sequence[int]):

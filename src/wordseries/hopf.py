@@ -2,9 +2,10 @@
 
 For the shuffle bialgebra the classical Lyndon-indexed pair {P_w} / {S_w} is
 built by the bracketing / divided-power recursions; for the phi-shuffle
-bialgebra the pair {Pi_w} / {Sigma_w} is obtained by transporting P through
-the conc-automorphism sending each letter y_k to its primitive projection
-pi1(y_k), and solving the finite duality system grading by grading for Sigma.
+bialgebra the pair {Pi_w} / {Sigma_w} is that pair moved through the
+conc-automorphism Phi sending each letter y_k to its primitive projection
+pi1(y_k): Pi_w = Phi(P_w), and Sigma_w = (Phi^-1)^T S_w in closed form,
+contracting blocks of consecutive letters of S_w with no linear solve.
 
 The module also verifies the factorization of the diagonal series
 sum_w w (x) w as the decreasing product of exponentials exp(S_l (x) P_l)
@@ -17,8 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exactlin
-from .ncpoly import NCPoly, PhiTable, _product, _shuffle_law, conc, pi1, shuffle
+from .ncpoly import NCPoly, PhiTable, _add_term, _product, _shuffle_law, conc, pi1, shuffle
 from .words import (
     Alphabet,
     Word,
@@ -50,7 +50,8 @@ class DualBases:
         self._p: dict[Word, NCPoly] = {}
         self._s: dict[Word, NCPoly] = {}
         self._pi: dict[Word, NCPoly] = {}
-        self._sigma_by_grade: dict[int, dict[Word, NCPoly]] = {}
+        self._sigma: dict[Word, NCPoly] = {}
+        self._contracted: dict[Word, dict[Word, Fraction]] = {}
         self._pi1_letter: dict = {}
 
     # -- the P / S pair ------------------------------------------------------
@@ -109,18 +110,22 @@ class DualBases:
             raise ValueError("Pi/Sigma need a y alphabet with a gamma table")
         return self.phi
 
+    def _pi1_of(self, letter) -> NCPoly:
+        """pi1(y_k): the image of the letter y_k under Phi."""
+        img = self._pi1_letter.get(letter)
+        if img is None:
+            img = pi1(NCPoly.from_word(Word(self.alphabet, (letter,))), self._require_phi())
+            self._pi1_letter[letter] = img
+        return img
+
     def _phi_pi1(self, p: NCPoly) -> NCPoly:
-        """The conc-automorphism sending each letter y_k to pi1(y_k)."""
-        phi = self._require_phi()
+        """The conc-automorphism Phi sending each letter y_k to pi1(y_k)."""
+        self._require_phi()
         out = NCPoly.zero(self.alphabet)
         for w, c in p.terms.items():
             acc = NCPoly.one(self.alphabet) * c
             for letter in w.letters:
-                img = self._pi1_letter.get(letter)
-                if img is None:
-                    img = pi1(NCPoly.from_word(Word(self.alphabet, (letter,))), phi)
-                    self._pi1_letter[letter] = img
-                acc = conc(acc, img)
+                acc = conc(acc, self._pi1_of(letter))
             out = out + acc
         return out
 
@@ -132,27 +137,46 @@ class DualBases:
             self._pi[w] = hit
         return hit
 
+    def _merged(self, block: Word) -> Word:
+        """l(b): the one-letter word of the summed weight and color (mod m) of b."""
+        m = self.alphabet.color_order or 1
+        return Word(self.alphabet, ((block.grading, sum(c for _, c in block.letters) % m),))
+
+    def _contract(self, u: Word) -> dict[Word, Fraction]:
+        """(Phi^-1)^T u: the sum over factorizations u = b_1 ... b_r into
+        nonempty blocks of f(b_1) ... f(b_r) l(b_1) ... l(b_r).
+
+        f(b) = <b, Phi^-1(l(b))> is the coefficient of l(b) in the
+        contraction of b: 1 on a letter, and on a longer block the value that
+        makes <(Phi^-1)^T b, pi1(l(b))> = <b, l(b)> vanish, that is minus the
+        pairing of pi1(l(b)) with the factorizations into two or more blocks.
+        """
+        if len(u) < 2:
+            return {u: ONE}
+        hit = self._contracted.get(u)
+        if hit is None:
+            hit = {}
+            for i in range(1, len(u)):  # first block u[:i], the rest contracted
+                head = self._merged(u[:i])
+                _product({head: self._contract(u[:i]).get(head, ZERO)}, self._contract(u[i:]), out=hit)
+            whole = self._merged(u)
+            target = self._pi1_of(whole.letters[0]).terms
+            _add_term(hit, whole, -sum((c * target.get(v, ZERO) for v, c in hit.items()), ZERO))
+            self._contracted[u] = hit
+        return hit
+
     def sigma(self, w: Word) -> NCPoly:
-        """Sigma_w: the unique graded dual of Pi, by an exact linear solve."""
+        """Sigma_w = (Phi^-1)^T S_w, the graded dual of Pi, in closed form."""
         self._require_phi()
-        grade = w.grading
-        table = self._sigma_by_grade.get(grade)
-        if table is None:
-            words = [u for u in words_up_to_grading(self.alphabet, grade) if u.grading == grade]
-            # B[v][j] = coefficient of word_j in Pi_v ; duality needs B C = I
-            b = exactlin.matrix(
-                [[self.pi(v).coeff(u) for u in words] for v in words]
-            )
-            try:
-                c = exactlin.inverse(b)
-            except ValueError as exc:  # pragma: no cover - would be an implementation bug
-                raise AssertionError("duality system is singular") from exc
-            table = {
-                u: NCPoly(self.alphabet, dict(zip(words, col)))
-                for u, col in zip(words, exactlin.transpose(c))
-            }
-            self._sigma_by_grade[grade] = table
-        return table[w]
+        hit = self._sigma.get(w)
+        if hit is None:
+            out: dict[Word, Fraction] = {}
+            for v, c in self.s(w).terms.items():
+                for u, d in self._contract(v).items():
+                    _add_term(out, u, c * d)
+            hit = NCPoly(self.alphabet, out)
+            self._sigma[w] = hit
+        return hit
 
 
 def _group_equal(factors: list[Word]) -> list[tuple[Word, int]]:

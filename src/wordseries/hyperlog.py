@@ -38,7 +38,7 @@ from numpy.polynomial.legendre import leggauss, legint, legval
 
 from .linrep import LinRep
 from .ncpoly import NCPoly, TruncSeries, _add_term, _product, shuffle
-from .words import Alphabet, Word, words_up_to_grading
+from .words import Alphabet, Word, _check_word_budget, words_up_to_grading
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -589,25 +589,6 @@ def _panel_edges(z0: float, z: float, panels: int) -> np.ndarray:
     return np.linspace(z0, z, panels + 1)
 
 
-# Chen evaluation admits at most this many words, all gradings <= N together.
-_WORD_BUDGET = 1 << 18
-
-
-def _check_word_budget(letters: int, bound: int) -> None:
-    """Refuse, before any allocation, a bound whose word count
-    sum_(k<=bound) letters^k exceeds the budget."""
-    if letters > 1 and bound > 64:  # far over the budget; no exact count needed
-        words = f"more than {letters}^{bound}"
-    else:
-        words = bound + 1 if letters == 1 else (letters ** (bound + 1) - 1) // (letters - 1)
-        if words <= _WORD_BUDGET:
-            return
-    raise ValueError(
-        f"gradings <= {bound} over {letters} letters hold {words} words, "
-        f"over the budget of {_WORD_BUDGET} words"
-    )
-
-
 def _chen_kernel(
     forms: FormFamily, z0: float, z: float, bound: int, panels: int, g: int
 ) -> list[np.ndarray]:
@@ -656,7 +637,7 @@ def _chen_grades(
     radius = min(abs(complex(s)) for s in sigma.values[1:]) if sigma.m else math.inf
     if z >= radius:
         raise ValueError("path touches or passes a singularity")
-    _check_word_budget(sigma.m + 1, bound)
+    _check_word_budget(sigma.x_alphabet(), bound)
     panels = quad.initial_panels
     prev = _chen_kernel(forms, z0, z, 1, panels, quad.nodes)[1]
     delta = math.inf

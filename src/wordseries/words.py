@@ -307,8 +307,34 @@ def _words_of_grading(alphabet: Alphabet, n: int) -> Iterator[Word]:
     yield from rec(n, ())
 
 
+# Enumerations admit at most this many words, all gradings <= the bound together.
+_WORD_BUDGET = 1 << 18
+
+
+def _check_word_budget(alphabet: Alphabet, bound: int) -> None:
+    """Refuse, before any allocation, a bound over the budget.  Grade k >= 1
+    holds size^k x words, and m (m+1)^(k-1) y words with m colors (m = 1 on
+    plain y), so gradings <= bound hold (m+1)^bound y words."""
+    size = alphabet.size if alphabet.is_x else (alphabet.color_order or 1) + 1
+    n = max(bound, 0)
+    if size == 1:
+        words = n + 1
+    elif n > 64:  # far over the budget; no exact count needed
+        words = f"more than 2^{n}"
+    else:
+        words = (size ** (n + 1) - 1) // (size - 1) if alphabet.is_x else size**n
+    if isinstance(words, int) and words <= _WORD_BUDGET:
+        return
+    raise ValueError(
+        f"gradings <= {bound} over {alphabet_text(alphabet)} hold {words} words, "
+        f"over the budget of {_WORD_BUDGET} words"
+    )
+
+
 def words_up_to_grading(alphabet: Alphabet, max_grade: int) -> list[Word]:
-    """All words of grading <= max_grade, sorted by (grading, lex)."""
+    """All words of grading <= max_grade, sorted by (grading, lex); a bound
+    over the word budget is refused with a ValueError."""
+    _check_word_budget(alphabet, max_grade)
     out = []
     for n in range(max_grade + 1):
         out.extend(_words_of_grading(alphabet, n))
@@ -318,7 +344,9 @@ def words_up_to_grading(alphabet: Alphabet, max_grade: int) -> list[Word]:
 
 
 def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:
-    """Lyndon words of grading <= max_grade, sorted by (grading, lex)."""
+    """Lyndon words of grading <= max_grade, sorted by (grading, lex); a
+    bound over the word budget is refused with a ValueError."""
+    _check_word_budget(alphabet, max_grade)
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
     out = [

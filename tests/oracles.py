@@ -2,9 +2,10 @@
 
 Everything here recomputes expected values through a different route than
 the library code under test: Gauss-Jordan elimination over ``Fraction`` and
-minimization with one solve per vector, truncated polynomial products term
-by term, the Chen series one word at a time and its pairing as a sum over
-words, and an ODE solver by recentered Taylor series.
+minimization with one solve per vector, the Sigma basis from the dense
+duality system of its grade, truncated polynomial products term by term,
+the Chen series one word at a time and its pairing as a sum over words, and
+an ODE solver by recentered Taylor series.
 """
 
 import math
@@ -42,10 +43,6 @@ def rref_gauss_jordan(rows):
         if r == len(work):
             break
     return [tuple(row) for row in work[:r]], pivots
-
-
-def rank_gauss_jordan(rows):
-    return len(rref_gauss_jordan(rows)[0])
 
 
 def solve_gauss_jordan(a, b):
@@ -105,6 +102,18 @@ class FractionRowSpace:
 
     def contains(self, v):
         return all(x == 0 for x in self.reduce(v))
+
+
+def sigma_by_inverse(bases, grade):
+    """word -> Sigma_word for every word of the grade, from the dense duality
+    system: B[v][u] is the coefficient of u in Pi_v, and Sigma_u is column u
+    of B^-1, so that <Sigma_u, Pi_v> = (B B^-1)[v][u]."""
+    words = [u for u in words_up_to_grading(bases.alphabet, grade) if u.grading == grade]
+    inv = inverse_gauss_jordan([[bases.pi(v).coeff(u) for u in words] for v in words])
+    return {
+        u: NCPoly(bases.alphabet, dict(zip(words, col)))
+        for u, col in zip(words, exactlin.transpose(inv))
+    }
 
 
 def _reachability_per_vector_solve(r):

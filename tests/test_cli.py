@@ -1,8 +1,11 @@
 """CLI verbs: grammar, determinism, round trips, exit codes."""
 
 import json
+import time
+from fractions import Fraction
 
 from wordseries.cli import main
+from wordseries.hopf import DualBases
 from wordseries.linrep import LinRep
 from wordseries.ncpoly import NCPoly
 from wordseries.words import Alphabet
@@ -307,3 +310,39 @@ def test_explicit_sigma_list(capsys):
     assert code == 0
     value = float(out.splitlines()[1].split(",")[1])
     assert abs(value - (-math.log(1 - 0.25))) < 1e-12
+
+
+def test_check_duality_passes_and_fails_on_a_perturbed_sigma(capsys, monkeypatch):
+    code, out, _ = run(capsys, "check", "duality", "--alphabet", "y", "--N", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "duality S/P: PASS (16 words, grade <= 4)",
+        "duality Sigma/Pi: PASS (16 words, grade <= 4)",
+    ]
+    exact = DualBases.sigma
+    y = Alphabet.y()
+    target = y.parse_word("y2 y1")
+
+    def perturbed(self, w):
+        out = exact(self, w)
+        if w == target:  # one coefficient off by 1/2
+            return out + NCPoly.from_word(y.parse_word("y3"), Fraction(1, 2))
+        return out
+
+    monkeypatch.setattr(DualBases, "sigma", perturbed)
+    code, out, _ = run(capsys, "check", "duality", "--alphabet", "y", "--N", "4")
+    assert code == 1
+    assert out.splitlines()[-1] == "duality Sigma/Pi: FAIL at <y2 y1, y3> = 1/2"
+
+
+def test_enumerations_over_the_word_budget_exit_2_at_once(capsys):
+    for argv in (
+        ("lyndon", "--alphabet", "y", "--max", "40"),
+        ("check", "duality", "--alphabet", "y", "--N", "40"),
+        ("check", "diagonal", "--alphabet", "y", "--N", "40"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "1099511627776 words" in err and "budget" in err

@@ -1,9 +1,9 @@
 """Exact elimination on integer rows against Gauss-Jordan over Fraction.
 
-Every result of ``rref``, ``rank``, ``solve``, ``inverse``, ``RowSpace`` and
-``coordinates`` must equal the oracle's exactly: same Fractions, same pivot
-columns, same None / ValueError.  Matrices are small and rational, built to
-hold zero rows, repeated rows and combinations of earlier rows.
+Every result of ``RowSpace`` and ``coordinates`` must equal the oracle's
+exactly: same Fractions, same pivot columns, same None / ValueError.
+Matrices are small and rational, built to hold zero rows, repeated rows and
+combinations of earlier rows.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionRowSpace, inverse_gauss_jordan, rank_gauss_jordan, rref_gauss_jordan, solve_gauss_jordan
+from oracles import FractionRowSpace, inverse_gauss_jordan, solve_gauss_jordan
 from wordseries import exactlin
 from wordseries.exactlin import RowSpace
 
@@ -46,41 +46,21 @@ def all_fractions(rows) -> bool:
 
 
 @settings(deadline=None)
-@given(matrices())
-def test_rref_and_rank_match_gauss_jordan(a):
-    red, pivots = exactlin.rref(a)
-    assert (red, pivots) == rref_gauss_jordan(a)
-    assert all_fractions(red) and all(type(row) is tuple for row in red)
-    assert exactlin.rank(a) == rank_gauss_jordan(a) == len(pivots)
-
-
-@settings(deadline=None)
-@given(matrices(ncols=st.integers(1, 5)), st.data())
-def test_solve_matches_gauss_jordan(a, data):
-    if data.draw(st.booleans()) and a:  # a consistent right-hand side
-        x = data.draw(st.lists(ratios, min_size=len(a[0]), max_size=len(a[0])))
-        b = exactlin.mat_vec(a, x)
-    else:
-        b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
-    got = exactlin.solve(a, b)
-    assert got == solve_gauss_jordan(a, b)
-    if got is not None:
-        assert all_fractions([got])
-        assert exactlin.mat_vec(a, got) == tuple(Fraction(y) for y in b)
-
-
-@settings(deadline=None)
 @given(st.integers(0, 5).flatmap(lambda n: matrices(nrows=st.just(n), ncols=st.just(n))))
-def test_inverse_matches_gauss_jordan(a):
+def test_coordinates_invert_the_pivot_block_like_gauss_jordan(a):
+    # x·A = e_i is row i of A^-1: the one block inverse coordinates builds
+    n = len(a)
+    basis = [exactlin._int_row(row) for row in a]
     try:
         want = inverse_gauss_jordan(a)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            exactlin.inverse(a)
+            exactlin.coordinates(basis, range(n))
         return
-    got = exactlin.inverse(a)
+    solve_row = exactlin.coordinates(basis, range(n))
+    got = tuple(solve_row(exactlin._int_row(e)) for e in exactlin.identity(n))
     assert got == want and all_fractions(got)
-    assert exactlin.mat_mul(a, got) == exactlin.identity(len(a))
+    assert exactlin.mat_mul(a, got) == exactlin.identity(n)
 
 
 @settings(deadline=None)
@@ -119,13 +99,9 @@ def test_coordinates_match_a_solve_in_the_basis(vectors, data):
 
 
 def test_empty_inputs():
-    assert exactlin.rref([]) == ([], [])
-    assert exactlin.rank([]) == 0
-    assert exactlin.solve((), ()) == ()
-    assert exactlin.inverse(()) == ()
-    assert exactlin.rref([(), ()]) == ([], [])
     space = RowSpace(0)
     assert not space.add(()) and space.contains(()) and space.reduce(()) == []
+    assert space.rows == [] and space.pivots == [] and len(space) == 0
     solve_row = exactlin.coordinates([], [])
     assert solve_row(exactlin._int_row([0, 0])) == ()
     assert solve_row(exactlin._int_row([0, 1])) is None
@@ -133,28 +109,31 @@ def test_empty_inputs():
 
 def test_zero_duplicate_and_dependent_rows():
     a = ((0, 0, 0), (1, 2, 3), (1, 2, 3), (2, 4, 7), (Fraction(1, 2), 1, 2))
-    red, pivots = exactlin.rref(a)
-    assert pivots == [0, 2]
-    assert red == [(1, 2, 0), (0, 0, 1)]
-    assert exactlin.rank(a) == 2
     space = RowSpace(3)
     assert [space.add(v) for v in a] == [False, True, False, True, False]
+    assert space.pivots == [0, 2] and len(space) == 2
+    assert space.rows == [[1, 2, 0], [0, 0, 1]] and all_fractions(space.rows)
     assert space.reduce((0, 1, 0)) == [0, 1, 0]
     assert space.reduce((5, 10, 1)) == [0, 0, 0]
 
 
 def test_inconsistent_system_and_singular_inverse():
-    assert exactlin.solve(((1, 2), (2, 4)), (1, 3)) is None
-    assert exactlin.solve(((1, 2), (2, 4)), (1, 2)) == (1, 0)  # free variable zero
-    assert exactlin.solve(((), ()), (0, 1)) is None
-    for a in (((1, 2), (2, 4)), ((0, 0), (0, 0)), ((0,),)):
+    # x·B = v outside the span of B is None; a singular pivot block is refused
+    basis = [exactlin._int_row(row) for row in ((1, 2, 0), (0, 0, 1))]
+    solve_row = exactlin.coordinates(basis, [0, 2])
+    assert solve_row(exactlin._int_row((1, 3, 5))) is None
+    assert solve_row(exactlin._int_row((2, 4, 5))) == (2, 5)
+    for rows, pivots in ((((1, 2), (2, 4)), [0, 1]), (((1, 2, 0), (0, 0, 1)), [0, 1]), (((0,),), [0])):
         with pytest.raises(ValueError, match="singular"):
-            exactlin.inverse(a)
+            exactlin.coordinates([exactlin._int_row(row) for row in rows], pivots)
 
 
 def test_large_heights_stay_exact():
     # entries of forty digits: the integer rows must not lose a bit
     big = Fraction(10**40 + 7, 3**30)
     a = ((big, 1, Fraction(1, 10**20)), (2, big, 5), (Fraction(-1, 7), 3, big))
-    assert exactlin.inverse(a) == inverse_gauss_jordan(a)
-    assert exactlin.solve(a, (1, 2, 3)) == solve_gauss_jordan(a, (1, 2, 3))
+    solve_row = exactlin.coordinates([exactlin._int_row(row) for row in a], range(3))
+    for v in ((1, 2, 3), (big, -big, Fraction(1, 3**30))):
+        got = solve_row(exactlin._int_row(v))
+        assert got == solve_gauss_jordan(exactlin.transpose(a), v)
+        assert exactlin.vec_mat(got, exactlin.matrix(a)) == exactlin.vector(v)

@@ -1,9 +1,11 @@
 """Dual bases and the diagonal-series factorization."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from oracles import sigma_by_inverse
 
 from wordseries.hopf import DualBases, diagonal_factorization_check
 from wordseries.ncpoly import (
@@ -236,3 +238,46 @@ def test_colored_dual_bases_and_diagonal():
         for v in words:
             assert su.pairing(bases.pi(v)) == (1 if u == v else 0)
     assert diagonal_factorization_check(ym, STUFFLE, 3).equal
+
+
+def binomial_gamma(c):
+    """gamma(i, j) = c * binomial(i + j, i), associative for every c."""
+    return PhiTable(
+        {(i, j): c * math.comb(i + j, i) for i in range(1, 12) for j in range(i, 13 - i)},
+        validate_to=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "alphabet, phi, top",
+    [
+        (Y, STUFFLE, 7),
+        (Y, binomial_gamma(2), 6),
+        (Y, binomial_gamma(-1), 6),
+        (Alphabet.y(color_order=2), STUFFLE, 4),
+        (Alphabet.y(color_order=3), STUFFLE, 3),
+    ],
+    ids=["stuffle", "binomial-2", "binomial-minus-1", "y@2", "y@3"],
+)
+def test_sigma_closed_form_matches_the_duality_inverse(alphabet, phi, top):
+    # the oracle builds Pi on the whole grade on its own instance and
+    # inverts the dense duality matrix over Fraction
+    closed, dense = DualBases(alphabet, phi), DualBases(alphabet, phi)
+    for grade in range(1, top + 1):
+        for w, want in sigma_by_inverse(dense, grade).items():
+            assert closed.sigma(w) == want, w
+
+
+def test_stuffle_sigma_of_a_letter_power_is_hoffman_exp():
+    # with the stuffle, Phi^-1 is Hoffman's exp: a block of l letters y1
+    # contracts to y_l with weight 1/l!
+    bases = DualBases(Y, STUFFLE)
+    for n in range(1, 7):
+        want = NCPoly.zero(Y)
+        for size in range(1, n + 1):
+            for parts in itertools.combinations(range(1, n), size - 1):
+                lengths = [b - a for a, b in zip((0, *parts), (*parts, n))]
+                word = Y.word((l, 0) for l in lengths)
+                coeff = Fraction(1, math.prod(math.factorial(l) for l in lengths))
+                want = want + NCPoly.from_word(word, coeff)
+        assert bases.sigma(Y.word([(1, 0)] * n)) == want

@@ -153,3 +153,41 @@ def test_lyndon_factorization_y():
     assert all(is_lyndon(f) for f in factors)
     keys = [f.lex_key() for f in factors]
     assert all(a >= b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize(
+    "alphabet, top",
+    [(Alphabet.x(1), 6), (X2, 6), (Alphabet.x(3), 4), (Y, 7), (Alphabet.y(color_order=2), 5),
+     (Alphabet.y(color_order=3), 4)],
+)
+def test_word_budget_counts_exactly_the_words_enumerated(alphabet, top, monkeypatch):
+    from wordseries import words
+
+    counts = [len(words_up_to_grading(alphabet, bound)) for bound in range(top + 1)]
+    for bound in range(1, top + 1):
+        count = counts[bound]
+        monkeypatch.setattr(words, "_WORD_BUDGET", count)
+        words_up_to_grading(alphabet, bound)
+        lyndon_words(alphabet, bound)
+        monkeypatch.setattr(words, "_WORD_BUDGET", count - 1)
+        for enumerate_words in (words_up_to_grading, lyndon_words):
+            with pytest.raises(ValueError, match=f"hold {count} words, over the budget of {count - 1}"):
+                enumerate_words(alphabet, bound)
+
+
+def test_word_budget_edges():
+    from wordseries.words import _check_word_budget
+
+    _check_word_budget(X2, 17)  # 2^18 - 1 words
+    _check_word_budget(Y, 18)  # 2^18 words
+    with pytest.raises(ValueError, match="524287 words"):
+        words_up_to_grading(X2, 18)
+    with pytest.raises(ValueError, match="hold 524288 words"):
+        lyndon_words(Y, 19)
+    with pytest.raises(ValueError, match="hold more than 2\\^100 words"):
+        lyndon_words(Alphabet.y(color_order=3), 100)
+    with pytest.raises(ValueError, match="hold 1000001 words"):
+        words_up_to_grading(Alphabet.x(1), 10**6)
+    assert words_up_to_grading(X2, -2) == [] and words_up_to_grading(Y, -1) == []
+    with pytest.raises(ValueError, match="more than 2\\^65 words"):
+        words_up_to_grading(X2, 65)
