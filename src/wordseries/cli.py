@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -117,6 +119,12 @@ def _sigma(args) -> SingularitySet:
     return SingularitySet.classical()
 
 
+def _integer_terms(p: NCPoly) -> tuple[dict, int]:
+    """p as integer coefficients over one common denominator d: (d·p, d)."""
+    d = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}, d
+
+
 # -- verbs ----------------------------------------------------------------------
 
 
@@ -196,14 +204,23 @@ def cmd_check(args) -> int:
             else [("S/P", bases.s, bases.p), ("Sigma/Pi", bases.sigma, bases.pi)]
         )
         words = words_up_to_grading(alphabet, n)
+        grades = [list(same) for _, same in itertools.groupby(words, key=lambda w: w.grading)]
         for name, left, right in pairs:
+            # elements homogeneous of their word's grade pair to 0 across grades
             for u in words:
-                for v in words:
-                    got = left(u).pairing(right(v))
-                    want = Fraction(1 if u == v else 0)
-                    if got != want:
-                        print(f"duality {name}: FAIL at <{u}, {v}> = {got}")
+                for family, element in zip(name.split("/"), (left(u), right(u))):
+                    if any(w.grading != u.grading for w in element.terms):
+                        print(f"duality {name}: FAIL {family}({u}) is not homogeneous of grade {u.grading}")
                         return 1
+            for same in grades:
+                rights = [_integer_terms(right(v)) for v in same]
+                for u in same:
+                    a, da = _integer_terms(left(u))
+                    for v, (b, db) in zip(same, rights):
+                        got = sum(c * b.get(w, 0) for w, c in a.items())
+                        if got != (da * db if u == v else 0):
+                            print(f"duality {name}: FAIL at <{u}, {v}> = {Fraction(got, da * db)}")
+                            return 1
             print(f"duality {name}: PASS ({len(words)} words, grade <= {n})")
         return 0
     if args.what == "diagonal":

@@ -627,6 +627,8 @@ def _chen_grades(
 
     The panel count doubles until the single-letter coefficients stabilize
     below the tolerance; all gradings <= bound are then evaluated on it.
+    A RuntimeError reports a quadrature that has not stabilized within
+    ``max_doublings`` doublings.
     """
     quad = quad or QuadratureConfig()
     sigma = forms.sigma
@@ -648,6 +650,11 @@ def _chen_grades(
         prev = cur
         if delta < quad.tol:
             break
+    else:
+        raise RuntimeError(
+            f"quadrature did not converge: last delta {delta:.3g} after "
+            f"{quad.max_doublings} doublings ({panels} panels), tol {quad.tol:g}"
+        )
     return _chen_kernel(forms, z0, z, bound, panels, quad.nodes), max(delta, quad.tol)
 
 
@@ -663,7 +670,8 @@ def chen_series(
     All words of grading <= bound are advanced panel by panel on one shared
     composite Gauss-Legendre grid, a whole grade at a time; the panel count
     doubles until the single letter coefficients stabilize below the
-    configured tolerance.  Bounds with more than 2^18 words in all are
+    configured tolerance, and a RuntimeError reports that they did not
+    within ``max_doublings``.  Bounds with more than 2^18 words in all are
     refused with a ValueError.
     """
     grades, err = _chen_grades(forms, z0, z, bound, quad)
@@ -688,7 +696,8 @@ def system_output(
     rounded once to a float; the terms are summed one by one in (grading,
     lex) order.  The error field adds the quadrature estimates and, as a
     truncation indicator, the magnitude of the last grading layer.  Bounds
-    with more than 2^18 words in all are refused with a ValueError.
+    with more than 2^18 words in all are refused with a ValueError, and a
+    quadrature that does not converge raises a RuntimeError.
     """
     if r.alphabet != forms.alphabet():
         raise ValueError("representation alphabet does not match the forms")

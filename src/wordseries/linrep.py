@@ -4,7 +4,8 @@ A series is carried by a triple (nu, mu, eta): a rational row vector, a
 letter-indexed family of square matrices extended multiplicatively to words,
 and a column vector, with coefficient function  <S, w> = nu mu(w) eta.  The
 module provides evaluation, shifts, the closure constructions (sum,
-concatenation, star, shuffle, phi-shuffle), exact minimization over Q, the
+concatenation, star, and the shuffle and phi-shuffle, both built from the
+letter rule of ``ncpoly``), exact minimization over Q, the
 deconcatenation splitting into rank-many tensor factors, grouplike /
 primitive tests, truncated log/exp, Lie-algebra diagnostics of the matrix
 family, and the two series factorizations driven by the Lyndon dual bases.
@@ -14,6 +15,7 @@ Everything is exact rational arithmetic; no tolerances anywhere.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,13 +29,17 @@ from .ncpoly import (
     NCPoly,
     PhiTable,
     TruncSeries,
+    _SHUFFLE,
     _add_term,
+    _json_checked,
+    _json_fields,
+    _json_fraction,
+    _letter_rule,
     _product,
     _shuffle_law,
     _values_match,
     coproduct,
     format_fraction,
-    parse_fraction,
 )
 from .words import Alphabet, Word, alphabet_text, lyndon_words, parse_alphabet, words_up_to_grading
 
@@ -78,14 +84,10 @@ class LinRep:
         n = len(self.nu)
         if len(self.eta) != n:
             raise ValueError("nu and eta disagree on the rank")
-        if alphabet.is_x:
-            letters = alphabet.letters()
-        else:
-            if max_letter_weight is None:
-                max_letter_weight = max((k for (k, _) in mu), default=0)
-            letters = alphabet.letters(max_weight=max_letter_weight)
+        if alphabet.is_y and max_letter_weight is None:
+            max_letter_weight = max((k for (k, _) in mu), default=0)
         matrices = {}
-        for letter in letters:
+        for letter in alphabet.letters(max_weight=max_letter_weight):  # x: all letters
             m = mu.get(letter)
             m = exactlin.zeros(n, n) if m is None else exactlin.matrix(m)
             if len(m) != n or any(len(row) != n for row in m):
@@ -127,11 +129,7 @@ class LinRep:
         """All coefficients of grading <= bound by prefix-sharing traversal."""
         if self.alphabet.is_y and (self.max_letter_weight or 0) < bound:
             raise ValueError("materialized letter weights do not cover the bound")
-        letters = (
-            self.alphabet.letters()
-            if self.alphabet.is_x
-            else self.alphabet.letters(max_weight=bound)
-        )
+        letters = self.alphabet.letters(max_weight=bound)
         coeffs: dict[Word, Fraction] = {}
         frontier = [(self.alphabet.empty_word(), self.nu)]
         while frontier:
@@ -174,11 +172,7 @@ class LinRep:
                 (p.alphabet.letter_weight(a) for w in p.terms for a in w.letters),
                 default=1,
             )
-        letters = (
-            p.alphabet.letters()
-            if p.alphabet.is_x
-            else p.alphabet.letters(max_weight=max_letter_weight)
-        )
+        letters = p.alphabet.letters(max_weight=max_letter_weight)
         mu = {letter: [[ZERO] * n for _ in range(n)] for letter in letters}
         for u, i in index.items():
             for letter in letters:
@@ -212,18 +206,25 @@ class LinRep:
 
     @classmethod
     def from_json(cls, data: dict) -> "LinRep":
-        alphabet = parse_alphabet(data["alphabet"])
-        mu = {}
-        for name, rows in data["mu"].items():
-            letter = alphabet.parse_word(name).letters[0]
-            mu[letter] = [[parse_fraction(c) for c in row] for row in rows]
-        return cls(
-            alphabet,
-            [parse_fraction(c) for c in data["nu"]],
-            mu,
-            [parse_fraction(c) for c in data["eta"]],
-            data.get("max_letter_weight"),
-        )
+        kinds = {"alphabet": str, "nu": list, "mu": dict, "eta": list}
+        text, nu, mu, eta = _json_fields(data, kinds, "representation")
+        alphabet = parse_alphabet(text)
+
+        def vector(value, field: str) -> list[Fraction]:
+            return [_json_fraction(c, field) for c in _json_checked(value, list, field)]
+
+        matrices = {}
+        for name, rows in mu.items():
+            field = f"representation 'mu' {name!r}"
+            letters = alphabet.parse_word(name).letters
+            if len(letters) != 1:
+                raise ValueError(f"{field} is not one letter")
+            matrices[letters[0]] = [vector(row, field) for row in _json_checked(rows, list, field)]
+        weight = data.get("max_letter_weight")
+        if weight is not None and type(weight) is not int:
+            raise ValueError("representation 'max_letter_weight' must be an integer or null")
+        nu, eta = vector(nu, "representation 'nu'"), vector(eta, "representation 'eta'")
+        return cls(alphabet, nu, matrices, eta, weight)
 
     def __repr__(self) -> str:
         return f"LinRep(rank={self.rank}, alphabet={alphabet_text(self.alphabet)})"
@@ -285,9 +286,8 @@ def rat_sum(r1: LinRep, r2: LinRep) -> LinRep:
     alphabet = _common_alphabet(r1, r2)
     bound = _common_bound(r1, r2)
     n1, n2 = r1.rank, r2.rank
-    letters = set(r1.mu) & set(r2.mu) if alphabet.is_y else set(r1.mu)
     mu = {}
-    for letter in letters:
+    for letter in alphabet.letters(max_weight=bound):
         a, b = r1.mu[letter], r2.mu[letter]
         mu[letter] = [
             [a[i][j] if i < n1 and j < n1 else ZERO for j in range(n1 + n2)]
@@ -303,9 +303,8 @@ def rat_conc(r1: LinRep, r2: LinRep) -> LinRep:
     bound = _common_bound(r1, r2)
     n1, n2 = r1.rank, r2.rank
     s2 = exactlin.dot(r2.nu, r2.eta)  # <R2, 1>
-    letters = set(r1.mu) & set(r2.mu) if alphabet.is_y else set(r1.mu)
     mu = {}
-    for letter in letters:
+    for letter in alphabet.letters(max_weight=bound):
         a, b = r1.mu[letter], r2.mu[letter]
         # upper-right block: eta1 nu2 mu2(x)
         nu2b = vec_mat(r2.nu, b)
@@ -335,17 +334,23 @@ def rat_star(r: LinRep) -> LinRep:
     return LinRep(r.alphabet, nu, mu, eta, r.max_letter_weight)
 
 
-def rat_shuffle(r1: LinRep, r2: LinRep) -> LinRep:
+def _letter_rule_closure(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
+    """The (phi-)shuffle of two series on the tensor product of their
+    representations: mu(x) = sum of g mu1(u) (x) mu2(v) over the terms
+    ((u, v), g) of the letter rule of x, the coproduct of x dual to the
+    product, with mu(empty word) = I."""
     alphabet = _common_alphabet(r1, r2)
     bound = _common_bound(r1, r2)
-    n1, n2 = r1.rank, r2.rank
-    i1, i2 = exactlin.identity(n1), exactlin.identity(n2)
-    letters = set(r1.mu) & set(r2.mu) if alphabet.is_y else set(r1.mu)
+
+    def factor(r: LinRep, u: Word) -> Mat:
+        return r.mu[u.letters[0]] if u else exactlin.identity(r.rank)
+
     mu = {
-        letter: mat_add(
-            exactlin.kron(r1.mu[letter], i2), exactlin.kron(i1, r2.mu[letter])
-        )
-        for letter in letters
+        letter: functools.reduce(mat_add, (
+            exactlin.kron(mat_scale(g, factor(r1, u)), factor(r2, v))
+            for (u, v), g in _letter_rule(alphabet, letter, phi).items()
+        ))
+        for letter in alphabet.letters(max_weight=bound)
     }
     return LinRep(
         alphabet,
@@ -356,37 +361,18 @@ def rat_shuffle(r1: LinRep, r2: LinRep) -> LinRep:
     )
 
 
+def rat_shuffle(r1: LinRep, r2: LinRep) -> LinRep:
+    """Shuffle closure: the phi-shuffle closure with gamma = 0, where every
+    letter is primitive and mu(x) = mu1(x) (x) I + I (x) mu2(x)."""
+    return _letter_rule_closure(r1, r2, _SHUFFLE)
+
+
 def rat_phi_shuffle(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
-    """Shuffle blocks plus the gamma-weighted letter-merge cross terms."""
-    alphabet = _common_alphabet(r1, r2)
-    if not alphabet.is_y:
+    """Phi-shuffle closure: the shuffle blocks plus, for each split
+    y_k -> (y_i, y_{k-i}) of the letter rule, gamma(i, k-i) mu1(y_i) (x) mu2(y_{k-i})."""
+    if not _common_alphabet(r1, r2).is_y:
         raise ValueError("phi-shuffle closure needs a y alphabet")
-    bound = _common_bound(r1, r2)
-    n1, n2 = r1.rank, r2.rank
-    i1, i2 = exactlin.identity(n1), exactlin.identity(n2)
-    colors = range(alphabet.color_order) if alphabet.color_order else (0,)
-    mu = {}
-    for letter in alphabet.letters(max_weight=bound):
-        k, c = letter
-        m = mat_add(
-            exactlin.kron(r1.mu[letter], i2), exactlin.kron(i1, r2.mu[letter])
-        )
-        for i in range(1, k):
-            g = phi.gamma(i, k - i)
-            if not g:
-                continue
-            for c1 in colors:
-                c2 = (c - c1) % alphabet.color_order if alphabet.color_order else 0
-                cross = exactlin.kron(r1.mu[(i, c1)], r2.mu[(k - i, c2)])
-                m = mat_add(m, mat_scale(g, cross))
-        mu[letter] = m
-    return LinRep(
-        alphabet,
-        exactlin.kron_vec(r1.nu, r2.nu),
-        mu,
-        exactlin.kron_vec(r1.eta, r2.eta),
-        bound,
-    )
+    return _letter_rule_closure(r1, r2, phi)
 
 
 # -- minimization -----------------------------------------------------------------
@@ -857,12 +843,8 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
         return SweedlerVerdict(True, 0, f"zero series on window {n}", delta_conc_decompose(rep))
 
     solve_row = exactlin.coordinates(basis_rows, space.pivots)
-    if series.alphabet.is_x:
-        letters = series.alphabet.letters()
-    else:
-        letters = series.alphabet.letters(max_weight=wmax)
     mu = {}
-    for letter in letters:
+    for letter in series.alphabet.letters(max_weight=wmax):
         rows = []
         for u in basis_words:
             shifted = u * Word(series.alphabet, (letter,))

@@ -7,9 +7,10 @@ the dual coproducts, the eulerian idempotent projecting onto primitives, and
 the character / infinitesimal-character tests on truncated series.
 
 The shuffle is the phi-shuffle with gamma = 0: one word recursion
-(``_phi_shuffle_words``) and one letter-split rule serve both, on x and y
-alphabets.  Every bilinear product of the package, here and in ``hopf``,
-``linrep`` and ``hyperlog``, goes through the one kernel ``_product``.
+(``_phi_shuffle_words``) and one letter-split rule (``_letter_rule``, which
+also builds the closures of ``linrep``) serve both, on x and y alphabets.
+Every bilinear product of the package, here and in ``hopf``, ``linrep`` and
+``hyperlog``, goes through the one kernel ``_product``.
 
 All identities here are exact; nothing in this module touches floating point.
 """
@@ -50,6 +51,33 @@ def format_fraction(q: Fraction) -> str:
 
 def parse_fraction(s: str) -> Fraction:
     return Fraction(s)
+
+
+# -- reading JSON input: each error names the field it rejects ---------------
+
+
+def _json_checked(value, kind: type, field: str):
+    """``value`` if it is of the JSON kind ``kind`` (dict, list or str)."""
+    if not isinstance(value, kind):
+        name = {dict: "object", list: "list", str: "string"}[kind]
+        raise ValueError(f"{field} must be a JSON {name}, not {type(value).__name__}")
+    return value
+
+
+def _json_fields(data, kinds: dict, what: str) -> list:
+    """The values of the JSON object ``data`` at the keys of ``kinds``, each
+    checked to be of its kind (``object``: any value)."""
+    for key in kinds:
+        if key not in _json_checked(data, dict, what):
+            raise ValueError(f"{what} has no {key!r} field")
+    return [_json_checked(data[key], kind, f"{what} {key!r}") for key, kind in kinds.items()]
+
+
+def _json_fraction(value, field: str) -> Fraction:
+    try:
+        return parse_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{field} is not a rational number: {value!r}") from None
 
 
 def _add_term(d: dict, key, coeff) -> None:
@@ -175,10 +203,12 @@ class NCPoly:
         ]
 
     @classmethod
-    def from_json(cls, alphabet: Alphabet, data: Iterable[dict]) -> "NCPoly":
+    def from_json(cls, alphabet: Alphabet, data: list) -> "NCPoly":
         terms: dict[Word, Fraction] = {}
-        for item in data:
-            _add_term(terms, alphabet.parse_word(item["word"]), parse_fraction(item["coeff"]))
+        for n, item in enumerate(_json_checked(data, list, "polynomial")):
+            what = f"polynomial term {n}"
+            word, coeff = _json_fields(item, {"word": str, "coeff": object}, what)
+            _add_term(terms, alphabet.parse_word(word), _json_fraction(coeff, f"{what} 'coeff'"))
         return cls(alphabet, terms)
 
 
@@ -264,9 +294,10 @@ class PhiTable:
 
     Only the weight pair matters: merging ``y_i`` and ``y_j`` produces
     ``gamma(i, j) * y_{i+j}``; on colored alphabets the colors add mod m.
-    Associativity of the resulting product is not assumed: it is validated on
-    all word triples of total weight <= ``validate_to`` at construction (the
-    color group is associative on its own, so plain words suffice).
+    The phi-shuffle is associative exactly when this letter product is
+    (Hoffman, *Quasi-shuffle products*, 2000, Thm 2.1), which is checked on
+    all letter triples of total weight <= ``validate_to`` at construction
+    (the color group is associative on its own, so plain y letters suffice).
     """
 
     def __init__(self, entries: Mapping[tuple[int, int], Fraction] | None = None,
@@ -297,26 +328,24 @@ class PhiTable:
     @classmethod
     def from_json(cls, data: Mapping[str, str], *, default=ONE, validate_to: int = 6) -> "PhiTable":
         entries = {}
-        for key, val in data.items():
-            i, j = key.split(",")
-            entries[(int(i), int(j))] = parse_fraction(val)
+        for key, val in _json_checked(data, dict, "gamma table").items():
+            try:
+                i, j = map(int, key.split(","))
+            except ValueError:
+                raise ValueError(f"gamma key {key!r} is not of the form 'i,j'") from None
+            entries[(i, j)] = _json_fraction(val, f"gamma entry {key!r}")
         return cls(entries, default=default, validate_to=validate_to)
 
     def gamma(self, i: int, j: int) -> Fraction:
         return self.entries.get((min(i, j), max(i, j)), self.default)
 
     def _validate(self, bound: int) -> None:
-        y = Alphabet.y()
-        words = [w for w in words_up_to_grading(y, bound - 2) if w]
-        for u, v, w in itertools.product(words, repeat=3):
-            if u.grading + v.grading + w.grading > bound:
-                continue
-            left = phi_shuffle(phi_shuffle_words(u, v, self), NCPoly.from_word(w), self)
-            right = phi_shuffle(NCPoly.from_word(u), phi_shuffle_words(v, w, self), self)
-            if left != right:
-                raise ValueError(
-                    f"gamma table is not associative at ({u}, {v}, {w})"
-                )
+        """The letter identity gamma(i,j) gamma(i+j,k) = gamma(j,k) gamma(i,j+k)
+        on every letter triple of total weight <= bound."""
+        g = self.gamma
+        for i, j, k in itertools.product(range(1, bound), repeat=3):
+            if i + j + k <= bound and g(i, j) * g(i + j, k) != g(j, k) * g(i, j + k):
+                raise ValueError(f"gamma table is not associative at (y{i}, y{j}, y{k})")
 
 
 # -- products ----------------------------------------------------------------
@@ -450,7 +479,9 @@ def delta_conc(p: NCPoly) -> TensorPoly:
 
 def _letter_rule(alphabet: Alphabet, letter, phi: PhiTable) -> dict[tuple[Word, Word], Fraction]:
     """Coproduct of one letter, dual to the phi-shuffle: x (x) 1 + 1 (x) x plus
-    the gamma-weighted splits of its weight (none when gamma = 0)."""
+    the gamma-weighted splits of its weight and color (none when gamma = 0).
+    It also gives the letter matrices of the closures ``linrep.rat_shuffle``
+    and ``rat_phi_shuffle``."""
     one = alphabet.empty_word()
     x = Word(alphabet, (letter,))
     out = {(x, one): ONE, (one, x): ONE}

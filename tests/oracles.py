@@ -3,11 +3,13 @@
 Everything here recomputes expected values through a different route than
 the library code under test: Gauss-Jordan elimination over ``Fraction`` and
 minimization with one solve per vector, the Sigma basis from the dense
-duality system of its grade, truncated polynomial products term by term,
+duality system of its grade, the associativity of a gamma table on word
+triples, truncated polynomial products term by term,
 the Chen series one word at a time and its pairing as a sum over words, and
 an ODE solver by recentered Taylor series.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,8 +18,8 @@ import numpy as np
 from wordseries import exactlin
 from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
 from wordseries.linrep import LinRep
-from wordseries.ncpoly import NCPoly, PhiTable, phi_shuffle, shuffle
-from wordseries.words import words_up_to_grading
+from wordseries.ncpoly import NCPoly, PhiTable, phi_shuffle, phi_shuffle_words, shuffle
+from wordseries.words import Alphabet, words_up_to_grading
 
 
 def rref_gauss_jordan(rows):
@@ -114,6 +116,29 @@ def sigma_by_inverse(bases, grade):
         u: NCPoly(bases.alphabet, dict(zip(words, col)))
         for u, col in zip(words, exactlin.transpose(inv))
     }
+
+
+def binomial_gamma(c):
+    """gamma(i, j) = c * binomial(i + j, i), associative for every c."""
+    return PhiTable(
+        {(i, j): c * math.comb(i + j, i) for i in range(1, 12) for j in range(i, 13 - i)},
+        validate_to=0,
+    )
+
+
+def non_associative_word_triple(phi, bound):
+    """The first triple of y words (u, v, w) of total weight <= bound with
+    (u * v) * w != u * (v * w) for the phi-shuffle *, or None: associativity
+    checked on the products of words themselves."""
+    words = [w for w in words_up_to_grading(Alphabet.y(), bound - 2) if w]
+    for u, v, w in itertools.product(words, repeat=3):
+        if u.grading + v.grading + w.grading > bound:
+            continue
+        left = phi_shuffle(phi_shuffle_words(u, v, phi), NCPoly.from_word(w), phi)
+        right = phi_shuffle(NCPoly.from_word(u), phi_shuffle_words(v, w, phi), phi)
+        if left != right:
+            return u, v, w
+    return None
 
 
 def _reachability_per_vector_solve(r):

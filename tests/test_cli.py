@@ -1,9 +1,11 @@
 """CLI verbs: grammar, determinism, round trips, exit codes."""
 
+import functools
 import json
 import time
 from fractions import Fraction
 
+from wordseries import cli
 from wordseries.cli import main
 from wordseries.hopf import DualBases
 from wordseries.linrep import LinRep
@@ -333,6 +335,67 @@ def test_check_duality_passes_and_fails_on_a_perturbed_sigma(capsys, monkeypatch
     code, out, _ = run(capsys, "check", "duality", "--alphabet", "y", "--N", "4")
     assert code == 1
     assert out.splitlines()[-1] == "duality Sigma/Pi: FAIL at <y2 y1, y3> = 1/2"
+
+
+def test_check_duality_fails_on_a_non_homogeneous_element(capsys, monkeypatch):
+    exact = DualBases.pi
+    y = Alphabet.y()
+    target = y.parse_word("y1 y2")
+
+    def mixed(self, w):
+        out = exact(self, w)
+        if w == target:  # a term of grade 4 in an element of grade 3
+            return out + NCPoly.from_word(y.parse_word("y1 y1 y2"))
+        return out
+
+    monkeypatch.setattr(DualBases, "pi", mixed)
+    code, out, _ = run(capsys, "check", "duality", "--alphabet", "y", "--N", "4")
+    assert code == 1
+    assert out.splitlines() == [
+        "duality S/P: PASS (16 words, grade <= 4)",
+        "duality Sigma/Pi: FAIL Pi(y1 y2) is not homogeneous of grade 3",
+    ]
+
+
+def test_gamma_file_that_is_not_an_object_exits_2(capsys, tmp_path):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps([["1,1", "1/2"]]))
+    code, out, err = run(capsys, "mul", "--law", "phi", "--gamma", str(path), "y1", "y1")
+    assert code == 2 and out == ""
+    assert "gamma table must be a JSON object" in err and "not list" in err
+
+
+def test_gamma_value_that_is_not_a_number_exits_2(capsys, tmp_path):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"1,1": "1/2", "1,2": ["1"]}))
+    code, out, err = run(capsys, "mul", "--law", "phi", "--gamma", str(path), "y1", "y1")
+    assert code == 2 and out == ""
+    assert "gamma entry '1,2' is not a rational number: ['1']" in err
+
+
+def test_rep_file_without_mu_exits_2(capsys, tmp_path):
+    data = LinRep.from_poly(NCPoly.from_word(Alphabet.x(2).parse_word("x0"))).to_json()
+    del data["mu"]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rat", "coeff", "--rep", str(path), "--word", "x0")
+    assert code == 2 and out == ""
+    assert "representation has no 'mu' field" in err
+
+
+def test_polynomial_file_with_a_bad_term_exits_2(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([{"word": "x0", "coeff": "1/2"}, {"word": "x1"}]))
+    code, out, err = run(capsys, "mul", "--law", "conc", f"@{path}", "x0", "--alphabet", "x2")
+    assert code == 2 and out == ""
+    assert "polynomial term 1 has no 'coeff' field" in err
+
+
+def test_quadrature_that_does_not_converge_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "QuadratureConfig", functools.partial(cli.QuadratureConfig, max_doublings=2))
+    code, out, err = run(capsys, "eval", "chen", "--N", "2", "--tol", "1e-300")
+    assert code == 1 and out == ""
+    assert "quadrature did not converge" in err
 
 
 def test_enumerations_over_the_word_budget_exit_2_at_once(capsys):

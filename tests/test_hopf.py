@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import sigma_by_inverse
+from oracles import binomial_gamma, sigma_by_inverse
 
 from wordseries.hopf import DualBases, diagonal_factorization_check
 from wordseries.ncpoly import (
@@ -238,14 +238,6 @@ def test_colored_dual_bases_and_diagonal():
         for v in words:
             assert su.pairing(bases.pi(v)) == (1 if u == v else 0)
     assert diagonal_factorization_check(ym, STUFFLE, 3).equal
-
-
-def binomial_gamma(c):
-    """gamma(i, j) = c * binomial(i + j, i), associative for every c."""
-    return PhiTable(
-        {(i, j): c * math.comb(i + j, i) for i in range(1, 12) for j in range(i, 13 - i)},
-        validate_to=0,
-    )
 
 
 @pytest.mark.parametrize(

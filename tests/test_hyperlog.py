@@ -16,6 +16,7 @@ from wordseries.hyperlog import (
     ComplexVal,
     CycloRational,
     FormFamily,
+    QuadratureConfig,
     SingularitySet,
     chen_series,
     colored_alphabets,
@@ -386,6 +387,19 @@ def test_chen_series_refuses_a_bound_over_the_word_budget():
     # 3 letters: 3^12 words of grade 11 alone are over 2^18
     with pytest.raises(ValueError, match="budget"):
         chen_series(FormFamily(SingularitySet.roots_of_unity(2)), 0.1, 0.5, 11)
+
+
+def test_quadrature_that_does_not_converge_raises():
+    # no delta is below 1e-300: the doublings run out, and no value comes back
+    stuck = QuadratureConfig(tol=1e-300, max_doublings=2)
+    forms = FormFamily(CLASSIC)
+    with pytest.raises(RuntimeError, match="did not converge.*after 2 doublings"):
+        chen_series(forms, 0.1, 0.5, 3, stuck)
+    r, forms = hypergeometric_system(F(1, 2), F(1, 2), 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        system_output(r, forms, 0.05, 0.4, 3, stuck)
+    with pytest.raises(RuntimeError, match="last delta inf after 0 doublings"):
+        chen_series(forms, 0.05, 0.4, 3, QuadratureConfig(max_doublings=0))
 
 
 # -- the dynamical-system output --------------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import binomial_gamma, phi_shuffle_truncated, shuffle_truncated
 
 from wordseries import exactlin
 from wordseries.linrep import (
@@ -231,6 +232,32 @@ def test_phi_closure_colored():
         t2 = series_as_poly(r2.eval_truncated(3))
         got = series_as_poly(rat_phi_shuffle(r1, r2, STUFFLE).eval_truncated(3))
         assert got == phi_shuffle(t1, t2, STUFFLE).truncate(3)
+
+
+@pytest.mark.parametrize("alphabet", [Y, Alphabet.y(color_order=2)], ids=["y", "y@2"])
+@pytest.mark.parametrize(
+    "phi", [None, binomial_gamma(2), binomial_gamma(-1)], ids=["shuffle", "binomial-2", "binomial-minus-1"]
+)
+def test_letter_rule_closures_match_truncated_products(alphabet, phi):
+    # both closures read the letter rule of ncpoly: gamma = 0 for the shuffle
+    rng = random.Random(13)
+    n = 4
+    for _ in range(3):
+        r1, r2 = random_linrep(alphabet, 2, rng, bound=n), random_linrep(alphabet, 2, rng, bound=n)
+        t1 = series_as_poly(r1.eval_truncated(n))
+        t2 = series_as_poly(r2.eval_truncated(n))
+        assert t1 and t2
+        if phi is None:
+            got, want = rat_shuffle(r1, r2), shuffle_truncated(t1, t2, n)
+        else:
+            got, want = rat_phi_shuffle(r1, r2, phi), phi_shuffle_truncated(t1, t2, phi, n)
+        assert series_as_poly(got.eval_truncated(n)) == want
+
+
+def test_phi_closure_needs_a_y_alphabet():
+    r = LinRep.from_poly(xp("x0"))
+    with pytest.raises(ValueError, match="y alphabet"):
+        rat_phi_shuffle(r, r, STUFFLE)
 
 
 # -- minimization ------------------------------------------------------------------

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import non_associative_word_triple
 
 from wordseries import ncpoly
 from wordseries.ncpoly import (
@@ -136,6 +137,62 @@ def test_phi_table_rejects_non_associative_gamma():
         PhiTable({(1, 1): 0}, default=1, validate_to=5)
     # and a valid custom table passes validation
     PhiTable({(1, 1): Fraction(1, 2)}, default=0, validate_to=5)
+
+
+def _seeded_tables(rng, bound):
+    """(class, entries, default) for gamma tables on the merges of total
+    weight <= bound, four of each class."""
+    pairs = [(i, j) for i in range(1, bound) for j in range(i, bound - i + 1)]
+    values = [0, 1, -1, 2, Fraction(1, 2)]
+    for _ in range(4):
+        yield "random", {p: rng.choice(values) for p in pairs}, rng.choice(values)
+        g = {n: Fraction(rng.choice([1, -1, 2, 3])) ** rng.choice([1, -1]) for n in range(1, bound + 1)}
+        c = rng.choice([1, -1, 2, Fraction(1, 2)])
+        cobound = {(i, j): c * g[i + j] / (g[i] * g[j]) for i, j in pairs}
+        yield "coboundary", cobound, 0
+        p = rng.choice(pairs)
+        yield "perturbed", {**cobound, p: cobound[p] + rng.choice([1, -1, Fraction(1, 2)])}, 0
+        yield "zero-one", {p: rng.randint(0, 1) for p in pairs}, rng.randint(0, 1)
+
+
+def test_letter_identity_agrees_with_the_word_triple_check():
+    # Hoffman's criterion: the phi-shuffle is associative on all word triples
+    # exactly when the letter product y_i . y_j = gamma(i, j) y_{i+j} is
+    rng = random.Random(11)
+    verdicts: dict[str, set] = {}
+    for bound in (4, 5, 6):
+        for kind, entries, default in _seeded_tables(rng, bound):
+            by_words = non_associative_word_triple(
+                PhiTable(entries, default=default, validate_to=0), bound
+            ) is None
+            try:
+                PhiTable(entries, default=default, validate_to=bound)
+                by_letters = True
+            except ValueError:
+                by_letters = False
+            assert by_letters == by_words, (kind, bound, entries, default)
+            verdicts.setdefault(kind, set()).add(by_words)
+    # coboundaries are associative by construction and one perturbed entry
+    # breaks them; the other two classes give both verdicts on their own
+    assert verdicts == {
+        "random": {True, False},
+        "coboundary": {True},
+        "perturbed": {False},
+        "zero-one": {True, False},
+    }
+
+
+def test_non_associative_gamma_names_its_letter_triple():
+    entries = {(1, 1): Fraction(1, 2), (1, 2): 1, (2, 2): 3, (1, 3): 1}
+    with pytest.raises(ValueError) as info:
+        PhiTable(entries, default=1, validate_to=4)
+    assert str(info.value) == "gamma table is not associative at (y1, y1, y2)"
+    # the named letters are themselves a failing word triple
+    phi = PhiTable(entries, default=1, validate_to=0)
+    y1, y2 = Y.parse_word("y1"), Y.parse_word("y2")
+    left = phi_shuffle(ncpoly.phi_shuffle_words(y1, y1, phi), NCPoly.from_word(y2), phi)
+    right = phi_shuffle(NCPoly.from_word(y1), ncpoly.phi_shuffle_words(y1, y2, phi), phi)
+    assert left != right
 
 
 def test_phi_table_symmetry():
