@@ -195,6 +195,8 @@ def cmd_basis(args) -> int:
 def cmd_check(args) -> int:
     n = args.N
     if args.what == "duality":
+        if n < 0:
+            raise ValueError("bound must be >= 0")
         alphabet = parse_alphabet(args.alphabet)
         phi = _load_gamma(args) if alphabet.is_y else None
         bases = DualBases(alphabet, phi)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import NCPoly, PhiTable, _add_term, _product, _shuffle_law, conc, pi1, shuffle
+from .ncpoly import NCPoly, PhiTable, _add_term, _pi1_images, _product, _shuffle_law, conc, shuffle
 from .words import (
     Alphabet,
     Word,
@@ -53,6 +53,8 @@ class DualBases:
         self._sigma: dict[Word, NCPoly] = {}
         self._contracted: dict[Word, dict[Word, Fraction]] = {}
         self._pi1_letter: dict = {}
+        # pi1 of single words; one evaluator, so all letters share its caches
+        self._pi1_image = _pi1_images(alphabet, phi) if phi is not None else None
 
     # -- the P / S pair ------------------------------------------------------
 
@@ -114,7 +116,8 @@ class DualBases:
         """pi1(y_k): the image of the letter y_k under Phi."""
         img = self._pi1_letter.get(letter)
         if img is None:
-            img = pi1(NCPoly.from_word(Word(self.alphabet, (letter,))), self._require_phi())
+            self._require_phi()
+            img = NCPoly(self.alphabet, self._pi1_image(Word(self.alphabet, (letter,))))
             self._pi1_letter[letter] = img
         return img
 

@@ -632,6 +632,8 @@ def _chen_grades(
     """
     quad = quad or QuadratureConfig()
     sigma = forms.sigma
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     if z <= z0:
         raise ValueError("need z0 < z")
     if z0 <= 0:

@@ -718,6 +718,8 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     direct evaluation.  Matrices of polynomials are n x n lists of
     word -> coefficient maps.
     """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     n = r.rank
     for letter, m in r.mu.items():
         for i in range(n):

@@ -392,8 +392,7 @@ def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
     alphabet = u.alphabet
     out: dict[Word, Fraction] = {}
     a, b = u.letters[0], v.letters[0]
-    xu = Word(alphabet, (a,))
-    yv = Word(alphabet, (b,))
+    xu, yv = u[:1], v[:1]
     for w, c in _phi_shuffle_words(u[1:], v, phi).items():
         _add_term(out, xu * w, c)
     for w, c in _phi_shuffle_words(u, v[1:], phi).items():
@@ -549,9 +548,22 @@ def pi1(p: NCPoly, phi: PhiTable | None = None) -> NCPoly:
     dual to the product (plain shuffle on x alphabets, phi-shuffle on y),
     weighted by (-1)^(k-1)/k.  Output grading never exceeds input grading.
     """
-    if p.alphabet.is_y and phi is None:
+    image = _pi1_images(p.alphabet, phi)
+    out: dict[Word, Fraction] = {}
+    for w, coeff in p.terms.items():
+        for v, c in image(w).items():
+            _add_term(out, v, coeff * c)
+    return NCPoly(p.alphabet, out)
+
+
+def _pi1_images(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable[[Word], dict[Word, Fraction]]:
+    """``pi1`` of single words over ``alphabet``: a function from a word to
+    the terms of its image.  Its split and convolution-power caches are
+    shared by every word it is given, so the images of many words (all the
+    letters of a grade, say) reuse each other's convolution powers."""
+    if alphabet.is_y and phi is None:
         raise ValueError("pi1 on a y alphabet needs a PhiTable")
-    dual = (lambda q: delta_phi(q, phi)) if p.alphabet.is_y else delta_shuffle
+    dual = (lambda q: delta_phi(q, phi)) if alphabet.is_y else delta_shuffle
     split_cache: dict[Word, list] = {}
 
     def splits(w: Word):
@@ -563,30 +575,32 @@ def pi1(p: NCPoly, phi: PhiTable | None = None) -> NCPoly:
             split_cache[w] = hit
         return hit
 
-    conv_cache: dict[tuple[Word, int], NCPoly] = {}
+    conv_cache: dict[tuple[Word, int], dict[Word, Fraction]] = {}
 
-    def conv_power(w: Word, k: int) -> NCPoly:
+    def conv_power(w: Word, k: int) -> dict[Word, Fraction]:
         # k-th convolution power of (id - unit counit) at w
         if not w:
-            return NCPoly.zero(p.alphabet)
+            return {}
         if k == 1:
-            return NCPoly.from_word(w)
+            return {w: ONE}
         hit = conv_cache.get((w, k))
         if hit is None:
-            acc: dict[Word, Fraction] = {}
+            hit = {}
             for u, v, c in splits(w):
                 if v:
-                    _product({u: c}, conv_power(v, k - 1).terms, out=acc)
-            hit = NCPoly(p.alphabet, acc)
+                    _product({u: c}, conv_power(v, k - 1), out=hit)
             conv_cache[(w, k)] = hit
         return hit
 
-    out = NCPoly.zero(p.alphabet)
-    for w, coeff in p.terms.items():
+    def image(w: Word) -> dict[Word, Fraction]:
+        out: dict[Word, Fraction] = {}
         for k in range(1, w.grading + 1):
             sign = ONE if k % 2 else -ONE
-            out = out + conv_power(w, k) * (coeff * sign / k)
-    return out
+            for v, c in conv_power(w, k).items():
+                _add_term(out, v, c * sign / k)
+        return out
+
+    return image
 
 
 # -- truncated series and (infinitesimal) characters --------------------------

@@ -11,10 +11,19 @@ Two kinds of alphabet are supported:
 The ``y`` alphabet is infinite; it is never materialized beyond an explicit
 weight bound.  Words are immutable, hashable, totally ordered values and are
 used as dictionary keys throughout the package.
+
+Letters are validated where words enter the package: ``Word(...)`` itself,
+``Alphabet.word``, ``Alphabet.parse_word`` and the JSON readers built on it.
+Words derived from validated words (slices, concatenations, enumerations)
+are built unchecked through ``Word._trusted``, their grading carried over
+or summed instead of recomputed.  ``lyndon_words`` generates the Lyndon
+words directly from their standard factorizations, so it builds no word it
+does not return.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -133,7 +142,7 @@ class Alphabet:
         return Word(self, tuple(letters))
 
     def empty_word(self) -> "Word":
-        return Word(self, ())
+        return Word._trusted(self, (), 0)
 
     def parse_word(self, text: str) -> "Word":
         """Parse ``"x0 x1"`` / ``"y2 y1"`` / ``"y2@3 y1@0"``; ``""`` or ``"ε"`` is empty."""
@@ -237,11 +246,15 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._trusted(
+            self.alphabet, self.letters + other.letters, self._grading + other._grading
+        )
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.alphabet, self.letters[i])
+            letters = self.letters[i]
+            grading = len(letters) if self.alphabet.is_x else sum(k for k, _ in letters)
+            return Word._trusted(self.alphabet, letters, grading)
         return self.letters[i]
 
     def __repr__(self) -> str:
@@ -345,32 +358,59 @@ def words_up_to_grading(alphabet: Alphabet, max_grade: int) -> list[Word]:
 
 def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:
     """Lyndon words of grading <= max_grade, sorted by (grading, lex); a
-    bound over the word budget is refused with a ValueError."""
+    bound over the word budget is refused with a ValueError.
+
+    Generated grade by grade from their standard factorizations (Chen, Fox
+    and Lyndon, Ann. Math. 68, 1958): a Lyndon word of two or more letters
+    is exactly one product s r of Lyndon words s < r where s is a letter or
+    the right standard factor of s is >= r.  The admissible r of one grade
+    form a contiguous run of that grade's sorted keys, found by bisection, so
+    the work is proportional to the output and only returned words are built.
+    """
     _check_word_budget(alphabet, max_grade)
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
-    out = [
-        w
-        for n in range(1, max_grade + 1)
-        for w in _words_of_grading(alphabet, n)
-        if is_lyndon(w)
-    ]
-    out.sort(key=Word.sort_key)
+    letter_key = alphabet.letter_key
+    # per grading: its Lyndon words as (lex key, letters, key of the right
+    # standard factor or None on a letter) in increasing key order, and the keys alone
+    by_grade: list[list[tuple]] = [[]]
+    keys: list[list[tuple]] = [[]]
+    out: list[Word] = []
+    for n in range(1, max_grade + 1):
+        found = [
+            ((letter_key(a),), (a,), None)
+            for a in alphabet.letters(max_weight=n)
+            if alphabet.letter_weight(a) == n
+        ]
+        for g in range(1, n):
+            rights, right_keys = by_grade[n - g], keys[n - g]
+            for s_key, s_letters, s_right in by_grade[g]:
+                lo = bisect.bisect_right(right_keys, s_key)
+                hi = len(rights) if s_right is None else bisect.bisect_right(right_keys, s_right, lo)
+                found.extend(
+                    (s_key + r_key, s_letters + r_letters, r_key)
+                    for r_key, r_letters, _ in rights[lo:hi]
+                )
+        found.sort(key=lambda t: t[0])
+        by_grade.append(found)
+        keys.append([t[0] for t in found])
+        out.extend(Word._trusted(alphabet, letters, n) for _, letters, _ in found)
     return out
 
 
 def standard_factorization(w: Word) -> tuple[Word, Word]:
     """Split a Lyndon word of grading >= 2 as ``(s, r)`` with ``r`` the
-    longest proper Lyndon suffix; both parts are Lyndon and ``s r == w``."""
+    longest proper Lyndon suffix; both parts are Lyndon and ``s r == w``.
+
+    That suffix is the lexicographically smallest proper suffix, and ``w``
+    is Lyndon exactly when it is smaller than that suffix."""
     if len(w) < 2:
         raise ValueError("standard factorization needs at least two letters")
-    if not is_lyndon(w):
+    key = w.lex_key()
+    i = min(range(1, len(key)), key=lambda i: key[i:])
+    if not key < key[i:]:
         raise ValueError(f"not a Lyndon word: {w}")
-    for i in range(1, len(w)):
-        r = w[i:]
-        if is_lyndon(r):
-            return w[:i], r
-    raise AssertionError("unreachable: the last letter is always Lyndon")
+    return w[:i], w[i:]
 
 
 def lyndon_factorization(w: Word) -> list[Word]:

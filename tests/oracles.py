@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values through a different route than
-the library code under test: Gauss-Jordan elimination over ``Fraction`` and
-minimization with one solve per vector, the Sigma basis from the dense
+the library code under test: Lyndon words by filtering every word of each
+grade and their standard factorizations by scanning suffixes, Gauss-Jordan
+elimination over ``Fraction`` and minimization with one solve per vector, the Sigma basis from the dense
 duality system of its grade, the associativity of a gamma table on word
 triples, truncated polynomial products term by term,
 the Chen series one word at a time and its pairing as a sum over words, and
@@ -19,7 +20,19 @@ from wordseries import exactlin
 from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
 from wordseries.linrep import LinRep
 from wordseries.ncpoly import NCPoly, PhiTable, phi_shuffle, phi_shuffle_words, shuffle
-from wordseries.words import Alphabet, words_up_to_grading
+from wordseries.words import Alphabet, is_lyndon, words_up_to_grading
+
+
+def lyndon_words_by_filter(alphabet, max_grade):
+    """Lyndon words of grading <= max_grade, sorted by (grading, lex): every
+    nonempty word of those gradings, kept when it is Lyndon."""
+    return [w for w in words_up_to_grading(alphabet, max_grade) if w and is_lyndon(w)]
+
+
+def standard_factorization_by_suffix_scan(w):
+    """(s, r) with r the longest proper suffix of w that is Lyndon."""
+    i = next(i for i in range(1, len(w)) if is_lyndon(w[i:]))
+    return w[:i], w[i:]
 
 
 def rref_gauss_jordan(rows):

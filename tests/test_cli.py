@@ -5,6 +5,8 @@ import json
 import time
 from fractions import Fraction
 
+import pytest
+
 from wordseries import cli
 from wordseries.cli import main
 from wordseries.hopf import DualBases
@@ -103,6 +105,26 @@ def test_check_verbs(capsys, tmp_path):
     assert code == 0 and "PASS" in out
     code, out, _ = run(capsys, "check", "triangular", "--rep", str(path), "--N", "3")
     assert code == 0 and "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "duality", "--alphabet", "y"),
+        ("check", "triangular", "--rep", "REP"),
+        ("eval", "chen"),
+        ("eval", "output", "--rep", "REP"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_negative_grade_bound_exits_2(capsys, tmp_path, argv):
+    rep = LinRep(Alphabet.x(2), (1, 0), {0: [[0, 1], [0, 0]], 1: [[1, 0], [0, 1]]}, (1, 1))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep.to_json()))
+    argv = [str(path) if a == "REP" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--N", "-1")
+    assert code == 2 and out == ""
+    assert "bound must be >= 0" in err
 
 
 def test_rat_verbs(capsys, tmp_path):

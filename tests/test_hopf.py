@@ -159,6 +159,19 @@ def test_phi_pi1_is_triangular_with_unit_diagonal(yb):
                     assert image.coeff(u) == 0
 
 
+@pytest.mark.parametrize(
+    "alphabet, phi",
+    [(Y, STUFFLE), (Y, binomial_gamma(2)), (Y, binomial_gamma(-1)), (Alphabet.y(color_order=2), STUFFLE)],
+    ids=["stuffle", "binomial-2", "binomial-minus-1", "y@2"],
+)
+def test_shared_letter_images_match_pi1_of_each_letter(alphabet, phi):
+    # one DualBases computes every pi1(y_k) from one pair of shared caches,
+    # heaviest letter first; pi1 recomputes each letter from empty caches
+    bases = DualBases(alphabet, phi)
+    for letter in alphabet.letters(max_weight=8):
+        assert bases._pi1_of(letter) == pi1(NCPoly.from_word(alphabet.word([letter])), phi), letter
+
+
 def test_radford_words_are_polynomials_in_lyndon_s(xb):
     # rewrite each word as an exact shuffle polynomial in {S_l}: the
     # triangular rewriting implicit in the divided-power construction

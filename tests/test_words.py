@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import lyndon_words_by_filter, standard_factorization_by_suffix_scan
 from wordseries.words import (
     Alphabet,
     Word,
@@ -113,6 +116,72 @@ def test_standard_factorization():
         standard_factorization(w(X2, "x0"))
     with pytest.raises(ValueError):
         standard_factorization(w(X2, "x1 x0"))
+
+
+# grades at which the enumerate-and-filter oracle runs in well under 1 s
+ORACLE_GRADES = [
+    (Alphabet.x(1), 12), (X2, 13), (Alphabet.x(3), 8), (Alphabet.x(4), 7),
+    (Y, 13), (Alphabet.y(color_order=2), 9), (Alphabet.y(color_order=3), 7),
+]
+
+
+@pytest.mark.parametrize("alphabet, top", ORACLE_GRADES)
+def test_lyndon_words_and_standard_factorization_match_the_oracles(alphabet, top):
+    got = lyndon_words(alphabet, top)
+    assert got == lyndon_words_by_filter(alphabet, top)
+    assert all(u.grading == sum(alphabet.letter_weight(a) for a in u) for u in got)
+    for l in got:
+        if len(l) > 1:
+            assert standard_factorization(l) == standard_factorization_by_suffix_scan(l)
+
+
+def test_lyndon_words_builds_only_the_words_it_returns(monkeypatch):
+    built = []
+    trusted = Word._trusted.__func__
+    checked = Word.__init__
+
+    def count_trusted(cls, alphabet, letters, grading):
+        built.append(letters)
+        return trusted(cls, alphabet, letters, grading)
+
+    def count_checked(self, alphabet, letters):
+        built.append(letters)
+        checked(self, alphabet, letters)
+
+    monkeypatch.setattr(Word, "_trusted", classmethod(count_trusted))
+    monkeypatch.setattr(Word, "__init__", count_checked)
+    got = lyndon_words(Alphabet.y(color_order=3), 6)
+    assert len(built) == len(got) == len({u.letters for u in got})
+
+
+def _parsed_words(alphabet, letters):
+    return st.lists(letters, max_size=6).map(
+        lambda tup: alphabet.parse_word(" ".join(alphabet.letter_name(a) for a in tup))
+    )
+
+
+WORD_PAIRS = st.one_of(
+    st.tuples(st.just(X2), _parsed_words(X2, st.integers(0, 1)), _parsed_words(X2, st.integers(0, 1))),
+    *(
+        st.tuples(st.just(a), _parsed_words(a, letters), _parsed_words(a, letters))
+        for a, letters in (
+            (Y, st.tuples(st.integers(1, 4), st.just(0))),
+            (Alphabet.y(color_order=3), st.tuples(st.integers(1, 4), st.integers(0, 2))),
+        )
+    ),
+)
+
+
+@settings(deadline=None)
+@given(WORD_PAIRS, st.integers(-7, 7), st.integers(-7, 7), st.sampled_from([None, 1, 2, -1]))
+def test_slices_and_products_equal_the_validated_word(pair, start, stop, step):
+    alphabet, u, v = pair
+    for derived in (u * v, u[start:stop:step], (u * v)[start:stop]):
+        validated = Word(alphabet, derived.letters)
+        assert derived == validated
+        assert hash(derived) == hash(validated)
+        assert derived.grading == validated.grading
+        assert derived.sort_key() == validated.sort_key()
 
 
 def test_standard_factorization_properties():
