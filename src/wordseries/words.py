@@ -181,7 +181,9 @@ class Word:
         object.__setattr__(
             self, "_grading", sum(alphabet.letter_weight(a) for a in letters)
         )
-        object.__setattr__(self, "_hash", hash((alphabet, self.letters)))
+        # the letters alone: hashing the alphabet would run the dataclass's
+        # Python __hash__ on every word built, and == tells alphabets apart
+        object.__setattr__(self, "_hash", hash(self.letters))
 
     @classmethod
     def _trusted(cls, alphabet: Alphabet, letters: tuple, grading: int) -> "Word":
@@ -190,7 +192,7 @@ class Word:
         object.__setattr__(w, "alphabet", alphabet)
         object.__setattr__(w, "letters", letters)
         object.__setattr__(w, "_grading", grading)
-        object.__setattr__(w, "_hash", hash((alphabet, letters)))
+        object.__setattr__(w, "_hash", hash(letters))
         return w
 
     def __setattr__(self, *a):
@@ -208,10 +210,11 @@ class Word:
         return self._hash
 
     def __eq__(self, other) -> bool:
+        # alphabets by identity first: the dataclass == runs Python code
         return (
             isinstance(other, Word)
-            and self.alphabet == other.alphabet
             and self.letters == other.letters
+            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
         )
 
     def __bool__(self) -> bool:
@@ -244,7 +247,7 @@ class Word:
         return self.sort_key() <= other.sort_key()
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("cannot concatenate words over different alphabets")
         return Word._trusted(
             self.alphabet, self.letters + other.letters, self._grading + other._grading
