@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 bench/record.py --out BENCH_<n>.json [--pairs P] [--seed S] \
-        [--seconds 50] LABEL=CHECKOUT [LABEL=CHECKOUT ...]
+        LABEL=CHECKOUT [LABEL=CHECKOUT ...]
 
 For each workload (numeric, then exact) and each of P rounds, the script
 runs ``python3 perfbench/run.py --workload W --seed S --seconds 50`` once in
@@ -31,6 +31,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("numeric", "exact")
+SECONDS = 50  # the run length BENCHMARK.json fixes
 
 
 def machine() -> dict:
@@ -58,9 +59,9 @@ def commit(checkout: str) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(status) if status is not None else None}
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(seed), "--seconds", str(SECONDS)]
     p = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     try:
@@ -91,7 +92,6 @@ def main() -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--pairs", type=int, default=1, help="rounds per workload")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=int, default=50)
     ap.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
     args = ap.parse_args()
     sides = []
@@ -108,7 +108,7 @@ def main() -> int:
         for rnd in range(args.pairs):
             order = sides if rnd % 2 == 0 else sides[::-1]
             for place, (label, path) in enumerate(order):
-                result = run_once(path, workload, args.seed, args.seconds)
+                result = run_once(path, workload, args.seed)
                 runs.append({"label": label, "workload": workload, "round": rnd,
                              "place": place, "result": result})
                 print(f"{workload} round {rnd} {label}: "
@@ -116,7 +116,7 @@ def main() -> int:
                                  if k in ("wall_s", "job_p50_ms", "job_p90_ms")), flush=True)
     record = {
         "machine": machine(),
-        "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds}",
+        "command": f"perfbench/run.py --seed {args.seed} --seconds {SECONDS}",
         "checkouts": {label: commit(path) for label, path in sides},
         "runs": runs,
         "summary": summary(runs),
