@@ -16,8 +16,13 @@ The output file holds the machine (CPU model, CPU count, platform, Python
 and numpy versions), each checkout's label and git commit, every result line
 that perfbench printed last (with the label, workload, round and its place
 in the round), and per label and workload the median and quartiles of each
-end-to-end metric.  A run whose result line is missing is recorded with its
-exit status and the tail of its stderr.
+end-to-end metric.  The first checkout is the base: for every other label the
+summary also counts, per workload and metric, the rounds whose value was
+better than the base's in the same round (``won``), worse (``lost``), and
+all the rounds where both sides have a value (``pairs``; ties count for
+neither side), with "better" in the direction ``BENCHMARK.json`` declares.
+A run whose result line is missing is recorded with its exit status and the
+tail of its stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import sys
 
 WORKLOADS = ("numeric", "exact")
 SECONDS = 50  # the run length BENCHMARK.json fixes
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def machine() -> dict:
@@ -77,14 +83,36 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def summary(runs: list[dict]) -> dict:
-    out: dict = {}
+def directions() -> dict:
+    """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def summary(runs: list[dict], base: str, better: dict) -> dict:
+    values: dict = {}
+    rounds: dict = {}  # (workload, round) -> label -> metric -> value
     for run in runs:
-        metrics = run["result"].get("metrics", {})
-        for name, m in metrics.items():
-            out.setdefault(run["label"], {}).setdefault(run["workload"], {}).setdefault(name, []).append(m["value"])
-    return {label: {w: {name: quartiles(v) for name, v in ms.items()} for w, ms in by_w.items()}
-            for label, by_w in out.items()}
+        metrics = {name: m["value"] for name, m in run["result"].get("metrics", {}).items()}
+        for name, v in metrics.items():
+            values.setdefault(run["label"], {}).setdefault(run["workload"], {}).setdefault(name, []).append(v)
+        rounds.setdefault((run["workload"], run["round"]), {})[run["label"]] = metrics
+    out = {label: {w: {name: quartiles(v) for name, v in ms.items()} for w, ms in by_w.items()}
+           for label, by_w in values.items()}
+    for (workload, _), by_label in rounds.items():
+        ref = by_label.get(base, {})
+        for label, metrics in by_label.items():
+            if label == base:
+                continue
+            for name, v in metrics.items():
+                if name not in better or name not in ref:
+                    continue
+                gain = ref[name] - v if better[name] == "lower" else v - ref[name]
+                counts = out[label][workload][name]
+                counts["won"] = counts.get("won", 0) + (gain > 0)
+                counts["lost"] = counts.get("lost", 0) + (gain < 0)
+                counts["pairs"] = counts.get("pairs", 0) + 1
+    return out
 
 
 def main() -> int:
@@ -119,7 +147,7 @@ def main() -> int:
         "command": f"perfbench/run.py --seed {args.seed} --seconds {SECONDS}",
         "checkouts": {label: commit(path) for label, path in sides},
         "runs": runs,
-        "summary": summary(runs),
+        "summary": summary(runs, sides[0][0], directions()),
     }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

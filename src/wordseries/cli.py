@@ -13,7 +13,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -32,6 +31,7 @@ from .hyperlog import (
 )
 from .linrep import (
     LinRep,
+    _integer_terms,
     delta_conc_decompose,
     minimize,
     mxstar_factorization_check,
@@ -117,12 +117,6 @@ def _sigma(args) -> SingularitySet:
         parsed = [complex(v) for v in values.split(";")]
         return SingularitySet.from_values([Fraction(0)] + parsed[1:] if parsed[0] == 0 else parsed)
     return SingularitySet.classical()
-
-
-def _integer_terms(p: NCPoly) -> tuple[dict, int]:
-    """p as integer coefficients over one common denominator d: (d·p, d)."""
-    d = math.lcm(*(c.denominator for c in p.terms.values()))
-    return {w: c.numerator * (d // c.denominator) for w, c in p.terms.items()}, d
 
 
 # -- verbs ----------------------------------------------------------------------

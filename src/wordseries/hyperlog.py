@@ -710,14 +710,12 @@ def system_output(
     n = r.rank
     if not n:
         return ComplexVal(total, err)
-    # nu, the letter matrices and eta times their common denominator d, as
-    # Python integers: nu mu(w) eta = (scaled product) / d^(k+2) at grade k
-    matrix_entries = (q for a in r.alphabet.letters() for row in r.matrix(a) for q in row)
-    entries = [*r.nu, *matrix_entries, *r.eta]
-    d = math.lcm(*(q.denominator for q in entries))
-    ints = np.array([q.numerator * (d // q.denominator) for q in entries], dtype=object)
-    mats, eta = ints[n:-n].reshape(-1, n, n), ints[-n:]
-    rows = ints[None, :n]  # scaled nu mu(w) for the words of one grade, in id order
+    # the integer form of r: nu mu(w) eta = (scaled product) / d^(k+2) at grade k
+    ints = r._integers()
+    d = ints.d
+    mats = np.array([ints.rows[a] for a in r.alphabet.letters()], dtype=object).reshape(-1, n, n)
+    eta = np.array(ints.eta, dtype=object)
+    rows = np.array([ints.nu], dtype=object)  # scaled nu mu(w) for the words of one grade, in id order
     for k in range(bound + 1):
         if k:
             rows = np.matmul(rows[:, None, None, :], mats).reshape(-1, n)

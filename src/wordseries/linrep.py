@@ -10,7 +10,14 @@ deconcatenation splitting into rank-many tensor factors, grouplike /
 primitive tests, truncated log/exp, Lie-algebra diagnostics of the matrix
 family, and the two series factorizations driven by the Lyndon dual bases.
 
-Everything is exact rational arithmetic; no tolerances anywhere.
+Everything is exact rational arithmetic; no tolerances anywhere.  Evaluation
+runs on integers: each representation keeps one integer form, nu, every
+mu(x) and eta times their common denominator d, so that mu(w) = M(w) / d^|w|
+and nu mu(w) eta = nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts
+letters).  Coefficients, word matrices, mu of polynomials and the matrices of
+polynomials of the two factorization checks are summed on integers, and one
+``Fraction`` is built per output value: every value returned is a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import exactlin
-from .exactlin import Mat, RowSpace, Vec, _int_row, mat_add, mat_mul, mat_scale, mat_vec, vec_mat
+from .exactlin import Mat, RowSpace, Vec, _int_row, mat_add, mat_scale, mat_vec, vec_mat
 from .hopf import DualBases
 from .ncpoly import (
     NCPoly,
@@ -71,10 +78,49 @@ __all__ = [
 ]
 
 
-class LinRep:
-    """Linear representation (nu, mu, eta) of a rational series."""
+class _Integers(NamedTuple):
+    """nu, the letter matrices and eta times their common denominator d."""
 
-    __slots__ = ("alphabet", "nu", "mu", "eta", "max_letter_weight")
+    d: int
+    nu: tuple[int, ...]
+    rows: dict  # letter -> the rows of M(x) = d mu(x)
+    cols: dict  # letter -> the columns of M(x)
+    eta: tuple[int, ...]
+
+
+def _times(row: Sequence, cols: Sequence) -> tuple:
+    """The row vector ``row`` times the matrix with columns ``cols``."""
+    return tuple(sum(map(mul, row, col)) for col in cols)
+
+
+def _identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _fractions(m: Sequence[Sequence[int]], den: int) -> Mat:
+    """The integer matrix m over the denominator den, as Fractions."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in m)
+
+
+def _scaled(values: Iterable[Fraction], d: int) -> tuple[int, ...]:
+    """The values times d, a multiple of their denominators, as integers."""
+    return tuple(q.numerator * (d // q.denominator) for q in values)
+
+
+def _integer_terms(p: NCPoly) -> tuple[dict, int]:
+    """p as integer coefficients over one common denominator d: (d·p, d)."""
+    d = math.lcm(*(c.denominator for c in p.terms.values()))
+    return dict(zip(p.terms, _scaled(p.terms.values(), d))), d
+
+
+class LinRep:
+    """Linear representation (nu, mu, eta) of a rational series.
+
+    A representation is not changed after construction: its integer form is
+    built on first use and kept.
+    """
+
+    __slots__ = ("alphabet", "nu", "mu", "eta", "max_letter_weight", "_ints")
 
     def __init__(self, alphabet: Alphabet, nu: Sequence, mu: Mapping, eta: Sequence,
                  max_letter_weight: int | None = None):
@@ -98,52 +144,86 @@ class LinRep:
                 raise ValueError(f"unexpected letter {letter!r} in mu")
         self.mu = matrices
         self.max_letter_weight = max_letter_weight
+        self._ints: _Integers | None = None
 
     @property
     def rank(self) -> int:
         return len(self.nu)
 
     def matrix(self, letter) -> Mat:
+        return self._of_letter(self.mu, letter)
+
+    def _of_letter(self, table: dict, letter):
         try:
-            return self.mu[letter]
+            return table[letter]
         except KeyError:
             raise ValueError(
                 f"letter {self.alphabet.letter_name(letter)} is beyond the materialized weight bound"
             ) from None
 
+    def _integers(self) -> _Integers:
+        """The integer form: nu' = d nu, M(x) = d mu(x) and eta' = d eta, with d
+        the least common denominator of all their entries."""
+        if self._ints is None:
+            entries = (q for m in self.mu.values() for row in m for q in row)
+            d = math.lcm(*(q.denominator for q in (*self.nu, *entries, *self.eta)))
+            rows = {letter: tuple(_scaled(row, d) for row in m) for letter, m in self.mu.items()}
+            cols = {letter: tuple(zip(*m)) for letter, m in rows.items()}
+            self._ints = _Integers(d, _scaled(self.nu, d), rows, cols, _scaled(self.eta, d))
+        return self._ints
+
+    def _word_matrices(self) -> Callable[[tuple], tuple]:
+        """M(w) = d^|w| mu(w) by letter tuple, each product built from its
+        prefix's.  The table lives as long as the returned function."""
+        ints = self._integers()
+        table = {(): _identity(self.rank)}
+
+        def word_matrix(letters: tuple) -> tuple:
+            m = table.get(letters)
+            if m is None:
+                cols = self._of_letter(ints.cols, letters[-1])
+                m = table[letters] = tuple(_times(row, cols) for row in word_matrix(letters[:-1]))
+            return m
+
+        return word_matrix
+
     # -- evaluation -----------------------------------------------------------
 
     def coeff(self, w: Word) -> Fraction:
-        row = self.nu
+        ints = self._integers()
+        row = ints.nu
         for letter in w.letters:
-            row = vec_mat(row, self.matrix(letter))
-        return exactlin.dot(row, self.eta)
+            row = _times(row, self._of_letter(ints.cols, letter))
+        return Fraction(sum(map(mul, row, ints.eta)), ints.d ** (len(w) + 2))
 
     def word_matrix(self, w: Word) -> Mat:
-        out = exactlin.identity(self.rank)
-        for letter in w.letters:
-            out = mat_mul(out, self.matrix(letter))
-        return out
+        return _fractions(self._word_matrices()(w.letters), self._integers().d ** len(w))
 
     def eval_truncated(self, bound: int) -> TruncSeries:
         """All coefficients of grading <= bound by prefix-sharing traversal."""
-        if self.alphabet.is_y and (self.max_letter_weight or 0) < bound:
+        alphabet = self.alphabet
+        if alphabet.is_y and (self.max_letter_weight or 0) < bound:
             raise ValueError("materialized letter weights do not cover the bound")
-        letters = self.alphabet.letters(max_weight=bound)
+        ints = self._integers()
+        steps = [
+            (alphabet.word((letter,)), alphabet.letter_weight(letter), self._of_letter(ints.cols, letter))
+            for letter in alphabet.letters(max_weight=bound)
+        ]
         coeffs: dict[Word, Fraction] = {}
-        frontier = [(self.alphabet.empty_word(), self.nu)]
+        frontier = [(alphabet.empty_word(), ints.nu)]
+        den = ints.d ** 2  # the frontier holds the words of one length k: d^(k+2)
         while frontier:
             nxt = []
             for w, row in frontier:
-                c = exactlin.dot(row, self.eta)
+                c = sum(map(mul, row, ints.eta))
                 if c:
-                    coeffs[w] = c
-                for letter in letters:
-                    g = w.grading + self.alphabet.letter_weight(letter)
-                    if g <= bound:
-                        nxt.append((w * Word(self.alphabet, (letter,)), vec_mat(row, self.matrix(letter))))
+                    coeffs[w] = Fraction(c, den)
+                for x, weight, cols in steps:
+                    if w.grading + weight <= bound:
+                        nxt.append((w * x, _times(row, cols)))
             frontier = nxt
-        return TruncSeries(self.alphabet, bound, coeffs)
+            den *= ints.d
+        return TruncSeries(alphabet, bound, coeffs)
 
     # -- construction helpers ---------------------------------------------------
 
@@ -173,11 +253,11 @@ class LinRep:
                 default=1,
             )
         letters = p.alphabet.letters(max_weight=max_letter_weight)
-        mu = {letter: [[ZERO] * n for _ in range(n)] for letter in letters}
+        steps = [(letter, p.alphabet.word((letter,))) for letter in letters]
+        mu = {letter: [[ZERO] * n for _ in range(n)] for letter, _ in steps}
         for u, i in index.items():
-            for letter in letters:
-                v = u * Word(p.alphabet, (letter,))
-                j = index.get(v)
+            for letter, x in steps:
+                j = index.get(u * x)
                 if j is not None:
                     mu[letter][i][j] = ONE
         nu = [ZERO] * n
@@ -243,11 +323,19 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
 
 
 def mu_of_poly(r: LinRep, p: NCPoly) -> Mat:
-    """mu extended linearly to polynomials."""
-    out = exactlin.zeros(r.rank, r.rank)
-    for w, c in p.terms.items():
-        out = mat_add(out, mat_scale(c, r.word_matrix(w)))
-    return out
+    """mu extended linearly to polynomials, summed on integers over one
+    denominator."""
+    terms, den = _integer_terms(p)
+    d = r._integers().d
+    longest = max(map(len, terms), default=0)
+    word_matrix = r._word_matrices()
+    out = [[0] * r.rank for _ in range(r.rank)]
+    for w, c in terms.items():
+        c *= d ** (longest - len(w))
+        for acc, row in zip(out, word_matrix(w.letters)):
+            for j, x in enumerate(row):
+                acc[j] += c * x
+    return _fractions(out, den * d ** longest)
 
 
 # -- shifts -------------------------------------------------------------------
@@ -629,9 +717,9 @@ def _matpoly_mul(a: list, b: list, word_mul=None, bound: int | None = None) -> l
     return out
 
 
-def _matpoly_readout(nu: Vec, m: list, eta: Vec) -> dict:
+def _matpoly_readout(nu: Sequence, m: list, eta: Sequence) -> dict:
     """The word -> coefficient map nu m eta."""
-    out: dict[Word, Fraction] = {}
+    out: dict = {}
     for i, row in enumerate(m):
         for j, entry in enumerate(row):
             s = nu[i] * eta[j]
@@ -641,8 +729,8 @@ def _matpoly_readout(nu: Vec, m: list, eta: Vec) -> dict:
     return out
 
 
-def _matpoly_identity(alphabet: Alphabet, n: int) -> list:
-    return [[{alphabet.empty_word(): ONE} if i == j else {} for j in range(n)] for i in range(n)]
+def _matpoly_identity(alphabet: Alphabet, n: int, scalar: int = 1) -> list:
+    return [[{alphabet.empty_word(): scalar} if i == j else {} for j in range(n)] for i in range(n)]
 
 
 def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = None) -> FactorizationReport:
@@ -651,7 +739,9 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     On y alphabets with a gamma table the Pi/Sigma pair and the phi-shuffle
     take the place of P/S and the shuffle.  Also confirms the scalar readout
     nu M(X*) eta against the evaluated series.  M(X*) is carried as an n x n
-    matrix of polynomials.
+    matrix of polynomials with integer numerators: the word sum holds M(w) at
+    w, over d^|w|, and the product holds each exponential over one common
+    denominator, the product over the product of those.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -663,47 +753,56 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     bases = DualBases(alphabet, phi)
     left_of, right_of = (bases.s, bases.p) if alphabet.is_x else (bases.sigma, bases.pi)
 
+    ints = r._integers()
+    word_matrix = r._word_matrices()
     lhs = [[{} for _ in range(n)] for _ in range(n)]
     for w in words_up_to_grading(alphabet, bound):
-        for i, row in enumerate(r.word_matrix(w)):
+        for i, row in enumerate(word_matrix(w.letters)):
             for j, c in enumerate(row):
                 if c:
                     lhs[i][j][w] = c
 
     rhs = _matpoly_identity(alphabet, n)
+    scale = 1  # rhs holds scale times the product of the factors so far
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=True)
     for l in factors:
         a = mu_of_poly(r, right_of(l))
-        s_l = left_of(l).terms
-        factor = _matpoly_identity(alphabet, n)
-        apow = exactlin.identity(n)
-        spow = {alphabet.empty_word(): ONE}
-        k = 0
-        while (k + 1) * l.grading <= bound:
-            k += 1
-            apow = mat_mul(apow, a)
+        da = math.lcm(*(q.denominator for row in a for q in row))
+        a_cols = tuple(zip(*(_scaled(row, da) for row in a)))
+        s_l, ds = _integer_terms(left_of(l))
+        top = bound // l.grading
+        den = math.factorial(top) * (da * ds) ** top  # the k-th term is over k! (da ds)^k
+        factor = _matpoly_identity(alphabet, n, den)
+        apow = _identity(n)
+        spow = {alphabet.empty_word(): 1}
+        for k in range(1, top + 1):
+            apow = tuple(_times(row, a_cols) for row in apow)
             spow = _product(spow, s_l, word_mul)
-            scaled = mat_scale(Fraction(1, math.factorial(k)), apow)
+            unit = den // (math.factorial(k) * (da * ds) ** k)
             for i in range(n):
                 for j in range(n):
-                    if scaled[i][j]:  # spow's words have grading k |l|: no overlap
-                        factor[i][j].update((w, c * scaled[i][j]) for w, c in spow.items())
+                    if apow[i][j]:  # spow's words have grading k |l|: no overlap
+                        c = apow[i][j] * unit
+                        factor[i][j].update((w, c * t) for w, t in spow.items())
         rhs = _matpoly_mul(rhs, factor, word_mul, bound)
+        scale *= den
 
+    dpow = [ints.d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
     differ = [
         w
         for lrow, rrow in zip(lhs, rhs)
         for left, right in zip(lrow, rrow)
         for w in left.keys() | right.keys()
-        if left.get(w) != right.get(w)
+        if left.get(w, 0) * scale != right.get(w, 0) * dpow[len(w)]
     ]
     if differ:
         first = min(differ, key=Word.sort_key)
         return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
 
-    readout = TruncSeries(alphabet, bound, _matpoly_readout(r.nu, rhs, r.eta))
-    if readout != r.eval_truncated(bound):
+    den = scale * ints.d ** 2
+    readout = {w: Fraction(c, den) for w, c in _matpoly_readout(ints.nu, rhs, ints.eta).items()}
+    if TruncSeries(alphabet, bound, readout) != r.eval_truncated(bound):
         return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)
 
@@ -716,7 +815,8 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     D(X*) N(X) nilpotent of order at most the rank, and the series is
     reconstructed as nu (sum of its powers) D(X*) eta, then compared against
     direct evaluation.  Matrices of polynomials are n x n lists of
-    word -> coefficient maps.
+    word -> integer maps, built from the integer letter matrices d mu(x):
+    the coefficient of w is the integer over d^|w|.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -729,12 +829,13 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                         f"mu({r.alphabet.letter_name(letter)}) is not upper triangular"
                     )
     alphabet = r.alphabet
+    ints = r._integers()
     one = alphabet.empty_word()
     diag = [{} for _ in range(n)]
     strict = [[{} for _ in range(n)] for _ in range(n)]
     for letter in sorted(r.mu, key=alphabet.letter_key):
-        m = r.mu[letter]
-        lw = Word(alphabet, (letter,))
+        m = ints.rows[letter]
+        lw = alphabet.word((letter,))
         for i in range(n):
             if m[i][i]:
                 diag[i][lw] = m[i][i]
@@ -745,7 +846,7 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     # D(X*): entrywise star of the diagonal, a truncated geometric series
     d_star = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        acc = total = {one: ONE}
+        acc = total = {one: 1}
         for _ in range(bound):
             acc = _product(acc, diag[i], bound=bound)
             if not acc:
@@ -772,7 +873,8 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                     _add_term(g, w, c)
 
     full = _matpoly_mul(geom, d_star, bound=bound)
-    rebuilt = TruncSeries(alphabet, bound, _matpoly_readout(r.nu, full, r.eta))
+    readout = _matpoly_readout(ints.nu, full, ints.eta)
+    rebuilt = TruncSeries(alphabet, bound, {w: Fraction(c, ints.d ** (len(w) + 2)) for w, c in readout.items()})
     direct = r.eval_truncated(bound)
     ok = rebuilt == direct
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"

@@ -81,7 +81,7 @@ def _json_fraction(value, field: str) -> Fraction:
 
 
 def _add_term(d: dict, key, coeff) -> None:
-    c = d.get(key, ZERO) + coeff
+    c = d.get(key, 0) + coeff  # integer terms stay integers
     if c:
         d[key] = c
     else:
@@ -96,9 +96,10 @@ class NCPoly:
     def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Fraction] | None = None):
         clean: dict[Word, Fraction] = {}
         for w, c in (terms or {}).items():
-            if w.alphabet != alphabet:
+            if w.alphabet is not alphabet and w.alphabet != alphabet:
                 raise ValueError("term word over a different alphabet")
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 clean[w] = c
         self.alphabet = alphabet
@@ -220,7 +221,8 @@ class TensorPoly:
     def __init__(self, alphabet: Alphabet, terms: Mapping[tuple[Word, Word], Fraction] | None = None):
         clean: dict[tuple[Word, Word], Fraction] = {}
         for (u, v), c in (terms or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 clean[(u, v)] = c
         self.alphabet = alphabet
@@ -378,11 +380,14 @@ def _product(p_terms: Mapping, q_terms: Mapping, word_mul: Callable | None = Non
     return out
 
 
-def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
+def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, int | Fraction]:
+    """The terms of the phi-shuffle of two words, cached in ``phi``.  The
+    coefficients are integers where the gamma entries met are integers, so
+    products of integer-valued maps stay on integers."""
     if not u:
-        return {v: ONE}
+        return {v: 1}
     if not v:
-        return {u: ONE}
+        return {u: 1}
     if u.lex_key() > v.lex_key():  # the product is commutative; normalize the key
         u, v = v, u
     key = (u, v)
@@ -400,6 +405,8 @@ def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, Fraction]:
     i, j = alphabet.letter_weight(a), alphabet.letter_weight(b)
     g = phi.gamma(i, j)
     if g:  # only y letters merge, so colors are read here only
+        if g.denominator == 1:
+            g = g.numerator
         color = (a[1] + b[1]) % alphabet.color_order if alphabet.color_order else 0
         merged = Word(alphabet, ((i + j, color),))
         for w, c in _phi_shuffle_words(u[1:], v[1:], phi).items():

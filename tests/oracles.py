@@ -3,7 +3,9 @@
 Everything here recomputes expected values through a different route than
 the library code under test: Lyndon words by filtering every word of each
 grade and their standard factorizations by scanning suffixes, Gauss-Jordan
-elimination over ``Fraction`` and minimization with one solve per vector, the Sigma basis from the dense
+elimination over ``Fraction`` and minimization with one solve per vector,
+representation evaluation, word matrices and the two factorization checks of
+``linrep`` on ``Fraction`` matrices, the Sigma basis from the dense
 duality system of its grade, the associativity of a gamma table on word
 triples, truncated polynomial products term by term,
 the Chen series one word at a time and its pairing as a sum over words, and
@@ -17,10 +19,20 @@ from fractions import Fraction
 import numpy as np
 
 from wordseries import exactlin
+from wordseries.hopf import DualBases
 from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
-from wordseries.linrep import LinRep
-from wordseries.ncpoly import NCPoly, PhiTable, phi_shuffle, phi_shuffle_words, shuffle
-from wordseries.words import Alphabet, is_lyndon, words_up_to_grading
+from wordseries.linrep import FactorizationReport, LinRep
+from wordseries.ncpoly import (
+    NCPoly,
+    PhiTable,
+    TruncSeries,
+    _product,
+    _shuffle_law,
+    phi_shuffle,
+    phi_shuffle_words,
+    shuffle,
+)
+from wordseries.words import Alphabet, Word, is_lyndon, lyndon_words, words_up_to_grading
 
 
 def lyndon_words_by_filter(alphabet, max_grade):
@@ -193,6 +205,166 @@ def minimize_per_vector_solve(r):
     reachability, then the same on the transposed representation."""
     reduced = _reachability_per_vector_solve(r)
     return _transpose_rep(_reachability_per_vector_solve(_transpose_rep(reduced)))
+
+
+def coeff_by_fractions(r, w):
+    """nu mu(w) eta by Fraction row-vector products."""
+    row = r.nu
+    for letter in w.letters:
+        row = exactlin.vec_mat(row, r.matrix(letter))
+    return exactlin.dot(row, r.eta)
+
+
+def word_matrix_by_fractions(r, w):
+    """mu(w) as a Fraction matrix product, starting from the identity."""
+    out = exactlin.identity(r.rank)
+    for letter in w.letters:
+        out = exactlin.mat_mul(out, r.matrix(letter))
+    return out
+
+
+def eval_truncated_by_fractions(r, bound):
+    """All coefficients of grading <= bound, one Fraction row per prefix."""
+    if r.alphabet.is_y and (r.max_letter_weight or 0) < bound:
+        raise ValueError("materialized letter weights do not cover the bound")
+    coeffs = {}
+    frontier = [(r.alphabet.empty_word(), r.nu)]
+    while frontier:
+        nxt = []
+        for w, row in frontier:
+            c = exactlin.dot(row, r.eta)
+            if c:
+                coeffs[w] = c
+            for letter in r.alphabet.letters(max_weight=bound):
+                if w.grading + r.alphabet.letter_weight(letter) <= bound:
+                    nxt.append((w * Word(r.alphabet, (letter,)), exactlin.vec_mat(row, r.matrix(letter))))
+        frontier = nxt
+    return TruncSeries(r.alphabet, bound, coeffs)
+
+
+def mu_of_poly_by_fractions(r, p):
+    """mu of a polynomial as a sum of scaled Fraction word matrices."""
+    out = exactlin.zeros(r.rank, r.rank)
+    for w, c in p.terms.items():
+        out = exactlin.mat_add(out, exactlin.mat_scale(c, word_matrix_by_fractions(r, w)))
+    return out
+
+
+def _matpoly_mul(a, b, word_mul=None, bound=None):
+    n = len(a)
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                _product(a[i][k], b[k][j], word_mul, bound, out[i][j])
+    return out
+
+
+def _matpoly_readout(nu, m, eta):
+    out = {}
+    for i, row in enumerate(m):
+        for j, entry in enumerate(row):
+            for w, c in entry.items():
+                out[w] = out.get(w, Fraction(0)) + nu[i] * eta[j] * c
+    return {w: c for w, c in out.items() if c}
+
+
+def _matpoly_identity(alphabet, n):
+    return [[{alphabet.empty_word(): Fraction(1)} if i == j else {} for j in range(n)] for i in range(n)]
+
+
+def mxstar_by_fractions(r, bound, phi=None, mu_of_poly=mu_of_poly_by_fractions):
+    """The factorization check of M(X*) with every matrix of polynomials on
+    Fractions: the word sum of Fraction word matrices against the decreasing
+    product of exp(mu(P_l) S_l), then the readout nu M eta against the
+    series.  ``mu_of_poly`` gives mu(P_l), so a test can perturb it."""
+    alphabet, n = r.alphabet, r.rank
+    word_mul = _shuffle_law(phi)
+    bases = DualBases(alphabet, phi)
+    left_of, right_of = (bases.s, bases.p) if alphabet.is_x else (bases.sigma, bases.pi)
+    lhs = [[{} for _ in range(n)] for _ in range(n)]
+    for w in words_up_to_grading(alphabet, bound):
+        for i, row in enumerate(word_matrix_by_fractions(r, w)):
+            for j, c in enumerate(row):
+                if c:
+                    lhs[i][j][w] = c
+    rhs = _matpoly_identity(alphabet, n)
+    for l in sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=True):
+        a = mu_of_poly(r, right_of(l))
+        factor = _matpoly_identity(alphabet, n)
+        apow = exactlin.identity(n)
+        spow = {alphabet.empty_word(): Fraction(1)}
+        k = 0
+        while (k + 1) * l.grading <= bound:
+            k += 1
+            apow = exactlin.mat_mul(apow, a)
+            spow = _product(spow, left_of(l).terms, word_mul)
+            for i in range(n):
+                for j in range(n):
+                    c = apow[i][j] / math.factorial(k)
+                    if c:
+                        factor[i][j].update((w, c * t) for w, t in spow.items())
+        rhs = _matpoly_mul(rhs, factor, word_mul, bound)
+    differ = [
+        w
+        for lrow, rrow in zip(lhs, rhs)
+        for left, right in zip(lrow, rrow)
+        for w in left.keys() | right.keys()
+        if left.get(w) != right.get(w)
+    ]
+    if differ:
+        first = min(differ, key=Word.sort_key)
+        return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
+    readout = TruncSeries(alphabet, bound, _matpoly_readout(r.nu, rhs, r.eta))
+    if readout != eval_truncated_by_fractions(r, bound):
+        return FactorizationReport(False, "nu M eta readout differs from the series")
+    return FactorizationReport(True)
+
+
+def triangular_by_fractions(r, bound):
+    """The diagonal / strictly upper split of M(X) with Fraction matrices of
+    polynomials: (rebuilt series, report)."""
+    alphabet, n = r.alphabet, r.rank
+    one = alphabet.empty_word()
+    diag = [{} for _ in range(n)]
+    strict = [[{} for _ in range(n)] for _ in range(n)]
+    for letter, m in r.mu.items():
+        lw = Word(alphabet, (letter,))
+        for i in range(n):
+            if m[i][i]:
+                diag[i][lw] = m[i][i]
+            for j in range(i + 1, n):
+                if m[i][j]:
+                    strict[i][j][lw] = m[i][j]
+    d_star = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        acc = total = {one: Fraction(1)}
+        for _ in range(bound):
+            acc = _product(acc, diag[i], bound=bound)
+            total = {**total, **acc}
+        d_star[i][i] = total
+    t = _matpoly_mul(d_star, strict, bound=bound)
+    power = geom = _matpoly_identity(alphabet, n)
+    order = 0
+    while True:
+        power = _matpoly_mul(power, t, bound=bound)
+        if not any(entry for row in power for entry in row):
+            break
+        order += 1
+        if order > n:
+            return (
+                TruncSeries(alphabet, bound),
+                FactorizationReport(False, "D(X*) N(X) failed to nilpotate within the rank"),
+            )
+        for grow, prow in zip(geom, power):
+            for g, p in zip(grow, prow):
+                for w, c in p.items():
+                    g[w] = g.get(w, Fraction(0)) + c
+    full = _matpoly_mul(geom, d_star, bound=bound)
+    rebuilt = TruncSeries(alphabet, bound, _matpoly_readout(r.nu, full, r.eta))
+    ok = rebuilt == eval_truncated_by_fractions(r, bound)
+    detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
+    return rebuilt, FactorizationReport(ok, detail)
 
 
 def conc_truncated(a: NCPoly, b: NCPoly, bound: int) -> NCPoly:

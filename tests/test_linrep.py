@@ -8,12 +8,25 @@ Lie diagnostics against a floating-point closure with numpy rank estimates.
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import binomial_gamma, phi_shuffle_truncated, shuffle_truncated
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    binomial_gamma,
+    coeff_by_fractions,
+    eval_truncated_by_fractions,
+    mu_of_poly_by_fractions,
+    mxstar_by_fractions,
+    phi_shuffle_truncated,
+    shuffle_truncated,
+    triangular_by_fractions,
+    word_matrix_by_fractions,
+)
 
-from wordseries import exactlin
+from wordseries import exactlin, linrep
 from wordseries.linrep import (
     LinRep,
     delta_conc_decompose,
@@ -24,6 +37,7 @@ from wordseries.linrep import (
     lie_diagnostics,
     log_trunc,
     minimize,
+    mu_of_poly,
     mxstar_factorization_check,
     rat_conc,
     rat_phi_shuffle,
@@ -37,6 +51,7 @@ from wordseries.linrep import (
 from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
+    TensorPoly,
     TruncSeries,
     conc,
     is_character,
@@ -104,6 +119,75 @@ def test_eval_truncated_matches_coeff():
     t = r.eval_truncated(4)
     for w in words_up_to_grading(X2, 4):
         assert t.coeff(w) == r.coeff(w)
+
+
+# Random representations over Q: ranks 0-4, entries of denominator <= 7,
+# nu or eta possibly zero, letters of weight <= 3 on y alphabets.
+REP_ALPHABETS = [Alphabet.x(1), X2, Alphabet.x(3), Y, Alphabet.y(color_order=2)]
+ratios = st.builds(Fraction, st.sampled_from([1, -1, 2, 0, -2, 3, -3]), st.integers(1, 7))
+
+
+@st.composite
+def rational_reps(draw, upper=False, weight=3):
+    alphabet = draw(st.sampled_from(REP_ALPHABETS))
+    n = draw(st.integers(0, 4))
+    vector = st.lists(ratios, min_size=n, max_size=n)
+    bound = None if alphabet.is_x else weight
+    mu = {}
+    for letter in alphabet.letters(max_weight=bound):
+        m = [draw(vector) for _ in range(n)]
+        mu[letter] = [[c if j >= i or not upper else F(0) for j, c in enumerate(row)] for i, row in enumerate(m)]
+    nu, eta = ([F(0)] * n if draw(st.integers(0, 3)) == 3 else draw(vector) for _ in range(2))
+    return LinRep(alphabet, nu, mu, eta, bound)
+
+
+def fraction_values(obj):
+    """Every value held by a series, polynomial, tensor, representation or matrix."""
+    if isinstance(obj, TruncSeries):
+        return list(obj.coeffs.values())
+    if isinstance(obj, (NCPoly, TensorPoly)):
+        return list(obj.terms.values())
+    if isinstance(obj, LinRep):
+        return [*obj.nu, *(c for m in obj.mu.values() for row in m for c in row), *obj.eta]
+    return [c for row in obj for c in row]
+
+
+def assert_fractions(*objs):
+    for obj in objs:
+        assert all(type(c) is Fraction for c in fraction_values(obj))
+
+
+@settings(deadline=None, max_examples=100)
+@given(rational_reps(), st.integers(0, 4), st.data())
+def test_integer_evaluation_matches_the_fraction_oracles(r, bound, data):
+    if r.alphabet.is_y:
+        bound = min(bound, r.max_letter_weight)
+    series = r.eval_truncated(bound)
+    assert series == eval_truncated_by_fractions(r, bound)
+    assert_fractions(series)
+    words = words_up_to_grading(r.alphabet, bound)
+    for w in words:
+        c = r.coeff(w)
+        assert type(c) is Fraction and c == coeff_by_fractions(r, w)
+        m = r.word_matrix(w)
+        assert m == word_matrix_by_fractions(r, w)
+        assert_fractions(m)
+    chosen = data.draw(st.lists(st.sampled_from(words), max_size=6))
+    p = NCPoly(r.alphabet, {w: data.draw(ratios) for w in chosen})
+    m = mu_of_poly(r, p)
+    assert m == mu_of_poly_by_fractions(r, p)
+    assert_fractions(m, LinRep.from_poly(p), minimize(r))
+
+
+def test_integer_evaluation_of_long_words_matches_the_fraction_oracles():
+    rng = random.Random(11)
+    ratio = lambda: F(rng.randint(-3, 3), rng.randint(1, 7))
+    mu = {letter: [[ratio() for _ in range(3)] for _ in range(3)] for letter in X2.letters()}
+    r = LinRep(X2, [ratio() for _ in range(3)], mu, [ratio() for _ in range(3)])
+    assert r.eval_truncated(7) == eval_truncated_by_fractions(r, 7)
+    for w in words_up_to_grading(X2, 7)[::5]:
+        assert r.coeff(w) == coeff_by_fractions(r, w)
+        assert r.word_matrix(w) == word_matrix_by_fractions(r, w)
 
 
 def test_from_poly():
@@ -584,6 +668,41 @@ def test_mxstar_detects_a_perturbed_factor(monkeypatch):
     assert report.detail.startswith("matrix series differ; first differing word:")
 
 
+def _perturb_top_grade(real, bound):
+    """mu_of_poly with the identity added to the matrix of the first factor
+    of grade ``bound``, so that the series first differ at that grade."""
+    seen = []
+
+    def perturbed(r, p):
+        m = real(r, p)
+        if not seen and p.max_grade() == bound:
+            seen.append(p)
+            m = exactlin.mat_add(m, exactlin.identity(r.rank))
+        return m
+
+    return perturbed
+
+
+@settings(deadline=None, max_examples=60)
+@given(rational_reps(), st.integers(1, 3), st.sampled_from(["stuffle", "half binomial"]), st.booleans())
+def test_mxstar_matches_the_fraction_oracle(r, bound, law, perturb):
+    # y alphabets take the stuffle or gamma(i, j) = C(i+j, i) / 2; both
+    # sides give the same verdict and the same first differing word
+    phi = None if r.alphabet.is_x else {"stuffle": STUFFLE, "half binomial": binomial_gamma(F(1, 2))}[law]
+    oracle_mu = _perturb_top_grade(mu_of_poly_by_fractions, bound) if perturb else mu_of_poly_by_fractions
+    expected = mxstar_by_fractions(r, bound, phi, oracle_mu)
+    with mock.patch.object(linrep, "mu_of_poly", _perturb_top_grade(mu_of_poly, bound) if perturb else mu_of_poly):
+        got = mxstar_factorization_check(r, bound, phi=phi)
+    assert (got.equal, got.detail) == (expected.equal, expected.detail)
+    assert got.equal or perturb
+
+
+def test_mxstar_y_with_rational_gamma():
+    rng = random.Random(39)
+    r = random_linrep(Y, 3, rng, bound=4)
+    assert mxstar_factorization_check(r, 4, phi=binomial_gamma(F(1, 2))).equal
+
+
 def test_sweedler_y_alphabet_series():
     rng = random.Random(59)
     r = minimize(random_linrep(Y, 2, rng, bound=2))
@@ -636,6 +755,18 @@ def test_triangular_decompose_random():
         rebuilt, report = triangular_decompose(r, 4)
         assert report.equal
         assert rebuilt == r.eval_truncated(4)
+
+
+@settings(deadline=None, max_examples=60)
+@given(rational_reps(upper=True), st.integers(0, 4))
+def test_triangular_decompose_matches_the_fraction_oracle(r, bound):
+    if r.alphabet.is_y:
+        bound = min(bound, r.max_letter_weight)
+    rebuilt, report = triangular_decompose(r, bound)
+    expected, expected_report = triangular_by_fractions(r, bound)
+    assert rebuilt == expected
+    assert (report.equal, report.detail) == (True, expected_report.detail)
+    assert_fractions(rebuilt)
 
 
 def test_triangular_decompose_rejects_non_triangular():

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import non_associative_word_triple
+from oracles import binomial_gamma, non_associative_word_triple
 
 from wordseries import ncpoly
 from wordseries.ncpoly import (
@@ -25,8 +25,10 @@ from wordseries.ncpoly import (
     is_character,
     is_infinitesimal_character,
     phi_shuffle,
+    phi_shuffle_words,
     pi1,
     shuffle,
+    word_product,
 )
 from wordseries.words import Alphabet, Word, words_up_to_grading
 
@@ -221,6 +223,27 @@ def test_products_unchanged_after_the_word_cache_evicts(monkeypatch):
     got = [(phi_shuffle(p, q, small), shuffle(p, q)) for p, q in pairs]
     assert got == want
     assert len(small._word_cache) == len(ncpoly._SHUFFLE._word_cache) == 8
+
+
+def test_word_tables_hold_integers_and_results_hold_fractions():
+    # integral gamma tables give integer word-product coefficients, and a
+    # rational one some Fractions; every polynomial and tensor built from
+    # them holds Fractions only
+    u, v = yw("y1 y2"), yw("y2 y1 y1")
+    p = poly(Y, "y1 y2", Fraction(1, 2)) + poly(Y, "y3", 2)
+    q = poly(Y, "y2", -3) + poly(Y, "y1 y1")
+    for phi, integral in ((STUFFLE, True), (GAMMA0, True), (binomial_gamma(Fraction(1, 2)), False)):
+        kinds = {type(c) for c in ncpoly._phi_shuffle_words(u, v, phi).values()}
+        assert (kinds == {int}) is integral
+        results = [
+            phi_shuffle(p, q, phi), phi_shuffle_words(u, v, phi), word_product("phi", u, v, phi),
+            shuffle(p, q), delta_phi(p, phi), delta_shuffle(p), delta_conc(p), pi1(p, phi),
+        ]
+        for result in results:
+            assert all(type(c) is Fraction for c in result.terms.values())
+    x = poly(X2, "x0 x1") + poly(X2, "x1", 3)
+    for result in (shuffle(x, x), conc(x, x), pi1(x), delta_shuffle(x)):
+        assert all(type(c) is Fraction for c in result.terms.values())
 
 
 def test_delta_conc():
