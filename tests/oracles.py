@@ -460,7 +460,7 @@ def system_output_word_sum(r, forms, z0, z, bound, quad=None):
     """sum over words of nu mu(w) eta times the per-word Chen coefficient,
     with the quadrature and last-layer error terms of system_output."""
     alpha = chen_series_per_word(forms, z0, z, bound, quad)
-    series = r.eval_truncated(bound)
+    series = eval_truncated_by_fractions(r, bound)
     total = 0j
     err = 0.0
     last_layer = 0.0
