@@ -31,7 +31,6 @@ from .hyperlog import (
 )
 from .linrep import (
     LinRep,
-    _integer_terms,
     delta_conc_decompose,
     minimize,
     mxstar_factorization_check,
@@ -42,7 +41,7 @@ from .linrep import (
     rat_sum,
     triangular_decompose,
 )
-from .ncpoly import NCPoly, PhiTable, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
+from .ncpoly import NCPoly, PhiTable, _integer_terms, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
 from .words import Alphabet, lyndon_words, parse_alphabet, words_up_to_grading
 
 __all__ = ["main"]
@@ -209,9 +208,9 @@ def cmd_check(args) -> int:
                         print(f"duality {name}: FAIL {family}({u}) is not homogeneous of grade {u.grading}")
                         return 1
             for same in grades:
-                rights = [_integer_terms(right(v)) for v in same]
+                rights = [_integer_terms(right(v).terms) for v in same]
                 for u in same:
-                    a, da = _integer_terms(left(u))
+                    a, da = _integer_terms(left(u).terms)
                     for v, (b, db) in zip(same, rights):
                         got = sum(c * b.get(w, 0) for w, c in a.items())
                         if got != (da * db if u == v else 0):

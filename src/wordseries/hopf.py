@@ -10,6 +10,12 @@ contracting blocks of consecutive letters of S_w with no linear solve.
 The module also verifies the factorization of the diagonal series
 sum_w w (x) w as the decreasing product of exponentials exp(S_l (x) P_l)
 over Lyndon words l (and its Sigma/Pi variant), exactly, at a truncation.
+One routine, ``_lyndon_exp_product``, forms that product for this check
+and, with mu(P_l) on the right, for the M(X*) check of ``linrep``.  It
+holds each factor as integer numerators over one denominator, truncates
+the left grading only (every term of exp(S_l (x) P_l) has equal left and
+right grading), and is given the right-hand algebra by the product of its
+basis keys: words under concatenation here, matrix units in ``linrep``.
 """
 
 from __future__ import annotations
@@ -18,7 +24,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import NCPoly, PhiTable, _add_term, _pi1_images, _product, _shuffle_law, conc, shuffle
+from .ncpoly import (
+    NCPoly,
+    PhiTable,
+    _add_term,
+    _integer_terms,
+    _pi1_images,
+    _product,
+    _shuffle_law,
+    conc,
+    shuffle,
+)
 from .words import (
     Alphabet,
     Word,
@@ -104,6 +120,10 @@ class DualBases:
                     out = shuffle(out, power * Fraction(1, math.factorial(mult)))
         self._s[w] = out
         return out
+
+    def _pair(self):
+        """The left and right families: (S, P), or (Sigma, Pi) with a gamma table."""
+        return (self.s, self.p) if self.phi is None else (self.sigma, self.pi)
 
     # -- the Pi / Sigma pair ---------------------------------------------------
 
@@ -204,37 +224,46 @@ class DiagonalReport:
         return self.equal
 
 
-def _outer(scale: Fraction):
-    """``word_mul`` sending (u, v) to scale * (u (x) v)."""
-    return lambda u, v: (((u, v), scale),)
-
-
-def _tensor_mul(t1: dict, t2: dict, word_mul, bound: int) -> dict:
-    """Product in (words, law) (x) (words, conc), truncated on both factors."""
-
-    def pair_mul(s, t):
-        (a, b), (u, v) = s, t
-        if a.grading + u.grading > bound or b.grading + v.grading > bound:
-            return ()
-        right = b * v
-        return [((w, right), c) for w, c in word_mul(a, u)]
-
-    return _product(t1, t2, pair_mul)
-
-
-def _tensor_exp(left: NCPoly, right: NCPoly, word_mul, bound: int) -> dict:
-    """exp(left (x) right): both factors homogeneous of equal grading."""
-    grade = left.max_grade()
-    one = left.alphabet.empty_word()
-    out = {(one, one): ONE}
-    lpow = rpow = {one: ONE}
-    k = 0
-    while (k + 1) * grade <= bound:
-        k += 1
-        lpow = _product(lpow, left.terms, word_mul)
-        rpow = _product(rpow, right.terms)
-        _product(lpow, rpow, _outer(Fraction(1, math.factorial(k))), out=out)
-    return out
+def _lyndon_exp_product(bases: DualBases, factors: list[Word], bound: int,
+                        right_of, right_law, one: dict) -> tuple[dict, int]:
+    """exp(S_l (x) R_l) multiplied in the order of ``factors`` in
+    (words, law) (x) R, truncated at left grading ``bound``: S_l and the law
+    are the left family of ``bases`` and its shuffle, R_l = right_of(l) is a
+    key -> Fraction map, and R multiplies its basis keys by ``right_law`` (a
+    ``word_mul`` of ``_product``; None is concatenation), with unit ``one``.
+    Returns integer coefficients keyed by (word, right key) and their one
+    denominator, the product over the factors of K! (d_S d_R)^K, with
+    K = bound // |l| and d_S, d_R the common denominators of S_l and R_l.
+    """
+    left_of = bases._pair()[0]
+    word_mul = _shuffle_law(bases.phi)
+    empty = bases.alphabet.empty_word()
+    product = {empty: one}  # left word -> its right element
+    den = 1
+    for l in factors:
+        s, ds = _integer_terms(left_of(l).terms)
+        r, dr = _integer_terms(right_of(l))
+        top = bound // l.grading
+        scale = math.factorial(top) * (ds * dr) ** top
+        powers = [({empty: 1}, one, scale)]  # S^k, R^k and scale / (k! (ds dr)^k)
+        for k in range(1, top + 1):
+            spow, rpow, unit = powers[-1]
+            powers.append((_product(spow, s, word_mul), _product(rpow, r, right_law), unit // (k * ds * dr)))
+        out: dict = {}
+        for a, e in product.items():
+            acc = out.setdefault(a, {})
+            for b, c in e.items():
+                _add_term(acc, b, scale * c)
+            # only the powers that keep the left grading within the bound
+            for spow, rpow, unit in powers[1: 1 + (bound - a.grading) // l.grading]:
+                m = _product(e, rpow, right_law)
+                for w, x in _product({a: unit}, spow, word_mul).items():
+                    acc = out.setdefault(w, {})
+                    for b, y in m.items():
+                        _add_term(acc, b, x * y)
+        product = out
+        den *= scale
+    return {(w, b): c for w, e in product.items() for b, c in e.items()}, den
 
 
 def diagonal_factorization_check(
@@ -253,31 +282,24 @@ def diagonal_factorization_check(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     bases = DualBases(alphabet, phi)
-    word_mul = _shuffle_law(phi)
-    if phi is None:
-        left_of, right_of = bases.s, bases.p
-    else:
-        left_of, right_of = bases.sigma, bases.pi
+    left_of, right_of = bases._pair()
 
     words = words_up_to_grading(alphabet, bound)
     side_words = {(w, w): ONE for w in words}
 
     side_bases: dict[tuple[Word, Word], Fraction] = {}
     for w in words:
-        _product(left_of(w).terms, right_of(w).terms, _outer(ONE), out=side_bases)
+        _product(left_of(w).terms, right_of(w).terms, lambda u, v: (((u, v), 1),), out=side_bases)
 
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=decreasing)
-    product = {(alphabet.empty_word(), alphabet.empty_word()): ONE}
-    for l in factors:
-        product = _tensor_mul(
-            product, _tensor_exp(left_of(l), right_of(l), word_mul, bound), word_mul, bound
-        )
+    one = {alphabet.empty_word(): 1}
+    product, den = _lyndon_exp_product(bases, factors, bound, lambda l: right_of(l).terms, None, one)
 
-    for name, other in (("dual-basis sum", side_bases), ("Lyndon product", product)):
+    for name, other, scale in (("dual-basis sum", side_bases, 1), ("Lyndon product", product, den)):
         for key in sorted(set(side_words) | set(other), key=lambda k: (k[0].sort_key(), k[1].sort_key())):
             a = side_words.get(key, ZERO)
-            b = other.get(key, ZERO)
-            if a != b:
-                return DiagonalReport(False, (key[0], key[1], a, b, name))
+            b = other.get(key, 0)
+            if a * scale != b:
+                return DiagonalReport(False, (key[0], key[1], a, Fraction(b, scale), name))
     return DiagonalReport(True)

@@ -14,10 +14,11 @@ Everything is exact rational arithmetic; no tolerances anywhere.  Evaluation
 runs on integers: each representation keeps one integer form, nu, every
 mu(x) and eta times their common denominator d, so that mu(w) = M(w) / d^|w|
 and nu mu(w) eta = nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts
-letters).  Coefficients, word matrices, mu of polynomials and the matrices of
-polynomials of the two factorization checks are summed on integers, and one
-``Fraction`` is built per output value: every value returned is a
-``Fraction``.
+letters).  Coefficients, word matrices, mu of polynomials, the matrices of
+polynomials of the triangular check and the two sides of the M(X*) check
+(the word sum, and the Lyndon product of ``hopf`` keyed by matrix units) are
+summed on integers, and one ``Fraction`` is built per output value: every
+value returned is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -27,23 +28,24 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import exactlin
 from .exactlin import Mat, RowSpace, Vec, _int_row, mat_add, mat_scale, mat_vec, vec_mat
-from .hopf import DualBases
+from .hopf import DualBases, _lyndon_exp_product
 from .ncpoly import (
     NCPoly,
     PhiTable,
     TruncSeries,
     _SHUFFLE,
     _add_term,
+    _integer_terms,
     _json_checked,
     _json_fields,
     _json_fraction,
     _letter_rule,
     _product,
-    _shuffle_law,
+    _scaled,
     _values_match,
     coproduct,
     format_fraction,
@@ -100,17 +102,6 @@ def _identity(n: int) -> tuple:
 def _fractions(m: Sequence[Sequence[int]], den: int) -> Mat:
     """The integer matrix m over the denominator den, as Fractions."""
     return tuple(tuple(Fraction(x, den) for x in row) for row in m)
-
-
-def _scaled(values: Iterable[Fraction], d: int) -> tuple[int, ...]:
-    """The values times d, a multiple of their denominators, as integers."""
-    return tuple(q.numerator * (d // q.denominator) for q in values)
-
-
-def _integer_terms(p: NCPoly) -> tuple[dict, int]:
-    """p as integer coefficients over one common denominator d: (d·p, d)."""
-    d = math.lcm(*(c.denominator for c in p.terms.values()))
-    return dict(zip(p.terms, _scaled(p.terms.values(), d))), d
 
 
 class LinRep:
@@ -325,7 +316,7 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
 def mu_of_poly(r: LinRep, p: NCPoly) -> Mat:
     """mu extended linearly to polynomials, summed on integers over one
     denominator."""
-    terms, den = _integer_terms(p)
+    terms, den = _integer_terms(p.terms)
     d = r._integers().d
     longest = max(map(len, terms), default=0)
     word_matrix = r._word_matrices()
@@ -706,14 +697,14 @@ class FactorizationReport:
         return self.equal
 
 
-def _matpoly_mul(a: list, b: list, word_mul=None, bound: int | None = None) -> list:
+def _matpoly_mul(a: list, b: list, bound: int | None = None) -> list:
     """Product of two square matrices whose entries are word -> coefficient maps."""
     n = len(a)
     out = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                _product(a[i][k], b[k][j], word_mul, bound, out[i][j])
+                _product(a[i][k], b[k][j], None, bound, out[i][j])
     return out
 
 
@@ -729,8 +720,9 @@ def _matpoly_readout(nu: Sequence, m: list, eta: Sequence) -> dict:
     return out
 
 
-def _matpoly_identity(alphabet: Alphabet, n: int, scalar: int = 1) -> list:
-    return [[{alphabet.empty_word(): scalar} if i == j else {} for j in range(n)] for i in range(n)]
+def _unit_law(ij: tuple, kl: tuple):
+    """The product of the matrix units E_ij E_kl, as terms for ``_product``."""
+    return (((ij[0], kl[1]), 1),) if ij[1] == kl[0] else ()
 
 
 def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = None) -> FactorizationReport:
@@ -738,70 +730,52 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     On y alphabets with a gamma table the Pi/Sigma pair and the phi-shuffle
     take the place of P/S and the shuffle.  Also confirms the scalar readout
-    nu M(X*) eta against the evaluated series.  M(X*) is carried as an n x n
-    matrix of polynomials with integer numerators: the word sum holds M(w) at
-    w, over d^|w|, and the product holds each exponential over one common
-    denominator, the product over the product of those.
+    nu M(X*) eta against the evaluated series.  M(X*) is carried as integer
+    numerators keyed by (word, matrix unit (i, j)): the word sum holds M(w)
+    at w, over d^|w|, and the product is the diagonal series' Lyndon product
+    of ``hopf`` with mu(P_l) on the right, over its one denominator.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     alphabet = r.alphabet
     if alphabet.is_y and phi is None:
         raise ValueError("a y-alphabet factorization needs the gamma table")
-    n = r.rank
-    word_mul = _shuffle_law(phi)
     bases = DualBases(alphabet, phi)
-    left_of, right_of = (bases.s, bases.p) if alphabet.is_x else (bases.sigma, bases.pi)
+    right_basis = bases._pair()[1]
 
     ints = r._integers()
     word_matrix = r._word_matrices()
-    lhs = [[{} for _ in range(n)] for _ in range(n)]
+    lhs = {}
     for w in words_up_to_grading(alphabet, bound):
         for i, row in enumerate(word_matrix(w.letters)):
             for j, c in enumerate(row):
                 if c:
-                    lhs[i][j][w] = c
+                    lhs[w, (i, j)] = c
 
-    rhs = _matpoly_identity(alphabet, n)
-    scale = 1  # rhs holds scale times the product of the factors so far
+    def matrix_terms(l: Word) -> dict:
+        a = mu_of_poly(r, right_basis(l))
+        return {(i, j): q for i, row in enumerate(a) for j, q in enumerate(row) if q}
+
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=True)
-    for l in factors:
-        a = mu_of_poly(r, right_of(l))
-        da = math.lcm(*(q.denominator for row in a for q in row))
-        a_cols = tuple(zip(*(_scaled(row, da) for row in a)))
-        s_l, ds = _integer_terms(left_of(l))
-        top = bound // l.grading
-        den = math.factorial(top) * (da * ds) ** top  # the k-th term is over k! (da ds)^k
-        factor = _matpoly_identity(alphabet, n, den)
-        apow = _identity(n)
-        spow = {alphabet.empty_word(): 1}
-        for k in range(1, top + 1):
-            apow = tuple(_times(row, a_cols) for row in apow)
-            spow = _product(spow, s_l, word_mul)
-            unit = den // (math.factorial(k) * (da * ds) ** k)
-            for i in range(n):
-                for j in range(n):
-                    if apow[i][j]:  # spow's words have grading k |l|: no overlap
-                        c = apow[i][j] * unit
-                        factor[i][j].update((w, c * t) for w, t in spow.items())
-        rhs = _matpoly_mul(rhs, factor, word_mul, bound)
-        scale *= den
+    one = {(i, i): 1 for i in range(r.rank)}
+    rhs, scale = _lyndon_exp_product(bases, factors, bound, matrix_terms, _unit_law, one)
 
     dpow = [ints.d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
     differ = [
         w
-        for lrow, rrow in zip(lhs, rhs)
-        for left, right in zip(lrow, rrow)
-        for w in left.keys() | right.keys()
-        if left.get(w, 0) * scale != right.get(w, 0) * dpow[len(w)]
+        for w, ij in lhs.keys() | rhs.keys()
+        if lhs.get((w, ij), 0) * scale != rhs.get((w, ij), 0) * dpow[len(w)]
     ]
     if differ:
         first = min(differ, key=Word.sort_key)
         return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
 
+    readout: dict = {}
+    for (w, (i, j)), c in rhs.items():
+        _add_term(readout, w, ints.nu[i] * c * ints.eta[j])
     den = scale * ints.d ** 2
-    readout = {w: Fraction(c, den) for w, c in _matpoly_readout(ints.nu, rhs, ints.eta).items()}
+    readout = {w: Fraction(c, den) for w, c in readout.items()}
     if TruncSeries(alphabet, bound, readout) != r.eval_truncated(bound):
         return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)
@@ -855,7 +829,7 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
         d_star[i][i] = total
 
     t = _matpoly_mul(d_star, strict, bound=bound)
-    power = geom = _matpoly_identity(alphabet, n)
+    power = geom = [[{one: 1} if i == j else {} for j in range(n)] for i in range(n)]
     order = 0
     while True:
         power = _matpoly_mul(power, t, bound=bound)

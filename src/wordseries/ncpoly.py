@@ -18,6 +18,7 @@ All identities here are exact; nothing in this module touches floating point.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -86,6 +87,18 @@ def _add_term(d: dict, key, coeff) -> None:
         d[key] = c
     else:
         d.pop(key, None)
+
+
+def _scaled(values: Iterable[Fraction], d: int) -> tuple[int, ...]:
+    """The values times d, a multiple of their denominators, as integers."""
+    return tuple(q.numerator * (d // q.denominator) for q in values)
+
+
+def _integer_terms(terms: Mapping) -> tuple[dict, int]:
+    """A key -> Fraction map as integer coefficients over one common
+    denominator d: (d·terms, d)."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return dict(zip(terms, _scaled(terms.values(), d))), d
 
 
 class NCPoly:
@@ -168,11 +181,6 @@ class NCPoly:
             self.alphabet, {w: c for w, c in self.terms.items() if w.grading <= max_grade}
         )
 
-    def graded_part(self, grade: int) -> "NCPoly":
-        return NCPoly(
-            self.alphabet, {w: c for w, c in self.terms.items() if w.grading == grade}
-        )
-
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
 
@@ -221,6 +229,9 @@ class TensorPoly:
     def __init__(self, alphabet: Alphabet, terms: Mapping[tuple[Word, Word], Fraction] | None = None):
         clean: dict[tuple[Word, Word], Fraction] = {}
         for (u, v), c in (terms or {}).items():
+            for w in (u, v):
+                if w.alphabet is not alphabet and w.alphabet != alphabet:
+                    raise ValueError("term word over a different alphabet")
             if not isinstance(c, Fraction):
                 c = Fraction(c)
             if c:
@@ -653,13 +664,6 @@ class TruncSeries:
         for w, c in p.terms.items():
             total = total + c * self.coeff(w)
         return total
-
-    def restrict(self, bound: int) -> "TruncSeries":
-        if bound > self.bound:
-            raise ValueError("cannot widen a truncation")
-        return TruncSeries(
-            self.alphabet, bound, {w: c for w, c in self.coeffs.items() if w.grading <= bound}
-        )
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         bound = min(self.bound, other.bound)

@@ -5,7 +5,8 @@ the library code under test: Lyndon words by filtering every word of each
 grade and their standard factorizations by scanning suffixes, Gauss-Jordan
 elimination over ``Fraction`` and minimization with one solve per vector,
 representation evaluation, word matrices and the two factorization checks of
-``linrep`` on ``Fraction`` matrices, the Sigma basis from the dense
+``linrep`` on ``Fraction`` matrices, the diagonal factorization check on
+``Fraction`` tensors multiplied out in full, the Sigma basis from the dense
 duality system of its grade, the associativity of a gamma table on word
 triples, truncated polynomial products term by term,
 the Chen series one word at a time and its pairing as a sum over words, and
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from wordseries import exactlin
-from wordseries.hopf import DualBases
+from wordseries.hopf import DiagonalReport, DualBases
 from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
 from wordseries.linrep import FactorizationReport, LinRep
 from wordseries.ncpoly import (
@@ -141,6 +142,65 @@ def sigma_by_inverse(bases, grade):
         u: NCPoly(bases.alphabet, dict(zip(words, col)))
         for u, col in zip(words, exactlin.transpose(inv))
     }
+
+
+def _outer(scale):
+    """``word_mul`` sending (u, v) to scale * (u (x) v)."""
+    return lambda u, v: (((u, v), scale),)
+
+
+def _tensor_mul(t1, t2, word_mul, bound):
+    """Product in (words, law) (x) (words, conc), truncated on both factors."""
+
+    def pair_mul(s, t):
+        (a, b), (u, v) = s, t
+        if a.grading + u.grading > bound or b.grading + v.grading > bound:
+            return ()
+        right = b * v
+        return [((w, right), c) for w, c in word_mul(a, u)]
+
+    return _product(t1, t2, pair_mul)
+
+
+def _tensor_exp(left, right, word_mul, bound):
+    """exp(left (x) right) on Fractions: both factors homogeneous of equal grading."""
+    grade = left.max_grade()
+    one = left.alphabet.empty_word()
+    out = {(one, one): Fraction(1)}
+    lpow = rpow = {one: Fraction(1)}
+    k = 0
+    while (k + 1) * grade <= bound:
+        k += 1
+        lpow = _product(lpow, left.terms, word_mul)
+        rpow = _product(rpow, right.terms)
+        _product(lpow, rpow, _outer(Fraction(1, math.factorial(k))), out=out)
+    return out
+
+
+def diagonal_by_fractions(alphabet, phi=None, bound=4, decreasing=True):
+    """The diagonal factorization check on Fraction tensors: the word sum
+    against the dual-basis sum, then against the ordered product of the
+    exponentials exp(S_l (x) P_l), each multiplied out in full and truncated
+    on both factors.  Returns a ``DiagonalReport``."""
+    bases = DualBases(alphabet, phi)
+    word_mul = _shuffle_law(phi)
+    left_of, right_of = (bases.s, bases.p) if phi is None else (bases.sigma, bases.pi)
+    words = words_up_to_grading(alphabet, bound)
+    side_words = {(w, w): Fraction(1) for w in words}
+    side_bases = {}
+    for w in words:
+        _product(left_of(w).terms, right_of(w).terms, _outer(Fraction(1)), out=side_bases)
+    factors = sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=decreasing)
+    product = {(alphabet.empty_word(), alphabet.empty_word()): Fraction(1)}
+    for l in factors:
+        product = _tensor_mul(product, _tensor_exp(left_of(l), right_of(l), word_mul, bound), word_mul, bound)
+    for name, other in (("dual-basis sum", side_bases), ("Lyndon product", product)):
+        for key in sorted(set(side_words) | set(other), key=lambda k: (k[0].sort_key(), k[1].sort_key())):
+            a = side_words.get(key, Fraction(0))
+            b = other.get(key, Fraction(0))
+            if a != b:
+                return DiagonalReport(False, (key[0], key[1], a, b, name))
+    return DiagonalReport(True)
 
 
 def binomial_gamma(c):

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import binomial_gamma, sigma_by_inverse
+from oracles import binomial_gamma, diagonal_by_fractions, sigma_by_inverse
 
 from wordseries.hopf import DualBases, diagonal_factorization_check
 from wordseries.ncpoly import (
@@ -225,6 +225,28 @@ def test_diagonal_factorization_needs_decreasing_order():
     report = diagonal_factorization_check(X2, None, 4, decreasing=False)
     assert not report.equal
     assert report.first_difference is not None
+
+
+@pytest.mark.parametrize("decreasing", [True, False])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "alphabet, phi",
+    [
+        (X2, None),
+        (Alphabet.x(3), None),
+        (Y, STUFFLE),
+        (Y, binomial_gamma(Fraction(1, 2))),
+        (Alphabet.y(color_order=2), STUFFLE),
+    ],
+    ids=["x2", "x3", "y-stuffle", "y-half-binomial", "y@2"],
+)
+def test_diagonal_factorization_matches_the_fraction_oracle(alphabet, phi, bound, decreasing):
+    # the same verdict and the same first difference, in the increasing
+    # order (the negative control) as in the decreasing one
+    got = diagonal_factorization_check(alphabet, phi, bound, decreasing=decreasing)
+    expected = diagonal_by_fractions(alphabet, phi, bound, decreasing)
+    assert (got.equal, got.first_difference) == (expected.equal, expected.first_difference)
+    assert got.equal or not decreasing
 
 
 def test_halved_gamma_deformation():

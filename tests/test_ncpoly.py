@@ -437,3 +437,15 @@ def test_poly_json_round_trip():
     assert NCPoly.from_json(X2, p.to_json()) == p
     t = delta_phi(poly(Y, "y2"), STUFFLE)
     assert TensorPoly.from_json(Y, t.to_json()) == t
+
+
+def test_terms_over_another_alphabet_are_refused():
+    y1 = Y.parse_word("y1")
+    x0 = X2.parse_word("x0")
+    with pytest.raises(ValueError, match="term word over a different alphabet"):
+        NCPoly(X2, {y1: 1})
+    for key in ((y1, y1), (x0, y1), (y1, x0)):
+        with pytest.raises(ValueError, match="term word over a different alphabet"):
+            TensorPoly(X2, {key: 1})
+    # an equal alphabet built separately is the same alphabet
+    assert TensorPoly(Alphabet.x(2), {(x0, x0): 1}).coeff(x0, x0) == 1
