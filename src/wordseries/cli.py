@@ -22,7 +22,8 @@ from .hyperlog import (
     FormFamily,
     QuadratureConfig,
     SingularitySet,
-    chen_series,
+    _chen_grades,
+    _chen_names,
     harmonic_sum,
     hypergeometric_system,
     polylog,
@@ -109,7 +110,7 @@ def _load_rep(path: str) -> LinRep:
 
 def _sigma(args) -> SingularitySet:
     m = getattr(args, "roots_of_unity", None)
-    if m:
+    if m is not None:
         return SingularitySet.roots_of_unity(m)
     values = getattr(args, "sigma", None)
     if values:
@@ -306,22 +307,21 @@ def cmd_eval(args) -> int:
     quad = QuadratureConfig(tol=args.tol)
     forms = FormFamily(sigma)
     if args.what == "chen":
-        series = chen_series(forms, args.z0, args.z, args.N, quad)
-        rows = series.coeffs.items()  # chen_series yields (grading, lex) order
+        grades, err = _chen_grades(forms, args.z0, args.z, args.N, quad)
+        names = _chen_names(forms.alphabet(), args.N)
+        re = itertools.chain.from_iterable(grade.real.tolist() for grade in grades)
+        im = itertools.chain.from_iterable(grade.imag.tolist() for grade in grades)
+        errs = itertools.repeat(_fnum(err))
         if args.format == "json":
-            print(
-                json.dumps(
-                    [
-                        {"word": str(w), "re": _fnum(v.real), "im": _fnum(v.imag), "err": _fnum(v.err)}
-                        for w, v in rows
-                    ],
-                    sort_keys=True,
-                )
-            )
+            # the text of json.dumps(rows, sort_keys=True): float texts and the
+            # ASCII letter names need no escaping, the empty word's "ε" does
+            names[0] = json.dumps(names[0])[1:-1]
+            row = '{{"err": "{}", "im": "{:.15g}", "re": "{:.15g}", "word": "{}"}}'.format
+            text = "[" + ", ".join(map(row, errs, im, re, names)) + "]\n"
         else:
-            print("word,re,im,err")
-            for w, v in rows:
-                print(f"{w},{_fnum(v.real)},{_fnum(v.imag)},{_fnum(v.err)}")
+            row = "{},{:.15g},{:.15g},{}\n".format
+            text = "word,re,im,err\n" + "".join(map(row, names, re, im, errs))
+        sys.stdout.write(text)
         return 0
     if args.what == "output":
         if not args.rep:

@@ -20,8 +20,10 @@ has id a (m+1)^(k-1) + id(w'), and each panel advances a whole grade from
 the node values of the grade below.  Its coefficients are bit-identical to
 integrating word by word.  ``system_output`` pairs these arrays with the
 exact coefficients nu mu(w) eta, computed grade by grade in the same id
-order, and never builds a word.  Both refuse a bound whose word count
-sum_(k<=N) (m+1)^k exceeds a fixed budget of 2^18 words.
+order, and never builds a word; ``_chen_names`` names the words of these
+arrays in the same order, so the CLI prints the table without building one
+either.  Both refuse a bound whose word count sum_(k<=N) (m+1)^k exceeds a
+fixed budget of 2^18 words.
 """
 
 from __future__ import annotations
@@ -563,6 +565,16 @@ class QuadratureConfig:
     initial_panels: int = 2
     max_doublings: int = 14
 
+    def __post_init__(self):
+        # a tol of 0, below 0 or nan runs every doubling and then fails; inf
+        # accepts the first panel count whatever its error
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"quadrature tol must be finite and > 0, got {self.tol!r}")
+        if self.nodes < 1 or self.initial_panels < 1:
+            raise ValueError("quadrature nodes and initial_panels must be >= 1")
+        if self.max_doublings < 0:
+            raise ValueError("quadrature max_doublings must be >= 0")
+
 
 @functools.lru_cache(maxsize=4)
 def _gl_reference(g: int):
@@ -634,6 +646,8 @@ def _chen_grades(
     sigma = forms.sigma
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if not (math.isfinite(z0) and math.isfinite(z)):
+        raise ValueError("path endpoints z0 and z must be finite")
     if z <= z0:
         raise ValueError("need z0 < z")
     if z0 <= 0:
@@ -658,6 +672,24 @@ def _chen_grades(
             f"{quad.max_doublings} doublings ({panels} panels), tol {quad.tol:g}"
         )
     return _chen_kernel(forms, z0, z, bound, panels, quad.nodes), max(delta, quad.tol)
+
+
+def _chen_names(alphabet: Alphabet, bound: int) -> list[str]:
+    """Names of the x words of gradings <= bound, in the Chen kernel's order.
+
+    A grade-k name is a grade-(k-1) name, a space and a letter name, so the
+    name of p b sits at index(p) (m+1) + b within its grade, as in
+    ``_chen_kernel``; the empty word is "ε".  The strings equal ``str(Word)``.
+    """
+    letters = [alphabet.letter_name(a) for a in alphabet.letters()]
+    spaced = [" " + name for name in letters]
+    names = ["ε"]
+    grade = letters
+    for k in range(1, bound + 1):
+        if k > 1:
+            grade = [p + s for p in grade for s in spaced]
+        names += grade
+    return names
 
 
 def chen_series(

@@ -9,11 +9,13 @@ representation evaluation, word matrices and the two factorization checks of
 ``Fraction`` tensors multiplied out in full, the Sigma basis from the dense
 duality system of its grade, the associativity of a gamma table on word
 triples, truncated polynomial products term by term,
-the Chen series one word at a time and its pairing as a sum over words, and
-an ODE solver by recentered Taylor series.
+the Chen series one word at a time and its pairing as a sum over words, the
+``eval chen`` table printed row by row from words and values, and an ODE
+solver by recentered Taylor series.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -535,6 +537,30 @@ def system_output_word_sum(r, forms, z0, z, bound, quad=None):
         if w.grading == bound:
             last_layer += abs(term)
     return ComplexVal(total, err + last_layer)
+
+
+def chen_table_by_words(series, fmt):
+    """The stdout of ``eval chen`` for a Chen series, one Word and one
+    ComplexVal per row, each row formatted and printed on its own: json is
+    one ``json.dumps`` line, csv and text are the CSV table."""
+
+    def fnum(x):
+        return f"{x:.15g}"
+
+    rows = series.coeffs.items()
+    if fmt == "json":
+        return (
+            json.dumps(
+                [
+                    {"word": str(w), "re": fnum(v.real), "im": fnum(v.imag), "err": fnum(v.err)}
+                    for w, v in rows
+                ],
+                sort_keys=True,
+            )
+            + "\n"
+        )
+    lines = ["word,re,im,err"] + [f"{w},{fnum(v.real)},{fnum(v.imag)},{fnum(v.err)}" for w, v in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def taylor_ode_solution(t0, t1, t2, z0, y0, yp0, z, order=40):

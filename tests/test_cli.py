@@ -431,3 +431,85 @@ def test_enumerations_over_the_word_budget_exit_2_at_once(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "1099511627776 words" in err and "budget" in err
+
+
+def _hg_rep_file(tmp_path):
+    from wordseries.hyperlog import hypergeometric_system
+
+    rep, _ = hypergeometric_system(Fraction(1, 2), Fraction(1, 2), 1)
+    path = tmp_path / "hg.json"
+    path.write_text(json.dumps(rep.to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize(
+    "sigma_argv, z0, z, bound",
+    [(("--roots-of-unity", "1"), 0.1, 0.5, n) for n in (0, 1, 2, 5, 9)]
+    + [(("--roots-of-unity", "2"), 0.1, 0.5, n) for n in (0, 2, 5)]
+    + [(("--roots-of-unity", "3"), 0.23, 0.61, n) for n in (0, 2, 4)]
+    + [(("--sigma", "0;2;-3"), 0.05, 0.9, 4)],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_eval_chen_bytes_equal_the_per_word_printer(capsys, fmt, sigma_argv, z0, z, bound):
+    from oracles import chen_table_by_words
+
+    from wordseries.hyperlog import FormFamily, QuadratureConfig, SingularitySet, chen_series
+
+    code, out, _ = run(
+        capsys, "eval", "chen", *sigma_argv, "--z0", repr(z0), "--z", repr(z), "--N", str(bound), "--format", fmt
+    )
+    assert code == 0
+    if sigma_argv[0] == "--roots-of-unity":
+        sigma = SingularitySet.roots_of_unity(int(sigma_argv[1]))
+    else:
+        sigma = SingularitySet.from_values([Fraction(0), complex(2), complex(-3)])
+    series = chen_series(FormFamily(sigma), z0, z, bound, QuadratureConfig())
+    assert out == chen_table_by_words(series, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_failing_quadrature_writes_nothing_in_any_format(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "QuadratureConfig", functools.partial(cli.QuadratureConfig, max_doublings=2))
+    code, out, err = run(capsys, "eval", "chen", "--N", "3", "--tol", "1e-300", "--format", fmt)
+    assert code == 1 and out == ""
+    assert "quadrature did not converge" in err
+
+
+_EVAL_TARGETS = {
+    "li": ("eval", "li", "--word", "x1"),
+    "h": ("eval", "h", "--word", "y1"),
+    "zeta": ("eval", "zeta", "--word", "y2"),
+    "chen": ("eval", "chen", "--N", "2"),
+    "output": ("eval", "output", "--rep", "REP", "--N", "2"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_EVAL_TARGETS))
+def test_zero_roots_of_unity_exits_2(capsys, tmp_path, target):
+    argv = [_hg_rep_file(tmp_path) if a == "REP" else a for a in _EVAL_TARGETS[target]]
+    code, out, err = run(capsys, *argv, "--roots-of-unity", "0")
+    assert code == 2 and out == ""
+    assert "m must be >= 1" in err
+
+
+@pytest.mark.parametrize("target", ["chen", "output"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_invalid_tol_exits_2_at_once(capsys, tmp_path, target, tol):
+    argv = [_hg_rep_file(tmp_path) if a == "REP" else a for a in _EVAL_TARGETS[target]]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "tol must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("target", ["chen", "output"])
+@pytest.mark.parametrize("endpoint", ["--z0", "--z"])
+def test_nan_path_endpoint_exits_2(capsys, tmp_path, target, endpoint):
+    argv = [_hg_rep_file(tmp_path) if a == "REP" else a for a in _EVAL_TARGETS[target]]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, endpoint, "nan")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "must be finite" in err

@@ -18,6 +18,7 @@ from wordseries.hyperlog import (
     FormFamily,
     QuadratureConfig,
     SingularitySet,
+    _chen_names,
     chen_series,
     colored_alphabets,
     generating_relation_check,
@@ -33,7 +34,7 @@ from wordseries.hyperlog import (
 )
 from wordseries.linrep import LinRep
 from wordseries.ncpoly import NCPoly, PhiTable, is_character, phi_shuffle, shuffle
-from wordseries.words import Word, words_up_to_grading
+from wordseries.words import Alphabet, Word, words_up_to_grading
 
 CLASSIC = SingularitySet.classical()
 X2 = CLASSIC.x_alphabet()
@@ -400,6 +401,29 @@ def test_quadrature_that_does_not_converge_raises():
         system_output(r, forms, 0.05, 0.4, 3, stuck)
     with pytest.raises(RuntimeError, match="last delta inf after 0 doublings"):
         chen_series(forms, 0.05, 0.4, 3, QuadratureConfig(max_doublings=0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", 0.0),
+        ("tol", -1e-12),
+        ("tol", math.nan),
+        ("tol", math.inf),
+        ("nodes", 0),
+        ("initial_panels", 0),
+        ("max_doublings", -1),
+    ],
+)
+def test_quadrature_config_refuses_values_no_run_can_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureConfig(**{field: value})
+
+
+@pytest.mark.parametrize("size, bound", [(1, 4), (2, 0), (2, 6), (3, 4), (4, 3)])
+def test_chen_names_are_the_word_texts_in_kernel_order(size, bound):
+    alphabet = Alphabet.x(size)
+    assert _chen_names(alphabet, bound) == [str(w) for w in words_up_to_grading(alphabet, bound)]
 
 
 # -- the dynamical-system output --------------------------------------------------------
