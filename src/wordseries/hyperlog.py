@@ -201,6 +201,8 @@ class SingularitySet:
         if not self.values or complex(self.values[0]) != 0:
             raise ValueError("s_0 = 0 is reserved and required")
         pts = [complex(v) for v in self.values]
+        if not all(map(cmath.isfinite, pts)):
+            raise ValueError("singularities must be finite")
         for i, a in enumerate(pts):
             for b in pts[:i]:
                 if abs(a - b) < 1e-12:
@@ -474,6 +476,8 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
     if not w.alphabet.is_x or len(w.alphabet.letters()) != sigma.m + 1:
         raise ValueError("word alphabet does not match the singularity set")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError("z must be finite")
     if not w:
         return ComplexVal(1.0)
     if all(a == 0 for a in w.letters):

@@ -6,9 +6,14 @@ and a column vector, with coefficient function  <S, w> = nu mu(w) eta.  The
 module provides evaluation, shifts, the closure constructions (sum,
 concatenation, star, and the shuffle and phi-shuffle, both built from the
 letter rule of ``ncpoly``), exact minimization over Q, the
-deconcatenation splitting into rank-many tensor factors, grouplike /
-primitive tests, truncated log/exp, Lie-algebra diagnostics of the matrix
-family, and the two series factorizations driven by the Lyndon dual bases.
+deconcatenation splitting into rank-many tensor factors, truncated log/exp,
+Lie-algebra diagnostics of the matrix family, and the two series
+factorizations driven by the Lyndon dual bases.
+
+The shifts go through mu extended to polynomials: S <| P is
+(nu mu(P), mu, eta) and P |> S is (nu, mu, mu(P) eta).  The grouplike and
+primitive tests are ``ncpoly``'s character tests, by the duality
+<Delta S, u (x) v> = <S, u*v> between each product and its coproduct.
 
 Everything is exact rational arithmetic; no tolerances anywhere.  Evaluation
 runs on integers: each representation keeps one integer form, nu, every
@@ -46,9 +51,9 @@ from .ncpoly import (
     _letter_rule,
     _product,
     _scaled,
-    _values_match,
-    coproduct,
     format_fraction,
+    is_character,
+    is_infinitesimal_character,
 )
 from .words import Alphabet, Word, alphabet_text, lyndon_words, parse_alphabet, words_up_to_grading
 
@@ -165,15 +170,26 @@ class LinRep:
 
     def _word_matrices(self) -> Callable[[tuple], tuple]:
         """M(w) = d^|w| mu(w) by letter tuple, each product built from its
-        prefix's.  The table lives as long as the returned function."""
+        prefix's.  A word whose one-letter-shorter prefix is not in the table
+        walks back to its longest known prefix and builds the prefixes in
+        between shortest first, so no call nests more than one level deep,
+        whatever the length of the word.  The table lives as long as the
+        returned function."""
         ints = self._integers()
         table = {(): _identity(self.rank)}
 
         def word_matrix(letters: tuple) -> tuple:
             m = table.get(letters)
             if m is None:
+                m = table.get(letters[:-1])
+                if m is None:  # back to the longest known prefix, then its extensions in turn
+                    k = len(letters) - 2
+                    while letters[:k] not in table:
+                        k -= 1
+                    for k in range(k + 1, len(letters)):
+                        m = word_matrix(letters[:k])  # one level deep: its prefix is known
                 cols = self._of_letter(ints.cols, letters[-1])
-                m = table[letters] = tuple(_times(row, cols) for row in word_matrix(letters[:-1]))
+                m = table[letters] = tuple(_times(row, cols) for row in m)
             return m
 
         return word_matrix
@@ -227,7 +243,7 @@ class LinRep:
         """Representation of a polynomial on the prefix tree of its support."""
         prefixes: list[Word] = []
         seen = set()
-        for w in sorted(p.terms, key=Word.sort_key):
+        for w in p.terms:
             for i in range(len(w) + 1):
                 u = w[:i]
                 if u not in seen:
@@ -336,26 +352,14 @@ def left_shift(r: LinRep, p: NCPoly) -> LinRep:
     """S <| P with <S <| P, w> = <S, P w>, realized as (nu mu(P), mu, eta)."""
     if r.alphabet != p.alphabet:
         raise ValueError("shift polynomial over a different alphabet")
-    nu = [ZERO] * r.rank
-    for w, c in p.terms.items():
-        row = r.nu
-        for letter in w.letters:
-            row = vec_mat(row, r.matrix(letter))
-        nu = [a + c * b for a, b in zip(nu, row)]
-    return LinRep(r.alphabet, nu, r.mu, r.eta, r.max_letter_weight)
+    return LinRep(r.alphabet, vec_mat(r.nu, mu_of_poly(r, p)), r.mu, r.eta, r.max_letter_weight)
 
 
 def right_shift(r: LinRep, p: NCPoly) -> LinRep:
     """P |> S with <P |> S, w> = <S, w P>, realized as (nu, mu, mu(P) eta)."""
     if r.alphabet != p.alphabet:
         raise ValueError("shift polynomial over a different alphabet")
-    eta = [ZERO] * r.rank
-    for w, c in p.terms.items():
-        col = r.eta
-        for letter in reversed(w.letters):
-            col = mat_vec(r.matrix(letter), col)
-        eta = [a + c * b for a, b in zip(eta, col)]
-    return LinRep(r.alphabet, r.nu, r.mu, eta, r.max_letter_weight)
+    return LinRep(r.alphabet, r.nu, r.mu, mat_vec(mu_of_poly(r, p), r.eta), r.max_letter_weight)
 
 
 # -- rational closures ----------------------------------------------------------
@@ -528,56 +532,10 @@ def delta_conc_decompose(r: LinRep) -> list[tuple[LinRep, LinRep]]:
 
 # -- grouplike / primitive, log / exp ------------------------------------------------
 
-
-def _coproduct_table(series: TruncSeries, law: str, bound: int, phi: PhiTable | None) -> dict:
-    table: dict[tuple[Word, Word], object] = {}
-    for w in words_up_to_grading(series.alphabet, bound):
-        c = series.coeff(w)
-        if not c:
-            continue
-        for (u, v), k in coproduct(law, NCPoly.from_word(w), phi).terms.items():
-            key = (u, v)
-            table[key] = table.get(key, ZERO) + c * k
-    return table
-
-
-def is_grouplike(series: TruncSeries, law: str, *, phi: PhiTable | None = None,
-                 bound: int | None = None, tol=0) -> bool:
-    """Delta S = S (x) S on all tensor coefficients with (u) + (v) <= bound."""
-    n = series.bound if bound is None else bound
-    one = series.alphabet.empty_word()
-    if not _values_match(series.coeff(one), ONE, tol):
-        return False
-    table = _coproduct_table(series, law, n, phi)
-    words = words_up_to_grading(series.alphabet, n)
-    for u in words:
-        for v in words:
-            if u.grading + v.grading > n:
-                continue
-            lhs = table.get((u, v), ZERO)
-            if not _values_match(lhs, series.coeff(u) * series.coeff(v), tol):
-                return False
-    return True
-
-
-def is_primitive(series: TruncSeries, law: str, *, phi: PhiTable | None = None,
-                 bound: int | None = None, tol=0) -> bool:
-    """Delta S = 1 (x) S + S (x) 1 on the same window."""
-    n = series.bound if bound is None else bound
-    table = _coproduct_table(series, law, n, phi)
-    words = words_up_to_grading(series.alphabet, n)
-    for u in words:
-        for v in words:
-            if u.grading + v.grading > n:
-                continue
-            rhs = ZERO
-            if not u:
-                rhs = rhs + series.coeff(v)
-            if not v:
-                rhs = rhs + series.coeff(u)
-            if not _values_match(table.get((u, v), ZERO), rhs, tol):
-                return False
-    return True
+# By duality <Delta S, u (x) v> = <S, u*v>, so grouplike and primitive series
+# are the characters and infinitesimal characters of the product.
+is_grouplike = is_character
+is_primitive = is_infinitesimal_character
 
 
 def log_trunc(series: TruncSeries) -> TruncSeries:
@@ -637,10 +595,8 @@ def _span_basis(mats: list[Mat], n: int) -> list[Mat]:
 def lie_diagnostics(r: LinRep) -> LieDiagnostics:
     """Bracket closure of {mu(x)}, then lower central and derived series."""
     n = r.rank
-    closure = _span_basis([m for m in r.mu.values()], n)
     space = RowSpace(n * n)
-    for m in closure:
-        space.add(_flatten(m))
+    closure = [m for m in r.mu.values() if space.add(_flatten(m))]
     frontier = list(closure)
     while frontier:
         nxt = []

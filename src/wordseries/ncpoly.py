@@ -4,7 +4,10 @@ A polynomial is a finitely supported map ``Word -> Fraction``.  The module
 provides the concatenation product, the shuffle product, its ``phi``
 deformation on weighted alphabets (quasi-shuffle for the constant table 1),
 the dual coproducts, the eulerian idempotent projecting onto primitives, and
-the character / infinitesimal-character tests on truncated series.
+the character / infinitesimal-character tests on truncated series.  Each
+product is dual to its coproduct, <Delta S, u (x) v> = <S, u*v>, so the
+character tests are also the grouplike / primitive tests: one pair loop
+serves both.
 
 The shuffle is the phi-shuffle with gamma = 0: one word recursion
 (``_phi_shuffle_words``) and one letter-split rule (``_letter_rule``, which
@@ -291,11 +294,13 @@ class TensorPoly:
         ]
 
     @classmethod
-    def from_json(cls, alphabet: Alphabet, data: Iterable[dict]) -> "TensorPoly":
+    def from_json(cls, alphabet: Alphabet, data: list) -> "TensorPoly":
         terms: dict[tuple[Word, Word], Fraction] = {}
-        for item in data:
-            key = (alphabet.parse_word(item["left"]), alphabet.parse_word(item["right"]))
-            _add_term(terms, key, parse_fraction(item["coeff"]))
+        for n, item in enumerate(_json_checked(data, list, "tensor")):
+            what = f"tensor term {n}"
+            left, right, coeff = _json_fields(item, {"left": str, "right": str, "coeff": object}, what)
+            key = (alphabet.parse_word(left), alphabet.parse_word(right))
+            _add_term(terms, key, _json_fraction(coeff, f"{what} 'coeff'"))
         return cls(alphabet, terms)
 
 
@@ -707,44 +712,51 @@ def _values_match(a, b, tol) -> bool:
     return a == b
 
 
+def _pairs_match(series: TruncSeries, law: str, phi: PhiTable | None, bound: int | None,
+                 tol, expected: Callable) -> bool:
+    """<S, u*v> against ``expected(u, v)`` for every pair of words with
+    (u) + (v) <= bound (default: the series bound).  ``tol`` permits a numeric
+    slack for quadrature-valued series."""
+    n = series.bound if bound is None else bound
+    words = words_up_to_grading(series.alphabet, n)
+    for u in words:
+        for v in words:
+            if u.grading + v.grading > n:
+                continue
+            lhs = series.pair_poly(word_product(law, u, v, phi))
+            if not _values_match(lhs, expected(u, v), tol):
+                return False
+    return True
+
+
 def is_character(series: TruncSeries, law: str, *, phi: PhiTable | None = None,
                  bound: int | None = None, tol=0) -> bool:
     """True iff <S,1> = 1 and <S, u*v> = <S,u><S,v> for all graded pairs.
 
-    The pair gradings range over (u) + (v) <= bound (default: the series
-    bound).  ``tol`` permits a numeric slack for quadrature-valued series.
+    Since <Delta S, u (x) v> = <S, u*v> for the coproduct Delta dual to the
+    product *, this is also the test of Delta S = S (x) S: ``linrep``'s
+    ``is_grouplike`` is this function.
     """
-    n = series.bound if bound is None else bound
-    one = series.alphabet.empty_word()
-    if not _values_match(series.coeff(one), ONE, tol):
+    if not _values_match(series.coeff(series.alphabet.empty_word()), ONE, tol):
         return False
-    words = words_up_to_grading(series.alphabet, n)
-    for u in words:
-        for v in words:
-            if u.grading + v.grading > n:
-                continue
-            lhs = series.pair_poly(word_product(law, u, v, phi))
-            rhs = series.coeff(u) * series.coeff(v)
-            if not _values_match(lhs, rhs, tol):
-                return False
-    return True
+    return _pairs_match(series, law, phi, bound, tol,
+                        lambda u, v: series.coeff(u) * series.coeff(v))
 
 
 def is_infinitesimal_character(series: TruncSeries, law: str, *, phi: PhiTable | None = None,
                                bound: int | None = None, tol=0) -> bool:
-    """True iff <S, u*v> = <S,u>[v empty] + [u empty]<S,v> for all pairs."""
-    n = series.bound if bound is None else bound
-    words = words_up_to_grading(series.alphabet, n)
-    for u in words:
-        for v in words:
-            if u.grading + v.grading > n:
-                continue
-            lhs = series.pair_poly(word_product(law, u, v, phi))
-            rhs = ZERO
-            if not v:
-                rhs = rhs + series.coeff(u)
-            if not u:
-                rhs = rhs + series.coeff(v)
-            if not _values_match(lhs, rhs, tol):
-                return False
-    return True
+    """True iff <S, u*v> = <S,u>[v empty] + [u empty]<S,v> for all pairs.
+
+    By the same duality this is the test of Delta S = 1 (x) S + S (x) 1:
+    ``linrep``'s ``is_primitive`` is this function.
+    """
+
+    def expected(u: Word, v: Word):
+        rhs = ZERO
+        if not v:
+            rhs = rhs + series.coeff(u)
+        if not u:
+            rhs = rhs + series.coeff(v)
+        return rhs
+
+    return _pairs_match(series, law, phi, bound, tol, expected)

@@ -8,7 +8,8 @@ representation evaluation, word matrices and the two factorization checks of
 ``linrep`` on ``Fraction`` matrices, the diagonal factorization check on
 ``Fraction`` tensors multiplied out in full, the Sigma basis from the dense
 duality system of its grade, the associativity of a gamma table on word
-triples, truncated polynomial products term by term,
+triples, truncated polynomial products term by term, grouplike and
+primitive series on a coproduct table built word by word,
 the Chen series one word at a time and its pairing as a sum over words, the
 ``eval chen`` table printed row by row from words and values, and an ODE
 solver by recentered Taylor series.
@@ -31,6 +32,8 @@ from wordseries.ncpoly import (
     TruncSeries,
     _product,
     _shuffle_law,
+    _values_match,
+    coproduct,
     phi_shuffle,
     phi_shuffle_words,
     shuffle,
@@ -465,6 +468,55 @@ def star_truncated(proper: NCPoly, bound: int) -> NCPoly:
         power = conc_truncated(power, proper, bound)
         total = total + power
     return total
+
+
+def _coproduct_table(series, law, bound, phi):
+    """<Delta S, u (x) v> for every pair, summed from the coproduct of each
+    word of grading <= bound."""
+    table = {}
+    for w in words_up_to_grading(series.alphabet, bound):
+        c = series.coeff(w)
+        if not c:
+            continue
+        for key, k in coproduct(law, NCPoly.from_word(w), phi).terms.items():
+            table[key] = table.get(key, Fraction(0)) + c * k
+    return table
+
+
+def grouplike_by_coproduct(series, law, *, phi=None, bound=None, tol=0):
+    """Delta S = S (x) S on all tensor coefficients with (u) + (v) <= bound."""
+    n = series.bound if bound is None else bound
+    if not _values_match(series.coeff(series.alphabet.empty_word()), Fraction(1), tol):
+        return False
+    table = _coproduct_table(series, law, n, phi)
+    words = words_up_to_grading(series.alphabet, n)
+    for u in words:
+        for v in words:
+            if u.grading + v.grading > n:
+                continue
+            lhs = table.get((u, v), Fraction(0))
+            if not _values_match(lhs, series.coeff(u) * series.coeff(v), tol):
+                return False
+    return True
+
+
+def primitive_by_coproduct(series, law, *, phi=None, bound=None, tol=0):
+    """Delta S = 1 (x) S + S (x) 1 on the same window."""
+    n = series.bound if bound is None else bound
+    table = _coproduct_table(series, law, n, phi)
+    words = words_up_to_grading(series.alphabet, n)
+    for u in words:
+        for v in words:
+            if u.grading + v.grading > n:
+                continue
+            rhs = Fraction(0)
+            if not u:
+                rhs = rhs + series.coeff(v)
+            if not v:
+                rhs = rhs + series.coeff(u)
+            if not _values_match(table.get((u, v), Fraction(0)), rhs, tol):
+                return False
+    return True
 
 
 def _chen_values(forms, z0, z, words, panels, g):

@@ -513,3 +513,21 @@ def test_nan_path_endpoint_exits_2(capsys, tmp_path, target, endpoint):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "chen", "--sigma", "0;nan", "--N", "1"),
+        ("eval", "li", "--word", "x1", "--z", "0.3", "--sigma", "0;nan"),
+        ("eval", "zeta", "--word", "y2", "--sigma", "0;nan"),
+        ("eval", "li", "--word", "x1", "--z", "nan"),
+        ("eval", "li", "--word", "x0", "--z", "nan"),
+        ("eval", "h", "--word", "y1", "--n", "5", "--sigma", "0;inf"),
+    ],
+    ids=["chen-sigma", "li-sigma", "zeta-sigma", "li-z", "li-x0-z", "h-sigma-inf"],
+)
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be finite" in err

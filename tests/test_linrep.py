@@ -18,15 +18,18 @@ from oracles import (
     binomial_gamma,
     coeff_by_fractions,
     eval_truncated_by_fractions,
+    grouplike_by_coproduct,
     mu_of_poly_by_fractions,
     mxstar_by_fractions,
     phi_shuffle_truncated,
+    primitive_by_coproduct,
     shuffle_truncated,
     triangular_by_fractions,
     word_matrix_by_fractions,
 )
 
 from wordseries import exactlin, linrep
+from wordseries.hyperlog import FormFamily, SingularitySet, chen_series
 from wordseries.linrep import (
     LinRep,
     delta_conc_decompose,
@@ -57,6 +60,7 @@ from wordseries.ncpoly import (
     is_character,
     is_infinitesimal_character,
     phi_shuffle,
+    pi1,
     shuffle,
 )
 from wordseries.words import Alphabet, Word, words_up_to_grading
@@ -188,6 +192,20 @@ def test_integer_evaluation_of_long_words_matches_the_fraction_oracles():
     for w in words_up_to_grading(X2, 7)[::5]:
         assert r.coeff(w) == coeff_by_fractions(r, w)
         assert r.word_matrix(w) == word_matrix_by_fractions(r, w)
+
+
+def test_long_words_need_no_deep_recursion():
+    # 1600 letters: one nested call per letter would pass the recursion limit
+    r = LinRep(X2, [1, F(1, 2)], {0: [[F(1, 2), 1], [0, F(1, 3)]], 1: [[1, 0], [F(-1, 4), F(1, 2)]]}, [1, 1])
+    w = X2.word((0, 1) * 800)
+    m = r.word_matrix(w)
+    assert exactlin.dot(exactlin.vec_mat(r.nu, m), r.eta) == r.coeff(w)
+    p = NCPoly.from_word(w)
+    assert mu_of_poly(r, p) == m
+    empty = X2.empty_word()
+    assert left_shift(r, p).coeff(empty) == right_shift(r, p).coeff(empty) == r.coeff(w)
+    assert left_shift(r, p).nu == exactlin.vec_mat(r.nu, m)
+    assert right_shift(r, p).eta == exactlin.mat_vec(m, r.eta)
 
 
 def test_from_poly():
@@ -538,6 +556,56 @@ def test_grouplike_character_equivalence_random():
         assert is_primitive(s, "shuffle") == is_infinitesimal_character(s, "shuffle")
         assert is_grouplike(s, "conc") == is_character(s, "conc")
         assert is_primitive(s, "conc") == is_infinitesimal_character(s, "conc")
+
+
+def _oracle_cases(alphabet, law, phi, bound, rng):
+    """Random series, exponentials of primitives of the (phi-)shuffle and
+    letters-only series over ``alphabet``, complete up to ``bound``."""
+    words = words_up_to_grading(alphabet, bound)
+    pick = lambda: F(rng.randint(-2, 2), rng.randint(1, 2))
+    if alphabet.is_x:
+        dual = None
+    else:
+        dual = phi if law == "phi" else PhiTable.zero()
+    for _ in range(2):
+        coeffs = {w: pick() for w in words}
+        coeffs[alphabet.empty_word()] = F(rng.choice([0, 1]))
+        yield TruncSeries(alphabet, bound, coeffs)
+        lie = pi1(NCPoly(alphabet, {w: pick() for w in rng.sample(words[1:], 4)}), dual)
+        yield exp_trunc(TruncSeries.from_poly(lie, bound))
+        yield TruncSeries(alphabet, bound, {w: pick() for w in words if len(w) == 1})
+
+
+def test_characters_match_the_coproduct_oracle():
+    """The character tests against Delta S = S (x) S and Delta S = 1 (x) S +
+    S (x) 1 on a coproduct table: <Delta S, u (x) v> = <S, u*v>."""
+    rng = random.Random(37)
+    y2 = Alphabet.y(color_order=2)
+    laws = [
+        (X2, "conc", None), (X2, "shuffle", None),
+        (Alphabet.x(3), "conc", None), (Alphabet.x(3), "shuffle", None),
+        (Y, "conc", None), (Y, "shuffle", None), (Y, "phi", STUFFLE),
+        (Y, "phi", binomial_gamma(2)), (Y, "phi", binomial_gamma(F(1, 2))),
+        (y2, "shuffle", None), (y2, "phi", STUFFLE),
+    ]
+    verdicts = {"grouplike": set(), "primitive": set()}
+    for alphabet, law, phi in laws:
+        bound = 3 if alphabet.color_order or alphabet == Alphabet.x(3) else 4
+        for s in _oracle_cases(alphabet, law, phi, bound, rng):
+            for b in (bound, bound - 1):
+                g = is_grouplike(s, law, phi=phi, bound=b)
+                assert g == grouplike_by_coproduct(s, law, phi=phi, bound=b), (alphabet, law, s, b)
+                p = is_primitive(s, law, phi=phi, bound=b)
+                assert p == primitive_by_coproduct(s, law, phi=phi, bound=b), (alphabet, law, s, b)
+                verdicts["grouplike"].add(g)
+                verdicts["primitive"].add(p)
+    assert verdicts == {"grouplike": {True, False}, "primitive": {True, False}}
+    # a numeric series: the Chen series of the classical forms
+    series = chen_series(FormFamily(SingularitySet.classical()), 0.2, 0.5, 3)
+    for test, oracle in ((is_grouplike, grouplike_by_coproduct), (is_primitive, primitive_by_coproduct)):
+        assert test(series, "shuffle", tol=1e-10) == oracle(series, "shuffle", tol=1e-10)
+    assert is_grouplike(series, "shuffle", tol=1e-10)
+    assert is_grouplike is is_character and is_primitive is is_infinitesimal_character
 
 
 # -- Lie diagnostics ------------------------------------------------------------------

@@ -439,6 +439,26 @@ def test_poly_json_round_trip():
     assert TensorPoly.from_json(Y, t.to_json()) == t
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ("x0", "tensor must be a JSON list"),
+        ({"left": "x0"}, "tensor must be a JSON list"),
+        (["x0"], "tensor term 0 must be a JSON object"),
+        ([{"right": "x0", "coeff": "1"}], "tensor term 0 has no 'left' field"),
+        ([{"left": "x0", "coeff": "1"}], "tensor term 0 has no 'right' field"),
+        ([{"left": "x0", "right": "x1"}], "tensor term 0 has no 'coeff' field"),
+        ([{"left": ["x0"], "right": "x1", "coeff": "1"}], "tensor term 0 'left' must be a JSON string"),
+        ([{"left": "x0", "right": {}, "coeff": "1"}], "tensor term 0 'right' must be a JSON string"),
+        ([{"left": "x0", "right": "x1", "coeff": []}], "tensor term 0 'coeff' is not a rational number"),
+        ([{"left": "x0", "right": "x1", "coeff": "1/0"}], "tensor term 0 'coeff' is not a rational number"),
+    ],
+)
+def test_tensor_json_refuses_bad_shapes(data, field):
+    with pytest.raises(ValueError, match=field):
+        TensorPoly.from_json(X2, data)
+
+
 def test_terms_over_another_alphabet_are_refused():
     y1 = Y.parse_word("y1")
     x0 = X2.parse_word("x0")
