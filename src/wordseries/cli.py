@@ -42,7 +42,7 @@ from .linrep import (
     rat_sum,
     triangular_decompose,
 )
-from .ncpoly import NCPoly, PhiTable, _integer_terms, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
+from .ncpoly import NCPoly, PhiTable, _integer_terms, _letters, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
 from .words import Alphabet, lyndon_words, parse_alphabet, words_up_to_grading
 
 __all__ = ["main"]
@@ -202,18 +202,27 @@ def cmd_check(args) -> int:
         words = words_up_to_grading(alphabet, n)
         grades = [list(same) for _, same in itertools.groupby(words, key=lambda w: w.grading)]
         for name, left, right in pairs:
+            elements = {u: (left(u), right(u)) for u in words}
             # elements homogeneous of their word's grade pair to 0 across grades
-            for u in words:
-                for family, element in zip(name.split("/"), (left(u), right(u))):
+            for u, pair in elements.items():
+                for family, element in zip(name.split("/"), pair):
                     if any(w.grading != u.grading for w in element.terms):
                         print(f"duality {name}: FAIL {family}({u}) is not homogeneous of grade {u.grading}")
                         return 1
             for same in grades:
-                rights = [_integer_terms(right(v).terms) for v in same]
-                for u in same:
-                    a, da = _integer_terms(left(u).terms)
-                    for v, (b, db) in zip(same, rights):
-                        got = sum(c * b.get(w, 0) for w, c in a.items())
+                forms = [[_integer_terms(_letters(e.terms)) for e in elements[v]] for v in same]
+                # the pairings <left(u), right(v)> of the grade, word by word
+                holders: dict = {}
+                for i, ((a, _), _) in enumerate(forms):
+                    for w, c in a.items():
+                        holders.setdefault(w, []).append((i, c))
+                gram = [[0] * len(same) for _ in same]
+                for j, (_, (b, _)) in enumerate(forms):
+                    for w, c in b.items():
+                        for i, x in holders.get(w, ()):
+                            gram[i][j] += x * c
+                for u, ((_, da), _), row in zip(same, forms, gram):
+                    for v, (_, (_, db)), got in zip(same, forms, row):
                         if got != (da * db if u == v else 0):
                             print(f"duality {name}: FAIL at <{u}, {v}> = {Fraction(got, da * db)}")
                             return 1

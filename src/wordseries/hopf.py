@@ -16,10 +16,20 @@ holds each factor as integer numerators over one denominator, truncates
 the left grading only (every term of exp(S_l (x) P_l) has equal left and
 right grading), and is given the right-hand algebra by the product of its
 basis keys: words under concatenation here, matrix units in ``linrep``.
+
+Inside, words are letter tuples and each basis element is an integer form,
+(numerators, d) with d the least common denominator: ``DualBases`` fills
+and caches the four families this way, the letter images pi1(y_k) come from
+``ncpoly._pi1_images`` on integers, the diagonal check sums and multiplies
+integer forms, and its left and right words stay tuples.  ``Word``s and
+``Fraction``s are built by the public accessors ``p``, ``s``, ``pi`` and
+``sigma``, and for the words a failed check reports.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,24 +38,15 @@ from .ncpoly import (
     NCPoly,
     PhiTable,
     _add_term,
-    _integer_terms,
+    _combination,
+    _letters,
     _pi1_images,
     _product,
+    _reduced,
     _shuffle_law,
-    conc,
-    shuffle,
+    _words,
 )
-from .words import (
-    Alphabet,
-    Word,
-    lyndon_factorization,
-    lyndon_words,
-    standard_factorization,
-    words_up_to_grading,
-)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .words import Alphabet, Word, _lyndon_cuts, _standard_cut, lyndon_words, words_up_to_grading
 
 __all__ = ["DualBases", "DiagonalReport", "diagonal_factorization_check"]
 
@@ -53,9 +54,9 @@ __all__ = ["DualBases", "DiagonalReport", "diagonal_factorization_check"]
 class DualBases:
     """Memoized access to P_w, S_w and (on y alphabets) Pi_w, Sigma_w.
 
-    The cache key is the word; one instance is pinned to one alphabet and one
-    gamma table.  Fills are idempotent, so concurrent readers at worst repeat
-    a computation.
+    The caches are keyed by letter tuples and hold integer forms; one
+    instance is pinned to one alphabet and one gamma table.  Fills are
+    idempotent, so concurrent readers at worst repeat a computation.
     """
 
     def __init__(self, alphabet: Alphabet, phi: PhiTable | None = None):
@@ -63,109 +64,118 @@ class DualBases:
             raise ValueError("a gamma table only makes sense on a y alphabet")
         self.alphabet = alphabet
         self.phi = phi
-        self._p: dict[Word, NCPoly] = {}
-        self._s: dict[Word, NCPoly] = {}
-        self._pi: dict[Word, NCPoly] = {}
-        self._sigma: dict[Word, NCPoly] = {}
-        self._contracted: dict[Word, dict[Word, Fraction]] = {}
-        self._pi1_letter: dict = {}
+        self._shuffle = _shuffle_law(alphabet)
         # pi1 of single words; one evaluator, so all letters share its caches
         self._pi1_image = _pi1_images(alphabet, phi) if phi is not None else None
+        # the integer forms below are memoized per instance, by letter tuple
+        for name in ("_p", "_s", "_pi", "_sigma", "_letter_image", "_phi_word", "_contract"):
+            setattr(self, name, functools.cache(getattr(self, name)))
 
-    # -- the P / S pair ------------------------------------------------------
+    # -- public accessors: polynomials with Fraction coefficients -------------
+
+    def _poly(self, form: tuple[dict, int]) -> NCPoly:
+        return NCPoly._of_letters(self.alphabet, *form)
 
     def p(self, w: Word) -> NCPoly:
         """Bracketing basis: P_x = x, P_l = [P_s, P_r], PBW products elsewhere."""
-        hit = self._p.get(w)
-        if hit is not None:
-            return hit
-        if not w:
-            out = NCPoly.one(self.alphabet)
-        elif len(w) == 1:
-            out = NCPoly.from_word(w)
-        else:
-            factors = lyndon_factorization(w)
-            if len(factors) == 1:
-                s, r = standard_factorization(w)
-                ps, pr = self.p(s), self.p(r)
-                out = conc(ps, pr) - conc(pr, ps)
-            else:
-                out = self.p(factors[0])
-                for f in factors[1:]:
-                    out = conc(out, self.p(f))
-        self._p[w] = out
-        return out
+        return self._poly(self._p(w.letters))
 
     def s(self, w: Word) -> NCPoly:
         """Dual basis: S_l = x S_l' on Lyndon l = x l', divided shuffle powers
         over the Lyndon factorization elsewhere."""
-        hit = self._s.get(w)
-        if hit is not None:
-            return hit
-        if not w:
-            out = NCPoly.one(self.alphabet)
-        elif len(w) == 1:
-            out = NCPoly.from_word(w)
-        else:
-            factors = lyndon_factorization(w)
-            if len(factors) == 1:
-                head = NCPoly.from_word(w[:1])
-                out = conc(head, self.s(w[1:]))
-            else:
-                out = NCPoly.one(self.alphabet)
-                for l, mult in _group_equal(factors):
-                    power = NCPoly.one(self.alphabet)
-                    for _ in range(mult):
-                        power = shuffle(power, self.s(l))
-                    out = shuffle(out, power * Fraction(1, math.factorial(mult)))
-        self._s[w] = out
-        return out
-
-    def _pair(self):
-        """The left and right families: (S, P), or (Sigma, Pi) with a gamma table."""
-        return (self.s, self.p) if self.phi is None else (self.sigma, self.pi)
-
-    # -- the Pi / Sigma pair ---------------------------------------------------
-
-    def _require_phi(self) -> PhiTable:
-        if self.phi is None:
-            raise ValueError("Pi/Sigma need a y alphabet with a gamma table")
-        return self.phi
-
-    def _pi1_of(self, letter) -> NCPoly:
-        """pi1(y_k): the image of the letter y_k under Phi."""
-        img = self._pi1_letter.get(letter)
-        if img is None:
-            self._require_phi()
-            img = NCPoly(self.alphabet, self._pi1_image(Word(self.alphabet, (letter,))))
-            self._pi1_letter[letter] = img
-        return img
-
-    def _phi_pi1(self, p: NCPoly) -> NCPoly:
-        """The conc-automorphism Phi sending each letter y_k to pi1(y_k)."""
-        self._require_phi()
-        out = NCPoly.zero(self.alphabet)
-        for w, c in p.terms.items():
-            acc = NCPoly.one(self.alphabet) * c
-            for letter in w.letters:
-                acc = conc(acc, self._pi1_of(letter))
-            out = out + acc
-        return out
+        return self._poly(self._s(w.letters))
 
     def pi(self, w: Word) -> NCPoly:
         """Pi_w: image of P_w under the letter-wise pi1 automorphism."""
-        hit = self._pi.get(w)
-        if hit is None:
-            hit = self._phi_pi1(self.p(w))
-            self._pi[w] = hit
-        return hit
+        return self._poly(self._pi(w.letters))
 
-    def _merged(self, block: Word) -> Word:
-        """l(b): the one-letter word of the summed weight and color (mod m) of b."""
+    def sigma(self, w: Word) -> NCPoly:
+        """Sigma_w = (Phi^-1)^T S_w, the graded dual of Pi, in closed form."""
+        return self._poly(self._sigma(w.letters))
+
+    def _pi1_of(self, letter) -> NCPoly:
+        """pi1(y_k): the image of the letter y_k under Phi."""
+        return self._poly(self._letter_image(letter))
+
+    def _phi_pi1(self, p: NCPoly) -> NCPoly:
+        """The conc-automorphism Phi sending each letter y_k to pi1(y_k)."""
+        return self._poly(self._phi(_letters(p.terms)))
+
+    def _pair(self):
+        """The left and right families as integer forms on letter tuples:
+        (S, P), or (Sigma, Pi) with a gamma table."""
+        return (self._s, self._p) if self.phi is None else (self._sigma, self._pi)
+
+    # -- the P / S pair, as integer forms (numerators, least denominator) ------
+
+    def _factors(self, w: tuple) -> list[tuple]:
+        """The Lyndon factorization of the word w."""
+        cuts = _lyndon_cuts(self.alphabet.lex_key(w))
+        return [w[i:j] for i, j in zip(cuts, cuts[1:])]
+
+    def _p(self, w: tuple) -> tuple[dict, int]:
+        factors = self._factors(w)
+        if len(w) < 2:
+            return {w: 1}, 1
+        if len(factors) == 1:
+            i = _standard_cut(self.alphabet.lex_key(w))
+            (ps, _), (pr, _) = self._p(w[:i]), self._p(w[i:])
+            return _product(pr, {t: -c for t, c in ps.items()}, out=_product(ps, pr)), 1
+        out = {(): 1}
+        for f in factors:
+            out = _product(out, self._p(f)[0])
+        return out, 1
+
+    def _s(self, w: tuple) -> tuple[dict, int]:
+        factors = self._factors(w)
+        if len(w) < 2:
+            return {w: 1}, 1
+        if len(factors) == 1:
+            tail, den = self._s(w[1:])
+            return {w[:1] + t: c for t, c in tail.items()}, den
+        out, den = {(): 1}, 1
+        for l, group in itertools.groupby(factors):
+            s, d = self._s(l)
+            mult = len(list(group))
+            power = {(): 1}
+            for _ in range(mult):
+                power = _product(power, s, self._shuffle)
+            out = _product(out, power, self._shuffle)
+            den *= d**mult * math.factorial(mult)
+        return _reduced(out, den)
+
+    # -- the Pi / Sigma pair ---------------------------------------------------
+
+    def _require_phi(self) -> None:
+        if self.phi is None:
+            raise ValueError("Pi/Sigma need a y alphabet with a gamma table")
+
+    def _letter_image(self, letter) -> tuple[dict, int]:
+        """pi1(y_k)."""
+        self._require_phi()
+        return _reduced(*self._pi1_image((letter,)))
+
+    def _phi_word(self, w: tuple) -> tuple[dict, int]:
+        """Phi(w) = pi1(a_1) ... pi1(a_n), built on the image of its prefix."""
+        if not w:
+            return {(): 1}, 1
+        (head, d), (last, e) = self._phi_word(w[:-1]), self._letter_image(w[-1])
+        return _product(head, last), d * e
+
+    def _phi(self, terms: dict) -> tuple[dict, int]:
+        """Phi of a polynomial given by its letter-tuple terms."""
+        return _combination((c, *self._phi_word(t)) for t, c in terms.items())
+
+    def _pi(self, w: tuple) -> tuple[dict, int]:
+        self._require_phi()
+        return self._phi(self._p(w)[0])
+
+    def _merged(self, block: tuple):
+        """l(b): the letter of the summed weight and color (mod m) of block b."""
         m = self.alphabet.color_order or 1
-        return Word(self.alphabet, ((block.grading, sum(c for _, c in block.letters) % m),))
+        return (self.alphabet.weight(block), sum(c for _, c in block) % m)
 
-    def _contract(self, u: Word) -> dict[Word, Fraction]:
+    def _contract(self, u: tuple) -> tuple[dict, int]:
         """(Phi^-1)^T u: the sum over factorizations u = b_1 ... b_r into
         nonempty blocks of f(b_1) ... f(b_r) l(b_1) ... l(b_r).
 
@@ -175,41 +185,27 @@ class DualBases:
         pairing of pi1(l(b)) with the factorizations into two or more blocks.
         """
         if len(u) < 2:
-            return {u: ONE}
-        hit = self._contracted.get(u)
-        if hit is None:
-            hit = {}
-            for i in range(1, len(u)):  # first block u[:i], the rest contracted
-                head = self._merged(u[:i])
-                _product({head: self._contract(u[:i]).get(head, ZERO)}, self._contract(u[i:]), out=hit)
-            whole = self._merged(u)
-            target = self._pi1_of(whole.letters[0]).terms
-            _add_term(hit, whole, -sum((c * target.get(v, ZERO) for v, c in hit.items()), ZERO))
-            self._contracted[u] = hit
-        return hit
+            return {u: 1}, 1
+        parts = []
+        for i in range(1, len(u)):  # first block u[:i], the rest contracted
+            head = self._merged(u[:i])
+            f, fd = self._contract(u[:i])
+            if (head,) in f:
+                rest, d = self._contract(u[i:])
+                parts.append((f[(head,)], {(head,) + t: c for t, c in rest.items()}, fd * d))
+        out, den = _combination(parts)
+        whole = self._merged(u)
+        target, tden = self._letter_image(whole)
+        value = sum(c * target.get(v, 0) for v, c in out.items())
+        out = {v: c * tden for v, c in out.items()}
+        if value:
+            out[(whole,)] = -value
+        return _reduced(out, den * tden)
 
-    def sigma(self, w: Word) -> NCPoly:
-        """Sigma_w = (Phi^-1)^T S_w, the graded dual of Pi, in closed form."""
+    def _sigma(self, w: tuple) -> tuple[dict, int]:
         self._require_phi()
-        hit = self._sigma.get(w)
-        if hit is None:
-            out: dict[Word, Fraction] = {}
-            for v, c in self.s(w).terms.items():
-                for u, d in self._contract(v).items():
-                    _add_term(out, u, c * d)
-            hit = NCPoly(self.alphabet, out)
-            self._sigma[w] = hit
-        return hit
-
-
-def _group_equal(factors: list[Word]) -> list[tuple[Word, int]]:
-    out: list[tuple[Word, int]] = []
-    for f in factors:
-        if out and out[-1][0] == f:
-            out[-1] = (f, out[-1][1] + 1)
-        else:
-            out.append((f, 1))
-    return out
+        terms, den = self._s(w)
+        return _combination(((c, *self._contract(v)) for v, c in terms.items()), den)
 
 
 # -- diagonal series factorization -------------------------------------------
@@ -228,24 +224,25 @@ def _lyndon_exp_product(bases: DualBases, factors: list[Word], bound: int,
                         right_of, right_law, one: dict) -> tuple[dict, int]:
     """exp(S_l (x) R_l) multiplied in the order of ``factors`` in
     (words, law) (x) R, truncated at left grading ``bound``: S_l and the law
-    are the left family of ``bases`` and its shuffle, R_l = right_of(l) is a
-    key -> Fraction map, and R multiplies its basis keys by ``right_law`` (a
-    ``word_mul`` of ``_product``; None is concatenation), with unit ``one``.
-    Returns integer coefficients keyed by (word, right key) and their one
-    denominator, the product over the factors of K! (d_S d_R)^K, with
-    K = bound // |l| and d_S, d_R the common denominators of S_l and R_l.
+    are the left family of ``bases`` and its shuffle, R_l = right_of(l) is
+    an integer form (key -> numerator, d_R), and R multiplies its basis keys
+    by ``right_law`` (a ``word_mul`` of ``_product``; None is concatenation
+    of letter tuples), with unit ``one``.  Returns integer coefficients
+    keyed by (letter tuple, right key) and their one denominator, the
+    product over the factors of K! (d_S d_R)^K, with K = bound // |l| and
+    d_S the common denominator of S_l.
     """
     left_of = bases._pair()[0]
-    word_mul = _shuffle_law(bases.phi)
-    empty = bases.alphabet.empty_word()
-    product = {empty: one}  # left word -> its right element
+    word_mul = _shuffle_law(bases.alphabet, bases.phi)
+    weight = bases.alphabet.weight
+    product = {(): one}  # left word -> its right element
     den = 1
     for l in factors:
-        s, ds = _integer_terms(left_of(l).terms)
-        r, dr = _integer_terms(right_of(l))
+        s, ds = left_of(l.letters)
+        r, dr = right_of(l)
         top = bound // l.grading
         scale = math.factorial(top) * (ds * dr) ** top
-        powers = [({empty: 1}, one, scale)]  # S^k, R^k and scale / (k! (ds dr)^k)
+        powers = [({(): 1}, one, scale)]  # S^k, R^k and scale / (k! (ds dr)^k)
         for k in range(1, top + 1):
             spow, rpow, unit = powers[-1]
             powers.append((_product(spow, s, word_mul), _product(rpow, r, right_law), unit // (k * ds * dr)))
@@ -255,7 +252,7 @@ def _lyndon_exp_product(bases: DualBases, factors: list[Word], bound: int,
             for b, c in e.items():
                 _add_term(acc, b, scale * c)
             # only the powers that keep the left grading within the bound
-            for spow, rpow, unit in powers[1: 1 + (bound - a.grading) // l.grading]:
+            for spow, rpow, unit in powers[1: 1 + (bound - weight(a)) // l.grading]:
                 m = _product(e, rpow, right_law)
                 for w, x in _product({a: unit}, spow, word_mul).items():
                     acc = out.setdefault(w, {})
@@ -264,6 +261,11 @@ def _lyndon_exp_product(bases: DualBases, factors: list[Word], bound: int,
         product = out
         den *= scale
     return {(w, b): c for w, e in product.items() for b, c in e.items()}, den
+
+
+def _pair_law(u: tuple, v: tuple):
+    """``word_mul`` sending (u, v) to the tensor u (x) v."""
+    return (((u, v), 1),)
 
 
 def diagonal_factorization_check(
@@ -284,22 +286,26 @@ def diagonal_factorization_check(
     bases = DualBases(alphabet, phi)
     left_of, right_of = bases._pair()
 
-    words = words_up_to_grading(alphabet, bound)
-    side_words = {(w, w): ONE for w in words}
+    words = [w.letters for w in words_up_to_grading(alphabet, bound)]
+    side_words = {(w, w): 1 for w in words}
 
-    side_bases: dict[tuple[Word, Word], Fraction] = {}
-    for w in words:
-        _product(left_of(w).terms, right_of(w).terms, lambda u, v: (((u, v), 1),), out=side_bases)
+    # sum_w L_w (x) R_w, over the least common denominator of its terms
+    pairs = [(left_of(w), right_of(w)) for w in words]
+    side_den = math.lcm(*(da * db for (_, da), (_, db) in pairs))
+    side_bases: dict = {}
+    for (a, da), (b, db) in pairs:
+        k = side_den // (da * db)
+        _product({u: k * c for u, c in a.items()}, b, _pair_law, out=side_bases)
 
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=decreasing)
-    one = {alphabet.empty_word(): 1}
-    product, den = _lyndon_exp_product(bases, factors, bound, lambda l: right_of(l).terms, None, one)
+    one = {(): 1}
+    product, den = _lyndon_exp_product(bases, factors, bound, lambda l: right_of(l.letters), None, one)
 
-    for name, other, scale in (("dual-basis sum", side_bases, 1), ("Lyndon product", product, den)):
-        for key in sorted(set(side_words) | set(other), key=lambda k: (k[0].sort_key(), k[1].sort_key())):
-            a = side_words.get(key, ZERO)
-            b = other.get(key, 0)
-            if a * scale != b:
-                return DiagonalReport(False, (key[0], key[1], a, Fraction(b, scale), name))
+    for name, other, scale in (("dual-basis sum", side_bases, side_den), ("Lyndon product", product, den)):
+        differ = [k for k in side_words.keys() | other.keys() if side_words.get(k, 0) * scale != other.get(k, 0)]
+        if differ:
+            key = min(differ, key=lambda k: tuple(w.sort_key() for w in _words(alphabet, k)))
+            a, b = Fraction(side_words.get(key, 0)), Fraction(other.get(key, 0), scale)
+            return DiagonalReport(False, (*_words(alphabet, key), a, b, name))
     return DiagonalReport(True)

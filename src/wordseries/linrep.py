@@ -51,6 +51,7 @@ from .ncpoly import (
     _letter_rule,
     _product,
     _scaled,
+    _words,
     format_fraction,
     is_character,
     is_infinitesimal_character,
@@ -425,8 +426,8 @@ def _letter_rule_closure(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
     alphabet = _common_alphabet(r1, r2)
     bound = _common_bound(r1, r2)
 
-    def factor(r: LinRep, u: Word) -> Mat:
-        return r.mu[u.letters[0]] if u else exactlin.identity(r.rank)
+    def factor(r: LinRep, u: tuple) -> Mat:
+        return r.mu[u[0]] if u else exactlin.identity(r.rank)
 
     mu = {
         letter: functools.reduce(mat_add, (
@@ -653,14 +654,15 @@ class FactorizationReport:
         return self.equal
 
 
-def _matpoly_mul(a: list, b: list, bound: int | None = None) -> list:
-    """Product of two square matrices whose entries are word -> coefficient maps."""
+def _matpoly_mul(a: list, b: list, bound: int, grading) -> list:
+    """Product of two square matrices whose entries are letter tuple ->
+    coefficient maps, truncated at ``bound`` for the ``grading`` of tuples."""
     n = len(a)
     out = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                _product(a[i][k], b[k][j], None, bound, out[i][j])
+                _product(a[i][k], b[k][j], None, bound, out[i][j], grading)
     return out
 
 
@@ -697,20 +699,21 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     if alphabet.is_y and phi is None:
         raise ValueError("a y-alphabet factorization needs the gamma table")
     bases = DualBases(alphabet, phi)
-    right_basis = bases._pair()[1]
+    right_basis = bases.p if phi is None else bases.pi
 
     ints = r._integers()
     word_matrix = r._word_matrices()
+    words = {w.letters: w for w in words_up_to_grading(alphabet, bound)}
     lhs = {}
-    for w in words_up_to_grading(alphabet, bound):
-        for i, row in enumerate(word_matrix(w.letters)):
+    for w in words:
+        for i, row in enumerate(word_matrix(w)):
             for j, c in enumerate(row):
                 if c:
                     lhs[w, (i, j)] = c
 
-    def matrix_terms(l: Word) -> dict:
+    def matrix_terms(l: Word) -> tuple[dict, int]:
         a = mu_of_poly(r, right_basis(l))
-        return {(i, j): q for i, row in enumerate(a) for j, q in enumerate(row) if q}
+        return _integer_terms({(i, j): q for i, row in enumerate(a) for j, q in enumerate(row) if q})
 
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=True)
@@ -724,14 +727,14 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
         if lhs.get((w, ij), 0) * scale != rhs.get((w, ij), 0) * dpow[len(w)]
     ]
     if differ:
-        first = min(differ, key=Word.sort_key)
+        first = min((words[w] for w in differ), key=Word.sort_key)
         return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
 
     readout: dict = {}
     for (w, (i, j)), c in rhs.items():
         _add_term(readout, w, ints.nu[i] * c * ints.eta[j])
     den = scale * ints.d ** 2
-    readout = {w: Fraction(c, den) for w, c in readout.items()}
+    readout = {words[w]: Fraction(c, den) for w, c in readout.items()}
     if TruncSeries(alphabet, bound, readout) != r.eval_truncated(bound):
         return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)
@@ -745,8 +748,9 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     D(X*) N(X) nilpotent of order at most the rank, and the series is
     reconstructed as nu (sum of its powers) D(X*) eta, then compared against
     direct evaluation.  Matrices of polynomials are n x n lists of
-    word -> integer maps, built from the integer letter matrices d mu(x):
-    the coefficient of w is the integer over d^|w|.
+    letter tuple -> integer maps, built from the integer letter matrices
+    d mu(x): the coefficient of w is the integer over d^|w|.  Words are
+    built for the rebuilt series only.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -760,12 +764,13 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                     )
     alphabet = r.alphabet
     ints = r._integers()
-    one = alphabet.empty_word()
+    weight = alphabet.weight
+    one = ()
     diag = [{} for _ in range(n)]
     strict = [[{} for _ in range(n)] for _ in range(n)]
     for letter in sorted(r.mu, key=alphabet.letter_key):
         m = ints.rows[letter]
-        lw = alphabet.word((letter,))
+        lw = (letter,)
         for i in range(n):
             if m[i][i]:
                 diag[i][lw] = m[i][i]
@@ -778,17 +783,17 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     for i in range(n):
         acc = total = {one: 1}
         for _ in range(bound):
-            acc = _product(acc, diag[i], bound=bound)
+            acc = _product(acc, diag[i], bound=bound, grading=weight)
             if not acc:
                 break
             total = {**total, **acc}  # acc holds the words of one length only
         d_star[i][i] = total
 
-    t = _matpoly_mul(d_star, strict, bound=bound)
+    t = _matpoly_mul(d_star, strict, bound, weight)
     power = geom = [[{one: 1} if i == j else {} for j in range(n)] for i in range(n)]
     order = 0
     while True:
-        power = _matpoly_mul(power, t, bound=bound)
+        power = _matpoly_mul(power, t, bound, weight)
         if not any(entry for row in power for entry in row):
             break
         order += 1
@@ -802,9 +807,10 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                 for w, c in p.items():
                     _add_term(g, w, c)
 
-    full = _matpoly_mul(geom, d_star, bound=bound)
+    full = _matpoly_mul(geom, d_star, bound, weight)
     readout = _matpoly_readout(ints.nu, full, ints.eta)
-    rebuilt = TruncSeries(alphabet, bound, {w: Fraction(c, ints.d ** (len(w) + 2)) for w, c in readout.items()})
+    values = (Fraction(c, ints.d ** (len(w) + 2)) for w, c in readout.items())
+    rebuilt = TruncSeries(alphabet, bound, dict(zip(_words(alphabet, readout), values)))
     direct = r.eval_truncated(bound)
     ok = rebuilt == direct
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"

@@ -10,22 +10,32 @@ character tests are also the grouplike / primitive tests: one pair loop
 serves both.
 
 The shuffle is the phi-shuffle with gamma = 0: one word recursion
-(``_phi_shuffle_words``) and one letter-split rule (``_letter_rule``, which
-also builds the closures of ``linrep``) serve both, on x and y alphabets.
-Every bilinear product of the package, here and in ``hopf``, ``linrep`` and
-``hyperlog``, goes through the one kernel ``_product``.
+(``_phi_shuffle_letters``) and one letter-split rule (``_letter_rule``,
+which also builds the closures of ``linrep``) serve both, on x and y
+alphabets.  Every bilinear product of the package, here and in ``hopf``,
+``linrep`` and ``hyperlog``, goes through the one kernel ``_product``.
+
+Inside the kernels a word is its tuple of letters, and coefficients are
+integers wherever the gamma entries met are: ``_product``, the phi-shuffle
+word table, the letter rule and the split tables of a coproduct, and the
+convolution powers of ``pi1``, whose images are integer numerators over
+lcm(1..n).  The word table is keyed by the two letter tuples and the color
+order, so colored alphabets with equal letter tuples stay apart.  ``Word``s
+and ``Fraction``s are built only where a ``NCPoly``, ``TensorPoly`` or
+``TruncSeries`` is returned (``_words``, ``NCPoly._of_letters``).
 
 All identities here are exact; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .words import Alphabet, Word, words_up_to_grading
+from .words import Alphabet, Word, _check_split_budget, words_up_to_grading
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -98,10 +108,45 @@ def _scaled(values: Iterable[Fraction], d: int) -> tuple[int, ...]:
 
 
 def _integer_terms(terms: Mapping) -> tuple[dict, int]:
-    """A key -> Fraction map as integer coefficients over one common
+    """A key -> rational map as integer coefficients over one common
     denominator d: (d·terms, d)."""
     d = math.lcm(*(c.denominator for c in terms.values()))
     return dict(zip(terms, _scaled(terms.values(), d))), d
+
+
+def _reduced(terms: Mapping, den: int) -> tuple[dict, int]:
+    """terms / den as integer numerators over the least common denominator.
+    The terms may hold Fractions (from a rational gamma table)."""
+    if any(type(c) is not int for c in terms.values()):
+        terms, d = _integer_terms(terms)
+        den *= d
+    g = math.gcd(den, *terms.values())
+    return ({t: c // g for t, c in terms.items()}, den // g) if g > 1 else (terms, den)
+
+
+def _combination(parts: Iterable[tuple], den: int = 1) -> tuple[dict, int]:
+    """The sum of c * terms / d over the parts (c, terms, d), all over
+    ``den``, as reduced integer numerators over one denominator."""
+    parts = list(parts)
+    lcm = math.lcm(*(d for _, _, d in parts))
+    out: dict = {}
+    for c, terms, d in parts:
+        k = c * (lcm // d)
+        for t, x in terms.items():
+            _add_term(out, t, k * x)
+    return _reduced(out, lcm * den)
+
+
+def _letters(terms: Mapping[Word, object]) -> dict:
+    """Word-keyed terms keyed by their letter tuples."""
+    return {w.letters: c for w, c in terms.items()}
+
+
+def _words(alphabet: Alphabet, letters: Iterable[tuple]) -> list[Word]:
+    """The words of letter tuples, unchecked: where kernel results become Words."""
+    trusted = Word._trusted
+    weight = len if alphabet.is_x else alphabet.weight
+    return [trusted(alphabet, t, weight(t)) for t in letters]
 
 
 class NCPoly:
@@ -134,6 +179,17 @@ class NCPoly:
     @classmethod
     def from_word(cls, w: Word, coeff=ONE) -> "NCPoly":
         return cls(w.alphabet, {w: Fraction(coeff)})
+
+    @classmethod
+    def _of_letters(cls, alphabet: Alphabet, terms: Mapping[tuple, object], den: int = 1) -> "NCPoly":
+        """The polynomial of the nonzero numerators ``terms`` over ``den``,
+        keyed by letter tuples of ``alphabet``: where kernel results become
+        ``Word``s and ``Fraction``s."""
+        p = object.__new__(cls)
+        p.alphabet = alphabet
+        values = map(Fraction, terms.values()) if den == 1 else (Fraction(c, den) for c in terms.values())
+        p.terms = dict(zip(_words(alphabet, terms), values))
+        return p
 
     # -- linear structure ------------------------------------------------
 
@@ -370,68 +426,92 @@ class PhiTable:
 
 
 def _product(p_terms: Mapping, q_terms: Mapping, word_mul: Callable | None = None,
-             bound: int | None = None, out: dict | None = None) -> dict:
+             bound: int | None = None, out: dict | None = None, grading: Callable | None = None) -> dict:
     """The one bilinear loop behind every product in the package.
 
     For each pair of terms (u, a), (v, b) with grading(u) + grading(v) <=
     ``bound`` (every pair when ``bound`` is None), add a * b * c to ``out``
     for each (w, c) in ``word_mul(u, v)``.  ``word_mul`` None is
-    concatenation, done inline.  Keys need not be words when ``bound`` is
-    None: pairs of words in the coproducts and the diagonal check, color
-    exponents in the cyclotomic numbers.  Terms accumulate into ``out`` when
-    given, else into a fresh map, which is returned.
+    concatenation of letter tuples, done inline.  Keys need not be words
+    when ``word_mul`` is given: pairs of letter tuples in the coproducts and
+    the diagonal check, matrix units, color exponents in the cyclotomic
+    numbers.  Terms accumulate into ``out`` when given, else into a fresh
+    map, which is returned.
     """
     out = {} if out is None else out
+    if bound is not None:
+        q_graded = [(grading(v), v, b) for v, b in q_terms.items()]
     for u, a in p_terms.items():
-        room = None if bound is None else bound - u.grading
-        for v, b in q_terms.items():
-            if room is not None and v.grading > room:
-                continue
-            if word_mul is None:
-                _add_term(out, u * v, a * b)
-                continue
+        if bound is None:
+            pairs = q_terms.items()
+        else:
+            room = bound - grading(u)
+            pairs = [(v, b) for g, v, b in q_graded if g <= room]
+        if word_mul is None:
+            for v, b in pairs:
+                w = u + v
+                c = out.get(w, 0) + a * b
+                if c:
+                    out[w] = c
+                else:
+                    out.pop(w, None)
+            continue
+        for v, b in pairs:
             ab = a * b
             for w, c in word_mul(u, v):
-                _add_term(out, w, ab * c)
+                c = out.get(w, 0) + ab * c
+                if c:
+                    out[w] = c
+                else:
+                    out.pop(w, None)
     return out
 
 
-def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[Word, int | Fraction]:
-    """The terms of the phi-shuffle of two words, cached in ``phi``.  The
-    coefficients are integers where the gamma entries met are integers, so
-    products of integer-valued maps stay on integers."""
+def _color_order(alphabet: Alphabet) -> int | None:
+    """The modulus of merged colors: None on x alphabets, whose letters
+    never merge, and 1 on plain y."""
+    return None if alphabet.is_x else alphabet.color_order or 1
+
+
+def _phi_shuffle_letters(u: tuple, v: tuple, phi: PhiTable, order: int | None) -> dict[tuple, int | Fraction]:
+    """The terms of the phi-shuffle of two words given as letter tuples, on
+    an alphabet of color order ``order`` (``_color_order``), cached in
+    ``phi`` under (u, v, order).  The coefficients are integers where the
+    gamma entries met are integers, so products of integer-valued maps stay
+    on integers."""
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
-    if u.lex_key() > v.lex_key():  # the product is commutative; normalize the key
+    if u > v:  # the product is commutative; normalize the key
         u, v = v, u
-    key = (u, v)
+    key = (u, v, order)
     hit = phi._word_cache.get(key)
     if hit is not None:
         return hit
-    alphabet = u.alphabet
-    out: dict[Word, Fraction] = {}
-    a, b = u.letters[0], v.letters[0]
-    xu, yv = u[:1], v[:1]
-    for w, c in _phi_shuffle_words(u[1:], v, phi).items():
-        _add_term(out, xu * w, c)
-    for w, c in _phi_shuffle_words(u, v[1:], phi).items():
-        _add_term(out, yv * w, c)
-    i, j = alphabet.letter_weight(a), alphabet.letter_weight(b)
-    g = phi.gamma(i, j)
-    if g:  # only y letters merge, so colors are read here only
+    out: dict[tuple, int | Fraction] = {}
+    a, b = u[0], v[0]
+    for w, c in _phi_shuffle_letters(u[1:], v, phi, order).items():
+        _add_term(out, (a,) + w, c)
+    for w, c in _phi_shuffle_letters(u, v[1:], phi, order).items():
+        _add_term(out, (b,) + w, c)
+    g = 0 if order is None else phi.gamma(a[0], b[0])
+    if g:  # only y letters merge, so weights and colors are read here only
         if g.denominator == 1:
             g = g.numerator
-        color = (a[1] + b[1]) % alphabet.color_order if alphabet.color_order else 0
-        merged = Word(alphabet, ((i + j, color),))
-        for w, c in _phi_shuffle_words(u[1:], v[1:], phi).items():
-            _add_term(out, merged * w, g * c)
+        merged = (a[0] + b[0], (a[1] + b[1]) % order)
+        for w, c in _phi_shuffle_letters(u[1:], v[1:], phi, order).items():
+            _add_term(out, (merged,) + w, g * c)
     cache = phi._word_cache
     if len(cache) >= _WORD_CACHE_MAX:
         del cache[next(iter(cache))]  # the oldest entry
     cache[key] = out
     return out
+
+
+def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[tuple, int | Fraction]:
+    """The phi-shuffle of two words, as terms keyed by letter tuples."""
+    return _phi_shuffle_letters(u.letters, v.letters, phi, _color_order(u.alphabet))
 
 
 # entries kept per PhiTable word cache: a whole pass of the benchmark's exact
@@ -444,26 +524,31 @@ _SHUFFLE = PhiTable.zero()
 _shuffle_cache = _SHUFFLE._word_cache
 
 
-def _shuffle_law(phi: PhiTable | None = None) -> Callable:
-    """``word_mul`` of the phi-shuffle for ``_product``; the shuffle when phi is None."""
+def _shuffle_law(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable:
+    """``word_mul`` of the phi-shuffle on letter tuples of ``alphabet`` for
+    ``_product``; the shuffle when phi is None."""
     table = _SHUFFLE if phi is None else phi
-    return lambda u, v: _phi_shuffle_words(u, v, table).items()
+    order = _color_order(alphabet)
+    return lambda u, v: _phi_shuffle_letters(u, v, table, order).items()
+
+
+def _bilinear(p: NCPoly, q: NCPoly, word_mul: Callable | None = None) -> NCPoly:
+    p._same_alphabet(q)
+    return NCPoly._of_letters(p.alphabet, _product(_letters(p.terms), _letters(q.terms), word_mul))
 
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
     """Concatenation product, extended bilinearly."""
-    p._same_alphabet(q)
-    return NCPoly(p.alphabet, _product(p.terms, q.terms))
+    return _bilinear(p, q)
 
 
 def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     """Shuffle product, extended bilinearly: the phi-shuffle with gamma = 0."""
-    p._same_alphabet(q)
-    return NCPoly(p.alphabet, _product(p.terms, q.terms, _shuffle_law()))
+    return _bilinear(p, q, _shuffle_law(p.alphabet))
 
 
 def phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> NCPoly:
-    return NCPoly(u.alphabet, _phi_shuffle_words(u, v, phi))
+    return NCPoly._of_letters(u.alphabet, _phi_shuffle_words(u, v, phi))
 
 
 def phi_shuffle(p: NCPoly, q: NCPoly, phi: PhiTable) -> NCPoly:
@@ -471,7 +556,7 @@ def phi_shuffle(p: NCPoly, q: NCPoly, phi: PhiTable) -> NCPoly:
     p._same_alphabet(q)
     if not p.alphabet.is_y:
         raise ValueError("phi-shuffle needs a y alphabet")
-    return NCPoly(p.alphabet, _product(p.terms, q.terms, _shuffle_law(phi)))
+    return _bilinear(p, q, _shuffle_law(p.alphabet, phi))
 
 
 def word_product(law: str, u: Word, v: Word, phi: PhiTable | None = None) -> NCPoly:
@@ -499,41 +584,46 @@ def delta_conc(p: NCPoly) -> TensorPoly:
     return TensorPoly(p.alphabet, out)
 
 
-def _letter_rule(alphabet: Alphabet, letter, phi: PhiTable) -> dict[tuple[Word, Word], Fraction]:
-    """Coproduct of one letter, dual to the phi-shuffle: x (x) 1 + 1 (x) x plus
-    the gamma-weighted splits of its weight and color (none when gamma = 0).
-    It also gives the letter matrices of the closures ``linrep.rat_shuffle``
-    and ``rat_phi_shuffle``."""
-    one = alphabet.empty_word()
-    x = Word(alphabet, (letter,))
-    out = {(x, one): ONE, (one, x): ONE}
+def _letter_rule(alphabet: Alphabet, letter, phi: PhiTable) -> dict[tuple[tuple, tuple], int | Fraction]:
+    """Coproduct of one letter, dual to the phi-shuffle, keyed by pairs of
+    letter tuples: x (x) 1 + 1 (x) x plus the gamma-weighted splits of its
+    weight and color (none when gamma = 0).  It also gives the letter
+    matrices of the closures ``linrep.rat_shuffle`` and ``rat_phi_shuffle``."""
+    out = {((letter,), ()): 1, ((), (letter,)): 1}
     k = alphabet.letter_weight(letter)
     for i in range(1, k):
         g = phi.gamma(i, k - i)
         if not g:
             continue
+        if g.denominator == 1:
+            g = g.numerator
         colors = range(alphabet.color_order) if alphabet.color_order else (0,)
         for c1 in colors:
             c2 = (letter[1] - c1) % alphabet.color_order if alphabet.color_order else 0
-            out[(Word(alphabet, ((i, c1),)), Word(alphabet, ((k - i, c2),)))] = g
+            out[(((i, c1),), ((k - i, c2),))] = g
     return out
 
 
-def _tensor_conc(s: tuple[Word, Word], t: tuple[Word, Word]):
-    """``word_mul`` of conc (x) conc on pairs of words."""
-    return (((s[0] * t[0], s[1] * t[1]), ONE),)
+def _tensor_conc(s: tuple[tuple, tuple], t: tuple[tuple, tuple]):
+    """``word_mul`` of conc (x) conc on pairs of letter tuples."""
+    return (((s[0] + t[0], s[1] + t[1]), 1),)
+
+
+def _splits(alphabet: Alphabet, letters: tuple, phi: PhiTable) -> dict:
+    """The coproduct dual to the phi-shuffle of one word, as a map from
+    pairs of letter tuples: the conc (x) conc product of its letter rules."""
+    acc = {((), ()): 1}
+    for letter in letters:
+        acc = _product(acc, _letter_rule(alphabet, letter, phi), _tensor_conc)
+    return acc
 
 
 def _conc_morphism_coproduct(p: NCPoly, phi: PhiTable) -> TensorPoly:
-    out: dict[tuple[Word, Word], Fraction] = {}
-    one = p.alphabet.empty_word()
+    out: dict = {}
     for w, coeff in p.terms.items():
-        acc = {(one, one): coeff}
-        for letter in w.letters:
-            acc = _product(acc, _letter_rule(p.alphabet, letter, phi), _tensor_conc)
-        for k, c in acc.items():
-            _add_term(out, k, c)
-    return TensorPoly(p.alphabet, out)
+        _product({((), ()): coeff}, _splits(p.alphabet, w.letters, phi), _tensor_conc, out=out)
+    left, right = (_words(p.alphabet, (pair[i] for pair in out)) for i in (0, 1))
+    return TensorPoly(p.alphabet, dict(zip(zip(left, right), out.values())))
 
 
 def delta_shuffle(p: NCPoly) -> TensorPoly:
@@ -570,58 +660,53 @@ def pi1(p: NCPoly, phi: PhiTable | None = None) -> NCPoly:
     k-th convolution power of (id - unit counit), taken for the coproduct
     dual to the product (plain shuffle on x alphabets, phi-shuffle on y),
     weighted by (-1)^(k-1)/k.  Output grading never exceeds input grading.
+    Words whose split tables would pass the word budget are refused with a
+    ValueError before any work (``words._check_split_budget``).
     """
     image = _pi1_images(p.alphabet, phi)
-    out: dict[Word, Fraction] = {}
-    for w, coeff in p.terms.items():
-        for v, c in image(w).items():
-            _add_term(out, v, coeff * c)
-    return NCPoly(p.alphabet, out)
+    _check_split_budget(p.alphabet, (w.letters for w in p.terms))
+    return NCPoly._of_letters(p.alphabet, *_combination((c, *image(w.letters)) for w, c in p.terms.items()))
 
 
-def _pi1_images(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable[[Word], dict[Word, Fraction]]:
-    """``pi1`` of single words over ``alphabet``: a function from a word to
-    the terms of its image.  Its split and convolution-power caches are
-    shared by every word it is given, so the images of many words (all the
-    letters of a grade, say) reuse each other's convolution powers."""
+def _pi1_images(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable[[tuple], tuple[dict, int]]:
+    """``pi1`` of single words over ``alphabet``: a function from the letter
+    tuple of a word to the integer numerators of its image over lcm(1..n),
+    n its grading (Fractions where a rational gamma entry is met).  Its split
+    and convolution-power caches are shared by every word it is given, so the
+    images of many words (all the letters of a grade, say) reuse each
+    other's convolution powers."""
     if alphabet.is_y and phi is None:
         raise ValueError("pi1 on a y alphabet needs a PhiTable")
-    dual = (lambda q: delta_phi(q, phi)) if alphabet.is_y else delta_shuffle
-    split_cache: dict[Word, list] = {}
+    table = phi if alphabet.is_y else _SHUFFLE
 
-    def splits(w: Word):
-        hit = split_cache.get(w)
-        if hit is None:
-            hit = [
-                (u, v, c) for (u, v), c in dual(NCPoly.from_word(w)).terms.items() if u
-            ]
-            split_cache[w] = hit
-        return hit
-
-    conv_cache: dict[tuple[Word, int], dict[Word, Fraction]] = {}
-
-    def conv_power(w: Word, k: int) -> dict[Word, Fraction]:
-        # k-th convolution power of (id - unit counit) at w
-        if not w:
-            return {}
-        if k == 1:
-            return {w: ONE}
-        hit = conv_cache.get((w, k))
-        if hit is None:
-            hit = {}
-            for u, v, c in splits(w):
-                if v:
-                    _product({u: c}, conv_power(v, k - 1), out=hit)
-            conv_cache[(w, k)] = hit
-        return hit
-
-    def image(w: Word) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
-        for k in range(1, w.grading + 1):
-            sign = ONE if k % 2 else -ONE
-            for v, c in conv_power(w, k).items():
-                _add_term(out, v, c * sign / k)
+    @functools.cache
+    def splits(w: tuple) -> dict:
+        # the splits u (x) v of w into nonempty parts, as v -> {u: coefficient}
+        out: dict = {}
+        for (u, v), c in _splits(alphabet, w, table).items():
+            if u and v:
+                out.setdefault(v, {})[u] = c
         return out
+
+    @functools.cache
+    def conv_power(w: tuple, k: int) -> dict:
+        # k-th convolution power of (id - unit counit) at the nonempty word w
+        if k == 1:
+            return {w: 1}
+        out: dict = {}
+        for v, lefts in splits(w).items():
+            _product(lefts, conv_power(v, k - 1), out=out)
+        return out
+
+    def image(w: tuple) -> tuple[dict, int]:
+        n = alphabet.weight(w)
+        den = math.lcm(*range(1, n + 1))
+        out: dict = {}
+        for k in range(1, n + 1):
+            scale = den // k if k % 2 else -(den // k)
+            for v, c in conv_power(w, k).items():
+                _add_term(out, v, scale * c)
+        return out, den
 
     return image
 
@@ -689,7 +774,8 @@ class TruncSeries:
     def conc_mul(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy (concatenation) product at the common bound."""
         bound = min(self.bound, other.bound)
-        return TruncSeries(self.alphabet, bound, _product(self.coeffs, other.coeffs, bound=bound))
+        terms = _product(_letters(self.coeffs), _letters(other.coeffs), bound=bound, grading=self.alphabet.weight)
+        return TruncSeries(self.alphabet, bound, dict(zip(_words(self.alphabet, terms), terms.values())))
 
     def __eq__(self, other) -> bool:
         return (

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -108,6 +109,14 @@ class Alphabet:
     def letter_weight(self, letter) -> int:
         return 1 if self.is_x else letter[0]
 
+    def weight(self, letters: tuple) -> int:
+        """The grading of the word with these letters."""
+        return len(letters) if self.kind == "x" else sum(k for k, _ in letters)
+
+    def lex_key(self, letters: tuple) -> tuple:
+        """The lexicographic key of the word with these letters."""
+        return letters if self.kind == "x" else tuple(map(self.letter_key, letters))
+
     def letter_key(self, letter):
         """Sort key realizing the stored total order on letters."""
         if self.is_x:
@@ -189,10 +198,10 @@ class Word:
     def _trusted(cls, alphabet: Alphabet, letters: tuple, grading: int) -> "Word":
         """Unchecked constructor for letters already drawn from ``alphabet``."""
         w = object.__new__(cls)
-        object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "letters", letters)
-        object.__setattr__(w, "_grading", grading)
-        object.__setattr__(w, "_hash", hash(letters))
+        _set_alphabet(w, alphabet)
+        _set_letters(w, letters)
+        _set_grading(w, grading)
+        _set_hash(w, hash(letters))
         return w
 
     def __setattr__(self, *a):
@@ -227,7 +236,7 @@ class Word:
 
     def lex_key(self) -> tuple:
         """Pure lexicographic key (proper prefixes sort first)."""
-        return tuple(self.alphabet.letter_key(a) for a in self.letters)
+        return self.alphabet.lex_key(self.letters)
 
     def sort_key(self) -> tuple:
         """Structural order key: grading first, then lexicographic."""
@@ -256,8 +265,7 @@ class Word:
     def __getitem__(self, i):
         if isinstance(i, slice):
             letters = self.letters[i]
-            grading = len(letters) if self.alphabet.is_x else sum(k for k, _ in letters)
-            return Word._trusted(self.alphabet, letters, grading)
+            return Word._trusted(self.alphabet, letters, self.alphabet.weight(letters))
         return self.letters[i]
 
     def __repr__(self) -> str:
@@ -267,6 +275,13 @@ class Word:
         if not self.letters:
             return "ε"
         return " ".join(self.alphabet.letter_name(a) for a in self.letters)
+
+
+# the slot setters, which skip the refusing __setattr__ at less cost than
+# object.__setattr__ does: _trusted builds most of the package's words
+_set_alphabet, _set_letters, _set_grading, _set_hash = (
+    slot.__set__ for slot in (Word.alphabet, Word.letters, Word._grading, Word._hash)
+)
 
 
 def grading(w: Word) -> int:
@@ -347,6 +362,31 @@ def _check_word_budget(alphabet: Alphabet, bound: int) -> None:
     )
 
 
+def _check_split_budget(alphabet: Alphabet, words: Iterable[tuple]) -> None:
+    """Refuse, before any work, letter tuples whose split tables for ``pi1``
+    would together exceed the word budget.
+
+    A word's table holds the splits into two nonempty parts of each word its
+    letters can be cut down to.  It is bounded letter by letter: an x letter
+    is dropped, kept or split, 3 ways, so n x letters count 3^n.  A y letter
+    of weight k over m colors (m = 1 on plain y) is dropped, kept with its
+    2 + (k-1) m splits, or cut to one of the (k-1) m lighter letters y_j with
+    2 + (j-1) m splits each: 3 + 3 m (k-1) + m^2 (k-1)(k-2)/2 ways, that is
+    (k+1)(k+2)/2 on plain y.
+    """
+    m = alphabet.color_order or 1
+
+    def count(letter) -> int:
+        k = alphabet.letter_weight(letter) - 1
+        return 3 + 3 * m * k + m * m * k * (k - 1) // 2
+
+    total = sum(math.prod(map(count, letters)) for letters in words)
+    if total > _WORD_BUDGET:
+        raise ValueError(
+            f"pi1 needs split tables of {total} entries, over the budget of {_WORD_BUDGET} entries"
+        )
+
+
 def words_up_to_grading(alphabet: Alphabet, max_grade: int) -> list[Word]:
     """All words of grading <= max_grade, sorted by (grading, lex); a bound
     over the word budget is refused with a ValueError."""
@@ -403,25 +443,37 @@ def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:
 
 def standard_factorization(w: Word) -> tuple[Word, Word]:
     """Split a Lyndon word of grading >= 2 as ``(s, r)`` with ``r`` the
-    longest proper Lyndon suffix; both parts are Lyndon and ``s r == w``.
-
-    That suffix is the lexicographically smallest proper suffix, and ``w``
-    is Lyndon exactly when it is smaller than that suffix."""
+    longest proper Lyndon suffix; both parts are Lyndon and ``s r == w``."""
     if len(w) < 2:
         raise ValueError("standard factorization needs at least two letters")
-    key = w.lex_key()
-    i = min(range(1, len(key)), key=lambda i: key[i:])
-    if not key < key[i:]:
+    i = _standard_cut(w.lex_key())
+    if i is None:
         raise ValueError(f"not a Lyndon word: {w}")
     return w[:i], w[i:]
+
+
+def _standard_cut(key: tuple) -> int | None:
+    """Where the standard factorization of the word with lexicographic key
+    ``key`` (two or more letters) cuts it, or None if the word is not Lyndon.
+
+    The right factor is the lexicographically smallest proper suffix, and
+    the word is Lyndon exactly when it is smaller than that suffix."""
+    i = min(range(1, len(key)), key=lambda i: key[i:])
+    return i if key < key[i:] else None
 
 
 def lyndon_factorization(w: Word) -> list[Word]:
     """Unique non-increasing factorization of ``w`` into Lyndon words, in
     linear time by Duval's algorithm (J. Algorithms 4, 1983)."""
-    key = w.lex_key()
+    cuts = _lyndon_cuts(w.lex_key())
+    return [w[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
+def _lyndon_cuts(key: tuple) -> list[int]:
+    """0 and the end of each Lyndon factor of the word with lexicographic
+    key ``key``, in order."""
     n = len(key)
-    out = []
+    cuts = [0]
     i = 0
     while i < n:
         # key[i:j] is a power of a Lyndon word of length j - k, then a prefix of it
@@ -430,6 +482,6 @@ def lyndon_factorization(w: Word) -> list[Word]:
             k = i if key[k] < key[j] else k + 1
             j += 1
         while i <= k:
-            out.append(w[i:i + j - k])
             i += j - k
-    return out
+            cuts.append(i)
+    return cuts

@@ -7,7 +7,8 @@ elimination over ``Fraction`` and minimization with one solve per vector,
 representation evaluation, word matrices and the two factorization checks of
 ``linrep`` on ``Fraction`` matrices, the diagonal factorization check on
 ``Fraction`` tensors multiplied out in full, the Sigma basis from the dense
-duality system of its grade, the associativity of a gamma table on word
+duality system of its grade, pi1 and the four dual-basis families on
+``Word``-keyed ``Fraction`` maps, the associativity of a gamma table on word
 triples, truncated polynomial products term by term, grouplike and
 primitive series on a coproduct table built word by word,
 the Chen series one word at a time and its pairing as a sum over words, the
@@ -30,15 +31,50 @@ from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
     TruncSeries,
-    _product,
-    _shuffle_law,
     _values_match,
+    conc,
     coproduct,
+    delta_phi,
+    delta_shuffle,
     phi_shuffle,
     phi_shuffle_words,
     shuffle,
+    word_product,
 )
-from wordseries.words import Alphabet, Word, is_lyndon, lyndon_words, words_up_to_grading
+from wordseries.words import (
+    Alphabet,
+    Word,
+    is_lyndon,
+    lyndon_factorization,
+    lyndon_words,
+    standard_factorization,
+    words_up_to_grading,
+)
+
+
+def word_product_terms(p, q, word_mul=None, bound=None, out=None):
+    """The bilinear product of two Word-keyed maps: a b c (w) summed over
+    the pairs of terms (u, a), (v, b) with grading(u) + grading(v) <= bound
+    (every pair when bound is None) and the terms (w, c) of word_mul(u, v),
+    concatenation when word_mul is None.  Terms that cancel are dropped."""
+    out = {} if out is None else out
+    for u, a in p.items():
+        for v, b in q.items():
+            if bound is not None and u.grading + v.grading > bound:
+                continue
+            for w, c in ((u * v, 1),) if word_mul is None else word_mul(u, v):
+                total = out.get(w, 0) + a * b * c
+                if total:
+                    out[w] = total
+                else:
+                    out.pop(w, None)
+    return out
+
+
+def word_law(phi=None):
+    """``word_mul`` on Words of the shuffle, or of the phi-shuffle with phi."""
+    law = "shuffle" if phi is None else "phi"
+    return lambda u, v: word_product(law, u, v, phi).terms.items()
 
 
 def lyndon_words_by_filter(alphabet, max_grade):
@@ -164,7 +200,7 @@ def _tensor_mul(t1, t2, word_mul, bound):
         right = b * v
         return [((w, right), c) for w, c in word_mul(a, u)]
 
-    return _product(t1, t2, pair_mul)
+    return word_product_terms(t1, t2, pair_mul)
 
 
 def _tensor_exp(left, right, word_mul, bound):
@@ -176,10 +212,117 @@ def _tensor_exp(left, right, word_mul, bound):
     k = 0
     while (k + 1) * grade <= bound:
         k += 1
-        lpow = _product(lpow, left.terms, word_mul)
-        rpow = _product(rpow, right.terms)
-        _product(lpow, rpow, _outer(Fraction(1, math.factorial(k))), out=out)
+        lpow = word_product_terms(lpow, left.terms, word_mul)
+        rpow = word_product_terms(rpow, right.terms)
+        word_product_terms(lpow, rpow, _outer(Fraction(1, math.factorial(k))), out=out)
     return out
+
+
+def pi1_by_fractions(p, phi=None):
+    """pi1 on Word-keyed Fraction maps: for each word, the convolution
+    powers of (id - unit counit) through the public coproduct, dual to the
+    shuffle on x alphabets and to the phi-shuffle on y, weighted by
+    (-1)^(k-1)/k."""
+    dual = (lambda q: delta_phi(q, phi)) if p.alphabet.is_y else delta_shuffle
+    splits = {}
+    powers = {}
+
+    def conv_power(w, k):
+        if k == 1:
+            return {w: Fraction(1)}
+        if (w, k) not in powers:
+            if w not in splits:
+                splits[w] = [(u, v, c) for (u, v), c in dual(NCPoly.from_word(w)).terms.items() if u and v]
+            out = {}
+            for u, v, c in splits[w]:
+                word_product_terms({u: c}, conv_power(v, k - 1), out=out)
+            powers[w, k] = out
+        return powers[w, k]
+
+    out = {}
+    for w, coeff in p.terms.items():
+        for k in range(1, w.grading + 1):
+            scale = coeff * Fraction((-1) ** (k - 1), k)
+            word_product_terms({w.alphabet.empty_word(): scale}, conv_power(w, k), out=out)
+    return NCPoly(p.alphabet, out)
+
+
+def dual_bases_by_fractions(alphabet, phi=None):
+    """The four dual-basis families of ``FractionDualBases``."""
+    return FractionDualBases(alphabet, phi)
+
+
+class FractionDualBases:
+    """P_w, S_w, Pi_w and Sigma_w as NCPolys built from NCPoly products:
+    brackets and concatenations for P, divided shuffle powers for S, the
+    letter images pi1(y_k) of ``pi1_by_fractions`` for Pi = Phi(P), and for
+    Sigma = (Phi^-1)^T S the block contraction of each word of S."""
+
+    def __init__(self, alphabet, phi=None):
+        self.alphabet, self.phi = alphabet, phi
+        self._contracted = {}
+
+    def p(self, w):
+        if len(w) < 2:
+            return NCPoly(self.alphabet, {w: 1})
+        factors = lyndon_factorization(w)
+        if len(factors) == 1:
+            s, r = standard_factorization(w)
+            return conc(self.p(s), self.p(r)) - conc(self.p(r), self.p(s))
+        out = NCPoly.one(self.alphabet)
+        for f in factors:
+            out = conc(out, self.p(f))
+        return out
+
+    def s(self, w):
+        if len(w) < 2:
+            return NCPoly(self.alphabet, {w: 1})
+        factors = lyndon_factorization(w)
+        if len(factors) == 1:
+            return conc(NCPoly.from_word(w[:1]), self.s(w[1:]))
+        out = NCPoly.one(self.alphabet)
+        for l, group in itertools.groupby(factors):
+            mult = len(list(group))
+            power = NCPoly.one(self.alphabet)
+            for _ in range(mult):
+                power = shuffle(power, self.s(l))
+            out = shuffle(out, power * Fraction(1, math.factorial(mult)))
+        return out
+
+    def letter_image(self, letter):
+        return pi1_by_fractions(NCPoly.from_word(self.alphabet.word([letter])), self.phi)
+
+    def pi(self, w):
+        out = NCPoly.zero(self.alphabet)
+        for v, c in self.p(w).terms.items():
+            acc = NCPoly.one(self.alphabet) * c
+            for letter in v.letters:
+                acc = conc(acc, self.letter_image(letter))
+            out = out + acc
+        return out
+
+    def _merged(self, block):
+        m = self.alphabet.color_order or 1
+        return self.alphabet.word([(block.grading, sum(c for _, c in block.letters) % m)])
+
+    def _contract(self, u):
+        if len(u) < 2:
+            return NCPoly.from_word(u)
+        if u not in self._contracted:
+            out = NCPoly.zero(self.alphabet)
+            for i in range(1, len(u)):
+                head = self._merged(u[:i])
+                out = out + conc(NCPoly.from_word(head, self._contract(u[:i]).coeff(head)), self._contract(u[i:]))
+            whole = self._merged(u)
+            value = out.pairing(self.letter_image(whole.letters[0]))
+            self._contracted[u] = out - NCPoly.from_word(whole, value)
+        return self._contracted[u]
+
+    def sigma(self, w):
+        out = NCPoly.zero(self.alphabet)
+        for v, c in self.s(w).terms.items():
+            out = out + self._contract(v) * c
+        return out
 
 
 def diagonal_by_fractions(alphabet, phi=None, bound=4, decreasing=True):
@@ -188,13 +331,13 @@ def diagonal_by_fractions(alphabet, phi=None, bound=4, decreasing=True):
     exponentials exp(S_l (x) P_l), each multiplied out in full and truncated
     on both factors.  Returns a ``DiagonalReport``."""
     bases = DualBases(alphabet, phi)
-    word_mul = _shuffle_law(phi)
+    word_mul = word_law(phi)
     left_of, right_of = (bases.s, bases.p) if phi is None else (bases.sigma, bases.pi)
     words = words_up_to_grading(alphabet, bound)
     side_words = {(w, w): Fraction(1) for w in words}
     side_bases = {}
     for w in words:
-        _product(left_of(w).terms, right_of(w).terms, _outer(Fraction(1)), out=side_bases)
+        word_product_terms(left_of(w).terms, right_of(w).terms, _outer(Fraction(1)), out=side_bases)
     factors = sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=decreasing)
     product = {(alphabet.empty_word(), alphabet.empty_word()): Fraction(1)}
     for l in factors:
@@ -321,7 +464,7 @@ def _matpoly_mul(a, b, word_mul=None, bound=None):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                _product(a[i][k], b[k][j], word_mul, bound, out[i][j])
+                word_product_terms(a[i][k], b[k][j], word_mul, bound, out[i][j])
     return out
 
 
@@ -344,7 +487,7 @@ def mxstar_by_fractions(r, bound, phi=None, mu_of_poly=mu_of_poly_by_fractions):
     product of exp(mu(P_l) S_l), then the readout nu M eta against the
     series.  ``mu_of_poly`` gives mu(P_l), so a test can perturb it."""
     alphabet, n = r.alphabet, r.rank
-    word_mul = _shuffle_law(phi)
+    word_mul = word_law(phi)
     bases = DualBases(alphabet, phi)
     left_of, right_of = (bases.s, bases.p) if alphabet.is_x else (bases.sigma, bases.pi)
     lhs = [[{} for _ in range(n)] for _ in range(n)]
@@ -363,7 +506,7 @@ def mxstar_by_fractions(r, bound, phi=None, mu_of_poly=mu_of_poly_by_fractions):
         while (k + 1) * l.grading <= bound:
             k += 1
             apow = exactlin.mat_mul(apow, a)
-            spow = _product(spow, left_of(l).terms, word_mul)
+            spow = word_product_terms(spow, left_of(l).terms, word_mul)
             for i in range(n):
                 for j in range(n):
                     c = apow[i][j] / math.factorial(k)
@@ -405,7 +548,7 @@ def triangular_by_fractions(r, bound):
     for i in range(n):
         acc = total = {one: Fraction(1)}
         for _ in range(bound):
-            acc = _product(acc, diag[i], bound=bound)
+            acc = word_product_terms(acc, diag[i], bound=bound)
             total = {**total, **acc}
         d_star[i][i] = total
     t = _matpoly_mul(d_star, strict, bound=bound)

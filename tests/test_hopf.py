@@ -5,7 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import binomial_gamma, diagonal_by_fractions, sigma_by_inverse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import binomial_gamma, diagonal_by_fractions, dual_bases_by_fractions, pi1_by_fractions, sigma_by_inverse
 
 from wordseries.hopf import DualBases, diagonal_factorization_check
 from wordseries.ncpoly import (
@@ -308,3 +310,38 @@ def test_stuffle_sigma_of_a_letter_power_is_hoffman_exp():
                 coeff = Fraction(1, math.prod(math.factorial(l) for l in lengths))
                 want = want + NCPoly.from_word(word, coeff)
         assert bases.sigma(Y.word([(1, 0)] * n)) == want
+
+
+# -- integer forms against the Fraction oracles ----------------------------------------
+
+ORACLE_CASES = [
+    (X2, None, 6),
+    (Alphabet.x(3), None, 6),
+    (Y, STUFFLE, 6),
+    (Y, binomial_gamma(2), 6),
+    (Y, binomial_gamma(Fraction(1, 2)), 6),
+    (Alphabet.y(color_order=2), STUFFLE, 5),
+    (Alphabet.y(color_order=2), binomial_gamma(2), 5),
+    (Alphabet.y(color_order=2), binomial_gamma(Fraction(1, 2)), 5),
+]
+ORACLE_WORDS = [[w for w in words_up_to_grading(a, top) if w] for a, _, top in ORACLE_CASES]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_pi1_and_the_dual_bases_match_the_fraction_oracles(data):
+    # pi1, P and S, and on y alphabets Pi and Sigma, from the integer forms
+    # on letter tuples against Word-keyed Fraction recomputations; the
+    # gamma table C(i+j, i) / 2 has rational entries, where the integer
+    # forms must clear the denominators exactly
+    case = data.draw(st.integers(0, len(ORACLE_CASES) - 1))
+    alphabet, phi, _ = ORACLE_CASES[case]
+    w = data.draw(st.sampled_from(ORACLE_WORDS[case]))
+    bases, oracle = DualBases(alphabet, phi), dual_bases_by_fractions(alphabet, phi)
+    got = pi1(NCPoly.from_word(w), phi)
+    assert got == pi1_by_fractions(NCPoly.from_word(w), phi)
+    families = ["p", "s"] + (["pi", "sigma"] if phi is not None else [])
+    for family in families:
+        element = getattr(bases, family)(w)
+        assert element == getattr(oracle, family)(w), (family, w)
+        assert all(type(c) is Fraction for c in element.terms.values())

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import binomial_gamma, non_associative_word_triple
+from oracles import binomial_gamma, non_associative_word_triple, pi1_by_fractions
 
 from wordseries import ncpoly
 from wordseries.ncpoly import (
@@ -469,3 +469,77 @@ def test_terms_over_another_alphabet_are_refused():
             TensorPoly(X2, {key: 1})
     # an equal alphabet built separately is the same alphabet
     assert TensorPoly(Alphabet.x(2), {(x0, x0): 1}).coeff(x0, x0) == 1
+
+
+# -- word tables keyed by letter tuples ---------------------------------------------
+
+
+def test_one_stuffle_table_keeps_colored_alphabets_apart():
+    # y1@1 y1@1 has the same letters on y@2 and y@3, but the merged letter
+    # is y2@0 on one and y2@2 on the other; one table serves both, in
+    # either order
+    y2a, y3a = Alphabet.y(color_order=2), Alphabet.y(color_order=3)
+    expected = {
+        y2a: poly(y2a, "y1@1 y1@1", 2) + poly(y2a, "y2@0"),
+        y3a: poly(y3a, "y1@1 y1@1", 2) + poly(y3a, "y2@2"),
+    }
+    for order in ((y2a, y3a), (y3a, y2a)):
+        table = PhiTable.stuffle()
+        for alphabet in order + order:
+            u = alphabet.parse_word("y1@1")
+            assert phi_shuffle_words(u, u, table) == expected[alphabet]
+            p = poly(alphabet, "y1@1") + poly(alphabet, "y1@0 y1@1")
+            q = poly(alphabet, "y1@1", 3)
+            got = phi_shuffle(p, q, table)
+            letters = {w.letters: c for w, c in got.terms.items() if len(w) == 1}
+            assert letters == {((2, 2 % alphabet.color_order),): 3}
+            assert all(w.alphabet is alphabet for w in got.terms)
+
+
+def test_the_shared_shuffle_table_serves_every_alphabet():
+    # x2 and x3 words with equal letter tuples, and y words, shuffled in
+    # one process through the one shared gamma = 0 table, each against the
+    # interleavings of its own words
+    x3 = Alphabet.x(3)
+    pairs = []
+    for alphabet, texts in (
+        (X2, ["x0", "x1 x0", "x0 x0 x1", "x1 x1 x0 x1"]),
+        (x3, ["x0", "x1 x0", "x0 x0 x1", "x2 x1 x0", "x1 x1 x0 x1"]),
+        (Y, ["y1", "y2 y1", "y1 y1", "y3 y1 y2"]),
+    ):
+        words = [alphabet.parse_word(t) for t in texts]
+        pairs += itertools.product(words, repeat=2)
+    for _ in range(2):  # the second round reads the filled table
+        for u, v in pairs:
+            got = shuffle(NCPoly.from_word(u), NCPoly.from_word(v))
+            assert got == shuffle_oracle(u, v), (u, v)
+            assert all(w.alphabet is u.alphabet for w in got.terms)
+
+
+# -- the split budget of pi1 -------------------------------------------------------
+
+
+def test_split_budget_counts_letters_and_admits_every_word_to_grade_six():
+    from wordseries.words import _check_split_budget
+
+    x2 = Alphabet.x(2)
+    _check_split_budget(x2, [(0, 1) * 5 + (0,)])  # 3^11 entries
+    with pytest.raises(ValueError, match=r"pi1 needs split tables of 531441 entries, over the budget of 262144 entries"):
+        _check_split_budget(x2, [(0, 1) * 6])  # 3^12
+    # a y letter of weight k counts (k + 1)(k + 2) / 2 on plain y
+    with pytest.raises(ValueError, match=str(861**3)):
+        _check_split_budget(Y, [((40, 0),) * 3])
+    for alphabet, top in ((X2, 6), (Alphabet.x(3), 6), (Y, 6), (Alphabet.y(color_order=2), 6)):
+        for w in words_up_to_grading(alphabet, top):
+            _check_split_budget(alphabet, [w.letters])
+
+
+def test_pi1_refuses_a_word_over_the_split_budget_before_any_work(monkeypatch):
+    # with a budget of 100 entries, five x letters (3^5 = 243) are refused
+    # at once and four (81) are admitted
+    monkeypatch.setattr("wordseries.words._WORD_BUDGET", 100)
+    with pytest.raises(ValueError, match="over the budget of 100 entries"):
+        pi1(poly(X2, "x0 x1 x0 x1 x1"))
+    assert pi1(poly(X2, "x0 x1 x0 x1")) == pi1_by_fractions(poly(X2, "x0 x1 x0 x1"))
+    with pytest.raises(ValueError, match="over the budget"):
+        pi1(poly(Y, "y2 y1 y2 y1"), STUFFLE)  # 6 * 3 * 6 * 3 = 324 entries
