@@ -34,7 +34,7 @@ from .ncpoly import (
     pi1,
     shuffle,
 )
-from .hopf import DualBases, diagonal_factorization_check
+from .hopf import DualBases, diagonal_factorization_check, duality_check
 from .linrep import (
     LieDiagnostics,
     LinRep,

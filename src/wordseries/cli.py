@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .hopf import DualBases, diagonal_factorization_check
+from .hopf import DualBases, diagonal_factorization_check, duality_check
 from .hyperlog import (
     ComplexVal,
     FormFamily,
@@ -42,8 +42,8 @@ from .linrep import (
     rat_sum,
     triangular_decompose,
 )
-from .ncpoly import NCPoly, PhiTable, _integer_terms, _letters, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
-from .words import Alphabet, lyndon_words, parse_alphabet, words_up_to_grading
+from .ncpoly import NCPoly, PhiTable, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
+from .words import Alphabet, lyndon_words, parse_alphabet
 
 __all__ = ["main"]
 
@@ -188,55 +188,23 @@ def cmd_basis(args) -> int:
 
 def cmd_check(args) -> int:
     n = args.N
+    if args.what in ("duality", "diagonal"):
+        alphabet = parse_alphabet(args.alphabet)
+        phi = _load_gamma(args) if alphabet.is_y else None
     if args.what == "duality":
-        if n < 0:
-            raise ValueError("bound must be >= 0")
-        alphabet = parse_alphabet(args.alphabet)
-        phi = _load_gamma(args) if alphabet.is_y else None
-        bases = DualBases(alphabet, phi)
-        pairs = (
-            [("S/P", bases.s, bases.p)]
-            if alphabet.is_x
-            else [("S/P", bases.s, bases.p), ("Sigma/Pi", bases.sigma, bases.pi)]
-        )
-        words = words_up_to_grading(alphabet, n)
-        grades = [list(same) for _, same in itertools.groupby(words, key=lambda w: w.grading)]
-        for name, left, right in pairs:
-            elements = {u: (left(u), right(u)) for u in words}
-            # elements homogeneous of their word's grade pair to 0 across grades
-            for u, pair in elements.items():
-                for family, element in zip(name.split("/"), pair):
-                    if any(w.grading != u.grading for w in element.terms):
-                        print(f"duality {name}: FAIL {family}({u}) is not homogeneous of grade {u.grading}")
-                        return 1
-            for same in grades:
-                forms = [[_integer_terms(_letters(e.terms)) for e in elements[v]] for v in same]
-                # the pairings <left(u), right(v)> of the grade, word by word
-                holders: dict = {}
-                for i, ((a, _), _) in enumerate(forms):
-                    for w, c in a.items():
-                        holders.setdefault(w, []).append((i, c))
-                gram = [[0] * len(same) for _ in same]
-                for j, (_, (b, _)) in enumerate(forms):
-                    for w, c in b.items():
-                        for i, x in holders.get(w, ()):
-                            gram[i][j] += x * c
-                for u, ((_, da), _), row in zip(same, forms, gram):
-                    for v, (_, (_, db)), got in zip(same, forms, row):
-                        if got != (da * db if u == v else 0):
-                            print(f"duality {name}: FAIL at <{u}, {v}> = {Fraction(got, da * db)}")
-                            return 1
-            print(f"duality {name}: PASS ({len(words)} words, grade <= {n})")
-        return 0
+        count, verdicts = duality_check(alphabet, phi, n)
+        for name, failure in verdicts:
+            print(f"duality {name}: " + (f"FAIL {failure}" if failure else f"PASS ({count} words, grade <= {n})"))
+        return 1 if verdicts[-1][1] else 0
     if args.what == "diagonal":
-        alphabet = parse_alphabet(args.alphabet)
-        phi = _load_gamma(args) if alphabet.is_y else None
         report = diagonal_factorization_check(alphabet, phi, n)
         if report.equal:
             print(f"diagonal factorization: PASS (grade <= {n})")
             return 0
         print(f"diagonal factorization: FAIL ({report.first_difference})")
         return 1
+    if not args.rep:
+        raise ValueError(f"'check {args.what}' needs --rep")
     rep = _load_rep(args.rep)
     if args.what == "mxstar":
         phi = _load_gamma(args) if rep.alphabet.is_y else None

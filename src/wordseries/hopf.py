@@ -20,9 +20,9 @@ basis keys: words under concatenation here, matrix units in ``linrep``.
 Inside, words are letter tuples and each basis element is an integer form,
 (numerators, d) with d the least common denominator: ``DualBases`` fills
 and caches the four families this way, the letter images pi1(y_k) come from
-``ncpoly._pi1_images`` on integers, the diagonal check sums and multiplies
-integer forms, and its left and right words stay tuples.  ``Word``s and
-``Fraction``s are built by the public accessors ``p``, ``s``, ``pi`` and
+``ncpoly._pi1_images`` on integers, and ``duality_check`` (a Gram matrix per
+grade) and the diagonal check read these forms with tuple words.  ``Word``s
+and ``Fraction``s are built by the public accessors ``p``, ``s``, ``pi`` and
 ``sigma``, and for the words a failed check reports.
 """
 
@@ -39,7 +39,6 @@ from .ncpoly import (
     PhiTable,
     _add_term,
     _combination,
-    _letters,
     _pi1_images,
     _product,
     _reduced,
@@ -48,7 +47,7 @@ from .ncpoly import (
 )
 from .words import Alphabet, Word, _lyndon_cuts, _standard_cut, lyndon_words, words_up_to_grading
 
-__all__ = ["DualBases", "DiagonalReport", "diagonal_factorization_check"]
+__all__ = ["DualBases", "DiagonalReport", "diagonal_factorization_check", "duality_check"]
 
 
 class DualBases:
@@ -93,18 +92,11 @@ class DualBases:
         """Sigma_w = (Phi^-1)^T S_w, the graded dual of Pi, in closed form."""
         return self._poly(self._sigma(w.letters))
 
-    def _pi1_of(self, letter) -> NCPoly:
-        """pi1(y_k): the image of the letter y_k under Phi."""
-        return self._poly(self._letter_image(letter))
-
-    def _phi_pi1(self, p: NCPoly) -> NCPoly:
-        """The conc-automorphism Phi sending each letter y_k to pi1(y_k)."""
-        return self._poly(self._phi(_letters(p.terms)))
-
-    def _pair(self):
-        """The left and right families as integer forms on letter tuples:
-        (S, P), or (Sigma, Pi) with a gamma table."""
-        return (self._s, self._p) if self.phi is None else (self._sigma, self._pi)
+    def _pairs(self) -> list[tuple]:
+        """The dual pairs (name, left, right) on integer forms: S/P, then
+        Sigma/Pi with a gamma table; the Lyndon exponential products read the last."""
+        pairs = [("S/P", self._s, self._p)]
+        return pairs if self.phi is None else pairs + [("Sigma/Pi", self._sigma, self._pi)]
 
     # -- the P / S pair, as integer forms (numerators, least denominator) ------
 
@@ -208,6 +200,50 @@ class DualBases:
         return _combination(((c, *self._contract(v)) for v, c in terms.items()), den)
 
 
+def duality_check(alphabet: Alphabet, phi: PhiTable | None = None, bound: int = 4) -> tuple[int, list[tuple]]:
+    """<L_u, R_v> = [u = v] for each dual pair L/R of ``DualBases`` on the
+    words of grade <= bound: the number of words and, pair by pair up to
+    the first that fails, (name, None) or (name, what failed)."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    bases = DualBases(alphabet, phi)
+    words = words_up_to_grading(alphabet, bound)
+    verdicts = []
+    for name, left, right in bases._pairs():
+        forms = [(u, *left(u.letters), *right(u.letters)) for u in words]
+        verdicts.append((name, _duality_failure(name.split("/"), forms)))
+        if verdicts[-1][1]:
+            break
+    return len(words), verdicts
+
+
+def _duality_failure(families: list[str], forms: list[tuple]) -> str | None:
+    """The first failure over ``forms``, (u, L_u, d_L, R_u, d_R) in grade order:
+    an element not homogeneous of its word's grade, else a pairing off [u = v]
+    in a grade's Gram matrix, filled word by word and read row by row."""
+    grading = {u.letters: u.grading for u, *_ in forms}  # None past the bound
+    for u, a, _, b, _ in forms:
+        for family, terms in zip(families, (a, b)):
+            if set(map(grading.get, terms)) - {u.grading}:
+                return f"{family}({u}) is not homogeneous of grade {u.grading}"
+    for _, same in itertools.groupby(forms, key=lambda form: form[0].grading):
+        same = list(same)
+        holders: dict = {}  # word -> (row, numerator) of each left element holding it
+        for i, (_, a, _, _, _) in enumerate(same):
+            for w, c in a.items():
+                holders.setdefault(w, []).append((i, c))
+        gram = [[0] * len(same) for _ in same]
+        for j, (_, _, _, b, _) in enumerate(same):
+            for w, c in b.items():
+                for i, x in holders.get(w, ()):
+                    gram[i][j] += x * c
+        for i, ((u, _, da, _, _), row) in enumerate(zip(same, gram)):
+            for j, ((v, _, _, _, db), got) in enumerate(zip(same, row)):
+                if got != (da * db if i == j else 0):
+                    return f"at <{u}, {v}> = {Fraction(got, da * db)}"
+    return None
+
+
 # -- diagonal series factorization -------------------------------------------
 
 
@@ -232,7 +268,7 @@ def _lyndon_exp_product(bases: DualBases, factors: list[Word], bound: int,
     product over the factors of K! (d_S d_R)^K, with K = bound // |l| and
     d_S the common denominator of S_l.
     """
-    left_of = bases._pair()[0]
+    left_of = bases._pairs()[-1][1]
     word_mul = _shuffle_law(bases.alphabet, bases.phi)
     weight = bases.alphabet.weight
     product = {(): one}  # left word -> its right element
@@ -284,7 +320,7 @@ def diagonal_factorization_check(
     if bound < 1:
         raise ValueError("bound must be >= 1")
     bases = DualBases(alphabet, phi)
-    left_of, right_of = bases._pair()
+    _, left_of, right_of = bases._pairs()[-1]
 
     words = [w.letters for w in words_up_to_grading(alphabet, bound)]
     side_words = {(w, w): 1 for w in words}

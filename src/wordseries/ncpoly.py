@@ -12,8 +12,10 @@ serves both.
 The shuffle is the phi-shuffle with gamma = 0: one word recursion
 (``_phi_shuffle_letters``) and one letter-split rule (``_letter_rule``,
 which also builds the closures of ``linrep``) serve both, on x and y
-alphabets.  Every bilinear product of the package, here and in ``hopf``,
-``linrep`` and ``hyperlog``, goes through the one kernel ``_product``.
+alphabets.  Every bilinear product of the package goes through the one
+kernel ``_product`` but the outer product in ``hopf._lyndon_exp_product``,
+a loop of its own: one ``_product`` call per pair of a left and a right
+term made the diagonal check about a third slower.
 
 Inside the kernels a word is its tuple of letters, and coefficients are
 integers wherever the gamma entries met are: ``_product``, the phi-shuffle

@@ -6,14 +6,17 @@ grade and their standard factorizations by scanning suffixes, Gauss-Jordan
 elimination over ``Fraction`` and minimization with one solve per vector,
 representation evaluation, word matrices and the two factorization checks of
 ``linrep`` on ``Fraction`` matrices, the diagonal factorization check on
-``Fraction`` tensors multiplied out in full, the Sigma basis from the dense
+``Fraction`` tensors multiplied out in full, the duality check on basis
+elements rebuilt as ``NCPoly``s, the Sigma basis from the dense
 duality system of its grade, pi1 and the four dual-basis families on
 ``Word``-keyed ``Fraction`` maps, the associativity of a gamma table on word
 triples, truncated polynomial products term by term, grouplike and
 primitive series on a coproduct table built word by word,
 the Chen series one word at a time and its pairing as a sum over words, the
 ``eval chen`` table printed row by row from words and values, and an ODE
-solver by recentered Taylor series.
+solver by recentered Taylor series.  ``pi1_of`` and ``phi_pi1`` are no
+oracles: they show as ``NCPoly``s the letter images pi1(y_k) and the letter
+morphism Phi that a ``DualBases`` holds as integer forms.
 """
 
 import itertools
@@ -31,6 +34,8 @@ from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
     TruncSeries,
+    _integer_terms,
+    _letters,
     _values_match,
     conc,
     coproduct,
@@ -245,6 +250,58 @@ def pi1_by_fractions(p, phi=None):
             scale = coeff * Fraction((-1) ** (k - 1), k)
             word_product_terms({w.alphabet.empty_word(): scale}, conv_power(w, k), out=out)
     return NCPoly(p.alphabet, out)
+
+
+def pi1_of(bases, letter):
+    """pi1(y_k) as ``bases`` caches it: the image of the letter y_k under Phi."""
+    return NCPoly._of_letters(bases.alphabet, *bases._letter_image(letter))
+
+
+def phi_pi1(bases, p):
+    """Phi(p), the conc-automorphism of ``bases`` sending each letter y_k to pi1(y_k)."""
+    return NCPoly._of_letters(bases.alphabet, *bases._phi(_letters(p.terms)))
+
+
+def duality_by_fractions(alphabet, phi=None, bound=4):
+    """The duality check on the public ``NCPoly`` accessors: every element
+    rebuilt from ``Word``s and ``Fraction``s, homogeneity read from word
+    gradings, and each grade's Gram matrix filled word by word from the
+    ``_integer_terms`` of its elements.  Returns (word count, verdicts)
+    as ``duality_check`` does."""
+    bases = DualBases(alphabet, phi)
+    pairs = [("S/P", bases.s, bases.p)] + ([("Sigma/Pi", bases.sigma, bases.pi)] if phi is not None else [])
+    words = words_up_to_grading(alphabet, bound)
+    grades = [list(same) for _, same in itertools.groupby(words, key=lambda w: w.grading)]
+    verdicts = []
+    for name, left, right in pairs:
+        verdicts.append((name, _duality_failure_by_fractions(name, words, grades, left, right)))
+        if verdicts[-1][1]:
+            break
+    return len(words), verdicts
+
+
+def _duality_failure_by_fractions(name, words, grades, left, right):
+    elements = {u: (left(u), right(u)) for u in words}
+    for u, pair in elements.items():
+        for family, element in zip(name.split("/"), pair):
+            if any(w.grading != u.grading for w in element.terms):
+                return f"{family}({u}) is not homogeneous of grade {u.grading}"
+    for same in grades:
+        forms = [[_integer_terms(_letters(e.terms)) for e in elements[v]] for v in same]
+        holders = {}
+        for i, ((a, _), _) in enumerate(forms):
+            for w, c in a.items():
+                holders.setdefault(w, []).append((i, c))
+        gram = [[0] * len(same) for _ in same]
+        for j, (_, (b, _)) in enumerate(forms):
+            for w, c in b.items():
+                for i, x in holders.get(w, ()):
+                    gram[i][j] += x * c
+        for u, ((_, da), _), row in zip(same, forms, gram):
+            for v, (_, (_, db)), got in zip(same, forms, row):
+                if got != (da * db if u == v else 0):
+                    return f"at <{u}, {v}> = {Fraction(got, da * db)}"
+    return None
 
 
 def dual_bases_by_fractions(alphabet, phi=None):

@@ -11,7 +11,7 @@ from wordseries import cli
 from wordseries.cli import main
 from wordseries.hopf import DualBases
 from wordseries.linrep import LinRep
-from wordseries.ncpoly import NCPoly
+from wordseries.ncpoly import NCPoly, _combination
 from wordseries.words import Alphabet
 
 
@@ -281,6 +281,13 @@ def test_missing_rep_is_validation_error(capsys):
     assert "--rep" in err or "needs" in err
 
 
+@pytest.mark.parametrize("what", ["mxstar", "triangular"])
+def test_check_without_rep_exits_2(capsys, what):
+    code, out, err = run(capsys, "check", what, "--N", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: 'check {what}' needs --rep\n"
+
+
 def test_requests_share_no_parsed_state(capsys, tmp_path):
     # main reuses one parser; a request's flags must not leak into the next
     rep = LinRep.from_poly(NCPoly.from_word(Alphabet.x(2).parse_word("x0"), 2))
@@ -343,34 +350,34 @@ def test_check_duality_passes_and_fails_on_a_perturbed_sigma(capsys, monkeypatch
         "duality S/P: PASS (16 words, grade <= 4)",
         "duality Sigma/Pi: PASS (16 words, grade <= 4)",
     ]
-    exact = DualBases.sigma
+    exact = DualBases._sigma
     y = Alphabet.y()
-    target = y.parse_word("y2 y1")
+    target = y.parse_word("y2 y1").letters
 
     def perturbed(self, w):
         out = exact(self, w)
         if w == target:  # one coefficient off by 1/2
-            return out + NCPoly.from_word(y.parse_word("y3"), Fraction(1, 2))
+            return _combination([(1, *out), (1, {y.parse_word("y3").letters: 1}, 2)])
         return out
 
-    monkeypatch.setattr(DualBases, "sigma", perturbed)
+    monkeypatch.setattr(DualBases, "_sigma", perturbed)
     code, out, _ = run(capsys, "check", "duality", "--alphabet", "y", "--N", "4")
     assert code == 1
     assert out.splitlines()[-1] == "duality Sigma/Pi: FAIL at <y2 y1, y3> = 1/2"
 
 
 def test_check_duality_fails_on_a_non_homogeneous_element(capsys, monkeypatch):
-    exact = DualBases.pi
+    exact = DualBases._pi
     y = Alphabet.y()
-    target = y.parse_word("y1 y2")
+    target = y.parse_word("y1 y2").letters
 
     def mixed(self, w):
         out = exact(self, w)
         if w == target:  # a term of grade 4 in an element of grade 3
-            return out + NCPoly.from_word(y.parse_word("y1 y1 y2"))
+            return _combination([(1, *out), (1, {y.parse_word("y1 y1 y2").letters: 1}, 1)])
         return out
 
-    monkeypatch.setattr(DualBases, "pi", mixed)
+    monkeypatch.setattr(DualBases, "_pi", mixed)
     code, out, _ = run(capsys, "check", "duality", "--alphabet", "y", "--N", "4")
     assert code == 1
     assert out.splitlines() == [

@@ -3,17 +3,28 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import binomial_gamma, diagonal_by_fractions, dual_bases_by_fractions, pi1_by_fractions, sigma_by_inverse
+from oracles import (
+    binomial_gamma,
+    diagonal_by_fractions,
+    dual_bases_by_fractions,
+    duality_by_fractions,
+    phi_pi1,
+    pi1_by_fractions,
+    pi1_of,
+    sigma_by_inverse,
+)
 
-from wordseries.hopf import DualBases, diagonal_factorization_check
+from wordseries.hopf import DualBases, diagonal_factorization_check, duality_check
 from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
     TensorPoly,
+    _combination,
     delta_phi,
     pi1,
     shuffle,
@@ -154,7 +165,7 @@ def test_phi_pi1_is_triangular_with_unit_diagonal(yb):
         words = [w for w in words_up_to_grading(Y, grade) if w.grading == grade]
         words.sort(key=lambda w: (len(w), w.lex_key()))
         for j, w in enumerate(words):
-            image = yb._phi_pi1(NCPoly.from_word(w))
+            image = phi_pi1(yb, NCPoly.from_word(w))
             assert image.coeff(w) == 1
             for i, u in enumerate(words):
                 if len(u) < len(w):
@@ -171,7 +182,7 @@ def test_shared_letter_images_match_pi1_of_each_letter(alphabet, phi):
     # heaviest letter first; pi1 recomputes each letter from empty caches
     bases = DualBases(alphabet, phi)
     for letter in alphabet.letters(max_weight=8):
-        assert bases._pi1_of(letter) == pi1(NCPoly.from_word(alphabet.word([letter])), phi), letter
+        assert pi1_of(bases, letter) == pi1(NCPoly.from_word(alphabet.word([letter])), phi), letter
 
 
 def test_radford_words_are_polynomials_in_lyndon_s(xb):
@@ -345,3 +356,41 @@ def test_pi1_and_the_dual_bases_match_the_fraction_oracles(data):
         element = getattr(bases, family)(w)
         assert element == getattr(oracle, family)(w), (family, w)
         assert all(type(c) is Fraction for c in element.terms.values())
+
+
+# the integer-form method of each family in a pair name
+FAMILY_METHODS = {"S": "_s", "P": "_p", "Sigma": "_sigma", "Pi": "_pi"}
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_duality_check_matches_the_fraction_oracle(data):
+    # the check on the integer forms against the same Gram on elements
+    # rebuilt as NCPolys: equal word counts, verdicts and failure texts,
+    # exact, with one coefficient perturbed or one term of another grade
+    case = data.draw(st.integers(0, len(ORACLE_CASES) - 1))
+    alphabet, phi, top = ORACLE_CASES[case]
+    bound = data.draw(st.integers(0, top - 1))
+    perturbation = data.draw(st.sampled_from(["none", "coefficient", "grade"]))
+    words = [w for w in ORACLE_WORDS[case] if w.grading <= bound] + [alphabet.empty_word()]
+    u = data.draw(st.sampled_from(words))
+    same = [w for w in words if w.grading == u.grading]
+    extra = data.draw(st.sampled_from(same)).letters
+    if perturbation == "grade":
+        extra += ORACLE_WORDS[case][0].letters
+    c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    names = ["S", "P"] + (["Sigma", "Pi"] if phi is not None else [])
+    method = FAMILY_METHODS[data.draw(st.sampled_from(names))]
+    exact = getattr(DualBases, method)
+
+    def perturbed(self, w):
+        terms, den = exact(self, w)
+        if perturbation != "none" and w == u.letters:
+            return _combination([(1, terms, den), (c.numerator, {extra: 1}, c.denominator)])
+        return terms, den
+
+    with mock.patch.object(DualBases, method, perturbed):
+        got = duality_check(alphabet, phi, bound)
+        want = duality_by_fractions(alphabet, phi, bound)
+    assert got == want
+    assert (got[1][-1][1] is None) == (perturbation == "none"), got
