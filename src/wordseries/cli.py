@@ -42,7 +42,7 @@ from .linrep import (
     rat_sum,
     triangular_decompose,
 )
-from .ncpoly import NCPoly, PhiTable, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
+from .ncpoly import NCPoly, PhiTable, TensorPoly, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
 from .words import Alphabet, lyndon_words, parse_alphabet
 
 __all__ = ["main"]
@@ -67,7 +67,7 @@ def _emit_value(v: ComplexVal, fmt: str, label: str = "value") -> None:
         print(f"{_fnum(v.real)}{v.imag:+.15g}j ± {_fnum(v.err)}")
 
 
-def _emit_poly(p: NCPoly, fmt: str) -> None:
+def _emit_poly(p: NCPoly | TensorPoly, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(p.to_json(), sort_keys=True))
     else:
@@ -124,12 +124,8 @@ def _sigma(args) -> SingularitySet:
 
 def cmd_lyndon(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
-    words = lyndon_words(alphabet, args.max)
-    if args.format == "json":
-        print(json.dumps([str(w) for w in words]))
-    else:
-        for w in words:
-            print(w)
+    names = [alphabet.name(w.letters) for w in lyndon_words(alphabet, args.max)]
+    sys.stdout.write(json.dumps(names) + "\n" if args.format == "json" else "".join(name + "\n" for name in names))
     return 0
 
 
@@ -153,11 +149,7 @@ def cmd_coprod(args) -> int:
     alphabet = _infer_alphabet([args.word], args.alphabet)
     p = _parse_poly(alphabet, args.word)
     phi = _load_gamma(args) if args.law == "phi" else None
-    t = coproduct(args.law, p, phi)
-    if args.format == "json":
-        print(json.dumps(t.to_json(), sort_keys=True))
-    else:
-        print(str(t))
+    _emit_poly(coproduct(args.law, p, phi), args.format)
     return 0
 
 
@@ -201,7 +193,9 @@ def cmd_check(args) -> int:
         if report.equal:
             print(f"diagonal factorization: PASS (grade <= {n})")
             return 0
-        print(f"diagonal factorization: FAIL ({report.first_difference})")
+        u, v, words, product, name = report.first_difference
+        print(f"diagonal factorization: FAIL at {u}⊗{v}: word sum {format_fraction(words)}, "
+              f"{name} {format_fraction(product)}")
         return 1
     if not args.rep:
         raise ValueError(f"'check {args.what}' needs --rep")

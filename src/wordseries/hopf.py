@@ -21,9 +21,11 @@ Inside, words are letter tuples and each basis element is an integer form,
 (numerators, d) with d the least common denominator: ``DualBases`` fills
 and caches the four families this way, the letter images pi1(y_k) come from
 ``ncpoly._pi1_images`` on integers, and ``duality_check`` (a Gram matrix per
-grade) and the diagonal check read these forms with tuple words.  ``Word``s
-and ``Fraction``s are built by the public accessors ``p``, ``s``, ``pi`` and
-``sigma``, and for the words a failed check reports.
+grade) and the diagonal check read these forms with tuple words.  The
+public accessors ``p``, ``s``, ``pi`` and ``sigma`` wrap the cached forms
+as ``NCPoly``s without a copy, since that is the form an ``NCPoly`` stores;
+``Word``s and ``Fraction``s are built only for the words a failed check
+reports.
 """
 
 from __future__ import annotations
@@ -70,27 +72,24 @@ class DualBases:
         for name in ("_p", "_s", "_pi", "_sigma", "_letter_image", "_phi_word", "_contract"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
-    # -- public accessors: polynomials with Fraction coefficients -------------
-
-    def _poly(self, form: tuple[dict, int]) -> NCPoly:
-        return NCPoly._of_letters(self.alphabet, *form)
+    # -- public accessors: the cached forms as polynomials ----------------------
 
     def p(self, w: Word) -> NCPoly:
         """Bracketing basis: P_x = x, P_l = [P_s, P_r], PBW products elsewhere."""
-        return self._poly(self._p(w.letters))
+        return NCPoly._of(self.alphabet, *self._p(w.letters))
 
     def s(self, w: Word) -> NCPoly:
         """Dual basis: S_l = x S_l' on Lyndon l = x l', divided shuffle powers
         over the Lyndon factorization elsewhere."""
-        return self._poly(self._s(w.letters))
+        return NCPoly._of(self.alphabet, *self._s(w.letters))
 
     def pi(self, w: Word) -> NCPoly:
         """Pi_w: image of P_w under the letter-wise pi1 automorphism."""
-        return self._poly(self._pi(w.letters))
+        return NCPoly._of(self.alphabet, *self._pi(w.letters))
 
     def sigma(self, w: Word) -> NCPoly:
         """Sigma_w = (Phi^-1)^T S_w, the graded dual of Pi, in closed form."""
-        return self._poly(self._sigma(w.letters))
+        return NCPoly._of(self.alphabet, *self._sigma(w.letters))
 
     def _pairs(self) -> list[tuple]:
         """The dual pairs (name, left, right) on integer forms: S/P, then
@@ -341,7 +340,7 @@ def diagonal_factorization_check(
     for name, other, scale in (("dual-basis sum", side_bases, side_den), ("Lyndon product", product, den)):
         differ = [k for k in side_words.keys() | other.keys() if side_words.get(k, 0) * scale != other.get(k, 0)]
         if differ:
-            key = min(differ, key=lambda k: tuple(w.sort_key() for w in _words(alphabet, k)))
+            key = min(differ, key=lambda k: (alphabet.sort_key(k[0]), alphabet.sort_key(k[1])))
             a, b = Fraction(side_words.get(key, 0)), Fraction(other.get(key, 0), scale)
             return DiagonalReport(False, (*_words(alphabet, key), a, b, name))
     return DiagonalReport(True)

@@ -685,9 +685,9 @@ def _chen_names(alphabet: Alphabet, bound: int) -> list[str]:
     name of p b sits at index(p) (m+1) + b within its grade, as in
     ``_chen_kernel``; the empty word is "ε".  The strings equal ``str(Word)``.
     """
-    letters = [alphabet.letter_name(a) for a in alphabet.letters()]
+    letters = [alphabet.name((a,)) for a in alphabet.letters()]
     spaced = [" " + name for name in letters]
-    names = ["ε"]
+    names = [alphabet.name(())]
     grade = letters
     for k in range(1, bound + 1):
         if k > 1:
@@ -714,9 +714,9 @@ def chen_series(
     """
     grades, err = _chen_grades(forms, z0, z, bound, quad)
     alphabet = forms.alphabet()
-    values = np.concatenate(grades).tolist()
-    coeffs = {w: ComplexVal(v, err) for w, v in zip(words_up_to_grading(alphabet, bound), values)}
-    return TruncSeries(alphabet, bound, coeffs)
+    values = (ComplexVal(v, err) for v in np.concatenate(grades).tolist())
+    coeffs = {w.letters: c for w, c in zip(words_up_to_grading(alphabet, bound), values) if c}
+    return TruncSeries._of(alphabet, bound, coeffs)
 
 
 def system_output(

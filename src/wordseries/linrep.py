@@ -23,7 +23,10 @@ letters).  Coefficients, word matrices, mu of polynomials, the matrices of
 polynomials of the triangular check and the two sides of the M(X*) check
 (the word sum, and the Lyndon product of ``hopf`` keyed by matrix units) are
 summed on integers, and one ``Fraction`` is built per output value: every
-value returned is a ``Fraction``.
+value returned is a ``Fraction``.  Words are letter tuples throughout, as
+``ncpoly`` stores them: ``mu_of_poly`` and ``from_poly`` read a polynomial's
+integer form, and ``eval_truncated`` and the checks store their series by
+letter tuple, with no ``Word`` built.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .ncpoly import (
     _letter_rule,
     _product,
     _scaled,
-    _words,
     format_fraction,
     is_character,
     is_infinitesimal_character,
@@ -214,24 +216,24 @@ class LinRep:
             raise ValueError("materialized letter weights do not cover the bound")
         ints = self._integers()
         steps = [
-            (alphabet.word((letter,)), alphabet.letter_weight(letter), self._of_letter(ints.cols, letter))
+            (letter, alphabet.letter_weight(letter), self._of_letter(ints.cols, letter))
             for letter in alphabet.letters(max_weight=bound)
         ]
-        coeffs: dict[Word, Fraction] = {}
-        frontier = [(alphabet.empty_word(), ints.nu)]
+        coeffs: dict[tuple, Fraction] = {}
+        frontier = [((), 0, ints.nu)]  # (letters, grading, nu' M(w)) of the words of one length
         den = ints.d ** 2  # the frontier holds the words of one length k: d^(k+2)
         while frontier:
             nxt = []
-            for w, row in frontier:
+            for w, grading, row in frontier:
                 c = sum(map(mul, row, ints.eta))
                 if c:
                     coeffs[w] = Fraction(c, den)
                 for x, weight, cols in steps:
-                    if w.grading + weight <= bound:
-                        nxt.append((w * x, _times(row, cols)))
+                    if grading + weight <= bound:
+                        nxt.append((w + (x,), grading + weight, _times(row, cols)))
             frontier = nxt
             den *= ints.d
-        return TruncSeries(alphabet, bound, coeffs)
+        return TruncSeries._of(alphabet, bound, coeffs)
 
     # -- construction helpers ---------------------------------------------------
 
@@ -242,36 +244,23 @@ class LinRep:
     @classmethod
     def from_poly(cls, p: NCPoly, max_letter_weight: int | None = None) -> "LinRep":
         """Representation of a polynomial on the prefix tree of its support."""
-        prefixes: list[Word] = []
-        seen = set()
-        for w in p.terms:
-            for i in range(len(w) + 1):
-                u = w[:i]
-                if u not in seen:
-                    seen.add(u)
-                    prefixes.append(u)
-        if not prefixes:
-            prefixes = [p.alphabet.empty_word()]
-        prefixes.sort(key=Word.sort_key)
+        alphabet, terms = p.alphabet, p._num
+        prefixes = sorted({w[:i] for w in terms for i in range(len(w) + 1)} or {()}, key=alphabet.sort_key)
         index = {u: i for i, u in enumerate(prefixes)}
         n = len(prefixes)
-        if max_letter_weight is None and p.alphabet.is_y:
-            max_letter_weight = max(
-                (p.alphabet.letter_weight(a) for w in p.terms for a in w.letters),
-                default=1,
-            )
-        letters = p.alphabet.letters(max_weight=max_letter_weight)
-        steps = [(letter, p.alphabet.word((letter,))) for letter in letters]
-        mu = {letter: [[ZERO] * n for _ in range(n)] for letter, _ in steps}
+        if max_letter_weight is None and alphabet.is_y:
+            max_letter_weight = max((alphabet.letter_weight(a) for w in terms for a in w), default=1)
+        letters = alphabet.letters(max_weight=max_letter_weight)
+        mu = {letter: [[ZERO] * n for _ in range(n)] for letter in letters}
         for u, i in index.items():
-            for letter, x in steps:
-                j = index.get(u * x)
+            for letter in letters:
+                j = index.get(u + (letter,))
                 if j is not None:
                     mu[letter][i][j] = ONE
         nu = [ZERO] * n
-        nu[index[p.alphabet.empty_word()]] = ONE
-        eta = [p.coeff(u) for u in prefixes]
-        return cls(p.alphabet, nu, mu, eta, max_letter_weight)
+        nu[index[()]] = ONE
+        eta = [Fraction(terms.get(u, 0), p._den) for u in prefixes]
+        return cls(alphabet, nu, mu, eta, max_letter_weight)
 
     # -- serialization ------------------------------------------------------------
 
@@ -331,16 +320,16 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
 
 
 def mu_of_poly(r: LinRep, p: NCPoly) -> Mat:
-    """mu extended linearly to polynomials, summed on integers over one
-    denominator."""
-    terms, den = _integer_terms(p.terms)
+    """mu extended linearly to polynomials, summed on integers over the
+    polynomial's denominator."""
+    terms, den = p._num, p._den
     d = r._integers().d
     longest = max(map(len, terms), default=0)
     word_matrix = r._word_matrices()
     out = [[0] * r.rank for _ in range(r.rank)]
     for w, c in terms.items():
         c *= d ** (longest - len(w))
-        for acc, row in zip(out, word_matrix(w.letters)):
+        for acc, row in zip(out, word_matrix(w)):
             for j, x in enumerate(row):
                 acc[j] += c * x
     return _fractions(out, den * d ** longest)
@@ -541,12 +530,11 @@ is_primitive = is_infinitesimal_character
 
 def log_trunc(series: TruncSeries) -> TruncSeries:
     """log of a series with unit constant term, at the series' truncation."""
-    one = series.alphabet.empty_word()
-    if series.coeff(one) != ONE:
+    if series.coeff(series.alphabet.empty_word()) != ONE:
         raise ValueError("log needs constant term 1")
-    x = series - TruncSeries(series.alphabet, series.bound, {one: ONE})
-    out = TruncSeries(series.alphabet, series.bound)
-    power = TruncSeries(series.alphabet, series.bound, {one: ONE})
+    x = series - TruncSeries._of(series.alphabet, series.bound, {(): ONE})
+    out = TruncSeries._of(series.alphabet, series.bound, {})
+    power = TruncSeries._of(series.alphabet, series.bound, {(): ONE})
     for k in range(1, series.bound + 1):
         power = power.conc_mul(x)
         out = out + power.scale(Fraction((-1) ** (k - 1), k))
@@ -555,11 +543,10 @@ def log_trunc(series: TruncSeries) -> TruncSeries:
 
 def exp_trunc(series: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term, at the series' truncation."""
-    one = series.alphabet.empty_word()
-    if series.coeff(one) != 0:
+    if series.coeff(series.alphabet.empty_word()) != 0:
         raise ValueError("exp needs constant term 0")
-    out = TruncSeries(series.alphabet, series.bound, {one: ONE})
-    power = TruncSeries(series.alphabet, series.bound, {one: ONE})
+    out = TruncSeries._of(series.alphabet, series.bound, {(): ONE})
+    power = TruncSeries._of(series.alphabet, series.bound, {(): ONE})
     for k in range(1, series.bound + 1):
         power = power.conc_mul(series).scale(Fraction(1, k))
         out = out + power
@@ -703,9 +690,8 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     ints = r._integers()
     word_matrix = r._word_matrices()
-    words = {w.letters: w for w in words_up_to_grading(alphabet, bound)}
     lhs = {}
-    for w in words:
+    for w in (u.letters for u in words_up_to_grading(alphabet, bound)):
         for i, row in enumerate(word_matrix(w)):
             for j, c in enumerate(row):
                 if c:
@@ -727,15 +713,15 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
         if lhs.get((w, ij), 0) * scale != rhs.get((w, ij), 0) * dpow[len(w)]
     ]
     if differ:
-        first = min((words[w] for w in differ), key=Word.sort_key)
+        first = alphabet.name(min(differ, key=alphabet.sort_key))
         return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
 
     readout: dict = {}
     for (w, (i, j)), c in rhs.items():
         _add_term(readout, w, ints.nu[i] * c * ints.eta[j])
     den = scale * ints.d ** 2
-    readout = {words[w]: Fraction(c, den) for w, c in readout.items()}
-    if TruncSeries(alphabet, bound, readout) != r.eval_truncated(bound):
+    readout = {w: Fraction(c, den) for w, c in readout.items()}
+    if TruncSeries._of(alphabet, bound, readout) != r.eval_truncated(bound):
         return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)
 
@@ -749,8 +735,7 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     reconstructed as nu (sum of its powers) D(X*) eta, then compared against
     direct evaluation.  Matrices of polynomials are n x n lists of
     letter tuple -> integer maps, built from the integer letter matrices
-    d mu(x): the coefficient of w is the integer over d^|w|.  Words are
-    built for the rebuilt series only.
+    d mu(x): the coefficient of w is the integer over d^|w|.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -809,8 +794,7 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
 
     full = _matpoly_mul(geom, d_star, bound, weight)
     readout = _matpoly_readout(ints.nu, full, ints.eta)
-    values = (Fraction(c, ints.d ** (len(w) + 2)) for w, c in readout.items())
-    rebuilt = TruncSeries(alphabet, bound, dict(zip(_words(alphabet, readout), values)))
+    rebuilt = TruncSeries._of(alphabet, bound, {w: Fraction(c, ints.d ** (len(w) + 2)) for w, c in readout.items()})
     direct = r.eval_truncated(bound)
     ok = rebuilt == direct
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
@@ -852,7 +836,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
     if series.alphabet.is_x:
         wmax = 1
     else:
-        wmax = max((w.grading for w in series.coeffs if len(w) == 1), default=1)
+        wmax = max((series.alphabet.weight(w) for w in series._values if len(w) == 1), default=1)
         wmax = max(wmax, 1)
     if n < wmax:
         return SweedlerVerdict(False, None, "window too small for realization evidence")

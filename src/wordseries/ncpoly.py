@@ -1,6 +1,6 @@
 """Noncommutative polynomials over the rationals and their three products.
 
-A polynomial is a finitely supported map ``Word -> Fraction``.  The module
+A polynomial is a finitely supported map from words to the rationals.  The module
 provides the concatenation product, the shuffle product, its ``phi``
 deformation on weighted alphabets (quasi-shuffle for the constant table 1),
 the dual coproducts, the eulerian idempotent projecting onto primitives, and
@@ -22,9 +22,15 @@ integers wherever the gamma entries met are: ``_product``, the phi-shuffle
 word table, the letter rule and the split tables of a coproduct, and the
 convolution powers of ``pi1``, whose images are integer numerators over
 lcm(1..n).  The word table is keyed by the two letter tuples and the color
-order, so colored alphabets with equal letter tuples stay apart.  ``Word``s
-and ``Fraction``s are built only where a ``NCPoly``, ``TensorPoly`` or
-``TruncSeries`` is returned (``_words``, ``NCPoly._of_letters``).
+order, so colored alphabets with equal letter tuples stay apart.
+
+That is also the one stored form: ``NCPoly`` and ``TensorPoly`` hold a map
+from letter tuples (pairs of them) to integer numerators over one reduced
+denominator, and ``TruncSeries`` a map from letter tuples to its values, so
+kernel results are stored as they come out.  ``Word``s and ``Fraction``s
+are built only at the boundary: the constructors take ``Word``-keyed maps,
+``coeff`` takes words, ``terms`` and ``coeffs`` build fresh ``Word``-keyed
+dicts, and every printer names letter tuples through ``Alphabet.name``.
 
 All identities here are exact; nothing in this module touches floating point.
 """
@@ -34,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -139,227 +146,196 @@ def _combination(parts: Iterable[tuple], den: int = 1) -> tuple[dict, int]:
     return _reduced(out, lcm * den)
 
 
-def _letters(terms: Mapping[Word, object]) -> dict:
-    """Word-keyed terms keyed by their letter tuples."""
-    return {w.letters: c for w, c in terms.items()}
-
-
 def _words(alphabet: Alphabet, letters: Iterable[tuple]) -> list[Word]:
-    """The words of letter tuples, unchecked: where kernel results become Words."""
+    """The words of letter tuples, unchecked: where stored forms become Words."""
     trusted = Word._trusted
     weight = len if alphabet.is_x else alphabet.weight
     return [trusted(alphabet, t, weight(t)) for t in letters]
 
 
-class NCPoly:
-    """Finitely supported ``Word -> Fraction`` map over one alphabet."""
+def _one_alphabet(a: Alphabet, b: Alphabet, what: str) -> None:
+    """Refuse to combine ``what`` over two different alphabets."""
+    if a is not b and a != b:
+        raise ValueError(f"{what} over different alphabets")
 
-    __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, Fraction] | None = None):
-        clean: dict[Word, Fraction] = {}
-        for w, c in (terms or {}).items():
-            if w.alphabet is not alphabet and w.alphabet != alphabet:
-                raise ValueError("term word over a different alphabet")
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c:
-                clean[w] = c
+def _checked_letters(alphabet: Alphabet, w: Word) -> tuple:
+    """The letters of ``w``, a word that must be over ``alphabet``."""
+    if w.alphabet is not alphabet and w.alphabet != alphabet:
+        raise ValueError("term word over a different alphabet")
+    return w.letters
+
+
+class _Form:
+    """A finitely supported map from keys of letter tuples to the rationals,
+    stored as integer numerators over one denominator den > 0, with gcd 1
+    and no numerator 0, so that equal maps have equal forms.  A subclass
+    names the ``_fields`` of a key, one word or two, splits a key into them
+    (``_parts``) and joins them (``_key``), and prints its terms."""
+
+    __slots__ = ("alphabet", "_num", "_den")
+
+    def __init__(self, alphabet: Alphabet, terms: Mapping | None = None):
+        """From a map whose keys hold ``Word``s of ``alphabet``."""
+        num = {}
+        for key, c in (terms or {}).items():
+            key = self._key([_checked_letters(alphabet, w) for w in self._parts(key)])
+            if c := Fraction(c):
+                num[key] = c
         self.alphabet = alphabet
-        self.terms = clean
+        self._num, self._den = _reduced(num, 1)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, num: dict, den: int = 1):
+        """The map num / den, reduced; ``num`` itself is kept when it already is."""
+        form = object.__new__(cls)
+        form.alphabet = alphabet
+        form._num, form._den = _reduced(num, den)
+        return form
+
+    @property
+    def terms(self) -> dict:
+        """The map as a fresh ``dict`` from keys of ``Word``s to ``Fraction``s."""
+        keys = (self._key(_words(self.alphabet, self._parts(k))) for k in self._num)
+        return {k: Fraction(c, self._den) for k, c in zip(keys, self._num.values())}
+
+    def coeff(self, *words: Word) -> Fraction:
+        """The coefficient of the key made of these words."""
+        return Fraction(self._num.get(self._key([_checked_letters(self.alphabet, w) for w in words]), 0), self._den)
+
+    # -- linear structure ------------------------------------------------
+
+    def _same_alphabet(self, other: "_Form") -> None:
+        _one_alphabet(self.alphabet, other.alphabet, self._what + "s")
+
+    def __add__(self, other):
+        self._same_alphabet(other)
+        return self._of(self.alphabet, *_combination([(1, self._num, self._den), (1, other._num, other._den)]))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(self.alphabet, {k: -c for k, c in self._num.items()}, self._den)
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, _Form):
+            raise TypeError("use conc/shuffle/phi_shuffle for polynomial products")
+        q = Fraction(scalar)
+        num = {k: c * q.numerator for k, c in self._num.items()} if q else {}
+        return self._of(self.alphabet, num, self._den * q.denominator)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.alphabet == other.alphabet
+            and self._den == other._den
+            and self._num == other._num
+        )
+
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
+    def _sorted(self, key: Callable) -> list[tuple]:
+        """The (key, numerator) pairs in the order of ``key`` on the parts of a key."""
+        return sorted(self._num.items(), key=lambda kc: tuple(map(key, self._parts(kc[0]))))
+
+    def __repr__(self) -> str:
+        return str(self)
+
+    # -- JSON form ---------------------------------------------------------
+
+    def to_json(self) -> list[dict]:
+        name, den = self.alphabet.name, self._den
+        return [
+            {**dict(zip(self._fields, map(name, self._parts(k)))), "coeff": format_fraction(Fraction(c, den))}
+            for k, c in self._sorted(self.alphabet.sort_key)
+        ]
+
+    @classmethod
+    def from_json(cls, alphabet: Alphabet, data: list):
+        num: dict = {}
+        for n, item in enumerate(_json_checked(data, list, cls._what)):
+            what = f"{cls._what} term {n}"
+            *texts, coeff = _json_fields(item, {**dict.fromkeys(cls._fields, str), "coeff": object}, what)
+            key = cls._key([alphabet.parse_word(text).letters for text in texts])
+            _add_term(num, key, _json_fraction(coeff, f"{what} 'coeff'"))
+        return cls._of(alphabet, num)
+
+
+class NCPoly(_Form):
+    """Finitely supported map from the words of one alphabet to the
+    rationals, keyed by letter tuples."""
+
+    __slots__ = ()
+    _what, _fields = "polynomial", ("word",)
+    _parts = staticmethod(lambda key: (key,))
+    _key = staticmethod(operator.itemgetter(0))
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet)
+        return cls._of(alphabet, {})
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet, {alphabet.empty_word(): ONE})
+        return cls._of(alphabet, {(): 1})
 
     @classmethod
     def from_word(cls, w: Word, coeff=ONE) -> "NCPoly":
-        return cls(w.alphabet, {w: Fraction(coeff)})
+        return cls(w.alphabet, {w: coeff})
 
-    @classmethod
-    def _of_letters(cls, alphabet: Alphabet, terms: Mapping[tuple, object], den: int = 1) -> "NCPoly":
-        """The polynomial of the nonzero numerators ``terms`` over ``den``,
-        keyed by letter tuples of ``alphabet``: where kernel results become
-        ``Word``s and ``Fraction``s."""
-        p = object.__new__(cls)
-        p.alphabet = alphabet
-        values = map(Fraction, terms.values()) if den == 1 else (Fraction(c, den) for c in terms.values())
-        p.terms = dict(zip(_words(alphabet, terms), values))
-        return p
-
-    # -- linear structure ------------------------------------------------
-
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(w, ZERO)
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._same_alphabet(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(out, w, c)
-        return NCPoly(self.alphabet, out)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, scalar) -> "NCPoly":
-        if isinstance(scalar, NCPoly):
-            raise TypeError("use conc/shuffle/phi_shuffle for polynomial products")
-        return NCPoly(self.alphabet, {w: c * Fraction(scalar) for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCPoly)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    # -- reading ------------------------------------------------------------
 
     def pairing(self, other: "NCPoly") -> Fraction:
         """Word-basis scalar product <self, other>."""
         self._same_alphabet(other)
-        small, big = sorted((self.terms, other.terms), key=len)
-        return sum((c * big.get(w, ZERO) for w, c in small.items()), ZERO)
+        small, big = sorted((self._num, other._num), key=len)
+        return Fraction(sum(c * big.get(w, 0) for w, c in small.items()), self._den * other._den)
 
     def max_grade(self) -> int:
-        return max((w.grading for w in self.terms), default=0)
+        return max(map(self.alphabet.weight, self._num), default=0)
 
     def truncate(self, max_grade: int) -> "NCPoly":
-        return NCPoly(
-            self.alphabet, {w: c for w, c in self.terms.items() if w.grading <= max_grade}
-        )
-
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
-
-    def _same_alphabet(self, other: "NCPoly") -> None:
-        if self.alphabet != other.alphabet:
-            raise ValueError("polynomials over different alphabets")
+        weight = self.alphabet.weight
+        return self._of(self.alphabet, {w: c for w, c in self._num.items() if weight(w) <= max_grade}, self._den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
+        name, den = self.alphabet.name, self._den
         parts = []
-        for w, c in sorted(self.terms.items(), key=lambda t: t[0].display_key()):
-            word = str(w)
-            if c == 1:
+        for w, c in self._sorted(self.alphabet.display_key):
+            word = name(w)
+            if c == den:
                 parts.append(word)
-            elif c == -1:
+            elif c == -den:
                 parts.append(f"-({word})" if parts else f"-{word}")
             else:
-                parts.append(f"{c} {word}")
+                parts.append(f"{Fraction(c, den)} {word}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    __repr__ = __str__
 
-    # -- JSON form ---------------------------------------------------------
+class TensorPoly(_Form):
+    """Finitely supported map from pairs of words of one alphabet to the
+    rationals (coproduct output), keyed by pairs of letter tuples."""
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"word": str(w), "coeff": format_fraction(c)} for w, c in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_json(cls, alphabet: Alphabet, data: list) -> "NCPoly":
-        terms: dict[Word, Fraction] = {}
-        for n, item in enumerate(_json_checked(data, list, "polynomial")):
-            what = f"polynomial term {n}"
-            word, coeff = _json_fields(item, {"word": str, "coeff": object}, what)
-            _add_term(terms, alphabet.parse_word(word), _json_fraction(coeff, f"{what} 'coeff'"))
-        return cls(alphabet, terms)
-
-
-class TensorPoly:
-    """Finitely supported ``(Word, Word) -> Fraction`` map (coproduct output)."""
-
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet: Alphabet, terms: Mapping[tuple[Word, Word], Fraction] | None = None):
-        clean: dict[tuple[Word, Word], Fraction] = {}
-        for (u, v), c in (terms or {}).items():
-            for w in (u, v):
-                if w.alphabet is not alphabet and w.alphabet != alphabet:
-                    raise ValueError("term word over a different alphabet")
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c:
-                clean[(u, v)] = c
-        self.alphabet = alphabet
-        self.terms = clean
-
-    def coeff(self, u: Word, v: Word) -> Fraction:
-        return self.terms.get((u, v), ZERO)
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _add_term(out, k, c)
-        return TensorPoly(self.alphabet, out)
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, scalar) -> "TensorPoly":
-        return TensorPoly(
-            self.alphabet, {k: c * Fraction(scalar) for k, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorPoly)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key())
-        )
+    __slots__ = ()
+    _what, _fields = "tensor", ("left", "right")
+    _parts = _key = staticmethod(tuple)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
+        name, den = self.alphabet.name, self._den
         bits = []
-        for (u, v), c in self.sorted_terms():
-            body = f"{u}⊗{v}"
-            bits.append(body if c == 1 else f"{c} {body}")
+        for (u, v), c in self._sorted(self.alphabet.sort_key):
+            body = f"{name(u)}⊗{name(v)}"
+            bits.append(body if c == den else f"{Fraction(c, den)} {body}")
         return " + ".join(bits)
-
-    __repr__ = __str__
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"left": str(u), "right": str(v), "coeff": format_fraction(c)}
-            for (u, v), c in self.sorted_terms()
-        ]
-
-    @classmethod
-    def from_json(cls, alphabet: Alphabet, data: list) -> "TensorPoly":
-        terms: dict[tuple[Word, Word], Fraction] = {}
-        for n, item in enumerate(_json_checked(data, list, "tensor")):
-            what = f"tensor term {n}"
-            left, right, coeff = _json_fields(item, {"left": str, "right": str, "coeff": object}, what)
-            key = (alphabet.parse_word(left), alphabet.parse_word(right))
-            _add_term(terms, key, _json_fraction(coeff, f"{what} 'coeff'"))
-        return cls(alphabet, terms)
 
 
 # -- the deformation table ---------------------------------------------------
@@ -536,7 +512,7 @@ def _shuffle_law(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable:
 
 def _bilinear(p: NCPoly, q: NCPoly, word_mul: Callable | None = None) -> NCPoly:
     p._same_alphabet(q)
-    return NCPoly._of_letters(p.alphabet, _product(_letters(p.terms), _letters(q.terms), word_mul))
+    return NCPoly._of(p.alphabet, _product(p._num, q._num, word_mul), p._den * q._den)
 
 
 def conc(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -550,7 +526,7 @@ def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
 
 
 def phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> NCPoly:
-    return NCPoly._of_letters(u.alphabet, _phi_shuffle_words(u, v, phi))
+    return NCPoly._of(u.alphabet, _phi_shuffle_words(u, v, phi))
 
 
 def phi_shuffle(p: NCPoly, q: NCPoly, phi: PhiTable) -> NCPoly:
@@ -579,11 +555,11 @@ def word_product(law: str, u: Word, v: Word, phi: PhiTable | None = None) -> NCP
 
 def delta_conc(p: NCPoly) -> TensorPoly:
     """Deconcatenation: all splits of each word."""
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for w, c in p.terms.items():
+    out: dict = {}
+    for w, c in p._num.items():
         for i in range(len(w) + 1):
             _add_term(out, (w[:i], w[i:]), c)
-    return TensorPoly(p.alphabet, out)
+    return TensorPoly._of(p.alphabet, out, p._den)
 
 
 def _letter_rule(alphabet: Alphabet, letter, phi: PhiTable) -> dict[tuple[tuple, tuple], int | Fraction]:
@@ -622,10 +598,9 @@ def _splits(alphabet: Alphabet, letters: tuple, phi: PhiTable) -> dict:
 
 def _conc_morphism_coproduct(p: NCPoly, phi: PhiTable) -> TensorPoly:
     out: dict = {}
-    for w, coeff in p.terms.items():
-        _product({((), ()): coeff}, _splits(p.alphabet, w.letters, phi), _tensor_conc, out=out)
-    left, right = (_words(p.alphabet, (pair[i] for pair in out)) for i in (0, 1))
-    return TensorPoly(p.alphabet, dict(zip(zip(left, right), out.values())))
+    for w, coeff in p._num.items():
+        _product({((), ()): coeff}, _splits(p.alphabet, w, phi), _tensor_conc, out=out)
+    return TensorPoly._of(p.alphabet, out, p._den)
 
 
 def delta_shuffle(p: NCPoly) -> TensorPoly:
@@ -666,8 +641,8 @@ def pi1(p: NCPoly, phi: PhiTable | None = None) -> NCPoly:
     ValueError before any work (``words._check_split_budget``).
     """
     image = _pi1_images(p.alphabet, phi)
-    _check_split_budget(p.alphabet, (w.letters for w in p.terms))
-    return NCPoly._of_letters(p.alphabet, *_combination((c, *image(w.letters)) for w, c in p.terms.items()))
+    _check_split_budget(p.alphabet, p._num)
+    return NCPoly._of(p.alphabet, *_combination(((c, *image(w)) for w, c in p._num.items()), p._den))
 
 
 def _pi1_images(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable[[tuple], tuple[dict, int]]:
@@ -717,80 +692,104 @@ def _pi1_images(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable[[tu
 
 
 class TruncSeries:
-    """Coefficients of a series, complete up to a stated grading bound.
+    """Coefficients of a series, complete up to a stated grading bound,
+    keyed by letter tuples.
 
     Values are exact ``Fraction`` for algebraic series; numeric series (the
     Chen series) store complex-like values instead.  Reading a coefficient
     beyond the bound raises: the window is honest about what it knows.
     """
 
-    __slots__ = ("alphabet", "bound", "coeffs")
+    __slots__ = ("alphabet", "bound", "_values")
 
     def __init__(self, alphabet: Alphabet, bound: int, coeffs: Mapping[Word, object] | None = None):
+        """From a map whose keys are ``Word``s of ``alphabet``; coefficients
+        beyond the bound are dropped."""
+        values = {}
+        for w, c in (coeffs or {}).items():
+            t = _checked_letters(alphabet, w)
+            if c and w.grading <= bound:
+                values[t] = c
         self.alphabet = alphabet
         self.bound = bound
-        self.coeffs = {}
-        for w, c in (coeffs or {}).items():
-            if w.grading > bound:
-                continue
-            if c:
-                self.coeffs[w] = c
+        self._values = values
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, bound: int, values: dict) -> "TruncSeries":
+        """The series of ``values``: nonzero, keyed by letter tuples of
+        gradings <= bound, and kept without a copy."""
+        series = object.__new__(cls)
+        series.alphabet, series.bound, series._values = alphabet, bound, values
+        return series
 
     @classmethod
     def from_poly(cls, p: NCPoly, bound: int) -> "TruncSeries":
-        return cls(p.alphabet, bound, dict(p.truncate(bound).terms))
+        weight, den = p.alphabet.weight, p._den
+        return cls._of(p.alphabet, bound, {w: Fraction(c, den) for w, c in p._num.items() if weight(w) <= bound})
 
     @classmethod
     def word_sum(cls, alphabet: Alphabet, bound: int) -> "TruncSeries":
         """Truncation of the sum of all words (the unital full series)."""
-        return cls(alphabet, bound, {w: ONE for w in words_up_to_grading(alphabet, bound)})
+        return cls._of(alphabet, bound, {w.letters: ONE for w in words_up_to_grading(alphabet, bound)})
+
+    @property
+    def coeffs(self) -> dict:
+        """The coefficients as a fresh ``dict`` from ``Word``s."""
+        return dict(zip(_words(self.alphabet, self._values), self._values.values()))
+
+    def _at(self, w: tuple):
+        grading = self.alphabet.weight(w)
+        if grading > self.bound:
+            raise ValueError(f"coefficient of grading {grading} beyond bound {self.bound}")
+        return self._values.get(w, ZERO)
 
     def coeff(self, w: Word):
-        if w.grading > self.bound:
-            raise ValueError(f"coefficient of grading {w.grading} beyond bound {self.bound}")
-        return self.coeffs.get(w, ZERO)
+        return self._at(_checked_letters(self.alphabet, w))
 
     def pair_poly(self, p: NCPoly):
         """<series, polynomial>; the polynomial must fit inside the window."""
+        _one_alphabet(self.alphabet, p.alphabet, "series")
         total = ZERO
-        for w, c in p.terms.items():
-            total = total + c * self.coeff(w)
+        for w, c in p._num.items():
+            total = total + Fraction(c, p._den) * self._at(w)
         return total
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        _one_alphabet(self.alphabet, other.alphabet, "series")
         bound = min(self.bound, other.bound)
-        out = {w: c for w, c in self.coeffs.items() if w.grading <= bound}
-        for w, c in other.coeffs.items():
-            if w.grading <= bound:
+        weight = self.alphabet.weight
+        out = {w: c for w, c in self._values.items() if weight(w) <= bound}
+        for w, c in other._values.items():
+            if weight(w) <= bound:
                 _add_term(out, w, c)
-        return TruncSeries(self.alphabet, bound, out)
+        return TruncSeries._of(self.alphabet, bound, out)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + other.scale(-1)
 
     def scale(self, scalar) -> "TruncSeries":
-        return TruncSeries(
-            self.alphabet, self.bound, {w: c * scalar for w, c in self.coeffs.items()}
-        )
+        values = ((w, c * scalar) for w, c in self._values.items())
+        return TruncSeries._of(self.alphabet, self.bound, {w: c for w, c in values if c})
 
     def conc_mul(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy (concatenation) product at the common bound."""
+        _one_alphabet(self.alphabet, other.alphabet, "series")
         bound = min(self.bound, other.bound)
-        terms = _product(_letters(self.coeffs), _letters(other.coeffs), bound=bound, grading=self.alphabet.weight)
-        return TruncSeries(self.alphabet, bound, dict(zip(_words(self.alphabet, terms), terms.values())))
+        terms = _product(self._values, other._values, bound=bound, grading=self.alphabet.weight)
+        return TruncSeries._of(self.alphabet, bound, terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncSeries)
             and self.alphabet == other.alphabet
             and self.bound == other.bound
-            and self.coeffs == other.coeffs
+            and self._values == other._values
         )
 
     def __str__(self) -> str:
-        body = " + ".join(
-            f"{c} {w}" for w, c in sorted(self.coeffs.items(), key=lambda t: t[0].sort_key())
-        )
+        name = self.alphabet.name
+        terms = sorted(self._values.items(), key=lambda t: self.alphabet.sort_key(t[0]))
+        body = " + ".join(f"{c} {name(w)}" for w, c in terms)
         return f"({body or '0'}) + O(grade {self.bound + 1})"
 
 

@@ -19,11 +19,15 @@ are built unchecked through ``Word._trusted``, their grading carried over
 or summed instead of recomputed.  ``lyndon_words`` generates the Lyndon
 words directly from their standard factorizations, so it builds no word it
 does not return.
+
+Words print through one printer, ``Alphabet.name``, which names a tuple of
+letters from a table of letter names that the alphabet fills on first use.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -124,15 +128,29 @@ class Alphabet:
         k, c = letter
         return (-k, c)  # heavier letters come first: ... y2 < y1
 
-    def letter_display_key(self, letter):
-        """Natural reading order for printed output (y1 before y2)."""
-        return letter  # x: index; y: the (weight, color) pair itself
+    def sort_key(self, letters: tuple) -> tuple:
+        """Structural order key of the word with these letters: grading, then lex."""
+        return (self.weight(letters), self.lex_key(letters))
+
+    def display_key(self, letters: tuple) -> tuple:
+        """Print order: grading, then natural reading order (y1 before y2)."""
+        return (self.weight(letters), letters)
 
     def letter_name(self, letter) -> str:
         if self.is_x:
             return f"x{letter}"
         k, c = letter
         return f"y{k}" if self.color_order is None else f"y{k}@{c}"
+
+    @functools.cached_property
+    def _letter_names(self):
+        """``letter_name`` with a table of the names already made."""
+        return functools.cache(self.letter_name)
+
+    def name(self, letters: tuple) -> str:
+        """The printed name of the word with these letters: its letter names
+        joined by spaces, "ε" for the empty word."""
+        return " ".join(map(self._letter_names, letters)) if letters else "ε"
 
     def letters(self, max_weight: int | None = None) -> list:
         """Letters in increasing order; a y alphabet requires ``max_weight``."""
@@ -242,13 +260,6 @@ class Word:
         """Structural order key: grading first, then lexicographic."""
         return (self._grading, self.lex_key())
 
-    def display_key(self) -> tuple:
-        """Print order: grading, then natural reading order of the letters."""
-        return (
-            self._grading,
-            tuple(self.alphabet.letter_display_key(a) for a in self.letters),
-        )
-
     def __lt__(self, other: "Word") -> bool:
         return self.sort_key() < other.sort_key()
 
@@ -272,9 +283,7 @@ class Word:
         return f"Word({self})"
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "ε"
-        return " ".join(self.alphabet.letter_name(a) for a in self.letters)
+        return self.alphabet.name(self.letters)
 
 
 # the slot setters, which skip the refusing __setattr__ at less cost than

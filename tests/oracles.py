@@ -11,7 +11,9 @@ elements rebuilt as ``NCPoly``s, the Sigma basis from the dense
 duality system of its grade, pi1 and the four dual-basis families on
 ``Word``-keyed ``Fraction`` maps, the associativity of a gamma table on word
 triples, truncated polynomial products term by term, grouplike and
-primitive series on a coproduct table built word by word,
+primitive series on a coproduct table built word by word, the linear
+structure, products, coproducts, series products, printers and JSON of the
+polynomial classes on ``Word``-keyed ``Fraction`` dicts,
 the Chen series one word at a time and its pairing as a sum over words, the
 ``eval chen`` table printed row by row from words and values, and an ODE
 solver by recentered Taylor series.  ``pi1_of`` and ``phi_pi1`` are no
@@ -34,8 +36,6 @@ from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
     TruncSeries,
-    _integer_terms,
-    _letters,
     _values_match,
     conc,
     coproduct,
@@ -252,21 +252,36 @@ def pi1_by_fractions(p, phi=None):
     return NCPoly(p.alphabet, out)
 
 
+def _poly_of_form(alphabet, form):
+    """The NCPoly of an integer form (letter tuple -> numerator, denominator),
+    built from Words and Fractions."""
+    terms, den = form
+    return NCPoly(alphabet, {Word(alphabet, t): Fraction(c, den) for t, c in terms.items()})
+
+
+def _integer_form(p):
+    """(letter tuple -> numerator, d) of an NCPoly, d the least common
+    denominator of its Fraction coefficients."""
+    terms = p.terms
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {w.letters: c.numerator * (d // c.denominator) for w, c in terms.items()}, d
+
+
 def pi1_of(bases, letter):
     """pi1(y_k) as ``bases`` caches it: the image of the letter y_k under Phi."""
-    return NCPoly._of_letters(bases.alphabet, *bases._letter_image(letter))
+    return _poly_of_form(bases.alphabet, bases._letter_image(letter))
 
 
 def phi_pi1(bases, p):
     """Phi(p), the conc-automorphism of ``bases`` sending each letter y_k to pi1(y_k)."""
-    return NCPoly._of_letters(bases.alphabet, *bases._phi(_letters(p.terms)))
+    return _poly_of_form(bases.alphabet, bases._phi({w.letters: c for w, c in p.terms.items()}))
 
 
 def duality_by_fractions(alphabet, phi=None, bound=4):
     """The duality check on the public ``NCPoly`` accessors: every element
     rebuilt from ``Word``s and ``Fraction``s, homogeneity read from word
     gradings, and each grade's Gram matrix filled word by word from the
-    ``_integer_terms`` of its elements.  Returns (word count, verdicts)
+    integer forms of its elements.  Returns (word count, verdicts)
     as ``duality_check`` does."""
     bases = DualBases(alphabet, phi)
     pairs = [("S/P", bases.s, bases.p)] + ([("Sigma/Pi", bases.sigma, bases.pi)] if phi is not None else [])
@@ -287,7 +302,7 @@ def _duality_failure_by_fractions(name, words, grades, left, right):
             if any(w.grading != u.grading for w in element.terms):
                 return f"{family}({u}) is not homogeneous of grade {u.grading}"
     for same in grades:
-        forms = [[_integer_terms(_letters(e.terms)) for e in elements[v]] for v in same]
+        forms = [[_integer_form(e) for e in elements[v]] for v in same]
         holders = {}
         for i, ((a, _), _) in enumerate(forms):
             for w, c in a.items():
@@ -630,6 +645,159 @@ def triangular_by_fractions(r, bound):
     ok = rebuilt == eval_truncated_by_fractions(r, bound)
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return rebuilt, FactorizationReport(ok, detail)
+
+
+# -- Word-keyed Fraction maps: the stored forms' oracle ------------------------
+#
+# Plain dicts from Words (pairs of Words for tensors) to Fractions, with
+# cancelled terms dropped, and the printers and JSON as they were written on
+# Word keys: the reference for NCPoly, TensorPoly and TruncSeries.
+
+
+def _accumulate(out, key, c):
+    total = out.get(key, Fraction(0)) + c
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def add_by_words(p, q, scale=Fraction(1)):
+    """p + scale q on Word-keyed maps."""
+    out = dict(p)
+    for key, c in q.items():
+        _accumulate(out, key, scale * c)
+    return out
+
+
+def scale_by_words(p, c):
+    return {key: c * x for key, x in p.items() if c * x}
+
+
+def _merged_letter(alphabet, a, b):
+    m = alphabet.color_order or 1
+    return Word(alphabet, ((a[0] + b[0], (a[1] + b[1]) % m),))
+
+
+def phi_shuffle_by_words(u, v, phi=None):
+    """u * v for the shuffle (phi None) or the phi-shuffle, by the recursion
+    a u' * b v' = a (u' * b v') + b (a u' * v') + gamma(a, b) [a + b] (u' * v')
+    on Words."""
+    if not u:
+        return {v: Fraction(1)}
+    if not v:
+        return {u: Fraction(1)}
+    out = {}
+    for head, rest in ((u[:1], phi_shuffle_by_words(u[1:], v, phi)), (v[:1], phi_shuffle_by_words(u, v[1:], phi))):
+        for w, c in rest.items():
+            _accumulate(out, head * w, c)
+    if phi is not None:
+        (a,), (b,) = u.letters[:1], v.letters[:1]
+        g = phi.gamma(a[0], b[0])
+        head = _merged_letter(u.alphabet, a, b)
+        for w, c in phi_shuffle_by_words(u[1:], v[1:], phi).items():
+            _accumulate(out, head * w, g * c)
+    return out
+
+
+def product_by_words(p, q, law, phi=None, bound=None):
+    """The conc, shuffle or phi product of two Word-keyed maps, truncated at
+    ``bound`` on the sum of the gradings when given."""
+    out = {}
+    for u, a in p.items():
+        for v, b in q.items():
+            if bound is not None and u.grading + v.grading > bound:
+                continue
+            terms = {u * v: Fraction(1)} if law == "conc" else phi_shuffle_by_words(u, v, phi if law == "phi" else None)
+            for w, c in terms.items():
+                _accumulate(out, w, a * b * c)
+    return out
+
+
+def coproduct_by_words(alphabet, p, law, phi=None):
+    """Delta p on Word-keyed maps: every split of each word for conc, and for
+    the shuffle and phi-shuffle the dual of the product, <Delta p, u (x) v> =
+    <p, u * v>, over every pair of words whose gradings add up to a word of p."""
+    out = {}
+    if law == "conc":
+        for w, c in p.items():
+            for i in range(len(w) + 1):
+                _accumulate(out, (w[:i], w[i:]), c)
+        return out
+    top = max((w.grading for w in p), default=0)
+    words = words_up_to_grading(alphabet, top)
+    for u in words:
+        for v in words:
+            if u.grading + v.grading <= top:
+                uv = phi_shuffle_by_words(u, v, phi if law == "phi" else None)
+                for w, c in p.items():
+                    _accumulate(out, (u, v), c * uv.get(w, Fraction(0)))
+    return out
+
+
+def series_power_sum_by_words(alphabet, x, bound, weights):
+    """sum_k weights[k] x^k over k >= 0, the powers of the Word-keyed map x
+    taken by truncated concatenation, x^0 the empty word."""
+    out = {}
+    power = {alphabet.empty_word(): Fraction(1)}
+    for k, weight in enumerate(weights):
+        if k:
+            power = product_by_words(power, x, "conc", bound=bound)
+        out = add_by_words(out, power, weight)
+    return out
+
+
+def word_name(w):
+    """A word's name from its letter names."""
+    return " ".join(w.alphabet.letter_name(a) for a in w.letters) or "ε"
+
+
+def display_key_by_words(w):
+    return (w.grading, w.letters)
+
+
+def poly_str_by_words(p):
+    if not p:
+        return "0"
+    parts = []
+    for w, c in sorted(p.items(), key=lambda t: display_key_by_words(t[0])):
+        word = word_name(w)
+        if c == 1:
+            parts.append(word)
+        elif c == -1:
+            parts.append(f"-({word})" if parts else f"-{word}")
+        else:
+            parts.append(f"{c} {word}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def tensor_str_by_words(t):
+    if not t:
+        return "0"
+    bits = []
+    for (u, v), c in sorted(t.items(), key=lambda kc: (kc[0][0].sort_key(), kc[0][1].sort_key())):
+        body = f"{word_name(u)}⊗{word_name(v)}"
+        bits.append(body if c == 1 else f"{c} {body}")
+    return " + ".join(bits)
+
+
+def series_str_by_words(coeffs, bound):
+    body = " + ".join(f"{c} {word_name(w)}" for w, c in sorted(coeffs.items(), key=lambda t: t[0].sort_key()))
+    return f"({body or '0'}) + O(grade {bound + 1})"
+
+
+def poly_json_by_words(p):
+    return [
+        {"word": word_name(w), "coeff": f"{c.numerator}/{c.denominator}"}
+        for w, c in sorted(p.items(), key=lambda t: t[0].sort_key())
+    ]
+
+
+def tensor_json_by_words(t):
+    return [
+        {"left": word_name(u), "right": word_name(v), "coeff": f"{c.numerator}/{c.denominator}"}
+        for (u, v), c in sorted(t.items(), key=lambda kc: (kc[0][0].sort_key(), kc[0][1].sort_key()))
+    ]
 
 
 def conc_truncated(a: NCPoly, b: NCPoly, bound: int) -> NCPoly:

@@ -386,6 +386,25 @@ def test_check_duality_fails_on_a_non_homogeneous_element(capsys, monkeypatch):
     ]
 
 
+def test_check_diagonal_fail_line_names_words_and_rationals(capsys, monkeypatch):
+    code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--N", "4")
+    assert (code, out) == (0, "diagonal factorization: PASS (grade <= 4)\n")
+    exact = DualBases._pi
+    y = Alphabet.y()
+    target = y.parse_word("y2 y1").letters
+
+    def perturbed(self, w):
+        out = exact(self, w)
+        if w == target:  # one coefficient off by 1/2
+            return _combination([(1, *out), (1, {y.parse_word("y1 y2").letters: 1}, 2)])
+        return out
+
+    monkeypatch.setattr(DualBases, "_pi", perturbed)
+    code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--N", "4")
+    assert code == 1
+    assert out == "diagonal factorization: FAIL at y3⊗y1 y2: word sum 0/1, dual-basis sum 1/4\n"
+
+
 def test_gamma_file_that_is_not_an_object_exits_2(capsys, tmp_path):
     path = tmp_path / "gamma.json"
     path.write_text(json.dumps([["1,1", "1/2"]]))

@@ -6,11 +6,28 @@ tuples, and dualities are checked coefficient by coefficient.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import binomial_gamma, non_associative_word_triple, pi1_by_fractions
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    add_by_words,
+    binomial_gamma,
+    coproduct_by_words,
+    non_associative_word_triple,
+    pi1_by_fractions,
+    poly_json_by_words,
+    poly_str_by_words,
+    product_by_words,
+    scale_by_words,
+    series_power_sum_by_words,
+    series_str_by_words,
+    tensor_json_by_words,
+    tensor_str_by_words,
+)
 
 from wordseries import ncpoly
 from wordseries.ncpoly import (
@@ -30,6 +47,7 @@ from wordseries.ncpoly import (
     shuffle,
     word_product,
 )
+from wordseries.linrep import exp_trunc, log_trunc
 from wordseries.words import Alphabet, Word, words_up_to_grading
 
 X2 = Alphabet.x(2)
@@ -543,3 +561,156 @@ def test_pi1_refuses_a_word_over_the_split_budget_before_any_work(monkeypatch):
     assert pi1(poly(X2, "x0 x1 x0 x1")) == pi1_by_fractions(poly(X2, "x0 x1 x0 x1"))
     with pytest.raises(ValueError, match="over the budget"):
         pi1(poly(Y, "y2 y1 y2 y1"), STUFFLE)  # 6 * 3 * 6 * 3 = 324 entries
+
+
+# -- the stored forms against Word-keyed Fraction oracles ----------------------------
+
+X3 = Alphabet.x(3)
+Y2 = Alphabet.y(color_order=2)
+FORM_CASES = [
+    (X2, None), (X3, None), (Y, STUFFLE), (Y, binomial_gamma(2)), (Y, binomial_gamma(Fraction(1, 2))),
+    (Y2, STUFFLE), (Y2, binomial_gamma(2)), (Y2, binomial_gamma(Fraction(1, 2))),
+]
+FORM_WORDS = {alphabet: words_up_to_grading(alphabet, 3) for alphabet in (X2, X3, Y, Y2)}
+
+
+def _word_maps(data, alphabet, empty=True):
+    """A Word-keyed map of up to four words of grading <= 3, zeros included."""
+    words = FORM_WORDS[alphabet] if empty else FORM_WORDS[alphabet][1:]
+    coeffs = st.fractions(-3, 3, max_denominator=4)
+    return data.draw(st.dictionaries(st.sampled_from(words), coeffs, max_size=4))
+
+
+def _canonical(form):
+    """The stored form is integer numerators over den > 0, with gcd 1 and no 0."""
+    nums = list(form._num.values())
+    assert form._den > 0 and all(type(c) is int and c for c in nums)
+    assert math.gcd(form._den, *nums) == 1
+    assert all(type(k) is tuple for k in form._num)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_polynomial_classes_match_the_word_fraction_oracles(data):
+    alphabet, phi = data.draw(st.sampled_from(FORM_CASES))
+    p, q = _word_maps(data, alphabet), _word_maps(data, alphabet)
+    c = data.draw(st.fractions(-3, 3, max_denominator=5))
+    P, Q = NCPoly(alphabet, p), NCPoly(alphabet, q)
+    p, q = add_by_words({}, p), add_by_words({}, q)  # the zeros dropped
+    for form, want in ((P, p), (Q, q), (P + Q, add_by_words(p, q)), (P - Q, add_by_words(p, q, Fraction(-1))),
+                       (-P, scale_by_words(p, Fraction(-1))), (P * c, scale_by_words(p, c)),
+                       (c * Q, scale_by_words(q, c))):
+        _canonical(form)
+        assert form.terms == want
+        assert form == NCPoly(alphabet, want) and str(form) == poly_str_by_words(want)
+        assert form.to_json() == poly_json_by_words(want)
+        assert NCPoly.from_json(alphabet, form.to_json()) == form
+    assert (P == Q) == (p == q) and bool(P) == bool(p)
+    laws = ["conc", "shuffle"] + (["phi"] if alphabet.is_y else [])
+    for law in laws:
+        got = {"conc": conc, "shuffle": shuffle, "phi": lambda a, b: phi_shuffle(a, b, phi)}[law](P, Q)
+        _canonical(got)
+        assert got.terms == product_by_words(p, q, law, phi), law
+        coproduct = {"conc": delta_conc, "shuffle": delta_shuffle, "phi": lambda a: delta_phi(a, phi)}[law](P)
+        want = coproduct_by_words(alphabet, p, law, phi)
+        _canonical(coproduct)
+        assert coproduct.terms == want, law
+        assert str(coproduct) == tensor_str_by_words(want) and coproduct.to_json() == tensor_json_by_words(want)
+        assert TensorPoly.from_json(alphabet, coproduct.to_json()) == coproduct == TensorPoly(alphabet, want)
+    assert pi1(P, phi) == pi1_by_fractions(P, phi)
+    bound = data.draw(st.integers(0, 3))
+    assert P.truncate(bound).terms == {w: x for w, x in p.items() if w.grading <= bound}
+    assert P.pairing(Q) == sum((x * q.get(w, 0) for w, x in p.items()), Fraction(0))
+    assert P.max_grade() == max((w.grading for w in p), default=0)
+    for w in FORM_WORDS[alphabet][:6]:
+        assert P.coeff(w) == p.get(w, 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_truncated_series_match_the_word_fraction_oracles(data):
+    alphabet, _ = data.draw(st.sampled_from(FORM_CASES))
+    bound = data.draw(st.integers(1, 3))
+    p, q = _word_maps(data, alphabet), _word_maps(data, alphabet, empty=False)
+    S, T = TruncSeries(alphabet, bound, p), TruncSeries.from_poly(NCPoly(alphabet, q), bound)
+    s = {w: x for w, x in add_by_words({}, p).items() if w.grading <= bound}
+    t = {w: x for w, x in add_by_words({}, q).items() if w.grading <= bound}
+    assert S.coeffs == s and T.coeffs == t
+    assert (S + T).coeffs == add_by_words(s, t) and (S - T).coeffs == add_by_words(s, t, Fraction(-1))
+    assert S.scale(Fraction(-2, 3)).coeffs == scale_by_words(s, Fraction(-2, 3))
+    assert S.conc_mul(T).coeffs == product_by_words(s, t, "conc", bound=bound)
+    assert str(S) == series_str_by_words(s, bound)
+    assert S == TruncSeries(alphabet, bound, s) and (S == T) == (s == t)
+    one = alphabet.empty_word()
+    weights = [Fraction((-1) ** (k - 1), k) if k else Fraction(0) for k in range(bound + 1)]
+    assert log_trunc(T + TruncSeries(alphabet, bound, {one: 1})).coeffs == series_power_sum_by_words(
+        alphabet, t, bound, weights)
+    weights = [Fraction(1, math.factorial(k)) for k in range(bound + 1)]
+    assert exp_trunc(T).coeffs == series_power_sum_by_words(alphabet, t, bound, weights)
+    small = NCPoly(alphabet, {w: x for w, x in q.items() if w.grading <= bound})
+    assert S.pair_poly(small) == sum((x * s.get(w, 0) for w, x in small.terms.items()), Fraction(0))
+
+
+def test_terms_and_coeffs_are_fresh_dicts_that_change_nothing():
+    p = NCPoly(Y, {yw("y2 y1"): Fraction(1, 2), yw("y3"): -2})
+    terms = p.terms
+    assert type(terms) is dict and terms is not p.terms
+    terms[yw("y1")] = Fraction(7)
+    terms.pop(yw("y3"))
+    assert p.terms == {yw("y2 y1"): Fraction(1, 2), yw("y3"): Fraction(-2)}
+    s = TruncSeries.from_poly(p, 3)
+    coeffs = s.coeffs
+    assert type(coeffs) is dict and coeffs is not s.coeffs
+    coeffs.clear()
+    assert s.coeff(yw("y3")) == -2
+    # a DualBases accessor wraps the cached form: its terms are a copy too
+    from wordseries.hopf import DualBases
+
+    bases = DualBases(Y, STUFFLE)
+    for family in (bases.p, bases.s, bases.pi, bases.sigma):
+        element = family(yw("y2 y1 y1"))
+        want = element.terms
+        got = element.terms
+        got.clear()
+        assert family(yw("y2 y1 y1")).terms == want == element.terms
+
+
+# -- series over different alphabets are refused -----------------------------------
+
+
+def _x2_and_y_series():
+    return TruncSeries(X2, 3, {xw("x0"): 1}), TruncSeries(Y, 3, {yw("y1"): 1})
+
+
+def test_series_sum_over_another_alphabet_is_refused():
+    a, b = _x2_and_y_series()
+    with pytest.raises(ValueError, match="series over different alphabets"):
+        a + b
+    with pytest.raises(ValueError, match="series over different alphabets"):
+        TruncSeries(X2, 3, {xw("x0"): 1}) + TruncSeries(X3, 3, {X3.parse_word("x2"): 1})
+
+
+def test_series_difference_over_another_alphabet_is_refused():
+    a, b = _x2_and_y_series()
+    with pytest.raises(ValueError, match="series over different alphabets"):
+        a - b
+
+
+def test_series_conc_mul_over_another_alphabet_is_refused():
+    a, b = _x2_and_y_series()
+    with pytest.raises(ValueError, match="series over different alphabets"):
+        a.conc_mul(b)
+
+
+def test_series_pairing_with_a_polynomial_over_another_alphabet_is_refused():
+    with pytest.raises(ValueError, match="series over different alphabets"):
+        TruncSeries(X3, 3, {X3.parse_word("x2"): 1}).pair_poly(poly(X2, "x0"))
+
+
+def test_coefficient_of_a_word_over_another_alphabet_is_refused():
+    with pytest.raises(ValueError, match="over a different alphabet"):
+        poly(X2, "x0").coeff(X3.parse_word("x0"))
+    with pytest.raises(ValueError, match="over a different alphabet"):
+        TruncSeries(X2, 3, {xw("x0"): 1}).coeff(X3.parse_word("x0"))
+    # an equal alphabet built separately is the same alphabet
+    assert poly(X2, "x0").coeff(Alphabet.x(2).parse_word("x0")) == 1
