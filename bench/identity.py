@@ -76,13 +76,14 @@ def fixed_calls(files: dict) -> list[list[str]]:
                                       "--format", fmt] + gamma)
                 for gamma in gammas if y else [[]]:
                     calls.append(["pi1", "--alphabet", alpha, "--format", fmt] + gamma + [w])
-                laws = [("phi", gamma) for gamma in gammas] + [("shuffle", [])] if y else [("shuffle", []), ("conc", [])]
+                laws = ([("phi", gamma) for gamma in gammas] + [("shuffle", [])]) if y else [("shuffle", []), ("conc", [])]
                 for law, gamma in laws:
                     calls.append(["coprod", "--law", law, "--alphabet", alpha, "--format", fmt] + gamma + [w])
         for fmt in ("json", "text"):
             for u, v in zip(ws, ws[1:] + ws[:1]):
-                laws = [("phi", g) for g in gammas[1:]] + [("stuffle", []), ("shuffle", []), ("conc", [])] if y \
-                    else [("shuffle", []), ("conc", [])]
+                laws = [("shuffle", []), ("conc", [])]
+                if y:
+                    laws += [("phi", g) for g in gammas[1:]] + [("stuffle", [])]
                 for law, gamma in laws:
                     calls.append(["mul", "--law", law, "--alphabet", alpha, "--format", fmt] + gamma + [u, v])
     for alpha, poly, w in (("x2", "x2poly.json", "x1 x0"), ("y", "ypoly.json", "y2 y1"), ("y@2", "y2poly.json", "y1@1")):
@@ -161,7 +162,8 @@ def results(checkout: str, jobs_path: str, n_jobs: int) -> list[list]:
     if p.returncode != 0:
         raise RuntimeError(f"{checkout}: the CLI worker failed (exit {p.returncode}): {p.stderr[-2000:]}")
     out = json.loads(p.stdout)
-    assert len(out) == n_jobs
+    if len(out) != n_jobs:
+        raise RuntimeError(f"{checkout}: {len(out)} results for {n_jobs} invocations")
     for demo in DEMOS:
         d = subprocess.run([sys.executable, os.path.join("demos", demo)], cwd=checkout, env=_env(checkout),
                            capture_output=True)
