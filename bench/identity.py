@@ -13,7 +13,12 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
 * a fixed list of ``lyndon``, ``basis``, ``mul``, ``coprod`` and ``pi1``
   calls on x2, x3, y and y@2, in text and JSON, with the stuffle and with a
   binomial gamma file (gamma(i, j) = c C(i+j, i) for c = 2 and c = 1/2), and
-  with polynomial operands read from files.
+  with polynomial operands read from files;
+* a fixed list of calls on representation files (``rep_calls``): all eight
+  ``rat`` operations, ``check mxstar``, ``check triangular`` and
+  ``eval output``, on representations the generator never writes: rank 0,
+  zero nu or eta, a denominator lcm above 10^12, x3, y with a weight bound,
+  y@2, entries spelled as JSON integers or unreduced, and the empty word.
 
 The CLI invocations of one checkout run in one interpreter through
 ``wordseries.cli.main``, as the benchmark's worker runs them.  The script
@@ -98,6 +103,74 @@ def fixed_calls(files: dict) -> list[list[str]]:
     return calls
 
 
+def _rep(alphabet: str, nu: list, mu: dict, eta: list, weight=None) -> dict:
+    data = {"alphabet": alphabet, "nu": nu, "mu": mu, "eta": eta}
+    if weight is not None:
+        data["max_letter_weight"] = weight
+    return data
+
+
+def rep_calls(files: dict) -> list[list[str]]:
+    """The fixed list of calls on representation files; ``files`` as in
+    ``fixed_calls``."""
+    h, t = "1/2", "-1/3"
+    reps = {
+        "x2a": _rep("x2", [1, h], {"x0": [[h, 1], [0, t]], "x1": [["2/4", 0], [h, "3/5"]]}, [1, 1]),
+        "x2b": _rep("x2", ["1/7", 0, 2], {"x0": [["1/7", 0, 1], [0, 0, "2/7"], [1, 0, 0]],
+                                          "x1": [[0, 1, 0], ["-3/7", 0, 0], [0, 0, 1]]}, [1, "5/7", 0]),
+        "x2big": _rep("x2", ["1/101", "-1/103"], {"x0": [["1/107", "2/109"], ["3/113", "-1/127"]],
+                                                   "x1": [["5/131", 0], ["1/137", "1/139"]]}, ["1/149", "1/151"]),
+        "x2zero": _rep("x2", [], {}, []),
+        "x2nu0": _rep("x2", [0, 0], {"x0": [[h, 1], [0, t]], "x1": [[0, 1], [1, 0]]}, [1, h]),
+        "x2eta0": _rep("x2", [1, h], {"x0": [[h, 1], [0, t]], "x1": [[0, 1], [1, 0]]}, ["0", "0/3"]),
+        "x2proper": _rep("x2", [1, 0], {"x0": [[0, 1], [0, 0]], "x1": [[h, 0], [t, 1]]}, [0, 1]),
+        "x2twice": _rep("x2", [1, h, 1, h], {"x0": [[h, 1, 0, 0], [0, t, 0, 0], [0, 0, h, 1], [0, 0, 0, t]],
+                                             "x1": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
+                        [1, 1, 1, 1]),
+        "x2up": _rep("x2", [1, h, t], {"x0": [[h, 1, 0], [0, t, 2], [0, 0, 1]],
+                                       "x1": [[1, 0, h], [0, 0, 1], [0, 0, "2/3"]]}, [1, 0, 1]),
+        "x3a": _rep("x3", [1, t], {"x0": [[0, 1], [h, 0]], "x2": [[t, 0], [1, 1]]}, [h, 1]),
+        "x3up": _rep("x3", [1, 1], {"x0": [[h, 1], [0, 0]], "x1": [[0, 0], [0, t]], "x2": [[1, 1], [0, 1]]}, [1, h]),
+        "ya": _rep("y", [1, h], {"y1": [[h, 1], [0, t]], "y3": [[0, 1], [1, 0]]}, [1, 1], 3),
+        "yb": _rep("y", [h, 1], {"y1": [[1, 0], [t, h]], "y2": [["1/5", 0], [0, 1]]}, [1, "2/3"], 2),
+        "yproper": _rep("y", [1, 0], {"y1": [[0, 1], [0, 0]], "y2": [[h, 0], [0, t]]}, [0, 1], 2),
+        "y2a": _rep("y@2", [1, h], {"y1@0": [[h, 1], [0, t]], "y1@1": [[0, 1], [1, 0]], "y2@1": [[t, 0], [0, 1]]},
+                    [1, 1], 2),
+        "y2b": _rep("y@2", [t, 1], {"y1@1": [[1, 0], [h, 0]], "y2@0": [[0, h], [1, 0]]}, [1, h], 2),
+    }
+    files.update({f"{name}.json": data for name, data in reps.items()})
+
+    def rep(name: str) -> list[str]:
+        return ["--rep", "{dir}/" + name + ".json"]
+
+    gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
+    words = {"x2": ["", "ε", "x0", "x1 x0 x1", "x0 x0 x1 x1 x0"], "x3": ["", "x2 x0", "x1 x2 x2"],
+             "y": ["", "y1", "y2 y1", "y3 y1 y2"], "y@2": ["", "y1@1", "y2@1 y1@0"]}
+    calls = []
+    for name, data in reps.items():
+        for w in words[data["alphabet"]]:
+            for fmt in ("json", "text"):
+                calls.append(["rat", "coeff", "--word", w, "--format", fmt] + rep(name))
+        for op in ("star", "minimize", "decompose"):
+            calls.append(["rat", op] + rep(name))
+    pairs = [("x2a", "x2b"), ("x2b", "x2a"), ("x2a", "x2zero"), ("x2zero", "x2zero"), ("x2nu0", "x2big"),
+             ("x2eta0", "x2proper"), ("x3a", "x3up"), ("ya", "yb"), ("yb", "yproper"), ("y2a", "y2b"), ("x2a", "ya")]
+    for a, b in pairs:
+        for op in ("sum", "conc", "shuffle"):
+            calls.append(["rat", op] + rep(a) + rep(b))
+        for gamma in gammas:
+            calls.append(["rat", "phistar"] + gamma + rep(a) + rep(b))
+    for name, n in (("x2a", 3), ("x2big", 3), ("x2zero", 2), ("x3a", 2), ("ya", 3), ("yb", 2), ("y2a", 2)):
+        for gamma in gammas if reps[name]["alphabet"].startswith("y") else [[]]:
+            calls.append(["check", "mxstar", "--N", str(n)] + gamma + rep(name))
+    for name, n in (("x2up", 5), ("x3up", 3), ("x2zero", 3), ("x2a", 3)):
+        calls.append(["check", "triangular", "--N", str(n)] + rep(name))
+    for name in ("x2a", "x2b", "x2big", "x2zero", "x2nu0", "x2up"):
+        for fmt in ("csv", "json", "text"):
+            calls.append(["eval", "output", "--N", "5", "--z0", "0.1", "--z", "0.45", "--format", fmt] + rep(name))
+    return calls
+
+
 def invocations(tmp: str) -> list[tuple[str, list[str]]]:
     """(label, argv) of every CLI invocation, input files written under tmp."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -110,7 +183,7 @@ def invocations(tmp: str) -> list[tuple[str, list[str]]]:
             jobs = jobs + gen.probes(workload, seed)
             out += _placed(tmp, f"{workload}-{seed}", files, [(job["id"], job["argv"]) for job in jobs])
     files: dict = {}
-    calls = fixed_calls(files)
+    calls = fixed_calls(files) + rep_calls(files)
     out += _placed(tmp, "fixed", files, [(f"f{i:03d}", argv) for i, argv in enumerate(calls)])
     return out
 

@@ -43,7 +43,7 @@ from .linrep import (
     triangular_decompose,
 )
 from .ncpoly import NCPoly, PhiTable, TensorPoly, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
-from .words import Alphabet, lyndon_words, parse_alphabet
+from .words import Alphabet, _lyndon_letters, parse_alphabet
 
 __all__ = ["main"]
 
@@ -124,7 +124,7 @@ def _sigma(args) -> SingularitySet:
 
 def cmd_lyndon(args) -> int:
     alphabet = parse_alphabet(args.alphabet)
-    names = [alphabet.name(w.letters) for w in lyndon_words(alphabet, args.max)]
+    names = [alphabet.name(letters) for grade in _lyndon_letters(alphabet, args.max) for letters in grade]
     sys.stdout.write(json.dumps(names) + "\n" if args.format == "json" else "".join(name + "\n" for name in names))
     return 0
 
@@ -214,49 +214,24 @@ def cmd_check(args) -> int:
 
 def cmd_rat(args) -> int:
     reps = [_load_rep(p) for p in args.rep]
-
-    def need(k: int):
-        if len(reps) != k:
-            raise ValueError(f"'rat {args.op}' needs exactly {k} --rep argument(s)")
-
+    k = 1 if args.op in ("coeff", "decompose", "star", "minimize") else 2
+    if len(reps) != k:
+        raise ValueError(f"'rat {args.op}' needs exactly {k} --rep argument(s)")
     if args.op == "coeff":
-        need(1)
         if args.word is None:
             raise ValueError("'rat coeff' needs --word")
         w = reps[0].alphabet.parse_word(args.word)
-        c = reps[0].coeff(w)
+        text = format_fraction(reps[0].coeff(w))
         if args.format == "json":
-            print(json.dumps({"word": str(w), "coeff": format_fraction(c)}))
-        else:
-            print(format_fraction(c))
-        return 0
-    if args.op == "decompose":
-        need(1)
-        pairs = delta_conc_decompose(reps[0])
-        payload = [
-            {"G": g.to_json(), "D": d.to_json()} for g, d in pairs
-        ]
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    if args.op in ("sum", "conc", "shuffle", "phistar"):
-        need(2)
-        if args.op == "sum":
-            out = rat_sum(reps[0], reps[1])
-        elif args.op == "conc":
-            out = rat_conc(reps[0], reps[1])
-        elif args.op == "shuffle":
-            out = rat_shuffle(reps[0], reps[1])
-        else:
-            out = rat_phi_shuffle(reps[0], reps[1], _load_gamma(args))
-    elif args.op == "star":
-        need(1)
-        out = rat_star(reps[0])
-    elif args.op == "minimize":
-        need(1)
-        out = minimize(reps[0])
+            text = json.dumps({"word": str(w), "coeff": text})
+    elif args.op == "decompose":
+        text = json.dumps([{"G": g.to_json(), "D": d.to_json()} for g, d in delta_conc_decompose(reps[0])],
+                          sort_keys=True)
     else:
-        raise ValueError(f"unknown rat operation {args.op!r}")
-    print(json.dumps(out.to_json(), sort_keys=True))
+        op = {"sum": rat_sum, "conc": rat_conc, "shuffle": rat_shuffle, "star": rat_star, "minimize": minimize,
+              "phistar": lambda r1, r2: rat_phi_shuffle(r1, r2, _load_gamma(args))}[args.op]
+        text = json.dumps(op(*reps).to_json(), sort_keys=True)
+    sys.stdout.write(text + "\n")
     return 0
 
 

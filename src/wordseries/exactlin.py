@@ -1,7 +1,4 @@
-"""Exact linear algebra over the rationals.
-
-Public routines take and return small dense matrices as tuples of tuples of
-``Fraction`` (vectors are tuples).  Elimination runs on Python integers:
+"""Exact linear algebra over the rationals, on Python integers.
 
 * a rational row v is carried as an integer row (w, s): a primitive integer
   vector w (entries of gcd 1) and one ``Fraction`` scale s, v = s·w;
@@ -13,10 +10,13 @@ Public routines take and return small dense matrices as tuples of tuples of
 
 ``RowSpace`` is the one elimination routine.  The reduced echelon form of a
 row space is unique, so its rows are the same Fractions as Gauss-Jordan
-over Q would give.  ``coordinates`` feeds a k×k basis block, next to the
-identity, into one RowSpace to invert it, and then solves x·B = v for many
-v by integer products.  Dense solves and inverses have no other entry
-point: the library needs none.
+over Q would give.  ``_inverse_columns`` feeds a k×k integer block, next to
+the identity, into one RowSpace to invert it; ``coordinates`` then solves
+x·B = v for many v by integer products, and ``linrep``'s minimization uses
+the inverse on integer forms directly.  Dense solves and inverses have no
+other entry point: the library needs none.  The only ``Fraction`` matrices
+left are those of ``bracket``, for the Lie diagnostics of ``linrep``;
+representations are stored and combined as integer forms.
 """
 
 from __future__ import annotations
@@ -31,46 +31,6 @@ from typing import Iterable, Sequence
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def vector(xs: Iterable) -> Vec:
-    return tuple(frac(x) for x in xs)
-
-
-def matrix(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(vector(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
-def identity(n: int) -> Mat:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def zeros(rows: int, cols: int) -> Mat:
-    return tuple((ZERO,) * cols for _ in range(rows))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    c = frac(c)
-    return tuple(tuple(c * x for x in r) for r in a)
-
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
@@ -81,42 +41,9 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(r, v)) for r in a)
-
-
-def vec_mat(v: Vec, a: Mat) -> Vec:
-    if a and len(v) != len(a):
-        raise ValueError("dimension mismatch")
-    cols = len(a[0]) if a else 0
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(cols))
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), ZERO)
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a)) if a else ()
-
-
 def bracket(a: Mat, b: Mat) -> Mat:
     """Commutator [a, b] = ab - ba."""
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(a[i][k] * b[j][l] for k in range(ca) for l in range(cb))
-        for i in range(ra)
-        for j in range(rb)
-    )
-
-
-def kron_vec(u: Vec, v: Vec) -> Vec:
-    return tuple(x * y for x in u for y in v)
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(mat_mul(a, b), mat_mul(b, a)))
 
 
 def _int_row(v: Iterable) -> tuple[list[int], Fraction]:
@@ -204,15 +131,18 @@ class RowSpace:
         return not any(self._residue(_int_row(v)[0])[0])
 
 
-def _inverse_rows(a: Sequence[Sequence]) -> list[list[int]]:
-    """Integer rref rows of [a | I]: row i of the inverse is row[n:] / row[i]."""
-    n = len(a)
-    space = RowSpace(2 * n)
-    for i, row in enumerate(a):
-        space._add(_int_row((*row, *(int(j == i) for j in range(n))))[0])
-    if space.pivots != list(range(n)):
+def _inverse_columns(block: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
+    """(C, q) for an invertible k×k integer block B: the columns of the
+    integer matrix C = q·B^-1, from the integer rref rows of [B | I]."""
+    k = len(block)
+    space = RowSpace(2 * k)
+    for i, row in enumerate(block):
+        space._add(_int_row((*row, *(int(j == i) for j in range(k))))[0])
+    if space.pivots != list(range(k)):
         raise ValueError("matrix is singular")
-    return space._rows
+    inv = space._rows  # row i of B^-1 is row[k:] / row[i]
+    q = lcm(*(row[i] for i, row in enumerate(inv)))
+    return list(zip(*([x * (q // row[i]) for x in row[k:]] for i, row in enumerate(inv)))), q
 
 
 def coordinates(basis: Sequence[tuple[list[int], Fraction]], pivots: Sequence[int]):
@@ -221,15 +151,13 @@ def coordinates(basis: Sequence[tuple[list[int], Fraction]], pivots: Sequence[in
     ``basis`` holds the rows as integer rows (w_i, t_i), b_i = t_i·w_i, and
     ``pivots`` names k columns where the k×k block of B is invertible, such
     as the pivots of a ``RowSpace`` fed the same rows.  The block is inverted
-    once.  The returned function takes an integer row (w, s) for v = s·w,
-    gets x from w at the pivot columns by one integer vector-matrix product
-    with that inverse, checks the full equation x·B = v, and returns x as a
-    tuple of Fractions, or None when v is outside the span.
+    once (``_inverse_columns``).  The returned function takes an integer row
+    (w, s) for v = s·w, gets x from w at the pivot columns by one integer
+    vector-matrix product with that inverse, checks the full equation
+    x·B = v, and returns x as a tuple of Fractions, or None when v is
+    outside the span.
     """
-    k = len(basis)
-    inv = _inverse_rows([[w[p] for p in pivots] for w, _ in basis])
-    q = lcm(*(row[i] for i, row in enumerate(inv)))
-    inv_cols = list(zip(*([x * (q // row[i]) for x in row[k:]] for i, row in enumerate(inv))))
+    inv_cols, q = _inverse_columns([[w[p] for p in pivots] for w, _ in basis])
     basis_cols = list(zip(*(w for w, _ in basis)))  # none when the basis is empty
     scales = [(t.numerator, t.denominator) for _, t in basis]
 

@@ -747,11 +747,10 @@ def system_output(
     if not n:
         return ComplexVal(total, err)
     # the integer form of r: nu mu(w) eta = (scaled product) / d^(k+2) at grade k
-    ints = r._integers()
-    d = ints.d
-    mats = np.array([ints.rows[a] for a in r.alphabet.letters()], dtype=object).reshape(-1, n, n)
-    eta = np.array(ints.eta, dtype=object)
-    rows = np.array([ints.nu], dtype=object)  # scaled nu mu(w) for the words of one grade, in id order
+    d = r._d
+    mats = np.array([r._rows[a] for a in r.alphabet.letters()], dtype=object).reshape(-1, n, n)
+    eta = np.array(r._eta, dtype=object)
+    rows = np.array([r._nu], dtype=object)  # scaled nu mu(w) for the words of one grade, in id order
     for k in range(bound + 1):
         if k:
             rows = np.matmul(rows[:, None, None, :], mats).reshape(-1, n)

@@ -15,31 +15,32 @@ The shifts go through mu extended to polynomials: S <| P is
 primitive tests are ``ncpoly``'s character tests, by the duality
 <Delta S, u (x) v> = <S, u*v> between each product and its coproduct.
 
-Everything is exact rational arithmetic; no tolerances anywhere.  Evaluation
-runs on integers: each representation keeps one integer form, nu, every
-mu(x) and eta times their common denominator d, so that mu(w) = M(w) / d^|w|
-and nu mu(w) eta = nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts
-letters).  Coefficients, word matrices, mu of polynomials, the matrices of
-polynomials of the triangular check and the two sides of the M(X*) check
-(the word sum, and the Lyndon product of ``hopf`` keyed by matrix units) are
-summed on integers, and one ``Fraction`` is built per output value: every
-value returned is a ``Fraction``.  Words are letter tuples throughout, as
-``ncpoly`` stores them: ``mu_of_poly`` and ``from_poly`` read a polynomial's
-integer form, and ``eval_truncated`` and the checks store their series by
-letter tuple, with no ``Word`` built.
+Everything is exact rational arithmetic; no tolerances anywhere.  A
+representation is stored as its integer form only: nu' = d nu, every
+M(x) = d mu(x) by rows and by columns, and eta' = d eta, with d the least
+common denominator of their entries, so that nu mu(w) eta =
+nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts letters).  JSON
+entries are read as integer pairs and written with one gcd each; closures,
+shifts and splittings put their operands over one denominator, which
+``LinRep._of`` reduces; minimization carries reachable vectors as integers
+over one denominator and transposes by swapping nu' with eta' and rows with
+columns.  Evaluation and the checks sum on integers too, so ``Fraction``s
+are built only at the boundary: one per value returned, and in the
+read-only views ``nu``, ``mu`` and ``eta``.  Words are letter tuples
+throughout, as ``ncpoly`` stores them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from itertools import chain, repeat
+from operator import add, mul
+from typing import Callable, Sequence
 
 from . import exactlin
-from .exactlin import Mat, RowSpace, Vec, _int_row, mat_add, mat_scale, mat_vec, vec_mat
+from .exactlin import Mat, RowSpace, Vec, _int_row, _inverse_columns
 from .hopf import DualBases, _lyndon_exp_product
 from .ncpoly import (
     NCPoly,
@@ -50,11 +51,9 @@ from .ncpoly import (
     _integer_terms,
     _json_checked,
     _json_fields,
-    _json_fraction,
+    _json_ratios,
     _letter_rule,
     _product,
-    _scaled,
-    format_fraction,
     is_character,
     is_infinitesimal_character,
 )
@@ -88,23 +87,14 @@ __all__ = [
 ]
 
 
-class _Integers(NamedTuple):
-    """nu, the letter matrices and eta times their common denominator d."""
-
-    d: int
-    nu: tuple[int, ...]
-    rows: dict  # letter -> the rows of M(x) = d mu(x)
-    cols: dict  # letter -> the columns of M(x)
-    eta: tuple[int, ...]
-
-
 def _times(row: Sequence, cols: Sequence) -> tuple:
     """The row vector ``row`` times the matrix with columns ``cols``."""
     return tuple(sum(map(mul, row, col)) for col in cols)
 
 
-def _identity(n: int) -> tuple:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _identity(n: int, c: int = 1) -> tuple:
+    """c times the n×n identity matrix."""
+    return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _fractions(m: Sequence[Sequence[int]], den: int) -> Mat:
@@ -112,45 +102,107 @@ def _fractions(m: Sequence[Sequence[int]], den: int) -> Mat:
     return tuple(tuple(Fraction(x, den) for x in row) for row in m)
 
 
+def _lowest(v: Sequence[int], den: int) -> tuple[tuple, int]:
+    """The vector v / den as (V, D) in lowest terms: gcd(D, V) = 1."""
+    g = math.gcd(den, *v)
+    return (tuple(x // g for x in v), den // g) if g > 1 else (tuple(v), den)
+
+
+def _ratios(values) -> tuple[list[int], list[int]]:
+    """Rationals, anything ``Fraction`` takes, as numerators and denominators."""
+    qs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    return [q.numerator for q in qs], [q.denominator for q in qs]
+
+
+def _integer_form(alphabet: Alphabet, nu: tuple, mu: dict, eta: tuple, max_letter_weight: int | None) -> tuple:
+    """Check a representation whose vectors and rows are (numerators,
+    denominators), and return (d, nu', rows, eta', max_letter_weight) over d,
+    the lcm of the denominators.  On y alphabets the weight bound defaults to
+    the heaviest letter of ``mu``; each letter up to it gets a matrix, zero
+    where ``mu`` has none."""
+    n = len(nu[0])
+    if len(eta[0]) != n:
+        raise ValueError("nu and eta disagree on the rank")
+    if alphabet.is_y and max_letter_weight is None:
+        max_letter_weight = max((k for (k, _) in mu), default=0)
+    zero = [([0] * n, [1] * n)] * n
+    matrices = {}
+    for letter in alphabet.letters(max_weight=max_letter_weight):  # x: all letters
+        m = mu.get(letter)
+        if m is None:
+            m = zero
+        elif len(m) != n or any(len(nums) != n for nums, _ in m):
+            raise ValueError(f"matrix for {alphabet.letter_name(letter)} is not {n}x{n}")
+        matrices[letter] = m
+    for letter in mu:
+        if letter not in matrices:
+            alphabet.check_letter(letter)
+            raise ValueError(f"unexpected letter {alphabet.letter_name(letter)} in mu: "
+                             f"max_letter_weight is {max_letter_weight}")
+    vectors = [nu, eta, *chain.from_iterable(matrices.values())]
+    d = math.lcm(*chain.from_iterable(dens for _, dens in vectors))
+
+    def scaled(v: tuple) -> tuple:
+        return tuple(map(mul, v[0], map(d.__floordiv__, v[1])))
+
+    rows = {letter: tuple(map(scaled, m)) for letter, m in matrices.items()}
+    return d, scaled(nu), rows, scaled(eta), max_letter_weight
+
+
 class LinRep:
-    """Linear representation (nu, mu, eta) of a rational series.
+    """Linear representation (nu, mu, eta) of a rational series, stored as
+    its integer form ``_d``, ``_nu``, ``_rows``, ``_cols``, ``_eta`` (see the
+    module docstring) and not changed after construction."""
 
-    A representation is not changed after construction: its integer form is
-    built on first use and kept.
-    """
+    __slots__ = ("alphabet", "max_letter_weight", "_d", "_nu", "_rows", "_cols", "_eta")
 
-    __slots__ = ("alphabet", "nu", "mu", "eta", "max_letter_weight", "_ints")
-
-    def __init__(self, alphabet: Alphabet, nu: Sequence, mu: Mapping, eta: Sequence,
+    def __init__(self, alphabet: Alphabet, nu: Sequence, mu: dict, eta: Sequence,
                  max_letter_weight: int | None = None):
-        self.alphabet = alphabet
-        self.nu = exactlin.vector(nu)
-        self.eta = exactlin.vector(eta)
-        n = len(self.nu)
-        if len(self.eta) != n:
-            raise ValueError("nu and eta disagree on the rank")
-        if alphabet.is_y and max_letter_weight is None:
-            max_letter_weight = max((k for (k, _) in mu), default=0)
-        matrices = {}
-        for letter in alphabet.letters(max_weight=max_letter_weight):  # x: all letters
-            m = mu.get(letter)
-            m = exactlin.zeros(n, n) if m is None else exactlin.matrix(m)
-            if len(m) != n or any(len(row) != n for row in m):
-                raise ValueError(f"matrix for {alphabet.letter_name(letter)} is not {n}x{n}")
-            matrices[letter] = m
-        for letter in mu:
-            if letter not in matrices:
-                raise ValueError(f"unexpected letter {letter!r} in mu")
-        self.mu = matrices
-        self.max_letter_weight = max_letter_weight
-        self._ints: _Integers | None = None
+        """Entries are anything ``Fraction`` takes; checked by ``_integer_form``."""
+        mu = {letter: None if m is None else [_ratios(row) for row in m] for letter, m in mu.items()}
+        self._set(alphabet, *_integer_form(alphabet, _ratios(nu), mu, _ratios(eta), max_letter_weight))
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, d: int, nu: Sequence[int], rows: dict, eta: Sequence[int],
+            max_letter_weight: int | None, cols: dict | None = None) -> "LinRep":
+        """The representation (nu, rows, eta) / d of integers (``cols``: the
+        same matrices by columns), reduced to the least denominator; unchecked."""
+        r = object.__new__(cls)
+        r._set(alphabet, d, nu, rows, eta, max_letter_weight, cols)
+        return r
+
+    def _set(self, alphabet, d, nu, rows, eta, max_letter_weight, cols=None) -> None:
+        g = math.gcd(d, *nu, *eta, *chain.from_iterable(chain.from_iterable(rows.values()))) if d > 1 else 1
+        if g > 1:
+            d //= g
+            nu, eta = (x // g for x in nu), (x // g for x in eta)
+            rows = {letter: tuple(tuple(x // g for x in row) for row in m) for letter, m in rows.items()}
+            cols = None
+        self.alphabet, self.max_letter_weight = alphabet, max_letter_weight
+        self._d, self._nu, self._eta, self._rows = d, tuple(nu), tuple(eta), rows
+        self._cols = {letter: tuple(zip(*m)) for letter, m in rows.items()} if cols is None else cols
+
+    @property
+    def nu(self) -> Vec:
+        """nu as Fractions, built on each call."""
+        return tuple(Fraction(x, self._d) for x in self._nu)
+
+    @property
+    def mu(self) -> dict:
+        """The letter matrices as Fractions, a fresh letter -> matrix dict."""
+        return {letter: _fractions(m, self._d) for letter, m in self._rows.items()}
+
+    @property
+    def eta(self) -> Vec:
+        """eta as Fractions, built on each call."""
+        return tuple(Fraction(x, self._d) for x in self._eta)
 
     @property
     def rank(self) -> int:
-        return len(self.nu)
+        return len(self._nu)
 
     def matrix(self, letter) -> Mat:
-        return self._of_letter(self.mu, letter)
+        return _fractions(self._of_letter(self._rows, letter), self._d)
 
     def _of_letter(self, table: dict, letter):
         try:
@@ -160,17 +212,6 @@ class LinRep:
                 f"letter {self.alphabet.letter_name(letter)} is beyond the materialized weight bound"
             ) from None
 
-    def _integers(self) -> _Integers:
-        """The integer form: nu' = d nu, M(x) = d mu(x) and eta' = d eta, with d
-        the least common denominator of all their entries."""
-        if self._ints is None:
-            entries = (q for m in self.mu.values() for row in m for q in row)
-            d = math.lcm(*(q.denominator for q in (*self.nu, *entries, *self.eta)))
-            rows = {letter: tuple(_scaled(row, d) for row in m) for letter, m in self.mu.items()}
-            cols = {letter: tuple(zip(*m)) for letter, m in rows.items()}
-            self._ints = _Integers(d, _scaled(self.nu, d), rows, cols, _scaled(self.eta, d))
-        return self._ints
-
     def _word_matrices(self) -> Callable[[tuple], tuple]:
         """M(w) = d^|w| mu(w) by letter tuple, each product built from its
         prefix's.  A word whose one-letter-shorter prefix is not in the table
@@ -178,7 +219,6 @@ class LinRep:
         between shortest first, so no call nests more than one level deep,
         whatever the length of the word.  The table lives as long as the
         returned function."""
-        ints = self._integers()
         table = {(): _identity(self.rank)}
 
         def word_matrix(letters: tuple) -> tuple:
@@ -191,7 +231,7 @@ class LinRep:
                         k -= 1
                     for k in range(k + 1, len(letters)):
                         m = word_matrix(letters[:k])  # one level deep: its prefix is known
-                cols = self._of_letter(ints.cols, letters[-1])
+                cols = self._of_letter(self._cols, letters[-1])
                 m = table[letters] = tuple(_times(row, cols) for row in m)
             return m
 
@@ -200,39 +240,38 @@ class LinRep:
     # -- evaluation -----------------------------------------------------------
 
     def coeff(self, w: Word) -> Fraction:
-        ints = self._integers()
-        row = ints.nu
+        row = self._nu
         for letter in w.letters:
-            row = _times(row, self._of_letter(ints.cols, letter))
-        return Fraction(sum(map(mul, row, ints.eta)), ints.d ** (len(w) + 2))
+            row = _times(row, self._of_letter(self._cols, letter))
+        return Fraction(sum(map(mul, row, self._eta)), self._d ** (len(w) + 2))
 
     def word_matrix(self, w: Word) -> Mat:
-        return _fractions(self._word_matrices()(w.letters), self._integers().d ** len(w))
+        return _fractions(self._word_matrices()(w.letters), self._d ** len(w))
 
     def eval_truncated(self, bound: int) -> TruncSeries:
         """All coefficients of grading <= bound by prefix-sharing traversal."""
         alphabet = self.alphabet
         if alphabet.is_y and (self.max_letter_weight or 0) < bound:
             raise ValueError("materialized letter weights do not cover the bound")
-        ints = self._integers()
         steps = [
-            (letter, alphabet.letter_weight(letter), self._of_letter(ints.cols, letter))
+            (letter, alphabet.letter_weight(letter), self._of_letter(self._cols, letter))
             for letter in alphabet.letters(max_weight=bound)
         ]
         coeffs: dict[tuple, Fraction] = {}
-        frontier = [((), 0, ints.nu)]  # (letters, grading, nu' M(w)) of the words of one length
-        den = ints.d ** 2  # the frontier holds the words of one length k: d^(k+2)
+        eta = self._eta
+        frontier = [((), 0, self._nu)]  # (letters, grading, nu' M(w)) of the words of one length
+        den = self._d ** 2  # the frontier holds the words of one length k: d^(k+2)
         while frontier:
             nxt = []
             for w, grading, row in frontier:
-                c = sum(map(mul, row, ints.eta))
+                c = sum(map(mul, row, eta))
                 if c:
                     coeffs[w] = Fraction(c, den)
                 for x, weight, cols in steps:
                     if grading + weight <= bound:
                         nxt.append((w + (x,), grading + weight, _times(row, cols)))
             frontier = nxt
-            den *= ints.d
+            den *= self._d
         return TruncSeries._of(alphabet, bound, coeffs)
 
     # -- construction helpers ---------------------------------------------------
@@ -244,51 +283,53 @@ class LinRep:
     @classmethod
     def from_poly(cls, p: NCPoly, max_letter_weight: int | None = None) -> "LinRep":
         """Representation of a polynomial on the prefix tree of its support."""
-        alphabet, terms = p.alphabet, p._num
+        alphabet, terms, den = p.alphabet, p._num, p._den
         prefixes = sorted({w[:i] for w in terms for i in range(len(w) + 1)} or {()}, key=alphabet.sort_key)
         index = {u: i for i, u in enumerate(prefixes)}
         n = len(prefixes)
         if max_letter_weight is None and alphabet.is_y:
             max_letter_weight = max((alphabet.letter_weight(a) for w in terms for a in w), default=1)
         letters = alphabet.letters(max_weight=max_letter_weight)
-        mu = {letter: [[ZERO] * n for _ in range(n)] for letter in letters}
+        rows = {letter: [[0] * n for _ in range(n)] for letter in letters}
         for u, i in index.items():
             for letter in letters:
                 j = index.get(u + (letter,))
                 if j is not None:
-                    mu[letter][i][j] = ONE
-        nu = [ZERO] * n
-        nu[index[()]] = ONE
-        eta = [Fraction(terms.get(u, 0), p._den) for u in prefixes]
-        return cls(alphabet, nu, mu, eta, max_letter_weight)
+                    rows[letter][i][j] = den
+        nu = [0] * n
+        nu[index[()]] = den
+        return cls._of(alphabet, den, nu, rows, [terms.get(u, 0) for u in prefixes], max_letter_weight)
 
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:
+        d, alphabet = self._d, self.alphabet
+
+        def texts(v: Sequence[int]) -> list[str]:
+            return [f"{x // g}/{d // g}" for x, g in zip(v, map(math.gcd, v, repeat(d)))]
+
         return {
             "rank": self.rank,
-            "alphabet": alphabet_text(self.alphabet),
+            "alphabet": alphabet_text(alphabet),
             "max_letter_weight": self.max_letter_weight,
-            "nu": [format_fraction(c) for c in self.nu],
+            "nu": texts(self._nu),
             "mu": {
-                self.alphabet.letter_name(letter): [
-                    [format_fraction(c) for c in row] for row in m
-                ]
-                for letter, m in sorted(
-                    self.mu.items(), key=lambda kv: self.alphabet.letter_key(kv[0])
-                )
+                alphabet.letter_name(letter): [texts(row) for row in m]
+                for letter, m in sorted(self._rows.items(), key=lambda kv: alphabet.letter_key(kv[0]))
             },
-            "eta": [format_fraction(c) for c in self.eta],
+            "eta": texts(self._eta),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "LinRep":
+        """The representation of a JSON object; its rationals are strings
+        ("p/q", or any text ``Fraction`` takes) or integers."""
         kinds = {"alphabet": str, "nu": list, "mu": dict, "eta": list}
         text, nu, mu, eta = _json_fields(data, kinds, "representation")
         alphabet = parse_alphabet(text)
 
-        def vector(value, field: str) -> list[Fraction]:
-            return [_json_fraction(c, field) for c in _json_checked(value, list, field)]
+        def vector(value, field: str) -> tuple[list[int], list[int]]:
+            return _json_ratios(_json_checked(value, list, field), field)
 
         matrices = {}
         for name, rows in mu.items():
@@ -301,7 +342,7 @@ class LinRep:
         if weight is not None and type(weight) is not int:
             raise ValueError("representation 'max_letter_weight' must be an integer or null")
         nu, eta = vector(nu, "representation 'nu'"), vector(eta, "representation 'eta'")
-        return cls(alphabet, nu, matrices, eta, weight)
+        return cls._of(alphabet, *_integer_form(alphabet, nu, matrices, eta, weight))
 
     def __repr__(self) -> str:
         return f"LinRep(rank={self.rank}, alphabet={alphabet_text(self.alphabet)})"
@@ -319,11 +360,11 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
     return min(r1.max_letter_weight or 0, r2.max_letter_weight or 0)
 
 
-def mu_of_poly(r: LinRep, p: NCPoly) -> Mat:
-    """mu extended linearly to polynomials, summed on integers over the
-    polynomial's denominator."""
+def _mu_of_poly(r: LinRep, p: NCPoly) -> tuple[list[list[int]], int]:
+    """mu extended linearly to polynomials, as an integer matrix over one
+    denominator, summed on integers over the polynomial's denominator."""
     terms, den = p._num, p._den
-    d = r._integers().d
+    d = r._d
     longest = max(map(len, terms), default=0)
     word_matrix = r._word_matrices()
     out = [[0] * r.rank for _ in range(r.rank)]
@@ -332,7 +373,22 @@ def mu_of_poly(r: LinRep, p: NCPoly) -> Mat:
         for acc, row in zip(out, word_matrix(w)):
             for j, x in enumerate(row):
                 acc[j] += c * x
-    return _fractions(out, den * d ** longest)
+    return out, den * d ** longest
+
+
+def mu_of_poly(r: LinRep, p: NCPoly) -> Mat:
+    """mu extended linearly to polynomials, as Fractions."""
+    return _fractions(*_mu_of_poly(r, p))
+
+
+def _with_ends(r: LinRep, nu: Sequence[int], eta: Sequence[int], den: int = 1) -> LinRep:
+    """(nu, mu, eta) with the letter matrices of r, for integer vectors nu
+    and eta over d·den (d the denominator of r)."""
+    rows, cols = r._rows, r._cols
+    if den != 1:
+        rows = {letter: tuple(tuple(den * x for x in row) for row in m) for letter, m in rows.items()}
+        cols = None
+    return LinRep._of(r.alphabet, r._d * den, nu, rows, eta, r.max_letter_weight, cols)
 
 
 # -- shifts -------------------------------------------------------------------
@@ -342,96 +398,106 @@ def left_shift(r: LinRep, p: NCPoly) -> LinRep:
     """S <| P with <S <| P, w> = <S, P w>, realized as (nu mu(P), mu, eta)."""
     if r.alphabet != p.alphabet:
         raise ValueError("shift polynomial over a different alphabet")
-    return LinRep(r.alphabet, vec_mat(r.nu, mu_of_poly(r, p)), r.mu, r.eta, r.max_letter_weight)
+    m, den = _mu_of_poly(r, p)
+    return _with_ends(r, _times(r._nu, tuple(zip(*m))), [den * x for x in r._eta], den)
 
 
 def right_shift(r: LinRep, p: NCPoly) -> LinRep:
     """P |> S with <P |> S, w> = <S, w P>, realized as (nu, mu, mu(P) eta)."""
     if r.alphabet != p.alphabet:
         raise ValueError("shift polynomial over a different alphabet")
-    return LinRep(r.alphabet, r.nu, r.mu, mat_vec(mu_of_poly(r, p), r.eta), r.max_letter_weight)
+    m, den = _mu_of_poly(r, p)
+    return _with_ends(r, [den * x for x in r._nu], _times(r._eta, m), den)
 
 
-# -- rational closures ----------------------------------------------------------
+# -- rational closures: integer forms over one denominator, reduced by LinRep._of
 
 
 def rat_sum(r1: LinRep, r2: LinRep) -> LinRep:
     alphabet = _common_alphabet(r1, r2)
     bound = _common_bound(r1, r2)
-    n1, n2 = r1.rank, r2.rank
-    mu = {}
-    for letter in alphabet.letters(max_weight=bound):
-        a, b = r1.mu[letter], r2.mu[letter]
-        mu[letter] = [
-            [a[i][j] if i < n1 and j < n1 else ZERO for j in range(n1 + n2)]
-            if i < n1
-            else [b[i - n1][j - n1] if j >= n1 else ZERO for j in range(n1 + n2)]
-            for i in range(n1 + n2)
-        ]
-    return LinRep(alphabet, r1.nu + r2.nu, mu, r1.eta + r2.eta, bound)
+    d = math.lcm(r1._d, r2._d)
+    k1, k2 = d // r1._d, d // r2._d
+    z1, z2 = (0,) * r1.rank, (0,) * r2.rank
+    rows = {
+        letter: tuple(tuple(k1 * x for x in row) + z2 for row in r1._rows[letter])
+        + tuple(z1 + tuple(k2 * x for x in row) for row in r2._rows[letter])
+        for letter in alphabet.letters(max_weight=bound)
+    }
+    nu = tuple(k1 * x for x in r1._nu) + tuple(k2 * x for x in r2._nu)
+    eta = tuple(k1 * x for x in r1._eta) + tuple(k2 * x for x in r2._eta)
+    return LinRep._of(alphabet, d, nu, rows, eta, bound)
 
 
 def rat_conc(r1: LinRep, r2: LinRep) -> LinRep:
+    """mu(x) = [[mu1(x), eta1 nu2 mu2(x)], [0, mu2(x)]], nu = (nu1, 0) and
+    eta = (eta1 <R2, 1>, eta2), all over d1 d2^2."""
     alphabet = _common_alphabet(r1, r2)
     bound = _common_bound(r1, r2)
-    n1, n2 = r1.rank, r2.rank
-    s2 = exactlin.dot(r2.nu, r2.eta)  # <R2, 1>
-    mu = {}
+    d1, d2 = r1._d, r2._d
+    k1, k2 = d2 * d2, d1 * d2  # the scales of d1 mu1 and d2 mu2
+    z1 = (0,) * r1.rank
+    rows = {}
     for letter in alphabet.letters(max_weight=bound):
-        a, b = r1.mu[letter], r2.mu[letter]
-        # upper-right block: eta1 nu2 mu2(x)
-        nu2b = vec_mat(r2.nu, b)
-        block = [[r1.eta[i] * nu2b[j] for j in range(n2)] for i in range(n1)]
-        mu[letter] = [
-            list(a[i]) + block[i] if i < n1 else [ZERO] * n1 + list(b[i - n1])
-            for i in range(n1 + n2)
-        ]
-    nu = tuple(r1.nu) + (ZERO,) * n2
-    eta = tuple(c * s2 for c in r1.eta) + tuple(r2.eta)
-    return LinRep(alphabet, nu, mu, eta, bound)
+        nu2b = _times(r2._nu, r2._cols[letter])  # d2^2 nu2 mu2(x)
+        upper = tuple(
+            tuple(k1 * x for x in row) + tuple(e * y for y in nu2b)
+            for row, e in zip(r1._rows[letter], r1._eta)
+        )
+        rows[letter] = upper + tuple(z1 + tuple(k2 * x for x in row) for row in r2._rows[letter])
+    s2 = sum(map(mul, r2._nu, r2._eta))  # d2^2 <R2, 1>
+    nu = tuple(k1 * x for x in r1._nu) + (0,) * r2.rank
+    eta = tuple(s2 * x for x in r1._eta) + tuple(k2 * x for x in r2._eta)
+    return LinRep._of(alphabet, d1 * k1, nu, rows, eta, bound)
 
 
 def rat_star(r: LinRep) -> LinRep:
-    """Kleene star of a proper series (the constant term nu eta must vanish)."""
-    if exactlin.dot(r.nu, r.eta) != 0:
+    """Kleene star of a proper series (the constant term nu eta must vanish):
+    mu(x) = [[mu(x) + eta nu mu(x), 0], [nu mu(x), 0]], nu = (0, 1) and
+    eta = (eta, 1), all over d^3."""
+    if sum(map(mul, r._nu, r._eta)):
         raise ValueError("star needs a proper series: <R, 1> = 0")
-    n = r.rank
-    mu = {}
-    for letter, m in r.mu.items():
-        numu = vec_mat(r.nu, m)  # nu mu(x)
-        etanu_mu = [[r.eta[i] * numu[j] for j in range(n)] for i in range(n)]
-        top = [list(mat_add(m, etanu_mu)[i]) + [ZERO] for i in range(n)]
-        mu[letter] = top + [list(numu) + [ZERO]]
-    nu = (ZERO,) * n + (ONE,)
-    eta = tuple(r.eta) + (ONE,)
-    return LinRep(r.alphabet, nu, mu, eta, r.max_letter_weight)
+    d = r._d
+    rows = {}
+    for letter, m in r._rows.items():
+        numu = _times(r._nu, r._cols[letter])  # d^2 nu mu(x)
+        top = tuple(
+            tuple(d * d * x + e * y for x, y in zip(row, numu)) + (0,)
+            for row, e in zip(m, r._eta)
+        )
+        rows[letter] = top + (tuple(d * y for y in numu) + (0,),)
+    d3 = d ** 3
+    nu = (0,) * r.rank + (d3,)
+    eta = tuple(d * d * x for x in r._eta) + (d3,)
+    return LinRep._of(r.alphabet, d3, nu, rows, eta, r.max_letter_weight)
 
 
 def _letter_rule_closure(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
     """The (phi-)shuffle of two series on the tensor product of their
     representations: mu(x) = sum of g mu1(u) (x) mu2(v) over the terms
     ((u, v), g) of the letter rule of x, the coproduct of x dual to the
-    product, with mu(empty word) = I."""
+    product, with mu(empty word) = I; over d1 d2 q, q the lcm of the gammas' denominators."""
     alphabet = _common_alphabet(r1, r2)
     bound = _common_bound(r1, r2)
+    rules = {letter: _letter_rule(alphabet, letter, phi) for letter in alphabet.letters(max_weight=bound)}
+    q = math.lcm(*(g.denominator for rule in rules.values() for g in rule.values()))
+    ones = _identity(r1.rank, r1._d), _identity(r2.rank, r2._d)
 
-    def factor(r: LinRep, u: tuple) -> Mat:
-        return r.mu[u[0]] if u else exactlin.identity(r.rank)
+    def term(u: tuple, v: tuple, c: int) -> list:
+        a = r1._rows[u[0]] if u else ones[0]
+        b = r2._rows[v[0]] if v else ones[1]
+        return [[x * y for x in ra for y in rb] for ra in ([c * x for x in ra] for ra in a) for rb in b]
 
-    mu = {
-        letter: functools.reduce(mat_add, (
-            exactlin.kron(mat_scale(g, factor(r1, u)), factor(r2, v))
-            for (u, v), g in _letter_rule(alphabet, letter, phi).items()
-        ))
-        for letter in alphabet.letters(max_weight=bound)
-    }
-    return LinRep(
-        alphabet,
-        exactlin.kron_vec(r1.nu, r2.nu),
-        mu,
-        exactlin.kron_vec(r1.eta, r2.eta),
-        bound,
-    )
+    rows = {}
+    for letter, rule in rules.items():
+        total = None
+        for (u, v), g in rule.items():
+            m = term(u, v, g.numerator * (q // g.denominator))
+            total = m if total is None else [list(map(add, s, t)) for s, t in zip(total, m)]
+        rows[letter] = total
+    nu = tuple(q * x * y for x in r1._nu for y in r2._nu)
+    eta = tuple(q * x * y for x in r1._eta for y in r2._eta)
+    return LinRep._of(alphabet, r1._d * r2._d * q, nu, rows, eta, bound)
 
 
 def rat_shuffle(r1: LinRep, r2: LinRep) -> LinRep:
@@ -454,56 +520,56 @@ def rat_phi_shuffle(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
 def _reachability_reduce(r: LinRep) -> LinRep:
     """Restrict r to the span of the vectors nu mu(w), found breadth first.
 
-    Vectors are carried as integer rows (w, s), v = s·w (see ``exactlin``),
-    and each letter matrix as one integer matrix times a scale, so images
-    are integer vector-matrix products.  Each basis vector's images are kept
-    from the search and expressed in the basis by one ``coordinates`` solver,
-    which inverts the basis block once.
+    A vector is held as (V, D), V / D in lowest terms, and its image under x
+    is V M(x) / (D d).  Each basis vector's images are kept from the search
+    and expressed in the basis b_j = V_j / D_j by one integer inverse q B^-1
+    of its pivot block: the image U / E has the coordinates D_j z_j / (q E),
+    z = U at the pivots times q B^-1, once z·B = q U is checked.
     """
-    n = r.rank
-    mats = {}
-    for letter, m in r.mu.items():
-        flat, scale = _int_row([x for row in m for x in row])
-        mats[letter] = [flat[j::n] for j in range(n)], scale  # columns
+    d, cols, n = r._d, r._cols, r.rank
     space = RowSpace(n)
-    start = _int_row(r.nu)
-    basis = [start] if space.add(start[0]) else []
+    basis = [_lowest(r._nu, d)] if space.add(r._nu) else []
     images: list[dict] = []
     while len(images) < len(basis):  # breadth first: basis vectors in order of discovery
-        w, s = basis[len(images)]
+        v, den = basis[len(images)]
         row = {}
-        for letter, (cols, scale) in mats.items():
-            u, g = _int_row([sum(map(mul, w, col)) for col in cols])
-            row[letter] = image = (u, s * scale * g)
-            if space.add(u):
-                basis.append(image)
+        for letter, c in cols.items():
+            row[letter] = image = _times(v, c)  # over den·d
+            if len(basis) < n and space.add(image):  # a full basis takes no more
+                basis.append(_lowest(image, den * d))
         images.append(row)
     if not basis:
         return LinRep.zero(r.alphabet, r.max_letter_weight)
-    solve_row = exactlin.coordinates(basis, space.pivots)
+    pivots = space.pivots
+    inv_cols, q = _inverse_columns([[v[p] for p in pivots] for v, _ in basis])
+    basis_cols = tuple(zip(*(v for v, _ in basis)))
+    dens = [den for _, den in basis]
+    lcm = math.lcm(*dens)
 
-    def coords(v) -> Vec:
-        x = solve_row(v)
-        assert x is not None, "reachable space is not invariant"
-        return x
+    def coords(u: tuple, k: int) -> tuple:  # over q d lcm(D_j), for u over D_i d and k = lcm(D_j) / D_i
+        at_pivots = [u[p] for p in pivots]
+        z = [sum(map(mul, at_pivots, col)) for col in inv_cols]
+        assert all(sum(map(mul, z, col)) == q * x for col, x in zip(basis_cols, u)), \
+            "reachable space is not invariant"
+        return tuple(k * dj * zj for dj, zj in zip(dens, z))
 
-    mu = {letter: [coords(row[letter]) for row in images] for letter in r.mu}
-    e, se = _int_row(r.eta)
-    eta = [t * se * sum(map(mul, w, e)) for w, t in basis]
-    return LinRep(r.alphabet, coords(start), mu, eta, r.max_letter_weight)
+    scales = [lcm // den for den in dens]
+    rows = {letter: tuple(coords(row[letter], k) for row, k in zip(images, scales)) for letter in cols}
+    total = q * d * lcm
+    nu = (total,) + (0,) * (len(basis) - 1)
+    eta = tuple(q * k * sum(map(mul, v, r._eta)) for (v, _), k in zip(basis, scales))
+    return LinRep._of(r.alphabet, total, nu, rows, eta, r.max_letter_weight)
 
 
-def _transpose_rep(r: LinRep) -> LinRep:
-    mu = {letter: exactlin.transpose(m) for letter, m in r.mu.items()}
-    return LinRep(r.alphabet, r.eta, mu, r.nu, r.max_letter_weight)
+def _transpose(r: LinRep) -> LinRep:
+    """(eta^T, mu(x)^T, nu^T): nu' and eta' trade places, and rows and columns."""
+    return LinRep._of(r.alphabet, r._d, r._eta, r._cols, r._nu, r.max_letter_weight, r._rows)
 
 
 def minimize(r: LinRep) -> LinRep:
     """Minimal representation of the same series: forward reachability basis
     extraction followed by the mirrored observability reduction (exact, over Q)."""
-    reduced = _reachability_reduce(r)
-    reduced = _transpose_rep(_reachability_reduce(_transpose_rep(reduced)))
-    return reduced
+    return _transpose(_reachability_reduce(_transpose(_reachability_reduce(r))))
 
 
 # -- deconcatenation splitting -----------------------------------------------------
@@ -513,10 +579,8 @@ def delta_conc_decompose(r: LinRep) -> list[tuple[LinRep, LinRep]]:
     """The rank-many tensor factors (G_i, D_i) with <S, uv> = sum_i <G_i,u><D_i,v>."""
     out = []
     for i in range(r.rank):
-        e = tuple(ONE if j == i else ZERO for j in range(r.rank))
-        g = LinRep(r.alphabet, r.nu, r.mu, e, r.max_letter_weight)
-        d = LinRep(r.alphabet, e, r.mu, r.eta, r.max_letter_weight)
-        out.append((g, d))
+        e = tuple(r._d if j == i else 0 for j in range(r.rank))  # the unit vector e_i, over d
+        out.append((_with_ends(r, r._nu, e), _with_ends(r, e, r._eta)))
     return out
 
 
@@ -688,7 +752,6 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     bases = DualBases(alphabet, phi)
     right_basis = bases.p if phi is None else bases.pi
 
-    ints = r._integers()
     word_matrix = r._word_matrices()
     lhs = {}
     for w in (u.letters for u in words_up_to_grading(alphabet, bound)):
@@ -706,7 +769,7 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     one = {(i, i): 1 for i in range(r.rank)}
     rhs, scale = _lyndon_exp_product(bases, factors, bound, matrix_terms, _unit_law, one)
 
-    dpow = [ints.d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
+    dpow = [r._d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
     differ = [
         w
         for w, ij in lhs.keys() | rhs.keys()
@@ -718,8 +781,8 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     readout: dict = {}
     for (w, (i, j)), c in rhs.items():
-        _add_term(readout, w, ints.nu[i] * c * ints.eta[j])
-    den = scale * ints.d ** 2
+        _add_term(readout, w, r._nu[i] * c * r._eta[j])
+    den = scale * r._d ** 2
     readout = {w: Fraction(c, den) for w, c in readout.items()}
     if TruncSeries._of(alphabet, bound, readout) != r.eval_truncated(bound):
         return FactorizationReport(False, "nu M eta readout differs from the series")
@@ -740,7 +803,7 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     if bound < 0:
         raise ValueError("bound must be >= 0")
     n = r.rank
-    for letter, m in r.mu.items():
+    for letter, m in r._rows.items():
         for i in range(n):
             for j in range(i):
                 if m[i][j] != 0:
@@ -748,13 +811,12 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                         f"mu({r.alphabet.letter_name(letter)}) is not upper triangular"
                     )
     alphabet = r.alphabet
-    ints = r._integers()
     weight = alphabet.weight
     one = ()
     diag = [{} for _ in range(n)]
     strict = [[{} for _ in range(n)] for _ in range(n)]
-    for letter in sorted(r.mu, key=alphabet.letter_key):
-        m = ints.rows[letter]
+    for letter in sorted(r._rows, key=alphabet.letter_key):
+        m = r._rows[letter]
         lw = (letter,)
         for i in range(n):
             if m[i][i]:
@@ -793,8 +855,8 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                     _add_term(g, w, c)
 
     full = _matpoly_mul(geom, d_star, bound, weight)
-    readout = _matpoly_readout(ints.nu, full, ints.eta)
-    rebuilt = TruncSeries._of(alphabet, bound, {w: Fraction(c, ints.d ** (len(w) + 2)) for w, c in readout.items()})
+    readout = _matpoly_readout(r._nu, full, r._eta)
+    rebuilt = TruncSeries._of(alphabet, bound, {w: Fraction(c, r._d ** (len(w) + 2)) for w, c in readout.items()})
     direct = r.eval_truncated(bound)
     ok = rebuilt == direct
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
@@ -844,8 +906,8 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
     q = n - wmax - p
     cols = words_up_to_grading(series.alphabet, q)
 
-    def hankel_row(u: Word) -> Vec:
-        return exactlin.vector(series.coeff(u * v) for v in cols)
+    def hankel_row(u: Word) -> list:
+        return [series.coeff(u * v) for v in cols]
 
     space = RowSpace(len(cols))
     basis_words: list[Word] = []

@@ -41,6 +41,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -97,10 +98,35 @@ def _json_fields(data, kinds: dict, what: str) -> list:
 
 
 def _json_fraction(value, field: str) -> Fraction:
-    try:
-        return parse_fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{field} is not a rational number: {value!r}") from None
+    """A rational given as a JSON string or integer; booleans and floats are refused."""
+    if type(value) in (str, int):
+        try:
+            return parse_fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field} is not a rational number: {value!r}")
+
+
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def _json_ratios(values: list, field: str) -> tuple[list[int], list[int]]:
+    """A list of ``_json_fraction``s as their numerators and denominators
+    (> 0, not reduced): "p/q" and integer strings are split without a
+    ``Fraction``."""
+    nums, dens = [], []
+    for value in values:
+        match = type(value) is str and _RATIO(value)
+        try:
+            num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+        except ValueError:  # past the digit limit of int(str)
+            den = 0
+        if not den:
+            q = _json_fraction(value, field)
+            num, den = q.numerator, q.denominator
+        nums.append(num)
+        dens.append(den)
+    return nums, dens
 
 
 def _add_term(d: dict, key, coeff) -> None:

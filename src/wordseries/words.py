@@ -17,8 +17,9 @@ Letters are validated where words enter the package: ``Word(...)`` itself,
 Words derived from validated words (slices, concatenations, enumerations)
 are built unchecked through ``Word._trusted``, their grading carried over
 or summed instead of recomputed.  ``lyndon_words`` generates the Lyndon
-words directly from their standard factorizations, so it builds no word it
-does not return.
+words directly from their standard factorizations, as letter tuples
+(``_lyndon_letters``, which the ``lyndon`` verb names without a ``Word``),
+so it builds no word it does not return.
 
 Words print through one printer, ``Alphabet.name``, which names a tuple of
 letters from a table of letter names that the alphabet fills on first use.
@@ -410,7 +411,14 @@ def words_up_to_grading(alphabet: Alphabet, max_grade: int) -> list[Word]:
 
 def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:
     """Lyndon words of grading <= max_grade, sorted by (grading, lex); a
-    bound over the word budget is refused with a ValueError.
+    bound over the word budget is refused with a ValueError."""
+    grades = _lyndon_letters(alphabet, max_grade)
+    return [Word._trusted(alphabet, letters, n) for n, grade in enumerate(grades) for letters in grade]
+
+
+def _lyndon_letters(alphabet: Alphabet, max_grade: int) -> list[list[tuple]]:
+    """The letter tuples of the Lyndon words of ``lyndon_words``, one list
+    per grading 0..max_grade.
 
     Generated grade by grade from their standard factorizations (Chen, Fox
     and Lyndon, Ann. Math. 68, 1958): a Lyndon word of two or more letters
@@ -427,7 +435,7 @@ def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:
     # standard factor or None on a letter) in increasing key order, and the keys alone
     by_grade: list[list[tuple]] = [[]]
     keys: list[list[tuple]] = [[]]
-    out: list[Word] = []
+    out: list[list[tuple]] = [[]]
     for n in range(1, max_grade + 1):
         found = [
             ((letter_key(a),), (a,), None)
@@ -446,7 +454,7 @@ def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:
         found.sort(key=lambda t: t[0])
         by_grade.append(found)
         keys.append([t[0] for t in found])
-        out.extend(Word._trusted(alphabet, letters, n) for _, letters, _ in found)
+        out.append([letters for _, letters, _ in found])
     return out
 
 

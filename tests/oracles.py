@@ -21,9 +21,11 @@ oracles: they show as ``NCPoly``s the letter images pi1(y_k) and the letter
 morphism Phi that a ``DualBases`` holds as integer forms.
 """
 
+import functools
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +39,7 @@ from wordseries.ncpoly import (
     PhiTable,
     TruncSeries,
     _values_match,
+    format_fraction,
     conc,
     coproduct,
     delta_phi,
@@ -49,12 +52,84 @@ from wordseries.ncpoly import (
 from wordseries.words import (
     Alphabet,
     Word,
+    alphabet_text,
     is_lyndon,
     lyndon_factorization,
     lyndon_words,
+    parse_alphabet,
     standard_factorization,
     words_up_to_grading,
 )
+
+
+# -- Fraction matrices: the dense helpers the library no longer needs -----------
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def frac(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def vector(xs):
+    return tuple(frac(x) for x in xs)
+
+
+def matrix(rows):
+    out = tuple(vector(r) for r in rows)
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged matrix")
+    return out
+
+
+def identity(n):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def zeros(rows, cols):
+    return tuple((ZERO,) * cols for _ in range(rows))
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    c = frac(c)
+    return tuple(tuple(c * x for x in r) for r in a)
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(r, v)) for r in a)
+
+
+def vec_mat(v, a):
+    if a and len(v) != len(a):
+        raise ValueError("dimension mismatch")
+    cols = len(a[0]) if a else 0
+    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(cols))
+
+
+def dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), ZERO)
+
+
+def transpose(a):
+    return tuple(zip(*a)) if a else ()
+
+
+def kron(a, b):
+    ra, ca = len(a), len(a[0]) if a else 0
+    rb, cb = len(b), len(b[0]) if b else 0
+    return tuple(
+        tuple(a[i][k] * b[j][l] for k in range(ca) for l in range(cb))
+        for i in range(ra)
+        for j in range(rb)
+    )
+
+
+def kron_vec(u, v):
+    return tuple(x * y for x in u for y in v)
 
 
 def word_product_terms(p, q, word_mul=None, bound=None, out=None):
@@ -186,7 +261,7 @@ def sigma_by_inverse(bases, grade):
     inv = inverse_gauss_jordan([[bases.pi(v).coeff(u) for u in words] for v in words])
     return {
         u: NCPoly(bases.alphabet, dict(zip(words, col)))
-        for u, col in zip(words, exactlin.transpose(inv))
+        for u, col in zip(words, transpose(inv))
     }
 
 
@@ -456,27 +531,27 @@ def _reachability_per_vector_solve(r):
         nxt = []
         for v in frontier:
             for m in r.mu.values():
-                image = exactlin.vec_mat(v, m)
+                image = vec_mat(v, m)
                 if space.add(image):
                     basis.append(image)
                     nxt.append(image)
         frontier = nxt
     if not basis:
         return LinRep.zero(r.alphabet, r.max_letter_weight)
-    bt = exactlin.transpose(basis)
+    bt = transpose(basis)
 
     def coords(v):
         sol = solve_gauss_jordan(bt, v)
         assert sol is not None, "reachable space is not invariant"
         return sol
 
-    mu = {letter: [coords(exactlin.vec_mat(b, m)) for b in basis] for letter, m in r.mu.items()}
-    eta = [exactlin.dot(b, r.eta) for b in basis]
+    mu = {letter: [coords(vec_mat(b, m)) for b in basis] for letter, m in r.mu.items()}
+    eta = [dot(b, r.eta) for b in basis]
     return LinRep(r.alphabet, coords(r.nu), mu, eta, r.max_letter_weight)
 
 
 def _transpose_rep(r):
-    mu = {letter: exactlin.transpose(m) for letter, m in r.mu.items()}
+    mu = {letter: transpose(m) for letter, m in r.mu.items()}
     return LinRep(r.alphabet, r.eta, mu, r.nu, r.max_letter_weight)
 
 
@@ -487,17 +562,156 @@ def minimize_per_vector_solve(r):
     return _transpose_rep(_reachability_per_vector_solve(_transpose_rep(reduced)))
 
 
+
+# -- LinRep on Fraction matrices: closures, shifts, minimize, JSON ----------------
+#
+# The representation paths of the library before it stored integer forms:
+# each result is built from Fraction vectors and matrices through the public
+# constructor.
+
+
+def rat_sum_by_fractions(r1, r2):
+    bound = None if r1.alphabet.is_x else min(r1.max_letter_weight or 0, r2.max_letter_weight or 0)
+    n1, n2 = r1.rank, r2.rank
+    mu1, mu2 = r1.mu, r2.mu
+    mu = {}
+    for letter in r1.alphabet.letters(max_weight=bound):
+        a, b = mu1[letter], mu2[letter]
+        mu[letter] = [
+            [a[i][j] if j < n1 else ZERO for j in range(n1 + n2)]
+            if i < n1
+            else [b[i - n1][j - n1] if j >= n1 else ZERO for j in range(n1 + n2)]
+            for i in range(n1 + n2)
+        ]
+    return LinRep(r1.alphabet, r1.nu + r2.nu, mu, r1.eta + r2.eta, bound)
+
+
+def rat_conc_by_fractions(r1, r2):
+    bound = None if r1.alphabet.is_x else min(r1.max_letter_weight or 0, r2.max_letter_weight or 0)
+    n1, n2 = r1.rank, r2.rank
+    nu1, eta1, nu2, eta2, mu1, mu2 = r1.nu, r1.eta, r2.nu, r2.eta, r1.mu, r2.mu
+    s2 = dot(nu2, eta2)
+    mu = {}
+    for letter in r1.alphabet.letters(max_weight=bound):
+        a, b = mu1[letter], mu2[letter]
+        nu2b = vec_mat(nu2, b)
+        block = [[eta1[i] * nu2b[j] for j in range(n2)] for i in range(n1)]
+        mu[letter] = [list(a[i]) + block[i] if i < n1 else [ZERO] * n1 + list(b[i - n1]) for i in range(n1 + n2)]
+    return LinRep(r1.alphabet, nu1 + (ZERO,) * n2, mu, tuple(c * s2 for c in eta1) + eta2, bound)
+
+
+def rat_star_by_fractions(r):
+    nu, eta, n = r.nu, r.eta, r.rank
+    if dot(nu, eta) != 0:
+        raise ValueError("star needs a proper series: <R, 1> = 0")
+    mu = {}
+    for letter, m in r.mu.items():
+        numu = vec_mat(nu, m)
+        top = mat_add(m, [[eta[i] * numu[j] for j in range(n)] for i in range(n)])
+        mu[letter] = [list(row) + [ZERO] for row in top] + [list(numu) + [ZERO]]
+    return LinRep(r.alphabet, (ZERO,) * n + (ONE,), mu, eta + (ONE,), r.max_letter_weight)
+
+
+def rat_phi_shuffle_by_fractions(r1, r2, phi=None):
+    """The shuffle closure (phi None) or the phi-shuffle closure, from the
+    letter coproducts of ``coproduct``: mu(x) = sum of g mu1(u) (x) mu2(v)."""
+    alphabet = r1.alphabet
+    bound = None if alphabet.is_x else min(r1.max_letter_weight or 0, r2.max_letter_weight or 0)
+    mu1, mu2 = r1.mu, r2.mu
+    factor = lambda mu, rank, u: mu[u.letters[0]] if u.letters else identity(rank)
+    mu = {}
+    for letter in alphabet.letters(max_weight=bound):
+        x = NCPoly.from_word(Word(alphabet, (letter,)))
+        rule = coproduct("shuffle", x) if phi is None else coproduct("phi", x, phi)
+        mu[letter] = functools.reduce(mat_add, (
+            kron(mat_scale(g, factor(mu1, r1.rank, u)), factor(mu2, r2.rank, v)) for (u, v), g in rule.terms.items()
+        ))
+    return LinRep(alphabet, kron_vec(r1.nu, r2.nu), mu, kron_vec(r1.eta, r2.eta), bound)
+
+
+def left_shift_by_fractions(r, p):
+    return LinRep(r.alphabet, vec_mat(r.nu, mu_of_poly_by_fractions(r, p)), r.mu, r.eta, r.max_letter_weight)
+
+
+def right_shift_by_fractions(r, p):
+    return LinRep(r.alphabet, r.nu, r.mu, mat_vec(mu_of_poly_by_fractions(r, p), r.eta), r.max_letter_weight)
+
+
+def delta_conc_by_fractions(r):
+    units = [tuple(ONE if j == i else ZERO for j in range(r.rank)) for i in range(r.rank)]
+    return [(LinRep(r.alphabet, r.nu, r.mu, e, r.max_letter_weight), LinRep(r.alphabet, e, r.mu, r.eta, r.max_letter_weight))
+            for e in units]
+
+
+def _reachability_by_int_rows(r):
+    """The reachable part of r: Fraction vectors as integer rows (w, s) of
+    ``exactlin._int_row``, coordinates by ``exactlin.coordinates``."""
+    n = r.rank
+    mats = {}
+    for letter, m in r.mu.items():
+        flat, scale = exactlin._int_row([x for row in m for x in row])
+        mats[letter] = [flat[j::n] for j in range(n)], scale
+    space = exactlin.RowSpace(n)
+    start = exactlin._int_row(r.nu)
+    basis = [start] if space.add(start[0]) else []
+    images = []
+    while len(images) < len(basis):
+        w, s = basis[len(images)]
+        row = {}
+        for letter, (cols, scale) in mats.items():
+            u, g = exactlin._int_row([sum(map(operator.mul, w, col)) for col in cols])
+            row[letter] = image = (u, s * scale * g)
+            if space.add(u):
+                basis.append(image)
+        images.append(row)
+    if not basis:
+        return LinRep.zero(r.alphabet, r.max_letter_weight)
+    solve_row = exactlin.coordinates(basis, space.pivots)
+    mu = {letter: [solve_row(row[letter]) for row in images] for letter in r.mu}
+    e, se = exactlin._int_row(r.eta)
+    eta = [t * se * sum(map(operator.mul, w, e)) for w, t in basis]
+    return LinRep(r.alphabet, solve_row(start), mu, eta, r.max_letter_weight)
+
+
+def minimize_by_fractions(r):
+    """Forward reachability on integer rows with Fraction scales, then the
+    same on the transposed representation."""
+    reduced = _reachability_by_int_rows(r)
+    return _transpose_rep(_reachability_by_int_rows(_transpose_rep(reduced)))
+
+
+def linrep_from_json_by_fractions(data):
+    """A representation JSON object read one ``Fraction(str)`` per entry."""
+    alphabet = parse_alphabet(data["alphabet"])
+    vector = lambda values: [Fraction(c) for c in values]
+    mu = {alphabet.parse_word(name).letters[0]: [vector(row) for row in rows] for name, rows in data["mu"].items()}
+    return LinRep(alphabet, vector(data["nu"]), mu, vector(data["eta"]), data.get("max_letter_weight"))
+
+
+def linrep_to_json_by_fractions(r):
+    """The JSON object of a representation, printed from its Fraction views."""
+    texts = lambda values: [format_fraction(c) for c in values]
+    mu = r.mu
+    return {
+        "rank": r.rank,
+        "alphabet": alphabet_text(r.alphabet),
+        "max_letter_weight": r.max_letter_weight,
+        "nu": texts(r.nu),
+        "mu": {r.alphabet.letter_name(x): [texts(row) for row in mu[x]] for x in sorted(mu, key=r.alphabet.letter_key)},
+        "eta": texts(r.eta),
+    }
+
 def coeff_by_fractions(r, w):
     """nu mu(w) eta by Fraction row-vector products."""
     row = r.nu
     for letter in w.letters:
-        row = exactlin.vec_mat(row, r.matrix(letter))
-    return exactlin.dot(row, r.eta)
+        row = vec_mat(row, r.matrix(letter))
+    return dot(row, r.eta)
 
 
 def word_matrix_by_fractions(r, w):
     """mu(w) as a Fraction matrix product, starting from the identity."""
-    out = exactlin.identity(r.rank)
+    out = identity(r.rank)
     for letter in w.letters:
         out = exactlin.mat_mul(out, r.matrix(letter))
     return out
@@ -512,21 +726,21 @@ def eval_truncated_by_fractions(r, bound):
     while frontier:
         nxt = []
         for w, row in frontier:
-            c = exactlin.dot(row, r.eta)
+            c = dot(row, r.eta)
             if c:
                 coeffs[w] = c
             for letter in r.alphabet.letters(max_weight=bound):
                 if w.grading + r.alphabet.letter_weight(letter) <= bound:
-                    nxt.append((w * Word(r.alphabet, (letter,)), exactlin.vec_mat(row, r.matrix(letter))))
+                    nxt.append((w * Word(r.alphabet, (letter,)), vec_mat(row, r.matrix(letter))))
         frontier = nxt
     return TruncSeries(r.alphabet, bound, coeffs)
 
 
 def mu_of_poly_by_fractions(r, p):
     """mu of a polynomial as a sum of scaled Fraction word matrices."""
-    out = exactlin.zeros(r.rank, r.rank)
+    out = zeros(r.rank, r.rank)
     for w, c in p.terms.items():
-        out = exactlin.mat_add(out, exactlin.mat_scale(c, word_matrix_by_fractions(r, w)))
+        out = mat_add(out, mat_scale(c, word_matrix_by_fractions(r, w)))
     return out
 
 
@@ -572,7 +786,7 @@ def mxstar_by_fractions(r, bound, phi=None, mu_of_poly=mu_of_poly_by_fractions):
     for l in sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=True):
         a = mu_of_poly(r, right_of(l))
         factor = _matpoly_identity(alphabet, n)
-        apow = exactlin.identity(n)
+        apow = identity(n)
         spow = {alphabet.empty_word(): Fraction(1)}
         k = 0
         while (k + 1) * l.grading <= bound:

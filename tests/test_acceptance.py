@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import oracles
 from oracles import (
     conc_truncated,
     phi_shuffle_truncated,
@@ -142,7 +143,7 @@ def test_03_closure_constructions_match_polynomial_oracle():
                 assert truncation_poly(rat_shuffle(r1, r2), bound) == shuffle_truncated(
                     t1, t2, bound
                 )
-                c = exactlin.dot(r1.nu, r1.eta)
+                c = oracles.dot(r1.nu, r1.eta)
                 proper = rat_sum(r1, LinRep.from_poly(NCPoly.one(X2) * (-c)))
                 assert truncation_poly(rat_star(proper), bound) == star_truncated(
                     t1 - NCPoly.one(X2) * c, bound
@@ -185,10 +186,10 @@ def hankel_rank(r, window):
     front = {words[0]: r.nu}
     back = {words[0]: r.eta}
     for w in words[1:]:
-        front[w] = exactlin.vec_mat(front[w[:-1]], r.mu[w.letters[-1]])
-        back[w] = exactlin.mat_vec(r.mu[w.letters[0]], back[w[1:]])
+        front[w] = oracles.vec_mat(front[w[:-1]], r.mu[w.letters[-1]])
+        back[w] = oracles.mat_vec(r.mu[w.letters[0]], back[w[1:]])
     rows = [
-        exactlin.vector(exactlin.dot(front[u], back[v]) for v in words) for u in words
+        oracles.vector(oracles.dot(front[u], back[v]) for v in words) for u in words
     ]
     space = exactlin.RowSpace(len(words))
     return sum(space.add(row) for row in rows)

@@ -557,3 +557,65 @@ def test_non_finite_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "must be finite" in err
+
+
+# -- rationals in JSON files: strings and integers only --------------------------------
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.1, 2.0, None, "1/0", "0/00", "1/-2", "x"])
+def test_rep_entry_that_is_a_boolean_or_float_exits_2(capsys, tmp_path, bad):
+    data = {"alphabet": "x2", "nu": [bad, 0], "mu": {"x0": [["1", 0], [0, "1/2"]]}, "eta": ["1", 1]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rat", "coeff", "--rep", str(path), "--word", "x0")
+    assert code == 2 and out == ""
+    assert f"representation 'nu' is not a rational number: {bad!r}" in err
+
+
+def test_rep_entries_that_are_strings_or_integers_are_read(capsys, tmp_path):
+    data = {"alphabet": "x2", "nu": [1, "0"], "mu": {"x0": [["2/4", 0], [0, " 1/3"]]}, "eta": ["+1", "5e-1"]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "rat", "coeff", "--rep", str(path), "--word", "x0", "--format", "text")
+    assert (code, out) == (0, "1/2\n")
+
+
+@pytest.mark.parametrize("bad", [True, 0.5])
+def test_poly_coeff_that_is_a_boolean_or_float_exits_2(capsys, tmp_path, bad):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([{"word": "x0", "coeff": "1/2"}, {"word": "x1", "coeff": bad}]))
+    code, out, err = run(capsys, "mul", "--law", "conc", "--alphabet", "x2", "@" + str(path), "x0")
+    assert code == 2 and out == ""
+    assert f"polynomial term 1 'coeff' is not a rational number: {bad!r}" in err
+
+
+@pytest.mark.parametrize("bad", [False, 1.5])
+def test_gamma_entry_that_is_a_boolean_or_float_exits_2(capsys, tmp_path, bad):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"1,1": "1/2", "1,2": bad}))
+    code, out, err = run(capsys, "mul", "--law", "phi", "--gamma", str(path), "y1", "y1")
+    assert code == 2 and out == ""
+    assert f"gamma entry '1,2' is not a rational number: {bad!r}" in err
+
+
+# -- representation errors name letters and shapes ---------------------------------------
+
+
+def test_rep_matrix_beyond_the_weight_bound_names_the_letter(capsys, tmp_path):
+    data = {"alphabet": "y", "max_letter_weight": 1, "nu": ["1"], "mu": {"y1": [["1"]], "y2": [["1/2"]]},
+            "eta": ["1"]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rat", "coeff", "--rep", str(path), "--word", "y1")
+    assert code == 2 and out == ""
+    assert err == "error: unexpected letter y2 in mu: max_letter_weight is 1\n"
+
+
+def test_ragged_rep_matrix_names_the_letter_and_the_shape(capsys, tmp_path):
+    data = {"alphabet": "x2", "nu": ["1", "0"], "mu": {"x0": [["1", "0"], ["0", "1"]], "x1": [["1", "0"], ["1"]]},
+            "eta": ["1", "1"]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rat", "minimize", "--rep", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: matrix for x1 is not 2x2\n"

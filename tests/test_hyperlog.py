@@ -444,9 +444,9 @@ def test_system_output_bound_zero():
 
 
 def exact_nu_eta(r):
-    from wordseries import exactlin
+    import oracles
 
-    return exactlin.dot(r.nu, r.eta)
+    return oracles.dot(r.nu, r.eta)
 
 
 from oracles import taylor_ode_solution

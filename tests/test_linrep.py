@@ -6,6 +6,7 @@ Lie diagnostics against a floating-point closure with numpy rank estimates.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import (
     binomial_gamma,
     coeff_by_fractions,
@@ -106,7 +108,7 @@ def test_coeff_rank2_letter():
     assert r.coeff(xw("x0")) == 1
     assert r.coeff(xw("x1")) == 0
     assert r.coeff(xw("x0 x0")) == 0
-    assert r.coeff(xw("")) == exactlin.dot(r.nu, r.eta) == 0
+    assert r.coeff(xw("")) == oracles.dot(r.nu, r.eta) == 0
 
 
 def test_star_of_geometric():
@@ -199,13 +201,13 @@ def test_long_words_need_no_deep_recursion():
     r = LinRep(X2, [1, F(1, 2)], {0: [[F(1, 2), 1], [0, F(1, 3)]], 1: [[1, 0], [F(-1, 4), F(1, 2)]]}, [1, 1])
     w = X2.word((0, 1) * 800)
     m = r.word_matrix(w)
-    assert exactlin.dot(exactlin.vec_mat(r.nu, m), r.eta) == r.coeff(w)
+    assert oracles.dot(oracles.vec_mat(r.nu, m), r.eta) == r.coeff(w)
     p = NCPoly.from_word(w)
     assert mu_of_poly(r, p) == m
     empty = X2.empty_word()
     assert left_shift(r, p).coeff(empty) == right_shift(r, p).coeff(empty) == r.coeff(w)
-    assert left_shift(r, p).nu == exactlin.vec_mat(r.nu, m)
-    assert right_shift(r, p).eta == exactlin.mat_vec(m, r.eta)
+    assert left_shift(r, p).nu == oracles.vec_mat(r.nu, m)
+    assert right_shift(r, p).eta == oracles.mat_vec(m, r.eta)
 
 
 def test_from_poly():
@@ -301,7 +303,7 @@ def test_closures_match_polynomial_oracle():
             got = series_as_poly(got_rep.eval_truncated(n))
             assert got == expected
         # star: subtract the constant term to get a proper series
-        c = exactlin.dot(r1.nu, r1.eta)
+        c = oracles.dot(r1.nu, r1.eta)
         proper = rat_sum(r1, LinRep.from_poly(NCPoly.one(X2) * (-c)))
         tp = t1 - NCPoly.one(X2) * c
         star_expect = NCPoly.one(X2)
@@ -371,10 +373,10 @@ def hankel_rank(r: LinRep, window: int) -> int:
     front = {words[0]: r.nu}
     back = {words[0]: r.eta}
     for w in words[1:]:
-        front[w] = exactlin.vec_mat(front[w[:-1]], r.mu[w.letters[-1]])
-        back[w] = exactlin.mat_vec(r.mu[w.letters[0]], back[w[1:]])
+        front[w] = oracles.vec_mat(front[w[:-1]], r.mu[w.letters[-1]])
+        back[w] = oracles.mat_vec(r.mu[w.letters[0]], back[w[1:]])
     rows = [
-        exactlin.vector(exactlin.dot(front[u], back[v]) for v in words) for u in words
+        oracles.vector(oracles.dot(front[u], back[v]) for v in words) for u in words
     ]
     space = exactlin.RowSpace(len(words))
     return sum(space.add(row) for row in rows)
@@ -419,9 +421,9 @@ def test_minimize_matches_per_vector_solve_oracle(seed):
     a, b = rational_linrep(X2, 3, rng), rational_linrep(X2, 3, rng)
     kron9 = LinRep(
         X2,
-        exactlin.kron_vec(a.nu, b.nu),
-        {letter: exactlin.kron(a.mu[letter], b.mu[letter]) for letter in a.mu},
-        exactlin.kron_vec(a.eta, b.eta),
+        oracles.kron_vec(a.nu, b.nu),
+        {letter: oracles.kron(a.mu[letter], b.mu[letter]) for letter in a.mu},
+        oracles.kron_vec(a.eta, b.eta),
     )
     c = rational_linrep(Y, 8, rng, bound=2)
     doubled = rat_sum(c, c)
@@ -727,7 +729,7 @@ def test_mxstar_detects_a_perturbed_factor(monkeypatch):
         m = real(r, p)
         if not seen:
             seen.append(p)
-            m = exactlin.mat_add(m, exactlin.identity(r.rank))
+            m = oracles.mat_add(m, oracles.identity(r.rank))
         return m
 
     monkeypatch.setattr(linrep, "mu_of_poly", perturbed)
@@ -745,7 +747,7 @@ def _perturb_top_grade(real, bound):
         m = real(r, p)
         if not seen and p.max_grade() == bound:
             seen.append(p)
-            m = exactlin.mat_add(m, exactlin.identity(r.rank))
+            m = oracles.mat_add(m, oracles.identity(r.rank))
         return m
 
     return perturbed
@@ -899,3 +901,92 @@ def test_linrep_json_round_trip():
     assert again.max_letter_weight == 3
     for w in words_up_to_grading(Y, 3):
         assert again.coeff(w) == ry.coeff(w)
+
+
+# -- the integer form against the Fraction paths -------------------------------------
+
+ORACLE_ALPHABETS = [X2, Alphabet.x(3), Y, Alphabet.y(color_order=2)]
+ORACLE_GAMMAS = [STUFFLE, binomial_gamma(F(2)), binomial_gamma(F(1, 2))]
+
+
+@st.composite
+def rep_pairs(draw):
+    """Two representations over one alphabet: ranks 0-5, entries of
+    denominator <= 7, nu or eta possibly zero, weight bounds 1-3 on y."""
+    alphabet = draw(st.sampled_from(ORACLE_ALPHABETS))
+
+    def rep():
+        n = draw(st.integers(0, 5))
+        bound = None if alphabet.is_x else draw(st.sampled_from([1, 2, 3, 3]))  # y3 meets gamma(1, 2)
+        vector = st.lists(ratios, min_size=n, max_size=n)
+        mu = {letter: [draw(vector) for _ in range(n)] for letter in alphabet.letters(max_weight=bound)}
+        nu, eta = ([F(0)] * n if draw(st.integers(0, 3)) == 3 else draw(vector) for _ in range(2))
+        return LinRep(alphabet, nu, mu, eta, bound)
+
+    return rep(), rep()
+
+
+def assert_same_rep(got, want):
+    """Equal Fraction views and JSON, and an integer form over the least
+    common denominator whose column tables transpose its row tables."""
+    assert (got.alphabet, got.max_letter_weight, got.rank) == (want.alphabet, want.max_letter_weight, want.rank)
+    assert (got.nu, got.mu, got.eta) == (want.nu, want.mu, want.eta)
+    assert got.to_json() == oracles.linrep_to_json_by_fractions(want)
+    entries = fraction_values(got)
+    assert type(got._d) is int and got._d == math.lcm(*(c.denominator for c in entries))
+    assert all(type(x) is int for x in (*got._nu, *got._eta))
+    assert {x: [list(col) for col in cols] for x, cols in got._cols.items()} == {
+        x: [list(col) for col in zip(*m)] for x, m in got._rows.items()
+    }
+
+
+def respelled(data, rng):
+    """A representation JSON object with each rational written one of the
+    ways a file may hold it: reduced or not, a JSON integer, or a text that
+    only ``Fraction`` reads (spaces, a plus sign, an exponent)."""
+
+    def spell(text):
+        q = F(text)
+        p, d = q.numerator, q.denominator
+        return rng.choice([
+            text, f"{3 * p}/{3 * d}", p if d == 1 else text, f" {p}/{d} ",
+            f"+{p}/{d}" if p >= 0 else text, f"{p * (10 // d)}e-1" if 10 % d == 0 else text,
+        ])
+
+    out = dict(data)
+    out["nu"], out["eta"] = [spell(c) for c in data["nu"]], [spell(c) for c in data["eta"]]
+    out["mu"] = {name: [[spell(c) for c in row] for row in m] for name, m in data["mu"].items()}
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(rep_pairs(), st.integers(0, 2**32), st.data())
+def test_integer_forms_match_the_fraction_oracles(pair, seed, data):
+    r1, r2 = pair
+    alphabet = r1.alphabet
+    assert_same_rep(r1, oracles.linrep_from_json_by_fractions(oracles.linrep_to_json_by_fractions(r1)))
+    spelled = respelled(r1.to_json(), random.Random(seed))
+    assert_same_rep(LinRep.from_json(spelled), oracles.linrep_from_json_by_fractions(spelled))
+
+    assert_same_rep(rat_sum(r1, r2), oracles.rat_sum_by_fractions(r1, r2))
+    assert_same_rep(rat_conc(r1, r2), oracles.rat_conc_by_fractions(r1, r2))
+    assert_same_rep(rat_shuffle(r1, r2), oracles.rat_phi_shuffle_by_fractions(r1, r2))
+    for phi in ORACLE_GAMMAS if alphabet.is_y else ():
+        assert_same_rep(rat_phi_shuffle(r1, r2, phi), oracles.rat_phi_shuffle_by_fractions(r1, r2, phi))
+    for r in (r1, r2):
+        if oracles.dot(r.nu, r.eta):
+            with pytest.raises(ValueError, match="proper"):
+                rat_star(r)
+        else:
+            assert_same_rep(rat_star(r), oracles.rat_star_by_fractions(r))
+    for r in (r1, rat_sum(r1, r2)):
+        assert_same_rep(minimize(r), oracles.minimize_by_fractions(r))
+    for (g, d), (g0, d0) in zip(delta_conc_decompose(r1), oracles.delta_conc_by_fractions(r1), strict=True):
+        assert_same_rep(g, g0)
+        assert_same_rep(d, d0)
+
+    top = 2 if alphabet.is_x else min(2, r1.max_letter_weight)
+    chosen = data.draw(st.lists(st.sampled_from(words_up_to_grading(alphabet, top)), max_size=4))
+    p = NCPoly(alphabet, {w: data.draw(ratios) for w in chosen})
+    assert_same_rep(left_shift(r1, p), oracles.left_shift_by_fractions(r1, p))
+    assert_same_rep(right_shift(r1, p), oracles.right_shift_by_fractions(r1, p))
