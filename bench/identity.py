@@ -18,10 +18,16 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``rat`` operations, ``check mxstar``, ``check triangular`` and
   ``eval output``, on representations the generator never writes: rank 0,
   zero nu or eta, a denominator lcm above 10^12, x3, y with a weight bound,
-  y@2, entries spelled as JSON integers or unreduced, and the empty word.
+  y@2, entries spelled as JSON integers or unreduced, and the empty word;
+* a library section (``library_cases``) for the two functions that no verb
+  reaches: ``lie_diagnostics`` of each of those representations (its basis
+  as p/q entries and its dimension lists) and ``sweedler_membership`` of
+  some of them and of windows of their series, changed and unchanged, with
+  and without ``max_rank`` (verdict, rank, detail and the witnesses' JSON).
 
 The CLI invocations of one checkout run in one interpreter through
-``wordseries.cli.main``, as the benchmark's worker runs them.  The script
+``wordseries.cli.main``, as the benchmark's worker runs them, and the
+library cases in a second one.  The script
 prints one line per invocation whose stdout sha256 or exit code differs,
 then a summary, and exits 1 on any difference (2 on bad arguments).  It
 reads ``perfbench/`` and writes nothing into either checkout.
@@ -110,11 +116,11 @@ def _rep(alphabet: str, nu: list, mu: dict, eta: list, weight=None) -> dict:
     return data
 
 
-def rep_calls(files: dict) -> list[list[str]]:
-    """The fixed list of calls on representation files; ``files`` as in
-    ``fixed_calls``."""
+def representations() -> dict:
+    """The representation files of ``rep_calls`` and of the library section,
+    by name, as JSON objects."""
     h, t = "1/2", "-1/3"
-    reps = {
+    return {
         "x2a": _rep("x2", [1, h], {"x0": [[h, 1], [0, t]], "x1": [["2/4", 0], [h, "3/5"]]}, [1, 1]),
         "x2b": _rep("x2", ["1/7", 0, 2], {"x0": [["1/7", 0, 1], [0, 0, "2/7"], [1, 0, 0]],
                                           "x1": [[0, 1, 0], ["-3/7", 0, 0], [0, 0, 1]]}, [1, "5/7", 0]),
@@ -138,6 +144,12 @@ def rep_calls(files: dict) -> list[list[str]]:
                     [1, 1], 2),
         "y2b": _rep("y@2", [t, 1], {"y1@1": [[1, 0], [h, 0]], "y2@0": [[0, h], [1, 0]]}, [1, h], 2),
     }
+
+
+def rep_calls(files: dict) -> list[list[str]]:
+    """The fixed list of calls on representation files; ``files`` as in
+    ``fixed_calls``."""
+    reps = representations()
     files.update({f"{name}.json": data for name, data in reps.items()})
 
     def rep(name: str) -> list[str]:
@@ -171,6 +183,84 @@ def rep_calls(files: dict) -> list[list[str]]:
     return calls
 
 
+def library_cases() -> list[tuple[str, tuple]]:
+    """(label, case) of the library section: calls of ``lie_diagnostics``
+    and ``sweedler_membership``, which no CLI verb reaches, on the
+    representations of ``rep_calls`` and on windows of their series.  A
+    case is ("lie", rep), ("rep", rep) for the verdict on the
+    representation itself, ("window", rep, bound, changed, max_rank) for the
+    window of its series (letters beyond its weight bound at zero; changed:
+    the last word's coefficient plus 1/3), ("factorial", bound, max_rank)
+    for 1/len(w)! on x2, and ("zero", bound) for the zero series on x2."""
+    reps = representations()
+    bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
+    cases = [("lie", name) for name in reps]
+    cases += [("rep", name) for name in ("x2a", "x2zero", "x2big", "ya", "y2b")]
+    for name, data in reps.items():
+        ns = bounds[data["alphabet"]]
+        cases += [("window", name, n, False, None) for n in ns]
+        cases += [("window", name, ns[-1], True, None), ("window", name, ns[-1], False, 1)]
+    cases += [("factorial", n, k) for n in (3, 5, 7) for k in (None, 3)]
+    cases += [("zero", n) for n in (0, 2)]
+    return [("library/" + " ".join(map(str, case)), case) for case in cases]
+
+
+def _library_text(case: tuple, reps: dict) -> str:
+    """What one library case returns, as text: the Lie basis as p/q entries
+    and every dimension list, or the Sweedler verdict, rank, detail and the
+    witnesses' JSON."""
+    from wordseries.linrep import lie_diagnostics, sweedler_membership
+    from wordseries.ncpoly import TruncSeries
+    from wordseries.words import Alphabet, words_up_to_grading
+
+    kind, args = case[0], case[1:]
+    if kind == "lie":
+        d = lie_diagnostics(reps[args[0]])
+        lines = [f"nilpotent {d.nilpotent} {d.nilpotency_index} solvable {d.solvable} {d.solvability_index}",
+                 f"lower central {d.lower_central_dims} derived {d.derived_dims}"]
+        lines += [" | ".join(" ".join(f"{c.numerator}/{c.denominator}" for c in row) for row in m) for m in d.basis]
+        return "\n".join(lines)
+    max_rank = None
+    if kind == "rep":
+        obj = reps[args[0]]
+    elif kind == "window":
+        name, n, changed, max_rank = args
+        rep = reps[name]
+        alphabet, weight = rep.alphabet, rep.max_letter_weight or 1
+        words = words_up_to_grading(alphabet, n)
+        coeffs = {w: rep.coeff(w) for w in words
+                  if alphabet.is_x or all(alphabet.letter_weight(a) <= weight for a in w.letters)}
+        if changed:
+            coeffs[words[-1]] = coeffs.get(words[-1], 0) + Fraction(1, 3)
+        obj = TruncSeries(alphabet, n, coeffs)
+    elif kind == "factorial":
+        n, max_rank = args
+        x2 = Alphabet.x(2)
+        obj = TruncSeries(x2, n, {w: Fraction(1, math.factorial(len(w))) for w in words_up_to_grading(x2, n)})
+    else:
+        obj = TruncSeries(Alphabet.x(2), args[0], {})
+    v = sweedler_membership(obj, max_rank=max_rank)
+    witnesses = None if v.witnesses is None else [[a.to_json(), b.to_json()] for a, b in v.witnesses]
+    return f"{v.rational} {v.rank} {v.detail}\n{json.dumps(witnesses, sort_keys=True)}"
+
+
+def run_library() -> int:
+    """Worker: print [status, text sha256] of every library case as one JSON
+    list; status 0, or 1 when the case raised (the text is then the error)."""
+    from wordseries.linrep import LinRep
+
+    reps = {name: LinRep.from_json(data) for name, data in representations().items()}
+    results = []
+    for _, case in library_cases():
+        try:
+            text, status = _library_text(case, reps), 0
+        except Exception as exc:  # an error is an outcome to compare too
+            text, status = f"{type(exc).__name__}: {exc}", 1
+        results.append([status, hashlib.sha256(text.encode("utf-8")).hexdigest()])
+    json.dump(results, sys.stdout)
+    return 0
+
+
 def invocations(tmp: str) -> list[tuple[str, list[str]]]:
     """(label, argv) of every CLI invocation, input files written under tmp."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -198,14 +288,23 @@ def _placed(tmp: str, group: str, files: dict, jobs: list) -> list[tuple[str, li
     return [(f"{group}/{label}", [a.replace("{dir}", where) for a in argv]) for label, argv in jobs]
 
 
+def _imported_here() -> bool:
+    """Whether ``wordseries`` comes from the ``src`` of the current directory."""
+    import wordseries
+
+    expected = os.path.join(os.getcwd(), "src", "wordseries")
+    if os.path.dirname(os.path.abspath(wordseries.__file__)) != expected:
+        print(f"wordseries imported from {wordseries.__file__}, not {expected}", file=sys.stderr)
+        return False
+    return True
+
+
 def run_cli(jobs_path: str) -> int:
     """Worker: run the argv lists of ``jobs_path`` through ``wordseries.cli.main``
     and print [exit code, stdout sha256] of each as one JSON list."""
     import wordseries.cli as cli
 
-    expected = os.path.join(os.getcwd(), "src", "wordseries")
-    if os.path.dirname(os.path.abspath(cli.__file__)) != expected:
-        print(f"wordseries imported from {cli.__file__}, not {expected}", file=sys.stderr)
+    if not _imported_here():
         return 1
     with open(jobs_path) as fh:
         jobs = json.load(fh)
@@ -228,15 +327,23 @@ def _env(checkout: str) -> dict:
     return env
 
 
-def results(checkout: str, jobs_path: str, n_jobs: int) -> list[list]:
-    """[exit code, stdout sha256] of every CLI invocation, then of every demo."""
-    p = subprocess.run([sys.executable, os.path.abspath(__file__), "--run", jobs_path],
+def _worker(checkout: str, *args: str) -> list:
+    """The JSON list that this script prints when run with ``args`` in the checkout."""
+    p = subprocess.run([sys.executable, os.path.abspath(__file__), *args],
                        cwd=checkout, env=_env(checkout), capture_output=True, text=True)
     if p.returncode != 0:
-        raise RuntimeError(f"{checkout}: the CLI worker failed (exit {p.returncode}): {p.stderr[-2000:]}")
-    out = json.loads(p.stdout)
+        raise RuntimeError(f"{checkout}: the {args[0]} worker failed (exit {p.returncode}): {p.stderr[-2000:]}")
+    return json.loads(p.stdout)
+
+
+def results(checkout: str, jobs_path: str, n_jobs: int) -> list[list]:
+    """[exit code, stdout sha256] of every CLI invocation, then [status, text
+    sha256] of every library case, then [exit code, stdout sha256] of every
+    demo."""
+    out = _worker(checkout, "--run", jobs_path)
     if len(out) != n_jobs:
         raise RuntimeError(f"{checkout}: {len(out)} results for {n_jobs} invocations")
+    out += _worker(checkout, "--library")
     for demo in DEMOS:
         d = subprocess.run([sys.executable, os.path.join("demos", demo)], cwd=checkout, env=_env(checkout),
                            capture_output=True)
@@ -247,6 +354,8 @@ def results(checkout: str, jobs_path: str, n_jobs: int) -> list[list]:
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--run":
         return run_cli(argv[1])
+    if argv == ["--library"]:
+        return run_library() if _imported_here() else 1
     sides = dict(arg.split("=", 1) for arg in argv if "=" in arg)
     if len(argv) != 2 or set(sides) != {"BASE", "CHANGE"}:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -258,8 +367,9 @@ def main(argv: list[str]) -> int:
         with open(jobs_path, "w") as fh:
             json.dump([argv for _, argv in jobs], fh)
         base, change = (results(checkouts[k], jobs_path, len(jobs)) for k in ("BASE", "CHANGE"))
-    labels = [label for label, _ in jobs] + [f"demos/{demo}" for demo in DEMOS]
-    argvs = [" ".join(argv) for _, argv in jobs] + [""] * len(DEMOS)
+    library = [label for label, _ in library_cases()]
+    labels = [label for label, _ in jobs] + library + [f"demos/{demo}" for demo in DEMOS]
+    argvs = [" ".join(argv) for _, argv in jobs] + [""] * (len(library) + len(DEMOS))
     differ = 0
     for label, args, (rc0, h0), (rc1, h1) in zip(labels, argvs, base, change):
         if (rc0, h0) != (rc1, h1):

@@ -24,10 +24,18 @@ entries are read as integer pairs and written with one gcd each; closures,
 shifts and splittings put their operands over one denominator, which
 ``LinRep._of`` reduces; minimization carries reachable vectors as integers
 over one denominator and transposes by swapping nu' with eta' and rows with
-columns.  Evaluation and the checks sum on integers too, so ``Fraction``s
-are built only at the boundary: one per value returned, and in the
-read-only views ``nu``, ``mu`` and ``eta``.  Words are letter tuples
-throughout, as ``ncpoly`` stores them.
+columns.  Its coordinate vectors come from ``exactlin.coordinates``, the
+one integer solver, which also gives ``sweedler_membership`` its
+realization: the window is scaled by one lcm, so the Hankel rows are
+integers, and the representation is built by ``LinRep._of``.
+``lie_diagnostics`` brackets the integer letter matrices d mu(x).
+Evaluation and the checks sum and compare on integers too: ``check
+mxstar`` applies mu to the basis polynomials through ``_mu_of_poly``, and
+both checks compare their readout with ``_eval_integers``, the series as
+numerators over d^(|w|+2).  So ``Fraction``s are built only at the
+boundary: one per value returned, and in the read-only views ``nu``,
+``mu`` and ``eta``.  Words are letter tuples throughout, as ``ncpoly``
+stores them.
 """
 
 from __future__ import annotations
@@ -36,11 +44,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from . import exactlin
-from .exactlin import Mat, RowSpace, Vec, _int_row, _inverse_columns
+from .exactlin import RowSpace, coordinates
 from .hopf import DualBases, _lyndon_exp_product
 from .ncpoly import (
     NCPoly,
@@ -48,12 +55,12 @@ from .ncpoly import (
     TruncSeries,
     _SHUFFLE,
     _add_term,
-    _integer_terms,
     _json_checked,
     _json_fields,
     _json_ratios,
     _letter_rule,
     _product,
+    _reduced,
     is_character,
     is_infinitesimal_character,
 )
@@ -97,7 +104,7 @@ def _identity(n: int, c: int = 1) -> tuple:
     return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _fractions(m: Sequence[Sequence[int]], den: int) -> Mat:
+def _fractions(m: Sequence[Sequence[int]], den: int) -> tuple:
     """The integer matrix m over the denominator den, as Fractions."""
     return tuple(tuple(Fraction(x, den) for x in row) for row in m)
 
@@ -183,7 +190,7 @@ class LinRep:
         self._cols = {letter: tuple(zip(*m)) for letter, m in rows.items()} if cols is None else cols
 
     @property
-    def nu(self) -> Vec:
+    def nu(self) -> tuple:
         """nu as Fractions, built on each call."""
         return tuple(Fraction(x, self._d) for x in self._nu)
 
@@ -193,7 +200,7 @@ class LinRep:
         return {letter: _fractions(m, self._d) for letter, m in self._rows.items()}
 
     @property
-    def eta(self) -> Vec:
+    def eta(self) -> tuple:
         """eta as Fractions, built on each call."""
         return tuple(Fraction(x, self._d) for x in self._eta)
 
@@ -201,7 +208,7 @@ class LinRep:
     def rank(self) -> int:
         return len(self._nu)
 
-    def matrix(self, letter) -> Mat:
+    def matrix(self, letter) -> tuple:
         return _fractions(self._of_letter(self._rows, letter), self._d)
 
     def _of_letter(self, table: dict, letter):
@@ -245,11 +252,12 @@ class LinRep:
             row = _times(row, self._of_letter(self._cols, letter))
         return Fraction(sum(map(mul, row, self._eta)), self._d ** (len(w) + 2))
 
-    def word_matrix(self, w: Word) -> Mat:
+    def word_matrix(self, w: Word) -> tuple:
         return _fractions(self._word_matrices()(w.letters), self._d ** len(w))
 
-    def eval_truncated(self, bound: int) -> TruncSeries:
-        """All coefficients of grading <= bound by prefix-sharing traversal."""
+    def _eval_integers(self, bound: int) -> dict:
+        """The nonzero coefficients of grading <= bound by prefix-sharing
+        traversal, as letter tuple -> numerator over d^(|w|+2)."""
         alphabet = self.alphabet
         if alphabet.is_y and (self.max_letter_weight or 0) < bound:
             raise ValueError("materialized letter weights do not cover the bound")
@@ -257,22 +265,26 @@ class LinRep:
             (letter, alphabet.letter_weight(letter), self._of_letter(self._cols, letter))
             for letter in alphabet.letters(max_weight=bound)
         ]
-        coeffs: dict[tuple, Fraction] = {}
+        coeffs: dict[tuple, int] = {}
         eta = self._eta
         frontier = [((), 0, self._nu)]  # (letters, grading, nu' M(w)) of the words of one length
-        den = self._d ** 2  # the frontier holds the words of one length k: d^(k+2)
         while frontier:
             nxt = []
             for w, grading, row in frontier:
                 c = sum(map(mul, row, eta))
                 if c:
-                    coeffs[w] = Fraction(c, den)
+                    coeffs[w] = c
                 for x, weight, cols in steps:
                     if grading + weight <= bound:
                         nxt.append((w + (x,), grading + weight, _times(row, cols)))
             frontier = nxt
-            den *= self._d
-        return TruncSeries._of(alphabet, bound, coeffs)
+        return coeffs
+
+    def eval_truncated(self, bound: int) -> TruncSeries:
+        """All coefficients of grading <= bound by prefix-sharing traversal."""
+        coeffs = self._eval_integers(bound)
+        dpow = [self._d ** (k + 2) for k in range(max(map(len, coeffs), default=0) + 1)]
+        return TruncSeries._of(self.alphabet, bound, {w: Fraction(c, dpow[len(w)]) for w, c in coeffs.items()})
 
     # -- construction helpers ---------------------------------------------------
 
@@ -323,7 +335,9 @@ class LinRep:
     @classmethod
     def from_json(cls, data: dict) -> "LinRep":
         """The representation of a JSON object; its rationals are strings
-        ("p/q", or any text ``Fraction`` takes) or integers."""
+        ("p/q", or any text ``Fraction`` takes) or integers.  The field
+        "rank", which ``to_json`` writes and a file may leave out, must be
+        the integer length of nu."""
         kinds = {"alphabet": str, "nu": list, "mu": dict, "eta": list}
         text, nu, mu, eta = _json_fields(data, kinds, "representation")
         alphabet = parse_alphabet(text)
@@ -342,6 +356,12 @@ class LinRep:
         if weight is not None and type(weight) is not int:
             raise ValueError("representation 'max_letter_weight' must be an integer or null")
         nu, eta = vector(nu, "representation 'nu'"), vector(eta, "representation 'eta'")
+        if "rank" in data:
+            rank = data["rank"]
+            if type(rank) is not int:
+                raise ValueError("representation 'rank' must be an integer")
+            if rank != len(nu[0]):
+                raise ValueError(f"representation 'rank' is {rank}, but 'nu' has {len(nu[0])} entries")
         return cls._of(alphabet, *_integer_form(alphabet, nu, matrices, eta, weight))
 
     def __repr__(self) -> str:
@@ -376,7 +396,7 @@ def _mu_of_poly(r: LinRep, p: NCPoly) -> tuple[list[list[int]], int]:
     return out, den * d ** longest
 
 
-def mu_of_poly(r: LinRep, p: NCPoly) -> Mat:
+def mu_of_poly(r: LinRep, p: NCPoly) -> tuple:
     """mu extended linearly to polynomials, as Fractions."""
     return _fractions(*_mu_of_poly(r, p))
 
@@ -540,17 +560,13 @@ def _reachability_reduce(r: LinRep) -> LinRep:
         images.append(row)
     if not basis:
         return LinRep.zero(r.alphabet, r.max_letter_weight)
-    pivots = space.pivots
-    inv_cols, q = _inverse_columns([[v[p] for p in pivots] for v, _ in basis])
-    basis_cols = tuple(zip(*(v for v, _ in basis)))
+    solve, q = coordinates([v for v, _ in basis], space.pivots)
     dens = [den for _, den in basis]
     lcm = math.lcm(*dens)
 
     def coords(u: tuple, k: int) -> tuple:  # over q d lcm(D_j), for u over D_i d and k = lcm(D_j) / D_i
-        at_pivots = [u[p] for p in pivots]
-        z = [sum(map(mul, at_pivots, col)) for col in inv_cols]
-        assert all(sum(map(mul, z, col)) == q * x for col, x in zip(basis_cols, u)), \
-            "reachable space is not invariant"
+        z = solve(u)
+        assert z is not None, "reachable space is not invariant"
         return tuple(k * dj * zj for dj, zj in zip(dens, z))
 
     scales = [lcm // den for den in dens]
@@ -622,7 +638,7 @@ def exp_trunc(series: TruncSeries) -> TruncSeries:
 
 @dataclass
 class LieDiagnostics:
-    basis: list[Mat]
+    basis: list[tuple]
     nilpotent: bool
     solvable: bool
     nilpotency_index: int | None
@@ -631,42 +647,50 @@ class LieDiagnostics:
     derived_dims: list[int] = field(default_factory=list)
 
 
-def _flatten(m: Mat) -> Vec:
-    return tuple(c for row in m for c in row)
+def _flatten(m: Sequence[Sequence[int]]) -> list[int]:
+    return list(chain.from_iterable(m))
 
 
-def _span_basis(mats: list[Mat], n: int) -> list[Mat]:
+def _bracket(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple:
+    """The commutator ab - ba of two square integer matrices, by rows."""
+    acols, bcols = tuple(zip(*a)), tuple(zip(*b))
+    return tuple(tuple(map(sub, _times(ra, bcols), _times(rb, acols))) for ra, rb in zip(a, b))
+
+
+def _span_basis(mats: list, n: int) -> list:
+    """The matrices of ``mats`` that enlarge the span of those before them."""
     space = RowSpace(n * n)
-    out = []
-    for m in mats:
-        if space.add(_flatten(m)):
-            out.append(m)
-    return out
+    return [m for m in mats if space.add(_flatten(m))]
 
 
 def lie_diagnostics(r: LinRep) -> LieDiagnostics:
-    """Bracket closure of {mu(x)}, then lower central and derived series."""
+    """Bracket closure of {mu(x)}, then lower central and derived series.
+
+    The closure brackets the integer letter matrices d mu(x), so an element
+    of bracket depth k (a letter matrix has depth 1) is d^k times the
+    rational one.  Scaling changes no span test, so the same elements enter
+    in the same order; ``basis`` divides each back by its d^k.
+    """
     n = r.rank
     space = RowSpace(n * n)
-    closure = [m for m in r.mu.values() if space.add(_flatten(m))]
+    closure = [(m, 1) for m in r._rows.values() if space.add(_flatten(m))]
     frontier = list(closure)
     while frontier:
         nxt = []
-        for a in frontier:
-            for b in list(closure):
-                c = exactlin.bracket(a, b)
+        for a, i in frontier:
+            for b, j in list(closure):
+                c = _bracket(a, b)
                 if space.add(_flatten(c)):
-                    closure.append(c)
-                    nxt.append(c)
+                    closure.append((c, i + j))
+                    nxt.append((c, i + j))
         frontier = nxt
+    algebra = [m for m, _ in closure]
 
-    def bracket_span(left: list[Mat], right: list[Mat]) -> list[Mat]:
-        return _span_basis(
-            [exactlin.bracket(a, b) for a in left for b in right], n
-        )
+    def bracket_span(left: list, right: list) -> list:
+        return _span_basis([_bracket(a, b) for a in left for b in right], n)
 
     def descend(step) -> tuple[bool, int | None, list[int]]:
-        current = closure
+        current = algebra
         dims = [len(current)]
         index = 1
         while current:
@@ -680,10 +704,10 @@ def lie_diagnostics(r: LinRep) -> LieDiagnostics:
             index += 1
         return True, 0, dims  # the algebra itself is zero
 
-    nil, nil_k, lc_dims = descend(lambda cur: bracket_span(closure, cur))
+    nil, nil_k, lc_dims = descend(lambda cur: bracket_span(algebra, cur))
     sol, sol_k, dv_dims = descend(lambda cur: bracket_span(cur, cur))
     return LieDiagnostics(
-        basis=closure,
+        basis=[_fractions(m, r._d ** k) for m, k in closure],
         nilpotent=nil,
         solvable=sol,
         nilpotency_index=nil_k,
@@ -761,8 +785,8 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
                     lhs[w, (i, j)] = c
 
     def matrix_terms(l: Word) -> tuple[dict, int]:
-        a = mu_of_poly(r, right_basis(l))
-        return _integer_terms({(i, j): q for i, row in enumerate(a) for j, q in enumerate(row) if q})
+        m, den = _mu_of_poly(r, right_basis(l))
+        return _reduced({(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c}, den)
 
     factors = lyndon_words(alphabet, bound)
     factors.sort(key=Word.lex_key, reverse=True)
@@ -779,12 +803,11 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
         first = alphabet.name(min(differ, key=alphabet.sort_key))
         return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
 
-    readout: dict = {}
+    readout: dict = {}  # over scale d^2, the series over d^(|w|+2)
     for (w, (i, j)), c in rhs.items():
         _add_term(readout, w, r._nu[i] * c * r._eta[j])
-    den = scale * r._d ** 2
-    readout = {w: Fraction(c, den) for w, c in readout.items()}
-    if TruncSeries._of(alphabet, bound, readout) != r.eval_truncated(bound):
+    series = r._eval_integers(bound)
+    if any(readout.get(w, 0) * dpow[len(w)] != series.get(w, 0) * scale for w in readout.keys() | series.keys()):
         return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)
 
@@ -855,10 +878,9 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
                     _add_term(g, w, c)
 
     full = _matpoly_mul(geom, d_star, bound, weight)
-    readout = _matpoly_readout(r._nu, full, r._eta)
+    readout = _matpoly_readout(r._nu, full, r._eta)  # over d^(|w|+2), as the series
+    ok = readout == r._eval_integers(bound)
     rebuilt = TruncSeries._of(alphabet, bound, {w: Fraction(c, r._d ** (len(w) + 2)) for w, c in readout.items()})
-    direct = r.eval_truncated(bound)
-    ok = rebuilt == direct
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return rebuilt, FactorizationReport(ok, detail)
 
@@ -904,18 +926,21 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
         return SweedlerVerdict(False, None, "window too small for realization evidence")
     p = (n - wmax) // 2
     q = n - wmax - p
-    cols = words_up_to_grading(series.alphabet, q)
+    cols = [v.letters for v in words_up_to_grading(series.alphabet, q)]
+    nums, dens = _ratios(series._values.values())
+    scale = math.lcm(*dens)
+    window = {w: x * (scale // den) for w, x, den in zip(series._values, nums, dens)}  # the series times scale
 
-    def hankel_row(u: Word) -> list:
-        return [series.coeff(u * v) for v in cols]
+    def hankel_row(u: tuple) -> list[int]:
+        return [window.get(u + v, 0) for v in cols]
 
     space = RowSpace(len(cols))
-    basis_words: list[Word] = []
+    basis_words: list[tuple] = []
     basis_rows = []
     for u in words_up_to_grading(series.alphabet, p):
-        row = _int_row(hankel_row(u))
-        if space.add(row[0]):
-            basis_words.append(u)
+        row = hankel_row(u.letters)
+        if space.add(row):
+            basis_words.append(u.letters)
             basis_rows.append(row)
     hankel_rank = len(basis_words)
     if max_rank is not None and hankel_rank > max_rank:
@@ -928,27 +953,28 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
         rep = LinRep.zero(series.alphabet)
         return SweedlerVerdict(True, 0, f"zero series on window {n}", delta_conc_decompose(rep))
 
-    solve_row = exactlin.coordinates(basis_rows, space.pivots)
-    mu = {}
+    # coordinates z / den in the basis rows; the realization is over den·scale
+    solve, den = coordinates(basis_rows, space.pivots)
+    rows = {}
     for letter in series.alphabet.letters(max_weight=wmax):
-        rows = []
+        m = []
         for u in basis_words:
-            shifted = u * Word(series.alphabet, (letter,))
-            sol = solve_row(_int_row(hankel_row(shifted)))
-            if sol is None:
+            z = solve(hankel_row(u + (letter,)))
+            if z is None:
                 return SweedlerVerdict(
                     False,
                     None,
                     f"no rank-{hankel_rank} realization within window {n}: "
                     "shifted rows leave the span",
                 )
-            rows.append(sol)
-        mu[letter] = rows
-    nu = solve_row(_int_row(hankel_row(series.alphabet.empty_word())))
+            m.append(tuple(scale * x for x in z))
+        rows[letter] = tuple(m)
+    nu = solve(hankel_row(()))
     if nu is None:
         return SweedlerVerdict(False, None, "row of the empty word leaves the span")
-    eta = [series.coeff(u) for u in basis_words]
-    rep = LinRep(series.alphabet, nu, mu, eta, None if series.alphabet.is_x else wmax)
+    eta = [den * window.get(u, 0) for u in basis_words]
+    rep = LinRep._of(series.alphabet, den * scale, [scale * x for x in nu], rows, eta,
+                     None if series.alphabet.is_x else wmax)
 
     for w in words_up_to_grading(series.alphabet, n):
         heavier = any(series.alphabet.letter_weight(a) > wmax for a in w.letters)

@@ -4,6 +4,8 @@ Everything here recomputes expected values through a different route than
 the library code under test: Lyndon words by filtering every word of each
 grade and their standard factorizations by scanning suffixes, Gauss-Jordan
 elimination over ``Fraction`` and minimization with one solve per vector,
+the Sweedler realization on ``Fraction`` Hankel rows and the Lie
+diagnostics on ``Fraction`` brackets,
 representation evaluation, word matrices and the two factorization checks of
 ``linrep`` on ``Fraction`` matrices, the diagonal factorization check on
 ``Fraction`` tensors multiplied out in full, the duality check on basis
@@ -33,7 +35,7 @@ import numpy as np
 from wordseries import exactlin
 from wordseries.hopf import DiagonalReport, DualBases
 from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
-from wordseries.linrep import FactorizationReport, LinRep
+from wordseries.linrep import FactorizationReport, LieDiagnostics, LinRep, SweedlerVerdict
 from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
@@ -116,6 +118,18 @@ def dot(u, v):
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()
+
+
+def mat_mul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
+
+
+def bracket(a, b):
+    """Commutator [a, b] = ab - ba."""
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(mat_mul(a, b), mat_mul(b, a)))
 
 
 def kron(a, b):
@@ -251,6 +265,37 @@ class FractionRowSpace:
 
     def contains(self, v):
         return all(x == 0 for x in self.reduce(v))
+
+
+def int_row(v):
+    """The integer row (w, s) of a rational row v: v = s·w, with w primitive
+    (entries of gcd 1) and s > 0; the zero row has s = 0."""
+    xs = [frac(x) for x in v]
+    d = math.lcm(*(x.denominator for x in xs))
+    w = [x.numerator * (d // x.denominator) for x in xs]
+    g = math.gcd(*w)
+    if g > 1:
+        w = [x // g for x in w]
+    return w, Fraction(g, d)
+
+
+def coordinates_by_fractions(basis, pivots):
+    """Solver of x·B = v for k independent rows b_i = t_i·w_i, given as
+    integer rows (w_i, t_i): the k×k block of B at ``pivots`` is inverted
+    once by Gauss-Jordan over Fraction (ValueError when it is singular).
+    The returned function takes v as an integer row (w, s) and returns x as
+    Fractions, or None when v is outside the span."""
+    rows = matrix([[t * x for x in w] for w, t in basis])
+    inv = inverse_gauss_jordan([[b[p] for p in pivots] for b in rows])
+
+    def solve_row(v):
+        w, s = v
+        target = vector(s * x for x in w)
+        x = vec_mat(tuple(target[p] for p in pivots), inv)
+        combination = vec_mat(x, rows) if rows else (ZERO,) * len(target)
+        return x if combination == target else None
+
+    return solve_row
 
 
 def sigma_by_inverse(bases, grade):
@@ -645,30 +690,30 @@ def delta_conc_by_fractions(r):
 
 def _reachability_by_int_rows(r):
     """The reachable part of r: Fraction vectors as integer rows (w, s) of
-    ``exactlin._int_row``, coordinates by ``exactlin.coordinates``."""
+    ``int_row``, coordinates by ``coordinates_by_fractions``."""
     n = r.rank
     mats = {}
     for letter, m in r.mu.items():
-        flat, scale = exactlin._int_row([x for row in m for x in row])
+        flat, scale = int_row([x for row in m for x in row])
         mats[letter] = [flat[j::n] for j in range(n)], scale
     space = exactlin.RowSpace(n)
-    start = exactlin._int_row(r.nu)
+    start = int_row(r.nu)
     basis = [start] if space.add(start[0]) else []
     images = []
     while len(images) < len(basis):
         w, s = basis[len(images)]
         row = {}
         for letter, (cols, scale) in mats.items():
-            u, g = exactlin._int_row([sum(map(operator.mul, w, col)) for col in cols])
+            u, g = int_row([sum(map(operator.mul, w, col)) for col in cols])
             row[letter] = image = (u, s * scale * g)
             if space.add(u):
                 basis.append(image)
         images.append(row)
     if not basis:
         return LinRep.zero(r.alphabet, r.max_letter_weight)
-    solve_row = exactlin.coordinates(basis, space.pivots)
+    solve_row = coordinates_by_fractions(basis, space.pivots)
     mu = {letter: [solve_row(row[letter]) for row in images] for letter in r.mu}
-    e, se = exactlin._int_row(r.eta)
+    e, se = int_row(r.eta)
     eta = [t * se * sum(map(operator.mul, w, e)) for w, t in basis]
     return LinRep(r.alphabet, solve_row(start), mu, eta, r.max_letter_weight)
 
@@ -713,7 +758,7 @@ def word_matrix_by_fractions(r, w):
     """mu(w) as a Fraction matrix product, starting from the identity."""
     out = identity(r.rank)
     for letter in w.letters:
-        out = exactlin.mat_mul(out, r.matrix(letter))
+        out = mat_mul(out, r.matrix(letter))
     return out
 
 
@@ -791,7 +836,7 @@ def mxstar_by_fractions(r, bound, phi=None, mu_of_poly=mu_of_poly_by_fractions):
         k = 0
         while (k + 1) * l.grading <= bound:
             k += 1
-            apow = exactlin.mat_mul(apow, a)
+            apow = mat_mul(apow, a)
             spow = word_product_terms(spow, left_of(l).terms, word_mul)
             for i in range(n):
                 for j in range(n):
@@ -859,6 +904,86 @@ def triangular_by_fractions(r, bound):
     ok = rebuilt == eval_truncated_by_fractions(r, bound)
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return rebuilt, FactorizationReport(ok, detail)
+
+
+def sweedler_by_fractions(series, max_rank=None):
+    """``sweedler_membership`` of a window on Fraction Hankel rows: the
+    basis rows by ``FractionRowSpace``, every coordinate vector by
+    ``coordinates_by_fractions``, the realization through the public
+    constructor and its witnesses by ``delta_conc_by_fractions``."""
+    alphabet, n = series.alphabet, series.bound
+    if n < 1:
+        return SweedlerVerdict(False, None, "window too small for realization evidence")
+    wmax = 1 if alphabet.is_x else max([1] + [w.grading for w in series.coeffs if len(w) == 1])
+    if n < wmax:
+        return SweedlerVerdict(False, None, "window too small for realization evidence")
+    p = (n - wmax) // 2
+    cols = words_up_to_grading(alphabet, n - wmax - p)
+    hankel_row = lambda u: vector(series.coeff(u * v) for v in cols)
+    space = FractionRowSpace(len(cols))
+    basis_words = [u for u in words_up_to_grading(alphabet, p) if space.add(hankel_row(u))]
+    rank = len(basis_words)
+    if max_rank is not None and rank > max_rank:
+        return SweedlerVerdict(False, None, f"no realization of rank <= {max_rank} within window {n} (Hankel rank {rank})")
+    if rank == 0:
+        return SweedlerVerdict(True, 0, f"zero series on window {n}", delta_conc_by_fractions(LinRep.zero(alphabet)))
+    solve_row = coordinates_by_fractions([int_row(hankel_row(u)) for u in basis_words], space.pivots)
+    mu = {}
+    for letter in alphabet.letters(max_weight=wmax):
+        mu[letter] = [solve_row(int_row(hankel_row(u * Word(alphabet, (letter,))))) for u in basis_words]
+        if None in mu[letter]:
+            return SweedlerVerdict(False, None, f"no rank-{rank} realization within window {n}: shifted rows leave the span")
+    nu = solve_row(int_row(hankel_row(alphabet.empty_word())))
+    if nu is None:
+        return SweedlerVerdict(False, None, "row of the empty word leaves the span")
+    rep = LinRep(alphabet, nu, mu, [series.coeff(u) for u in basis_words], None if alphabet.is_x else wmax)
+    for w in words_up_to_grading(alphabet, n):
+        value = ZERO if any(alphabet.letter_weight(a) > wmax for a in w.letters) else coeff_by_fractions(rep, w)
+        if value != series.coeff(w):
+            return SweedlerVerdict(False, None, f"no rank-{rank} realization reproduces the window (first failure at {w})")
+    return SweedlerVerdict(True, rank, f"rational up to {n} with rank {rank}", delta_conc_by_fractions(rep))
+
+
+def lie_by_fractions(r):
+    """``lie_diagnostics`` on the Fraction letter matrices: the bracket
+    closure, then the lower central and derived series, every span tested
+    by ``FractionRowSpace``."""
+    n = r.rank
+    flat = lambda m: [c for row in m for c in row]
+
+    def span_basis(mats):
+        space = FractionRowSpace(n * n)
+        return [m for m in mats if space.add(flat(m))]
+
+    space = FractionRowSpace(n * n)
+    closure = [m for m in r.mu.values() if space.add(flat(m))]
+    frontier = list(closure)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(closure):
+                c = bracket(a, b)
+                if space.add(flat(c)):
+                    closure.append(c)
+                    nxt.append(c)
+        frontier = nxt
+
+    def descend(step):
+        current, dims, index = closure, [len(closure)], 1
+        while current:
+            nxt = step(current)
+            if len(nxt) == len(current):
+                return False, None, dims
+            current = nxt
+            dims.append(len(current))
+            if not current:
+                return True, index, dims
+            index += 1
+        return True, 0, dims
+
+    nil, nil_k, lc_dims = descend(lambda cur: span_basis([bracket(a, b) for a in closure for b in cur]))
+    sol, sol_k, dv_dims = descend(lambda cur: span_basis([bracket(a, b) for a in cur for b in cur]))
+    return LieDiagnostics(closure, nil, sol, nil_k, sol_k, lc_dims, dv_dims)
 
 
 # -- Word-keyed Fraction maps: the stored forms' oracle ------------------------

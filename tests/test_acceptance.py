@@ -19,7 +19,6 @@ from oracles import (
     star_truncated,
     taylor_ode_solution,
 )
-from wordseries import exactlin
 from wordseries.hopf import DualBases, diagonal_factorization_check
 from wordseries.hyperlog import (
     FormFamily,
@@ -191,7 +190,7 @@ def hankel_rank(r, window):
     rows = [
         oracles.vector(oracles.dot(front[u], back[v]) for v in words) for u in words
     ]
-    space = exactlin.RowSpace(len(words))
+    space = oracles.FractionRowSpace(len(words))
     return sum(space.add(row) for row in rows)
 
 

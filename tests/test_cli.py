@@ -619,3 +619,36 @@ def test_ragged_rep_matrix_names_the_letter_and_the_shape(capsys, tmp_path):
     code, out, err = run(capsys, "rat", "minimize", "--rep", str(path))
     assert code == 2 and out == ""
     assert err == "error: matrix for x1 is not 2x2\n"
+
+
+@pytest.mark.parametrize(
+    "rank, message",
+    [
+        (5, "representation 'rank' is 5, but 'nu' has 1 entries"),
+        (0, "representation 'rank' is 0, but 'nu' has 1 entries"),
+        ("two", "representation 'rank' must be an integer"),
+        ("1", "representation 'rank' must be an integer"),
+        (True, "representation 'rank' must be an integer"),
+        (1.0, "representation 'rank' must be an integer"),
+        (None, "representation 'rank' must be an integer"),
+    ],
+)
+def test_rep_rank_field_that_disagrees_with_nu_exits_2(capsys, tmp_path, rank, message):
+    data = {"rank": rank, "alphabet": "x2", "nu": ["1"], "mu": {"x0": [["1/2"]], "x1": [["1"]]}, "eta": ["1"]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rat", "minimize", "--rep", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_rep_rank_field_is_optional_and_checked_when_present(capsys, tmp_path):
+    data = {"alphabet": "x2", "nu": ["1", "0"], "mu": {"x0": [["1/2", "1"], ["0", "1"]]}, "eta": ["1", "1"]}
+    outs = []
+    for extra in ({}, {"rank": 2}):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**extra, **data}))
+        code, out, _ = run(capsys, "rat", "minimize", "--rep", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["rank"] == 2

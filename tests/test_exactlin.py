@@ -1,11 +1,17 @@
 """Exact elimination on integer rows against Gauss-Jordan over Fraction.
 
-Every result of ``RowSpace`` and ``coordinates`` must equal the oracle's
-exactly: same Fractions, same pivot columns, same None / ValueError.
-Matrices are small and rational, built to hold zero rows, repeated rows and
-combinations of earlier rows.
+``RowSpace`` must hold the oracle's reduced echelon form exactly (each row
+R with pivot p read as R / R[p]) with the same pivot columns, and
+``coordinates`` must give z with z·B = q·w wherever the oracle solves
+x·B = w, with z / q its solution, and None or ValueError where the oracle
+has none.  Matrices are small and rational, built to hold zero rows,
+repeated rows and combinations of earlier rows; the library gets them as
+integer rows, each scaled by a nonzero integer multiple of its least
+common denominator.
 """
 
+import copy
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +26,7 @@ from wordseries.exactlin import RowSpace
 ZERO = Fraction(0)
 ratios = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 entries = st.one_of(st.just(ZERO), ratios, st.integers(-3, 3))
+multipliers = st.sampled_from([1, 1, -1, 2, -3, 6])
 
 
 @st.composite
@@ -42,26 +49,38 @@ def matrices(draw, nrows=st.integers(0, 6), ncols=st.integers(0, 6)):
     return tuple(rows)
 
 
-def all_fractions(rows) -> bool:
-    return all(type(x) is Fraction for row in rows for x in row)
+def integers(v, k=1) -> list[int]:
+    """The rational row v times k and the lcm of its denominators."""
+    d = math.lcm(*(Fraction(x).denominator for x in v))
+    return [int(k * d * Fraction(x)) for x in v]
+
+
+def rref(space: RowSpace) -> list[list[Fraction]]:
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(space._rows, space.pivots)]
+
+
+def combination(z, basis) -> list:
+    """z·B for a row z and the rows of B."""
+    return [sum(x * y for x, y in zip(z, col)) for col in zip(*basis)]
 
 
 @settings(deadline=None)
 @given(st.integers(0, 5).flatmap(lambda n: matrices(nrows=st.just(n), ncols=st.just(n))))
 def test_coordinates_invert_the_pivot_block_like_gauss_jordan(a):
-    # x·A = e_i is row i of A^-1: the one block inverse coordinates builds
+    # A scaled to the integer matrix B = L·A: z·B = q·e_i makes L z / q row i of A^-1
     n = len(a)
-    basis = [exactlin._int_row(row) for row in a]
+    scale = math.lcm(*(Fraction(x).denominator for row in a for x in row))
+    basis = [[int(scale * Fraction(x)) for x in row] for row in a]
     try:
         want = inverse_gauss_jordan(a)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
             exactlin.coordinates(basis, range(n))
         return
-    solve_row = exactlin.coordinates(basis, range(n))
-    got = tuple(solve_row(exactlin._int_row(e)) for e in oracles.identity(n))
-    assert got == want and all_fractions(got)
-    assert exactlin.mat_mul(a, got) == oracles.identity(n)
+    solve, q = exactlin.coordinates(basis, range(n))
+    got = tuple(tuple(Fraction(scale * x, q) for x in solve(e)) for e in oracles.identity(n))
+    assert got == want
+    assert oracles.mat_mul(a, got) == oracles.identity(n)
 
 
 @settings(deadline=None)
@@ -70,71 +89,78 @@ def test_rowspace_matches_fraction_rowspace(vectors, data):
     ncols = len(vectors[0]) if vectors else 3
     space, oracle = RowSpace(ncols), FractionRowSpace(ncols)
     for v in vectors:
-        assert space.add(v) == oracle.add(v)
-        assert space.rows == oracle.rows and space.pivots == oracle.pivots
+        assert space.add(integers(v, data.draw(multipliers))) == oracle.add(v)
+        assert rref(space) == oracle.rows and space.pivots == oracle.pivots
         assert len(space) == len(oracle.rows)
+        assert all(math.gcd(*row) == 1 for row in space._rows)
         probe = data.draw(st.sampled_from(vectors)) if data.draw(st.booleans()) else data.draw(
             st.lists(entries, min_size=ncols, max_size=ncols)
         )
-        reduced = space.reduce(probe)
-        assert reduced == oracle.reduce(probe) and all_fractions([reduced])
-        assert space.contains(probe) == oracle.contains(probe)
+        assert copy.deepcopy(space).add(integers(probe)) == (not oracle.contains(probe))
 
 
 @settings(deadline=None)
 @given(matrices(nrows=st.integers(1, 6), ncols=st.integers(1, 6)), st.data())
 def test_coordinates_match_a_solve_in_the_basis(vectors, data):
+    # inside the span z·B = q·w with z / q the oracle's solution; outside, None
     space = RowSpace(len(vectors[0]))
-    basis = [v for v in vectors if space.add(v)]
+    basis = [row for row in (integers(v, data.draw(multipliers)) for v in vectors) if space.add(row)]
     if not basis:
         return
-    solve_row = exactlin.coordinates([exactlin._int_row(b) for b in basis], space.pivots)
+    solve, q = exactlin.coordinates(basis, space.pivots)
     if data.draw(st.booleans()):  # inside the span
         x = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
-        v = oracles.vec_mat(oracles.vector(x), basis)
+        w = integers(combination(x, basis), data.draw(multipliers))
     else:
-        v = data.draw(st.lists(entries, min_size=len(basis[0]), max_size=len(basis[0])))
-    got = solve_row(exactlin._int_row(v))
-    assert got == solve_gauss_jordan(oracles.transpose(basis), v)
-    assert (got is None) == (not space.contains(v))
+        w = integers(data.draw(st.lists(entries, min_size=len(basis[0]), max_size=len(basis[0]))))
+    want = solve_gauss_jordan(oracles.transpose(basis), w)
+    z = solve(w)
+    if want is None:
+        assert z is None
+    else:
+        assert combination(z, basis) == [q * x for x in w]
+        assert tuple(Fraction(x, q) for x in z) == want
 
 
 def test_empty_inputs():
     space = RowSpace(0)
-    assert not space.add(()) and space.contains(()) and space.reduce(()) == []
-    assert space.rows == [] and space.pivots == [] and len(space) == 0
-    solve_row = exactlin.coordinates([], [])
-    assert solve_row(exactlin._int_row([0, 0])) == ()
-    assert solve_row(exactlin._int_row([0, 1])) is None
+    assert not space.add(()) and space.pivots == [] and len(space) == 0
+    solve, q = exactlin.coordinates([], [])
+    assert q == 1
+    assert solve([0, 0]) == []
+    assert solve([0, 1]) is None
 
 
 def test_zero_duplicate_and_dependent_rows():
-    a = ((0, 0, 0), (1, 2, 3), (1, 2, 3), (2, 4, 7), (Fraction(1, 2), 1, 2))
+    a = ((0, 0, 0), (1, 2, 3), (1, 2, 3), (2, 4, 7), (1, 2, 4), (-5, -10, -1))
     space = RowSpace(3)
-    assert [space.add(v) for v in a] == [False, True, False, True, False]
+    assert [space.add(v) for v in a] == [False, True, False, True, False, False]
     assert space.pivots == [0, 2] and len(space) == 2
-    assert space.rows == [[1, 2, 0], [0, 0, 1]] and all_fractions(space.rows)
-    assert space.reduce((0, 1, 0)) == [0, 1, 0]
-    assert space.reduce((5, 10, 1)) == [0, 0, 0]
+    assert space._rows == [[1, 2, 0], [0, 0, 1]]
+    assert space.add((0, 3, 0)) and space._rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_inconsistent_system_and_singular_inverse():
-    # x·B = v outside the span of B is None; a singular pivot block is refused
-    basis = [exactlin._int_row(row) for row in ((1, 2, 0), (0, 0, 1))]
-    solve_row = exactlin.coordinates(basis, [0, 2])
-    assert solve_row(exactlin._int_row((1, 3, 5))) is None
-    assert solve_row(exactlin._int_row((2, 4, 5))) == (2, 5)
+    # z·B = q·w outside the span of B is None; a singular pivot block is refused
+    solve, q = exactlin.coordinates([(1, 2, 0), (0, 0, 1)], [0, 2])
+    assert q == 1
+    assert solve((1, 3, 5)) is None
+    assert solve((2, 4, 5)) == [2, 5]
+    solve, q = exactlin.coordinates([(2, 0), (0, 3)], [0, 1])
+    assert (solve((4, 1)), q) == ([12, 2], 6)
     for rows, pivots in ((((1, 2), (2, 4)), [0, 1]), (((1, 2, 0), (0, 0, 1)), [0, 1]), (((0,),), [0])):
         with pytest.raises(ValueError, match="singular"):
-            exactlin.coordinates([exactlin._int_row(row) for row in rows], pivots)
+            exactlin.coordinates(rows, pivots)
 
 
 def test_large_heights_stay_exact():
     # entries of forty digits: the integer rows must not lose a bit
     big = Fraction(10**40 + 7, 3**30)
     a = ((big, 1, Fraction(1, 10**20)), (2, big, 5), (Fraction(-1, 7), 3, big))
-    solve_row = exactlin.coordinates([exactlin._int_row(row) for row in a], range(3))
+    basis = [integers(row) for row in a]
+    solve, q = exactlin.coordinates(basis, range(3))
     for v in ((1, 2, 3), (big, -big, Fraction(1, 3**30))):
-        got = solve_row(exactlin._int_row(v))
-        assert got == solve_gauss_jordan(oracles.transpose(a), v)
-        assert oracles.vec_mat(got, oracles.matrix(a)) == oracles.vector(v)
+        w = integers(v)
+        z = solve(w)
+        assert combination(z, basis) == [q * x for x in w]
+        assert tuple(Fraction(x, q) for x in z) == solve_gauss_jordan(oracles.transpose(basis), w)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import oracles
 from oracles import (
@@ -378,7 +378,7 @@ def hankel_rank(r: LinRep, window: int) -> int:
     rows = [
         oracles.vector(oracles.dot(front[u], back[v]) for v in words) for u in words
     ]
-    space = exactlin.RowSpace(len(words))
+    space = oracles.FractionRowSpace(len(words))
     return sum(space.add(row) for row in rows)
 
 
@@ -662,15 +662,25 @@ def test_lie_diagnostics_hypergeometric_degenerate():
     d = lie_diagnostics(r)
     assert len(d.basis) == float_closure_dims([m0, m1])
     # closure under bracket, and solvability by inspection of the float oracle
-    space = exactlin.RowSpace(4)
+    space = oracles.FractionRowSpace(4)
     for m in d.basis:
         space.add([c for row in m for c in row])
     for a in d.basis:
         for b in d.basis:
-            br = exactlin.bracket(a, b)
+            br = oracles.bracket(a, b)
             assert space.contains([c for row in br for c in row])
     assert d.solvable
     assert not d.nilpotent  # [m0, m1] = m1 - diag part keeps reproducing itself
+
+
+@settings(deadline=None, max_examples=40)
+@given(rational_reps())
+def test_lie_diagnostics_match_the_fraction_oracle(r):
+    # brackets of the integer letter matrices, divided back at the end, give
+    # the Fraction closure element by element and the same dimension lists
+    got, want = lie_diagnostics(r), oracles.lie_by_fractions(r)
+    assert got == want
+    assert all(type(c) is Fraction for m in got.basis for row in m for c in row)
 
 
 def test_lie_diagnostics_general_rank3():
@@ -722,32 +732,44 @@ def test_mxstar_detects_a_perturbed_factor(monkeypatch):
     # negative control: perturb mu(P_l) of the first Lyndon factor only
     from wordseries import linrep
 
-    real = linrep.mu_of_poly
+    real = linrep._mu_of_poly
     seen = []
 
     def perturbed(r, p):
-        m = real(r, p)
+        form = real(r, p)
         if not seen:
             seen.append(p)
-            m = oracles.mat_add(m, oracles.identity(r.rank))
-        return m
+            form = _integer_plus_identity(form)
+        return form
 
-    monkeypatch.setattr(linrep, "mu_of_poly", perturbed)
+    monkeypatch.setattr(linrep, "_mu_of_poly", perturbed)
     report = mxstar_factorization_check(hypergeometric_rep(F(1, 2), F(1, 2), 1), 3)
     assert report.equal is False
     assert report.detail.startswith("matrix series differ; first differing word:")
 
 
-def _perturb_top_grade(real, bound):
-    """mu_of_poly with the identity added to the matrix of the first factor
-    of grade ``bound``, so that the series first differ at that grade."""
+def _fraction_plus_identity(m):
+    """A Fraction matrix plus the identity."""
+    return oracles.mat_add(m, oracles.identity(len(m)))
+
+
+def _integer_plus_identity(form):
+    """The integer form (m, den) of ``linrep._mu_of_poly`` plus the identity."""
+    m, den = form
+    return [[x + den * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)], den
+
+
+def _perturb_top_grade(real, bound, plus_identity):
+    """``real``, a mu of polynomials, with the identity added (by
+    ``plus_identity``) to the matrix of the first factor of grade ``bound``,
+    so that the series first differ at that grade."""
     seen = []
 
     def perturbed(r, p):
         m = real(r, p)
         if not seen and p.max_grade() == bound:
             seen.append(p)
-            m = oracles.mat_add(m, oracles.identity(r.rank))
+            m = plus_identity(m)
         return m
 
     return perturbed
@@ -759,9 +781,13 @@ def test_mxstar_matches_the_fraction_oracle(r, bound, law, perturb):
     # y alphabets take the stuffle or gamma(i, j) = C(i+j, i) / 2; both
     # sides give the same verdict and the same first differing word
     phi = None if r.alphabet.is_x else {"stuffle": STUFFLE, "half binomial": binomial_gamma(F(1, 2))}[law]
-    oracle_mu = _perturb_top_grade(mu_of_poly_by_fractions, bound) if perturb else mu_of_poly_by_fractions
+    if perturb:
+        oracle_mu = _perturb_top_grade(mu_of_poly_by_fractions, bound, _fraction_plus_identity)
+        seam = _perturb_top_grade(linrep._mu_of_poly, bound, _integer_plus_identity)
+    else:
+        oracle_mu, seam = mu_of_poly_by_fractions, linrep._mu_of_poly
     expected = mxstar_by_fractions(r, bound, phi, oracle_mu)
-    with mock.patch.object(linrep, "mu_of_poly", _perturb_top_grade(mu_of_poly, bound) if perturb else mu_of_poly):
+    with mock.patch.object(linrep, "_mu_of_poly", seam):
         got = mxstar_factorization_check(r, bound, phi=phi)
     assert (got.equal, got.detail) == (expected.equal, expected.detail)
     assert got.equal or perturb
@@ -839,6 +865,27 @@ def test_triangular_decompose_matches_the_fraction_oracle(r, bound):
     assert_fractions(rebuilt)
 
 
+@pytest.mark.parametrize("check", ["mxstar", "triangular"])
+def test_checks_detect_a_changed_series(monkeypatch, check):
+    # negative control: the integer evaluation that both readouts are
+    # compared with gets the coefficient of x0 changed
+    real = LinRep._eval_integers
+
+    def changed(self, bound):
+        coeffs = dict(real(self, bound))
+        coeffs[(0,)] = coeffs.get((0,), 0) + 1
+        return coeffs
+
+    monkeypatch.setattr(LinRep, "_eval_integers", changed)
+    r = LinRep(X2, (1, 1), {0: [[1, 0], [0, 2]], 1: [[F(1, 2), 1], [0, 0]]}, (1, 1))
+    if check == "mxstar":
+        report = mxstar_factorization_check(r, 3)
+        assert (report.equal, report.detail) == (False, "nu M eta readout differs from the series")
+    else:
+        _, report = triangular_decompose(r, 3)
+        assert (report.equal, report.detail) == (False, "reconstruction differs")
+
+
 def test_triangular_decompose_rejects_non_triangular():
     r = LinRep(X2, (1, 0), {0: [[0, 0], [1, 0]], 1: [[0, 0], [0, 0]]}, (0, 1))
     with pytest.raises(ValueError, match="triangular"):
@@ -846,6 +893,39 @@ def test_triangular_decompose_rejects_non_triangular():
 
 
 # -- Sweedler membership ---------------------------------------------------------------
+
+
+@st.composite
+def windows(draw):
+    """A truncated series: the window of a random representation (letters
+    beyond its weight bound at zero), or that window with one coefficient
+    changed, or a few random coefficients."""
+    r = draw(rational_reps())
+    alphabet = r.alphabet
+    n = draw(st.integers(0, 4 if alphabet in (Alphabet.x(3), Alphabet.y(color_order=2)) else 6))
+    words = words_up_to_grading(alphabet, n)  # by grading: the short words first
+    kind = draw(st.sampled_from(["rational", "rational", "changed", "random"]))
+    if kind == "random":
+        chosen = draw(st.lists(st.sampled_from(words[: max(1, len(words) // 4)]), max_size=4))
+        return TruncSeries(alphabet, n, {w: draw(ratios) for w in chosen})
+    weight = r.max_letter_weight or 1
+    coeffs = {w: r.coeff(w) for w in words if all(alphabet.letter_weight(a) <= weight for a in w.letters)}
+    assume(any(coeffs.values()))  # zero windows come from the other kind
+    if kind == "changed":
+        w = draw(st.sampled_from(words))
+        coeffs[w] = coeffs.get(w, F(0)) + draw(ratios)
+    return TruncSeries(alphabet, n, coeffs)
+
+
+@settings(deadline=None, max_examples=80)
+@given(windows(), st.one_of(st.none(), st.integers(0, 3)))
+def test_sweedler_matches_the_fraction_oracle(series, max_rank):
+    # the realization on integer Hankel rows gives the Fraction one: same
+    # verdict, rank and detail, and witnesses with the same JSON
+    got, want = sweedler_membership(series, max_rank=max_rank), oracles.sweedler_by_fractions(series, max_rank)
+    assert (got.rational, got.rank, got.detail) == (want.rational, want.rank, want.detail)
+    pairs = lambda v: None if v.witnesses is None else [(a.to_json(), b.to_json()) for a, b in v.witnesses]
+    assert pairs(got) == pairs(want)
 
 
 def test_sweedler_linrep_member():
