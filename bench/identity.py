@@ -249,6 +249,8 @@ def run_library() -> int:
     list; status 0, or 1 when the case raised (the text is then the error)."""
     from wordseries.linrep import LinRep
 
+    if not _imported_here():
+        return 1
     reps = {name: LinRep.from_json(data) for name, data in representations().items()}
     results = []
     for _, case in library_cases():
@@ -355,7 +357,7 @@ def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--run":
         return run_cli(argv[1])
     if argv == ["--library"]:
-        return run_library() if _imported_here() else 1
+        return run_library()
     sides = dict(arg.split("=", 1) for arg in argv if "=" in arg)
     if len(argv) != 2 or set(sides) != {"BASE", "CHANGE"}:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
