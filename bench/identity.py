@@ -1,4 +1,4 @@
-"""Compare the stdout bytes and exit codes of two checkouts.
+"""Compare the stdout bytes, stderr bytes and exit codes of two checkouts.
 
 Usage, from the root of a checkout:
 
@@ -19,6 +19,10 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``eval output``, on representations the generator never writes: rank 0,
   zero nu or eta, a denominator lcm above 10^12, x3, y with a weight bound,
   y@2, entries spelled as JSON integers or unreduced, and the empty word;
+* a fixed list of calls on output paths that the benchmark does not take
+  (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
+  ``demo hypergeometric``, and requests that exit 2 (a bad word, a missing
+  file, a malformed representation, ``rat star`` on a non-proper series);
 * a library section (``library_cases``) for the two functions that no verb
   reaches: ``lie_diagnostics`` of each of those representations (its basis
   as p/q entries and its dimension lists) and ``sweedler_membership`` of
@@ -27,10 +31,10 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
 
 The CLI invocations of one checkout run in one interpreter through
 ``wordseries.cli.main``, as the benchmark's worker runs them, and the
-library cases in a second one.  The script
-prints one line per invocation whose stdout sha256 or exit code differs,
-then a summary, and exits 1 on any difference (2 on bad arguments).  It
-reads ``perfbench/`` and writes nothing into either checkout.
+library cases in a second one.  The script prints one line per invocation
+whose exit code, stdout sha256 or stderr sha256 differs, then a summary,
+and exits 1 on any difference (2 on bad arguments).  It reads
+``perfbench/`` and writes nothing into either checkout.
 """
 
 from __future__ import annotations
@@ -183,6 +187,34 @@ def rep_calls(files: dict) -> list[list[str]]:
     return calls
 
 
+def edge_calls(files: dict) -> list[list[str]]:
+    """The fixed list of calls on output paths that the benchmark's jobs do
+    not take: values in text format, the demo verb, and requests that exit 2;
+    ``files`` as in ``fixed_calls``."""
+    files["ragged.json"] = _rep("x2", [1, 0], {"x0": [[1, 0], [0]]}, [0, 1])
+    files["nomu.json"] = {"alphabet": "x2", "nu": [1], "eta": [1]}
+    return [
+        ["eval", "li", "--word", "x1", "--z", "0.5", "--format", "text"],
+        ["eval", "li", "--word", "x0 x1", "--z", "0.3", "--format", "text"],
+        ["eval", "li", "--word", "x1 x2", "--z", "0.4", "--roots-of-unity", "2", "--format", "text"],
+        ["eval", "h", "--word", "y2 y1", "--n", "50", "--format", "text"],
+        ["eval", "h", "--word", "y1@1 y2@0", "--n", "30", "--roots-of-unity", "2", "--format", "text"],
+        ["eval", "zeta", "--word", "y2", "--nterms", "1000", "--format", "text"],
+        ["eval", "zeta", "--word", "x0 x1", "--nterms", "1000", "--format", "text"],
+        ["demo", "hypergeometric"],
+        ["demo", "hypergeometric", "--N", "10", "--eta", "1,0"],
+        ["eval", "li", "--word", "q9", "--z", "0.5"],
+        ["mul", "--law", "shuffle", "--alphabet", "x2", "x0 x7", "x1"],
+        ["basis", "--family", "P", "--word", "y1 y0"],
+        ["rat", "star", "--rep", "{dir}/missing.json"],
+        ["mul", "--law", "phi", "--gamma", "{dir}/missing.json", "y1", "y1"],
+        ["rat", "minimize", "--rep", "{dir}/ragged.json"],
+        ["rat", "coeff", "--word", "x0", "--rep", "{dir}/nomu.json"],
+        ["rat", "star", "--rep", "{dir}/x2a.json"],
+        ["rat", "star", "--rep", "{dir}/ya.json"],
+    ]
+
+
 def library_cases() -> list[tuple[str, tuple]]:
     """(label, case) of the library section: calls of ``lie_diagnostics``
     and ``sweedler_membership``, which no CLI verb reaches, on the
@@ -244,6 +276,10 @@ def _library_text(case: tuple, reps: dict) -> str:
     return f"{v.rational} {v.rank} {v.detail}\n{json.dumps(witnesses, sort_keys=True)}"
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def run_library() -> int:
     """Worker: print [status, text sha256] of every library case as one JSON
     list; status 0, or 1 when the case raised (the text is then the error)."""
@@ -258,7 +294,7 @@ def run_library() -> int:
             text, status = _library_text(case, reps), 0
         except Exception as exc:  # an error is an outcome to compare too
             text, status = f"{type(exc).__name__}: {exc}", 1
-        results.append([status, hashlib.sha256(text.encode("utf-8")).hexdigest()])
+        results.append([status, _sha(text)])
     json.dump(results, sys.stdout)
     return 0
 
@@ -275,7 +311,7 @@ def invocations(tmp: str) -> list[tuple[str, list[str]]]:
             jobs = jobs + gen.probes(workload, seed)
             out += _placed(tmp, f"{workload}-{seed}", files, [(job["id"], job["argv"]) for job in jobs])
     files: dict = {}
-    calls = fixed_calls(files) + rep_calls(files)
+    calls = fixed_calls(files) + rep_calls(files) + edge_calls(files)
     out += _placed(tmp, "fixed", files, [(f"f{i:03d}", argv) for i, argv in enumerate(calls)])
     return out
 
@@ -303,7 +339,7 @@ def _imported_here() -> bool:
 
 def run_cli(jobs_path: str) -> int:
     """Worker: run the argv lists of ``jobs_path`` through ``wordseries.cli.main``
-    and print [exit code, stdout sha256] of each as one JSON list."""
+    and print [exit code, stdout sha256, stderr sha256] of each as one JSON list."""
     import wordseries.cli as cli
 
     if not _imported_here():
@@ -312,13 +348,13 @@ def run_cli(jobs_path: str) -> int:
         jobs = json.load(fh)
     results = []
     for argv in jobs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 rc = cli.main(argv)
             except Exception:  # a job that escapes the CLI's own handlers
                 rc = -1
-        results.append([rc, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()])
+        results.append([rc, _sha(out.getvalue()), _sha(err.getvalue())])
     json.dump(results, sys.stdout)
     return 0
 
@@ -339,9 +375,9 @@ def _worker(checkout: str, *args: str) -> list:
 
 
 def results(checkout: str, jobs_path: str, n_jobs: int) -> list[list]:
-    """[exit code, stdout sha256] of every CLI invocation, then [status, text
-    sha256] of every library case, then [exit code, stdout sha256] of every
-    demo."""
+    """[exit code, stdout sha256, stderr sha256] of every CLI invocation,
+    then [status, text sha256] of every library case, then [exit code,
+    stdout sha256, stderr sha256] of every demo."""
     out = _worker(checkout, "--run", jobs_path)
     if len(out) != n_jobs:
         raise RuntimeError(f"{checkout}: {len(out)} results for {n_jobs} invocations")
@@ -349,7 +385,7 @@ def results(checkout: str, jobs_path: str, n_jobs: int) -> list[list]:
     for demo in DEMOS:
         d = subprocess.run([sys.executable, os.path.join("demos", demo)], cwd=checkout, env=_env(checkout),
                            capture_output=True)
-        out.append([d.returncode, hashlib.sha256(d.stdout).hexdigest()])
+        out.append([d.returncode, hashlib.sha256(d.stdout).hexdigest(), hashlib.sha256(d.stderr).hexdigest()])
     return out
 
 
@@ -373,11 +409,11 @@ def main(argv: list[str]) -> int:
     labels = [label for label, _ in jobs] + library + [f"demos/{demo}" for demo in DEMOS]
     argvs = [" ".join(argv) for _, argv in jobs] + [""] * (len(library) + len(DEMOS))
     differ = 0
-    for label, args, (rc0, h0), (rc1, h1) in zip(labels, argvs, base, change):
-        if (rc0, h0) != (rc1, h1):
+    for label, args, old, new in zip(labels, argvs, base, change):
+        if old != new:
             differ += 1
-            what = "exit code and stdout" if rc0 != rc1 and h0 != h1 else "exit code" if rc0 != rc1 else "stdout"
-            print(f"DIFFER {label}: {what} (exit {rc0} -> {rc1}) {args}")
+            what = " and ".join(name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b)
+            print(f"DIFFER {label}: {what} (exit {old[0]} -> {new[0]}) {args}")
     print(f"{len(labels)} invocations, {differ} differ")
     return 1 if differ else 0
 

@@ -1,10 +1,15 @@
 """Command-line surface: one verb per capability, deterministic output.
 
+Each verb ``cmd_*`` maps its parsed arguments to ``(status, text)``, where
+``text`` is its complete stdout; ``main`` writes that text in one write and
+maps exceptions to exit codes in one place, so a verb that raises writes
+nothing to stdout (argparse itself prints ``--help`` and usage errors).
+
 Exit status: 0 on success, 2 on validation errors (bad flags, malformed
-words or representations, violated preconditions), 1 on computation errors
-and failed checks.  Identical invocations produce identical bytes: terms
-are ordered by (grading, lexicographic), rationals print as "p/q", floats
-as 15 significant digits.
+words or representations, unreadable files, violated preconditions), 1 on
+computation errors and failed checks.  Identical invocations produce
+identical bytes: terms are ordered by (grading, lexicographic), rationals
+print as "p/q", floats as 15 significant digits.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .hyperlog import (
 )
 from .linrep import (
     LinRep,
+    _triangular_check,
     delta_conc_decompose,
     minimize,
     mxstar_factorization_check,
@@ -40,7 +46,6 @@ from .linrep import (
     rat_shuffle,
     rat_star,
     rat_sum,
-    triangular_decompose,
 )
 from .ncpoly import NCPoly, PhiTable, TensorPoly, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
 from .words import Alphabet, _lyndon_letters, parse_alphabet
@@ -52,26 +57,16 @@ def _fnum(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _emit_value(v: ComplexVal, fmt: str, label: str = "value") -> None:
+def _value_text(v: ComplexVal, fmt: str, label: str = "value") -> str:
     if fmt == "json":
-        print(
-            json.dumps(
-                {"re": _fnum(v.real), "im": _fnum(v.imag), "err": _fnum(v.err)},
-                sort_keys=True,
-            )
-        )
-    elif fmt == "csv":
-        print("word,re,im,err")
-        print(f"{label},{_fnum(v.real)},{_fnum(v.imag)},{_fnum(v.err)}")
-    else:
-        print(f"{_fnum(v.real)}{v.imag:+.15g}j ± {_fnum(v.err)}")
+        return json.dumps({"re": _fnum(v.real), "im": _fnum(v.imag), "err": _fnum(v.err)}, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return f"word,re,im,err\n{label},{_fnum(v.real)},{_fnum(v.imag)},{_fnum(v.err)}\n"
+    return f"{_fnum(v.real)}{v.imag:+.15g}j ± {_fnum(v.err)}\n"
 
 
-def _emit_poly(p: NCPoly | TensorPoly, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(p.to_json(), sort_keys=True))
-    else:
-        print(str(p))
+def _poly_text(p: NCPoly | TensorPoly, fmt: str) -> str:
+    return (json.dumps(p.to_json(), sort_keys=True) if fmt == "json" else str(p)) + "\n"
 
 
 def _load_gamma(args) -> PhiTable:
@@ -122,14 +117,13 @@ def _sigma(args) -> SingularitySet:
 # -- verbs ----------------------------------------------------------------------
 
 
-def cmd_lyndon(args) -> int:
+def cmd_lyndon(args) -> tuple[int, str]:
     alphabet = parse_alphabet(args.alphabet)
     names = [alphabet.name(letters) for grade in _lyndon_letters(alphabet, args.max) for letters in grade]
-    sys.stdout.write(json.dumps(names) + "\n" if args.format == "json" else "".join(name + "\n" for name in names))
-    return 0
+    return 0, json.dumps(names) + "\n" if args.format == "json" else "".join(name + "\n" for name in names)
 
 
-def cmd_mul(args) -> int:
+def cmd_mul(args) -> tuple[int, str]:
     alphabet = _infer_alphabet([args.left, args.right], args.alphabet)
     p = _parse_poly(alphabet, args.left)
     q = _parse_poly(alphabet, args.right)
@@ -141,27 +135,24 @@ def cmd_mul(args) -> int:
         out = phi_shuffle(p, q, PhiTable.stuffle())
     else:  # phi
         out = phi_shuffle(p, q, _load_gamma(args))
-    _emit_poly(out, args.format)
-    return 0
+    return 0, _poly_text(out, args.format)
 
 
-def cmd_coprod(args) -> int:
+def cmd_coprod(args) -> tuple[int, str]:
     alphabet = _infer_alphabet([args.word], args.alphabet)
     p = _parse_poly(alphabet, args.word)
     phi = _load_gamma(args) if args.law == "phi" else None
-    _emit_poly(coproduct(args.law, p, phi), args.format)
-    return 0
+    return 0, _poly_text(coproduct(args.law, p, phi), args.format)
 
 
-def cmd_pi1(args) -> int:
+def cmd_pi1(args) -> tuple[int, str]:
     alphabet = _infer_alphabet([args.word], args.alphabet)
     p = _parse_poly(alphabet, args.word)
     phi = _load_gamma(args) if alphabet.is_y else None
-    _emit_poly(pi1(p, phi), args.format)
-    return 0
+    return 0, _poly_text(pi1(p, phi), args.format)
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple[int, str]:
     alphabet = _infer_alphabet([args.word], args.alphabet)
     w = alphabet.parse_word(args.word)
     family = args.family
@@ -174,45 +165,42 @@ def cmd_basis(args) -> int:
         "Pi": bases.pi,
         "Sigma": bases.sigma,
     }[family](w)
-    _emit_poly(element, args.format)
-    return 0
+    return 0, _poly_text(element, args.format)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     n = args.N
     if args.what in ("duality", "diagonal"):
         alphabet = parse_alphabet(args.alphabet)
         phi = _load_gamma(args) if alphabet.is_y else None
     if args.what == "duality":
         count, verdicts = duality_check(alphabet, phi, n)
-        for name, failure in verdicts:
-            print(f"duality {name}: " + (f"FAIL {failure}" if failure else f"PASS ({count} words, grade <= {n})"))
-        return 1 if verdicts[-1][1] else 0
+        text = "".join(f"duality {name}: " + (f"FAIL {failure}" if failure else f"PASS ({count} words, grade <= {n})")
+                       + "\n" for name, failure in verdicts)
+        return (1 if verdicts[-1][1] else 0), text
     if args.what == "diagonal":
         report = diagonal_factorization_check(alphabet, phi, n)
         if report.equal:
-            print(f"diagonal factorization: PASS (grade <= {n})")
-            return 0
+            return 0, f"diagonal factorization: PASS (grade <= {n})\n"
         u, v, words, product, name = report.first_difference
-        print(f"diagonal factorization: FAIL at {u}⊗{v}: word sum {format_fraction(words)}, "
-              f"{name} {format_fraction(product)}")
-        return 1
+        return 1, (f"diagonal factorization: FAIL at {u}⊗{v}: word sum {format_fraction(words)}, "
+                   f"{name} {format_fraction(product)}\n")
     if not args.rep:
         raise ValueError(f"'check {args.what}' needs --rep")
     rep = _load_rep(args.rep)
     if args.what == "mxstar":
         phi = _load_gamma(args) if rep.alphabet.is_y else None
         report = mxstar_factorization_check(rep, n, phi=phi)
-        print(f"M(X*) Lyndon factorization: {'PASS' if report.equal else 'FAIL ' + report.detail}")
-        return 0 if report.equal else 1
+        text = f"M(X*) Lyndon factorization: {'PASS' if report.equal else 'FAIL ' + report.detail}\n"
+        return (0 if report.equal else 1), text
     if args.what == "triangular":
-        _, report = triangular_decompose(rep, n)
-        print(f"triangular decomposition: {'PASS ' if report.equal else 'FAIL '}{report.detail}")
-        return 0 if report.equal else 1
+        _, report = _triangular_check(rep, n)
+        text = f"triangular decomposition: {'PASS ' if report.equal else 'FAIL '}{report.detail}\n"
+        return (0 if report.equal else 1), text
     raise ValueError(f"unknown check {args.what!r}")
 
 
-def cmd_rat(args) -> int:
+def cmd_rat(args) -> tuple[int, str]:
     reps = [_load_rep(p) for p in args.rep]
     k = 1 if args.op in ("coeff", "decompose", "star", "minimize") else 2
     if len(reps) != k:
@@ -231,25 +219,21 @@ def cmd_rat(args) -> int:
         op = {"sum": rat_sum, "conc": rat_conc, "shuffle": rat_shuffle, "star": rat_star, "minimize": minimize,
               "phistar": lambda r1, r2: rat_phi_shuffle(r1, r2, _load_gamma(args))}[args.op]
         text = json.dumps(op(*reps).to_json(), sort_keys=True)
-    sys.stdout.write(text + "\n")
-    return 0
+    return 0, text + "\n"
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, str]:
     sigma = _sigma(args)
     if args.what == "li":
         w = sigma.x_alphabet().parse_word(args.word)
-        _emit_value(polylog(w, complex(args.z), sigma, nmax=args.nmax), args.format, str(w))
-        return 0
+        return 0, _value_text(polylog(w, complex(args.z), sigma, nmax=args.nmax), args.format, str(w))
     if args.what == "h":
         w = sigma.y_alphabet().parse_word(args.word)
-        _emit_value(harmonic_sum(w, args.n, sigma), args.format, str(w))
-        return 0
+        return 0, _value_text(harmonic_sum(w, args.n, sigma), args.format, str(w))
     if args.what == "zeta":
         alphabet = sigma.x_alphabet() if args.word.strip().startswith("x") else sigma.y_alphabet()
         w = alphabet.parse_word(args.word)
-        _emit_value(polyzeta(w, args.nterms, sigma), args.format, str(w))
-        return 0
+        return 0, _value_text(polyzeta(w, args.nterms, sigma), args.format, str(w))
     quad = QuadratureConfig(tol=args.tol)
     forms = FormFamily(sigma)
     if args.what == "chen":
@@ -267,28 +251,25 @@ def cmd_eval(args) -> int:
         else:
             row = "{},{:.15g},{:.15g},{}\n".format
             text = "word,re,im,err\n" + "".join(map(row, names, re, im, errs))
-        sys.stdout.write(text)
-        return 0
+        return 0, text
     if args.what == "output":
         if not args.rep:
             raise ValueError("'eval output' needs --rep")
         rep = _load_rep(args.rep)
-        _emit_value(system_output(rep, forms, args.z0, args.z, args.N, quad), args.format)
-        return 0
+        return 0, _value_text(system_output(rep, forms, args.z0, args.z, args.N, quad), args.format)
     raise ValueError(f"unknown eval target {args.what!r}")
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> tuple[int, str]:
     eta = tuple(Fraction(part) for part in args.eta.split(","))
     rep, forms = hypergeometric_system(
         Fraction(args.t0), Fraction(args.t1), Fraction(args.t2), eta=eta
     )
     out = system_output(rep, forms, args.z0, args.z, args.N)
-    print(f"hypergeometric system  t0={args.t0} t1={args.t1} t2={args.t2}")
-    print(f"  initial state eta = ({', '.join(str(e) for e in eta)}) at z0 = {_fnum(args.z0)}")
-    print(f"  output y(z) at z = {_fnum(args.z)}, Chen truncation grade {args.N}:")
-    print(f"  y = {_fnum(out.real)}{out.imag:+.15g}j   (error estimate {_fnum(out.err)})")
-    return 0
+    return 0, (f"hypergeometric system  t0={args.t0} t1={args.t1} t2={args.t2}\n"
+               f"  initial state eta = ({', '.join(str(e) for e in eta)}) at z0 = {_fnum(args.z0)}\n"
+               f"  output y(z) at z = {_fnum(args.z)}, Chen truncation grade {args.N}:\n"
+               f"  y = {_fnum(out.real)}{out.imag:+.15g}j   (error estimate {_fnum(out.err)})\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,16 +383,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # computation failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status, text = args.func(args)
+        sys.stdout.write(text)
+        return status
+    except Exception as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        # validation errors and unreadable files exit 2, computation errors 1
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1
 
 
 if __name__ == "__main__":

@@ -195,7 +195,6 @@ class SingularitySet:
 
     values: tuple
     color_order: int | None = None
-    unit_modulus: bool = False
 
     def __post_init__(self):
         if not self.values or complex(self.values[0]) != 0:
@@ -207,19 +206,15 @@ class SingularitySet:
             for b in pts[:i]:
                 if abs(a - b) < 1e-12:
                     raise ValueError("singularities must be pairwise distinct")
-        if self.unit_modulus:
-            for v in pts[1:]:
-                if abs(abs(v) - 1) > 1e-9:
-                    raise ValueError("unit-modulus flag requires |s_i| = 1 for i >= 1")
 
     @classmethod
-    def from_values(cls, values: Iterable, *, unit_modulus: bool = False) -> "SingularitySet":
-        return cls(tuple(values), None, unit_modulus)
+    def from_values(cls, values: Iterable) -> "SingularitySet":
+        return cls(tuple(values))
 
     @classmethod
     def classical(cls) -> "SingularitySet":
         """sigma = {0, 1}: ordinary polylogarithms and harmonic sums."""
-        return cls((ZERO, ONE), None, True)
+        return cls((ZERO, ONE))
 
     @classmethod
     def roots_of_unity(cls, m: int) -> "SingularitySet":
@@ -229,7 +224,7 @@ class SingularitySet:
         if m == 1:
             return cls.classical()
         values = (ZERO,) + tuple(cmath.exp(-2j * cmath.pi * i / m) for i in range(1, m + 1))
-        return cls(values, m, True)
+        return cls(values, m)
 
     @property
     def m(self) -> int:
@@ -244,6 +239,12 @@ class SingularitySet:
             raise ValueError("s_0 = 0 has no reciprocal")
         v = self.values[i]
         return 1 / v if isinstance(v, Fraction) else 1 / complex(v)
+
+    @functools.cached_property
+    def _rho_complex(self) -> tuple:
+        """rho_i as a complex for i >= 1 (None at i = 0), computed once for
+        the integrands that the quadrature evaluates at every node."""
+        return (None,) + tuple(complex(self.rho(i)) for i in range(1, self.m + 1))
 
     # -- color conventions ----------------------------------------------------
 
@@ -279,7 +280,7 @@ class FormFamily:
         """Integrand u_i(z) = 1/(z - s_i)... written via rho to stay stable."""
         if i == 0:
             return 1.0 / z
-        rho = complex(self.sigma.rho(i))
+        rho = self.sigma._rho_complex[i]
         return rho / (1 - rho * z)
 
     def alphabet(self) -> Alphabet:

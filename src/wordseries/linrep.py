@@ -819,9 +819,19 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     truncated geometric series; the strictly upper remainder makes
     D(X*) N(X) nilpotent of order at most the rank, and the series is
     reconstructed as nu (sum of its powers) D(X*) eta, then compared against
-    direct evaluation.  Matrices of polynomials are n x n lists of
-    letter tuple -> integer maps, built from the integer letter matrices
-    d mu(x): the coefficient of w is the integer over d^|w|.
+    direct evaluation.
+    """
+    readout, report = _triangular_check(r, bound)
+    rebuilt = {w: Fraction(c, r._d ** (len(w) + 2)) for w, c in readout.items()}
+    return TruncSeries._of(r.alphabet, bound, rebuilt), report
+
+
+def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]:
+    """The integer core of ``triangular_decompose``: the rebuilt series as
+    letter tuple -> integer over d^(|w|+2) (empty when D(X*) N(X) is not
+    nilpotent within the rank), and the report.  Matrices of polynomials are
+    n x n lists of letter tuple -> integer maps, built from the integer letter
+    matrices d mu(x): the coefficient of w is the integer over d^|w|.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -868,10 +878,7 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
             break
         order += 1
         if order > n:
-            return (
-                TruncSeries(alphabet, bound),
-                FactorizationReport(False, "D(X*) N(X) failed to nilpotate within the rank"),
-            )
+            return {}, FactorizationReport(False, "D(X*) N(X) failed to nilpotate within the rank")
         for grow, prow in zip(geom, power):
             for g, p in zip(grow, prow):
                 for w, c in p.items():
@@ -880,9 +887,8 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
     full = _matpoly_mul(geom, d_star, bound, weight)
     readout = _matpoly_readout(r._nu, full, r._eta)  # over d^(|w|+2), as the series
     ok = readout == r._eval_integers(bound)
-    rebuilt = TruncSeries._of(alphabet, bound, {w: Fraction(c, r._d ** (len(w) + 2)) for w, c in readout.items()})
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
-    return rebuilt, FactorizationReport(ok, detail)
+    return readout, FactorizationReport(ok, detail)
 
 
 # -- Sweedler membership ------------------------------------------------------------
@@ -969,9 +975,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
                 )
             m.append(tuple(scale * x for x in z))
         rows[letter] = tuple(m)
-    nu = solve(hankel_row(()))
-    if nu is None:
-        return SweedlerVerdict(False, None, "row of the empty word leaves the span")
+    nu = solve(hankel_row(()))  # the empty word's row is a basis row or zero
     eta = [den * window.get(u, 0) for u in basis_words]
     rep = LinRep._of(series.alphabet, den * scale, [scale * x for x in nu], rows, eta,
                      None if series.alphabet.is_x else wmax)

@@ -404,7 +404,7 @@ class PhiTable:
         return cls(default=ZERO, validate_to=0)
 
     @classmethod
-    def from_json(cls, data: Mapping[str, str], *, default=ONE, validate_to: int = 6) -> "PhiTable":
+    def from_json(cls, data: Mapping[str, str]) -> "PhiTable":
         entries = {}
         for key, val in _json_checked(data, dict, "gamma table").items():
             try:
@@ -412,7 +412,7 @@ class PhiTable:
             except ValueError:
                 raise ValueError(f"gamma key {key!r} is not of the form 'i,j'") from None
             entries[(i, j)] = _json_fraction(val, f"gamma entry {key!r}")
-        return cls(entries, default=default, validate_to=validate_to)
+        return cls(entries)
 
     def gamma(self, i: int, j: int) -> Fraction:
         return self.entries.get((min(i, j), max(i, j)), self.default)

@@ -1,5 +1,6 @@
 """CLI verbs: grammar, determinism, round trips, exit codes."""
 
+import contextlib
 import functools
 import json
 import time
@@ -652,3 +653,45 @@ def test_rep_rank_field_is_optional_and_checked_when_present(capsys, tmp_path):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] and json.loads(outs[0])["rank"] == 2
+
+
+class _CountedWrites:
+    """A stdout that counts its writes."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# per verb: a call that succeeds, a call that raises inside the verb, and its exit status
+_ONE_CALL_PER_VERB = {
+    "lyndon": (("lyndon", "--alphabet", "x2", "--max", "3"), ("lyndon", "--alphabet", "x2", "--max", "0"), 2),
+    "mul": (("mul", "--law", "shuffle", "x0 x1", "x0"), ("mul", "--law", "shuffle", "x0 q1", "x0"), 2),
+    "coprod": (("coprod", "--law", "shuffle", "x0 x1"), ("coprod", "--law", "phi", "--gamma", "MISSING", "y2"), 2),
+    "pi1": (("pi1", "y2 y1"), ("pi1", "--alphabet", "y", "y0"), 2),
+    "basis": (("basis", "--family", "Sigma", "--word", "y2"), ("basis", "--family", "Pi", "--word", "x0"), 2),
+    "check": (("check", "duality", "--alphabet", "x2", "--N", "3"), ("check", "duality", "--N", "-1"), 2),
+    "rat": (("rat", "coeff", "--rep", "REP", "--word", "x0"), ("rat", "star", "--rep", "REP"), 2),
+    "eval": (("eval", "h", "--word", "y1", "--n", "3"), ("eval", "chen", "--N", "2", "--tol", "1e-300"), 1),
+    "demo": (("demo", "hypergeometric", "--N", "3"), ("demo", "hypergeometric", "--eta", "1,q"), 2),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_ONE_CALL_PER_VERB))
+def test_each_verb_writes_stdout_once_and_nothing_when_it_raises(capsys, monkeypatch, tmp_path, verb):
+    monkeypatch.setattr(cli, "QuadratureConfig", functools.partial(cli.QuadratureConfig, max_doublings=2))
+    paths = {"REP": _hg_rep_file(tmp_path), "MISSING": str(tmp_path / "missing.json")}
+    good, bad, status = _ONE_CALL_PER_VERB[verb]
+    for argv, expected in ((good, 0), (bad, status)):
+        stdout = _CountedWrites()
+        with contextlib.redirect_stdout(stdout):
+            code = main([paths.get(a, a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == expected, err
+        if expected:
+            assert stdout.writes == [] and err.startswith("error: ")
+        else:
+            assert len(stdout.writes) == 1 and stdout.writes[0].endswith("\n") and err == ""
