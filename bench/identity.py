@@ -18,16 +18,23 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``rat`` operations, ``check mxstar``, ``check triangular`` and
   ``eval output``, on representations the generator never writes: rank 0,
   zero nu or eta, a denominator lcm above 10^12, x3, y with a weight bound,
-  y@2, entries spelled as JSON integers or unreduced, and the empty word;
+  y@2, entries spelled as JSON integers or unreduced, the empty word, and
+  ``rat coeff`` words with a letter beyond the weight bound;
 * a fixed list of calls on output paths that the benchmark does not take
   (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
+  ``eval li`` on words ending in x0 (the shuffle regularization),
   ``demo hypergeometric``, and requests that exit 2 (a bad word, a missing
-  file, a malformed representation, ``rat star`` on a non-proper series);
-* a library section (``library_cases``) for the two functions that no verb
-  reaches: ``lie_diagnostics`` of each of those representations (its basis
-  as p/q entries and its dimension lists) and ``sweedler_membership`` of
-  some of them and of windows of their series, changed and unchanged, with
-  and without ``max_rank`` (verdict, rank, detail and the witnesses' JSON).
+  file, a malformed representation, ``rat star`` on a non-proper series,
+  ``check mxstar`` and ``check triangular`` on y representations whose
+  weight bound w is below N, at N = w+1 to w+3);
+* a library section (``library_cases``) for the functions that no verb
+  reaches, on those representations: ``LinRep.word_matrix``,
+  ``eval_truncated``, ``mu_of_poly``, ``left_shift`` and ``right_shift``
+  (matrices and values as p/q entries, shifts as JSON), ``lie_diagnostics``
+  (its basis as p/q entries and its dimension lists) and
+  ``sweedler_membership`` of some of them and of windows of their series,
+  changed and unchanged, with and without ``max_rank`` (verdict, rank,
+  detail and the witnesses' JSON).
 
 The CLI invocations of one checkout run in one interpreter through
 ``wordseries.cli.main``, as the benchmark's worker runs them, and the
@@ -55,6 +62,22 @@ SEEDS = (0, 1, 2)
 DEMOS = ("hypergeometric_flow.py", "hyperlogarithms.py", "lyndon_dual_bases.py", "rational_series.py")
 
 
+# polynomial operands by alphabet, as a polynomial JSON file holds them; the
+# first of each is also a file operand of ``fixed_calls``
+POLYS = {
+    "x2": [[{"word": "x0 x1", "coeff": "1/2"}, {"word": "x1", "coeff": "-3/1"}, {"word": "x0 x0 x1", "coeff": "2/3"}],
+           [{"word": "", "coeff": "1/5"}, {"word": "x1 x0", "coeff": "-2"}]],
+    "x3": [[{"word": "x2 x0", "coeff": "1/2"}, {"word": "x1", "coeff": "2"}, {"word": "", "coeff": "-1/4"}]],
+    "y": [[{"word": "y1 y2", "coeff": "1/2"}, {"word": "y3", "coeff": "-2/1"}, {"word": "y1", "coeff": "1/3"}],
+          [{"word": "y2 y1 y1", "coeff": "3/4"}, {"word": "", "coeff": "1"}, {"word": "y1", "coeff": "-1/2"}]],
+    "y@2": [[{"word": "y1@1 y2@0", "coeff": "1/2"}, {"word": "y2@1", "coeff": "-1/3"}]],
+}
+# the words of ``rat coeff`` and of ``LinRep.word_matrix`` by alphabet; the
+# last y and y@2 words have a letter beyond the weight bound of some files
+REP_WORDS = {"x2": ["", "ε", "x0", "x1 x0 x1", "x0 x0 x1 x1 x0"], "x3": ["", "x2 x0", "x1 x2 x2"],
+             "y": ["", "y1", "y2 y1", "y3 y1 y2", "y1 y4"], "y@2": ["", "y1@1", "y2@1 y1@0", "y1@0 y3@1"]}
+
+
 def binomial_gamma(c: Fraction) -> dict:
     """gamma(i, j) = c C(i+j, i) on i + j <= 12, as a gamma JSON file holds it."""
     return {f"{i},{j}": str(c * math.comb(i + j, i)) for i in range(1, 12) for j in range(i, 13 - i)}
@@ -65,11 +88,7 @@ def fixed_calls(files: dict) -> list[list[str]]:
     and an argument "{dir}/name" reads the file of that name."""
     files["gamma2.json"] = binomial_gamma(Fraction(2))
     files["gammahalf.json"] = binomial_gamma(Fraction(1, 2))
-    files["x2poly.json"] = [{"word": "x0 x1", "coeff": "1/2"}, {"word": "x1", "coeff": "-3/1"},
-                            {"word": "x0 x0 x1", "coeff": "2/3"}]
-    files["ypoly.json"] = [{"word": "y1 y2", "coeff": "1/2"}, {"word": "y3", "coeff": "-2/1"},
-                           {"word": "y1", "coeff": "1/3"}]
-    files["y2poly.json"] = [{"word": "y1@1 y2@0", "coeff": "1/2"}, {"word": "y2@1", "coeff": "-1/3"}]
+    files["x2poly.json"], files["ypoly.json"], files["y2poly.json"] = (POLYS[a][0] for a in ("x2", "y", "y@2"))
     gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
     words = {
         "x2": ["x0", "x0 x1", "x1 x0 x0 x1", "x0 x1 x0 x1 x1 x1", "x1 x1 x0 x0 x1 x0 x1"],
@@ -160,11 +179,9 @@ def rep_calls(files: dict) -> list[list[str]]:
         return ["--rep", "{dir}/" + name + ".json"]
 
     gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
-    words = {"x2": ["", "ε", "x0", "x1 x0 x1", "x0 x0 x1 x1 x0"], "x3": ["", "x2 x0", "x1 x2 x2"],
-             "y": ["", "y1", "y2 y1", "y3 y1 y2"], "y@2": ["", "y1@1", "y2@1 y1@0"]}
     calls = []
     for name, data in reps.items():
-        for w in words[data["alphabet"]]:
+        for w in REP_WORDS[data["alphabet"]]:
             for fmt in ("json", "text"):
                 calls.append(["rat", "coeff", "--word", w, "--format", fmt] + rep(name))
         for op in ("star", "minimize", "decompose"):
@@ -212,21 +229,40 @@ def edge_calls(files: dict) -> list[list[str]]:
         ["rat", "coeff", "--word", "x0", "--rep", "{dir}/nomu.json"],
         ["rat", "star", "--rep", "{dir}/x2a.json"],
         ["rat", "star", "--rep", "{dir}/ya.json"],
+        # Li of words ending in x0: the shuffle regularization
+        ["eval", "li", "--word", "x1 x0", "--z", "0.3"],
+        ["eval", "li", "--word", "x0 x1 x0 x0", "--z", "0.4", "--format", "text"],
+        ["eval", "li", "--word", "x1 x1 x0", "--z", "-0.2", "--format", "json"],
+        ["eval", "li", "--word", "x1 x0 x2 x0", "--z", "0.25", "--roots-of-unity", "2", "--format", "text"],
+        ["check", "triangular", "--N", "2", "--rep", "{dir}/yproper.json"],
+        # y representations with weight bound w below N: exit 2, naming y_(w+1)
+        ["check", "triangular", "--N", "3", "--rep", "{dir}/yproper.json"],
+        ["check", "triangular", "--N", "4", "--rep", "{dir}/yproper.json"],
+    ] + [
+        ["check", "mxstar", "--N", str(w + k), "--rep", "{dir}/" + name + ".json"]
+        for name, w in (("yb", 2), ("ya", 3), ("y2a", 2)) for k in (1, 2, 3)
     ]
 
 
 def library_cases() -> list[tuple[str, tuple]]:
-    """(label, case) of the library section: calls of ``lie_diagnostics``
-    and ``sweedler_membership``, which no CLI verb reaches, on the
-    representations of ``rep_calls`` and on windows of their series.  A
-    case is ("lie", rep), ("rep", rep) for the verdict on the
-    representation itself, ("window", rep, bound, changed, max_rank) for the
+    """(label, case) of the library section: calls of functions that no CLI
+    verb reaches, on the representations of ``rep_calls`` and on windows of
+    their series.  A case is ("word_matrix", rep, word), ("eval", rep,
+    bound) for ``eval_truncated``, (op, rep, i) for op "mu", "left" or
+    "right" (``mu_of_poly``, ``left_shift``, ``right_shift``) and the i-th
+    polynomial of ``POLYS`` on the representation's alphabet, ("lie", rep)
+    for ``lie_diagnostics``, ("rep", rep) for the ``sweedler_membership``
+    verdict on the representation itself, ("window", rep, bound, changed, max_rank) for the
     window of its series (letters beyond its weight bound at zero; changed:
     the last word's coefficient plus 1/3), ("factorial", bound, max_rank)
     for 1/len(w)! on x2, and ("zero", bound) for the zero series on x2."""
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
-    cases = [("lie", name) for name in reps]
+    cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
+    cases += [("eval", name, n) for name, data in reps.items() for n in bounds[data["alphabet"]][:2]]
+    cases += [(op, name, i) for name, data in reps.items() for op in ("mu", "left", "right")
+              for i in range(len(POLYS[data["alphabet"]]))]
+    cases += [("lie", name) for name in reps]
     cases += [("rep", name) for name in ("x2a", "x2zero", "x2big", "ya", "y2b")]
     for name, data in reps.items():
         ns = bounds[data["alphabet"]]
@@ -237,21 +273,39 @@ def library_cases() -> list[tuple[str, tuple]]:
     return [("library/" + " ".join(map(str, case)), case) for case in cases]
 
 
+def _pq(m) -> str:
+    """A matrix of Fractions as p/q entries, rows separated by " | "."""
+    return " | ".join(" ".join(f"{c.numerator}/{c.denominator}" for c in row) for row in m)
+
+
 def _library_text(case: tuple, reps: dict) -> str:
-    """What one library case returns, as text: the Lie basis as p/q entries
-    and every dimension list, or the Sweedler verdict, rank, detail and the
-    witnesses' JSON."""
-    from wordseries.linrep import lie_diagnostics, sweedler_membership
-    from wordseries.ncpoly import TruncSeries
-    from wordseries.words import Alphabet, words_up_to_grading
+    """What one library case returns, as text: a matrix as p/q entries, the
+    series as word and p/q lines, a shifted representation's JSON, the Lie
+    basis as p/q entries and every dimension list, or the Sweedler verdict,
+    rank, detail and the witnesses' JSON."""
+    from wordseries.linrep import left_shift, lie_diagnostics, mu_of_poly, right_shift, sweedler_membership
+    from wordseries.ncpoly import NCPoly, TruncSeries
+    from wordseries.words import Alphabet, alphabet_text, words_up_to_grading
 
     kind, args = case[0], case[1:]
+    if kind == "word_matrix":
+        rep = reps[args[0]]
+        return _pq(rep.word_matrix(rep.alphabet.parse_word(args[1])))
+    if kind == "eval":
+        coeffs = reps[args[0]].eval_truncated(args[1]).coeffs
+        return "\n".join(f"{w} {c.numerator}/{c.denominator}" for w, c in coeffs.items())
+    if kind in ("mu", "left", "right"):
+        rep = reps[args[0]]
+        poly = NCPoly.from_json(rep.alphabet, POLYS[alphabet_text(rep.alphabet)][args[1]])
+        if kind == "mu":
+            return _pq(mu_of_poly(rep, poly))
+        shifted = (left_shift if kind == "left" else right_shift)(rep, poly)
+        return json.dumps(shifted.to_json(), sort_keys=True)
     if kind == "lie":
         d = lie_diagnostics(reps[args[0]])
         lines = [f"nilpotent {d.nilpotent} {d.nilpotency_index} solvable {d.solvable} {d.solvability_index}",
                  f"lower central {d.lower_central_dims} derived {d.derived_dims}"]
-        lines += [" | ".join(" ".join(f"{c.numerator}/{c.denominator}" for c in row) for row in m) for m in d.basis]
-        return "\n".join(lines)
+        return "\n".join(lines + [_pq(m) for m in d.basis])
     max_rank = None
     if kind == "rep":
         obj = reps[args[0]]

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legval
 
 from .linrep import LinRep
-from .ncpoly import NCPoly, TruncSeries, _add_term, _product, shuffle
+from .ncpoly import _SHUFFLE, TruncSeries, _add_term, _phi_shuffle_letters, _product
 from .words import Alphabet, Word, _check_word_budget, words_up_to_grading
 
 ZERO = Fraction(0)
@@ -405,17 +405,9 @@ def harmonic_sum_exact(word: Word, n: int, sigma: SingularitySet | None = None):
 # -- hyperlogarithms ------------------------------------------------------------------
 
 
-def _strip_trailing_zeros(w: Word) -> tuple[Word, int]:
-    letters = list(w.letters)
-    p = 0
-    while letters and letters[-1] == 0:
-        letters.pop()
-        p += 1
-    return Word(w.alphabet, tuple(letters)), p
-
-
-def _regularize(w: Word, cache: dict) -> dict[tuple[Word, int], Fraction]:
-    """Expand Li_w into sum of coeff * Li_u * log^j/j! with u not ending in x0.
+def _regularize(w: tuple, cache: dict) -> dict[tuple[tuple, int], Fraction]:
+    """Expand Li_w, w a letter tuple, into sum of coeff * Li_u * log^j/j!
+    with u not ending in x0, keyed (u, j).
 
     Words with trailing x0 are rewritten against the shuffle products
     v sh x0^p, in which v x0^p occurs with coefficient one and every other
@@ -424,17 +416,15 @@ def _regularize(w: Word, cache: dict) -> dict[tuple[Word, int], Fraction]:
     hit = cache.get(w)
     if hit is not None:
         return hit
-    v, p = _strip_trailing_zeros(w)
-    if p == 0:
-        out = {(w, 0): ONE}
-    elif not v:
-        out = {(v, p): ONE}
-    else:
-        x0p = Word(w.alphabet, (0,) * p)
-        product = shuffle(NCPoly.from_word(v), NCPoly.from_word(x0p))
-        assert product.coeff(w) == 1
-        out = {(v, p): ONE}
-        for t, c in product.terms.items():
+    v = w
+    while v and v[-1] == 0:
+        v = v[:-1]
+    p = len(w) - len(v)
+    out = {(v, p): ONE}
+    if p and v:
+        product = _phi_shuffle_letters(v, (0,) * p, _SHUFFLE, None)
+        assert product[w] == 1
+        for t, c in product.items():
             if t == w:
                 continue
             for key, q in _regularize(t, cache).items():
@@ -443,11 +433,12 @@ def _regularize(w: Word, cache: dict) -> dict[tuple[Word, int], Fraction]:
     return out
 
 
-def _nested_sum(u: Word, z: complex, sigma: SingularitySet, nmax: int) -> ComplexVal:
-    """Li_u(z) for u in the pi_Y domain (or empty), |z| < min |s_i|."""
+def _nested_sum(u: tuple, alphabet: Alphabet, z: complex, sigma: SingularitySet, nmax: int) -> ComplexVal:
+    """Li_u(z) for the letter tuple u of ``alphabet`` in the pi_Y domain (or
+    empty), |z| < min |s_i|."""
     if not u:
         return ComplexVal(1.0)
-    yw = pi_Y(u, sigma)
+    yw = pi_Y(Word._trusted(alphabet, u, len(u)), sigma)
     (s1, c1) = yw.letters[0]
     suffix = Word(yw.alphabet, yw.letters[1:])
     rows = _harmonic_arrays(suffix, nmax, sigma) if suffix else None
@@ -495,11 +486,11 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
         raise ValueError(
             f"divergent request: |z| must be < min |s_i| = {radius:.15g} for this singularity set"
         )
-    expansion = _regularize(w, {})
+    expansion = _regularize(w.letters, {})
     logz = cmath.log(z) if any(j for (_, j) in expansion) else 0.0
     total = ComplexVal(0.0)
     for (u, j), c in expansion.items():
-        base = _nested_sum(u, z, sigma, nmax)
+        base = _nested_sum(u, w.alphabet, z, sigma, nmax)
         factor = logz**j / math.factorial(j)
         total = total + base * complex(factor) * float(c)
     return total

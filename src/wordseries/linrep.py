@@ -29,13 +29,18 @@ one integer solver, which also gives ``sweedler_membership`` its
 realization: the window is scaled by one lcm, so the Hankel rows are
 integers, and the representation is built by ``LinRep._of``.
 ``lie_diagnostics`` brackets the integer letter matrices d mu(x).
-Evaluation and the checks sum and compare on integers too: ``check
-mxstar`` applies mu to the basis polynomials through ``_mu_of_poly``, and
-both checks compare their readout with ``_eval_integers``, the series as
-numerators over d^(|w|+2).  So ``Fraction``s are built only at the
-boundary: one per value returned, and in the read-only views ``nu``,
-``mu`` and ``eta``.  Words are letter tuples throughout, as ``ncpoly``
-stores them.
+Evaluation is one walk on integer rows.  ``LinRep._walk`` multiplies rows
+by M(w) one letter at a time: ``coeff`` walks nu', and ``word_matrix`` and
+each term of ``_mu_of_poly`` walk the identity.  ``LinRep._walk_all``
+yields rows M(w) for every word up to a grading, each product built from
+its prefix's: from nu' it gives ``_eval_integers``, the series as
+numerators over d^(|w|+2), and from the identity the M(X*) word sum of
+``check mxstar``.  The checks compare on these integers: ``check mxstar``
+applies mu to the basis polynomials through ``_mu_of_poly``, and both
+checks compare their readout with ``_eval_integers``.  So ``Fraction``s
+are built only at the boundary: one per value returned, and in the
+read-only views ``nu``, ``mu`` and ``eta``.  Words are letter tuples
+throughout, as ``ncpoly`` stores them.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul, sub
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .exactlin import RowSpace, coordinates
 from .hopf import DualBases, _lyndon_exp_product
@@ -219,66 +224,48 @@ class LinRep:
                 f"letter {self.alphabet.letter_name(letter)} is beyond the materialized weight bound"
             ) from None
 
-    def _word_matrices(self) -> Callable[[tuple], tuple]:
-        """M(w) = d^|w| mu(w) by letter tuple, each product built from its
-        prefix's.  A word whose one-letter-shorter prefix is not in the table
-        walks back to its longest known prefix and builds the prefixes in
-        between shortest first, so no call nests more than one level deep,
-        whatever the length of the word.  The table lives as long as the
-        returned function."""
-        table = {(): _identity(self.rank)}
-
-        def word_matrix(letters: tuple) -> tuple:
-            m = table.get(letters)
-            if m is None:
-                m = table.get(letters[:-1])
-                if m is None:  # back to the longest known prefix, then its extensions in turn
-                    k = len(letters) - 2
-                    while letters[:k] not in table:
-                        k -= 1
-                    for k in range(k + 1, len(letters)):
-                        m = word_matrix(letters[:k])  # one level deep: its prefix is known
-                cols = self._of_letter(self._cols, letters[-1])
-                m = table[letters] = tuple(_times(row, cols) for row in m)
-            return m
-
-        return word_matrix
-
     # -- evaluation -----------------------------------------------------------
 
+    def _walk(self, rows: tuple, letters: tuple) -> tuple:
+        """The integer rows times M(w) = d^|w| mu(w), w the word of
+        ``letters``, multiplied in one letter at a time."""
+        for letter in letters:
+            cols = self._of_letter(self._cols, letter)
+            rows = tuple(_times(row, cols) for row in rows)
+        return rows
+
+    def _walk_all(self, rows: tuple, bound: int) -> Iterator[tuple[tuple, tuple]]:
+        """(w, rows M(w)) for every letter tuple w of grading <= bound, by
+        length and then by letter, each product built from its prefix's."""
+        alphabet = self.alphabet
+        letters = alphabet.letters(max_weight=bound)
+        # lightest first, so a missing letter is named as grading order meets it
+        cols = {x: self._of_letter(self._cols, x) for x in sorted(letters, key=alphabet.letter_weight)}
+        steps = [(x, alphabet.letter_weight(x), cols[x]) for x in letters]
+        frontier = [((), 0, rows)]  # (letters, grading, rows M(w)) of the words of one length
+        while frontier:
+            nxt = []
+            for w, grading, m in frontier:
+                yield w, m
+                for x, weight, c in steps:
+                    if grading + weight <= bound:
+                        nxt.append((w + (x,), grading + weight, tuple(_times(row, c) for row in m)))
+            frontier = nxt
+
     def coeff(self, w: Word) -> Fraction:
-        row = self._nu
-        for letter in w.letters:
-            row = _times(row, self._of_letter(self._cols, letter))
+        (row,) = self._walk((self._nu,), w.letters)
         return Fraction(sum(map(mul, row, self._eta)), self._d ** (len(w) + 2))
 
     def word_matrix(self, w: Word) -> tuple:
-        return _fractions(self._word_matrices()(w.letters), self._d ** len(w))
+        return _fractions(self._walk(_identity(self.rank), w.letters), self._d ** len(w))
 
     def _eval_integers(self, bound: int) -> dict:
-        """The nonzero coefficients of grading <= bound by prefix-sharing
-        traversal, as letter tuple -> numerator over d^(|w|+2)."""
-        alphabet = self.alphabet
-        if alphabet.is_y and (self.max_letter_weight or 0) < bound:
+        """The nonzero coefficients of grading <= bound, as letter tuple ->
+        numerator nu' M(w) eta' over d^(|w|+2), read off ``_walk_all`` from nu'."""
+        if self.alphabet.is_y and (self.max_letter_weight or 0) < bound:
             raise ValueError("materialized letter weights do not cover the bound")
-        steps = [
-            (letter, alphabet.letter_weight(letter), self._of_letter(self._cols, letter))
-            for letter in alphabet.letters(max_weight=bound)
-        ]
-        coeffs: dict[tuple, int] = {}
         eta = self._eta
-        frontier = [((), 0, self._nu)]  # (letters, grading, nu' M(w)) of the words of one length
-        while frontier:
-            nxt = []
-            for w, grading, row in frontier:
-                c = sum(map(mul, row, eta))
-                if c:
-                    coeffs[w] = c
-                for x, weight, cols in steps:
-                    if grading + weight <= bound:
-                        nxt.append((w + (x,), grading + weight, _times(row, cols)))
-            frontier = nxt
-        return coeffs
+        return {w: c for w, (row,) in self._walk_all((self._nu,), bound) if (c := sum(map(mul, row, eta)))}
 
     def eval_truncated(self, bound: int) -> TruncSeries:
         """All coefficients of grading <= bound by prefix-sharing traversal."""
@@ -382,15 +369,17 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
 
 def _mu_of_poly(r: LinRep, p: NCPoly) -> tuple[list[list[int]], int]:
     """mu extended linearly to polynomials, as an integer matrix over one
-    denominator, summed on integers over the polynomial's denominator."""
+    denominator: each term's M(w) is walked from the identity and the terms
+    are summed on integers over the polynomial's denominator times d^k, k
+    the longest term's length."""
     terms, den = p._num, p._den
     d = r._d
     longest = max(map(len, terms), default=0)
-    word_matrix = r._word_matrices()
+    identity = _identity(r.rank)
     out = [[0] * r.rank for _ in range(r.rank)]
     for w, c in terms.items():
         c *= d ** (longest - len(w))
-        for acc, row in zip(out, word_matrix(w)):
+        for acc, row in zip(out, r._walk(identity, w)):
             for j, x in enumerate(row):
                 acc[j] += c * x
     return out, den * d ** longest
@@ -765,8 +754,9 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     take the place of P/S and the shuffle.  Also confirms the scalar readout
     nu M(X*) eta against the evaluated series.  M(X*) is carried as integer
     numerators keyed by (word, matrix unit (i, j)): the word sum holds M(w)
-    at w, over d^|w|, and the product is the diagonal series' Lyndon product
-    of ``hopf`` with mu(P_l) on the right, over its one denominator.
+    at w, over d^|w|, walked from the identity, and the product is the
+    diagonal series' Lyndon product of ``hopf`` with mu(P_l) on the right,
+    over its one denominator.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -776,13 +766,8 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     bases = DualBases(alphabet, phi)
     right_basis = bases.p if phi is None else bases.pi
 
-    word_matrix = r._word_matrices()
-    lhs = {}
-    for w in (u.letters for u in words_up_to_grading(alphabet, bound)):
-        for i, row in enumerate(word_matrix(w)):
-            for j, c in enumerate(row):
-                if c:
-                    lhs[w, (i, j)] = c
+    lhs = {(w, (i, j)): c for w, m in r._walk_all(_identity(r.rank), bound)
+           for i, row in enumerate(m) for j, c in enumerate(row) if c}
 
     def matrix_terms(l: Word) -> tuple[dict, int]:
         m, den = _mu_of_poly(r, right_basis(l))
@@ -828,10 +813,10 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
 
 def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]:
     """The integer core of ``triangular_decompose``: the rebuilt series as
-    letter tuple -> integer over d^(|w|+2) (empty when D(X*) N(X) is not
-    nilpotent within the rank), and the report.  Matrices of polynomials are
-    n x n lists of letter tuple -> integer maps, built from the integer letter
-    matrices d mu(x): the coefficient of w is the integer over d^|w|.
+    letter tuple -> integer over d^(|w|+2), and the report.  Matrices of
+    polynomials are n x n lists of letter tuple -> integer maps, built from
+    the integer letter matrices d mu(x): the coefficient of w is the integer
+    over d^|w|.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -877,8 +862,6 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
         if not any(entry for row in power for entry in row):
             break
         order += 1
-        if order > n:
-            return {}, FactorizationReport(False, "D(X*) N(X) failed to nilpotate within the rank")
         for grow, prow in zip(geom, power):
             for g, p in zip(grow, prow):
                 for w, c in p.items():

@@ -289,6 +289,17 @@ def test_check_without_rep_exits_2(capsys, what):
     assert err == f"error: 'check {what}' needs --rep\n"
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mxstar_beyond_the_weight_bound_names_the_next_letter(capsys, tmp_path, n):
+    # weight bound 2: every grading above it first meets y3, however high N is
+    rep = LinRep.from_poly(NCPoly.from_word(Alphabet.y().parse_word("y2 y1")), max_letter_weight=2)
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(rep.to_json()))
+    code, out, err = run(capsys, "check", "mxstar", "--N", str(n), "--rep", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: letter y3 is beyond the materialized weight bound\n"
+
+
 def test_requests_share_no_parsed_state(capsys, tmp_path):
     # main reuses one parser; a request's flags must not leak into the next
     rep = LinRep.from_poly(NCPoly.from_word(Alphabet.x(2).parse_word("x0"), 2))
