@@ -234,8 +234,8 @@ def edge_calls(files: dict) -> list[list[str]]:
         ["eval", "li", "--word", "x0 x1 x0 x0", "--z", "0.4", "--format", "text"],
         ["eval", "li", "--word", "x1 x1 x0", "--z", "-0.2", "--format", "json"],
         ["eval", "li", "--word", "x1 x0 x2 x0", "--z", "0.25", "--roots-of-unity", "2", "--format", "text"],
+        # y representations of weight bound w: N = w passes, N above w exits 2
         ["check", "triangular", "--N", "2", "--rep", "{dir}/yproper.json"],
-        # y representations with weight bound w below N: exit 2, naming y_(w+1)
         ["check", "triangular", "--N", "3", "--rep", "{dir}/yproper.json"],
         ["check", "triangular", "--N", "4", "--rep", "{dir}/yproper.json"],
     ] + [
@@ -252,10 +252,11 @@ def library_cases() -> list[tuple[str, tuple]]:
     "right" (``mu_of_poly``, ``left_shift``, ``right_shift``) and the i-th
     polynomial of ``POLYS`` on the representation's alphabet, ("lie", rep)
     for ``lie_diagnostics``, ("rep", rep) for the ``sweedler_membership``
-    verdict on the representation itself, ("window", rep, bound, changed, max_rank) for the
-    window of its series (letters beyond its weight bound at zero; changed:
-    the last word's coefficient plus 1/3), ("factorial", bound, max_rank)
-    for 1/len(w)! on x2, and ("zero", bound) for the zero series on x2."""
+    verdict on the representation itself, ("window", rep, bound, changed,
+    max_rank) for the window of its series (letters beyond its weight bound
+    at zero; changed: the last word's coefficient plus 1/3), ("factorial",
+    bound, max_rank) for 1/len(w)! on x2, and ("zero", bound) for the zero
+    series on x2."""
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
     cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
