@@ -27,6 +27,10 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   file, a malformed representation, ``rat star`` on a non-proper series,
   ``check mxstar`` and ``check triangular`` on y representations whose
   weight bound w is below N, at N = w+1 to w+3);
+* a fixed list of ``check duality`` and ``check diagonal`` calls
+  (``check_calls``) on x2, x3, y, y@2 and y@3 at N 1-6 (at most), y also
+  with both binomial gamma files and with a gamma file that is associative
+  only to weight 6, at N 6 and 7, and one gamma file that exits 2;
 * a library section (``library_cases``) for the functions that no verb
   reaches, on those representations: ``LinRep.word_matrix``,
   ``eval_truncated``, ``mu_of_poly``, ``left_shift`` and ``right_shift``
@@ -244,6 +248,23 @@ def edge_calls(files: dict) -> list[list[str]]:
     ]
 
 
+def check_calls(files: dict) -> list[list[str]]:
+    """The fixed list of ``check duality`` and ``check diagonal`` calls: x2
+    and y (the stuffle and both binomial gamma files) at N 1-6, x3 and y@2 at
+    N 1-5, y@3 at N 1-4, y with the gamma file {"3,4": "2"} (associative to
+    weight 6 only) at N 6 and 7, and with {"2,3": "2"}, which its reader
+    refuses (exit 2); ``files`` as in ``fixed_calls``, which writes the
+    binomial gamma files."""
+    files["gamma34.json"] = {"3,4": "2"}
+    files["gamma23.json"] = {"2,3": "2"}
+    gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
+    runs = [("x2", [], range(1, 7))] + [("y", gamma, range(1, 7)) for gamma in gammas]
+    runs += [("x3", [], range(1, 6)), ("y@2", [], range(1, 6)), ("y@3", [], range(1, 5)),
+             ("y", ["--gamma", "{dir}/gamma34.json"], (6, 7)), ("y", ["--gamma", "{dir}/gamma23.json"], (4,))]
+    return [["check", what, "--alphabet", alpha, "--N", str(n)] + gamma
+            for alpha, gamma, ns in runs for n in ns for what in ("duality", "diagonal")]
+
+
 def library_cases() -> list[tuple[str, tuple]]:
     """(label, case) of the library section: calls of functions that no CLI
     verb reaches, on the representations of ``rep_calls`` and on windows of
@@ -366,7 +387,7 @@ def invocations(tmp: str) -> list[tuple[str, list[str]]]:
             jobs = jobs + gen.probes(workload, seed)
             out += _placed(tmp, f"{workload}-{seed}", files, [(job["id"], job["argv"]) for job in jobs])
     files: dict = {}
-    calls = fixed_calls(files) + rep_calls(files) + edge_calls(files)
+    calls = fixed_calls(files) + rep_calls(files) + edge_calls(files) + check_calls(files)
     out += _placed(tmp, "fixed", files, [(f"f{i:03d}", argv) for i, argv in enumerate(calls)])
     return out
 

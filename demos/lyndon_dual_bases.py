@@ -52,7 +52,7 @@ print(f"  Sigma_[{w}] = {yb.sigma(w)}")
 for alphabet, phi, name in ((x2, None, "shuffle"), (y, stuffle, "quasi-shuffle")):
     report = diagonal_factorization_check(alphabet, phi, 4)
     print(f"\ndiagonal series factorization ({name}, grade <= 4): "
-          f"{'exact match' if report.equal else report.first_difference}")
+          f"{'exact match' if report.equal else report.detail}")
 
 # reversing the product order must break the identity
 bad = diagonal_factorization_check(x2, None, 4, decreasing=False)

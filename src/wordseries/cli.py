@@ -180,11 +180,8 @@ def cmd_check(args) -> tuple[int, str]:
         return (1 if verdicts[-1][1] else 0), text
     if args.what == "diagonal":
         report = diagonal_factorization_check(alphabet, phi, n)
-        if report.equal:
-            return 0, f"diagonal factorization: PASS (grade <= {n})\n"
-        u, v, words, product, name = report.first_difference
-        return 1, (f"diagonal factorization: FAIL at {u}⊗{v}: word sum {format_fraction(words)}, "
-                   f"{name} {format_fraction(product)}\n")
+        text = f"diagonal factorization: {f'PASS (grade <= {n})' if report.equal else 'FAIL ' + report.detail}\n"
+        return (0 if report.equal else 1), text
     if not args.rep:
         raise ValueError(f"'check {args.what}' needs --rep")
     rep = _load_rep(args.rep)

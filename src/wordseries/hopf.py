@@ -9,13 +9,15 @@ contracting blocks of consecutive letters of S_w with no linear solve.
 
 The module also verifies the factorization of the diagonal series
 sum_w w (x) w as the decreasing product of exponentials exp(S_l (x) P_l)
-over Lyndon words l (and its Sigma/Pi variant), exactly, at a truncation.
-One routine, ``_lyndon_exp_product``, forms that product for this check
-and, with mu(P_l) on the right, for the M(X*) check of ``linrep``.  It
-holds each factor as integer numerators over one denominator, truncates
-the left grading only (every term of exp(S_l (x) P_l) has equal left and
-right grading), and is given the right-hand algebra by the product of its
-basis keys: words under concatenation here, matrix units in ``linrep``.
+over Lyndon words l (and its Sigma/Pi variant), exactly, at a truncation,
+without forming either word (x) word tensor: the dual-basis sum is the word
+sum iff the Gram matrix of the pair is the identity, and the product is the
+dual-basis sum when every element is the product of the elements of its
+Lyndon factors, taken in the order of the exponentials.  Off the Lyndon
+words the families are built that way too: S_w = S_u * S_v / k and
+P_w = P_u P_v, with w = u v split before its last Lyndon power
+(``DualBases._split``).  The product itself is formed only by ``linrep``,
+with mu(P_l) on the right, for the M(X*) check.
 
 Inside, words are letter tuples and each basis element is an integer form,
 (numerators, d) with d the least common denominator: ``DualBases`` fills
@@ -32,24 +34,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ncpoly import (
-    NCPoly,
-    PhiTable,
-    _add_term,
-    _combination,
-    _pi1_images,
-    _product,
-    _reduced,
-    _shuffle_law,
-    _words,
-)
-from .words import Alphabet, Word, _lyndon_cuts, _standard_cut, lyndon_words, words_up_to_grading
+from .ncpoly import NCPoly, PhiTable, _combination, _pi1_images, _product, _reduced, _shuffle_law
+from .words import Alphabet, Word, _lyndon_cuts, _standard_cut, words_up_to_grading
 
-__all__ = ["DualBases", "DiagonalReport", "diagonal_factorization_check", "duality_check"]
+__all__ = ["DualBases", "FactorizationReport", "diagonal_factorization_check", "duality_check"]
 
 
 class DualBases:
@@ -99,41 +90,45 @@ class DualBases:
 
     # -- the P / S pair, as integer forms (numerators, least denominator) ------
 
-    def _factors(self, w: tuple) -> list[tuple]:
-        """The Lyndon factorization of the word w."""
+    def _split(self, w: tuple, decreasing: bool = True) -> tuple[tuple, tuple, int] | None:
+        """None on the empty word and on a Lyndon word w, else w as (u, v, k):
+        v = l^k is the last power of the Lyndon factorization of w in the
+        order that a product of exponentials in decreasing (or increasing)
+        Lyndon order takes it, u is the rest of w, and k = 1; when that power
+        is all of w, v = l and u = l^(k-1).  Off the Lyndon words S_w is
+        S_u * S_v / k and P_w is P_u P_v; the diagonal check asks the same of
+        Sigma and Pi."""
+        if not w:
+            return None
         cuts = _lyndon_cuts(self.alphabet.lex_key(w))
-        return [w[i:j] for i, j in zip(cuts, cuts[1:])]
+        groups = [(l, len(list(run))) for l, run in itertools.groupby(w[i:j] for i, j in zip(cuts, cuts[1:]))]
+        l, k = groups[-1 if decreasing else 0]
+        if len(groups) == 1:
+            return (l * (k - 1), l, k) if k > 1 else None
+        n = k * len(l)
+        return (w[:-n], w[-n:], 1) if decreasing else (w[n:], w[:n], 1)
 
     def _p(self, w: tuple) -> tuple[dict, int]:
-        factors = self._factors(w)
         if len(w) < 2:
             return {w: 1}, 1
-        if len(factors) == 1:
+        split = self._split(w)
+        if split is None:
             i = _standard_cut(self.alphabet.lex_key(w))
             (ps, _), (pr, _) = self._p(w[:i]), self._p(w[i:])
             return _product(pr, {t: -c for t, c in ps.items()}, out=_product(ps, pr)), 1
-        out = {(): 1}
-        for f in factors:
-            out = _product(out, self._p(f)[0])
-        return out, 1
+        u, v, _ = split
+        return _product(self._p(u)[0], self._p(v)[0]), 1
 
     def _s(self, w: tuple) -> tuple[dict, int]:
-        factors = self._factors(w)
         if len(w) < 2:
             return {w: 1}, 1
-        if len(factors) == 1:
+        split = self._split(w)
+        if split is None:
             tail, den = self._s(w[1:])
             return {w[:1] + t: c for t, c in tail.items()}, den
-        out, den = {(): 1}, 1
-        for l, group in itertools.groupby(factors):
-            s, d = self._s(l)
-            mult = len(list(group))
-            power = {(): 1}
-            for _ in range(mult):
-                power = _product(power, s, self._shuffle)
-            out = _product(out, power, self._shuffle)
-            den *= d**mult * math.factorial(mult)
-        return _reduced(out, den)
+        u, v, k = split
+        (a, da), (b, db) = self._s(u), self._s(v)
+        return _reduced(_product(a, b, self._shuffle), da * db * k)
 
     # -- the Pi / Sigma pair ---------------------------------------------------
 
@@ -247,60 +242,14 @@ def _duality_failure(families: list[str], forms: list[tuple]) -> str | None:
 
 
 @dataclass
-class DiagonalReport:
+class FactorizationReport:
+    """The verdict of a factorization check; ``detail`` says what failed."""
+
     equal: bool
-    first_difference: tuple[Word, Word, Fraction, Fraction, str] | None = None
+    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.equal
-
-
-def _lyndon_exp_product(bases: DualBases, factors: list[Word], bound: int,
-                        right_of, right_law, one: dict) -> tuple[dict, int]:
-    """exp(S_l (x) R_l) multiplied in the order of ``factors`` in
-    (words, law) (x) R, truncated at left grading ``bound``: S_l and the law
-    are the left family of ``bases`` and its shuffle, R_l = right_of(l) is
-    an integer form (key -> numerator, d_R), and R multiplies its basis keys
-    by ``right_law`` (a ``word_mul`` of ``_product``; None is concatenation
-    of letter tuples), with unit ``one``.  Returns integer coefficients
-    keyed by (letter tuple, right key) and their one denominator, the
-    product over the factors of K! (d_S d_R)^K, with K = bound // |l| and
-    d_S the common denominator of S_l.
-    """
-    left_of = bases._pairs()[-1][1]
-    word_mul = _shuffle_law(bases.alphabet, bases.phi)
-    weight = bases.alphabet.weight
-    product = {(): one}  # left word -> its right element
-    den = 1
-    for l in factors:
-        s, ds = left_of(l.letters)
-        r, dr = right_of(l)
-        top = bound // l.grading
-        scale = math.factorial(top) * (ds * dr) ** top
-        powers = [({(): 1}, one, scale)]  # S^k, R^k and scale / (k! (ds dr)^k)
-        for k in range(1, top + 1):
-            spow, rpow, unit = powers[-1]
-            powers.append((_product(spow, s, word_mul), _product(rpow, r, right_law), unit // (k * ds * dr)))
-        out: dict = {}
-        for a, e in product.items():
-            acc = out.setdefault(a, {})
-            for b, c in e.items():
-                _add_term(acc, b, scale * c)
-            # only the powers that keep the left grading within the bound
-            for spow, rpow, unit in powers[1: 1 + (bound - weight(a)) // l.grading]:
-                m = _product(e, rpow, right_law)
-                for w, x in _product({a: unit}, spow, word_mul).items():
-                    acc = out.setdefault(w, {})
-                    for b, y in m.items():
-                        _add_term(acc, b, x * y)
-        product = out
-        den *= scale
-    return {(w, b): c for w, e in product.items() for b, c in e.items()}, den
-
-
-def _pair_law(u: tuple, v: tuple):
-    """``word_mul`` sending (u, v) to the tensor u (x) v."""
-    return (((u, v), 1),)
 
 
 def diagonal_factorization_check(
@@ -309,38 +258,58 @@ def diagonal_factorization_check(
     bound: int = 4,
     *,
     decreasing: bool = True,
-) -> DiagonalReport:
-    """Compare, at the given truncation, the three forms of the diagonal series:
-    word sum, dual-basis sum, and the ordered Lyndon product of exponentials.
+) -> FactorizationReport:
+    """Check at the truncation ``bound`` that the diagonal series
+    sum_w w (x) w is both the dual-basis sum sum_w L_w (x) R_w and the
+    product of exp(L_l (x) R_l) over the Lyndon words l in decreasing order,
+    for the last pair L/R of ``DualBases``: Sigma/Pi and the phi-shuffle
+    with a gamma table, else S/P and the shuffle.  Neither tensor is formed.
 
-    ``decreasing=False`` multiplies the exponentials in increasing Lyndon
-    order instead; that is expected to break equality (negative control).
+    * Within a grade, with L and R the square matrices of coefficients (word
+      by basis word), the dual-basis sum is the word sum iff L^T R = I, that
+      is iff R L^T = I: the Gram condition <L_u, R_v> = [u = v] of
+      ``duality_check``, read after its homogeneity test.
+    * The product expands to one term L'_w (x) R'_w per word
+      w = l1^k1 ... lr^kr (its Lyndon factorization): the shuffle product
+      of the powers L_li^ki / ki! and the concatenation of the powers
+      R_li^ki, each power formed as ((1 L) L) ... and the running product
+      times each power in turn, in the order of the exponentials.  Split w
+      as u v before its last power v = l^k in that order
+      (``DualBases._split``; u = l^(k-1) and v = l when that power is all
+      of w, and then the product is divided by k): L'_w = L'_u * L'_v and
+      R'_w = R'_u R'_v.  Words are read in grade order and the first
+      failure ends the check, so by induction asking L_w = L_u * L_v and
+      R_w = R_u R_v of every word that is not Lyndon asks L' = L and
+      R' = R, with no associativity assumed; that makes the product the
+      dual-basis sum.  Given the Gram condition the converse holds when one
+      side agrees word by word, as R' = R does for these bases in
+      decreasing order (concatenation is associative and Pi = Phi(P)): the
+      product is the word sum iff L'^T R' = I, and then L' = L.
+
+    ``decreasing=False`` takes each word's factors in increasing order, as
+    the product in increasing Lyndon order does; that is expected to break
+    equality (negative control).  A failure's detail names the first Gram
+    entry or inhomogeneous element, else the first word, in grade order,
+    whose element is not the product of its Lyndon factors.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     bases = DualBases(alphabet, phi)
-    _, left_of, right_of = bases._pairs()[-1]
-
-    words = [w.letters for w in words_up_to_grading(alphabet, bound)]
-    side_words = {(w, w): 1 for w in words}
-
-    # sum_w L_w (x) R_w, over the least common denominator of its terms
-    pairs = [(left_of(w), right_of(w)) for w in words]
-    side_den = math.lcm(*(da * db for (_, da), (_, db) in pairs))
-    side_bases: dict = {}
-    for (a, da), (b, db) in pairs:
-        k = side_den // (da * db)
-        _product({u: k * c for u, c in a.items()}, b, _pair_law, out=side_bases)
-
-    factors = lyndon_words(alphabet, bound)
-    factors.sort(key=Word.lex_key, reverse=decreasing)
-    one = {(): 1}
-    product, den = _lyndon_exp_product(bases, factors, bound, lambda l: right_of(l.letters), None, one)
-
-    for name, other, scale in (("dual-basis sum", side_bases, side_den), ("Lyndon product", product, den)):
-        differ = [k for k in side_words.keys() | other.keys() if side_words.get(k, 0) * scale != other.get(k, 0)]
-        if differ:
-            key = min(differ, key=lambda k: (alphabet.sort_key(k[0]), alphabet.sort_key(k[1])))
-            a, b = Fraction(side_words.get(key, 0)), Fraction(other.get(key, 0), scale)
-            return DiagonalReport(False, (*_words(alphabet, key), a, b, name))
-    return DiagonalReport(True)
+    name, left_of, right_of = bases._pairs()[-1]
+    families = name.split("/")
+    forms = [(u, *left_of(u.letters), *right_of(u.letters)) for u in words_up_to_grading(alphabet, bound)]
+    failure = _duality_failure(families, forms)
+    if failure:
+        return FactorizationReport(False, f"{name} duality {failure}")
+    shuffle = _shuffle_law(alphabet, phi)
+    for w, a, da, b, db in forms:
+        split = bases._split(w.letters, decreasing)
+        if split is None:
+            continue  # a Lyndon word is its own product
+        u, v, k = split
+        (lu, du), (lv, dv), (ru, eu), (rv, ev) = left_of(u), left_of(v), right_of(u), right_of(v)
+        products = (_reduced(_product(lu, lv, shuffle), du * dv * k), _reduced(_product(ru, rv), eu * ev))
+        for family, got, form in zip(families, products, ((a, da), (b, db))):
+            if got != form:  # both in lowest terms
+                return FactorizationReport(False, f"{family}({w}) is not the product of its Lyndon factors")
+    return FactorizationReport(True)

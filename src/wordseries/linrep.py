@@ -36,8 +36,11 @@ yields rows M(w) for every word up to a grading, each product built from
 its prefix's: from nu' it gives ``_eval_integers``, the series as
 numerators over d^(|w|+2), and from the identity the M(X*) word sum of
 ``check mxstar``.  The checks compare on these integers: ``check mxstar``
-applies mu to the basis polynomials through ``_mu_of_poly``, and both
-checks compare their readout with ``_eval_integers``.  So ``Fraction``s
+applies mu to the basis polynomials through ``_mu_of_poly`` and multiplies
+out the decreasing Lyndon product of exp(L_l (x) mu(R_l)) in
+``_lyndon_exp_product``, with matrix units on the right, and both checks
+compare their readout with ``_eval_integers`` and answer with
+``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
 are built only at the boundary: one per value returned, and in the
 read-only views ``nu``, ``mu`` and ``eta``.  Words are letter tuples
 throughout, as ``ncpoly`` stores them.
@@ -53,7 +56,7 @@ from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 from .exactlin import RowSpace, coordinates
-from .hopf import DualBases, _lyndon_exp_product
+from .hopf import DualBases, FactorizationReport
 from .ncpoly import (
     NCPoly,
     PhiTable,
@@ -66,6 +69,7 @@ from .ncpoly import (
     _letter_rule,
     _product,
     _reduced,
+    _shuffle_law,
     is_character,
     is_infinitesimal_character,
 )
@@ -709,15 +713,6 @@ def lie_diagnostics(r: LinRep) -> LieDiagnostics:
 # -- factorizations of the series -------------------------------------------------
 
 
-@dataclass
-class FactorizationReport:
-    equal: bool
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
 def _matpoly_mul(a: list, b: list, bound: int, grading) -> list:
     """Product of two square matrices whose entries are letter tuple ->
     coefficient maps, truncated at ``bound`` for the ``grading`` of tuples."""
@@ -747,6 +742,51 @@ def _unit_law(ij: tuple, kl: tuple):
     return (((ij[0], kl[1]), 1),) if ij[1] == kl[0] else ()
 
 
+def _lyndon_exp_product(r: LinRep, bases: DualBases, bound: int) -> tuple[dict, int]:
+    """exp(L_l (x) mu(R_l)) multiplied over the Lyndon words l of grading
+    <= ``bound`` in decreasing order, in (words, law) (x) (r.rank x r.rank
+    matrices), truncated at left grading ``bound``: L/R is the last pair of
+    ``bases`` and the law its shuffle.  Returns integer coefficients keyed
+    by (letter tuple, matrix unit (i, j)) and their one denominator, the
+    product over the factors of K! (d_L d_R)^K, with K = bound // |l| and
+    d_L, d_R the denominators of L_l and of mu(R_l).  Every term of
+    exp(L_l (x) R_l) has equal left and right grading, so truncating the
+    left grading truncates the product.
+    """
+    alphabet = bases.alphabet
+    _, left_of, right_of = bases._pairs()[-1]
+    word_mul = _shuffle_law(alphabet, bases.phi)
+    weight = alphabet.weight
+    one = {(i, i): 1 for i in range(r.rank)}
+    product = {(): one}  # left word -> its right element
+    den = 1
+    for l in sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=True):
+        s, ds = left_of(l.letters)
+        mat, dm = _mu_of_poly(r, NCPoly._of(alphabet, *right_of(l.letters)))
+        mu_r, dr = _reduced({(i, j): c for i, row in enumerate(mat) for j, c in enumerate(row) if c}, dm)
+        top = bound // l.grading
+        scale = math.factorial(top) * (ds * dr) ** top
+        powers = [({(): 1}, one, scale)]  # L^k, R^k and scale / (k! (ds dr)^k)
+        for k in range(1, top + 1):
+            spow, rpow, unit = powers[-1]
+            powers.append((_product(spow, s, word_mul), _product(rpow, mu_r, _unit_law), unit // (k * ds * dr)))
+        out: dict = {}
+        for a, e in product.items():
+            acc = out.setdefault(a, {})
+            for b, c in e.items():
+                _add_term(acc, b, scale * c)
+            # only the powers that keep the left grading within the bound
+            for spow, rpow, unit in powers[1: 1 + (bound - weight(a)) // l.grading]:
+                m = _product(e, rpow, _unit_law)
+                for w, x in _product({a: unit}, spow, word_mul).items():
+                    acc = out.setdefault(w, {})
+                    for b, y in m.items():
+                        _add_term(acc, b, x * y)
+        product = out
+        den *= scale
+    return {(w, b): c for w, e in product.items() for b, c in e.items()}, den
+
+
 def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = None) -> FactorizationReport:
     """Check M(X*) = decreasing Lyndon product of exp(mu(P_l) S_l) at a truncation.
 
@@ -754,9 +794,8 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     take the place of P/S and the shuffle.  Also confirms the scalar readout
     nu M(X*) eta against the evaluated series.  M(X*) is carried as integer
     numerators keyed by (word, matrix unit (i, j)): the word sum holds M(w)
-    at w, over d^|w|, walked from the identity, and the product is the
-    diagonal series' Lyndon product of ``hopf`` with mu(P_l) on the right,
-    over its one denominator.
+    at w, over d^|w|, walked from the identity, and the product is
+    ``_lyndon_exp_product``, over its one denominator.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -764,19 +803,11 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     if alphabet.is_y and phi is None:
         raise ValueError("a y-alphabet factorization needs the gamma table")
     bases = DualBases(alphabet, phi)
-    right_basis = bases.p if phi is None else bases.pi
 
     lhs = {(w, (i, j)): c for w, m in r._walk_all(_identity(r.rank), bound)
            for i, row in enumerate(m) for j, c in enumerate(row) if c}
 
-    def matrix_terms(l: Word) -> tuple[dict, int]:
-        m, den = _mu_of_poly(r, right_basis(l))
-        return _reduced({(i, j): c for i, row in enumerate(m) for j, c in enumerate(row) if c}, den)
-
-    factors = lyndon_words(alphabet, bound)
-    factors.sort(key=Word.lex_key, reverse=True)
-    one = {(i, i): 1 for i in range(r.rank)}
-    rhs, scale = _lyndon_exp_product(bases, factors, bound, matrix_terms, _unit_law, one)
+    rhs, scale = _lyndon_exp_product(r, bases, bound)
 
     dpow = [r._d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
     differ = [

@@ -7,8 +7,10 @@ elimination over ``Fraction`` and minimization with one solve per vector,
 the Sweedler realization on ``Fraction`` Hankel rows and the Lie
 diagnostics on ``Fraction`` brackets,
 representation evaluation, word matrices and the two factorization checks of
-``linrep`` on ``Fraction`` matrices, the diagonal factorization check on
-``Fraction`` tensors multiplied out in full, the duality check on basis
+``linrep`` on ``Fraction`` matrices, the diagonal factorization check as
+its literal statement on ``Fraction`` tensors multiplied out in full (an
+independent route: the library reads a Gram matrix and per-word Lyndon
+products instead of forming either tensor), the duality check on basis
 elements rebuilt as ``NCPoly``s, the Sigma basis from the dense
 duality system of its grade, pi1 and the four dual-basis families on
 ``Word``-keyed ``Fraction`` maps, the associativity of a gamma table on word
@@ -33,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from wordseries import exactlin
-from wordseries.hopf import DiagonalReport, DualBases
+from wordseries.hopf import DualBases
 from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
 from wordseries.linrep import FactorizationReport, LieDiagnostics, LinRep, SweedlerVerdict
 from wordseries.ncpoly import (
@@ -521,7 +523,10 @@ def diagonal_by_fractions(alphabet, phi=None, bound=4, decreasing=True):
     """The diagonal factorization check on Fraction tensors: the word sum
     against the dual-basis sum, then against the ordered product of the
     exponentials exp(S_l (x) P_l), each multiplied out in full and truncated
-    on both factors.  Returns a ``DiagonalReport``."""
+    on both factors.  This is the literal statement, which the library no
+    longer forms: it checks a Gram matrix and per-word Lyndon products
+    instead.  Returns a ``FactorizationReport`` whose detail names the first
+    differing tensor u (x) v."""
     bases = DualBases(alphabet, phi)
     word_mul = word_law(phi)
     left_of, right_of = (bases.s, bases.p) if phi is None else (bases.sigma, bases.pi)
@@ -539,8 +544,8 @@ def diagonal_by_fractions(alphabet, phi=None, bound=4, decreasing=True):
             a = side_words.get(key, Fraction(0))
             b = other.get(key, Fraction(0))
             if a != b:
-                return DiagonalReport(False, (key[0], key[1], a, b, name))
-    return DiagonalReport(True)
+                return FactorizationReport(False, f"at {key[0]}⊗{key[1]}: word sum {a}, {name} {b}")
+    return FactorizationReport(True)
 
 
 def binomial_gamma(c):

@@ -414,7 +414,19 @@ def test_check_diagonal_fail_line_names_words_and_rationals(capsys, monkeypatch)
     monkeypatch.setattr(DualBases, "_pi", perturbed)
     code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--N", "4")
     assert code == 1
-    assert out == "diagonal factorization: FAIL at y3⊗y1 y2: word sum 0/1, dual-basis sum 1/4\n"
+    assert out == "diagonal factorization: FAIL Sigma/Pi duality at <y1 y2, y2 y1> = 1/2\n"
+
+
+def test_check_diagonal_needs_no_associativity_past_the_validated_weight(capsys, tmp_path):
+    # {"3,4": "2"} passes the table's associativity test to weight 6 and
+    # fails it at weight 7, so at N 7 Sigma(y3 y1 y3) is not the
+    # phi-shuffle product of its Lyndon factors taken in their order
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"3,4": "2"}))
+    code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--gamma", str(path), "--N", "6")
+    assert (code, out) == (0, "diagonal factorization: PASS (grade <= 6)\n")
+    code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--gamma", str(path), "--N", "7")
+    assert (code, out) == (1, "diagonal factorization: FAIL Sigma(y3 y1 y3) is not the product of its Lyndon factors\n")
 
 
 def test_gamma_file_that_is_not_an_object_exits_2(capsys, tmp_path):

@@ -237,29 +237,69 @@ def test_diagonal_factorization_trivial_bound():
 def test_diagonal_factorization_needs_decreasing_order():
     report = diagonal_factorization_check(X2, None, 4, decreasing=False)
     assert not report.equal
-    assert report.first_difference is not None
+    assert report.detail == "P(x1 x0) is not the product of its Lyndon factors"
 
 
 @pytest.mark.parametrize("decreasing", [True, False])
 @pytest.mark.parametrize("bound", [1, 2, 3, 4])
 @pytest.mark.parametrize(
-    "alphabet, phi",
+    "alphabet, phi, failures",
     [
-        (X2, None),
-        (Alphabet.x(3), None),
-        (Y, STUFFLE),
-        (Y, binomial_gamma(Fraction(1, 2))),
-        (Alphabet.y(color_order=2), STUFFLE),
+        (X2, None, {False: "P(x1 x0)"}),
+        (Alphabet.x(3), None, {False: "P(x1 x0)"}),
+        (Y, STUFFLE, {False: "Pi(y1 y2)"}),
+        (Y, binomial_gamma(Fraction(1, 2)), {False: "Pi(y1 y2)"}),
+        (Alphabet.y(color_order=2), STUFFLE, {False: "Pi(y1@1 y1@0)"}),
+        (Alphabet.y(color_order=3), STUFFLE, {False: "Pi(y1@1 y1@0)"}),
+        (Y, PhiTable({(1, 1): 2}, validate_to=0), {True: "Sigma(y1 y2 y1)", False: "Pi(y1 y2)"}),
     ],
-    ids=["x2", "x3", "y-stuffle", "y-half-binomial", "y@2"],
+    ids=["x2", "x3", "y-stuffle", "y-half-binomial", "y@2", "y@3", "y-not-associative"],
 )
-def test_diagonal_factorization_matches_the_fraction_oracle(alphabet, phi, bound, decreasing):
-    # the same verdict and the same first difference, in the increasing
-    # order (the negative control) as in the decreasing one
+def test_diagonal_factorization_matches_the_fraction_oracle(alphabet, phi, failures, bound, decreasing):
+    # the verdict of the literal product of exponentials, and a failure
+    # names the element that is not the product of its Lyndon factors: in
+    # the increasing order (the negative control) a concatenation, and on a
+    # table that is not associative at weight 4 a phi-shuffle product
     got = diagonal_factorization_check(alphabet, phi, bound, decreasing=decreasing)
-    expected = diagonal_by_fractions(alphabet, phi, bound, decreasing)
-    assert (got.equal, got.first_difference) == (expected.equal, expected.first_difference)
-    assert got.equal or not decreasing
+    assert got.equal == diagonal_by_fractions(alphabet, phi, bound, decreasing).equal
+    assert got.detail == ("" if got.equal else f"{failures.get(decreasing)} is not the product of its Lyndon factors")
+
+
+def _mutant(exact, target: tuple, kind: str):
+    """The form method ``exact`` of ``DualBases`` with its form at the letter
+    tuple ``target`` changed in one place: the first term's coefficient
+    doubled ("coefficient") or negated ("sign"), or the first term that is
+    not a palindrome written backwards ("reversed")."""
+
+    def method(self, w):
+        terms, den = exact(self, w)
+        if w != target:
+            return terms, den
+        terms = dict(terms)
+        if kind == "reversed":
+            t = min(t for t in terms if t != t[::-1])
+            terms[t[::-1]] = terms.get(t[::-1], 0) + terms.pop(t)
+        else:
+            t = min(terms)
+            terms[t] *= 2 if kind == "coefficient" else -1
+        return {t: c for t, c in terms.items() if c}, den
+
+    return method
+
+
+@pytest.mark.parametrize("kind", ["coefficient", "sign", "reversed"])
+@pytest.mark.parametrize("method", ["_p", "_s", "_pi", "_sigma", "_contract"])
+@pytest.mark.parametrize("alphabet, phi, target", [(X2, None, "x1 x0"), (Y, STUFFLE, "y1 y2")], ids=["x2", "y"])
+def test_diagonal_factorization_agrees_with_the_fraction_oracle_on_mutants(
+    monkeypatch, alphabet, phi, target, method, kind
+):
+    # both see the same mutated DualBases; x2 never calls the Pi/Sigma
+    # methods, and every mutant that is called fails by N 5
+    monkeypatch.setattr(DualBases, method, _mutant(getattr(DualBases, method), alphabet.parse_word(target).letters, kind))
+    for bound in (3, 4, 5):
+        got = diagonal_factorization_check(alphabet, phi, bound)
+        assert got.equal == diagonal_by_fractions(alphabet, phi, bound).equal
+    assert got.equal == (alphabet.is_x and method in ("_pi", "_sigma", "_contract"))
 
 
 def test_halved_gamma_deformation():
