@@ -260,37 +260,33 @@ def diagonal_factorization_check(
     decreasing: bool = True,
 ) -> FactorizationReport:
     """Check at the truncation ``bound`` that the diagonal series
-    sum_w w (x) w is both the dual-basis sum sum_w L_w (x) R_w and the
-    product of exp(L_l (x) R_l) over the Lyndon words l in decreasing order,
-    for the last pair L/R of ``DualBases``: Sigma/Pi and the phi-shuffle
-    with a gamma table, else S/P and the shuffle.  Neither tensor is formed.
+    sum_w w (x) w is the dual-basis sum sum_w L_w (x) R_w and the product of
+    exp(L_l (x) R_l) over the Lyndon words l in decreasing order, for the
+    last pair L/R of ``DualBases`` and its shuffle, without forming either.
 
-    * Within a grade, with L and R the square matrices of coefficients (word
-      by basis word), the dual-basis sum is the word sum iff L^T R = I, that
-      is iff R L^T = I: the Gram condition <L_u, R_v> = [u = v] of
-      ``duality_check``, read after its homogeneity test.
-    * The product expands to one term L'_w (x) R'_w per word
-      w = l1^k1 ... lr^kr (its Lyndon factorization): the shuffle product
-      of the powers L_li^ki / ki! and the concatenation of the powers
-      R_li^ki, each power formed as ((1 L) L) ... and the running product
-      times each power in turn, in the order of the exponentials.  Split w
-      as u v before its last power v = l^k in that order
-      (``DualBases._split``; u = l^(k-1) and v = l when that power is all
-      of w, and then the product is divided by k): L'_w = L'_u * L'_v and
-      R'_w = R'_u R'_v.  Words are read in grade order and the first
-      failure ends the check, so by induction asking L_w = L_u * L_v and
-      R_w = R_u R_v of every word that is not Lyndon asks L' = L and
-      R' = R, with no associativity assumed; that makes the product the
-      dual-basis sum.  Given the Gram condition the converse holds when one
-      side agrees word by word, as R' = R does for these bases in
-      decreasing order (concatenation is associative and Pi = Phi(P)): the
-      product is the word sum iff L'^T R' = I, and then L' = L.
+    * Within a grade, with L and R the square coefficient matrices, the
+      dual-basis sum is the word sum iff L^T R = I, that is iff R L^T = I:
+      the Gram condition <L_u, R_v> = [u = v], read after its homogeneity
+      test as ``duality_check`` reads it.
+    * The product is sum_w L'_w (x) R'_w over the words w = l1^k1 ... lr^kr,
+      with L'_w the shuffle product of the powers L_li^ki / ki! and R'_w the
+      concatenation of the powers R_li^ki, each power formed as
+      ((1 L) L) ... and the running product times each power in turn, in
+      the order of the exponentials.  With w = u v split before its last
+      power in that order (``DualBases._split``; k = 1 unless that power is
+      all of w), L'_w = L'_u * L'_v / k and R'_w = R'_u R'_v.  Words are read in grade order and the first failure
+      ends the check, so asking L_w = L_u * L_v / k and R_w = R_u R_v of
+      every word that is not Lyndon asks L' = L and R' = R, by induction
+      and with no associativity assumed; then the product is the dual-basis
+      sum.  Conversely, given the Gram condition, the product is the word
+      sum iff L'^T R' = I, which pins L' = L when R' = R, as it is for
+      these bases in decreasing order (concatenation is associative and
+      Pi = Phi(P)).
 
-    ``decreasing=False`` takes each word's factors in increasing order, as
-    the product in increasing Lyndon order does; that is expected to break
-    equality (negative control).  A failure's detail names the first Gram
-    entry or inhomogeneous element, else the first word, in grade order,
-    whose element is not the product of its Lyndon factors.
+    ``decreasing=False`` takes the factors in increasing order, the negative
+    control, which is expected to fail.  A failure's detail names the first
+    Gram entry or inhomogeneous element, else the first word whose element
+    is not the product of its Lyndon factors.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
