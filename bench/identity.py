@@ -23,6 +23,9 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
 * a fixed list of calls on output paths that the benchmark does not take
   (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
   ``eval li`` on words ending in x0 (the shuffle regularization),
+  ``eval h``, ``zeta`` and ``li`` at cutoffs 99, 100 and 101 and under
+  ``--sigma "0;1"`` and ``--sigma "0;2"``, ``eval chen`` at N 0 and on
+  ``--roots-of-unity 2`` in csv and json,
   ``demo hypergeometric``, and requests that exit 2 (a bad word, a missing
   file, a malformed representation, ``rat star`` on a non-proper series,
   ``check mxstar`` and ``check triangular`` on y representations whose
@@ -245,6 +248,35 @@ def edge_calls(files: dict) -> list[list[str]]:
     ] + [
         ["check", "mxstar", "--N", str(w + k), "--rep", "{dir}/" + name + ".json"]
         for name, w in (("yb", 2), ("ya", 3), ("y2a", 2)) for k in (1, 2, 3)
+    ] + [
+        # cutoffs around 100, where numpy's complex power leaves repeated squaring
+        argv + [flag, str(n)]
+        for n in (99, 100, 101)
+        for argv, flag in (
+            (["eval", "h", "--word", "y2 y1 y1"], "--n"),
+            (["eval", "h", "--word", "y1@0 y2@1 y1@0", "--roots-of-unity", "2"], "--n"),
+            (["eval", "h", "--word", "y2@2 y1@0", "--roots-of-unity", "3", "--format", "json"], "--n"),
+            (["eval", "zeta", "--word", "y3 y1"], "--nterms"),
+            (["eval", "zeta", "--word", "y2@0 y1@1", "--roots-of-unity", "2"], "--nterms"),
+            (["eval", "li", "--word", "x0 x1 x1", "--z", "0.4"], "--nmax"),
+            (["eval", "li", "--word", "x2 x1 x2", "--z", "0.3", "--roots-of-unity", "2"], "--nmax"),
+        )
+    ] + [
+        # explicit sets: rho = 1 + 0j (the real path) and rho = 1/2
+        ["eval", what, "--word", word, "--sigma", sigma, *extra]
+        for sigma in ("0;1", "0;2")
+        for what, word, extra in (
+            ("li", "x0 x1 x1", ["--z", "0.3"]),
+            ("li", "x1 x0", ["--z", "0.25", "--format", "text"]),
+            ("h", "y2 y1", ["--n", "500"]),
+            ("h", "y1 y1 y3", ["--n", "100", "--format", "json"]),
+        )
+    ] + [
+        # the Chen table: the empty word alone, and a colored alphabet
+        ["eval", "chen", "--N", "0"],
+        ["eval", "chen", "--N", "0", "--format", "json"],
+        ["eval", "chen", "--N", "4", "--roots-of-unity", "2"],
+        ["eval", "chen", "--N", "4", "--roots-of-unity", "2", "--format", "json"],
     ]
 
 

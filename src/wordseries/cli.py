@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -27,8 +26,7 @@ from .hyperlog import (
     FormFamily,
     QuadratureConfig,
     SingularitySet,
-    _chen_grades,
-    _chen_names,
+    _chen_table,
     harmonic_sum,
     hypergeometric_system,
     polylog,
@@ -234,21 +232,20 @@ def cmd_eval(args) -> tuple[int, str]:
     quad = QuadratureConfig(tol=args.tol)
     forms = FormFamily(sigma)
     if args.what == "chen":
-        grades, err = _chen_grades(forms, args.z0, args.z, args.N, quad)
-        names = _chen_names(forms.alphabet(), args.N)
-        re = itertools.chain.from_iterable(grade.real.tolist() for grade in grades)
-        im = itertools.chain.from_iterable(grade.imag.tolist() for grade in grades)
-        errs = itertools.repeat(_fnum(err))
+        names, values, err = _chen_table(forms, args.z0, args.z, args.N, quad)
+        # one %-template for the whole table: the names and the error text
+        # hold no "%", and each row takes its re and im from ``values``
         if args.format == "json":
             # the text of json.dumps(rows, sort_keys=True): float texts and the
             # ASCII letter names need no escaping, the empty word's "ε" does
             names[0] = json.dumps(names[0])[1:-1]
-            row = '{{"err": "{}", "im": "{:.15g}", "re": "{:.15g}", "word": "{}"}}'.format
-            text = "[" + ", ".join(map(row, errs, im, re, names)) + "]\n"
+            values[::2], values[1::2] = values[1::2], values[::2]  # "im" sorts before "re"
+            head = '{"err": "%s", "im": "%%.15g", "re": "%%.15g", "word": "' % _fnum(err)
+            template = "[" + head + ('"}, ' + head).join(names) + '"}]\n'
         else:
-            row = "{},{:.15g},{:.15g},{}\n".format
-            text = "word,re,im,err\n" + "".join(map(row, names, re, im, errs))
-        return 0, text
+            tail = ",%%.15g,%%.15g,%s\n" % _fnum(err)
+            template = "word,re,im,err\n" + tail.join(names) + tail
+        return 0, template % tuple(values)
     if args.what == "output":
         if not args.rep:
             raise ValueError("'eval output' needs --rep")

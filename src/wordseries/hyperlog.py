@@ -6,8 +6,10 @@ the nested sums obtained as their Taylor coefficients.  The correspondence
 x0^(s-1) x_i  <->  y_(s, color i) is the block map pi_Y.
 
 Evaluation strategy: nested sums are computed by the suffix recursion
-H_(y v)(n) = sum_k rho^k k^-s H_v(k-1), vectorized over the cutoff (numpy),
-or exactly in rational / cyclotomic-rational arithmetic for small cutoffs.
+H_(y v)(n) = sum_k rho^k k^-s H_v(k-1), vectorized over the cutoff (numpy):
+in float64 when every rho is exactly 1, otherwise in complex with one power
+table per colour; or exactly in rational / cyclotomic-rational arithmetic
+for small cutoffs.
 Hyperlogarithms at |z| < 1 are geometric-tail-bounded partial sums; words
 with trailing x0 are handled by shuffle regularization against the
 convention Li_(x0)(z) = log z.  The Chen series integrates all word
@@ -337,21 +339,40 @@ def _rho_table(word: Word, sigma: SingularitySet | None) -> list[complex]:
     return out
 
 
+def _is_one(rho: complex) -> bool:
+    """Whether rho is 1 + 0j exactly: a positive zero imaginary part too."""
+    return rho == 1 and math.copysign(1.0, rho.imag) > 0
+
+
 def _harmonic_arrays(word: Word, n: int, sigma: SingularitySet | None) -> np.ndarray:
-    """H values of every suffix: row r is H_(last r letters)(0..n)."""
+    """H values of every suffix: row r is H_(last r letters)(0..n).
+
+    The rows are float64 when every letter's rho is exactly 1 (classical
+    letters, or sigma None): each step then adds 1/k^s with no power of rho.
+    Otherwise they are complex, rho^1..rho^n is computed once per colour
+    of the word, and a letter whose rho is exactly 1 again takes 1/k^s.
+    The choice reads the value of rho, never the colour: colour 0 of
+    ``roots_of_unity(m)`` has rho = 1 - 2.4e-16i and takes the complex path.
+    Either way every value equals, bit for bit, the complex recursion with
+    rho^k / k^s per letter, because numpy's 1+0j to the power k is exactly
+    1+0j, (1+0j)/x is (1/x, +0), and products, cumulative sums and moduli of
+    values with a +0 imaginary part equal those of their real parts.
+    """
     rhos = _rho_table(word, sigma)
+    ones = [_is_one(rho) for rho in rhos]
     k = np.arange(1, n + 1, dtype=float)
-    rows = np.empty((len(word.letters) + 1, n + 1), dtype=complex)
+    rows = np.empty((len(word.letters) + 1, n + 1), dtype=float if all(ones) else complex)
     rows[0] = 1.0
-    arr = rows[0]
-    for r, (letter, rho) in enumerate(zip(reversed(word.letters), reversed(rhos))):
-        s = letter[0]
-        term = np.power(complex(rho), np.arange(1, n + 1)) / k**s
-        nxt = np.empty(n + 1, dtype=complex)
-        nxt[0] = 0.0
-        np.cumsum(term * arr[:-1], out=nxt[1:])
-        rows[r + 1] = nxt
-        arr = nxt
+    rows[1:, 0] = 0.0
+    powers = {}  # colour -> rho^1..rho^n
+    for r, ((s, c), rho, one) in enumerate(zip(reversed(word.letters), reversed(rhos), reversed(ones)), 1):
+        if one:
+            term = 1 / k**s
+        else:
+            if c not in powers:
+                powers[c] = np.power(rho, np.arange(1, n + 1))
+            term = powers[c] / k**s
+        np.cumsum(term * rows[r - 1, :-1], out=rows[r, 1:])
     return rows
 
 
@@ -686,6 +707,16 @@ def _chen_names(alphabet: Alphabet, bound: int) -> list[str]:
             grade = [p + s for p in grade for s in spaced]
         names += grade
     return names
+
+
+def _chen_table(
+    forms: FormFamily, z0: float, z: float, bound: int, quad: QuadratureConfig | None
+) -> tuple[list[str], list[float], float]:
+    """The ``eval chen`` table: the names of the x words of grading <= bound
+    (``_chen_names``), their Chen coefficients as one list re_0, im_0,
+    re_1, im_1, ... in the same order, and the shared quadrature error."""
+    grades, err = _chen_grades(forms, z0, z, bound, quad)
+    return _chen_names(forms.alphabet(), bound), np.concatenate(grades).view(float).tolist(), err
 
 
 def chen_series(

@@ -373,17 +373,24 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
 
 def _mu_of_poly(r: LinRep, p: NCPoly) -> tuple[list[list[int]], int]:
     """mu extended linearly to polynomials, as an integer matrix over one
-    denominator: each term's M(w) is walked from the identity and the terms
-    are summed on integers over the polynomial's denominator times d^k, k
-    the longest term's length."""
+    denominator: the terms are walked in sorted order, each M(w) from the
+    rows that the previous term reached at their common prefix, and summed
+    on integers over the polynomial's denominator times d^k, k the longest
+    term's length."""
     terms, den = p._num, p._den
     d = r._d
     longest = max(map(len, terms), default=0)
-    identity = _identity(r.rank)
     out = [[0] * r.rank for _ in range(r.rank)]
-    for w, c in terms.items():
-        c *= d ** (longest - len(w))
-        for acc, row in zip(out, r._walk(identity, w)):
+    prev: tuple = ()
+    path = [_identity(r.rank)]  # path[i]: M of the first i letters of prev
+    for w in sorted(terms):
+        common = next((i for i, (a, b) in enumerate(zip(w, prev)) if a != b), min(len(w), len(prev)))
+        del path[common + 1:]
+        for letter in w[common:]:
+            path.append(r._walk(path[-1], (letter,)))
+        prev = w
+        c = terms[w] * d ** (longest - len(w))
+        for acc, row in zip(out, path[-1]):
             for j, x in enumerate(row):
                 acc[j] += c * x
     return out, den * d ** longest

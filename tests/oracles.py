@@ -22,7 +22,9 @@ the Chen series one word at a time and its pairing as a sum over words, the
 ``eval chen`` table printed row by row from words and values, and an ODE
 solver by recentered Taylor series.  ``pi1_of`` and ``phi_pi1`` are no
 oracles: they show as ``NCPoly``s the letter images pi1(y_k) and the letter
-morphism Phi that a ``DualBases`` holds as integer forms.
+morphism Phi that a ``DualBases`` holds as integer forms.  Nor is
+``harmonic_arrays_mirror``: it keeps the complex harmonic-sum recursion that
+the library replaced, which the library must equal bit for bit.
 """
 
 import functools
@@ -1301,6 +1303,28 @@ def system_output_word_sum(r, forms, z0, z, bound, quad=None):
         if w.grading == bound:
             last_layer += abs(term)
     return ComplexVal(total, err + last_layer)
+
+
+def harmonic_arrays_mirror(word, n, sigma):
+    """Mirror of the complex suffix recursion of ``hyperlog._harmonic_arrays``
+    as it was before the real path and the per-colour power tables: complex
+    rows, and for every letter its own rho^1..rho^n by ``np.power``, divided
+    by k^s.  A mirror, not an independent route: the library's rows must
+    equal these bit for bit, signs of zero included."""
+    rhos = [1.0 + 0j if sigma is None else sigma.rho_of_color(c) for _, c in word.letters]
+    k = np.arange(1, n + 1, dtype=float)
+    rows = np.empty((len(word.letters) + 1, n + 1), dtype=complex)
+    rows[0] = 1.0
+    arr = rows[0]
+    for r, (letter, rho) in enumerate(zip(reversed(word.letters), reversed(rhos))):
+        s = letter[0]
+        term = np.power(complex(rho), np.arange(1, n + 1)) / k**s
+        nxt = np.empty(n + 1, dtype=complex)
+        nxt[0] = 0.0
+        np.cumsum(term * arr[:-1], out=nxt[1:])
+        rows[r + 1] = nxt
+        arr = nxt
+    return rows
 
 
 def chen_table_by_words(series, fmt):

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import itertools
 import json
 import time
 from fractions import Fraction
@@ -516,6 +517,38 @@ def test_eval_chen_bytes_equal_the_per_word_printer(capsys, fmt, sigma_argv, z0,
         sigma = SingularitySet.from_values([Fraction(0), complex(2), complex(-3)])
     series = chen_series(FormFamily(sigma), z0, z, bound, QuadratureConfig())
     assert out == chen_table_by_words(series, fmt)
+
+
+def _chen_text_per_row(names, grades, err, fmt):
+    """The ``eval chen`` table formatted by one ``str.format`` call per row,
+    from the per-grade arrays, the word names and the shared error."""
+    re = itertools.chain.from_iterable(grade.real.tolist() for grade in grades)
+    im = itertools.chain.from_iterable(grade.imag.tolist() for grade in grades)
+    errs = itertools.repeat(f"{err:.15g}")
+    if fmt == "json":
+        names = [json.dumps(names[0])[1:-1]] + names[1:]
+        row = '{{"err": "{}", "im": "{:.15g}", "re": "{:.15g}", "word": "{}"}}'.format
+        return "[" + ", ".join(map(row, errs, im, re, names)) + "]\n"
+    row = "{},{:.15g},{:.15g},{}\n".format
+    return "word,re,im,err\n" + "".join(map(row, names, re, im, errs))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+@pytest.mark.parametrize("sigma_argv", [(), ("--roots-of-unity", "2")], ids=["classical", "roots2"])
+@pytest.mark.parametrize("bound", [0, 1, 6])
+def test_eval_chen_text_equals_the_per_row_format(capsys, fmt, sigma_argv, bound):
+    from wordseries.hyperlog import FormFamily, QuadratureConfig, SingularitySet, _chen_grades, _chen_names
+
+    code, out, _ = run(capsys, "eval", "chen", *sigma_argv, "--N", str(bound), "--format", fmt)
+    assert code == 0
+    forms = FormFamily(SingularitySet.roots_of_unity(2) if sigma_argv else SingularitySet.classical())
+    grades, err = _chen_grades(forms, 0.1, 0.5, bound, QuadratureConfig(tol=1e-12))
+    assert out == _chen_text_per_row(_chen_names(forms.alphabet(), bound), grades, err, fmt)
+    rows = json.loads(out) if fmt == "json" else out.splitlines()[1:]
+    assert len(rows) == sum((forms.sigma.m + 1) ** k for k in range(bound + 1))
+    if bound == 0:
+        assert rows == ([{"word": "ε", "re": "1", "im": "0", "err": f"{err:.15g}"}] if fmt == "json"
+                        else [f"ε,1,0,{err:.15g}"])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])

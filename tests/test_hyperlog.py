@@ -10,8 +10,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from wordseries import hyperlog
 from wordseries.hyperlog import (
     ComplexVal,
     CycloRational,
@@ -19,6 +21,7 @@ from wordseries.hyperlog import (
     QuadratureConfig,
     SingularitySet,
     _chen_names,
+    _harmonic_arrays,
     chen_series,
     colored_alphabets,
     generating_relation_check,
@@ -122,6 +125,69 @@ def test_harmonic_colored_exact():
     assert abs(got.to_complex() - float(expected)) < 1e-15
     approx = harmonic_sum(w, 4, sigma)
     assert abs(approx.value - float(expected)) <= max(approx.err, 1e-13)
+
+
+# (sigma, y words, whether every rho is exactly 1): classical words of depth
+# 1-4; colored words with repeated colours and colour 0, whose rho is
+# 1 - 2.4e-16i; an explicit set whose rho is 1 + 0j, and one whose rho is 1/2
+HARMONIC_CASES = [
+    (None, ("y1", "y2", "y3 y1", "y1 y1 y2", "y2 y1 y1 y3"), True),
+    (CLASSIC, ("y1", "y3 y1", "y1 y2 y1 y1"), True),
+    (SingularitySet.roots_of_unity(2), ("y1@0", "y1@1 y1@1", "y2@0 y1@1 y1@0", "y1@1 y1@0 y1@1 y2@1"), False),
+    (SingularitySet.roots_of_unity(3), ("y2@2", "y1@2 y2@2", "y1@0 y1@1 y1@0 y2@2"), False),
+    (SingularitySet.roots_of_unity(4), ("y1@3 y1@0 y1@3", "y2@1 y2@2 y1@1 y1@0"), False),
+    (SingularitySet.from_values([0, 1 + 0j]), ("y1", "y2 y1", "y1 y1 y3"), True),
+    (SingularitySet.from_values([0, 2]), ("y1", "y2 y1 y1"), False),
+]
+HARMONIC_IDS = ["none", "classical", "y@2", "y@3", "y@4", "{0,1+0j}", "{0,2}"]
+# numpy's complex power switches from repeated squaring to libm cpow at 100
+HARMONIC_CUTOFFS = [0, 1, 99, 100, 101, 2000]
+
+
+def _y_words(sigma, texts):
+    alphabet = Y if sigma is None else sigma.y_alphabet()
+    return [alphabet.parse_word(text) for text in texts]
+
+
+@pytest.mark.parametrize("n", HARMONIC_CUTOFFS)
+@pytest.mark.parametrize("sigma, texts, real", HARMONIC_CASES, ids=HARMONIC_IDS)
+def test_harmonic_rows_equal_the_complex_mirror_bit_for_bit(sigma, texts, real, n):
+    from oracles import harmonic_arrays_mirror
+
+    for w in _y_words(sigma, texts):
+        rows = _harmonic_arrays(w, n, sigma)
+        assert rows.dtype == (np.float64 if real else np.complex128)
+        # a float row reads as imaginary +0, so the bytes compare the signs of zero too
+        assert rows.astype(complex).tobytes() == harmonic_arrays_mirror(w, n, sigma).tobytes(), str(w)
+
+
+def _nested_sum_outcomes(sigma, w, n):
+    """harmonic_sum, polylog and polyzeta of w at the cutoff n, as the hex
+    texts of value and err (or the ValueError's message)."""
+    s = sigma or CLASSIC
+    calls = [lambda: harmonic_sum(w, n, sigma), lambda: polylog(pi_X(w, s), 0.3, s, nmax=n)]
+    if n:
+        calls.append(lambda: polyzeta(w, n, s))
+    out = []
+    for call in calls:
+        try:
+            v = call()
+        except ValueError as exc:
+            out.append(str(exc))
+        else:
+            out.append(tuple(float.hex(x) for x in (v.real, v.imag, v.err)))
+    return out
+
+
+@pytest.mark.parametrize("n", HARMONIC_CUTOFFS)
+@pytest.mark.parametrize("sigma, texts, real", HARMONIC_CASES, ids=HARMONIC_IDS)
+def test_nested_sum_values_equal_those_of_the_complex_mirror(monkeypatch, sigma, texts, real, n):
+    from oracles import harmonic_arrays_mirror
+
+    words = _y_words(sigma, texts)
+    got = [_nested_sum_outcomes(sigma, w, n) for w in words]
+    monkeypatch.setattr(hyperlog, "_harmonic_arrays", harmonic_arrays_mirror)
+    assert got == [_nested_sum_outcomes(sigma, w, n) for w in words]
 
 
 def test_quasi_shuffle_character_exact():
