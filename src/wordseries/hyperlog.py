@@ -339,11 +339,6 @@ def _rho_table(word: Word, sigma: SingularitySet | None) -> list[complex]:
     return out
 
 
-def _is_one(rho: complex) -> bool:
-    """Whether rho is 1 + 0j exactly: a positive zero imaginary part too."""
-    return rho == 1 and math.copysign(1.0, rho.imag) > 0
-
-
 def _harmonic_arrays(word: Word, n: int, sigma: SingularitySet | None) -> np.ndarray:
     """H values of every suffix: row r is H_(last r letters)(0..n).
 
@@ -359,7 +354,7 @@ def _harmonic_arrays(word: Word, n: int, sigma: SingularitySet | None) -> np.nda
     values with a +0 imaginary part equal those of their real parts.
     """
     rhos = _rho_table(word, sigma)
-    ones = [_is_one(rho) for rho in rhos]
+    ones = [rho == 1 for rho in rhos]
     k = np.arange(1, n + 1, dtype=float)
     rows = np.empty((len(word.letters) + 1, n + 1), dtype=float if all(ones) else complex)
     rows[0] = 1.0

@@ -30,8 +30,9 @@ realization: the window is scaled by one lcm, so the Hankel rows are
 integers, and the representation is built by ``LinRep._of``.
 ``lie_diagnostics`` brackets the integer letter matrices d mu(x).
 Evaluation is one walk on integer rows.  ``LinRep._walk`` multiplies rows
-by M(w) one letter at a time: ``coeff`` walks nu', and ``word_matrix`` and
-each term of ``_mu_of_poly`` walk the identity.  ``LinRep._walk_all``
+by M(w) one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks
+the identity, and ``_mu_of_poly`` walks its terms in sorted order, each from
+the rows of the previous term at their common prefix.  ``LinRep._walk_all``
 yields rows M(w) for every word up to a grading, each product built from
 its prefix's: from nu' it gives ``_eval_integers``, the series as
 numerators over d^(|w|+2), and from the identity the M(X*) word sum of
