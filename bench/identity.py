@@ -19,13 +19,16 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``eval output``, on representations the generator never writes: rank 0,
   zero nu or eta, a denominator lcm above 10^12, x3, y with a weight bound,
   y@2, entries spelled as JSON integers or unreduced, the empty word, and
-  ``rat coeff`` words with a letter beyond the weight bound;
+  ``rat coeff`` words with a letter beyond the weight bound; ``check
+  mxstar`` also on x2 and x3 at N 5 and 6, and on y with weight bound 7
+  under the gamma file {"3,4": "2"} at N 6 and 7, where it FAILs;
 * a fixed list of calls on output paths that the benchmark does not take
   (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
   ``eval li`` on words ending in x0 (the shuffle regularization),
   ``eval h``, ``zeta`` and ``li`` at cutoffs 99, 100 and 101 and under
   ``--sigma "0;1"`` and ``--sigma "0;2"``, ``eval chen`` at N 0 and on
-  ``--roots-of-unity 2`` in csv and json,
+  ``--roots-of-unity 2`` in csv and json, ``eval li`` and ``zeta`` on x1
+  and x2 words under ``--sigma "0;2;3"`` (two points, no color order),
   ``demo hypergeometric``, and requests that exit 2 (a bad word, a missing
   file, a malformed representation, ``rat star`` on a non-proper series,
   ``check mxstar`` and ``check triangular`` on y representations whose
@@ -95,6 +98,7 @@ def fixed_calls(files: dict) -> list[list[str]]:
     and an argument "{dir}/name" reads the file of that name."""
     files["gamma2.json"] = binomial_gamma(Fraction(2))
     files["gammahalf.json"] = binomial_gamma(Fraction(1, 2))
+    files["gamma34.json"] = {"3,4": "2"}  # associative to weight 6 only
     files["x2poly.json"], files["ypoly.json"], files["y2poly.json"] = (POLYS[a][0] for a in ("x2", "y", "y@2"))
     gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
     words = {
@@ -170,6 +174,8 @@ def representations() -> dict:
         "ya": _rep("y", [1, h], {"y1": [[h, 1], [0, t]], "y3": [[0, 1], [1, 0]]}, [1, 1], 3),
         "yb": _rep("y", [h, 1], {"y1": [[1, 0], [t, h]], "y2": [["1/5", 0], [0, 1]]}, [1, "2/3"], 2),
         "yproper": _rep("y", [1, 0], {"y1": [[0, 1], [0, 0]], "y2": [[h, 0], [0, t]]}, [0, 1], 2),
+        "y7": _rep("y", [h, 1], {"y1": [[h, 1], [0, t]], "y2": [[0, 1], [1, 0]], "y3": [[1, 0], [t, h]],
+                                 "y4": [["1/5", 0], [0, 1]], "y7": [[t, 1], [h, 0]]}, [1, t], 7),
         "y2a": _rep("y@2", [1, h], {"y1@0": [[h, 1], [0, t]], "y1@1": [[0, 1], [1, 0]], "y2@1": [[t, 0], [0, 1]]},
                     [1, 1], 2),
         "y2b": _rep("y@2", [t, 1], {"y1@1": [[1, 0], [h, 0]], "y2@0": [[0, h], [1, 0]]}, [1, h], 2),
@@ -203,6 +209,10 @@ def rep_calls(files: dict) -> list[list[str]]:
     for name, n in (("x2a", 3), ("x2big", 3), ("x2zero", 2), ("x3a", 2), ("ya", 3), ("yb", 2), ("y2a", 2)):
         for gamma in gammas if reps[name]["alphabet"].startswith("y") else [[]]:
             calls.append(["check", "mxstar", "--N", str(n)] + gamma + rep(name))
+    # more Lyndon factors, and a gamma file that fails at weight 7
+    for name, n in (("x2b", 5), ("x2b", 6), ("x3up", 5), ("x3up", 6), ("y7", 6), ("y7", 7)):
+        gamma = ["--gamma", "{dir}/gamma34.json"] if name == "y7" else []
+        calls.append(["check", "mxstar", "--N", str(n)] + gamma + rep(name))
     for name, n in (("x2up", 5), ("x3up", 3), ("x2zero", 3), ("x2a", 3)):
         calls.append(["check", "triangular", "--N", str(n)] + rep(name))
     for name in ("x2a", "x2b", "x2big", "x2zero", "x2nu0", "x2up"):
@@ -277,6 +287,11 @@ def edge_calls(files: dict) -> list[list[str]]:
         ["eval", "chen", "--N", "0", "--format", "json"],
         ["eval", "chen", "--N", "4", "--roots-of-unity", "2"],
         ["eval", "chen", "--N", "4", "--roots-of-unity", "2", "--format", "json"],
+    ] + [
+        # a set with two nonzero points and no color order: x2 has no y letter
+        ["eval", what, "--word", word, "--sigma", "0;2;3", *extra]
+        for word in ("x1", "x0 x1", "x2", "x1 x2")
+        for what, extra in (("li", ["--z", "0.1"]), ("zeta", ["--nterms", "500"]))
     ]
 
 
@@ -286,8 +301,7 @@ def check_calls(files: dict) -> list[list[str]]:
     N 1-5, y@3 at N 1-4, y with the gamma file {"3,4": "2"} (associative to
     weight 6 only) at N 6 and 7, and with {"2,3": "2"}, which its reader
     refuses (exit 2); ``files`` as in ``fixed_calls``, which writes the
-    binomial gamma files."""
-    files["gamma34.json"] = {"3,4": "2"}
+    binomial gamma files and the {"3,4": "2"} one."""
     files["gamma23.json"] = {"2,3": "2"}
     gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
     runs = [("x2", [], range(1, 7))] + [("y", gamma, range(1, 7)) for gamma in gammas]

@@ -16,8 +16,8 @@ dual-basis sum when every element is the product of the elements of its
 Lyndon factors, taken in the order of the exponentials.  Off the Lyndon
 words the families are built that way too: S_w = S_u * S_v / k and
 P_w = P_u P_v, with w = u v split before its last Lyndon power
-(``DualBases._split``).  The product itself is formed only by ``linrep``,
-with mu(P_l) on the right, for the M(X*) check.
+(``DualBases._split``).  The M(X*) check of ``linrep`` forms the product
+itself, with mu(P_l) on the right, through the same split of each word.
 
 Inside, words are letter tuples and each basis element is an integer form,
 (numerators, d) with d the least common denominator: ``DualBases`` fills

@@ -253,7 +253,11 @@ class SingularitySet:
     def color_of_index(self, i: int) -> int:
         if not 1 <= i <= self.m:
             raise ValueError(f"singularity index {i} out of range")
-        return i % self.m if self.color_order else 0
+        if self.color_order:
+            return i % self.m
+        if i > 1:  # color 0 names s_1, and a y letter has no other color to name s_i by
+            raise ValueError(f"singularity index {i} has no color: a set without a color order colors only s_1")
+        return 0
 
     def index_of_color(self, c: int) -> int:
         if self.color_order:
@@ -309,7 +313,7 @@ def pi_Y(w: Word, sigma: SingularitySet) -> Word:
         else:
             out.append((zeros + 1, sigma.color_of_index(letter)))
             zeros = 0
-    return Word(target, tuple(out))
+    return Word._trusted(target, tuple(out), len(w))  # a block's weight is its letter count
 
 
 def pi_X(w: Word, sigma: SingularitySet) -> Word:
@@ -456,7 +460,7 @@ def _nested_sum(u: tuple, alphabet: Alphabet, z: complex, sigma: SingularitySet,
         return ComplexVal(1.0)
     yw = pi_Y(Word._trusted(alphabet, u, len(u)), sigma)
     (s1, c1) = yw.letters[0]
-    suffix = Word(yw.alphabet, yw.letters[1:])
+    suffix = yw[1:]
     rows = _harmonic_arrays(suffix, nmax, sigma) if suffix else None
     hvals = rows[-1] if rows is not None else np.ones(nmax + 1, dtype=complex)
     rho = sigma.rho_of_color(c1)

@@ -37,10 +37,11 @@ yields rows M(w) for every word up to a grading, each product built from
 its prefix's: from nu' it gives ``_eval_integers``, the series as
 numerators over d^(|w|+2), and from the identity the M(X*) word sum of
 ``check mxstar``.  The checks compare on these integers: ``check mxstar``
-applies mu to the basis polynomials through ``_mu_of_poly`` and multiplies
-out the decreasing Lyndon product of exp(L_l (x) mu(R_l)) in
-``_lyndon_exp_product``, with matrix units on the right, and both checks
-compare their readout with ``_eval_integers`` and answer with
+applies mu to the Lyndon basis polynomials through ``_mu_of_poly`` and, in
+the same walk, builds the term L'_w (x) mu(R'_w) of the decreasing Lyndon
+product of exp(L_l (x) mu(R_l)) for each word w from those of the two parts
+that ``DualBases._split`` cuts it into, and both checks compare their
+readout with ``_eval_integers`` and answer with
 ``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
 are built only at the boundary: one per value returned, and in the
 read-only views ``nu``, ``mu`` and ``eta``.  Words are letter tuples
@@ -745,56 +746,6 @@ def _matpoly_readout(nu: Sequence, m: list, eta: Sequence) -> dict:
     return out
 
 
-def _unit_law(ij: tuple, kl: tuple):
-    """The product of the matrix units E_ij E_kl, as terms for ``_product``."""
-    return (((ij[0], kl[1]), 1),) if ij[1] == kl[0] else ()
-
-
-def _lyndon_exp_product(r: LinRep, bases: DualBases, bound: int) -> tuple[dict, int]:
-    """exp(L_l (x) mu(R_l)) multiplied over the Lyndon words l of grading
-    <= ``bound`` in decreasing order, in (words, law) (x) (r.rank x r.rank
-    matrices), truncated at left grading ``bound``: L/R is the last pair of
-    ``bases`` and the law its shuffle.  Returns integer coefficients keyed
-    by (letter tuple, matrix unit (i, j)) and their one denominator, the
-    product over the factors of K! (d_L d_R)^K, with K = bound // |l| and
-    d_L, d_R the denominators of L_l and of mu(R_l).  Every term of
-    exp(L_l (x) R_l) has equal left and right grading, so truncating the
-    left grading truncates the product.
-    """
-    alphabet = bases.alphabet
-    _, left_of, right_of = bases._pairs()[-1]
-    word_mul = _shuffle_law(alphabet, bases.phi)
-    weight = alphabet.weight
-    one = {(i, i): 1 for i in range(r.rank)}
-    product = {(): one}  # left word -> its right element
-    den = 1
-    for l in sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=True):
-        s, ds = left_of(l.letters)
-        mat, dm = _mu_of_poly(r, NCPoly._of(alphabet, *right_of(l.letters)))
-        mu_r, dr = _reduced({(i, j): c for i, row in enumerate(mat) for j, c in enumerate(row) if c}, dm)
-        top = bound // l.grading
-        scale = math.factorial(top) * (ds * dr) ** top
-        powers = [({(): 1}, one, scale)]  # L^k, R^k and scale / (k! (ds dr)^k)
-        for k in range(1, top + 1):
-            spow, rpow, unit = powers[-1]
-            powers.append((_product(spow, s, word_mul), _product(rpow, mu_r, _unit_law), unit // (k * ds * dr)))
-        out: dict = {}
-        for a, e in product.items():
-            acc = out.setdefault(a, {})
-            for b, c in e.items():
-                _add_term(acc, b, scale * c)
-            # only the powers that keep the left grading within the bound
-            for spow, rpow, unit in powers[1: 1 + (bound - weight(a)) // l.grading]:
-                m = _product(e, rpow, _unit_law)
-                for w, x in _product({a: unit}, spow, word_mul).items():
-                    acc = out.setdefault(w, {})
-                    for b, y in m.items():
-                        _add_term(acc, b, x * y)
-        product = out
-        den *= scale
-    return {(w, b): c for w, e in product.items() for b, c in e.items()}, den
-
-
 def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = None) -> FactorizationReport:
     """Check M(X*) = decreasing Lyndon product of exp(mu(P_l) S_l) at a truncation.
 
@@ -802,8 +753,18 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     take the place of P/S and the shuffle.  Also confirms the scalar readout
     nu M(X*) eta against the evaluated series.  M(X*) is carried as integer
     numerators keyed by (word, matrix unit (i, j)): the word sum holds M(w)
-    at w, over d^|w|, walked from the identity, and the product is
-    ``_lyndon_exp_product``, over its one denominator.
+    at w, over d^|w|, walked from the identity.  The product, with L/R the
+    last pair of ``DualBases``, is sum_w L'_w (x) mu(R'_w), one term per
+    word w = l1^k1 ... lr^kr, built in the same walk from the terms of
+    shorter words: L'_l = L_l and mu(R_l) from ``_mu_of_poly`` on a Lyndon
+    word l (applied in decreasing Lyndon order before the walk), and
+    elsewhere, with w = u v split before its last power
+    (``DualBases._split``), L'_w = L'_u * L'_v / k and
+    mu(R'_w) = mu(R'_u) mu(R'_v).  So L'_w is the literal product, powers
+    bracketed ((L_l * L_l) * L_l) / 3! and factors taken left to right in
+    the order of the exponentials, and a table that is not associative
+    fails as the multiplied-out product does.  The terms are put over the
+    lcm of their denominators.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -811,11 +772,29 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     if alphabet.is_y and phi is None:
         raise ValueError("a y-alphabet factorization needs the gamma table")
     bases = DualBases(alphabet, phi)
+    _, left_of, right_of = bases._pairs()[-1]
+    shuffle = _shuffle_law(alphabet, phi)
 
-    lhs = {(w, (i, j)): c for w, m in r._walk_all(_identity(r.rank), bound)
-           for i, row in enumerate(m) for j, c in enumerate(row) if c}
+    walk = r._walk_all(_identity(r.rank), bound)
+    empty = next(walk)  # ((), identity): the walk names a missing letter, lightest first, before mu meets one
+    factors = {(): ({(): 1}, 1, empty[1], 1)}  # w -> L'_w, its denominator, mu(R'_w), its denominator
+    for l in sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=True):
+        factors[l.letters] = (*left_of(l.letters), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l.letters))))
+    lhs = {}
+    for w, m in chain([empty], walk):
+        lhs.update(((w, (i, j)), c) for i, row in enumerate(m) for j, c in enumerate(row) if c)
+        if w not in factors:
+            u, v, k = bases._split(w)
+            (a, da, ma, ea), (b, db, mb, eb) = factors[u], factors[v]
+            cols = tuple(zip(*mb))
+            factors[w] = (*_reduced(_product(a, b, shuffle), da * db * k), [_times(row, cols) for row in ma], ea * eb)
 
-    rhs, scale = _lyndon_exp_product(r, bases, bound)
+    scale = math.lcm(*(da * ea for _, da, _, ea in factors.values()))
+    rhs: dict = {}
+    tensor = lambda w, ij: (((w, ij), 1),)  # the outer product of a word and a matrix unit
+    for a, da, m, ea in factors.values():
+        unit = scale // (da * ea)
+        _product(a, {(i, j): unit * x for i, row in enumerate(m) for j, x in enumerate(row) if x}, tensor, out=rhs)
 
     dpow = [r._d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
     differ = [

@@ -13,10 +13,9 @@ The shuffle is the phi-shuffle with gamma = 0: one word recursion
 (``_phi_shuffle_letters``) and one letter-split rule (``_letter_rule``,
 which also builds the closures of ``linrep``) serve both, on x and y
 alphabets.  Every bilinear product of the package goes through the one
-kernel ``_product`` but the outer product in ``linrep._lyndon_exp_product``
-(the M(X*) check), a loop of its own: one ``_product`` call per pair of a
-left and a right term made it about a third slower, as measured when the
-diagonal check still formed that product on words.
+kernel ``_product``, the M(X*) check's too: it forms its Lyndon product one
+word at a time, a shuffle of two word polynomials and one outer product of
+a polynomial with a matrix per word.
 
 Inside the kernels a word is its tuple of letters, and coefficients are
 integers wherever the gamma entries met are: ``_product``, the phi-shuffle

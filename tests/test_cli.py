@@ -4,6 +4,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -48,6 +49,22 @@ def test_eval_li(capsys):
     assert lines[0] == "word,re,im,err"
     value = float(lines[1].split(",")[1])
     assert abs(value - 0.6931471805599453) < 1e-12
+
+
+def test_eval_li_of_x1_on_two_points(capsys):
+    code, out, _ = run(capsys, "eval", "li", "--word", "x1", "--z", "0.1", "--sigma", "0;2;3", "--format", "json")
+    assert code == 0
+    got = json.loads(out)
+    assert abs(float(got["re"]) - (-math.log(1 - 0.1 / 2))) <= float(got["err"])
+
+
+@pytest.mark.parametrize("argv", [["li", "--word", "x2", "--z", "0.1"], ["li", "--word", "x1 x2", "--z", "0.1"],
+                                  ["zeta", "--word", "x0 x2"], ["zeta", "--word", "x2 x1", "--nterms", "50"]])
+def test_eval_of_x2_on_two_points_exits_2(capsys, argv):
+    # a plain set colors s_1 only, so no y letter stands for x2
+    code, out, err = run(capsys, "eval", *argv, "--sigma", "0;2;3")
+    assert code == 2 and out == ""
+    assert err == "error: singularity index 2 has no color: a set without a color order colors only s_1\n"
 
 
 def test_eval_zeta_colored(capsys):

@@ -78,6 +78,19 @@ def test_pi_round_trip():
             assert pi_X(pi_Y(w, CLASSIC), CLASSIC) == w
 
 
+# two nonzero points and no color order: a y letter names s_1 only
+TWO_POINTS = SingularitySet.from_values([F(0), F(2), F(3)])
+
+
+def test_pi_y_without_a_color_order_maps_only_x1():
+    x3 = TWO_POINTS.x_alphabet()
+    assert TWO_POINTS.color_of_index(1) == 0
+    assert str(pi_Y(x3.parse_word("x0 x1 x1"), TWO_POINTS)) == "y2 y1"
+    for text in ("x2", "x0 x2", "x1 x2"):
+        with pytest.raises(ValueError, match="index 2 has no color"):
+            pi_Y(x3.parse_word(text), TWO_POINTS)
+
+
 # -- harmonic sums ---------------------------------------------------------------
 
 
@@ -354,6 +367,28 @@ def test_polyzeta_rejects_divergent():
         polyzeta(xw("x1"))
     with pytest.raises(ValueError, match="admissible"):
         polyzeta(yw("y1 y2"))
+
+
+@pytest.mark.parametrize("z", [0.1, -0.5, 0.3 + 0.4j, 0.9])
+def test_polylog_of_x1_on_two_points_is_the_log_at_s1(z):
+    got = polylog(TWO_POINTS.x_alphabet().parse_word("x1"), z, TWO_POINTS)
+    assert abs(got.value - (-cmath.log(1 - z / 2))) <= got.err
+
+
+def test_polyzeta_of_x0_x1_on_two_points_is_the_dilog_at_one_half():
+    got = polyzeta(TWO_POINTS.x_alphabet().parse_word("x0 x1"), 500, TWO_POINTS)
+    assert abs(got.value - (math.pi**2 / 12 - math.log(2) ** 2 / 2)) <= got.err
+
+
+def test_values_on_two_points_reject_x2():
+    # x2 would be read as x1 if it took color 0: Li_x2(z) = -log(1 - z/3)
+    x3 = TWO_POINTS.x_alphabet()
+    for text in ("x2", "x1 x2", "x2 x0"):
+        with pytest.raises(ValueError, match="index 2 has no color"):
+            polylog(x3.parse_word(text), 0.1, TWO_POINTS)
+    for text in ("x0 x2", "x2 x1"):
+        with pytest.raises(ValueError, match="index 2 has no color"):
+            polyzeta(x3.parse_word(text), 500, TWO_POINTS)
 
 
 def test_polyzeta_alternating():

@@ -793,6 +793,18 @@ def test_mxstar_matches_the_fraction_oracle(r, bound, law, perturb):
     assert got.equal or perturb
 
 
+@pytest.mark.parametrize("table, bound", [({(1, 1): 2}, 4), ({(1, 1): 2}, 5), ({(3, 4): 2}, 7)])
+def test_mxstar_fails_as_the_fraction_oracle_on_a_non_associative_table(table, bound):
+    # the product is the oracle's, bracketed left to right factor by factor,
+    # so a table that is not associative fails at the same first word
+    phi = PhiTable(table, validate_to=0)
+    r = random_linrep(Y, 2, random.Random(40), bound=bound)
+    expected = mxstar_by_fractions(r, bound, phi)
+    got = mxstar_factorization_check(r, bound, phi=phi)
+    assert (got.equal, got.detail) == (expected.equal, expected.detail)
+    assert not got.equal
+
+
 def test_mxstar_y_with_rational_gamma():
     rng = random.Random(39)
     r = random_linrep(Y, 3, rng, bound=4)
