@@ -26,13 +26,18 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
   ``eval li`` on words ending in x0 (the shuffle regularization),
   ``eval h``, ``zeta`` and ``li`` at cutoffs 99, 100 and 101 and under
-  ``--sigma "0;1"`` and ``--sigma "0;2"``, ``eval chen`` at N 0 and on
-  ``--roots-of-unity 2`` in csv and json, ``eval li`` and ``zeta`` on x1
+  ``--sigma "0;1"`` and ``--sigma "0;2"``, ``eval chen`` at N 0 and 1 and
+  on ``--roots-of-unity 2`` in csv and json, ``eval output`` on a
+  hypergeometric representation at N 0 and 1 (where the top grade is the
+  only or the first grade) in csv and json, and on a nilpotent one at N 4
+  (whose top grades pair to zero), ``eval li`` and ``zeta`` on x1
   and x2 words under ``--sigma "0;2;3"`` (two points, no color order),
-  ``demo hypergeometric``, and requests that exit 2 (a bad word, a missing
-  file, a malformed representation, ``rat star`` on a non-proper series,
-  ``check mxstar`` and ``check triangular`` on y representations whose
-  weight bound w is below N, at N = w+1 to w+3);
+  ``eval li`` at cutoff ``--nmax 0``, ``demo hypergeometric``, and
+  requests that exit 2 (a bad word, a missing file, a malformed
+  representation, ``rat star`` on a non-proper series, ``check mxstar``
+  and ``check triangular`` on y representations whose weight bound w is
+  below N, at N = w+1 to w+3, ``eval zeta`` at ``--nterms`` 0 and -3 and
+  ``eval li`` at ``--nmax -2``);
 * a fixed list of ``check duality`` and ``check diagonal`` calls
   (``check_calls``) on x2, x3, y, y@2 and y@3 at N 1-6 (at most), y also
   with both binomial gamma files and with a gamma file that is associative
@@ -227,6 +232,10 @@ def edge_calls(files: dict) -> list[list[str]]:
     ``files`` as in ``fixed_calls``."""
     files["ragged.json"] = _rep("x2", [1, 0], {"x0": [[1, 0], [0]]}, [0, 1])
     files["nomu.json"] = {"alphabet": "x2", "nu": [1], "eta": [1]}
+    files["hyp.json"] = _rep("x2", [1, 0], {"x0": [[0, 0], ["-3/16", "-3/4"]], "x1": [[0, -1], [0, "-1/4"]]}, [2, -1])
+    files["nilpotent.json"] = _rep("x2", [1, "-2/3", "1/2"], {"x0": [[0, "1/2", "-3/5"], [0, 0, "2/7"], [0, 0, 0]],
+                                                              "x1": [[0, 1, "5/3"], [0, 0, -1], [0, 0, 0]]},
+                                   ["1/3", "-5/2", 2])
     return [
         ["eval", "li", "--word", "x1", "--z", "0.5", "--format", "text"],
         ["eval", "li", "--word", "x0 x1", "--z", "0.3", "--format", "text"],
@@ -282,11 +291,24 @@ def edge_calls(files: dict) -> list[list[str]]:
             ("h", "y1 y1 y3", ["--n", "100", "--format", "json"]),
         )
     ] + [
-        # the Chen table: the empty word alone, and a colored alphabet
+        # the Chen table: the empty word alone, one grade, and a colored alphabet
         ["eval", "chen", "--N", "0"],
         ["eval", "chen", "--N", "0", "--format", "json"],
+        ["eval", "chen", "--N", "1"],
+        ["eval", "chen", "--N", "1", "--format", "json"],
         ["eval", "chen", "--N", "4", "--roots-of-unity", "2"],
         ["eval", "chen", "--N", "4", "--roots-of-unity", "2", "--format", "json"],
+    ] + [
+        # the pairing at its smallest bounds, and with top grades that pair to zero
+        ["eval", "output", "--N", n, "--z0", "0.15", "--z", "0.5", "--format", fmt, "--rep", "{dir}/hyp.json"]
+        for n in ("0", "1") for fmt in ("csv", "json")
+    ] + [
+        ["eval", "output", "--N", "4", "--z0", "0.1", "--z", "0.45", "--rep", "{dir}/nilpotent.json"],
+        # cutoffs at and below their least value
+        ["eval", "li", "--word", "x1", "--z", "0.5", "--nmax", "0"],
+        ["eval", "li", "--word", "x1", "--z", "0.5", "--nmax", "-2"],
+        ["eval", "zeta", "--word", "x0 x1", "--nterms", "0"],
+        ["eval", "zeta", "--word", "y2", "--nterms", "-3"],
     ] + [
         # a set with two nonzero points and no color order: x2 has no y letter
         ["eval", what, "--word", word, "--sigma", "0;2;3", *extra]

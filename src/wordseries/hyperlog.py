@@ -19,13 +19,15 @@ shuffle identities survive discretization.
 The Chen kernel holds one array per grade instead of one entry per word.
 Grade k lists the (m+1)^k x words in lexicographic order, so the word a w'
 has id a (m+1)^(k-1) + id(w'), and each panel advances a whole grade from
-the node values of the grade below.  Its coefficients are bit-identical to
-integrating word by word.  ``system_output`` pairs these arrays with the
-exact coefficients nu mu(w) eta, computed grade by grade in the same id
-order, and never builds a word; ``_chen_names`` names the words of these
-arrays in the same order, so the CLI prints the table without building one
-either.  Both refuse a bound whose word count sum_(k<=N) (m+1)^k exceeds a
-fixed budget of 2^18 words.
+the node values of the grade below, with one BLAS gemv and one dot per
+word; the top grade needs no node values and takes only the dot.  Its
+coefficients are bit-identical to integrating word by word.
+``system_output`` pairs these arrays a grade at a time with the exact
+coefficients nu mu(w) eta, computed in the same id order, and never builds
+a word; ``_chen_names`` names the words of these arrays in the same order,
+so the CLI prints the table without building one either.  Both refuse a
+bound whose word count sum_(k<=N) (m+1)^k exceeds a fixed budget of 2^18
+words.
 """
 
 from __future__ import annotations
@@ -481,8 +483,10 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
     nonzero z); everything else needs |z| < min(1, min_i |s_i|) strictly and
     is evaluated by nested sums after shuffle regularization of trailing x0
     letters.  The error field carries the geometric tail bound, in
-    |z| max_i |rho_i|, plus rounding.
+    |z| max_i |rho_i|, plus rounding.  A cutoff nmax < 0 is refused.
     """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     if sigma is None:
         sigma = SingularitySet.classical()
     if not w.alphabet.is_x or len(w.alphabet.letters()) != sigma.m + 1:
@@ -546,10 +550,12 @@ def generating_relation_check(
 
 def polyzeta(w: Word, nterms: int = 10_000, sigma: SingularitySet | None = None) -> ComplexVal:
     """Extended polyzeta: the n -> infinity limit of H_(pi_Y w)(n), estimated
-    at a finite cutoff with a first-order tail bound.
+    at a finite cutoff nterms >= 1 with a first-order tail bound.
 
     Admissibility requires the leading (weight, reciprocal) pair != (1, 1).
     """
+    if nterms < 1:
+        raise ValueError(f"nterms must be >= 1, got {nterms}")
     if sigma is None:
         sigma = SingularitySet.classical()
     yw = pi_Y(w, sigma) if w.alphabet.is_x else w
@@ -613,36 +619,40 @@ def _gl_reference(g: int):
     return x, wts, cum
 
 
-def _panel_edges(z0: float, z: float, panels: int) -> np.ndarray:
-    return np.linspace(z0, z, panels + 1)
+def _integrands(forms: FormFamily, z0: float, z: float, panels: int, g: int) -> list[tuple[float, np.ndarray]]:
+    """Per panel: its half width and u_i at its g Gauss nodes, row i for
+    letter i, each value by the scalar ``FormFamily.u``."""
+    edges = np.linspace(z0, z, panels + 1)
+    scales = (edges[1:] - edges[:-1]) / 2
+    nodes = edges[:-1, None] + (_gl_reference(g)[0] + 1) * scales[:, None]
+    return [(scale, np.array([[forms.u(i, t) for t in row] for i in range(forms.sigma.m + 1)], dtype=complex))
+            for scale, row in zip(scales, nodes.tolist())]
 
 
-def _chen_kernel(
-    forms: FormFamily, z0: float, z: float, bound: int, panels: int, g: int
-) -> list[np.ndarray]:
-    """Chen coefficients of every x word of grading <= bound, one array per grade.
+def _chen_kernel(table: list[tuple[float, np.ndarray]], bound: int) -> list[np.ndarray]:
+    """Chen coefficients of every x word of grading <= bound, one array per
+    grade, on the panels of an ``_integrands`` table.
 
     Grade k lists its (m+1)^k words in lexicographic order, so the word
     a w' has index a (m+1)^(k-1) + index(w').  On each panel grade k is
-    advanced from the node values of grade k-1 in one step.  The stacked
-    matmuls issue one gemv / dot per word, the same BLAS calls as a per-word
-    ``cum @ integrand``, so every coefficient is bit-identical to it.
+    advanced from the node values of grade k-1 in one step.  Every grade
+    takes one stacked dot per word (``integ @ wts``, its panel end); grades
+    below the bound also take one stacked gemv per word (``cum @ integ``,
+    its node values), which only the grade above reads, so the top grade
+    forms none.  These are the BLAS calls of a per-word integration, so
+    every coefficient is bit-identical to it; a gemm would round otherwise.
     """
-    x, wts, cum = _gl_reference(g)
+    letters, g = table[0][1].shape
+    _, wts, cum = _gl_reference(g)
     cum_c, wts_c = cum.astype(complex), wts.astype(complex)
-    letters = forms.sigma.m + 1
-    totals = [np.ones(1, dtype=complex)]
-    totals += [np.zeros(letters**k, dtype=complex) for k in range(1, bound + 1)]
-    edges = _panel_edges(z0, z, panels)
-    for a, b in zip(edges[:-1], edges[1:]):
-        scale = (b - a) / 2
-        nodes = a + (x + 1) * scale
-        u = np.array([[forms.u(i, t) for t in nodes] for i in range(letters)], dtype=complex)
+    totals = [np.ones(1, dtype=complex)] + [np.zeros(letters**k, dtype=complex) for k in range(1, bound + 1)]
+    for scale, u in table:
         vals = np.ones((1, g), dtype=complex)
         ends = []
         for k in range(1, bound + 1):
             integ = (u[:, None, :] * vals[None, :, :]).reshape(-1, g)
-            vals = totals[k][:, None] + scale * np.matmul(cum_c, integ[:, :, None])[:, :, 0]
+            if k < bound:
+                vals = totals[k][:, None] + scale * np.matmul(cum_c, integ[:, :, None])[:, :, 0]
             ends.append(totals[k] + scale * np.matmul(integ[:, None, :], wts_c[:, None])[:, 0, 0])
         totals[1:] = ends
     return totals
@@ -654,7 +664,8 @@ def _chen_grades(
     """Per-grade Chen coefficients and their shared quadrature error.
 
     The panel count doubles until the single-letter coefficients stabilize
-    below the tolerance; all gradings <= bound are then evaluated on it.
+    below the tolerance (a probe of grade 1: dots only); all gradings <=
+    bound are then evaluated on the integrand table of the last probe.
     A RuntimeError reports a quadrature that has not stabilized within
     ``max_doublings`` doublings.
     """
@@ -673,11 +684,13 @@ def _chen_grades(
         raise ValueError("path touches or passes a singularity")
     _check_word_budget(sigma.x_alphabet(), bound)
     panels = quad.initial_panels
-    prev = _chen_kernel(forms, z0, z, 1, panels, quad.nodes)[1]
+    table = _integrands(forms, z0, z, panels, quad.nodes)
+    prev = _chen_kernel(table, 1)[1]
     delta = math.inf
     for _ in range(quad.max_doublings):
         panels *= 2
-        cur = _chen_kernel(forms, z0, z, 1, panels, quad.nodes)[1]
+        table = _integrands(forms, z0, z, panels, quad.nodes)
+        cur = _chen_kernel(table, 1)[1]
         delta = max(abs(c - p) for c, p in zip(cur, prev))
         prev = cur
         if delta < quad.tol:
@@ -687,7 +700,7 @@ def _chen_grades(
             f"quadrature did not converge: last delta {delta:.3g} after "
             f"{quad.max_doublings} doublings ({panels} panels), tol {quad.tol:g}"
         )
-    return _chen_kernel(forms, z0, z, bound, panels, quad.nodes), max(delta, quad.tol)
+    return _chen_kernel(table, bound), max(delta, quad.tol)
 
 
 def _chen_names(alphabet: Alphabet, bound: int) -> list[str]:
@@ -752,41 +765,38 @@ def system_output(
     """Pair the representation with the Chen series: sum nu mu(w) eta alpha(w).
 
     Both factors are computed grade by grade in the word order of the Chen
-    kernel: nu mu(w) eta exactly, as integers over a common denominator,
-    rounded once to a float; the terms are summed one by one in (grading,
-    lex) order.  The error field adds the quadrature estimates and, as a
-    truncation indicator, the magnitude of the last grading layer.  Bounds
-    with more than 2^18 words in all are refused with a ValueError, and a
-    quadrature that does not converge raises a RuntimeError.
+    kernel (whose top grade takes dots only) and paired as arrays: nu mu(w)
+    eta exactly, integers over d^(k+2) divided as Python ints; the terms,
+    words with nu mu(w) eta = 0 skipped, summed in (grading, lex) order by
+    a sequential ``cumsum`` from 0j, bit for bit the sum over words.  The
+    error field adds the quadrature estimates and, as a truncation
+    indicator, the magnitude of the last grading layer (``hypot``: numpy's
+    complex ``abs`` rounds otherwise).  Bounds with more than 2^18 words in
+    all are refused with a ValueError, and a quadrature that does not
+    converge raises a RuntimeError.
     """
     if r.alphabet != forms.alphabet():
         raise ValueError("representation alphabet does not match the forms")
     grades, quad_err = _chen_grades(forms, z0, z, bound, quad)
-    total = 0j
-    err = 0.0
-    last_layer = 0.0
-    n = r.rank
-    if not n:
-        return ComplexVal(total, err)
+    if not (n := r.rank):
+        return ComplexVal(0j, 0.0)
     # the integer form of r: nu mu(w) eta = (scaled product) / d^(k+2) at grade k
     d = r._d
     mats = np.array([r._rows[a] for a in r.alphabet.letters()], dtype=object).reshape(-1, n, n)
     eta = np.array(r._eta, dtype=object)
     rows = np.array([r._nu], dtype=object)  # scaled nu mu(w) for the words of one grade, in id order
+    terms, errs = [np.zeros(1, dtype=complex)], [np.zeros(1)]
     for k in range(bound + 1):
         if k:
             rows = np.matmul(rows[:, None, None, :], mats).reshape(-1, n)
-        den = d ** (k + 2)
-        for num, a in zip(rows.dot(eta).tolist(), grades[k].tolist()):
-            if not num:
-                continue
-            c = num / den
-            term = complex(c) * a
-            total += term
-            err += abs(c) * quad_err
-            if k == bound:
-                last_layer += abs(term)
-    return ComplexVal(total, err + last_layer)
+        nums = rows.dot(eta)
+        keep = nums != 0
+        c = (nums[keep] / d ** (k + 2)).astype(float)
+        terms.append(c.astype(complex) * grades[k][keep])
+        errs.append(np.abs(c) * quad_err)
+    top = np.hypot(terms[-1].real, terms[-1].imag)
+    total, err, last_layer = (np.cumsum(np.concatenate(p))[-1] for p in (terms, errs, ([0.0], top)))
+    return ComplexVal(complex(total), float(err + last_layer))
 
 
 # -- demo systems ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ import numpy as np
 
 from wordseries import exactlin
 from wordseries.hopf import DualBases
-from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference, _panel_edges
+from wordseries.hyperlog import ComplexVal, QuadratureConfig, _gl_reference
 from wordseries.linrep import FactorizationReport, LieDiagnostics, LinRep, SweedlerVerdict
 from wordseries.ncpoly import (
     NCPoly,
@@ -1239,7 +1239,7 @@ def _chen_values(forms, z0, z, words, panels, g):
     x, wts, cum = _gl_reference(g)
     by_length = sorted(words, key=len)
     totals = {w: (1.0 + 0j if not w else 0.0j) for w in by_length}
-    edges = _panel_edges(z0, z, panels)
+    edges = np.linspace(z0, z, panels + 1)
     m = forms.sigma.m
     for a, b in zip(edges[:-1], edges[1:]):
         scale = (b - a) / 2

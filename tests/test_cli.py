@@ -67,6 +67,25 @@ def test_eval_of_x2_on_two_points_exits_2(capsys, argv):
     assert err == "error: singularity index 2 has no color: a set without a color order colors only s_1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (["zeta", "--word", "x0 x1", "--nterms", "0"], "nterms", 0),
+        (["zeta", "--word", "y2", "--nterms", "-3"], "nterms", -3),
+        (["li", "--word", "x1", "--z", "0.5", "--nmax", "-2"], "nmax", -2),
+    ],
+)
+def test_eval_cutoff_out_of_range_exits_2(capsys, argv, name, value):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be >= {0 if name == 'nmax' else 1}, got {value}\n"
+
+
+def test_eval_li_at_cutoff_zero_prints_the_whole_tail(capsys):
+    code, out, _ = run(capsys, "eval", "li", "--word", "x1", "--z", "0.5", "--nmax", "0")
+    assert code == 0 and out == "word,re,im,err\nx1,0,0,1\n"
+
+
 def test_eval_zeta_colored(capsys):
     code, out, _ = run(
         capsys,

@@ -369,6 +369,23 @@ def test_polyzeta_rejects_divergent():
         polyzeta(yw("y1 y2"))
 
 
+@pytest.mark.parametrize("nterms", [0, -3])
+def test_polyzeta_refuses_a_cutoff_below_one(nterms):
+    # the tail bound divides by nterms^s1, and a negative cutoff has no sums
+    for word in (xw("x0 x1"), yw("y2"), yw("")):
+        with pytest.raises(ValueError, match=f"nterms must be >= 1, got {nterms}"):
+            polyzeta(word, nterms)
+
+
+def test_polylog_refuses_a_negative_cutoff_and_takes_zero():
+    for word in (xw("x1"), xw("x0 x1 x0"), xw("x0")):
+        with pytest.raises(ValueError, match="nmax must be >= 0, got -2"):
+            polylog(word, 0.5, nmax=-2)
+    # nmax 0 sums no term: the value is 0 and the error the whole tail r/(1-r)
+    got = polylog(xw("x1"), 0.25, nmax=0)
+    assert got.value == 0 and got.err == 0.25 / (1 - 0.25)
+
+
 @pytest.mark.parametrize("z", [0.1, -0.5, 0.3 + 0.4j, 0.9])
 def test_polylog_of_x1_on_two_points_is_the_log_at_s1(z):
     got = polylog(TWO_POINTS.x_alphabet().parse_word("x1"), z, TWO_POINTS)
@@ -458,7 +475,8 @@ def bits(v: ComplexVal):
 
 @pytest.mark.parametrize(
     "sigma, bound",
-    [(CLASSIC, 6), (SingularitySet.roots_of_unity(2), 5), (SingularitySet.roots_of_unity(3), 4)],
+    [(CLASSIC, 6), (SingularitySet.roots_of_unity(2), 5), (SingularitySet.roots_of_unity(3), 4), (CLASSIC, 0),
+     (CLASSIC, 1)],
 )
 @pytest.mark.parametrize("z0, z", [(0.1, 0.5), (0.23, 0.61)])
 def test_chen_series_bit_identical_to_per_word_oracle(sigma, bound, z0, z):
@@ -553,12 +571,36 @@ def exact_nu_eta(r):
 from oracles import taylor_ode_solution
 
 
-@pytest.mark.parametrize("params", [(F(1, 2), F(1, 2), 1), (F(1, 3), F(-2, 5), F(7, 4))])
-@pytest.mark.parametrize("bound", [0, 3, 8])
+# strictly upper triangular: every word of length >= 3 maps to 0, so at
+# bounds 3 and 8 the top grade pairs to zero and the last layer is 0
+NILPOTENT = LinRep(X2, (1, F(-2, 3), F(1, 2)),
+                   {0: [[0, F(1, 2), F(-3, 5)], [0, 0, F(2, 7)], [0, 0, 0]], 1: [[0, 1, F(5, 3)], [0, 0, -1], [0, 0, 0]]},
+                   (F(1, 3), F(-5, 2), 2))
+# t0 t1 has denominator 100160063, so d^(bound+2) passes 2^53 at every bound
+BIG_DENOMINATOR = (F(1, 10007), F(-1, 10009), F(7, 4))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        (F(1, 2), F(1, 2), 1),
+        (F(1, 3), F(-2, 5), F(7, 4)),
+        pytest.param(BIG_DENOMINATOR, id="d-past-2^53"),
+        pytest.param(NILPOTENT, id="nilpotent"),
+    ],
+)
+@pytest.mark.parametrize("bound", [0, 1, 3, 8])
 def test_system_output_bit_identical_to_word_sum_oracle(params, bound):
     from oracles import system_output_word_sum
 
-    r, forms = hypergeometric_system(*params, eta=(F(1, 3), F(-5, 2)))
+    if isinstance(params, LinRep):
+        r, forms = params, FormFamily(CLASSIC)
+        if bound >= 3:
+            assert all(not any(row) for w in words_up_to_grading(X2, 3) if len(w) == 3 for row in r.word_matrix(w))
+    else:
+        r, forms = hypergeometric_system(*params, eta=(F(1, 3), F(-5, 2)))
+        if params == BIG_DENOMINATOR:
+            assert r._d ** (bound + 2) > 2**53
     got = system_output(r, forms, 0.05, 0.4, bound)
     want = system_output_word_sum(r, forms, 0.05, 0.4, bound)
     assert got.value == want.value and got.err == want.err
@@ -578,6 +620,26 @@ def test_system_output_bit_identical_on_three_letters():
     forms = FormFamily(sigma)
     got = system_output(r, forms, 0.1, 0.45, 5)
     assert bits(got) == bits(system_output_word_sum(r, forms, 0.1, 0.45, 5))
+
+
+def test_system_output_bit_identical_on_complex_coefficients():
+    # cube roots of unity: alpha(w) has nonzero imaginary parts, on which
+    # numpy's complex abs and Python's abs (hypot) can differ in the last bit
+    from oracles import system_output_word_sum
+
+    sigma = SingularitySet.roots_of_unity(3)
+    mu = {
+        0: [[F(1, 2), F(-1, 3)], [0, F(2, 7)]],
+        1: [[0, 1], [F(-5, 3), 0]],
+        2: [[F(3, 2), 0], [F(1, 7), F(-1, 2)]],
+        3: [[1, F(1, 3)], [0, 1]],
+    }
+    forms = FormFamily(sigma)
+    # the rank-1 series x1 alone: the last layer is |alpha(x1)|, one such value
+    x1 = LinRep(sigma.x_alphabet(), (1,), {1: [[1]]}, (1,))
+    for r, bound in ((LinRep(sigma.x_alphabet(), (1, F(-2, 3)), mu, (F(1, 2), 2)), 4), (x1, 1)):
+        got = system_output(r, forms, 0.1, 0.45, bound)
+        assert bits(got) == bits(system_output_word_sum(r, forms, 0.1, 0.45, bound))
 
 
 def test_system_output_refuses_a_bound_over_the_word_budget():
