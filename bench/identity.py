@@ -36,8 +36,8 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   requests that exit 2 (a bad word, a missing file, a malformed
   representation, ``rat star`` on a non-proper series, ``check mxstar``
   and ``check triangular`` on y representations whose weight bound w is
-  below N, at N = w+1 to w+3, ``eval zeta`` at ``--nterms`` 0 and -3 and
-  ``eval li`` at ``--nmax -2``);
+  below N, at N = w+1 to w+3, ``eval zeta`` at ``--nterms`` 0 and -3,
+  ``eval li`` at ``--nmax -2`` and ``eval h`` at ``--n`` 0 and -1);
 * a fixed list of ``check duality`` and ``check diagonal`` calls
   (``check_calls``) on x2, x3, y, y@2 and y@3 at N 1-6 (at most), y also
   with both binomial gamma files and with a gamma file that is associative
@@ -49,7 +49,16 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   (its basis as p/q entries and its dimension lists) and
   ``sweedler_membership`` of some of them and of windows of their series,
   changed and unchanged, with and without ``max_rank`` (verdict, rank,
-  detail and the witnesses' JSON).
+  detail and the witnesses' JSON);
+* a numeric library section (``numeric_cases``): ``harmonic_sum``,
+  ``harmonic_sum_exact``, ``polylog``, ``polyzeta``,
+  ``generating_relation_check``, ``linear_independence_rank`` and the
+  round trips of ``pi_Y`` and ``pi_X`` on five singularity sets (classical,
+  the square and cube roots of unity, {0, 2} and {0, 2, 3}), on plain and
+  colored y words of every colour order 2, 3 and 5, with cutoffs -1, 0
+  and above, and the construction of a set whose colour order is not its
+  number of nonzero points; values as ``float.hex``, exact values as text,
+  refusals as their type and message.
 
 The CLI invocations of one checkout run in one interpreter through
 ``wordseries.cli.main``, as the benchmark's worker runs them, and the
@@ -309,6 +318,8 @@ def edge_calls(files: dict) -> list[list[str]]:
         ["eval", "li", "--word", "x1", "--z", "0.5", "--nmax", "-2"],
         ["eval", "zeta", "--word", "x0 x1", "--nterms", "0"],
         ["eval", "zeta", "--word", "y2", "--nterms", "-3"],
+        ["eval", "h", "--word", "y2 y1", "--n", "0"],
+        ["eval", "h", "--word", "y2 y1", "--n", "-1"],
     ] + [
         # a set with two nonzero points and no color order: x2 has no y letter
         ["eval", what, "--word", word, "--sigma", "0;2;3", *extra]
@@ -336,16 +347,16 @@ def check_calls(files: dict) -> list[list[str]]:
 def library_cases() -> list[tuple[str, tuple]]:
     """(label, case) of the library section: calls of functions that no CLI
     verb reaches, on the representations of ``rep_calls`` and on windows of
-    their series.  A case is ("word_matrix", rep, word), ("eval", rep,
-    bound) for ``eval_truncated``, (op, rep, i) for op "mu", "left" or
-    "right" (``mu_of_poly``, ``left_shift``, ``right_shift``) and the i-th
-    polynomial of ``POLYS`` on the representation's alphabet, ("lie", rep)
-    for ``lie_diagnostics``, ("rep", rep) for the ``sweedler_membership``
-    verdict on the representation itself, ("window", rep, bound, changed,
-    max_rank) for the window of its series (letters beyond its weight bound
-    at zero; changed: the last word's coefficient plus 1/3), ("factorial",
-    bound, max_rank) for 1/len(w)! on x2, and ("zero", bound) for the zero
-    series on x2."""
+    their series, then the cases of ``numeric_cases``.  A case is
+    ("word_matrix", rep, word), ("eval", rep, bound) for ``eval_truncated``,
+    (op, rep, i) for op "mu", "left" or "right" (``mu_of_poly``,
+    ``left_shift``, ``right_shift``) and the i-th polynomial of ``POLYS`` on
+    the representation's alphabet, ("lie", rep) for ``lie_diagnostics``,
+    ("rep", rep) for the ``sweedler_membership`` verdict on the
+    representation itself, ("window", rep, bound, changed, max_rank) for the
+    window of its series (letters beyond its weight bound at zero; changed:
+    the last word's coefficient plus 1/3), ("factorial", bound, max_rank)
+    for 1/len(w)! on x2, and ("zero", bound) for the zero series on x2."""
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
     cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
@@ -360,7 +371,89 @@ def library_cases() -> list[tuple[str, tuple]]:
         cases += [("window", name, ns[-1], True, None), ("window", name, ns[-1], False, 1)]
     cases += [("factorial", n, k) for n in (3, 5, 7) for k in (None, 3)]
     cases += [("zero", n) for n in (0, 2)]
+    cases += numeric_cases()
     return [("library/" + " ".join(map(str, case)), case) for case in cases]
+
+
+# the sets of the numeric section by name ("roots<m>", or ";"-separated
+# rational points), and its words: y words by alphabet, x words for every set
+NUMERIC_SETS = ("classical", "roots2", "roots3", "0;2", "0;2;3")
+NUMERIC_Y = {"y": ("", "y2", "y2 y1", "y1 y3 y1"), "y@2": ("y2@1", "y1@0 y2@1"), "y@3": ("y2@1", "y1@2 y2@0"),
+             "y@5": ("y2@4",)}
+NUMERIC_X = ("x1", "x0 x1", "x1 x1", "x0 x1 x0", "x2", "x1 x2", "x0 x3 x1")
+
+
+def numeric_cases() -> list[tuple]:
+    """The cases of the numeric library section, each ("numeric", kind, set,
+    ...): ("h", set, alphabet, word, n) for ``harmonic_sum``, ("exact", ...)
+    the same for ``harmonic_sum_exact``, ("zeta", set, alphabet, word,
+    nterms) for ``polyzeta`` (alphabet "x": the set's x alphabet), ("rank",
+    set, alphabet, samples) for ``linear_independence_rank`` of every word
+    of the alphabet, ("li", set, word, nmax) and ("relation", set, word,
+    depth) at z = 0.3, ("pi_X pi_Y", set, word) and ("pi_Y pi_X", set,
+    alphabet, word), and ("set", values, color_order) for ``SingularitySet``."""
+    cases = []
+    for name in NUMERIC_SETS:
+        for alphabet, words in NUMERIC_Y.items():
+            for w in words:
+                cases += [("h", name, alphabet, w, n) for n in (-1, 0, 7, 100)]
+                cases += [("exact", name, alphabet, w, n) for n in (-1, 0, 7)]
+                cases += [("zeta", name, alphabet, w, 100), ("pi_Y pi_X", name, alphabet, w)]
+            cases += [("rank", name, alphabet, n) for n in (-1, 0, 10)]
+        for w in NUMERIC_X:
+            cases += [("li", name, w, n) for n in (0, 60)] + [("relation", name, w, n) for n in (-1, 0, 40)]
+            cases += [("zeta", name, "x", w, 100), ("pi_X pi_Y", name, w)]
+    cases += [("set", "0;1;-1", 3), ("set", "0;1;-1", 2)]
+    return [("numeric",) + case for case in cases]
+
+
+def _numeric_text(kind: str, name: str, *args) -> str:
+    """What one numeric case returns, as text: a ComplexVal as the hex of its
+    value's parts and of its error, an exact value as its text, a rank, a
+    relation report's residual and tail bound in hex, words with their
+    alphabets, or the set's points."""
+    from wordseries import hyperlog
+    from wordseries.words import alphabet_text, parse_alphabet
+
+    if kind == "set":
+        return repr(hyperlog.SingularitySet(tuple(Fraction(v) for v in name.split(";")), args[0]))
+    if name == "classical":
+        sigma = hyperlog.SingularitySet.classical()
+    elif name.startswith("roots"):
+        sigma = hyperlog.SingularitySet.roots_of_unity(int(name[5:]))
+    else:
+        sigma = hyperlog.SingularitySet.from_values(Fraction(v) for v in name.split(";"))
+
+    def word(alphabet: str, text: str):
+        return (sigma.x_alphabet() if alphabet == "x" else parse_alphabet(alphabet)).parse_word(text)
+
+    def named(w) -> str:
+        return f"{alphabet_text(w.alphabet)} {w}"
+
+    def hexed(*xs: float) -> str:
+        return " ".join(float.hex(float(x)) for x in xs)
+
+    if kind == "h":
+        v = hyperlog.harmonic_sum(word(*args[:2]), args[2], sigma)
+    elif kind == "zeta":
+        v = hyperlog.polyzeta(word(*args[:2]), args[2], sigma)
+    elif kind == "li":
+        v = hyperlog.polylog(word("x", args[0]), 0.3, sigma, args[1])
+    elif kind == "exact":
+        return str(hyperlog.harmonic_sum_exact(word(*args[:2]), args[2], sigma))
+    elif kind == "rank":
+        words = [word(args[0], w) for w in NUMERIC_Y[args[0]]]
+        return str(hyperlog.linear_independence_rank(words, args[1], sigma))
+    elif kind == "relation":
+        report = hyperlog.generating_relation_check(word("x", args[0]), 0.3, args[1], sigma)
+        return hexed(report.residual, report.tail_bound)
+    elif kind == "pi_X pi_Y":
+        image = hyperlog.pi_Y(word("x", args[0]), sigma)
+        return f"{named(image)} -> {named(hyperlog.pi_X(image, sigma))}"
+    else:
+        image = hyperlog.pi_X(word(*args), sigma)
+        return f"{named(image)} -> {named(hyperlog.pi_Y(image, sigma))}"
+    return hexed(v.real, v.imag, v.err)
 
 
 def _pq(m) -> str:
@@ -378,6 +471,8 @@ def _library_text(case: tuple, reps: dict) -> str:
     from wordseries.words import Alphabet, alphabet_text, words_up_to_grading
 
     kind, args = case[0], case[1:]
+    if kind == "numeric":
+        return _numeric_text(*args)
     if kind == "word_matrix":
         rep = reps[args[0]]
         return _pq(rep.word_matrix(rep.alphabet.parse_word(args[1])))

@@ -76,10 +76,12 @@ class DualBases:
 
     def pi(self, w: Word) -> NCPoly:
         """Pi_w: image of P_w under the letter-wise pi1 automorphism."""
+        self._require_phi()
         return NCPoly._of(self.alphabet, *self._pi(w.letters))
 
     def sigma(self, w: Word) -> NCPoly:
         """Sigma_w = (Phi^-1)^T S_w, the graded dual of Pi, in closed form."""
+        self._require_phi()
         return NCPoly._of(self.alphabet, *self._sigma(w.letters))
 
     def _pairs(self) -> list[tuple]:
@@ -133,12 +135,13 @@ class DualBases:
     # -- the Pi / Sigma pair ---------------------------------------------------
 
     def _require_phi(self) -> None:
+        """The check of the public ``pi`` and ``sigma``; the fills below them
+        run only with a gamma table (``_pairs`` reaches them only then)."""
         if self.phi is None:
             raise ValueError("Pi/Sigma need a y alphabet with a gamma table")
 
     def _letter_image(self, letter) -> tuple[dict, int]:
         """pi1(y_k)."""
-        self._require_phi()
         return _reduced(*self._pi1_image((letter,)))
 
     def _phi_word(self, w: tuple) -> tuple[dict, int]:
@@ -153,7 +156,6 @@ class DualBases:
         return _combination((c, *self._phi_word(t)) for t, c in terms.items())
 
     def _pi(self, w: tuple) -> tuple[dict, int]:
-        self._require_phi()
         return self._phi(self._p(w)[0])
 
     def _merged(self, block: tuple):
@@ -189,7 +191,6 @@ class DualBases:
         return _reduced(out, den * tden)
 
     def _sigma(self, w: tuple) -> tuple[dict, int]:
-        self._require_phi()
         terms, den = self._s(w)
         return _combination(((c, *self._contract(v)) for v, c in terms.items()), den)
 

@@ -10,6 +10,9 @@ H_(y v)(n) = sum_k rho^k k^-s H_v(k-1), vectorized over the cutoff (numpy):
 in float64 when every rho is exactly 1, otherwise in complex with one power
 table per colour; or exactly in rational / cyclotomic-rational arithmetic
 for small cutoffs.
+A numeric request is checked once, by the public function it enters; the
+nested sums below (``_blocks``, ``_harmonic_arrays``, ``_nested_sum``) run
+on letter tuples and check nothing again.
 Hyperlogarithms at |z| < 1 are geometric-tail-bounded partial sums; words
 with trailing x0 are handled by shuffle regularization against the
 convention Li_(x0)(z) = log z.  The Chen series integrates all word
@@ -210,6 +213,8 @@ class SingularitySet:
             for b in pts[:i]:
                 if abs(a - b) < 1e-12:
                     raise ValueError("singularities must be pairwise distinct")
+        if self.color_order is not None and self.color_order != self.m:
+            raise ValueError(f"color order {self.color_order} must equal the number of nonzero singularities, {self.m}")
 
     @classmethod
     def from_values(cls, values: Iterable) -> "SingularitySet":
@@ -285,7 +290,7 @@ class FormFamily:
     sigma: SingularitySet
 
     def u(self, i: int, z):
-        """Integrand u_i(z) = 1/(z - s_i)... written via rho to stay stable."""
+        """Integrand u_0(z) = 1/z, u_i(z) = 1/(s_i - z), computed as rho_i/(1 - rho_i z)."""
         if i == 0:
             return 1.0 / z
         rho = self.sigma._rho_complex[i]
@@ -298,6 +303,20 @@ class FormFamily:
 # -- the block correspondence ---------------------------------------------------
 
 
+def _blocks(letters: tuple, sigma: SingularitySet) -> tuple:
+    """pi_Y on an x letter tuple, unchecked: each block x0^(s-1) x_i becomes
+    the y letter (s, color i)."""
+    out = []
+    zeros = 0
+    for letter in letters:
+        if letter == 0:
+            zeros += 1
+        else:
+            out.append((zeros + 1, sigma.color_of_index(letter)))
+            zeros = 0
+    return tuple(out)
+
+
 def pi_Y(w: Word, sigma: SingularitySet) -> Word:
     """x0^(s-1) x_i blocks to y_(s, color i); rejects words ending in x0."""
     if not w.alphabet.is_x:
@@ -306,16 +325,7 @@ def pi_Y(w: Word, sigma: SingularitySet) -> Word:
         raise ValueError("alphabet size does not match the singularity set")
     if w and w.letters[-1] == 0:
         raise ValueError("pi_Y is defined on words not ending in x0")
-    target = sigma.y_alphabet()
-    out = []
-    zeros = 0
-    for letter in w.letters:
-        if letter == 0:
-            zeros += 1
-        else:
-            out.append((zeros + 1, sigma.color_of_index(letter)))
-            zeros = 0
-    return Word._trusted(target, tuple(out), len(w))  # a block's weight is its letter count
+    return Word._trusted(sigma.y_alphabet(), _blocks(w.letters, sigma), len(w))  # a block's weight is its letter count
 
 
 def pi_X(w: Word, sigma: SingularitySet) -> Word:
@@ -333,20 +343,26 @@ def pi_X(w: Word, sigma: SingularitySet) -> Word:
 # -- harmonic sums ------------------------------------------------------------------
 
 
-def _rho_table(word: Word, sigma: SingularitySet | None) -> list[complex]:
-    out = []
-    for _, c in word.letters:
-        if sigma is None:
-            if c:
-                raise ValueError("colored letters need a singularity set")
-            out.append(1.0 + 0j)
-        else:
-            out.append(sigma.rho_of_color(c))
-    return out
+def _y_request(word: Word, n: int, sigma: SingularitySet | None, cutoff: str = "n", exact: bool = False) -> None:
+    """The entry check of a y word and its cutoff: a y word, n >= 0, and
+    colours of sigma.  A colored alphabet needs a set of its colour order;
+    with no set every rho is 1, so only colour 0 has a float value (exact
+    sums read colours in the cyclotomic field of the alphabet)."""
+    if not word.alphabet.is_y:
+        raise ValueError("harmonic sums are indexed by y words")
+    if n < 0:
+        raise ValueError(f"{cutoff} must be >= 0")
+    order = word.alphabet.color_order
+    if sigma is not None:
+        if order and sigma.color_order != order:
+            raise ValueError("singularity set colors disagree with the alphabet")
+    elif not exact and any(c for _, c in word.letters):
+        raise ValueError("colored letters need a singularity set")
 
 
-def _harmonic_arrays(word: Word, n: int, sigma: SingularitySet | None) -> np.ndarray:
-    """H values of every suffix: row r is H_(last r letters)(0..n).
+def _harmonic_arrays(letters: tuple, n: int, sigma: SingularitySet | None) -> np.ndarray:
+    """H values of every suffix of the y letter tuple: row r is H_(last r
+    letters)(0..n).
 
     The rows are float64 when every letter's rho is exactly 1 (classical
     letters, or sigma None): each step then adds 1/k^s with no power of rho.
@@ -359,14 +375,14 @@ def _harmonic_arrays(word: Word, n: int, sigma: SingularitySet | None) -> np.nda
     1+0j, (1+0j)/x is (1/x, +0), and products, cumulative sums and moduli of
     values with a +0 imaginary part equal those of their real parts.
     """
-    rhos = _rho_table(word, sigma)
+    rhos = [1.0 + 0j if sigma is None else sigma.rho_of_color(c) for _, c in letters]
     ones = [rho == 1 for rho in rhos]
     k = np.arange(1, n + 1, dtype=float)
-    rows = np.empty((len(word.letters) + 1, n + 1), dtype=float if all(ones) else complex)
+    rows = np.empty((len(letters) + 1, n + 1), dtype=float if all(ones) else complex)
     rows[0] = 1.0
     rows[1:, 0] = 0.0
     powers = {}  # colour -> rho^1..rho^n
-    for r, ((s, c), rho, one) in enumerate(zip(reversed(word.letters), reversed(rhos), reversed(ones)), 1):
+    for r, ((s, c), rho, one) in enumerate(zip(reversed(letters), reversed(rhos), reversed(ones)), 1):
         if one:
             term = 1 / k**s
         else:
@@ -379,13 +395,8 @@ def _harmonic_arrays(word: Word, n: int, sigma: SingularitySet | None) -> np.nda
 
 def harmonic_sum(word: Word, n: int, sigma: SingularitySet | None = None) -> ComplexVal:
     """Extended harmonic sum H_w(n) by the suffix recursion (floating point)."""
-    if not word.alphabet.is_y:
-        raise ValueError("harmonic sums are indexed by y words")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not word.letters:
-        return ComplexVal(1.0)
-    rows = _harmonic_arrays(word, n, sigma)
+    _y_request(word, n, sigma)
+    rows = _harmonic_arrays(word.letters, n, sigma)
     peak = float(np.abs(rows).max())
     err = 4 * _EPS * n * len(word.letters) * max(1.0, peak)
     return ComplexVal(complex(rows[-1][n]), err)
@@ -393,26 +404,17 @@ def harmonic_sum(word: Word, n: int, sigma: SingularitySet | None = None) -> Com
 
 def harmonic_sum_exact(word: Word, n: int, sigma: SingularitySet | None = None):
     """H_w(n) in exact arithmetic: Fraction, or Q[zeta_m] for colored words."""
-    if not word.alphabet.is_y:
-        raise ValueError("harmonic sums are indexed by y words")
+    _y_request(word, n, sigma, exact=True)
     order = word.alphabet.color_order
     if order:
-        if sigma is not None and sigma.color_order != order:
-            raise ValueError("singularity set colors disagree with the alphabet")
         one = CycloRational(order, {0: ONE})
         rho_pow = lambda c, k: CycloRational.root_power(order, c * k)
-    else:
-        rhos = {}
-        for _, c in word.letters:
-            if sigma is None:
-                rhos[c] = ONE
-            else:
-                rho = sigma.rho(sigma.index_of_color(c))
-                if not isinstance(rho, Fraction):
-                    raise ValueError("exact sums need rational reciprocals")
-                rhos[c] = rho
+    else:  # a plain word has colour 0 only
+        rho = ONE if sigma is None or not word.letters else sigma.rho(sigma.index_of_color(0))
+        if not isinstance(rho, Fraction):
+            raise ValueError("exact sums need rational reciprocals")
         one = ONE
-        rho_pow = lambda c, k: rhos[c] ** k
+        rho_pow = lambda c, k: rho**k
     arr = [one for _ in range(n + 1)]
     for s, c in reversed(word.letters):
         nxt = [one * 0]
@@ -455,16 +457,14 @@ def _regularize(w: tuple, cache: dict) -> dict[tuple[tuple, int], Fraction]:
     return out
 
 
-def _nested_sum(u: tuple, alphabet: Alphabet, z: complex, sigma: SingularitySet, nmax: int) -> ComplexVal:
-    """Li_u(z) for the letter tuple u of ``alphabet`` in the pi_Y domain (or
-    empty), |z| < min |s_i|."""
+def _nested_sum(u: tuple, z: complex, sigma: SingularitySet, nmax: int) -> ComplexVal:
+    """Li_u(z) for the x letter tuple u in the pi_Y domain (or empty),
+    |z| < min |s_i|."""
     if not u:
         return ComplexVal(1.0)
-    yw = pi_Y(Word._trusted(alphabet, u, len(u)), sigma)
-    (s1, c1) = yw.letters[0]
-    suffix = yw[1:]
-    rows = _harmonic_arrays(suffix, nmax, sigma) if suffix else None
-    hvals = rows[-1] if rows is not None else np.ones(nmax + 1, dtype=complex)
+    blocks = _blocks(u, sigma)
+    (s1, c1), suffix = blocks[0], blocks[1:]
+    hvals = _harmonic_arrays(suffix, nmax, sigma)[-1] if suffix else np.ones(nmax + 1, dtype=complex)
     rho = sigma.rho_of_color(c1)
     n = np.arange(1, nmax + 1)
     terms = np.power(rho * complex(z), n) / n.astype(float) ** s1 * hvals[:-1]
@@ -472,7 +472,7 @@ def _nested_sum(u: tuple, alphabet: Alphabet, z: complex, sigma: SingularitySet,
     peak = float(np.abs(hvals).max())
     r = abs(z) * max(abs(complex(sigma.rho(i))) for i in range(1, sigma.m + 1))
     tail = r ** (nmax + 1) / (1 - r) * max(1.0, peak)
-    rounding = 4 * _EPS * nmax * max(1, len(yw.letters)) * max(1.0, peak)
+    rounding = 4 * _EPS * nmax * len(blocks) * max(1.0, peak)
     return ComplexVal(complex(value), tail + rounding)
 
 
@@ -514,7 +514,7 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
     logz = cmath.log(z) if any(j for (_, j) in expansion) else 0.0
     total = ComplexVal(0.0)
     for (u, j), c in expansion.items():
-        base = _nested_sum(u, w.alphabet, z, sigma, nmax)
+        base = _nested_sum(u, z, sigma, nmax)
         factor = logz**j / math.factorial(j)
         total = total + base * complex(factor) * float(c)
     return total
@@ -538,8 +538,8 @@ def generating_relation_check(
     li = polylog(w, z, sigma, nmax)
     lhs = li.value / (1 - z)
     yw = pi_Y(w, sigma)
-    rows = _harmonic_arrays(yw, depth, sigma)
-    hvals = rows[-1]
+    _y_request(yw, depth, sigma, "depth")
+    hvals = _harmonic_arrays(yw.letters, depth, sigma)[-1]
     powers = np.power(z, np.arange(depth + 1))
     rhs = complex((hvals * powers).sum())
     peak = float(np.abs(hvals).max())
@@ -559,13 +559,14 @@ def polyzeta(w: Word, nterms: int = 10_000, sigma: SingularitySet | None = None)
     if sigma is None:
         sigma = SingularitySet.classical()
     yw = pi_Y(w, sigma) if w.alphabet.is_x else w
+    _y_request(yw, nterms, sigma, "nterms")
     if not yw:
         return ComplexVal(1.0)
     s1, c1 = yw.letters[0]
     rho1 = sigma.rho_of_color(c1)
     if s1 == 1 and abs(rho1 - 1) < 1e-12:
         raise ValueError("non-admissible word: leading pair (1, 1) diverges")
-    rows = _harmonic_arrays(yw, nterms, sigma)
+    rows = _harmonic_arrays(yw.letters, nterms, sigma)
     hvals = rows[-1]
     suffix_peak = float(np.abs(rows[-2]).max()) if rows.shape[0] >= 2 else 1.0
     last_term = abs(rho1) ** nterms / nterms**s1 * max(1.0, suffix_peak)
@@ -835,8 +836,8 @@ def linear_independence_rank(
         return 0
     rows = []
     for w in words:
-        arr = _harmonic_arrays(w, samples, sigma)[-1]
-        rows.append(arr[1:])
+        _y_request(w, samples, sigma, "samples")
+        rows.append(_harmonic_arrays(w.letters, samples, sigma)[-1, 1:])
     matrix = np.array(rows)
     if np.allclose(matrix.imag, 0):
         matrix = matrix.real

@@ -32,7 +32,10 @@ are built only at the boundary: the constructors take ``Word``-keyed maps,
 ``coeff`` takes words, ``terms`` and ``coeffs`` build fresh ``Word``-keyed
 dicts, and every printer names letter tuples through ``Alphabet.name``.
 
-All identities here are exact; nothing in this module touches floating point.
+All identities here are exact.  The one place floating point enters is the
+character tests given a ``tol > 0`` (``_values_match``): there coefficients,
+such as the ``ComplexVal``s of a Chen series, are compared as complex
+numbers within ``tol``; with the default ``tol=0`` they are compared exactly.
 """
 
 from __future__ import annotations

@@ -1305,18 +1305,18 @@ def system_output_word_sum(r, forms, z0, z, bound, quad=None):
     return ComplexVal(total, err + last_layer)
 
 
-def harmonic_arrays_mirror(word, n, sigma):
+def harmonic_arrays_mirror(letters, n, sigma):
     """Mirror of the complex suffix recursion of ``hyperlog._harmonic_arrays``
     as it was before the real path and the per-colour power tables: complex
     rows, and for every letter its own rho^1..rho^n by ``np.power``, divided
     by k^s.  A mirror, not an independent route: the library's rows must
     equal these bit for bit, signs of zero included."""
-    rhos = [1.0 + 0j if sigma is None else sigma.rho_of_color(c) for _, c in word.letters]
+    rhos = [1.0 + 0j if sigma is None else sigma.rho_of_color(c) for _, c in letters]
     k = np.arange(1, n + 1, dtype=float)
-    rows = np.empty((len(word.letters) + 1, n + 1), dtype=complex)
+    rows = np.empty((len(letters) + 1, n + 1), dtype=complex)
     rows[0] = 1.0
     arr = rows[0]
-    for r, (letter, rho) in enumerate(zip(reversed(word.letters), reversed(rhos))):
+    for r, (letter, rho) in enumerate(zip(reversed(letters), reversed(rhos))):
         s = letter[0]
         term = np.power(complex(rho), np.arange(1, n + 1)) / k**s
         nxt = np.empty(n + 1, dtype=complex)

@@ -81,6 +81,13 @@ def test_eval_cutoff_out_of_range_exits_2(capsys, argv, name, value):
     assert err == f"error: {name} must be >= {0 if name == 'nmax' else 1}, got {value}\n"
 
 
+def test_eval_h_refuses_a_negative_cutoff_and_takes_zero(capsys):
+    code, out, err = run(capsys, "eval", "h", "--word", "y2 y1", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: n must be >= 0\n")
+    code, out, _ = run(capsys, "eval", "h", "--word", "y2 y1", "--n", "0")
+    assert code == 0 and out == "word,re,im,err\ny2 y1,0,0,0\n"
+
+
 def test_eval_li_at_cutoff_zero_prints_the_whole_tail(capsys):
     code, out, _ = run(capsys, "eval", "li", "--word", "x1", "--z", "0.5", "--nmax", "0")
     assert code == 0 and out == "word,re,im,err\nx1,0,0,1\n"

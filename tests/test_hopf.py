@@ -158,6 +158,15 @@ def test_pi_requires_phi():
         DualBases(X2, STUFFLE)
 
 
+@pytest.mark.parametrize("family", ["pi", "sigma"])
+def test_pi_and_sigma_refuse_without_a_gamma_table(family):
+    bases = DualBases(Y)
+    for text in ("y1", "y2 y1", "y1 y1 y2"):
+        with pytest.raises(ValueError, match="^Pi/Sigma need a y alphabet with a gamma table$"):
+            getattr(bases, family)(Y.parse_word(text))
+    assert bases._pairs() == [("S/P", bases._s, bases._p)]  # the duality checks never reach Pi/Sigma
+
+
 def test_phi_pi1_is_triangular_with_unit_diagonal(yb):
     # on each graded piece, sorted by (letter count, lex), the automorphism
     # y_k -> pi1(y_k) has unit diagonal and only adds longer words

@@ -168,10 +168,10 @@ def test_harmonic_rows_equal_the_complex_mirror_bit_for_bit(sigma, texts, real, 
     from oracles import harmonic_arrays_mirror
 
     for w in _y_words(sigma, texts):
-        rows = _harmonic_arrays(w, n, sigma)
+        rows = _harmonic_arrays(w.letters, n, sigma)
         assert rows.dtype == (np.float64 if real else np.complex128)
         # a float row reads as imaginary +0, so the bytes compare the signs of zero too
-        assert rows.astype(complex).tobytes() == harmonic_arrays_mirror(w, n, sigma).tobytes(), str(w)
+        assert rows.astype(complex).tobytes() == harmonic_arrays_mirror(w.letters, n, sigma).tobytes(), str(w)
 
 
 def _nested_sum_outcomes(sigma, w, n):
@@ -384,6 +384,62 @@ def test_polylog_refuses_a_negative_cutoff_and_takes_zero():
     # nmax 0 sums no term: the value is 0 and the error the whole tail r/(1-r)
     got = polylog(xw("x1"), 0.25, nmax=0)
     assert got.value == 0 and got.err == 0.25 / (1 - 0.25)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: harmonic_sum(yw("y2 y1"), -1), "n"),
+        (lambda: harmonic_sum_exact(yw("y2 y1"), -1), "n"),
+        (lambda: harmonic_sum_exact(yw(""), -1), "n"),
+        (lambda: generating_relation_check(xw("x0 x1"), 0.3, -1), "depth"),
+        (lambda: linear_independence_rank([yw("y1"), yw("y2")], -1), "samples"),
+    ],
+    ids=["harmonic_sum", "harmonic_sum_exact", "harmonic_sum_exact-empty", "relation-depth", "rank-samples"],
+)
+def test_a_negative_cutoff_is_refused_by_its_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        call()
+
+
+def test_cutoff_zero_is_taken():
+    assert harmonic_sum_exact(yw("y2 y1"), 0) == 0 and harmonic_sum_exact(yw(""), 0) == 1
+    assert linear_independence_rank([yw("y1"), yw("y2")], 0) == 0
+    assert isinstance(generating_relation_check(xw("x0 x1"), 0.3, 0), hyperlog.RelationReport)
+
+
+NUMERIC_Y_ENTRIES = [
+    lambda w, sigma: harmonic_sum(w, 10, sigma),
+    lambda w, sigma: harmonic_sum_exact(w, 10, sigma),
+    lambda w, sigma: polyzeta(w, 100, sigma),
+    lambda w, sigma: linear_independence_rank([w], 10, sigma),
+]
+
+
+@pytest.mark.parametrize("call", NUMERIC_Y_ENTRIES, ids=["harmonic_sum", "harmonic_sum_exact", "polyzeta", "rank"])
+@pytest.mark.parametrize("text, order", [("y2@1", 3), ("y2@4", 5), ("y2@0", 3)])
+def test_a_colored_word_needs_a_set_of_its_colour_order(call, text, order):
+    w = Alphabet.y(color_order=order).parse_word(text)
+    for sigma in (SingularitySet.roots_of_unity(2), CLASSIC):
+        with pytest.raises(ValueError, match="^singularity set colors disagree with the alphabet$"):
+            call(w, sigma)
+    call(w, SingularitySet.roots_of_unity(order))  # its own colour order is taken
+    call(yw("y2 y1"), TWO_POINTS)  # a plain word reads colour 0, s_1
+
+
+@pytest.mark.parametrize("values, order", [((0, 1, -1), 3), ((0, 1, -1), 1), ((0, 1), 2)])
+def test_a_colour_order_must_count_the_nonzero_points(values, order):
+    # colours 0 and 2 would both name s_2 of {0, 1, -1} under colour order 3
+    with pytest.raises(ValueError, match=f"color order {order} must equal the number of nonzero singularities"):
+        SingularitySet(values, order)
+    assert SingularitySet(values, len(values) - 1).color_order == len(values) - 1
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pi_y_inverts_pi_x_on_colored_words(m):
+    sigma = SingularitySet.roots_of_unity(m)
+    for w in words_up_to_grading(sigma.y_alphabet(), 4):
+        assert pi_Y(pi_X(w, sigma), sigma) == w
 
 
 @pytest.mark.parametrize("z", [0.1, -0.5, 0.3 + 0.4j, 0.9])
