@@ -352,17 +352,14 @@ def _y_request(word: Word, n: int, sigma: SingularitySet | None, cutoff: str = "
         raise ValueError("harmonic sums are indexed by y words")
     if n < 0:
         raise ValueError(f"{cutoff} must be >= 0")
-    order = word.alphabet.color_order
-    if sigma is not None:
-        if order and sigma.color_order != order:
-            raise ValueError("singularity set colors disagree with the alphabet")
-    elif not exact and any(c for _, c in word.letters):
+    if sigma is not None and word.alphabet.color_order not in (None, sigma.color_order):
+        raise ValueError("singularity set colors disagree with the alphabet")
+    if sigma is None and not exact and any(c for _, c in word.letters):
         raise ValueError("colored letters need a singularity set")
 
 
 def _harmonic_arrays(letters: tuple, n: int, sigma: SingularitySet | None) -> np.ndarray:
-    """H values of every suffix of the y letter tuple: row r is H_(last r
-    letters)(0..n).
+    """H values of every suffix of the letter tuple: row r is H_(last r letters)(0..n).
 
     The rows are float64 when every letter's rho is exactly 1 (classical
     letters, or sigma None): each step then adds 1/k^s with no power of rho.
