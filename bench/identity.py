@@ -45,11 +45,15 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
 * a library section (``library_cases``) for the functions that no verb
   reaches, on those representations: ``LinRep.word_matrix``,
   ``eval_truncated``, ``mu_of_poly``, ``left_shift`` and ``right_shift``
-  (matrices and values as p/q entries, shifts as JSON), ``lie_diagnostics``
-  (its basis as p/q entries and its dimension lists) and
-  ``sweedler_membership`` of some of them and of windows of their series,
-  changed and unchanged, with and without ``max_rank`` (verdict, rank,
-  detail and the witnesses' JSON);
+  (matrices and values as p/q entries, shifts as JSON; one y polynomial
+  has two terms with letters beyond the weight bound, so the letter that
+  is named is pinned), ``triangular_decompose`` on x2, x3 and y
+  representations (the verdict, the detail and the rebuilt series as p/q
+  entries; a y bound above the weight bound pins its refusal),
+  ``lie_diagnostics`` (its basis as p/q entries and its dimension lists)
+  and ``sweedler_membership`` of some of them and of windows of their
+  series, changed and unchanged, with and without ``max_rank`` (verdict,
+  rank, detail and the witnesses' JSON);
 * a numeric library section (``numeric_cases``): ``harmonic_sum``,
   ``harmonic_sum_exact``, ``polylog``, ``polyzeta``,
   ``generating_relation_check``, ``linear_independence_rank`` and the
@@ -87,13 +91,15 @@ DEMOS = ("hypergeometric_flow.py", "hyperlogarithms.py", "lyndon_dual_bases.py",
 
 
 # polynomial operands by alphabet, as a polynomial JSON file holds them; the
-# first of each is also a file operand of ``fixed_calls``
+# first of each is also a file operand of ``fixed_calls``, and the last y one
+# has two terms with letters beyond a weight bound of 2 or 3 (y3 and y4)
 POLYS = {
     "x2": [[{"word": "x0 x1", "coeff": "1/2"}, {"word": "x1", "coeff": "-3/1"}, {"word": "x0 x0 x1", "coeff": "2/3"}],
            [{"word": "", "coeff": "1/5"}, {"word": "x1 x0", "coeff": "-2"}]],
     "x3": [[{"word": "x2 x0", "coeff": "1/2"}, {"word": "x1", "coeff": "2"}, {"word": "", "coeff": "-1/4"}]],
     "y": [[{"word": "y1 y2", "coeff": "1/2"}, {"word": "y3", "coeff": "-2/1"}, {"word": "y1", "coeff": "1/3"}],
-          [{"word": "y2 y1 y1", "coeff": "3/4"}, {"word": "", "coeff": "1"}, {"word": "y1", "coeff": "-1/2"}]],
+          [{"word": "y2 y1 y1", "coeff": "3/4"}, {"word": "", "coeff": "1"}, {"word": "y1", "coeff": "-1/2"}],
+          [{"word": "y4 y1", "coeff": "1"}, {"word": "y2", "coeff": "2"}, {"word": "y1 y3", "coeff": "-1/2"}]],
     "y@2": [[{"word": "y1@1 y2@0", "coeff": "1/2"}, {"word": "y2@1", "coeff": "-1/3"}]],
 }
 # the words of ``rat coeff`` and of ``LinRep.word_matrix`` by alphabet; the
@@ -103,7 +109,9 @@ REP_WORDS = {"x2": ["", "ε", "x0", "x1 x0 x1", "x0 x0 x1 x1 x0"], "x3": ["", "x
 
 
 def binomial_gamma(c: Fraction) -> dict:
-    """gamma(i, j) = c C(i+j, i) on i + j <= 12, as a gamma JSON file holds it."""
+    """gamma(i, j) = c C(i+j, i) on i + j <= 12, as a gamma JSON file holds
+    it.  The pairs beyond take the default 1, so the table is associative
+    only to weight 12: validated to 13, it is refused at (y1, y1, y11)."""
     return {f"{i},{j}": str(c * math.comb(i + j, i)) for i in range(1, 12) for j in range(i, 13 - i)}
 
 
@@ -351,7 +359,8 @@ def library_cases() -> list[tuple[str, tuple]]:
     ("word_matrix", rep, word), ("eval", rep, bound) for ``eval_truncated``,
     (op, rep, i) for op "mu", "left" or "right" (``mu_of_poly``,
     ``left_shift``, ``right_shift``) and the i-th polynomial of ``POLYS`` on
-    the representation's alphabet, ("lie", rep) for ``lie_diagnostics``,
+    the representation's alphabet, ("triangular", rep, bound) for
+    ``triangular_decompose``, ("lie", rep) for ``lie_diagnostics``,
     ("rep", rep) for the ``sweedler_membership`` verdict on the
     representation itself, ("window", rep, bound, changed, max_rank) for the
     window of its series (letters beyond its weight bound at zero; changed:
@@ -363,6 +372,9 @@ def library_cases() -> list[tuple[str, tuple]]:
     cases += [("eval", name, n) for name, data in reps.items() for n in bounds[data["alphabet"]][:2]]
     cases += [(op, name, i) for name, data in reps.items() for op in ("mu", "left", "right")
               for i in range(len(POLYS[data["alphabet"]]))]
+    # yproper's weight bound is 2, so its bound 3 pins the refusal
+    cases += [("triangular", name, n) for name, ns in (("x2up", (0, 3, 5)), ("x3up", (2, 4)), ("yproper", (2, 3)))
+              for n in ns]
     cases += [("lie", name) for name in reps]
     cases += [("rep", name) for name in ("x2a", "x2zero", "x2big", "ya", "y2b")]
     for name, data in reps.items():
@@ -463,10 +475,19 @@ def _pq(m) -> str:
 
 def _library_text(case: tuple, reps: dict) -> str:
     """What one library case returns, as text: a matrix as p/q entries, the
-    series as word and p/q lines, a shifted representation's JSON, the Lie
+    series as word and p/q lines, the triangular verdict and detail with the
+    rebuilt series as word and p/q lines in word order, a shifted
+    representation's JSON, the Lie
     basis as p/q entries and every dimension list, or the Sweedler verdict,
     rank, detail and the witnesses' JSON."""
-    from wordseries.linrep import left_shift, lie_diagnostics, mu_of_poly, right_shift, sweedler_membership
+    from wordseries.linrep import (
+        left_shift,
+        lie_diagnostics,
+        mu_of_poly,
+        right_shift,
+        sweedler_membership,
+        triangular_decompose,
+    )
     from wordseries.ncpoly import NCPoly, TruncSeries
     from wordseries.words import Alphabet, alphabet_text, words_up_to_grading
 
@@ -486,6 +507,11 @@ def _library_text(case: tuple, reps: dict) -> str:
             return _pq(mu_of_poly(rep, poly))
         shifted = (left_shift if kind == "left" else right_shift)(rep, poly)
         return json.dumps(shifted.to_json(), sort_keys=True)
+    if kind == "triangular":
+        rep = reps[args[0]]
+        series, report = triangular_decompose(rep, args[1])
+        coeffs = sorted(series.coeffs.items(), key=lambda wc: rep.alphabet.sort_key(wc[0].letters))
+        return "\n".join([f"{report.equal} {report.detail}"] + [f"{w} {c.numerator}/{c.denominator}" for w, c in coeffs])
     if kind == "lie":
         d = lie_diagnostics(reps[args[0]])
         lines = [f"nilpotent {d.nilpotent} {d.nilpotency_index} solvable {d.solvable} {d.solvability_index}",

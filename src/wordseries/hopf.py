@@ -67,22 +67,28 @@ class DualBases:
 
     def p(self, w: Word) -> NCPoly:
         """Bracketing basis: P_x = x, P_l = [P_s, P_r], PBW products elsewhere."""
-        return NCPoly._of(self.alphabet, *self._p(w.letters))
+        return NCPoly._of(self.alphabet, *self._p(self._letters(w)))
 
     def s(self, w: Word) -> NCPoly:
         """Dual basis: S_l = x S_l' on Lyndon l = x l', divided shuffle powers
         over the Lyndon factorization elsewhere."""
-        return NCPoly._of(self.alphabet, *self._s(w.letters))
+        return NCPoly._of(self.alphabet, *self._s(self._letters(w)))
 
     def pi(self, w: Word) -> NCPoly:
         """Pi_w: image of P_w under the letter-wise pi1 automorphism."""
         self._require_phi()
-        return NCPoly._of(self.alphabet, *self._pi(w.letters))
+        return NCPoly._of(self.alphabet, *self._pi(self._letters(w)))
 
     def sigma(self, w: Word) -> NCPoly:
         """Sigma_w = (Phi^-1)^T S_w, the graded dual of Pi, in closed form."""
         self._require_phi()
-        return NCPoly._of(self.alphabet, *self._sigma(w.letters))
+        return NCPoly._of(self.alphabet, *self._sigma(self._letters(w)))
+
+    def _letters(self, w: Word) -> tuple:
+        """The letters of ``w``, a word that must be over the bases' alphabet."""
+        if w.alphabet != self.alphabet:
+            raise ValueError("word over a different alphabet")
+        return w.letters
 
     def _pairs(self) -> list[tuple]:
         """The dual pairs (name, left, right) on integer forms: S/P, then

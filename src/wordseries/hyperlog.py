@@ -332,6 +332,8 @@ def pi_X(w: Word, sigma: SingularitySet) -> Word:
     """Inverse of pi_Y."""
     if not w.alphabet.is_y:
         raise ValueError("pi_X takes a y word")
+    if w.alphabet.color_order not in (None, sigma.color_order):
+        raise ValueError("singularity set colors disagree with the alphabet")
     target = sigma.x_alphabet()
     out = []
     for s, c in w.letters:

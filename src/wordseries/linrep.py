@@ -31,8 +31,8 @@ integers, and the representation is built by ``LinRep._of``.
 ``lie_diagnostics`` brackets the integer letter matrices d mu(x).
 Evaluation is one walk on integer rows.  ``LinRep._walk`` multiplies rows
 by M(w) one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks
-the identity, and ``_mu_of_poly`` walks its terms in sorted order, each from
-the rows of the previous term at their common prefix.  ``LinRep._walk_all``
+the identity, and ``_mu_of_poly`` sums the walks of its terms from the
+identity, in sorted order.  ``LinRep._walk_all``
 yields rows M(w) for every word up to a grading, each product built from
 its prefix's: from nu' it gives ``_eval_integers``, the series as
 numerators over d^(|w|+2), and from the identity the M(X*) word sum of
@@ -259,10 +259,14 @@ class LinRep:
             frontier = nxt
 
     def coeff(self, w: Word) -> Fraction:
+        if w.alphabet != self.alphabet:
+            raise ValueError("word over a different alphabet")
         (row,) = self._walk((self._nu,), w.letters)
         return Fraction(sum(map(mul, row, self._eta)), self._d ** (len(w) + 2))
 
     def word_matrix(self, w: Word) -> tuple:
+        if w.alphabet != self.alphabet:
+            raise ValueError("word over a different alphabet")
         return _fractions(self._walk(_identity(self.rank), w.letters), self._d ** len(w))
 
     def _eval_integers(self, bound: int) -> dict:
@@ -375,31 +379,26 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
 
 def _mu_of_poly(r: LinRep, p: NCPoly) -> tuple[list[list[int]], int]:
     """mu extended linearly to polynomials, as an integer matrix over one
-    denominator: the terms are walked in sorted order, each M(w) from the
-    rows that the previous term reached at their common prefix, and summed
-    on integers over the polynomial's denominator times d^k, k the longest
-    term's length."""
-    terms, den = p._num, p._den
-    d = r._d
+    denominator: the sum of c d^(k-|w|) M(w) over the terms c w, each M(w)
+    walked from the identity in sorted order (so the first term with a
+    missing letter names it), over the polynomial's denominator times d^k,
+    k the longest term's length."""
+    terms, d = p._num, r._d
     longest = max(map(len, terms), default=0)
+    identity = _identity(r.rank)
     out = [[0] * r.rank for _ in range(r.rank)]
-    prev: tuple = ()
-    path = [_identity(r.rank)]  # path[i]: M of the first i letters of prev
     for w in sorted(terms):
-        common = next((i for i, (a, b) in enumerate(zip(w, prev)) if a != b), min(len(w), len(prev)))
-        del path[common + 1:]
-        for letter in w[common:]:
-            path.append(r._walk(path[-1], (letter,)))
-        prev = w
         c = terms[w] * d ** (longest - len(w))
-        for acc, row in zip(out, path[-1]):
+        for acc, row in zip(out, r._walk(identity, w)):
             for j, x in enumerate(row):
                 acc[j] += c * x
-    return out, den * d ** longest
+    return out, p._den * d ** longest
 
 
 def mu_of_poly(r: LinRep, p: NCPoly) -> tuple:
     """mu extended linearly to polynomials, as Fractions."""
+    if r.alphabet != p.alphabet:
+        raise ValueError("polynomial over a different alphabet")
     return _fractions(*_mu_of_poly(r, p))
 
 
@@ -734,18 +733,6 @@ def _matpoly_mul(a: list, b: list, bound: int, grading) -> list:
     return out
 
 
-def _matpoly_readout(nu: Sequence, m: list, eta: Sequence) -> dict:
-    """The word -> coefficient map nu m eta."""
-    out: dict = {}
-    for i, row in enumerate(m):
-        for j, entry in enumerate(row):
-            s = nu[i] * eta[j]
-            if s:
-                for w, c in entry.items():
-                    _add_term(out, w, s * c)
-    return out
-
-
 def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = None) -> FactorizationReport:
     """Check M(X*) = decreasing Lyndon product of exp(mu(P_l) S_l) at a truncation.
 
@@ -831,10 +818,13 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
 
 def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]:
     """The integer core of ``triangular_decompose``: the rebuilt series as
-    letter tuple -> integer over d^(|w|+2), and the report.  Matrices of
-    polynomials are n x n lists of letter tuple -> integer maps, built from
-    the integer letter matrices d mu(x): the coefficient of w is the integer
-    over d^|w|.
+    letter tuple -> integer over d^(|w|+2), and the report.  Polynomials are
+    letter tuple -> integer maps, built from the integer letter matrices
+    d mu(x): the coefficient of w is the integer over d^|w|.  D(X*) is kept
+    as its diagonal, n series, and T = D(X*) N(X) as n x n entries
+    T_ij = D(X*)_ii N_ij(X).  The powers of T give the nilpotency order, and
+    the row nu' sum_k T^k is gathered as they come, so the readout is
+    sum_j (nu' sum_k T^k)_j D(X*)_jj eta'_j.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -848,7 +838,6 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
                     )
     alphabet = r.alphabet
     weight = alphabet.weight
-    one = ()
     diag = [{} for _ in range(n)]
     strict = [[{} for _ in range(n)] for _ in range(n)]
     for letter in sorted(r._rows, key=alphabet.letter_key):
@@ -861,32 +850,34 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
                 if m[i][j]:
                     strict[i][j][lw] = m[i][j]
 
-    # D(X*): entrywise star of the diagonal, a truncated geometric series
-    d_star = [[{} for _ in range(n)] for _ in range(n)]
+    # D(X*): the diagonal of the entrywise stars, each a truncated geometric series
+    d_star = []
     for i in range(n):
-        acc = total = {one: 1}
+        acc = total = {(): 1}
         for _ in range(bound):
             acc = _product(acc, diag[i], bound=bound, grading=weight)
             if not acc:
                 break
             total = {**total, **acc}  # acc holds the words of one length only
-        d_star[i][i] = total
+        d_star.append(total)
 
-    t = _matpoly_mul(d_star, strict, bound, weight)
-    power = geom = [[{one: 1} if i == j else {} for j in range(n)] for i in range(n)]
-    order = 0
-    while True:
-        power = _matpoly_mul(power, t, bound, weight)
-        if not any(entry for row in power for entry in row):
-            break
+    # T = D(X*) N(X) by rows; the row nu' sum_k T^k gathers as the powers come
+    t = [[_product(d_star[i], strict[i][j], None, bound, grading=weight) for j in range(n)] for i in range(n)]
+    geom = [{(): x} if x else {} for x in r._nu]
+    power, order = t, 0
+    while any(entry for row in power for entry in row):
         order += 1
-        for grow, prow in zip(geom, power):
-            for g, p in zip(grow, prow):
-                for w, c in p.items():
-                    _add_term(g, w, c)
+        for x, prow in zip(r._nu, power):
+            if x:
+                for g, p in zip(geom, prow):
+                    for w, c in p.items():
+                        _add_term(g, w, x * c)
+        power = _matpoly_mul(power, t, bound, weight)
 
-    full = _matpoly_mul(geom, d_star, bound, weight)
-    readout = _matpoly_readout(r._nu, full, r._eta)  # over d^(|w|+2), as the series
+    readout: dict = {}  # sum_j (nu' sum_k T^k)_j D(X*)_jj eta'_j, over d^(|w|+2) as the series
+    for g, star, e in zip(geom, d_star, r._eta):
+        if e:
+            _product({w: c * e for w, c in g.items()}, star, None, bound, readout, weight)
     ok = readout == r._eval_integers(bound)
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return readout, FactorizationReport(ok, detail)

@@ -551,7 +551,10 @@ def diagonal_by_fractions(alphabet, phi=None, bound=4, decreasing=True):
 
 
 def binomial_gamma(c):
-    """gamma(i, j) = c * binomial(i + j, i), associative for every c."""
+    """gamma(i, j) = c * binomial(i + j, i) on i + j <= 12, as the CLI's
+    gamma files hold it.  The pairs beyond take the default 1, so the table
+    is associative only to weight 12: validated to 13, it is refused at
+    (y1, y1, y11)."""
     return PhiTable(
         {(i, j): c * math.comb(i + j, i) for i in range(1, 12) for j in range(i, 13 - i)},
         validate_to=0,

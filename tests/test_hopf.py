@@ -167,6 +167,17 @@ def test_pi_and_sigma_refuse_without_a_gamma_table(family):
     assert bases._pairs() == [("S/P", bases._s, bases._p)]  # the duality checks never reach Pi/Sigma
 
 
+def test_the_accessors_refuse_a_word_over_another_alphabet():
+    x3, y2 = Alphabet.x(3).parse_word("x2 x0"), Alphabet.y(2).parse_word("y1@1 y2@0")
+    cases = [(DualBases(X2), ("p", "s"), (x3, Y.parse_word("y1"))),
+             (DualBases(Y, STUFFLE), ("p", "s", "pi", "sigma"), (y2, X2.parse_word("x1 x0")))]
+    for bases, families, words in cases:
+        for family, w in itertools.product(families, words):
+            with pytest.raises(ValueError, match="^word over a different alphabet$"):
+                getattr(bases, family)(w)
+    assert DualBases(Alphabet.x(3)).p(x3) == NCPoly.from_word(x3)  # its own alphabet is taken
+
+
 def test_phi_pi1_is_triangular_with_unit_diagonal(yb):
     # on each graded piece, sorted by (letter count, lex), the automorphism
     # y_k -> pi1(y_k) has unit diagonal and only adds longer words

@@ -442,6 +442,17 @@ def test_pi_y_inverts_pi_x_on_colored_words(m):
         assert pi_Y(pi_X(w, sigma), sigma) == w
 
 
+def test_pi_x_refuses_a_set_of_another_colour_order():
+    w = Alphabet.y(color_order=3).parse_word("y1@2 y2@0")
+    for sigma in (SingularitySet.roots_of_unity(2), CLASSIC, TWO_POINTS):
+        with pytest.raises(ValueError, match="^singularity set colors disagree with the alphabet$"):
+            pi_X(w, sigma)
+    sigma = SingularitySet.roots_of_unity(3)
+    assert pi_Y(pi_X(w, sigma), sigma) == w  # its own colour order is taken
+    i = sigma.index_of_color(0)
+    assert pi_X(yw("y2 y1"), sigma).letters == (0, i, i)  # a plain word reads colour 0
+
+
 @pytest.mark.parametrize("z", [0.1, -0.5, 0.3 + 0.4j, 0.9])
 def test_polylog_of_x1_on_two_points_is_the_log_at_s1(z):
     got = polylog(TWO_POINTS.x_alphabet().parse_word("x1"), z, TWO_POINTS)

@@ -111,6 +111,19 @@ def test_coeff_rank2_letter():
     assert r.coeff(xw("")) == oracles.dot(r.nu, r.eta) == 0
 
 
+def test_evaluations_refuse_a_word_over_another_alphabet():
+    r = LinRep(X2, (1, 0), {0: [[0, 1], [0, 0]], 1: [[0, 0], [0, 0]]}, (0, 1))
+    ry = LinRep(Y, (1, 0), {(1, 0): [[0, 1], [0, 0]]}, (0, 1), 2)
+    for rep, w in ((r, Alphabet.x(3).parse_word("x0 x1")), (r, Y.parse_word("y1")),
+                   (ry, X2.parse_word("x0")), (ry, Alphabet.y(2).parse_word("y1@1"))):
+        for call in (rep.coeff, rep.word_matrix):
+            with pytest.raises(ValueError, match="^word over a different alphabet$"):
+                call(w)
+        with pytest.raises(ValueError, match="^polynomial over a different alphabet$"):
+            mu_of_poly(rep, NCPoly.from_word(w))
+    assert r.coeff(xw("x0")) == ry.coeff(Y.parse_word("y1")) == 1  # their own alphabets are taken
+
+
 def test_star_of_geometric():
     r = LinRep.from_poly(xp("x0", 2))
     star = rat_star(r)
