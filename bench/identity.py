@@ -13,7 +13,10 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
 * a fixed list of ``lyndon``, ``basis``, ``mul``, ``coprod`` and ``pi1``
   calls on x2, x3, y and y@2, in text and JSON, with the stuffle and with a
   binomial gamma file (gamma(i, j) = c C(i+j, i) for c = 2 and c = 1/2), and
-  with polynomial operands read from files;
+  with polynomial operands read from files; ``basis --family Pi`` and
+  ``Sigma`` also on Lyndon and non-Lyndon y words of weight 7 and 8 under
+  the gamma file {"3,4": "2"}, which is not associative there, and ``basis
+  --family Pi`` on y@2 words of weight 7 and 8 with the c = 2 file;
 * a fixed list of calls on representation files (``rep_calls``): all eight
   ``rat`` operations, ``check mxstar``, ``check triangular`` and
   ``eval output``, on representations the generator never writes: rank 0,
@@ -153,6 +156,17 @@ def fixed_calls(files: dict) -> list[list[str]]:
                     laws += [("phi", g) for g in gammas[1:]] + [("stuffle", [])]
                 for law, gamma in laws:
                     calls.append(["mul", "--law", law, "--alphabet", alpha, "--format", fmt] + gamma + [u, v])
+    # Pi and Sigma at weights 7 and 8, Lyndon words first, where {"3,4": "2"} is
+    # not associative, and Pi there on y@2 under a binomial file
+    heavy = [("y", "gamma34.json", ("Pi", "Sigma"), ["y4 y3", "y4 y3 y1", "y4 y2 y2", "y2 y1 y2 y1 y1 y1",
+                                                      "y3 y4", "y2 y1 y3 y1", "y3 y4 y1", "y4 y4"]),
+             ("y@2", "gamma2.json", ("Pi",), ["y4@1 y3@0", "y4@0 y3@1 y1@1", "y3@0 y4@1", "y1@1 y3@0 y4@1"])]
+    for alpha, gamma, families, ws in heavy:
+        for w in ws:
+            for family in families:
+                for fmt in ("json", "text"):
+                    calls.append(["basis", "--family", family, "--word", w, "--alphabet", alpha, "--format", fmt,
+                                  "--gamma", "{dir}/" + gamma])
     for alpha, poly, w in (("x2", "x2poly.json", "x1 x0"), ("y", "ypoly.json", "y2 y1"), ("y@2", "y2poly.json", "y1@1")):
         y = alpha.startswith("y")
         for fmt in ("json", "text"):

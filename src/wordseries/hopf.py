@@ -4,8 +4,10 @@ For the shuffle bialgebra the classical Lyndon-indexed pair {P_w} / {S_w} is
 built by the bracketing / divided-power recursions; for the phi-shuffle
 bialgebra the pair {Pi_w} / {Sigma_w} is that pair moved through the
 conc-automorphism Phi sending each letter y_k to its primitive projection
-pi1(y_k): Pi_w = Phi(P_w), and Sigma_w = (Phi^-1)^T S_w in closed form,
-contracting blocks of consecutive letters of S_w with no linear solve.
+pi1(y_k): Pi_w = Phi(P_w) runs P's bracket recursion from pi1 of each
+letter, as Phi is a conc morphism for every gamma table (Hoffman, 2000),
+and Sigma_w = (Phi^-1)^T S_w in closed form, contracting blocks of
+consecutive letters of S_w with no linear solve.
 
 The module also verifies the factorization of the diagonal series
 sum_w w (x) w as the decreasing product of exponentials exp(S_l (x) P_l)
@@ -60,7 +62,7 @@ class DualBases:
         # pi1 of single words; one evaluator, so all letters share its caches
         self._pi1_image = _pi1_images(alphabet, phi) if phi is not None else None
         # the integer forms below are memoized per instance, by letter tuple
-        for name in ("_p", "_s", "_pi", "_sigma", "_letter_image", "_phi_word", "_contract"):
+        for name in ("_p", "_s", "_pi", "_sigma", "_letter_image", "_contract"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     # -- public accessors: the cached forms as polynomials ----------------------
@@ -116,16 +118,23 @@ class DualBases:
         n = k * len(l)
         return (w[:-n], w[-n:], 1) if decreasing else (w[n:], w[:n], 1)
 
-    def _p(self, w: tuple) -> tuple[dict, int]:
+    def _bracketed(self, w: tuple, own, letter) -> tuple[dict, int]:
+        """The bracket recursion of P through ``own``, the family's cached
+        method: ``letter(a)`` on a letter a, [own(s), own(r)] on a Lyndon
+        word with standard factorization s r, and own(u) own(v) on w = u v
+        split before its last Lyndon power (``_split``)."""
         if len(w) < 2:
-            return {w: 1}, 1
+            return letter(w[0]) if w else ({(): 1}, 1)
         split = self._split(w)
         if split is None:
             i = _standard_cut(self.alphabet.lex_key(w))
-            (ps, _), (pr, _) = self._p(w[:i]), self._p(w[i:])
-            return _product(pr, {t: -c for t, c in ps.items()}, out=_product(ps, pr)), 1
-        u, v, _ = split
-        return _product(self._p(u)[0], self._p(v)[0]), 1
+            (ps, ds), (pr, dr) = own(w[:i]), own(w[i:])
+            return _reduced(_product(pr, {t: -c for t, c in ps.items()}, out=_product(ps, pr)), ds * dr)
+        (pu, du), (pv, dv) = own(split[0]), own(split[1])
+        return _reduced(_product(pu, pv), du * dv)
+
+    def _p(self, w: tuple) -> tuple[dict, int]:
+        return self._bracketed(w, self._p, lambda a: ({(a,): 1}, 1))
 
     def _s(self, w: tuple) -> tuple[dict, int]:
         if len(w) < 2:
@@ -150,19 +159,9 @@ class DualBases:
         """pi1(y_k)."""
         return _reduced(*self._pi1_image((letter,)))
 
-    def _phi_word(self, w: tuple) -> tuple[dict, int]:
-        """Phi(w) = pi1(a_1) ... pi1(a_n), built on the image of its prefix."""
-        if not w:
-            return {(): 1}, 1
-        (head, d), (last, e) = self._phi_word(w[:-1]), self._letter_image(w[-1])
-        return _product(head, last), d * e
-
-    def _phi(self, terms: dict) -> tuple[dict, int]:
-        """Phi of a polynomial given by its letter-tuple terms."""
-        return _combination((c, *self._phi_word(t)) for t, c in terms.items())
-
     def _pi(self, w: tuple) -> tuple[dict, int]:
-        return self._phi(self._p(w)[0])
+        """Phi(P_w), by P's recursion from the letter images pi1(a)."""
+        return self._bracketed(w, self._pi, self._letter_image)
 
     def _merged(self, block: tuple):
         """l(b): the letter of the summed weight and color (mod m) of block b."""
@@ -221,7 +220,8 @@ def duality_check(alphabet: Alphabet, phi: PhiTable | None = None, bound: int = 
 def _duality_failure(families: list[str], forms: list[tuple]) -> str | None:
     """The first failure over ``forms``, (u, L_u, d_L, R_u, d_R) in grade order:
     an element not homogeneous of its word's grade, else a pairing off [u = v]
-    in a grade's Gram matrix, filled word by word and read row by row."""
+    in a grade's Gram matrix, filled and read one row at a time from an
+    index of the right elements' words."""
     grading = {u.letters: u.grading for u, *_ in forms}  # None past the bound
     for u, a, _, b, _ in forms:
         for family, terms in zip(families, (a, b)):
@@ -229,16 +229,15 @@ def _duality_failure(families: list[str], forms: list[tuple]) -> str | None:
                 return f"{family}({u}) is not homogeneous of grade {u.grading}"
     for _, same in itertools.groupby(forms, key=lambda form: form[0].grading):
         same = list(same)
-        holders: dict = {}  # word -> (row, numerator) of each left element holding it
-        for i, (_, a, _, _, _) in enumerate(same):
-            for w, c in a.items():
-                holders.setdefault(w, []).append((i, c))
-        gram = [[0] * len(same) for _ in same]
+        holders: dict = {}  # word -> (column, numerator) of each right element holding it
         for j, (_, _, _, b, _) in enumerate(same):
             for w, c in b.items():
-                for i, x in holders.get(w, ()):
-                    gram[i][j] += x * c
-        for i, ((u, _, da, _, _), row) in enumerate(zip(same, gram)):
+                holders.setdefault(w, []).append((j, c))
+        for i, (u, a, da, _, _) in enumerate(same):
+            row = [0] * len(same)
+            for w, c in a.items():
+                for j, x in holders.get(w, ()):
+                    row[j] += c * x
             for j, ((v, _, _, _, db), got) in enumerate(zip(same, row)):
                 if got != (da * db if i == j else 0):
                     return f"at <{u}, {v}> = {Fraction(got, da * db)}"

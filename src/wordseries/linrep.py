@@ -32,20 +32,19 @@ integers, and the representation is built by ``LinRep._of``.
 Evaluation is one walk on integer rows.  ``LinRep._walk`` multiplies rows
 by M(w) one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks
 the identity, and ``_mu_of_poly`` sums the walks of its terms from the
-identity, in sorted order.  ``LinRep._walk_all``
-yields rows M(w) for every word up to a grading, each product built from
-its prefix's: from nu' it gives ``_eval_integers``, the series as
-numerators over d^(|w|+2), and from the identity the M(X*) word sum of
-``check mxstar``.  The checks compare on these integers: ``check mxstar``
-applies mu to the Lyndon basis polynomials through ``_mu_of_poly`` and, in
-the same walk, builds the term L'_w (x) mu(R'_w) of the decreasing Lyndon
-product of exp(L_l (x) mu(R_l)) for each word w from those of the two parts
-that ``DualBases._split`` cuts it into, and both checks compare their
-readout with ``_eval_integers`` and answer with
-``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
-are built only at the boundary: one per value returned, and in the
-read-only views ``nu``, ``mu`` and ``eta``.  Words are letter tuples
-throughout, as ``ncpoly`` stores them.
+identity, in sorted order.  ``LinRep._walk_all`` yields rows M(w) for every
+word up to a grading, each product built from its prefix's: from nu' it
+gives ``_eval_integers``, the series as numerators over d^(|w|+2), and from
+the identity the M(X*) word sum of ``check mxstar``.  That check applies mu
+to the Lyndon basis polynomials through ``_mu_of_poly``, builds in the
+walk's order the term L'_w (x) mu(R'_w) of the decreasing Lyndon product of
+exp(L_l (x) mu(R_l)) for each word w from those of the two parts that
+``DualBases._split`` cuts it into, and compares M(w) with those terms
+collected by word, one integer matrix per word.  Both checks compare their
+readout with ``_eval_integers`` and answer with ``hopf.FactorizationReport``,
+which this module re-exports.  So ``Fraction``s are built only at the
+boundary: one per value returned, and in the read-only views ``nu``, ``mu``
+and ``eta``.  Words are letter tuples throughout, as ``ncpoly`` stores them.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from .ncpoly import (
     is_character,
     is_infinitesimal_character,
 )
-from .words import Alphabet, Word, alphabet_text, lyndon_words, parse_alphabet, words_up_to_grading
+from .words import Alphabet, Word, _lyndon_letters, alphabet_text, parse_alphabet, words_up_to_grading
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -348,6 +347,8 @@ class LinRep:
             letters = alphabet.parse_word(name).letters
             if len(letters) != 1:
                 raise ValueError(f"{field} is not one letter")
+            if letters[0] in matrices:
+                raise ValueError(f"{field} names {alphabet.letter_name(letters[0])}, as another 'mu' key does")
             matrices[letters[0]] = [vector(row, field) for row in _json_checked(rows, list, field)]
         weight = data.get("max_letter_weight")
         if weight is not None and type(weight) is not int:
@@ -738,20 +739,19 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     On y alphabets with a gamma table the Pi/Sigma pair and the phi-shuffle
     take the place of P/S and the shuffle.  Also confirms the scalar readout
-    nu M(X*) eta against the evaluated series.  M(X*) is carried as integer
-    numerators keyed by (word, matrix unit (i, j)): the word sum holds M(w)
-    at w, over d^|w|, walked from the identity.  The product, with L/R the
-    last pair of ``DualBases``, is sum_w L'_w (x) mu(R'_w), one term per
-    word w = l1^k1 ... lr^kr, built in the same walk from the terms of
-    shorter words: L'_l = L_l and mu(R_l) from ``_mu_of_poly`` on a Lyndon
-    word l (applied in decreasing Lyndon order before the walk), and
-    elsewhere, with w = u v split before its last power
-    (``DualBases._split``), L'_w = L'_u * L'_v / k and
+    nu M(X*) eta against the evaluated series.  Each side is one integer
+    matrix per word: the word sum holds M(w), walked from the identity, and
+    the product, with L/R the last pair of ``DualBases``, is
+    sum_w L'_w (x) mu(R'_w), one term per word w = l1^k1 ... lr^kr, built
+    in the walk's order from the terms of shorter words: L'_l = L_l and
+    mu(R_l) from ``_mu_of_poly`` on a Lyndon word l (applied in decreasing
+    Lyndon order first), and elsewhere, with w = u v split before
+    its last power (``DualBases._split``), L'_w = L'_u * L'_v / k and
     mu(R'_w) = mu(R'_u) mu(R'_v).  So L'_w is the literal product, powers
     bracketed ((L_l * L_l) * L_l) / 3! and factors taken left to right in
     the order of the exponentials, and a table that is not associative
-    fails as the multiplied-out product does.  The terms are put over the
-    lcm of their denominators.
+    fails as the multiplied-out product does.  Over the lcm of their
+    denominators, the terms give sum_w <L'_w, v> mu(R'_w) at each word v.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -762,14 +762,12 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     _, left_of, right_of = bases._pairs()[-1]
     shuffle = _shuffle_law(alphabet, phi)
 
-    walk = r._walk_all(_identity(r.rank), bound)
-    empty = next(walk)  # ((), identity): the walk names a missing letter, lightest first, before mu meets one
-    factors = {(): ({(): 1}, 1, empty[1], 1)}  # w -> L'_w, its denominator, mu(R'_w), its denominator
-    for l in sorted(lyndon_words(alphabet, bound), key=Word.lex_key, reverse=True):
-        factors[l.letters] = (*left_of(l.letters), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l.letters))))
-    lhs = {}
-    for w, m in chain([empty], walk):
-        lhs.update(((w, (i, j)), c) for i, row in enumerate(m) for j, c in enumerate(row) if c)
+    # w -> M(w), by length and then by letter; the walk names a missing letter, lightest first, before mu meets one
+    lhs = dict(r._walk_all(_identity(r.rank), bound))
+    factors = {(): ({(): 1}, 1, lhs[()], 1)}  # w -> L'_w, its denominator, mu(R'_w), its denominator
+    for l in sorted(chain.from_iterable(_lyndon_letters(alphabet, bound)), key=alphabet.lex_key, reverse=True):
+        factors[l] = (*left_of(l), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l))))
+    for w in lhs:  # each word after the shorter ones, so after the parts that _split cuts it into
         if w not in factors:
             u, v, k = bases._split(w)
             (a, da, ma, ea), (b, db, mb, eb) = factors[u], factors[v]
@@ -777,26 +775,26 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
             factors[w] = (*_reduced(_product(a, b, shuffle), da * db * k), [_times(row, cols) for row in ma], ea * eb)
 
     scale = math.lcm(*(da * ea for _, da, _, ea in factors.values()))
-    rhs: dict = {}
-    tensor = lambda w, ij: (((w, ij), 1),)  # the outer product of a word and a matrix unit
+    rhs = {}  # v -> sum_w <L'_w, v> mu(R'_w), over scale
     for a, da, m, ea in factors.values():
         unit = scale // (da * ea)
-        _product(a, {(i, j): unit * x for i, row in enumerate(m) for j, x in enumerate(row) if x}, tensor, out=rhs)
+        for w, c in a.items():
+            term = [[unit * c * x for x in row] for row in m]
+            rhs[w] = [list(map(add, acc, row)) for acc, row in zip(rhs[w], term)] if w in rhs else term
 
     dpow = [r._d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
+    zero = _identity(r.rank, 0)
     differ = [
         w
-        for w, ij in lhs.keys() | rhs.keys()
-        if lhs.get((w, ij), 0) * scale != rhs.get((w, ij), 0) * dpow[len(w)]
+        for w in lhs.keys() | rhs.keys()
+        if any(x * scale != y * dpow[len(w)] for p, q in zip(lhs.get(w, zero), rhs.get(w, zero)) for x, y in zip(p, q))
     ]
     if differ:
         first = alphabet.name(min(differ, key=alphabet.sort_key))
         return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
 
-    readout: dict = {}  # over scale d^2, the series over d^(|w|+2)
-    for (w, (i, j)), c in rhs.items():
-        _add_term(readout, w, r._nu[i] * c * r._eta[j])
-    series = r._eval_integers(bound)
+    readout = {w: sum(x * sum(map(mul, row, r._eta)) for x, row in zip(r._nu, m)) for w, m in rhs.items()}
+    series = r._eval_integers(bound)  # over d^(|w|+2), and nu' rhs(w) eta' over scale d^2
     if any(readout.get(w, 0) * dpow[len(w)] != series.get(w, 0) * scale for w in readout.keys() | series.keys()):
         return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)

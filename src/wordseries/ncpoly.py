@@ -386,6 +386,8 @@ class PhiTable:
         table: dict[tuple[int, int], Fraction] = {}
         for (i, j), g in (entries or {}).items():
             key = (min(i, j), max(i, j))
+            if key[0] < 1:
+                raise ValueError(f"gamma entry at ({i}, {j}): letter weights start at 1")
             g = Fraction(g)
             if key in table and table[key] != g:
                 raise ValueError(f"asymmetric gamma at {key}")
@@ -440,10 +442,9 @@ def _product(p_terms: Mapping, q_terms: Mapping, word_mul: Callable | None = Non
     ``bound`` (every pair when ``bound`` is None), add a * b * c to ``out``
     for each (w, c) in ``word_mul(u, v)``.  ``word_mul`` None is
     concatenation of letter tuples, done inline.  Keys need not be words
-    when ``word_mul`` is given: pairs of letter tuples in the coproducts and
-    the diagonal check, matrix units, color exponents in the cyclotomic
-    numbers.  Terms accumulate into ``out`` when given, else into a fresh
-    map, which is returned.
+    when ``word_mul`` is given: pairs of letter tuples in the coproducts,
+    color exponents in the cyclotomic numbers.  Terms accumulate into
+    ``out`` when given, else into a fresh map, which is returned.
     """
     out = {} if out is None else out
     if bound is not None:

@@ -21,8 +21,9 @@ polynomial classes on ``Word``-keyed ``Fraction`` dicts,
 the Chen series one word at a time and its pairing as a sum over words, the
 ``eval chen`` table printed row by row from words and values, and an ODE
 solver by recentered Taylor series.  ``pi1_of`` and ``phi_pi1`` are no
-oracles: they show as ``NCPoly``s the letter images pi1(y_k) and the letter
-morphism Phi that a ``DualBases`` holds as integer forms.  Nor is
+oracles: ``pi1_of`` shows as an ``NCPoly`` the letter image pi1(y_k) that a
+``DualBases`` holds as an integer form, and ``phi_pi1`` extends those images
+to the letter morphism Phi by concatenation.  Nor is
 ``harmonic_arrays_mirror``: it keeps the complex harmonic-sum recursion that
 the library replaced, which the library must equal bit for bit.
 """
@@ -397,8 +398,12 @@ def pi1_of(bases, letter):
 
 
 def phi_pi1(bases, p):
-    """Phi(p), the conc-automorphism of ``bases`` sending each letter y_k to pi1(y_k)."""
-    return _poly_of_form(bases.alphabet, bases._phi({w.letters: c for w, c in p.terms.items()}))
+    """Phi(p), the conc-automorphism sending each letter y_k to pi1(y_k):
+    each word of p as the conc product of ``pi1_of`` its letters."""
+    one, out = NCPoly.one(bases.alphabet), NCPoly.zero(bases.alphabet)
+    for w, c in p.terms.items():
+        out += c * functools.reduce(conc, [pi1_of(bases, letter) for letter in w.letters], one)
+    return out
 
 
 def duality_by_fractions(alphabet, phi=None, bound=4):

@@ -722,6 +722,33 @@ def test_ragged_rep_matrix_names_the_letter_and_the_shape(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "alphabet, names, message",
+    [
+        ("x2", ("x1", "x01"), "representation 'mu' 'x01' names x1, as another 'mu' key does"),
+        ("y", ("y1", "y1@0"), "representation 'mu' 'y1@0' names y1, as another 'mu' key does"),
+        ("y@2", ("y2@1", "y02@1"), "representation 'mu' 'y02@1' names y2@1, as another 'mu' key does"),
+    ],
+)
+def test_rep_with_two_mu_keys_for_one_letter_exits_2(capsys, tmp_path, alphabet, names, message):
+    # JSON keeps both keys; reading them in turn must not keep only the last
+    first, second = names
+    data = {"alphabet": alphabet, "nu": ["1"], "mu": {first: [["1/2"]], second: [["1"]]}, "eta": ["1"]}
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rat", "coeff", "--rep", str(path), "--word", "")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_gamma_entry_below_weight_1_exits_2(capsys, tmp_path):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"1,2": "1", "0,3": "5"}))
+    code, out, err = run(capsys, "mul", "--law", "phi", "--gamma", str(path), "y1", "y1")
+    assert code == 2 and out == ""
+    assert err == "error: gamma entry at (0, 3): letter weights start at 1\n"
+
+
+@pytest.mark.parametrize(
     "rank, message",
     [
         (5, "representation 'rank' is 5, but 'nu' has 1 entries"),

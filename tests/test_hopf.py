@@ -314,12 +314,31 @@ def test_diagonal_factorization_agrees_with_the_fraction_oracle_on_mutants(
     monkeypatch, alphabet, phi, target, method, kind
 ):
     # both see the same mutated DualBases; x2 never calls the Pi/Sigma
-    # methods, and every mutant that is called fails by N 5
+    # methods, y's Sigma/Pi pair never calls _p (Pi runs P's recursion from
+    # the letter images, test_p_mutants_on_y_fail_the_duality_check), and
+    # every mutant that is called fails by N 5
     monkeypatch.setattr(DualBases, method, _mutant(getattr(DualBases, method), alphabet.parse_word(target).letters, kind))
     for bound in (3, 4, 5):
         got = diagonal_factorization_check(alphabet, phi, bound)
         assert got.equal == diagonal_by_fractions(alphabet, phi, bound).equal
-    assert got.equal == (alphabet.is_x and method in ("_pi", "_sigma", "_contract"))
+    assert got.equal == (method in (("_pi", "_sigma", "_contract") if alphabet.is_x else ("_p",)))
+
+
+@pytest.mark.parametrize(
+    "kind, failure",
+    [
+        ("coefficient", "at <y1 y2, y1 y2> = 2"),
+        ("sign", "at <y1 y2, y1 y2> = -1"),
+        ("reversed", "at <y2 y1, y1 y2> = 1"),
+    ],
+    ids=["coefficient", "sign", "reversed"],
+)
+def test_p_mutants_on_y_fail_the_duality_check(monkeypatch, kind, failure):
+    # the y diagonal check reads only Sigma/Pi; the S/P pair that duality
+    # checks first still catches each mutant of P_(y1 y2)
+    monkeypatch.setattr(DualBases, "_p", _mutant(DualBases._p, Y.parse_word("y1 y2").letters, kind))
+    for bound in (3, 4, 5):
+        assert duality_check(Y, STUFFLE, bound) == (2 ** bound, [("S/P", failure)])
 
 
 def test_halved_gamma_deformation():
@@ -416,6 +435,18 @@ def test_pi1_and_the_dual_bases_match_the_fraction_oracles(data):
         element = getattr(bases, family)(w)
         assert element == getattr(oracle, family)(w), (family, w)
         assert all(type(c) is Fraction for c in element.terms.values())
+
+
+def test_pi_matches_the_fraction_oracle_on_a_table_that_is_not_associative():
+    # gamma(3, 4) = 2 breaks associativity at weight 7; Phi is a morphism of
+    # concatenation whatever gamma is, so P's recursion from the letter
+    # images still gives Phi(P_w), which the oracle builds word by word
+    phi = PhiTable({(3, 4): 2}, validate_to=0)
+    bases, oracle = DualBases(Y, phi), dual_bases_by_fractions(Y, phi)
+    words = [w for w in words_up_to_grading(Y, 8) if w.grading >= 7]
+    assert len(words) == 192
+    for w in words:
+        assert bases.pi(w) == oracle.pi(w), w
 
 
 # the integer-form method of each family in a pair name

@@ -222,6 +222,16 @@ def test_phi_table_symmetry():
     assert PhiTable({(1, 2): 7}, validate_to=0).gamma(2, 1) == 7
 
 
+@pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 2), (0, 0)])
+def test_phi_table_refuses_weights_below_1(pair):
+    # no letter pair has such weights, so the entry would be silently unused
+    with pytest.raises(ValueError) as info:
+        PhiTable({(1, 2): 3, pair: 5}, validate_to=0)
+    assert str(info.value) == f"gamma entry at {pair}: letter weights start at 1"
+    with pytest.raises(ValueError, match="letter weights start at 1"):
+        PhiTable.from_json({"0,3": "5", "-1,2": "7"})
+
+
 def test_products_unchanged_after_the_word_cache_evicts(monkeypatch):
     rng = random.Random(3)
     words = [w for w in words_up_to_grading(Y, 4) if w]
