@@ -56,7 +56,12 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``lie_diagnostics`` (its basis as p/q entries and its dimension lists)
   and ``sweedler_membership`` of some of them and of windows of their
   series, changed and unchanged, with and without ``max_rank`` (verdict,
-  rank, detail and the witnesses' JSON);
+  rank, detail and the witnesses' JSON), and the verdicts of
+  ``is_character`` and ``is_infinitesimal_character`` (``character_cases``)
+  under conc, shuffle and phi with the stuffle and the c = 2 binomial
+  table, the shuffle also given the stuffle, on series that pass and fail
+  them, with the refusals of an unknown law and of phi without a table,
+  and on a Chen series, exactly and within ``tol``;
 * a numeric library section (``numeric_cases``): ``harmonic_sum``,
   ``harmonic_sum_exact``, ``polylog``, ``polyzeta``,
   ``generating_relation_check``, ``linear_independence_rank`` and the
@@ -80,6 +85,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -379,7 +385,8 @@ def library_cases() -> list[tuple[str, tuple]]:
     representation itself, ("window", rep, bound, changed, max_rank) for the
     window of its series (letters beyond its weight bound at zero; changed:
     the last word's coefficient plus 1/3), ("factorial", bound, max_rank)
-    for 1/len(w)! on x2, and ("zero", bound) for the zero series on x2."""
+    for 1/len(w)! on x2, ("zero", bound) for the zero series on x2, and the
+    cases of ``character_cases``."""
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
     cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
@@ -397,8 +404,68 @@ def library_cases() -> list[tuple[str, tuple]]:
         cases += [("window", name, ns[-1], True, None), ("window", name, ns[-1], False, 1)]
     cases += [("factorial", n, k) for n in (3, 5, 7) for k in (None, 3)]
     cases += [("zero", n) for n in (0, 2)]
+    cases += character_cases()
     cases += numeric_cases()
     return [("library/" + " ".join(map(str, case)), case) for case in cases]
+
+
+# the series of ``character_cases`` by name: "ones" is the conc character
+# of x2, "exp" and "log" the shuffle character exp(x0 + x1 / 2) on x2 and
+# its primitive logarithm, "harmonic" H_w(3) on y (a stuffle character),
+# "pi1 <table>" the primitive pi1(y2) of the stuffle or of the c = 2
+# binomial table, "exp pi1 binomial" its exponential (a character of that
+# table), and "x2a" and "ya" the series of those representations
+CHARACTER_SERIES = ("ones", "exp", "log", "harmonic", "pi1 stuffle", "pi1 binomial", "exp pi1 binomial",
+                    "x2a", "ya")
+CHARACTER_LAWS = (("conc", None), ("shuffle", None), ("shuffle", "stuffle"), ("phi", "stuffle"),
+                  ("phi", "binomial"), ("phi", None), ("bogus", None))
+
+
+def character_cases() -> list[tuple]:
+    """("character", test, law, table, series, tol): ``test`` is
+    "is_character" or "is_infinitesimal_character", ``table`` the ``phi=``
+    argument by name, and ``series`` a name of ``CHARACTER_SERIES`` or
+    "chen", the Chen series of the classical forms, which alone is also
+    tested within tol 1e-10."""
+    tests = ("is_character", "is_infinitesimal_character")
+    cases = [("character", test, law, table, name, 0)
+             for test in tests for law, table in CHARACTER_LAWS for name in CHARACTER_SERIES]
+    cases += [("character", test, law, None, "chen", tol)
+              for test in tests for law in ("conc", "shuffle") for tol in (0, 1e-10)]
+    return cases
+
+
+def _character_text(reps: dict, test: str, law: str, table, name: str, tol) -> str:
+    """The verdict of one case of ``character_cases``."""
+    from wordseries import ncpoly
+    from wordseries.hyperlog import FormFamily, SingularitySet, chen_series
+    from wordseries.linrep import exp_trunc, log_trunc
+    from wordseries.ncpoly import NCPoly, PhiTable, TruncSeries, pi1
+    from wordseries.words import Alphabet, words_up_to_grading
+
+    x2, y = Alphabet.x(2), Alphabet.y()
+    tables = {None: None, "stuffle": PhiTable.stuffle(),
+              "binomial": PhiTable.from_json(binomial_gamma(Fraction(2)))}
+    if name == "ones":
+        series = TruncSeries.word_sum(x2, 4)
+    elif name in ("exp", "log"):
+        letters = TruncSeries(x2, 4, {x2.parse_word("x0"): Fraction(1), x2.parse_word("x1"): Fraction(1, 2)})
+        series = exp_trunc(letters) if name == "exp" else log_trunc(exp_trunc(letters))
+    elif name == "harmonic":
+        coeffs = {}
+        for w in words_up_to_grading(y, 5):
+            ks = [k for k, _ in w.letters]
+            terms = itertools.combinations(range(3, 0, -1), len(ks))
+            coeffs[w] = sum(math.prod(Fraction(1, m**k) for m, k in zip(ms, ks)) for ms in terms)
+        series = TruncSeries(y, 5, coeffs)
+    elif name.startswith(("pi1", "exp pi1")):
+        series = TruncSeries.from_poly(pi1(NCPoly.from_word(y.parse_word("y2")), tables[name.split()[-1]]), 4)
+        series = exp_trunc(series) if name.startswith("exp") else series
+    elif name == "chen":
+        series = chen_series(FormFamily(SingularitySet.classical()), 0.2, 0.5, 3)
+    else:
+        series = reps[name].eval_truncated(3)
+    return str(getattr(ncpoly, test)(series, law, phi=tables[table], tol=tol))
 
 
 # the sets of the numeric section by name ("roots<m>", or ";"-separated
@@ -508,6 +575,8 @@ def _library_text(case: tuple, reps: dict) -> str:
     kind, args = case[0], case[1:]
     if kind == "numeric":
         return _numeric_text(*args)
+    if kind == "character":
+        return _character_text(reps, *args)
     if kind == "word_matrix":
         rep = reps[args[0]]
         return _pq(rep.word_matrix(rep.alphabet.parse_word(args[1])))

@@ -5,15 +5,24 @@ Usage, from the root of a checkout:
     python3 bench/record.py --out BENCH_<n>.json [--pairs P] [--seed S] \
         LABEL=CHECKOUT [LABEL=CHECKOUT ...]
 
+Each checkout is first copied to a fresh temporary directory without its
+git data, its bytecode (``__pycache__`` and ``.pyc`` files) and the
+benchmark's scratch (``perfbench/_work``), as a new checkout would hold it.
 For each workload (numeric, then exact) and each of P rounds, the script
 runs ``python3 perfbench/run.py --workload W --seed S --seconds 50`` once in
-every checkout, in the checkout's own directory, so each side runs its own
-committed benchmark and program.  The order of the checkouts alternates from
-round to round (the first round runs them as given, the second reversed, and
-so on), so that a drift of the host's speed does not favour one side.
+every copy, in the copy's own directory and with ``PYTHONDONTWRITEBYTECODE``
+set, so each side runs its own benchmark and program and compiles its
+``src`` afresh on every run: a side whose checkout holds bytecode from
+earlier runs does not start faster.  (A fresh ``PYTHONPYCACHEPREFIX`` would
+do the same for ``src``, but it also recompiles the standard library and
+numpy on every run, which about triples ``setup_s``.)  The order of the checkouts
+alternates from round to round (the first round runs them as given, the
+second reversed, and so on), so that a drift of the host's speed does not
+favour one side.
 
 The output file holds the machine (CPU model, CPU count, platform, Python
-and numpy versions), each checkout's label and git commit, every result line
+and numpy versions), each checkout's label, git commit and number of
+``.pyc`` files under its ``src`` (which the copy leaves out), every result line
 that perfbench printed last (with the label, workload, round and its place
 in the round), and per label and workload the median and quartiles of each
 end-to-end metric.  The first checkout is the base: for every other label the
@@ -31,9 +40,11 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 WORKLOADS = ("numeric", "exact")
 SECONDS = 50  # the run length BENCHMARK.json fixes
@@ -62,13 +73,23 @@ def commit(checkout: str) -> dict:
         return p.stdout.strip() if p.returncode == 0 else None
 
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(status) if status is not None else None}
+    pyc = sum(name.endswith(".pyc") for _, _, names in os.walk(os.path.join(checkout, "src")) for name in names)
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(status) if status is not None else None,
+            "src_pyc_files": pyc}
 
 
-def run_once(checkout: str, workload: str, seed: int) -> dict:
+def fresh_copy(checkout: str, dest: str) -> str:
+    """A copy of the checkout at ``dest`` without git data, bytecode or
+    benchmark scratch."""
+    shutil.copytree(checkout, dest, ignore=shutil.ignore_patterns(".git", "__pycache__", "*.pyc", "_work"))
+    return dest
+
+
+def run_once(copy: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS)]
-    p = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    p = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True)
     lines = p.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -132,16 +153,18 @@ def main() -> int:
         ap.error("labels must differ")
 
     runs = []
-    for workload in WORKLOADS:
-        for rnd in range(args.pairs):
-            order = sides if rnd % 2 == 0 else sides[::-1]
-            for place, (label, path) in enumerate(order):
-                result = run_once(path, workload, args.seed)
-                runs.append({"label": label, "workload": workload, "round": rnd,
-                             "place": place, "result": result})
-                print(f"{workload} round {rnd} {label}: "
-                      + " ".join(f"{k}={v['value']:.4g}" for k, v in result.get("metrics", {}).items()
-                                 if k in ("wall_s", "job_p50_ms", "job_p90_ms")), flush=True)
+    with tempfile.TemporaryDirectory(prefix="record-") as tmp:
+        copies = {label: fresh_copy(path, os.path.join(tmp, str(i))) for i, (label, path) in enumerate(sides)}
+        for workload in WORKLOADS:
+            for rnd in range(args.pairs):
+                order = sides if rnd % 2 == 0 else sides[::-1]
+                for place, (label, _) in enumerate(order):
+                    result = run_once(copies[label], workload, args.seed)
+                    runs.append({"label": label, "workload": workload, "round": rnd,
+                                 "place": place, "result": result})
+                    print(f"{workload} round {rnd} {label}: "
+                          + " ".join(f"{k}={v['value']:.4g}" for k, v in result.get("metrics", {}).items()
+                                     if k in ("wall_s", "job_p50_ms", "job_p90_ms", "setup_s")), flush=True)
     record = {
         "machine": machine(),
         "command": f"perfbench/run.py --seed {args.seed} --seconds {SECONDS}",

@@ -29,22 +29,23 @@ one integer solver, which also gives ``sweedler_membership`` its
 realization: the window is scaled by one lcm, so the Hankel rows are
 integers, and the representation is built by ``LinRep._of``.
 ``lie_diagnostics`` brackets the integer letter matrices d mu(x).
-Evaluation is one walk on integer rows.  ``LinRep._walk`` multiplies rows
-by M(w) one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks
-the identity, and ``_mu_of_poly`` sums the walks of its terms from the
-identity, in sorted order.  ``LinRep._walk_all`` yields rows M(w) for every
-word up to a grading, each product built from its prefix's: from nu' it
-gives ``_eval_integers``, the series as numerators over d^(|w|+2), and from
-the identity the M(X*) word sum of ``check mxstar``.  That check applies mu
-to the Lyndon basis polynomials through ``_mu_of_poly``, builds in the
-walk's order the term L'_w (x) mu(R'_w) of the decreasing Lyndon product of
+Evaluation is one walk on integer rows.  ``LinRep._walk`` multiplies rows by
+M(w) one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks the
+identity, and ``_mu_of_poly`` sums the walks of its terms from the identity,
+in sorted order.  ``LinRep._walk_all`` yields rows M(w) for every word up to a
+grading inside the word budget, each product built from its prefix's: from nu'
+it gives ``_eval_integers``, the series as numerators over d^(|w|+2), and from
+the identity the M(X*) word sum of ``check mxstar``.  That check applies mu to
+the Lyndon basis polynomials through ``_mu_of_poly``, builds in the walk's
+order the term L'_w (x) mu(R'_w) of the decreasing Lyndon product of
 exp(L_l (x) mu(R_l)) for each word w from those of the two parts that
 ``DualBases._split`` cuts it into, and compares M(w) with those terms
-collected by word, one integer matrix per word.  Both checks compare their
-readout with ``_eval_integers`` and answer with ``hopf.FactorizationReport``,
-which this module re-exports.  So ``Fraction``s are built only at the
-boundary: one per value returned, and in the read-only views ``nu``, ``mu``
-and ``eta``.  Words are letter tuples throughout, as ``ncpoly`` stores them.
+collected by word, one integer matrix per word.  ``check triangular``
+compares its readout with ``_eval_integers``; both answer with
+``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
+are built only at the boundary: one per value returned, and in the read-only
+views ``nu``, ``mu`` and ``eta``.  Words are letter tuples throughout, as
+``ncpoly`` stores them.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ from .ncpoly import (
     is_character,
     is_infinitesimal_character,
 )
-from .words import Alphabet, Word, _lyndon_letters, alphabet_text, parse_alphabet, words_up_to_grading
+from .words import (Alphabet, Word, _check_word_budget, _lyndon_letters, alphabet_text, parse_alphabet,
+                    words_up_to_grading)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -246,6 +248,7 @@ class LinRep:
         letters = alphabet.letters(max_weight=bound)
         # lightest first, so a missing letter is named as grading order meets it
         cols = {x: self._of_letter(self._cols, x) for x in sorted(letters, key=alphabet.letter_weight)}
+        _check_word_budget(alphabet, bound)
         steps = [(x, alphabet.letter_weight(x), cols[x]) for x in letters]
         frontier = [((), 0, rows)]  # (letters, grading, rows M(w)) of the words of one length
         while frontier:
@@ -738,16 +741,15 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     """Check M(X*) = decreasing Lyndon product of exp(mu(P_l) S_l) at a truncation.
 
     On y alphabets with a gamma table the Pi/Sigma pair and the phi-shuffle
-    take the place of P/S and the shuffle.  Also confirms the scalar readout
-    nu M(X*) eta against the evaluated series.  Each side is one integer
-    matrix per word: the word sum holds M(w), walked from the identity, and
-    the product, with L/R the last pair of ``DualBases``, is
-    sum_w L'_w (x) mu(R'_w), one term per word w = l1^k1 ... lr^kr, built
-    in the walk's order from the terms of shorter words: L'_l = L_l and
-    mu(R_l) from ``_mu_of_poly`` on a Lyndon word l (applied in decreasing
-    Lyndon order first), and elsewhere, with w = u v split before
-    its last power (``DualBases._split``), L'_w = L'_u * L'_v / k and
-    mu(R'_w) = mu(R'_u) mu(R'_v).  So L'_w is the literal product, powers
+    take the place of P/S and the shuffle.  Each side is one integer matrix
+    per word, so equal sides give equal readouts nu M(w) eta: the word sum
+    holds M(w), walked from the identity, and the product, with L/R the
+    last pair of ``DualBases``, is sum_w L'_w (x) mu(R'_w), one term per
+    word w = l1^k1 ... lr^kr, built in the walk's order from the terms of
+    shorter words: L'_l = L_l and mu(R_l) from ``_mu_of_poly`` on a Lyndon
+    word l (applied in decreasing Lyndon order first), and elsewhere, with
+    w = u v split before its last power (``DualBases._split``), L'_w =
+    L'_u * L'_v / k and mu(R'_w) = mu(R'_u) mu(R'_v).  So L'_w is the literal product, powers
     bracketed ((L_l * L_l) * L_l) / 3! and factors taken left to right in
     the order of the exponentials, and a table that is not associative
     fails as the multiplied-out product does.  Over the lcm of their
@@ -792,11 +794,6 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     if differ:
         first = alphabet.name(min(differ, key=alphabet.sort_key))
         return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
-
-    readout = {w: sum(x * sum(map(mul, row, r._eta)) for x, row in zip(r._nu, m)) for w, m in rhs.items()}
-    series = r._eval_integers(bound)  # over d^(|w|+2), and nu' rhs(w) eta' over scale d^2
-    if any(readout.get(w, 0) * dpow[len(w)] != series.get(w, 0) * scale for w in readout.keys() | series.keys()):
-        return FactorizationReport(False, "nu M eta readout differs from the series")
     return FactorizationReport(True)
 
 
@@ -834,6 +831,7 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
                     raise ValueError(
                         f"mu({r.alphabet.letter_name(letter)}) is not upper triangular"
                     )
+    series = r._eval_integers(bound)  # refuses a bound over the word budget before any work
     alphabet = r.alphabet
     weight = alphabet.weight
     diag = [{} for _ in range(n)]
@@ -876,7 +874,7 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
     for g, star, e in zip(geom, d_star, r._eta):
         if e:
             _product({w: c * e for w, c in g.items()}, star, None, bound, readout, weight)
-    ok = readout == r._eval_integers(bound)
+    ok = readout == series
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return readout, FactorizationReport(ok, detail)
 
@@ -913,17 +911,16 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
     if n < 1:
         return SweedlerVerdict(False, None, "window too small for realization evidence")
     # budget: rows u (<= p), one letter (<= wmax), columns v (<= q) must fit
-    if series.alphabet.is_x:
-        wmax = 1
-    else:
-        wmax = max((series.alphabet.weight(w) for w in series._values if len(w) == 1), default=1)
-        wmax = max(wmax, 1)
+    wmax = max((series.alphabet.weight(w) for w in series._values if len(w) == 1), default=1)  # x letters weigh 1
     if n < wmax:
         return SweedlerVerdict(False, None, "window too small for realization evidence")
     p = (n - wmax) // 2
     q = n - wmax - p
     cols = [v.letters for v in words_up_to_grading(series.alphabet, q)]
-    nums, dens = _ratios(series._values.values())
+    try:
+        nums, dens = _ratios(series._values.values())
+    except TypeError:
+        raise ValueError("sweedler_membership needs a window of exact rational values") from None
     scale = math.lcm(*dens)
     window = {w: x * (scale // den) for w, x, den in zip(series._values, nums, dens)}  # the series times scale
 

@@ -517,11 +517,6 @@ def _phi_shuffle_letters(u: tuple, v: tuple, phi: PhiTable, order: int | None) -
     return out
 
 
-def _phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> dict[tuple, int | Fraction]:
-    """The phi-shuffle of two words, as terms keyed by letter tuples."""
-    return _phi_shuffle_letters(u.letters, v.letters, phi, _color_order(u.alphabet))
-
-
 # entries kept per PhiTable word cache: a whole pass of the benchmark's exact
 # workload fills about 200; an evicted pair is recomputed when next needed
 _WORD_CACHE_MAX = 1 << 12
@@ -555,29 +550,12 @@ def shuffle(p: NCPoly, q: NCPoly) -> NCPoly:
     return _bilinear(p, q, _shuffle_law(p.alphabet))
 
 
-def phi_shuffle_words(u: Word, v: Word, phi: PhiTable) -> NCPoly:
-    return NCPoly._of(u.alphabet, _phi_shuffle_words(u, v, phi))
-
-
 def phi_shuffle(p: NCPoly, q: NCPoly, phi: PhiTable) -> NCPoly:
     """Deformed shuffle on a y alphabet; letters merge weights and colors."""
     p._same_alphabet(q)
     if not p.alphabet.is_y:
         raise ValueError("phi-shuffle needs a y alphabet")
     return _bilinear(p, q, _shuffle_law(p.alphabet, phi))
-
-
-def word_product(law: str, u: Word, v: Word, phi: PhiTable | None = None) -> NCPoly:
-    """Dispatch a word-level product by law name: conc | shuffle | phi."""
-    if law == "conc":
-        return NCPoly.from_word(u * v)
-    if law == "shuffle":
-        return phi_shuffle_words(u, v, _SHUFFLE)
-    if law == "phi":
-        if phi is None:
-            raise ValueError("law 'phi' needs a PhiTable")
-        return phi_shuffle_words(u, v, phi)
-    raise ValueError(f"unknown law {law!r}")
 
 
 # -- coproducts ---------------------------------------------------------------
@@ -832,15 +810,28 @@ def _values_match(a, b, tol) -> bool:
 def _pairs_match(series: TruncSeries, law: str, phi: PhiTable | None, bound: int | None,
                  tol, expected: Callable) -> bool:
     """<S, u*v> against ``expected(u, v)`` for every pair of words with
-    (u) + (v) <= bound (default: the series bound).  ``tol`` permits a numeric
-    slack for quadrature-valued series."""
+    (u) + (v) <= bound (default: the series bound), <S, u*v> summed over the
+    terms of the law's ``word_mul`` (law: conc | shuffle | phi).  ``tol``
+    permits a numeric slack for quadrature-valued series."""
+    if law == "conc":
+        word_mul = lambda u, v: ((u + v, 1),)
+    elif law == "shuffle":
+        word_mul = _shuffle_law(series.alphabet)
+    elif law == "phi":
+        if phi is None:
+            raise ValueError("law 'phi' needs a PhiTable")
+        word_mul = _shuffle_law(series.alphabet, phi)
+    else:
+        raise ValueError(f"unknown law {law!r}")
     n = series.bound if bound is None else bound
     words = words_up_to_grading(series.alphabet, n)
     for u in words:
         for v in words:
             if u.grading + v.grading > n:
                 continue
-            lhs = series.pair_poly(word_product(law, u, v, phi))
+            lhs = ZERO
+            for w, c in word_mul(u.letters, v.letters):
+                lhs = lhs + c * series._at(w)
             if not _values_match(lhs, expected(u, v), tol):
                 return False
     return True

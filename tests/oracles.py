@@ -52,9 +52,7 @@ from wordseries.ncpoly import (
     delta_phi,
     delta_shuffle,
     phi_shuffle,
-    phi_shuffle_words,
     shuffle,
-    word_product,
 )
 from wordseries.words import (
     Alphabet,
@@ -172,8 +170,9 @@ def word_product_terms(p, q, word_mul=None, bound=None, out=None):
 
 def word_law(phi=None):
     """``word_mul`` on Words of the shuffle, or of the phi-shuffle with phi."""
-    law = "shuffle" if phi is None else "phi"
-    return lambda u, v: word_product(law, u, v, phi).terms.items()
+    if phi is None:
+        return lambda u, v: shuffle(NCPoly.from_word(u), NCPoly.from_word(v)).terms.items()
+    return lambda u, v: phi_shuffle(NCPoly.from_word(u), NCPoly.from_word(v), phi).terms.items()
 
 
 def lyndon_words_by_filter(alphabet, max_grade):
@@ -574,8 +573,9 @@ def non_associative_word_triple(phi, bound):
     for u, v, w in itertools.product(words, repeat=3):
         if u.grading + v.grading + w.grading > bound:
             continue
-        left = phi_shuffle(phi_shuffle_words(u, v, phi), NCPoly.from_word(w), phi)
-        right = phi_shuffle(NCPoly.from_word(u), phi_shuffle_words(v, w, phi), phi)
+        p, q, r = (NCPoly.from_word(x) for x in (u, v, w))
+        left = phi_shuffle(phi_shuffle(p, q, phi), r, phi)
+        right = phi_shuffle(p, phi_shuffle(q, r, phi), phi)
         if left != right:
             return u, v, w
     return None
@@ -996,8 +996,14 @@ def lie_by_fractions(r):
             index += 1
         return True, 0, dims
 
-    nil, nil_k, lc_dims = descend(lambda cur: span_basis([bracket(a, b) for a in closure for b in cur]))
-    sol, sol_k, dv_dims = descend(lambda cur: span_basis([bracket(a, b) for a in cur for b in cur]))
+    def brackets(left, right):
+        # one list on both sides: the pairs i < j span the same space, as
+        # [b, a] = -[a, b] and [a, a] = 0
+        pairs = itertools.combinations(left, 2) if left is right else itertools.product(left, right)
+        return span_basis([bracket(a, b) for a, b in pairs])
+
+    nil, nil_k, lc_dims = descend(lambda cur: brackets(closure, cur))
+    sol, sol_k, dv_dims = descend(lambda cur: brackets(cur, cur))
     return LieDiagnostics(closure, nil, sol, nil_k, sol_k, lc_dims, dv_dims)
 
 

@@ -527,6 +527,19 @@ def test_enumerations_over_the_word_budget_exit_2_at_once(capsys):
         assert "1099511627776 words" in err and "budget" in err
 
 
+@pytest.mark.parametrize("what", ["mxstar", "triangular"])
+def test_rep_checks_over_the_word_budget_exit_2_at_once(capsys, tmp_path, what):
+    # gradings <= 18 over x2 hold 2^19 - 1 words: refused before the walk
+    rep = LinRep(Alphabet.x(2), (1, 0), {0: [[0, 1], [0, 0]], 1: [[1, 0], [0, 1]]}, (1, 1))
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep.to_json()))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", what, "--rep", str(path), "--N", "18")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: gradings <= 18 over x2 hold 524287 words, over the budget of 262144 words\n"
+
+
 def _hg_rep_file(tmp_path):
     from wordseries.hyperlog import hypergeometric_system
 

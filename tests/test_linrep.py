@@ -132,6 +132,14 @@ def test_star_of_geometric():
     assert star.coeff(xw("x1")) == 0
 
 
+def test_eval_truncated_refuses_a_bound_over_the_word_budget():
+    # gradings <= 18 over x2 hold 2^19 - 1 words; nothing is walked
+    r = LinRep(X2, (1, 0), {0: [[0, 1], [0, 0]], 1: [[1, 0], [0, 1]]}, (1, 1))
+    with pytest.raises(ValueError) as info:
+        r.eval_truncated(18)
+    assert str(info.value) == "gradings <= 18 over x2 hold 524287 words, over the budget of 262144 words"
+
+
 def test_eval_truncated_matches_coeff():
     rng = random.Random(7)
     r = random_linrep(X2, 3, rng)
@@ -890,10 +898,9 @@ def test_triangular_decompose_matches_the_fraction_oracle(r, bound):
     assert_fractions(rebuilt)
 
 
-@pytest.mark.parametrize("check", ["mxstar", "triangular"])
-def test_checks_detect_a_changed_series(monkeypatch, check):
-    # negative control: the integer evaluation that both readouts are
-    # compared with gets the coefficient of x0 changed
+def test_triangular_detects_a_changed_series(monkeypatch):
+    # negative control: the integer evaluation that the readout is compared
+    # with gets the coefficient of x0 changed
     real = LinRep._eval_integers
 
     def changed(self, bound):
@@ -903,12 +910,8 @@ def test_checks_detect_a_changed_series(monkeypatch, check):
 
     monkeypatch.setattr(LinRep, "_eval_integers", changed)
     r = LinRep(X2, (1, 1), {0: [[1, 0], [0, 2]], 1: [[F(1, 2), 1], [0, 0]]}, (1, 1))
-    if check == "mxstar":
-        report = mxstar_factorization_check(r, 3)
-        assert (report.equal, report.detail) == (False, "nu M eta readout differs from the series")
-    else:
-        _, report = triangular_decompose(r, 3)
-        assert (report.equal, report.detail) == (False, "reconstruction differs")
+    _, report = triangular_decompose(r, 3)
+    assert (report.equal, report.detail) == (False, "reconstruction differs")
 
 
 def test_triangular_decompose_rejects_non_triangular():
@@ -951,6 +954,17 @@ def test_sweedler_matches_the_fraction_oracle(series, max_rank):
     assert (got.rational, got.rank, got.detail) == (want.rational, want.rank, want.detail)
     pairs = lambda v: None if v.witnesses is None else [(a.to_json(), b.to_json()) for a, b in v.witnesses]
     assert pairs(got) == pairs(want)
+
+
+def test_sweedler_refuses_a_window_of_inexact_values():
+    series = chen_series(FormFamily(SingularitySet.classical()), 0.2, 0.5, 3)
+    with pytest.raises(ValueError) as info:
+        sweedler_membership(series)
+    assert str(info.value) == "sweedler_membership needs a window of exact rational values"
+    # floats are read exactly: 2^-|w| is the rank-1 series of x0 + x1 over 2
+    halves = TruncSeries(X2, 4, {w: 0.5 ** len(w) for w in words_up_to_grading(X2, 4)})
+    verdict = sweedler_membership(halves)
+    assert (verdict.rational, verdict.rank) == (True, 1)
 
 
 def test_sweedler_linrep_member():

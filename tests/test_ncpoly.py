@@ -42,10 +42,8 @@ from wordseries.ncpoly import (
     is_character,
     is_infinitesimal_character,
     phi_shuffle,
-    phi_shuffle_words,
     pi1,
     shuffle,
-    word_product,
 )
 from wordseries.linrep import exp_trunc, log_trunc
 from wordseries.words import Alphabet, Word, words_up_to_grading
@@ -210,9 +208,9 @@ def test_non_associative_gamma_names_its_letter_triple():
     assert str(info.value) == "gamma table is not associative at (y1, y1, y2)"
     # the named letters are themselves a failing word triple
     phi = PhiTable(entries, default=1, validate_to=0)
-    y1, y2 = Y.parse_word("y1"), Y.parse_word("y2")
-    left = phi_shuffle(ncpoly.phi_shuffle_words(y1, y1, phi), NCPoly.from_word(y2), phi)
-    right = phi_shuffle(NCPoly.from_word(y1), ncpoly.phi_shuffle_words(y1, y2, phi), phi)
+    y1, y2 = poly(Y, "y1"), poly(Y, "y2")
+    left = phi_shuffle(phi_shuffle(y1, y1, phi), y2, phi)
+    right = phi_shuffle(y1, phi_shuffle(y1, y2, phi), phi)
     assert left != right
 
 
@@ -261,10 +259,11 @@ def test_word_tables_hold_integers_and_results_hold_fractions():
     p = poly(Y, "y1 y2", Fraction(1, 2)) + poly(Y, "y3", 2)
     q = poly(Y, "y2", -3) + poly(Y, "y1 y1")
     for phi, integral in ((STUFFLE, True), (GAMMA0, True), (binomial_gamma(Fraction(1, 2)), False)):
-        kinds = {type(c) for c in ncpoly._phi_shuffle_words(u, v, phi).values()}
+        table = ncpoly._phi_shuffle_letters(u.letters, v.letters, phi, ncpoly._color_order(Y))
+        kinds = {type(c) for c in table.values()}
         assert (kinds == {int}) is integral
         results = [
-            phi_shuffle(p, q, phi), phi_shuffle_words(u, v, phi), word_product("phi", u, v, phi),
+            phi_shuffle(p, q, phi), phi_shuffle(NCPoly.from_word(u), NCPoly.from_word(v), phi),
             shuffle(p, q), delta_phi(p, phi), delta_shuffle(p), delta_conc(p), pi1(p, phi),
         ]
         for result in results:
@@ -454,6 +453,39 @@ def test_is_infinitesimal_character():
     assert is_infinitesimal_character(s, "phi", phi=STUFFLE)
 
 
+def harmonic_window(n, bound):
+    """H_w(n) = sum over n >= n1 > ... > nr >= 1 of 1 / (n1^k1 ... nr^kr) for
+    the y words w = y_k1 ... y_kr of weight <= bound: evaluation at n is a
+    character of the stuffle, and not of the shuffle."""
+    coeffs = {}
+    for w in words_up_to_grading(Y, bound):
+        ks = [k for k, _ in w.letters]
+        terms = itertools.combinations(range(n, 0, -1), len(ks))
+        coeffs[w] = sum(math.prod(Fraction(1, m**k) for m, k in zip(ms, ks)) for ms in terms)
+    return TruncSeries(Y, bound, coeffs)
+
+
+def test_character_laws_read_their_own_table():
+    # one phi= argument for both laws: "shuffle" must not read it
+    h = harmonic_window(3, 4)
+    assert is_character(h, "phi", phi=STUFFLE)
+    assert not is_character(h, "shuffle", phi=STUFFLE)
+    assert not is_character(h, "phi", phi=GAMMA0)  # gamma = 0: the shuffle
+    primitive = TruncSeries.from_poly(pi1(poly(Y, "y2"), STUFFLE), 4)
+    assert is_infinitesimal_character(primitive, "phi", phi=STUFFLE)
+    assert not is_infinitesimal_character(primitive, "shuffle", phi=STUFFLE)
+
+
+def test_character_tests_refuse_unknown_laws():
+    h = harmonic_window(2, 2)
+    with pytest.raises(ValueError) as info:
+        is_character(h, "bogus")
+    assert str(info.value) == "unknown law 'bogus'"
+    with pytest.raises(ValueError) as info:
+        is_infinitesimal_character(h, "phi")
+    assert str(info.value) == "law 'phi' needs a PhiTable"
+
+
 def test_truncseries_window_is_honest():
     s = TruncSeries.word_sum(X2, 3)
     with pytest.raises(ValueError):
@@ -515,7 +547,7 @@ def test_one_stuffle_table_keeps_colored_alphabets_apart():
         table = PhiTable.stuffle()
         for alphabet in order + order:
             u = alphabet.parse_word("y1@1")
-            assert phi_shuffle_words(u, u, table) == expected[alphabet]
+            assert phi_shuffle(NCPoly.from_word(u), NCPoly.from_word(u), table) == expected[alphabet]
             p = poly(alphabet, "y1@1") + poly(alphabet, "y1@0 y1@1")
             q = poly(alphabet, "y1@1", 3)
             got = phi_shuffle(p, q, table)
