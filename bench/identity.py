@@ -61,7 +61,12 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   under conc, shuffle and phi with the stuffle and the c = 2 binomial
   table, the shuffle also given the stuffle, on series that pass and fail
   them, with the refusals of an unknown law and of phi without a table,
-  and on a Chen series, exactly and within ``tol``;
+  and on a Chen series, exactly and within ``tol``; the same tests given
+  ``bound=`` at, 1 above and 2 above the series bound, on series that pass
+  and fail them; the keys and ``float.hex`` values of ``chen_series`` on
+  the classical forms at N 3 and on the square roots of unity at N 2; the
+  keys of ``TruncSeries.word_sum`` on y@2 at N 4; and the names of
+  ``words_up_to_grading`` on x1, x3, y, y@2 and y@3 at N -1 to 5;
 * a numeric library section (``numeric_cases``): ``harmonic_sum``,
   ``harmonic_sum_exact``, ``polylog``, ``polyzeta``,
   ``generating_relation_check``, ``linear_independence_rank`` and the
@@ -385,8 +390,11 @@ def library_cases() -> list[tuple[str, tuple]]:
     representation itself, ("window", rep, bound, changed, max_rank) for the
     window of its series (letters beyond its weight bound at zero; changed:
     the last word's coefficient plus 1/3), ("factorial", bound, max_rank)
-    for 1/len(w)! on x2, ("zero", bound) for the zero series on x2, and the
-    cases of ``character_cases``."""
+    for 1/len(w)! on x2, ("zero", bound) for the zero series on x2,
+    ("chen", set, bound) for the keys and values of ``chen_series``,
+    ("word_sum", alphabet, bound) for the keys of ``TruncSeries.word_sum``,
+    ("words", alphabet, bound) for the names of ``words_up_to_grading``, and
+    the cases of ``character_cases``."""
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
     cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
@@ -404,6 +412,8 @@ def library_cases() -> list[tuple[str, tuple]]:
         cases += [("window", name, ns[-1], True, None), ("window", name, ns[-1], False, 1)]
     cases += [("factorial", n, k) for n in (3, 5, 7) for k in (None, 3)]
     cases += [("zero", n) for n in (0, 2)]
+    cases += [("chen", "classical", 3), ("chen", "roots2", 2), ("word_sum", "y@2", 4)]
+    cases += [("words", a, n) for a in ("x1", "x3", "y", "y@2", "y@3") for n in range(-1, 6)]
     cases += character_cases()
     cases += numeric_cases()
     return [("library/" + " ".join(map(str, case)), case) for case in cases]
@@ -421,21 +431,31 @@ CHARACTER_LAWS = (("conc", None), ("shuffle", None), ("shuffle", "stuffle"), ("p
                   ("phi", "binomial"), ("phi", None), ("bogus", None))
 
 
+# (law, table, series) of the cases given ``bound=``: each series passes
+# one of the two tests under the law and fails the other
+CHARACTER_BOUNDS = (("conc", None, "ones"), ("shuffle", None, "exp"), ("shuffle", None, "log"),
+                    ("phi", "stuffle", "harmonic"), ("phi", "stuffle", "pi1 stuffle"))
+
+
 def character_cases() -> list[tuple]:
-    """("character", test, law, table, series, tol): ``test`` is
+    """("character", test, law, table, series, tol) and, given ``bound=``,
+    ("character", test, law, table, series, tol, offset): ``test`` is
     "is_character" or "is_infinitesimal_character", ``table`` the ``phi=``
-    argument by name, and ``series`` a name of ``CHARACTER_SERIES`` or
-    "chen", the Chen series of the classical forms, which alone is also
-    tested within tol 1e-10."""
+    argument by name, ``series`` a name of ``CHARACTER_SERIES`` or "chen",
+    the Chen series of the classical forms, which alone is also tested
+    within tol 1e-10, and ``offset`` the amount by which ``bound`` exceeds
+    the series bound."""
     tests = ("is_character", "is_infinitesimal_character")
     cases = [("character", test, law, table, name, 0)
              for test in tests for law, table in CHARACTER_LAWS for name in CHARACTER_SERIES]
     cases += [("character", test, law, None, "chen", tol)
               for test in tests for law in ("conc", "shuffle") for tol in (0, 1e-10)]
+    cases += [("character", test, law, table, name, 0, offset)
+              for test in tests for law, table, name in CHARACTER_BOUNDS for offset in (0, 1, 2)]
     return cases
 
 
-def _character_text(reps: dict, test: str, law: str, table, name: str, tol) -> str:
+def _character_text(reps: dict, test: str, law: str, table, name: str, tol, offset=None) -> str:
     """The verdict of one case of ``character_cases``."""
     from wordseries import ncpoly
     from wordseries.hyperlog import FormFamily, SingularitySet, chen_series
@@ -465,7 +485,8 @@ def _character_text(reps: dict, test: str, law: str, table, name: str, tol) -> s
         series = chen_series(FormFamily(SingularitySet.classical()), 0.2, 0.5, 3)
     else:
         series = reps[name].eval_truncated(3)
-    return str(getattr(ncpoly, test)(series, law, phi=tables[table], tol=tol))
+    bound = None if offset is None else series.bound + offset
+    return str(getattr(ncpoly, test)(series, law, phi=tables[table], bound=bound, tol=tol))
 
 
 # the sets of the numeric section by name ("roots<m>", or ";"-separated
@@ -570,13 +591,23 @@ def _library_text(case: tuple, reps: dict) -> str:
         triangular_decompose,
     )
     from wordseries.ncpoly import NCPoly, TruncSeries
-    from wordseries.words import Alphabet, alphabet_text, words_up_to_grading
+    from wordseries.words import Alphabet, alphabet_text, parse_alphabet, words_up_to_grading
 
     kind, args = case[0], case[1:]
     if kind == "numeric":
         return _numeric_text(*args)
     if kind == "character":
         return _character_text(reps, *args)
+    if kind == "chen":
+        from wordseries.hyperlog import FormFamily, SingularitySet, chen_series
+
+        sigma = SingularitySet.classical() if args[0] == "classical" else SingularitySet.roots_of_unity(2)
+        coeffs = chen_series(FormFamily(sigma), 0.2, 0.5, args[1]).coeffs
+        return "\n".join(f"{w} {float.hex(c.real)} {float.hex(c.imag)} {float.hex(c.err)}" for w, c in coeffs.items())
+    if kind == "word_sum":
+        return "\n".join(map(str, TruncSeries.word_sum(parse_alphabet(args[0]), args[1]).coeffs))
+    if kind == "words":
+        return "\n".join(map(str, words_up_to_grading(parse_alphabet(args[0]), args[1])))
     if kind == "word_matrix":
         rep = reps[args[0]]
         return _pq(rep.word_matrix(rep.alphabet.parse_word(args[1])))

@@ -25,11 +25,11 @@ Inside, words are letter tuples and each basis element is an integer form,
 (numerators, d) with d the least common denominator: ``DualBases`` fills
 and caches the four families this way, the letter images pi1(y_k) come from
 ``ncpoly._pi1_images`` on integers, and ``duality_check`` (a Gram matrix per
-grade) and the diagonal check read these forms with tuple words.  The
-public accessors ``p``, ``s``, ``pi`` and ``sigma`` wrap the cached forms
-as ``NCPoly``s without a copy, since that is the form an ``NCPoly`` stores;
-``Word``s and ``Fraction``s are built only for the words a failed check
-reports.
+grade) and the diagonal check read these forms grade by grade, for the
+letter tuples of ``words._graded_letters``.  The public accessors ``p``,
+``s``, ``pi`` and ``sigma`` wrap the cached forms as ``NCPoly``s without a
+copy, since that is the form an ``NCPoly`` stores; the checks build no
+``Word``, and a ``Fraction`` only for the pairing a failure reports.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ncpoly import NCPoly, PhiTable, _combination, _pi1_images, _product, _reduced, _shuffle_law
-from .words import Alphabet, Word, _lyndon_cuts, _standard_cut, words_up_to_grading
+from .words import Alphabet, Word, _graded_letters, _lyndon_cuts, _standard_cut
 
 __all__ = ["DualBases", "FactorizationReport", "diagonal_factorization_check", "duality_check"]
 
@@ -207,28 +207,28 @@ def duality_check(alphabet: Alphabet, phi: PhiTable | None = None, bound: int = 
     if bound < 0:
         raise ValueError("bound must be >= 0")
     bases = DualBases(alphabet, phi)
-    words = words_up_to_grading(alphabet, bound)
+    grades = _graded_letters(alphabet, bound)
     verdicts = []
     for name, left, right in bases._pairs():
-        forms = [(u, *left(u.letters), *right(u.letters)) for u in words]
-        verdicts.append((name, _duality_failure(name.split("/"), forms)))
+        forms = [[(u, *left(u), *right(u)) for u in grade] for grade in grades]
+        verdicts.append((name, _duality_failure(alphabet, name.split("/"), forms)))
         if verdicts[-1][1]:
             break
-    return len(words), verdicts
+    return sum(map(len, grades)), verdicts
 
 
-def _duality_failure(families: list[str], forms: list[tuple]) -> str | None:
-    """The first failure over ``forms``, (u, L_u, d_L, R_u, d_R) in grade order:
-    an element not homogeneous of its word's grade, else a pairing off [u = v]
-    in a grade's Gram matrix, filled and read one row at a time from an
-    index of the right elements' words."""
-    grading = {u.letters: u.grading for u, *_ in forms}  # None past the bound
-    for u, a, _, b, _ in forms:
-        for family, terms in zip(families, (a, b)):
-            if set(map(grading.get, terms)) - {u.grading}:
-                return f"{family}({u}) is not homogeneous of grade {u.grading}"
-    for _, same in itertools.groupby(forms, key=lambda form: form[0].grading):
-        same = list(same)
+def _duality_failure(alphabet: Alphabet, families: list[str], grades: list[list[tuple]]) -> str | None:
+    """The first failure over ``grades``, the forms (u, L_u, d_L, R_u, d_R)
+    of each grading's words: an element with a word not of its grade, else
+    a pairing off [u = v] in a grade's Gram matrix, filled and read one row
+    at a time from an index of the right elements' words."""
+    for n, same in enumerate(grades):
+        words = {u for u, *_ in same}
+        for u, a, _, b, _ in same:
+            for family, terms in zip(families, (a, b)):
+                if not terms.keys() <= words:
+                    return f"{family}({alphabet.name(u)}) is not homogeneous of grade {n}"
+    for same in grades:
         holders: dict = {}  # word -> (column, numerator) of each right element holding it
         for j, (_, _, _, b, _) in enumerate(same):
             for w, c in b.items():
@@ -240,7 +240,7 @@ def _duality_failure(families: list[str], forms: list[tuple]) -> str | None:
                     row[j] += c * x
             for j, ((v, _, _, _, db), got) in enumerate(zip(same, row)):
                 if got != (da * db if i == j else 0):
-                    return f"at <{u}, {v}> = {Fraction(got, da * db)}"
+                    return f"at <{alphabet.name(u)}, {alphabet.name(v)}> = {Fraction(got, da * db)}"
     return None
 
 
@@ -299,13 +299,13 @@ def diagonal_factorization_check(
     bases = DualBases(alphabet, phi)
     name, left_of, right_of = bases._pairs()[-1]
     families = name.split("/")
-    forms = [(u, *left_of(u.letters), *right_of(u.letters)) for u in words_up_to_grading(alphabet, bound)]
-    failure = _duality_failure(families, forms)
+    grades = [[(u, *left_of(u), *right_of(u)) for u in grade] for grade in _graded_letters(alphabet, bound)]
+    failure = _duality_failure(alphabet, families, grades)
     if failure:
         return FactorizationReport(False, f"{name} duality {failure}")
     shuffle = _shuffle_law(alphabet, phi)
-    for w, a, da, b, db in forms:
-        split = bases._split(w.letters, decreasing)
+    for w, a, da, b, db in itertools.chain.from_iterable(grades):
+        split = bases._split(w, decreasing)
         if split is None:
             continue  # a Lyndon word is its own product
         u, v, k = split
@@ -313,5 +313,5 @@ def diagonal_factorization_check(
         products = (_reduced(_product(lu, lv, shuffle), du * dv * k), _reduced(_product(ru, rv), eu * ev))
         for family, got, form in zip(families, products, ((a, da), (b, db))):
             if got != form:  # both in lowest terms
-                return FactorizationReport(False, f"{family}({w}) is not the product of its Lyndon factors")
+                return FactorizationReport(False, f"{family}({alphabet.name(w)}) is not the product of its Lyndon factors")
     return FactorizationReport(True)

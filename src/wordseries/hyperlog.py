@@ -47,7 +47,8 @@ from numpy.polynomial.legendre import leggauss, legint, legval
 
 from .linrep import LinRep
 from .ncpoly import _SHUFFLE, TruncSeries, _add_term, _phi_shuffle_letters, _product
-from .words import Alphabet, Word, _check_word_budget, words_up_to_grading
+# words_up_to_grading stays bound here: the benchmark's tracer test calls hyperlog.words_up_to_grading
+from .words import Alphabet, Word, _check_word_budget, _graded_letters, words_up_to_grading  # noqa: F401
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -750,7 +751,8 @@ def chen_series(
     grades, err = _chen_grades(forms, z0, z, bound, quad)
     alphabet = forms.alphabet()
     values = (ComplexVal(v, err) for v in np.concatenate(grades).tolist())
-    coeffs = {w.letters: c for w, c in zip(words_up_to_grading(alphabet, bound), values) if c}
+    words = (w for grade in _graded_letters(alphabet, bound) for w in grade)
+    coeffs = {w: c for w, c in zip(words, values) if c}
     return TruncSeries._of(alphabet, bound, coeffs)
 
 

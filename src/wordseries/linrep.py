@@ -75,8 +75,7 @@ from .ncpoly import (
     is_character,
     is_infinitesimal_character,
 )
-from .words import (Alphabet, Word, _check_word_budget, _lyndon_letters, alphabet_text, parse_alphabet,
-                    words_up_to_grading)
+from .words import Alphabet, Word, _check_word_budget, _graded_letters, _lyndon_letters, alphabet_text, parse_alphabet
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -263,8 +262,11 @@ class LinRep:
     def coeff(self, w: Word) -> Fraction:
         if w.alphabet != self.alphabet:
             raise ValueError("word over a different alphabet")
-        (row,) = self._walk((self._nu,), w.letters)
-        return Fraction(sum(map(mul, row, self._eta)), self._d ** (len(w) + 2))
+        return self._coeff(w.letters)
+
+    def _coeff(self, letters: tuple) -> Fraction:
+        (row,) = self._walk((self._nu,), letters)
+        return Fraction(sum(map(mul, row, self._eta)), self._d ** (len(letters) + 2))
 
     def word_matrix(self, w: Word) -> tuple:
         if w.alphabet != self.alphabet:
@@ -615,7 +617,7 @@ is_primitive = is_infinitesimal_character
 
 def log_trunc(series: TruncSeries) -> TruncSeries:
     """log of a series with unit constant term, at the series' truncation."""
-    if series.coeff(series.alphabet.empty_word()) != ONE:
+    if series._at(()) != ONE:
         raise ValueError("log needs constant term 1")
     x = series - TruncSeries._of(series.alphabet, series.bound, {(): ONE})
     out = TruncSeries._of(series.alphabet, series.bound, {})
@@ -628,7 +630,7 @@ def log_trunc(series: TruncSeries) -> TruncSeries:
 
 def exp_trunc(series: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term, at the series' truncation."""
-    if series.coeff(series.alphabet.empty_word()) != 0:
+    if series._at(()) != 0:
         raise ValueError("exp needs constant term 0")
     out = TruncSeries._of(series.alphabet, series.bound, {(): ONE})
     power = TruncSeries._of(series.alphabet, series.bound, {(): ONE})
@@ -916,7 +918,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
         return SweedlerVerdict(False, None, "window too small for realization evidence")
     p = (n - wmax) // 2
     q = n - wmax - p
-    cols = [v.letters for v in words_up_to_grading(series.alphabet, q)]
+    cols = list(chain.from_iterable(_graded_letters(series.alphabet, q)))
     try:
         nums, dens = _ratios(series._values.values())
     except TypeError:
@@ -930,10 +932,10 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
     space = RowSpace(len(cols))
     basis_words: list[tuple] = []
     basis_rows = []
-    for u in words_up_to_grading(series.alphabet, p):
-        row = hankel_row(u.letters)
+    for u in chain.from_iterable(_graded_letters(series.alphabet, p)):
+        row = hankel_row(u)
         if space.add(row):
-            basis_words.append(u.letters)
+            basis_words.append(u)
             basis_rows.append(row)
     hankel_rank = len(basis_words)
     if max_rank is not None and hankel_rank > max_rank:
@@ -967,15 +969,15 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
     rep = LinRep._of(series.alphabet, den * scale, [scale * x for x in nu], rows, eta,
                      None if series.alphabet.is_x else wmax)
 
-    for w in words_up_to_grading(series.alphabet, n):
-        heavier = any(series.alphabet.letter_weight(a) > wmax for a in w.letters)
-        value = ZERO if heavier else rep.coeff(w)
-        if value != series.coeff(w):
+    for w in chain.from_iterable(_graded_letters(series.alphabet, n)):
+        heavier = any(series.alphabet.letter_weight(a) > wmax for a in w)
+        value = ZERO if heavier else rep._coeff(w)
+        if value != series._at(w):
             return SweedlerVerdict(
                 False,
                 None,
                 f"no rank-{hankel_rank} realization reproduces the window "
-                f"(first failure at {w})",
+                f"(first failure at {series.alphabet.name(w)})",
             )
     return SweedlerVerdict(
         True,

@@ -48,7 +48,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .words import Alphabet, Word, _check_split_budget, words_up_to_grading
+from .words import Alphabet, Word, _check_split_budget, _graded_letters
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -449,12 +449,13 @@ def _product(p_terms: Mapping, q_terms: Mapping, word_mul: Callable | None = Non
     out = {} if out is None else out
     if bound is not None:
         q_graded = [(grading(v), v, b) for v, b in q_terms.items()]
+        # the terms of q of grading <= room, in q's order, listed once per room
+        fitting = functools.cache(lambda room: [(v, b) for g, v, b in q_graded if g <= room])
     for u, a in p_terms.items():
         if bound is None:
             pairs = q_terms.items()
         else:
-            room = bound - grading(u)
-            pairs = [(v, b) for g, v, b in q_graded if g <= room]
+            pairs = fitting(bound - grading(u))
         if word_mul is None:
             for v, b in pairs:
                 w = u + v
@@ -738,7 +739,7 @@ class TruncSeries:
     @classmethod
     def word_sum(cls, alphabet: Alphabet, bound: int) -> "TruncSeries":
         """Truncation of the sum of all words (the unital full series)."""
-        return cls._of(alphabet, bound, {w.letters: ONE for w in words_up_to_grading(alphabet, bound)})
+        return cls._of(alphabet, bound, {w: ONE for grade in _graded_letters(alphabet, bound) for w in grade})
 
     @property
     def coeffs(self) -> dict:
@@ -807,33 +808,36 @@ def _values_match(a, b, tol) -> bool:
     return a == b
 
 
-def _pairs_match(series: TruncSeries, law: str, phi: PhiTable | None, bound: int | None,
-                 tol, expected: Callable) -> bool:
-    """<S, u*v> against ``expected(u, v)`` for every pair of words with
-    (u) + (v) <= bound (default: the series bound), <S, u*v> summed over the
-    terms of the law's ``word_mul`` (law: conc | shuffle | phi).  ``tol``
-    permits a numeric slack for quadrature-valued series."""
+def _word_mul(alphabet: Alphabet, law: str, phi: PhiTable | None) -> Callable:
+    """The ``word_mul`` of the character tests' ``law`` (conc | shuffle |
+    phi) for ``_product``; the shuffle reads no ``phi``."""
     if law == "conc":
-        word_mul = lambda u, v: ((u + v, 1),)
-    elif law == "shuffle":
-        word_mul = _shuffle_law(series.alphabet)
-    elif law == "phi":
+        return lambda u, v: ((u + v, 1),)
+    if law == "shuffle":
+        return _shuffle_law(alphabet)
+    if law == "phi":
         if phi is None:
             raise ValueError("law 'phi' needs a PhiTable")
-        word_mul = _shuffle_law(series.alphabet, phi)
-    else:
-        raise ValueError(f"unknown law {law!r}")
+        return _shuffle_law(alphabet, phi)
+    raise ValueError(f"unknown law {law!r}")
+
+
+def _pairs_match(series: TruncSeries, word_mul: Callable, bound: int | None, tol, expected: Callable) -> bool:
+    """<S, u*v> against ``expected(u, v)`` for every pair of letter tuples
+    with (u) + (v) <= bound (default: the series bound), u then v by
+    (grading, lex), summed over the terms of ``word_mul``.  ``tol``
+    permits a numeric slack for quadrature-valued series."""
     n = series.bound if bound is None else bound
-    words = words_up_to_grading(series.alphabet, n)
-    for u in words:
-        for v in words:
-            if u.grading + v.grading > n:
-                continue
-            lhs = ZERO
-            for w, c in word_mul(u.letters, v.letters):
-                lhs = lhs + c * series._at(w)
-            if not _values_match(lhs, expected(u, v), tol):
-                return False
+    grades = _graded_letters(series.alphabet, n)
+    for g, us in enumerate(grades):
+        vs = [v for grade in grades[: n - g + 1] for v in grade]  # the words that fit beside a u of grade g
+        for u in us:
+            for v in vs:
+                lhs = ZERO
+                for w, c in word_mul(u, v):
+                    lhs = lhs + c * series._at(w)
+                if not _values_match(lhs, expected(u, v), tol):
+                    return False
     return True
 
 
@@ -845,10 +849,10 @@ def is_character(series: TruncSeries, law: str, *, phi: PhiTable | None = None,
     product *, this is also the test of Delta S = S (x) S: ``linrep``'s
     ``is_grouplike`` is this function.
     """
-    if not _values_match(series.coeff(series.alphabet.empty_word()), ONE, tol):
+    word_mul = _word_mul(series.alphabet, law, phi)
+    if not _values_match(series._at(()), ONE, tol):
         return False
-    return _pairs_match(series, law, phi, bound, tol,
-                        lambda u, v: series.coeff(u) * series.coeff(v))
+    return _pairs_match(series, word_mul, bound, tol, lambda u, v: series._at(u) * series._at(v))
 
 
 def is_infinitesimal_character(series: TruncSeries, law: str, *, phi: PhiTable | None = None,
@@ -858,13 +862,14 @@ def is_infinitesimal_character(series: TruncSeries, law: str, *, phi: PhiTable |
     By the same duality this is the test of Delta S = 1 (x) S + S (x) 1:
     ``linrep``'s ``is_primitive`` is this function.
     """
+    word_mul = _word_mul(series.alphabet, law, phi)
 
-    def expected(u: Word, v: Word):
+    def expected(u: tuple, v: tuple):
         rhs = ZERO
         if not v:
-            rhs = rhs + series.coeff(u)
+            rhs = rhs + series._at(u)
         if not u:
-            rhs = rhs + series.coeff(v)
+            rhs = rhs + series._at(v)
         return rhs
 
-    return _pairs_match(series, law, phi, bound, tol, expected)
+    return _pairs_match(series, word_mul, bound, tol, expected)

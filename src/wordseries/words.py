@@ -19,7 +19,8 @@ are built unchecked through ``Word._trusted``, their grading carried over
 or summed instead of recomputed.  ``lyndon_words`` generates the Lyndon
 words directly from their standard factorizations, as letter tuples
 (``_lyndon_letters``, which the ``lyndon`` verb names without a ``Word``),
-so it builds no word it does not return.
+so it builds no word it does not return; ``words_up_to_grading`` wraps
+``_graded_letters`` so, and the other modules read its tuples instead.
 
 Words print through one printer, ``Alphabet.name``, which names a tuple of
 letters from a table of letter names that the alphabet fills on first use.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -160,14 +160,13 @@ class Alphabet:
         if max_weight is None:
             raise ValueError("y alphabet is infinite; give a max_weight")
         colors = range(self.color_order) if self.color_order is not None else (0,)
-        out = [(k, c) for k in range(1, max_weight + 1) for c in colors]
-        out.sort(key=self.letter_key)
-        return out
+        return [(k, c) for k in range(max_weight, 0, -1) for c in colors]  # heavier first, as letter_key orders
 
     # -- word construction and text syntax ---------------------------------
 
     def word(self, letters: Iterable) -> "Word":
-        return Word(self, tuple(letters))
+        w = Word(self, tuple(letters))
+        return w
 
     def empty_word(self) -> "Word":
         return Word._trusted(self, (), 0)
@@ -327,27 +326,6 @@ def is_lyndon(w: Word) -> bool:
     return all(key < key[i:] for i in range(1, len(key)))
 
 
-def _words_of_grading(alphabet: Alphabet, n: int) -> Iterator[Word]:
-    """All words of grading exactly n: lexicographic for x, unordered for y."""
-    if alphabet.is_x:
-        for tup in itertools.product(alphabet.letters(), repeat=n):
-            yield Word._trusted(alphabet, tup, n)
-        return
-    colors = (
-        range(alphabet.color_order) if alphabet.color_order is not None else (0,)
-    )
-
-    def rec(remaining: int, prefix: tuple):
-        if remaining == 0:
-            yield Word._trusted(alphabet, prefix, n)
-            return
-        for k in range(1, remaining + 1):
-            for c in colors:
-                yield from rec(remaining - k, prefix + ((k, c),))
-
-    yield from rec(n, ())
-
-
 # Enumerations admit at most this many words, all gradings <= the bound together.
 _WORD_BUDGET = 1 << 18
 
@@ -400,13 +378,25 @@ def _check_split_budget(alphabet: Alphabet, words: Iterable[tuple]) -> None:
 def words_up_to_grading(alphabet: Alphabet, max_grade: int) -> list[Word]:
     """All words of grading <= max_grade, sorted by (grading, lex); a bound
     over the word budget is refused with a ValueError."""
+    grades = _graded_letters(alphabet, max_grade)
+    return [Word._trusted(alphabet, letters, n) for n, grade in enumerate(grades) for letters in grade]
+
+
+def _graded_letters(alphabet: Alphabet, max_grade: int) -> list[list[tuple]]:
+    """The letter tuples of ``words_up_to_grading``, one list per grading
+    0..max_grade ([] on a negative bound).  Grade n lists each letter a, in
+    increasing order, followed by each word of grade n - weight(a): as no
+    word is a proper prefix of another of its grade, this is lexicographic."""
     _check_word_budget(alphabet, max_grade)
-    out = []
-    for n in range(max_grade + 1):
-        out.extend(_words_of_grading(alphabet, n))
-    if not alphabet.is_x:  # x words already come grade by grade in lex order
-        out.sort(key=Word.sort_key)
-    return out
+    if max_grade < 0:
+        return []
+    grades: list[list[tuple]] = [[()]]
+    for n in range(1, max_grade + 1):
+        grade = []
+        for a in alphabet.letters(max_weight=n):
+            grade.extend((a,) + rest for rest in grades[n - alphabet.letter_weight(a)])
+        grades.append(grade)
+    return grades
 
 
 def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:

@@ -175,10 +175,28 @@ def word_law(phi=None):
     return lambda u, v: phi_shuffle(NCPoly.from_word(u), NCPoly.from_word(v), phi).terms.items()
 
 
+def words_by_product(alphabet, max_grade):
+    """Every word of grading <= max_grade, sorted by (grading, lex): the
+    ``itertools.product`` of the words one letter shorter with the letters
+    of weight <= max_grade, one length at a time, kept when their grading
+    fits.  The letters are listed here, not read from the alphabet."""
+    if alphabet.is_x:
+        letters = [(a, 1) for a in range(alphabet.size)]  # (letter, weight)
+    else:
+        letters = [((k, c), k) for k in range(1, max_grade + 1) for c in range(alphabet.color_order or 1)]
+    found = []
+    layer = [((), 0)] if max_grade >= 0 else []  # (letters, grading) of the words of one length
+    while layer:
+        found += layer
+        layer = [(t + (a,), g + k) for (t, g), (a, k) in itertools.product(layer, letters) if g + k <= max_grade]
+    return sorted((Word(alphabet, t) for t, _ in found), key=Word.sort_key)
+
+
 def lyndon_words_by_filter(alphabet, max_grade):
     """Lyndon words of grading <= max_grade, sorted by (grading, lex): every
-    nonempty word of those gradings, kept when it is Lyndon."""
-    return [w for w in words_up_to_grading(alphabet, max_grade) if w and is_lyndon(w)]
+    nonempty word of those gradings (``words_by_product``), kept when it is
+    Lyndon."""
+    return [w for w in words_by_product(alphabet, max_grade) if w and is_lyndon(w)]
 
 
 def standard_factorization_by_suffix_scan(w):

@@ -8,6 +8,7 @@ Lie diagnostics against a floating-point closure with numpy rank estimates.
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -912,6 +913,17 @@ def test_triangular_detects_a_changed_series(monkeypatch):
     r = LinRep(X2, (1, 1), {0: [[1, 0], [0, 2]], 1: [[F(1, 2), 1], [0, 0]]}, (1, 1))
     _, report = triangular_decompose(r, 3)
     assert (report.equal, report.detail) == (False, "reconstruction differs")
+
+
+def test_triangular_check_of_a_dense_representation_is_fast():
+    # both letters with a full upper triangle, so D(X*) and T hold thousands
+    # of terms: each truncated product filters its right factor once per
+    # grading room, not once per term of its left factor
+    r = LinRep(X2, (1, F(1, 2)), {0: [[F(1, 2), 1], [0, F(-1, 3)]], 1: [[1, F(1, 2)], [0, 2]]}, (1, 1))
+    start = time.perf_counter()
+    _, report = linrep._triangular_check(r, 12)
+    assert time.perf_counter() - start < 1.0
+    assert (report.equal, report.detail) == (True, "nilpotency order 1 (rank 2)")
 
 
 def test_triangular_decompose_rejects_non_triangular():

@@ -486,6 +486,31 @@ def test_character_tests_refuse_unknown_laws():
     assert str(info.value) == "law 'phi' needs a PhiTable"
 
 
+def test_character_tests_read_the_law_before_the_unit_test():
+    # <S, 1> = 0, so is_character returns False from the unit test alone
+    primitive = TruncSeries.from_poly(pi1(poly(Y, "y2"), STUFFLE), 4)
+    for test in (is_character, is_infinitesimal_character):
+        with pytest.raises(ValueError) as info:
+            test(primitive, "bogus")
+        assert str(info.value) == "unknown law 'bogus'"
+        with pytest.raises(ValueError) as info:
+            test(primitive, "phi")
+        assert str(info.value) == "law 'phi' needs a PhiTable"
+    assert not is_character(primitive, "phi", phi=STUFFLE)
+
+
+def test_character_tests_refuse_first_the_lightest_pair_beyond_the_window():
+    # the pairs come u, then v, by (grading, lex): the first pair over the
+    # series bound 3 is (ε, x0 x0 x0 x0), after every pair inside it agreed
+    ones = TruncSeries.word_sum(X2, 3)
+    letter = TruncSeries(X2, 3, {xw("x0"): Fraction(1)})
+    for test, series, law in ((is_character, ones, "conc"), (is_infinitesimal_character, letter, "shuffle")):
+        assert test(series, law, bound=3)
+        with pytest.raises(ValueError) as info:
+            test(series, law, bound=5)
+        assert str(info.value) == "coefficient of grading 4 beyond bound 3"
+
+
 def test_truncseries_window_is_honest():
     s = TruncSeries.word_sum(X2, 3)
     with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """Word and Lyndon machinery, checked against brute-force rotation oracles."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lyndon_words_by_filter, standard_factorization_by_suffix_scan
+from oracles import lyndon_words_by_filter, standard_factorization_by_suffix_scan, words_by_product
 from wordseries.words import (
     Alphabet,
     Word,
@@ -125,6 +127,22 @@ ORACLE_GRADES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "alphabet, top", ORACLE_GRADES + [(alphabet, top) for alphabet, _ in ORACLE_GRADES for top in (-1, 0)]
+)
+def test_words_up_to_grading_matches_the_product_oracle(alphabet, top):
+    got = words_up_to_grading(alphabet, top)
+    expected = words_by_product(alphabet, top)
+    assert got == expected
+    assert [u.grading for u in got] == [u.grading for u in expected]
+
+
+@pytest.mark.parametrize("alphabet, top", ORACLE_GRADES)
+def test_the_lyndon_oracle_filters_the_product_oracle_as_it_filtered_the_library(alphabet, top):
+    filtered = [u for u in words_up_to_grading(alphabet, top) if u and is_lyndon(u)]
+    assert lyndon_words_by_filter(alphabet, top) == filtered
+
+
 @pytest.mark.parametrize("alphabet, top", ORACLE_GRADES)
 def test_lyndon_words_and_standard_factorization_match_the_oracles(alphabet, top):
     got = lyndon_words(alphabet, top)
@@ -135,7 +153,9 @@ def test_lyndon_words_and_standard_factorization_match_the_oracles(alphabet, top
             assert standard_factorization(l) == standard_factorization_by_suffix_scan(l)
 
 
-def test_lyndon_words_builds_only_the_words_it_returns(monkeypatch):
+@pytest.fixture
+def words_built(monkeypatch):
+    """The letters of every ``Word`` built, checked or not, from here on."""
     built = []
     trusted = Word._trusted.__func__
     checked = Word.__init__
@@ -150,8 +170,33 @@ def test_lyndon_words_builds_only_the_words_it_returns(monkeypatch):
 
     monkeypatch.setattr(Word, "_trusted", classmethod(count_trusted))
     monkeypatch.setattr(Word, "__init__", count_checked)
+    return built
+
+
+def test_lyndon_words_builds_only_the_words_it_returns(words_built):
     got = lyndon_words(Alphabet.y(color_order=3), 6)
-    assert len(built) == len(got) == len({u.letters for u in got})
+    assert len(words_built) == len(got) == len({u.letters for u in got})
+
+
+def test_internal_paths_build_no_word(words_built):
+    from wordseries.hopf import diagonal_factorization_check, duality_check
+    from wordseries.linrep import sweedler_membership
+    from wordseries.ncpoly import NCPoly, PhiTable, TruncSeries, is_character, is_infinitesimal_character, pi1
+
+    stuffle = PhiTable.stuffle()
+    window = TruncSeries(X2, 5, {u: Fraction(1, math.factorial(len(u))) for u in words_up_to_grading(X2, 5)})
+    primitive = TruncSeries.from_poly(pi1(NCPoly.from_word(w(Y, "y2")), stuffle), 4)
+    checks = {
+        "duality_check": lambda: duality_check(Y, stuffle, 7),
+        "diagonal_factorization_check": lambda: diagonal_factorization_check(X2, None, 6),
+        "is_character of word_sum": lambda: is_character(TruncSeries.word_sum(X2, 6), "conc"),
+        "is_infinitesimal_character": lambda: is_infinitesimal_character(primitive, "phi", phi=stuffle),
+        "sweedler_membership": lambda: sweedler_membership(window),
+    }
+    for name, check in checks.items():
+        words_built.clear()
+        assert check(), name
+        assert words_built == [], name
 
 
 def _parsed_words(alphabet, letters):
