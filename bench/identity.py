@@ -10,6 +10,9 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   and numeric workloads at seeds 0, 1 and 2, its input files written once
   to a temporary directory that both sides read;
 * the four scripts in ``demos/``, each in a fresh interpreter;
+* ``lyndon`` calls in text and JSON: on x1 at max 1, 2, 40, 2984 and
+  2985 (the last over the letter budget), and on x2, x3, x4, y, y@2, y@3
+  and y@5 at the largest grading the word budget admits and one above it;
 * a fixed list of ``lyndon``, ``basis``, ``mul``, ``coprod`` and ``pi1``
   calls on x2, x3, y and y@2, in text and JSON, with the stuffle and with a
   binomial gamma file (gamma(i, j) = c C(i+j, i) for c = 2 and c = 1/2), and
@@ -65,8 +68,11 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``bound=`` at, 1 above and 2 above the series bound, on series that pass
   and fail them; the keys and ``float.hex`` values of ``chen_series`` on
   the classical forms at N 3 and on the square roots of unity at N 2; the
-  keys of ``TruncSeries.word_sum`` on y@2 at N 4; and the names of
-  ``words_up_to_grading`` on x1, x3, y, y@2 and y@3 at N -1 to 5;
+  keys of ``TruncSeries.word_sum`` on y@2 at N 4; the names of
+  ``words_up_to_grading`` on x1, x3, y, y@2 and y@3 at N -1 to 5, and its
+  word count on x1 at N 2984 and 2985 (the letter budget's edge); and
+  ``is_lyndon`` and ``standard_factorization`` (value or refusal) on every
+  word and on every Lyndon word of x2 and y up to grading 8;
 * a numeric library section (``numeric_cases``): ``harmonic_sum``,
   ``harmonic_sum_exact``, ``polylog``, ``polyzeta``,
   ``generating_relation_check``, ``linear_independence_rank`` and the
@@ -129,6 +135,10 @@ def binomial_gamma(c: Fraction) -> dict:
     return {f"{i},{j}": str(c * math.comb(i + j, i)) for i in range(1, 12) for j in range(i, 13 - i)}
 
 
+# the largest grading that the word budget admits, by alphabet
+LYNDON_EDGES = (("x2", 17), ("x3", 10), ("x4", 8), ("y", 18), ("y@2", 11), ("y@3", 9), ("y@5", 6))
+
+
 def fixed_calls(files: dict) -> list[list[str]]:
     """The fixed list of word-level calls; ``files`` maps names to payloads,
     and an argument "{dir}/name" reads the file of that name."""
@@ -144,7 +154,10 @@ def fixed_calls(files: dict) -> list[list[str]]:
         "y@2": ["y1@1", "y2@0 y1@1", "y1@0 y1@1 y2@1", "y3@1 y1@0 y1@1"],
     }
     calls = []
-    for alpha, top in (("x2", 10), ("x3", 6), ("y", 9), ("y@2", 6)):
+    # x1 up to and over its letter budget, then each budget edge and one grade over it
+    lyndon = [("x2", 10), ("x3", 6), ("y", 9), ("y@2", 6)] + [("x1", n) for n in (1, 2, 40, 2984, 2985)]
+    lyndon += [(alpha, edge + over) for alpha, edge in LYNDON_EDGES for over in (0, 1)]
+    for alpha, top in lyndon:
         for fmt in ("text", "json"):
             calls.append(["lyndon", "--alphabet", alpha, "--max", str(top), "--format", fmt])
     for alpha, ws in words.items():
@@ -393,8 +406,12 @@ def library_cases() -> list[tuple[str, tuple]]:
     for 1/len(w)! on x2, ("zero", bound) for the zero series on x2,
     ("chen", set, bound) for the keys and values of ``chen_series``,
     ("word_sum", alphabet, bound) for the keys of ``TruncSeries.word_sum``,
-    ("words", alphabet, bound) for the names of ``words_up_to_grading``, and
-    the cases of ``character_cases``."""
+    ("words", alphabet, bound) for the names of ``words_up_to_grading``,
+    ("lyndon_tests", alphabet, which) for ``is_lyndon`` and
+    ``standard_factorization`` on every word ("words") or every Lyndon word
+    ("lyndon") of grading <= 8, ("word_count", alphabet, bound) for the
+    number of words of ``words_up_to_grading``, and the cases of
+    ``character_cases``."""
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
     cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
@@ -414,6 +431,8 @@ def library_cases() -> list[tuple[str, tuple]]:
     cases += [("zero", n) for n in (0, 2)]
     cases += [("chen", "classical", 3), ("chen", "roots2", 2), ("word_sum", "y@2", 4)]
     cases += [("words", a, n) for a in ("x1", "x3", "y", "y@2", "y@3") for n in range(-1, 6)]
+    cases += [("lyndon_tests", a, which) for a in ("x2", "y") for which in ("words", "lyndon")]
+    cases += [("word_count", "x1", n) for n in (2984, 2985)]
     cases += character_cases()
     cases += numeric_cases()
     return [("library/" + " ".join(map(str, case)), case) for case in cases]
@@ -575,6 +594,14 @@ def _pq(m) -> str:
     return " | ".join(" ".join(f"{c.numerator}/{c.denominator}" for c in row) for row in m)
 
 
+def _outcome(f, *args) -> str:
+    """What f(*args) returns, or the type and message of what it raises."""
+    try:
+        return str(f(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def _library_text(case: tuple, reps: dict) -> str:
     """What one library case returns, as text: a matrix as p/q entries, the
     series as word and p/q lines, the triangular verdict and detail with the
@@ -591,7 +618,15 @@ def _library_text(case: tuple, reps: dict) -> str:
         triangular_decompose,
     )
     from wordseries.ncpoly import NCPoly, TruncSeries
-    from wordseries.words import Alphabet, alphabet_text, parse_alphabet, words_up_to_grading
+    from wordseries.words import (
+        Alphabet,
+        alphabet_text,
+        is_lyndon,
+        lyndon_words,
+        parse_alphabet,
+        standard_factorization,
+        words_up_to_grading,
+    )
 
     kind, args = case[0], case[1:]
     if kind == "numeric":
@@ -608,6 +643,12 @@ def _library_text(case: tuple, reps: dict) -> str:
         return "\n".join(map(str, TruncSeries.word_sum(parse_alphabet(args[0]), args[1]).coeffs))
     if kind == "words":
         return "\n".join(map(str, words_up_to_grading(parse_alphabet(args[0]), args[1])))
+    if kind == "word_count":
+        return str(len(words_up_to_grading(parse_alphabet(args[0]), args[1])))
+    if kind == "lyndon_tests":
+        alphabet = parse_alphabet(args[0])
+        words = (words_up_to_grading if args[1] == "words" else lyndon_words)(alphabet, 8)
+        return "\n".join(f"{w} {_outcome(is_lyndon, w)} {_outcome(standard_factorization, w)}" for w in words)
     if kind == "word_matrix":
         rep = reps[args[0]]
         return _pq(rep.word_matrix(rep.alphabet.parse_word(args[1])))

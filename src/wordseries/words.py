@@ -16,11 +16,12 @@ Letters are validated where words enter the package: ``Word(...)`` itself,
 ``Alphabet.word``, ``Alphabet.parse_word`` and the JSON readers built on it.
 Words derived from validated words (slices, concatenations, enumerations)
 are built unchecked through ``Word._trusted``, their grading carried over
-or summed instead of recomputed.  ``lyndon_words`` generates the Lyndon
-words directly from their standard factorizations, as letter tuples
-(``_lyndon_letters``, which the ``lyndon`` verb names without a ``Word``),
-so it builds no word it does not return; ``words_up_to_grading`` wraps
-``_graded_letters`` so, and the other modules read its tuples instead.
+or summed instead of recomputed.  ``lyndon_words`` wraps the letter tuples
+of a walk over the prenecklaces (``_lyndon_letters``, which the ``lyndon``
+verb names without a ``Word``), so it builds no word it does not return;
+``words_up_to_grading`` wraps ``_graded_letters`` so, and the other modules
+read its tuples instead.  Whether a word is Lyndon, and where its standard
+factorization cuts it, is read off Duval's factorization (``_lyndon_cuts``).
 
 Words print through one printer, ``Alphabet.name``, which names a tuple of
 letters from a table of letter names that the alphabet fills on first use.
@@ -28,7 +29,6 @@ letters from a table of letter names that the alphabet fills on first use.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -319,21 +319,24 @@ def alphabet_text(a: Alphabet) -> str:
 
 
 def is_lyndon(w: Word) -> bool:
-    """True iff ``w`` is strictly smaller than all of its proper suffixes."""
+    """True iff ``w`` is strictly smaller than all of its proper suffixes: one Lyndon factor."""
     if not w:
         raise ValueError("the empty word is not eligible")
-    key = w.lex_key()
-    return all(key < key[i:] for i in range(1, len(key)))
+    return _lyndon_cuts(w.lex_key()) == [0, len(w)]
 
 
-# Enumerations admit at most this many words, all gradings <= the bound together.
+# Enumerations admit at most this many words, all gradings <= the bound together,
 _WORD_BUDGET = 1 << 18
+# and, on x1, at most this many letters: 2^18 words of at most 17 letters, the x2 edge
+_LETTER_BUDGET = 17 * _WORD_BUDGET
 
 
 def _check_word_budget(alphabet: Alphabet, bound: int) -> None:
     """Refuse, before any allocation, a bound over the budget.  Grade k >= 1
     holds size^k x words, and m (m+1)^(k-1) y words with m colors (m = 1 on
-    plain y), so gradings <= bound hold (m+1)^bound y words."""
+    plain y), so gradings <= bound hold (m+1)^bound y words.  On x1 the
+    letters are counted too: its words x0^0..x0^bound are few, but they hold
+    bound (bound+1) / 2 letters."""
     size = alphabet.size if alphabet.is_x else (alphabet.color_order or 1) + 1
     n = max(bound, 0)
     if size == 1:
@@ -343,7 +346,11 @@ def _check_word_budget(alphabet: Alphabet, bound: int) -> None:
     else:
         words = (size ** (n + 1) - 1) // (size - 1) if alphabet.is_x else size**n
     if isinstance(words, int) and words <= _WORD_BUDGET:
-        return
+        if size > 1 or n * (n + 1) // 2 <= _LETTER_BUDGET:
+            return
+        raise ValueError(
+            f"gradings <= {bound} over x1 hold {n * (n + 1) // 2} letters, over the budget of {_LETTER_BUDGET} letters"
+        )
     raise ValueError(
         f"gradings <= {bound} over {alphabet_text(alphabet)} hold {words} words, "
         f"over the budget of {_WORD_BUDGET} words"
@@ -410,42 +417,35 @@ def _lyndon_letters(alphabet: Alphabet, max_grade: int) -> list[list[tuple]]:
     """The letter tuples of the Lyndon words of ``lyndon_words``, one list
     per grading 0..max_grade.
 
-    Generated grade by grade from their standard factorizations (Chen, Fox
-    and Lyndon, Ann. Math. 68, 1958): a Lyndon word of two or more letters
-    is exactly one product s r of Lyndon words s < r where s is a letter or
-    the right standard factor of s is >= r.  The admissible r of one grade
-    form a contiguous run of that grade's sorted keys, found by bisection, so
-    the work is proportional to the output and only returned words are built.
+    A depth-first walk over the prenecklaces, the prefixes of powers of
+    Lyndon words (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms
+    37, 2000).  If the longest Lyndon prefix of a prenecklace w has p
+    letters, w a is a prenecklace exactly when a >= w[-p]; it keeps p when
+    a == w[-p], and is itself Lyndon, with p = |w| + 1, when a > w[-p].
+    Children are visited in increasing letter order, so each grade comes
+    out lexicographic.  Letters are compared by their index in
+    ``alphabet.letters``.  A prenecklace that starts with the largest letter
+    is a power of it, so that letter is listed alone and not walked.
     """
     _check_word_budget(alphabet, max_grade)
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
-    letter_key = alphabet.letter_key
-    # per grading: its Lyndon words as (lex key, letters, key of the right
-    # standard factor or None on a letter) in increasing key order, and the keys alone
-    by_grade: list[list[tuple]] = [[]]
-    keys: list[list[tuple]] = [[]]
-    out: list[list[tuple]] = [[]]
-    for n in range(1, max_grade + 1):
-        found = [
-            ((letter_key(a),), (a,), None)
-            for a in alphabet.letters(max_weight=n)
-            if alphabet.letter_weight(a) == n
-        ]
-        for g in range(1, n):
-            rights, right_keys = by_grade[n - g], keys[n - g]
-            for s_key, s_letters, s_right in by_grade[g]:
-                lo = bisect.bisect_right(right_keys, s_key)
-                hi = len(rights) if s_right is None else bisect.bisect_right(right_keys, s_right, lo)
-                found.extend(
-                    (s_key + r_key, s_letters + r_letters, r_key)
-                    for r_key, r_letters, _ in rights[lo:hi]
-                )
-        found.sort(key=lambda t: t[0])
-        by_grade.append(found)
-        keys.append([t[0] for t in found])
-        out.append([letters for _, letters, _ in found])
-    return out
+    steps = [(j, a, alphabet.letter_weight(a)) for j, a in enumerate(alphabet.letters(max_weight=max_grade))]
+    tails = [steps[j:] for j in range(len(steps))]  # the steps to letters >= the j-th
+    found: list[list[tuple]] = [[] for _ in range(max_grade + 1)]
+
+    def walk(word: tuple, indices: tuple, grading: int, p: int) -> None:
+        if p == len(word):
+            found[grading].append(word)
+        least = indices[-p]  # the index of w[-p]
+        for j, a, k in tails[least]:
+            if grading + k <= max_grade:
+                walk(word + (a,), indices + (j,), grading + k, p if j == least else len(word) + 1)
+
+    for j, a, k in steps[:-1]:
+        walk((a,), (j,), k, 1)
+    found[1].append((steps[-1][1],))
+    return found
 
 
 def standard_factorization(w: Word) -> tuple[Word, Word]:
@@ -463,10 +463,9 @@ def _standard_cut(key: tuple) -> int | None:
     """Where the standard factorization of the word with lexicographic key
     ``key`` (two or more letters) cuts it, or None if the word is not Lyndon.
 
-    The right factor is the lexicographically smallest proper suffix, and
-    the word is Lyndon exactly when it is smaller than that suffix."""
-    i = min(range(1, len(key)), key=lambda i: key[i:])
-    return i if key < key[i:] else None
+    The right factor is the smallest proper suffix, which is the last
+    Lyndon factor of ``key[1:]``."""
+    return 1 + _lyndon_cuts(key[1:])[-2] if _lyndon_cuts(key) == [0, len(key)] else None
 
 
 def lyndon_factorization(w: Word) -> list[Word]:

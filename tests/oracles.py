@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values through a different route than
 the library code under test: Lyndon words by filtering every word of each
-grade and their standard factorizations by scanning suffixes, Gauss-Jordan
+grade, as words smaller than their rotations and counted grade by grade by
+the necklace formula, their standard factorizations by scanning suffixes, Gauss-Jordan
 elimination over ``Fraction`` and minimization with one solve per vector,
 the Sweedler realization on ``Fraction`` Hankel rows and the Lie
 diagnostics on ``Fraction`` brackets,
@@ -197,6 +198,39 @@ def lyndon_words_by_filter(alphabet, max_grade):
     nonempty word of those gradings (``words_by_product``), kept when it is
     Lyndon."""
     return [w for w in words_by_product(alphabet, max_grade) if w and is_lyndon(w)]
+
+
+def lyndon_by_rotations(w):
+    """True iff w is strictly smaller than each of its proper rotations."""
+    key = w.lex_key()
+    return all(key < key[i:] + key[:i] for i in range(1, len(key)))
+
+
+def lyndon_count(alphabet, n):
+    """The number of Lyndon words of grading n >= 1, (1/n) sum_(d | n)
+    mu(n/d) p_d, where p_d = q^d on x_q and (m+1)^d - 1 on y with m colors
+    (m = 1 on plain y).  It follows from the Chen-Fox-Lyndon factorization
+    (Ann. Math. 68, 1958): prod_n (1 - t^n)^(-L_n) = 1 / (1 - f(t)) with
+    f(t) = q t on x_q and m t / (1 - t) on y, whose logarithm has the
+    coefficients p_d / d."""
+
+    def mobius(k):
+        sign, p = 1, 2
+        while p * p <= k:
+            if k % p == 0:
+                k //= p
+                if k % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if k > 1 else sign
+
+    def p(d):
+        return alphabet.size**d if alphabet.is_x else ((alphabet.color_order or 1) + 1) ** d - 1
+
+    total = sum(mobius(n // d) * p(d) for d in range(1, n + 1) if n % d == 0)
+    assert total % n == 0
+    return total // n
 
 
 def standard_factorization_by_suffix_scan(w):

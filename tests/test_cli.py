@@ -527,6 +527,20 @@ def test_enumerations_over_the_word_budget_exit_2_at_once(capsys):
         assert "1099511627776 words" in err and "budget" in err
 
 
+def test_x1_enumerations_over_the_letter_budget_exit_2_at_once(capsys):
+    # 262143 admits 262144 words, but they hold 262143 * 262144 / 2 letters
+    for argv, letters in (
+        (("lyndon", "--alphabet", "x1", "--max", "262143"), 34359607296),
+        (("check", "duality", "--alphabet", "x1", "--N", "2985"), 4456605),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: gradings <= {argv[-1]} over x1 hold {letters} letters, over the budget of 4456448 letters\n"
+    assert run(capsys, "lyndon", "--alphabet", "x1", "--max", "2984") == (0, "x0\n", "")
+
+
 @pytest.mark.parametrize("what", ["mxstar", "triangular"])
 def test_rep_checks_over_the_word_budget_exit_2_at_once(capsys, tmp_path, what):
     # gradings <= 18 over x2 hold 2^19 - 1 words: refused before the walk

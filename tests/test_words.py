@@ -8,32 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lyndon_words_by_filter, standard_factorization_by_suffix_scan, words_by_product
+from oracles import (
+    lyndon_by_rotations,
+    lyndon_count,
+    lyndon_words_by_filter,
+    standard_factorization_by_suffix_scan,
+    words_by_product,
+)
 from wordseries.words import (
     Alphabet,
     Word,
     is_lyndon,
     lyndon_factorization,
     lyndon_words,
+    parse_alphabet,
     standard_factorization,
     words_up_to_grading,
 )
 
+X1 = Alphabet.x(1)
 X2 = Alphabet.x(2)
 Y = Alphabet.y()
 
 
 def w(alphabet, text):
     return alphabet.parse_word(text)
-
-
-# -- oracle: Lyndon = strictly smaller than every proper cyclic rotation ----
-
-
-def lyndon_by_rotations(word: Word) -> bool:
-    key = word.lex_key()
-    n = len(key)
-    return all(key < key[i:] + key[:i] for i in range(1, n))
 
 
 def test_grading():
@@ -80,12 +79,30 @@ def test_lyndon_against_rotation_oracle():
             assert is_lyndon(word) == lyndon_by_rotations(word)
 
 
-def test_binary_lyndon_counts():
-    # necklace counts for the binary alphabet
-    expected = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30, 9: 56, 10: 99}
-    words = lyndon_words(X2, 10)
-    for n, count in expected.items():
-        assert sum(1 for u in words if u.grading == n) == count
+def test_the_lyndon_count_oracle_gives_the_known_counts():
+    binary = [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]  # the binary necklace counts
+    assert [lyndon_count(X2, n) for n in range(1, 11)] == binary
+    assert [lyndon_count(Y, n) for n in range(1, 5)] == [1, 1, 2, 3]  # y1, y2, y3 y2 y1, ...
+    assert [lyndon_count(Alphabet.y(color_order=2), n) for n in (1, 2)] == [2, 3]
+    assert [lyndon_count(X1, n) for n in range(1, 7)] == [1, 0, 0, 0, 0, 0]
+
+
+# the largest grading each alphabet's budget admits (on x1 its letter budget)
+BUDGET_EDGES = [("x1", 2984), ("x2", 17), ("x3", 10), ("x4", 8), ("y", 18), ("y@2", 11), ("y@3", 9), ("y@5", 6)]
+
+
+@pytest.mark.parametrize("alphabet, top", BUDGET_EDGES)
+def test_lyndon_counts_match_the_necklace_formula(alphabet, top):
+    # the count, the Lyndon test and the strict order pin each grade's set
+    alphabet = parse_alphabet(alphabet)
+    grades = [[] for _ in range(top + 1)]
+    for l in lyndon_words(alphabet, top):
+        grades[l.grading].append(l)
+    for n, grade in enumerate(grades[1:], 1):
+        assert len(grade) == lyndon_count(alphabet, n)
+        assert all(map(lyndon_by_rotations, grade))
+        keys = [l.lex_key() for l in grade]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_y_alphabet_letter_order():
@@ -305,3 +322,17 @@ def test_word_budget_edges():
     assert words_up_to_grading(X2, -2) == [] and words_up_to_grading(Y, -1) == []
     with pytest.raises(ValueError, match="more than 2\\^65 words"):
         words_up_to_grading(X2, 65)
+
+
+def test_x1_letter_budget_edge(monkeypatch):
+    from wordseries import hopf
+
+    # gradings <= 2984 over x1 hold 2984 * 2985 / 2 = 4453620 letters; one more grade is over 17 * 2^18
+    assert len(words_up_to_grading(X1, 2984)) == 2985
+    assert [str(l) for l in lyndon_words(X1, 2984)] == ["x0"]
+    refusal = "gradings <= 2985 over x1 hold 4456605 letters, over the budget of 4456448 letters"
+    for enumerate_words in (words_up_to_grading, lyndon_words, lambda a, n: hopf.duality_check(a, None, n)):
+        with pytest.raises(ValueError, match=refusal):
+            enumerate_words(X1, 2985)
+    monkeypatch.setattr(hopf.DualBases, "_pairs", lambda self: [])  # stop once the words are enumerated
+    assert hopf.duality_check(X1, bound=2984) == (2985, [])
