@@ -48,6 +48,13 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   (``check_calls``) on x2, x3, y, y@2 and y@3 at N 1-6 (at most), y also
   with both binomial gamma files and with a gamma file that is associative
   only to weight 6, at N 6 and 7, and one gamma file that exits 2;
+* a fixed list of requests for help and of requests that argparse rejects
+  or reads its own way (``front_calls``): ``--help`` of the top parser and
+  of each of the nine verbs; no arguments, ``frobnicate``, ``Lyndon`` and
+  ``lyn``; an option prefix (``--alph x2``), ``--alphabet=x2``, a negative
+  value (``--z -0.2``), ``--`` before a positional, a repeated ``--max``;
+  a missing required option, a bad int, a bad float and a bad choice; an
+  extra positional, and an unknown option before and after a positional;
 * a library section (``library_cases``) for the functions that no verb
   reaches, on those representations: ``LinRep.word_matrix``,
   ``eval_truncated``, ``mu_of_poly``, ``left_shift`` and ``right_shift``
@@ -696,6 +703,27 @@ def _library_text(case: tuple, reps: dict) -> str:
     return f"{v.rational} {v.rank} {v.detail}\n{json.dumps(witnesses, sort_keys=True)}"
 
 
+def front_calls() -> list[list[str]]:
+    """The fixed list of requests for help, and of requests that argparse
+    rejects or reads otherwise than the verb table's plain form."""
+    verbs = ("lyndon", "mul", "coprod", "pi1", "basis", "check", "rat", "eval", "demo")
+    return [["--help"]] + [[verb, "--help"] for verb in verbs] + [
+        [], ["frobnicate"], ["Lyndon", "--alphabet", "x2", "--max", "3"], ["lyn", "--alphabet", "x2", "--max", "3"],
+        ["lyndon", "--alph", "x2", "--max", "3"],
+        ["lyndon", "--alphabet=x2", "--max", "3"],
+        ["eval", "li", "--word", "x1", "--z", "-0.2"],
+        ["mul", "--law", "shuffle", "--", "x0", "x1"],
+        ["lyndon", "--alphabet", "x2", "--max", "2", "--max", "3"],
+        ["lyndon", "--alphabet", "x2"],
+        ["lyndon", "--alphabet", "x2", "--max", "three"],
+        ["eval", "li", "--word", "x1", "--z", "half"],
+        ["mul", "--law", "bogus", "x0", "x1"],
+        ["pi1", "y2", "y1"],
+        ["pi1", "--bogus", "y2"],
+        ["pi1", "y2", "--bogus"],
+    ]
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -731,7 +759,7 @@ def invocations(tmp: str) -> list[tuple[str, list[str]]]:
             jobs = jobs + gen.probes(workload, seed)
             out += _placed(tmp, f"{workload}-{seed}", files, [(job["id"], job["argv"]) for job in jobs])
     files: dict = {}
-    calls = fixed_calls(files) + rep_calls(files) + edge_calls(files) + check_calls(files)
+    calls = fixed_calls(files) + rep_calls(files) + edge_calls(files) + check_calls(files) + front_calls()
     out += _placed(tmp, "fixed", files, [(f"f{i:03d}", argv) for i, argv in enumerate(calls)])
     return out
 

@@ -3,7 +3,10 @@
 Each verb ``cmd_*`` maps its parsed arguments to ``(status, text)``, where
 ``text`` is its complete stdout; ``main`` writes that text in one write and
 maps exceptions to exit codes in one place, so a verb that raises writes
-nothing to stdout (argparse itself prints ``--help`` and usage errors).
+nothing to stdout.  ``main`` reads a request from the one verb table,
+``_VERBS``; argparse, built from the same table, is built only for
+``--help`` and for requests it would reject or might read differently, and
+prints their help, usage and errors with unchanged bytes.
 
 Exit status: 0 on success, 2 on validation errors (bad flags, malformed
 words or representations, unreadable files, violated preconditions), 1 on
@@ -266,116 +269,148 @@ def cmd_demo(args) -> tuple[int, str]:
                f"  y = {_fnum(out.real)}{out.imag:+.15g}j   (error estimate {_fnum(out.err)})\n")
 
 
+def _fmt(default: str = "text") -> tuple:
+    return "--format", {"choices": ("text", "json", "csv"), "default": default}
+
+
+_GAMMA, _ALPHABET, _REP = ("--gamma", {}), ("--alphabet", {}), ("--rep", {})
+
+# verb -> (help, func, arguments as (flag, add_argument keywords)), in the order
+# that --help lists them; build_parser and _read_request both read this table
+_VERBS = {
+    "lyndon": ("list Lyndon words by grading", cmd_lyndon, (
+        ("--alphabet", {"required": True, "help": "x<count>, y, or y@m"}),
+        ("--max", {"type": int, "required": True}),
+        _fmt())),
+    "mul": ("polynomial products", cmd_mul, (
+        ("--law", {"choices": ("conc", "shuffle", "stuffle", "phi"), "required": True}),
+        ("--gamma", {"help": "JSON file {'i,j': 'p/q'}; default constant 1"}),
+        _ALPHABET,
+        ("left", {"help": "word, or @file.json"}),
+        ("right", {"help": "word, or @file.json"}),
+        _fmt())),
+    "coprod": ("coproducts of a polynomial", cmd_coprod, (
+        ("--law", {"choices": ("conc", "shuffle", "phi"), "required": True}),
+        _GAMMA, _ALPHABET, ("word", {}), _fmt())),
+    "pi1": ("eulerian idempotent of a polynomial", cmd_pi1, (_GAMMA, _ALPHABET, ("word", {}), _fmt())),
+    "basis": ("dual-basis elements", cmd_basis, (
+        ("--family", {"choices": ("P", "S", "Pi", "Sigma"), "required": True}),
+        ("--word", {"required": True}),
+        _GAMMA, _ALPHABET, _fmt("json"))),
+    "check": ("exact structural checks", cmd_check, (
+        ("what", {"choices": ("duality", "diagonal", "mxstar", "triangular")}),
+        ("--N", {"type": int, "required": True}),
+        ("--alphabet", {"default": "x2"}),
+        _GAMMA, _REP)),
+    "rat": ("rational-series calculus on representations", cmd_rat, (
+        ("op", {"choices": ("coeff", "sum", "conc", "star", "shuffle", "phistar", "minimize", "decompose")}),
+        ("--rep", {"action": "append", "default": [], "help": "JSON representation file"}),
+        ("--word", {}), _GAMMA, _fmt("json"))),
+    "eval": ("numeric evaluation", cmd_eval, (
+        ("what", {"choices": ("li", "h", "zeta", "chen", "output")}),
+        ("--word", {"default": ""}),
+        ("--z", {"type": float, "default": 0.5}),
+        ("--z0", {"type": float, "default": 0.1}),
+        ("--N", {"type": int, "default": 4}),
+        ("--n", {"type": int, "default": 100}),
+        ("--nterms", {"type": int, "default": 10_000}),
+        ("--nmax", {"type": int, "default": 2000}),
+        ("--tol", {"type": float, "default": 1e-12}),
+        ("--roots-of-unity", {"type": int, "dest": "roots_of_unity"}),
+        ("--sigma", {"help": "semicolon-separated singularities, s_0 = 0 first"}),
+        _REP, _fmt("csv"))),
+    "demo": ("worked demonstrations", cmd_demo, (
+        ("which", {"choices": ("hypergeometric",)}),
+        ("--t0", {"default": "1/2"}),
+        ("--t1", {"default": "1/2"}),
+        ("--t2", {"default": "1"}),
+        ("--z0", {"type": float, "default": 0.05}),
+        ("--z", {"type": float, "default": 0.4}),
+        ("--N", {"type": int, "default": 8}),
+        ("--eta", {"default": "1,1"}))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="wordseries",
         description="Rational series on free monoids: Hopf bases, weighted automata, hyperlogarithms.",
     )
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def fmt(p, default="text"):
-        p.add_argument("--format", choices=("text", "json", "csv"), default=default)
-
-    p = sub.add_parser("lyndon", help="list Lyndon words by grading")
-    p.add_argument("--alphabet", required=True, help="x<count>, y, or y@m")
-    p.add_argument("--max", type=int, required=True)
-    fmt(p)
-    p.set_defaults(func=cmd_lyndon)
-
-    p = sub.add_parser("mul", help="polynomial products")
-    p.add_argument("--law", choices=("conc", "shuffle", "stuffle", "phi"), required=True)
-    p.add_argument("--gamma", help="JSON file {'i,j': 'p/q'}; default constant 1")
-    p.add_argument("--alphabet")
-    p.add_argument("left", help="word, or @file.json")
-    p.add_argument("right", help="word, or @file.json")
-    fmt(p)
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser("coprod", help="coproducts of a polynomial")
-    p.add_argument("--law", choices=("conc", "shuffle", "phi"), required=True)
-    p.add_argument("--gamma")
-    p.add_argument("--alphabet")
-    p.add_argument("word")
-    fmt(p)
-    p.set_defaults(func=cmd_coprod)
-
-    p = sub.add_parser("pi1", help="eulerian idempotent of a polynomial")
-    p.add_argument("--gamma")
-    p.add_argument("--alphabet")
-    p.add_argument("word")
-    fmt(p)
-    p.set_defaults(func=cmd_pi1)
-
-    p = sub.add_parser("basis", help="dual-basis elements")
-    p.add_argument("--family", choices=("P", "S", "Pi", "Sigma"), required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--gamma")
-    p.add_argument("--alphabet")
-    fmt(p, default="json")
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("check", help="exact structural checks")
-    p.add_argument("what", choices=("duality", "diagonal", "mxstar", "triangular"))
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--alphabet", default="x2")
-    p.add_argument("--gamma")
-    p.add_argument("--rep")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("rat", help="rational-series calculus on representations")
-    p.add_argument(
-        "op",
-        choices=("coeff", "sum", "conc", "star", "shuffle", "phistar", "minimize", "decompose"),
-    )
-    p.add_argument("--rep", action="append", default=[], help="JSON representation file")
-    p.add_argument("--word")
-    p.add_argument("--gamma")
-    fmt(p, default="json")
-    p.set_defaults(func=cmd_rat)
-
-    p = sub.add_parser("eval", help="numeric evaluation")
-    p.add_argument("what", choices=("li", "h", "zeta", "chen", "output"))
-    p.add_argument("--word", default="")
-    p.add_argument("--z", type=float, default=0.5)
-    p.add_argument("--z0", type=float, default=0.1)
-    p.add_argument("--N", type=int, default=4)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--nterms", type=int, default=10_000)
-    p.add_argument("--nmax", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--roots-of-unity", type=int, dest="roots_of_unity")
-    p.add_argument("--sigma", help="semicolon-separated singularities, s_0 = 0 first")
-    p.add_argument("--rep")
-    fmt(p, default="csv")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("demo", help="worked demonstrations")
-    p.add_argument("which", choices=("hypergeometric",))
-    p.add_argument("--t0", default="1/2")
-    p.add_argument("--t1", default="1/2")
-    p.add_argument("--t2", default="1")
-    p.add_argument("--z0", type=float, default=0.05)
-    p.add_argument("--z", type=float, default=0.4)
-    p.add_argument("--N", type=int, default=8)
-    p.add_argument("--eta", default="1,1")
-    p.set_defaults(func=cmd_demo)
-
+    for verb, (text, func, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return top
 
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process: building it costs
-    more than many a request, and parsing leaves it unchanged."""
+    """The parser for help and for the requests ``_read_request`` declines,
+    built once per process: building it costs more than many a request."""
     return build_parser()
 
 
+def _read_request(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that ``build_parser().parse_args(argv)`` returns, read
+    from ``_VERBS`` alone, or None to leave argv to argparse.  It accepts a
+    verb and then, in any order, its positionals and its exact option
+    strings, each option with one value that does not start with "-", when
+    every value converts, every choice holds and every required option is
+    given.  argparse reads a token that does not start with "-" only as a
+    value or a positional, so it reads such a request the same way."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, func, arguments = _VERBS[argv[0]]
+    given: dict[str, list[str]] = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        given.setdefault(token, []).append(value)
+    parsed = {"verb": argv[0], "func": func}
+    for flag, keywords in arguments:
+        dest = keywords.get("dest") or flag.lstrip("-").replace("-", "_")
+        if not flag.startswith("-"):
+            if not positionals:
+                return None
+            values = [positionals.pop(0)]
+        else:
+            values = given.pop(flag, None)
+        if values:
+            convert = keywords.get("type", str)
+            try:
+                values = [convert(v) for v in values]
+            except (TypeError, ValueError):
+                return None
+            if "choices" in keywords and any(v not in keywords["choices"] for v in values):
+                return None
+            # --rep appends to a copy of its default; otherwise the last value wins
+            append = keywords.get("action") == "append"
+            parsed[dest] = [*(keywords.get("default") or ()), *values] if append else values[-1]
+        elif keywords.get("required"):
+            return None
+        else:  # a str default passes through type, as in argparse
+            default = keywords.get("default")
+            parsed[dest] = keywords["type"](default) if isinstance(default, str) and "type" in keywords else default
+    # an option the verb lacks, or an extra positional: argparse reports it
+    return None if given or positionals else argparse.Namespace(**parsed)
+
+
 def main(argv=None) -> int:
-    parser = _parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_request(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         status, text = args.func(args)
         sys.stdout.write(text)

@@ -2,13 +2,19 @@
 
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordseries import cli
 from wordseries.cli import main
@@ -287,7 +293,7 @@ def test_json_round_trip_bit_exact(capsys, tmp_path):
     assert json.loads(out2) == json.loads(out)
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     # validation error: malformed word
     code, _, err = run(capsys, "eval", "li", "--word", "q9", "--z", "0.5")
     assert code == 2
@@ -297,9 +303,14 @@ def test_exit_codes(capsys):
     # unknown verb: argparse exits 2
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
-    # failed check exits 1
+    # a trivial window passes: exit 0
     code, _, _ = run(capsys, "check", "duality", "--alphabet", "x2", "--N", "0")
-    assert code == 0  # trivial window still passes
+    assert code == 0
+    # failed check exits 1: {"3,4": "2"} is associative to weight 6 only
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"3,4": "2"}))
+    code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--gamma", str(path), "--N", "7")
+    assert code == 1 and out.startswith("diagonal factorization: FAIL ")
 
 
 def test_chen_bounds_over_the_word_budget_exit_2(capsys, tmp_path):
@@ -848,3 +859,167 @@ def test_each_verb_writes_stdout_once_and_nothing_when_it_raises(capsys, monkeyp
             assert stdout.writes == [] and err.startswith("error: ")
         else:
             assert len(stdout.writes) == 1 and stdout.writes[0].endswith("\n") and err == ""
+
+
+# -- the table read: argparse's Namespace or a decline ------------------------------
+
+# tokens that argparse reads its own way: help, "--", negative numbers, a lone
+# "-", the empty string, words with spaces, and values no type or choice takes
+_AWKWARD = ("-h", "--help", "--", "-0.5", "-1", "-", "", "x0 x1", "y2 y1", "3", "0.25", "nan", "bogus")
+
+
+def _sample_values(keywords: dict) -> list[str]:
+    if "choices" in keywords:
+        return [str(c) for c in keywords["choices"]] + ["Bogus"]
+    return {int: ["0", "3", "12", "1_0", "three"], float: ["0.3", "1e-3", "inf", "x"]}.get(
+        keywords.get("type"), ["x2", "y", "x0 x1", "@p.json", "1/2", "", "-h"])
+
+
+@st.composite
+def _requests(draw):
+    """A request built from the table's own tokens (options absent, once or
+    repeated, in any order; required ones mostly present), then up to three
+    tokens inserted, replaced or deleted: awkward ones, option-string
+    prefixes, ``--opt=value`` and the table's option strings."""
+    verb = draw(st.sampled_from([*cli._VERBS, "lyn", "Lyndon", "frobnicate"]))
+    arguments = cli._VERBS.get(verb, cli._VERBS["lyndon"])[2]
+    groups = []
+    for flag, keywords in arguments:
+        values = st.sampled_from(_sample_values(keywords))
+        if flag.startswith("-"):
+            count = draw(st.sampled_from((0, 1, 1, 2) if keywords.get("required") else (0, 1, 2)))
+            groups += [[flag, draw(values)] for _ in range(count)]
+        else:
+            groups.append([draw(values)])
+    argv = [verb] + [token for group in draw(st.permutations(groups)) for token in group]
+    flags = st.sampled_from([flag for flag, _ in arguments if flag.startswith("-")])
+    tokens = st.one_of(
+        st.sampled_from(_AWKWARD),
+        flags,
+        flags.flatmap(lambda f: st.integers(2, len(f) - 1).map(lambda k: f[:k])),
+        st.builds("{}={}".format, flags, st.sampled_from(["x2", "3", "0.5", "json"])),
+    )
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit == "insert":
+            argv.insert(i, draw(tokens))
+        elif argv:
+            i = min(i, len(argv) - 1)
+            if edit == "replace":
+                argv[i] = draw(tokens)
+            else:
+                del argv[i]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_requests())
+def test_the_table_read_is_argparse_or_declines(argv):
+    read = cli._read_request(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = cli._parser().parse_args(argv)
+        except SystemExit:
+            expected = None
+    if read is not None:  # never accepts what argparse exits on, never reads it otherwise
+        assert expected is not None and vars(read) == vars(expected)
+    # it declines a request argparse takes only for a token that starts with
+    # "-" and is not one of the verb's option strings
+    if expected is not None and all(
+            any(t == flag for flag, _ in cli._VERBS[argv[0]][2]) for t in argv[1:] if t.startswith("-")):
+        assert read is not None
+
+
+def _binomial_gamma() -> dict:
+    """gamma(i, j) = 2 C(i+j, i) on i + j <= 12, associative to weight 12."""
+    return {f"{i},{j}": str(2 * math.comb(i + j, i)) for i in range(1, 12) for j in range(1, 13 - i)}
+
+
+def _hot_requests(tmp_path) -> list[list[str]]:
+    """One request per verb and per check, rat op and eval target, from the
+    README's examples, with @file operands and repeated --rep."""
+    x2, y = Alphabet.x(2), Alphabet.y()
+    files = {
+        "p.json": NCPoly.from_word(y.parse_word("y1 y2")).to_json(),
+        "q.json": NCPoly.from_word(x2.parse_word("x0 x1")).to_json(),
+        "gamma.json": _binomial_gamma(),
+        "a.json": LinRep.from_poly(NCPoly.from_word(x2.parse_word("x0 x1"))).to_json(),
+        "b.json": LinRep.from_poly(NCPoly.from_word(x2.parse_word("x1"))).to_json(),
+        "ya.json": LinRep.from_poly(NCPoly.from_word(y.parse_word("y2 y1")), max_letter_weight=3).to_json(),
+        "yb.json": LinRep.from_poly(NCPoly.from_word(y.parse_word("y1")), max_letter_weight=3).to_json(),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    rep = _hg_rep_file(tmp_path)
+    requests = [
+        "lyndon --alphabet x2 --max 3",
+        "mul --law stuffle --alphabet y @P y1",
+        "mul --law phi --gamma G y1 @P --alphabet y --format json",
+        "coprod --law phi y2 --format json",
+        "coprod --law shuffle --alphabet x2 @Q",
+        "pi1 y2",
+        "basis --family Sigma --word Y2_Y1",
+        "check duality --alphabet x2 --N 4",
+        "check diagonal --alphabet y --N 4",
+        "check mxstar --rep A --N 3",
+        "check triangular --rep A --N 4",
+        "rat coeff --rep A --word X0_X1",
+        "rat sum --rep A --rep B",
+        "rat conc --rep A --rep B",
+        "rat shuffle --rep A --rep B",
+        "rat phistar --rep YA --rep YB --gamma G",
+        "rat star --rep A",
+        "rat minimize --rep A",
+        "rat decompose --rep A",
+        "eval li --word x1 --z 0.5",
+        "eval h --word y2 --n 10000",
+        "eval zeta --word y1@1 --roots-of-unity 2 --nterms 1000",
+        "eval chen --z0 0.1 --z 0.5 --N 3",
+        "eval output --rep HG --z0 0.05 --z 0.4 --N 8",
+        "demo hypergeometric --t0 1/2 --t1 1/2 --t2 1 --z0 0.05 --z 0.4 --N 8",
+    ]
+    names = {"@P": f"@{tmp_path / 'p.json'}", "@Q": f"@{tmp_path / 'q.json'}", "G": str(tmp_path / "gamma.json"),
+             "A": str(tmp_path / "a.json"), "B": str(tmp_path / "b.json"), "YA": str(tmp_path / "ya.json"),
+             "YB": str(tmp_path / "yb.json"), "HG": rep, "Y2_Y1": "y2 y1", "X0_X1": "x0 x1"}
+    return [[names.get(token, token) for token in request.split()] for request in requests]
+
+
+def test_well_formed_requests_build_no_parser(capsys, monkeypatch, tmp_path):
+    requests = _hot_requests(tmp_path)
+    expected = []
+    for argv in requests:
+        args = cli.build_parser().parse_args(argv)
+        expected.append(args.func(args))
+    assert sorted({argv[0] for argv in requests}) == sorted(cli._VERBS)
+
+    def no_parser():
+        raise AssertionError("a well-formed request built an argparse parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    cli._parser.cache_clear()
+    for argv, (status, text) in zip(requests, expected):
+        assert status == 0, argv
+        assert run(capsys, *argv) == (0, text, ""), argv
+    # the argv=None path reads sys.argv[1:] the same way
+    monkeypatch.setattr(sys, "argv", ["wordseries", *requests[0]])
+    assert main() == 0 and capsys.readouterr() == (expected[0][1], "")
+
+
+def _module_run(*argv: str) -> subprocess.CompletedProcess:
+    """``python3 -m wordseries.cli`` with argv, on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "wordseries.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_the_module_entry_reads_sys_argv():
+    p = _module_run("lyndon", "--alphabet", "x2", "--max", "3")
+    assert (p.returncode, p.stdout, p.stderr) == (0, "x0\nx1\nx0 x1\nx0 x0 x1\nx0 x1 x1\n", "")
+    p = _module_run("--help")
+    assert p.returncode == 0 and p.stdout.startswith("usage: wordseries [-h]") and p.stderr == ""
+    p = _module_run("lyndon", "--alphabet", "x2", "--max", "three")
+    assert p.returncode == 2 and p.stdout == ""
+    assert p.stderr.startswith("usage: wordseries lyndon [-h]")
+    assert p.stderr.endswith("wordseries lyndon: error: argument --max: invalid int value: 'three'\n")
