@@ -704,8 +704,10 @@ def _library_text(case: tuple, reps: dict) -> str:
 
 
 def front_calls() -> list[list[str]]:
-    """The fixed list of requests for help, and of requests that argparse
-    rejects or reads otherwise than the verb table's plain form."""
+    """The fixed list of help requests, of requests that argparse rejects,
+    and of requests it takes in a form other than a verb, exact option
+    strings with plain values and positionals (a prefix, ``--opt=value``,
+    ``--``, a negative value), and a repeated option."""
     verbs = ("lyndon", "mul", "coprod", "pi1", "basis", "check", "rat", "eval", "demo")
     return [["--help"]] + [[verb, "--help"] for verb in verbs] + [
         [], ["frobnicate"], ["Lyndon", "--alphabet", "x2", "--max", "3"], ["lyn", "--alphabet", "x2", "--max", "3"],
