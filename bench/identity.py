@@ -55,6 +55,20 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   value (``--z -0.2``), ``--`` before a positional, a repeated ``--max``;
   a missing required option, a bad int, a bad float and a bad choice; an
   extra positional, and an unknown option before and after a positional;
+* a fixed list of calls on the boundary of JSON input and output
+  (``io_calls``): the rationals "+1", " 3/4", "6/8", "-0", "1/0", "1/-2",
+  "1.5", "1e3", "\u0661" (an Arabic-Indic one) and a 5,000-digit numerator,
+  and the JSON integers, floats, booleans and null, each as a representation
+  entry (``rat sum`` and ``rat coeff``), a polynomial coefficient (``mul``
+  on a file operand) and a gamma entry (``mul --law phi``); representation
+  files whose "mu" keys are y10 (on y, with and without a weight bound),
+  y2@1 (on y@2 and on y), "x0 x1", one letter twice (x0 and " x0", y1 and
+  y1@0) and x5 on x2; gamma files of JSON integers and of unreduced "p/q"
+  values; coproducts and ``pi1`` whose JSON holds the empty word, on both
+  sides of a tensor; file operands without ``--alphabet`` (``mul`` with the
+  file first and second, ``pi1`` and ``coprod``), which exit 2; and
+  ``mul --law shuffle`` of x0^799 and x0 (passes), of x0^800 and x0 and of
+  x0^990 and x0 (each refused over the 800-letter limit);
 * a library section (``library_cases``) for the functions that no verb
   reaches, on those representations: ``LinRep.word_matrix``,
   ``eval_truncated``, ``mu_of_poly``, ``left_shift`` and ``right_shift``
@@ -77,9 +91,11 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   the classical forms at N 3 and on the square roots of unity at N 2; the
   keys of ``TruncSeries.word_sum`` on y@2 at N 4; the names of
   ``words_up_to_grading`` on x1, x3, y, y@2 and y@3 at N -1 to 5, and its
-  word count on x1 at N 2984 and 2985 (the letter budget's edge); and
+  word count on x1 at N 2984 and 2985 (the letter budget's edge);
   ``is_lyndon`` and ``standard_factorization`` (value or refusal) on every
-  word and on every Lyndon word of x2 and y up to grading 8;
+  word and on every Lyndon word of x2 and y up to grading 8; and the text
+  and JSON of tensors read from JSON with the empty word on either side and
+  on both;
 * a numeric library section (``numeric_cases``): ``harmonic_sum``,
   ``harmonic_sum_exact``, ``polylog``, ``polyzeta``,
   ``generating_relation_check``, ``linear_independence_rank`` and the
@@ -417,8 +433,9 @@ def library_cases() -> list[tuple[str, tuple]]:
     ("lyndon_tests", alphabet, which) for ``is_lyndon`` and
     ``standard_factorization`` on every word ("words") or every Lyndon word
     ("lyndon") of grading <= 8, ("word_count", alphabet, bound) for the
-    number of words of ``words_up_to_grading``, and the cases of
-    ``character_cases``."""
+    number of words of ``words_up_to_grading``, ("tensor", i) for the text
+    and the JSON of the i-th of ``TENSORS`` read by ``TensorPoly.from_json``,
+    and the cases of ``character_cases``."""
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
     cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
@@ -440,6 +457,7 @@ def library_cases() -> list[tuple[str, tuple]]:
     cases += [("words", a, n) for a in ("x1", "x3", "y", "y@2", "y@3") for n in range(-1, 6)]
     cases += [("lyndon_tests", a, which) for a in ("x2", "y") for which in ("words", "lyndon")]
     cases += [("word_count", "x1", n) for n in (2984, 2985)]
+    cases += [("tensor", i) for i in range(len(TENSORS))]
     cases += character_cases()
     cases += numeric_cases()
     return [("library/" + " ".join(map(str, case)), case) for case in cases]
@@ -650,6 +668,12 @@ def _library_text(case: tuple, reps: dict) -> str:
         return "\n".join(map(str, TruncSeries.word_sum(parse_alphabet(args[0]), args[1]).coeffs))
     if kind == "words":
         return "\n".join(map(str, words_up_to_grading(parse_alphabet(args[0]), args[1])))
+    if kind == "tensor":
+        from wordseries.ncpoly import TensorPoly
+
+        alphabet, data = TENSORS[args[0]]
+        t = TensorPoly.from_json(parse_alphabet(alphabet), data)
+        return f"{t}\n{json.dumps(t.to_json(), sort_keys=True)}"
     if kind == "word_count":
         return str(len(words_up_to_grading(parse_alphabet(args[0]), args[1])))
     if kind == "lyndon_tests":
@@ -701,6 +725,78 @@ def _library_text(case: tuple, reps: dict) -> str:
     v = sweedler_membership(obj, max_rank=max_rank)
     witnesses = None if v.witnesses is None else [[a.to_json(), b.to_json()] for a, b in v.witnesses]
     return f"{v.rational} {v.rank} {v.detail}\n{json.dumps(witnesses, sort_keys=True)}"
+
+
+# rationals as a JSON file may spell them, beyond the "p/q" and JSON integers
+# that the generator writes: each is read by Fraction, or refused, and "1/0"
+# and the 5,000-digit numerator (past int()'s digit limit) are refused
+RATIONAL_SPELLINGS = ("+1", " 3/4", "6/8", "-0", "1/0", "1/-2", "1.5", "1e3", "\u0661", "1" + "0" * 4999,
+                      3, -2, 0, 1.5, 2.0, True, False, None)
+# tensors as a JSON file holds them, read by ``TensorPoly.from_json`` in the
+# library section: the empty word on the left, on the right and on both sides
+TENSORS = (("x2", [{"left": "ε", "right": "ε", "coeff": "1/2"}, {"left": "", "right": "x0", "coeff": -3},
+                   {"left": "x1 x0", "right": "ε", "coeff": "4/6"}, {"left": "x0", "right": "x1", "coeff": "1"}]),
+           ("y", [{"left": "ε", "right": "y10", "coeff": "1"}, {"left": "y2", "right": "eps", "coeff": "-5/3"}]))
+
+
+def io_calls(files: dict) -> list[list[str]]:
+    """The fixed list of calls on the spellings of JSON input that the
+    benchmark never writes (``RATIONAL_SPELLINGS`` as a representation entry,
+    a polynomial coefficient and a gamma entry), on representation files whose
+    "mu" keys are y10 (with and without a weight bound), y2@1 on y@2 and on
+    y, "x0 x1", a letter twice (x0 and " x0", y1 and y1@0) and a letter
+    beyond x2, on gamma files of JSON integers and of unreduced values, on
+    coproducts whose JSON holds the empty word on both sides, on file operands
+    without --alphabet, and on shuffles of 800 letters in all, of 801 and of
+    991; ``files`` as in ``fixed_calls``."""
+    calls = []
+    for i, value in enumerate(RATIONAL_SPELLINGS):
+        files[f"io_rep{i}.json"] = _rep("x2", [value, "1/2"], {"x0": [[1, value], [0, "1/3"]], "x1": [[0, 1], [1, 0]]},
+                                        ["1", value])
+        files[f"io_poly{i}.json"] = [{"word": "x0", "coeff": value}, {"word": "x1 x0", "coeff": "-1/3"}]
+        # constant on every pair of weight <= 6: associative to the weight validated
+        files[f"io_gamma{i}.json"] = {f"{a},{b}": value for a in range(1, 4) for b in range(a, 7 - a)}
+        calls.append(["rat", "sum", "--rep", f"{{dir}}/io_rep{i}.json", "--rep", "{dir}/x2a.json"])
+        calls.append(["rat", "coeff", "--word", "x0", "--format", "text", "--rep", f"{{dir}}/io_rep{i}.json"])
+        for fmt in ("json", "text"):
+            calls.append(["mul", "--law", "conc", "--alphabet", "x2", "--format", fmt,
+                          f"@{{dir}}/io_poly{i}.json", "x1"])
+        calls.append(["mul", "--law", "phi", "--gamma", f"{{dir}}/io_gamma{i}.json", "--format", "text", "y1 y1", "y2"])
+    m = [[1, "1/2"], [0, -1]]
+    keyed = {
+        "y10": _rep("y", [1, 0], {"y1": m, **{f"y{k}": [[k, 0], ["1/3", 1]] for k in range(2, 11)}}, [0, 1], 10),
+        "y10_only": _rep("y", [1, 0], {"y10": m, "y1": [[0, 1], [1, 0]]}, [0, 1]),
+        "y2at1": _rep("y@2", [1, 0], {"y2@1": m}, [0, 1], 2),
+        "y2at1_plain": _rep("y", [1, 0], {"y2@1": m}, [0, 1]),
+        "x0x1": _rep("x2", [1, 0], {"x0 x1": m}, [0, 1]),
+        "x0twice": _rep("x2", [1, 0], {"x0": m, " x0": m}, [0, 1]),
+        "y1twice": _rep("y", [1, 0], {"y1": m, "y1@0": m}, [0, 1]),
+        "x5": _rep("x2", [1, 0], {"x0": m, "x5": m}, [0, 1]),
+    }
+    for name, data in keyed.items():
+        files[f"io_{name}.json"] = data
+        calls.append(["rat", "sum", "--rep", f"{{dir}}/io_{name}.json", "--rep", f"{{dir}}/io_{name}.json"])
+        calls.append(["rat", "decompose", "--rep", f"{{dir}}/io_{name}.json"])
+    files["io_gamma_int.json"] = {f"{i},{j}": 2 * math.comb(i + j, i) for i in range(1, 6) for j in range(i, 7 - i)}
+    files["io_gamma_unreduced.json"] = {f"{i},{j}": f"{3 * math.comb(i + j, i)}/6" for i in range(1, 6)
+                                        for j in range(i, 7 - i)}
+    for gamma in ("io_gamma_int.json", "io_gamma_unreduced.json"):
+        for fmt in ("json", "text"):
+            calls.append(["mul", "--law", "phi", "--gamma", "{dir}/" + gamma, "--format", fmt, "y2 y1", "y1 y3"])
+            calls.append(["coprod", "--law", "phi", "--gamma", "{dir}/" + gamma, "--format", fmt, "y3 y1"])
+        calls.append(["rat", "phistar", "--gamma", "{dir}/" + gamma, "--rep", "{dir}/ya.json",
+                      "--rep", "{dir}/yb.json"])
+    for fmt in ("json", "text"):
+        calls += [["coprod", "--law", "conc", "--alphabet", "x2", "--format", fmt, ""],
+                  ["coprod", "--law", "shuffle", "--alphabet", "x2", "--format", fmt, "x0 x1"],
+                  ["coprod", "--law", "phi", "--alphabet", "y", "--format", fmt, "ε"],
+                  ["pi1", "--alphabet", "y", "--format", fmt, "y10 y2"]]
+    # file operands need --alphabet; shuffles stop at 800 letters in all
+    calls += [["mul", "--law", "shuffle", "@{dir}/x2poly.json", "x0"],
+              ["mul", "--law", "shuffle", "x0", "@{dir}/x2poly.json"],
+              ["pi1", "@{dir}/x2poly.json"], ["coprod", "--law", "conc", "@{dir}/ypoly.json"]]
+    calls += [["mul", "--law", "shuffle", "--alphabet", "x1", " ".join(["x0"] * n), "x0"] for n in (799, 800, 990)]
+    return calls
 
 
 def front_calls() -> list[list[str]]:
@@ -762,6 +858,7 @@ def invocations(tmp: str) -> list[tuple[str, list[str]]]:
             out += _placed(tmp, f"{workload}-{seed}", files, [(job["id"], job["argv"]) for job in jobs])
     files: dict = {}
     calls = fixed_calls(files) + rep_calls(files) + edge_calls(files) + check_calls(files) + front_calls()
+    calls += io_calls(files)
     out += _placed(tmp, "fixed", files, [(f"f{i:03d}", argv) for i, argv in enumerate(calls)])
     return out
 

@@ -67,7 +67,7 @@ def _value_text(v: ComplexVal, fmt: str, label: str = "value") -> str:
 
 
 def _poly_text(p: NCPoly | TensorPoly, fmt: str) -> str:
-    return (json.dumps(p.to_json(), sort_keys=True) if fmt == "json" else str(p)) + "\n"
+    return (p._json_text() if fmt == "json" else str(p)) + "\n"
 
 
 def _load_gamma(args) -> PhiTable:
@@ -81,6 +81,8 @@ def _load_gamma(args) -> PhiTable:
 def _infer_alphabet(texts: list[str], override: str | None) -> Alphabet:
     if override:
         return parse_alphabet(override)
+    if any(t.startswith("@") for t in texts):
+        raise ValueError("file operands (@file.json) need --alphabet")
     tokens = " ".join(t for t in texts if t not in ("", "ε")).split()
     if not tokens:
         raise ValueError("cannot infer an alphabet from empty words; pass --alphabet")
@@ -211,12 +213,12 @@ def cmd_rat(args) -> tuple[int, str]:
         if args.format == "json":
             text = json.dumps({"word": str(w), "coeff": text})
     elif args.op == "decompose":
-        text = json.dumps([{"G": g.to_json(), "D": d.to_json()} for g, d in delta_conc_decompose(reps[0])],
-                          sort_keys=True)
+        pairs = delta_conc_decompose(reps[0])
+        text = "[" + ", ".join(f'{{"D": {d._json_text()}, "G": {g._json_text()}}}' for g, d in pairs) + "]"
     else:
         op = {"sum": rat_sum, "conc": rat_conc, "shuffle": rat_shuffle, "star": rat_star, "minimize": minimize,
               "phistar": lambda r1, r2: rat_phi_shuffle(r1, r2, _load_gamma(args))}[args.op]
-        text = json.dumps(op(*reps).to_json(), sort_keys=True)
+        text = op(*reps)._json_text()
     return 0, text + "\n"
 
 

@@ -20,7 +20,7 @@ representation is stored as its integer form only: nu' = d nu, every
 M(x) = d mu(x) by rows and by columns, and eta' = d eta, with d the least
 common denominator of their entries, so that nu mu(w) eta =
 nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts letters).  JSON
-entries are read as integer pairs and written with one gcd each; closures,
+entries cross as integers, through ``ncpoly``'s one reader and one writer; closures,
 shifts and splittings put their operands over one denominator, which
 ``LinRep._of`` reduces; minimization carries reachable vectors as integers
 over one denominator and transposes by swapping nu' with eta' and rows with
@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, islice, repeat
 from operator import add, mul, sub
 from typing import Iterator, Sequence
 
@@ -67,7 +67,8 @@ from .ncpoly import (
     _add_term,
     _json_checked,
     _json_fields,
-    _json_ratios,
+    _json_ratio,
+    _ratio_text,
     _letter_rule,
     _product,
     _reduced,
@@ -319,7 +320,7 @@ class LinRep:
         d, alphabet = self._d, self.alphabet
 
         def texts(v: Sequence[int]) -> list[str]:
-            return [f"{x // g}/{d // g}" for x, g in zip(v, map(math.gcd, v, repeat(d)))]
+            return list(map(_ratio_text, v, repeat(d)))
 
         return {
             "rank": self.rank,
@@ -333,6 +334,19 @@ class LinRep:
             "eta": texts(self._eta),
         }
 
+    def _json_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True)``, written directly: all of it is ASCII,
+        and sorting the "mu" items sorts their names, as '"' sorts before any of their letters."""
+        d, name, weight = self._d, self.alphabet.letter_name, self.max_letter_weight
+
+        def texts(v: Sequence[int]) -> str:
+            return '["' + '", "'.join(map(_ratio_text, v, repeat(d))) + '"]' if v else "[]"
+
+        mu = ", ".join(sorted(f'"{name(x)}": [' + ", ".join(map(texts, m)) + "]" for x, m in self._rows.items()))
+        return (f'{{"alphabet": "{alphabet_text(self.alphabet)}", "eta": {texts(self._eta)}, "max_letter_weight": '
+                f'{"null" if weight is None else weight}, "mu": {{{mu}}}, '
+                f'"nu": {texts(self._nu)}, "rank": {self.rank}}}')
+
     @classmethod
     def from_json(cls, data: dict) -> "LinRep":
         """The representation of a JSON object; its rationals are strings
@@ -343,13 +357,17 @@ class LinRep:
         text, nu, mu, eta = _json_fields(data, kinds, "representation")
         alphabet = parse_alphabet(text)
 
-        def vector(value, field: str) -> tuple[list[int], list[int]]:
-            return _json_ratios(_json_checked(value, list, field), field)
+        def vector(value, field: str) -> tuple:  # (numerators, denominators)
+            return tuple(zip(*(_json_ratio(x, field) for x in _json_checked(value, list, field)))) or ((), ())
 
+        # to_json writes the names of the len(mu) lightest letters: look them up, parse other keys
+        colors = range(alphabet.color_order or 1)
+        lightest = range(alphabet.size) if alphabet.is_x else ((k, c) for k in count(1) for c in colors)
+        letter_of = {alphabet.letter_name(x): x for x in islice(lightest, len(mu))}
         matrices = {}
         for name, rows in mu.items():
             field = f"representation 'mu' {name!r}"
-            letters = alphabet.parse_word(name).letters
+            letters = (letter_of[name],) if name in letter_of else alphabet.parse_word(name).letters
             if len(letters) != 1:
                 raise ValueError(f"{field} is not one letter")
             if letters[0] in matrices:

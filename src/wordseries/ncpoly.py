@@ -31,6 +31,8 @@ kernel results are stored as they come out.  ``Word``s and ``Fraction``s
 are built only at the boundary: the constructors take ``Word``-keyed maps,
 ``coeff`` takes words, ``terms`` and ``coeffs`` build fresh ``Word``-keyed
 dicts, and every printer names letter tuples through ``Alphabet.name``.
+Forms cross the JSON boundary as integers, read by the one reader of
+rationals, ``_json_ratio``, and written by the one writer, ``_ratio_text``.
 
 All identities here are exact.  The one place floating point enters is the
 character tests given a ``tol > 0`` (``_values_match``): there coefficients,
@@ -44,7 +46,6 @@ import functools
 import itertools
 import math
 import operator
-import re
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -100,36 +101,27 @@ def _json_fields(data, kinds: dict, what: str) -> list:
     return [_json_checked(data[key], kind, f"{what} {key!r}") for key, kind in kinds.items()]
 
 
-def _json_fraction(value, field: str) -> Fraction:
-    """A rational given as a JSON string or integer; booleans and floats are refused."""
-    if type(value) in (str, int):
-        try:
-            return parse_fraction(value)
+def _json_ratio(value, field: str) -> tuple[int, int]:
+    """The one reader of rationals in JSON input, as (numerator, denominator
+    > 0): ints, and "p" or "p/q" of ASCII digits after at most one "-", are
+    split into integers; ``Fraction`` reads any other string."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        p, _, q = (value if "/" in value else value + "/1").partition("/")
+        try:  # int() and Fraction raise ValueError past the digit limit of int(str)
+            if value.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and (den := int(q)):
+                return int(p), den
+            return parse_fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{field} is not a rational number: {value!r}")
 
 
-_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
-
-
-def _json_ratios(values: list, field: str) -> tuple[list[int], list[int]]:
-    """A list of ``_json_fraction``s as their numerators and denominators
-    (> 0, not reduced): "p/q" and integer strings are split without a
-    ``Fraction``."""
-    nums, dens = [], []
-    for value in values:
-        match = type(value) is str and _RATIO(value)
-        try:
-            num, den = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
-        except ValueError:  # past the digit limit of int(str)
-            den = 0
-        if not den:
-            q = _json_fraction(value, field)
-            num, den = q.numerator, q.denominator
-        nums.append(num)
-        dens.append(den)
-    return nums, dens
+def _ratio_text(c: int, den: int) -> str:
+    """The one writer of rationals: c/den (den > 0) as "p/q" in lowest terms."""
+    g = math.gcd(c, den)
+    return f"{c // g}/{den // g}"
 
 
 def _add_term(d: dict, key, coeff) -> None:
@@ -199,8 +191,8 @@ class _Form:
     """A finitely supported map from keys of letter tuples to the rationals,
     stored as integer numerators over one denominator den > 0, with gcd 1
     and no numerator 0, so that equal maps have equal forms.  A subclass
-    names the ``_fields`` of a key, one word or two, splits a key into them
-    (``_parts``) and joins them (``_key``), and prints its terms."""
+    names the ``_fields`` of a key, one word or two, splits and joins keys
+    (``_parts``, ``_key``), orders them (``_order``) and prints a term."""
 
     __slots__ = ("alphabet", "_num", "_den")
 
@@ -267,9 +259,9 @@ class _Form:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def _sorted(self, key: Callable) -> list[tuple]:
-        """The (key, numerator) pairs in the order of ``key`` on the parts of a key."""
-        return sorted(self._num.items(), key=lambda kc: tuple(map(key, self._parts(kc[0]))))
+    def _sorted(self, key: Callable) -> list:
+        """The keys in the order of ``key`` on their parts (``_order``)."""
+        return sorted(self._num, key=self._order(key))
 
     def __repr__(self) -> str:
         return str(self)
@@ -277,21 +269,30 @@ class _Form:
     # -- JSON form ---------------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        name, den = self.alphabet.name, self._den
+        name, num, den = self.alphabet.name, self._num, self._den
         return [
-            {**dict(zip(self._fields, map(name, self._parts(k)))), "coeff": format_fraction(Fraction(c, den))}
-            for k, c in self._sorted(self.alphabet.sort_key)
+            {**dict(zip(self._fields, map(name, self._parts(k)))), "coeff": _ratio_text(num[k], den)}
+            for k in self._sorted(self.alphabet.sort_key)
         ]
+
+    def _json_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True)``, written directly: "coeff"
+        sorts first, and all of it is ASCII but the empty word's "ε"."""
+        name, num, den = self.alphabet.name, self._num, self._den
+        items = (self._json_item % (_ratio_text(num[k], den), *map(name, self._parts(k)))
+                 for k in self._sorted(self.alphabet.sort_key))
+        return "[" + ", ".join(items).replace("ε", "\\u03b5") + "]"
 
     @classmethod
     def from_json(cls, alphabet: Alphabet, data: list):
-        num: dict = {}
+        terms = []  # (numerator, {key: 1}, denominator) of each term, for _combination
         for n, item in enumerate(_json_checked(data, list, cls._what)):
             what = f"{cls._what} term {n}"
             *texts, coeff = _json_fields(item, {**dict.fromkeys(cls._fields, str), "coeff": object}, what)
             key = cls._key([alphabet.parse_word(text).letters for text in texts])
-            _add_term(num, key, _json_fraction(coeff, f"{what} 'coeff'"))
-        return cls._of(alphabet, num)
+            num, den = _json_ratio(coeff, f"{what} 'coeff'")
+            terms.append((num, {key: 1}, den))
+        return cls._of(alphabet, *_combination(terms))
 
 
 class NCPoly(_Form):
@@ -300,8 +301,10 @@ class NCPoly(_Form):
 
     __slots__ = ()
     _what, _fields = "polynomial", ("word",)
+    _json_item = '{"coeff": "%s", "word": "%s"}'
     _parts = staticmethod(lambda key: (key,))
     _key = staticmethod(operator.itemgetter(0))
+    _order = staticmethod(lambda key: key)
 
     # -- constructors --------------------------------------------------
 
@@ -335,16 +338,16 @@ class NCPoly(_Form):
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        name, den = self.alphabet.name, self._den
+        name, num, den = self.alphabet.name, self._num, self._den
         parts = []
-        for w, c in self._sorted(self.alphabet.display_key):
-            word = name(w)
+        for w in self._sorted(self.alphabet.display_key):
+            c, word = num[w], name(w)
             if c == den:
                 parts.append(word)
             elif c == -den:
                 parts.append(f"-({word})" if parts else f"-{word}")
-            else:
-                parts.append(f"{Fraction(c, den)} {word}")
+            else:  # "p/1" prints as "p", as str(Fraction) prints it
+                parts.append(f"{_ratio_text(c, den).removesuffix('/1')} {word}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -354,16 +357,18 @@ class TensorPoly(_Form):
 
     __slots__ = ()
     _what, _fields = "tensor", ("left", "right")
+    _json_item = '{"coeff": "%s", "left": "%s", "right": "%s"}'
     _parts = _key = staticmethod(tuple)
+    _order = staticmethod(lambda key: lambda uv: (key(uv[0]), key(uv[1])))
 
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        name, den = self.alphabet.name, self._den
+        name, num, den = self.alphabet.name, self._num, self._den
         bits = []
-        for (u, v), c in self._sorted(self.alphabet.sort_key):
-            body = f"{name(u)}⊗{name(v)}"
-            bits.append(body if c == den else f"{Fraction(c, den)} {body}")
+        for u, v in self._sorted(self.alphabet.sort_key):
+            body, c = f"{name(u)}⊗{name(v)}", num[u, v]
+            bits.append(body if c == den else f"{_ratio_text(c, den).removesuffix('/1')} {body}")
         return " + ".join(bits)
 
 
@@ -388,7 +393,7 @@ class PhiTable:
             key = (min(i, j), max(i, j))
             if key[0] < 1:
                 raise ValueError(f"gamma entry at ({i}, {j}): letter weights start at 1")
-            g = Fraction(g)
+            g = g if type(g) is Fraction else Fraction(g)
             if key in table and table[key] != g:
                 raise ValueError(f"asymmetric gamma at {key}")
             table[key] = g
@@ -416,19 +421,21 @@ class PhiTable:
                 i, j = map(int, key.split(","))
             except ValueError:
                 raise ValueError(f"gamma key {key!r} is not of the form 'i,j'") from None
-            entries[(i, j)] = _json_fraction(val, f"gamma entry {key!r}")
+            entries[(i, j)] = Fraction(*_json_ratio(val, f"gamma entry {key!r}"))
         return cls(entries)
 
     def gamma(self, i: int, j: int) -> Fraction:
         return self.entries.get((min(i, j), max(i, j)), self.default)
 
     def _validate(self, bound: int) -> None:
-        """The letter identity gamma(i,j) gamma(i+j,k) = gamma(j,k) gamma(i,j+k)
-        on every letter triple of total weight <= bound."""
-        g = self.gamma
+        """The letter identity gamma(i,j) gamma(i+j,k) = gamma(j,k) gamma(i,j+k) on
+        every letter triple of total weight <= bound, cross-multiplied on integers."""
+        ratio = {(i, j): self.gamma(i, j).as_integer_ratio() for i in range(1, bound) for j in range(1, bound + 1 - i)}
         for i, j, k in itertools.product(range(1, bound), repeat=3):
-            if i + j + k <= bound and g(i, j) * g(i + j, k) != g(j, k) * g(i, j + k):
-                raise ValueError(f"gamma table is not associative at (y{i}, y{j}, y{k})")
+            if i + j + k <= bound:
+                (a, p), (b, q), (c, r), (d, s) = ratio[i, j], ratio[i + j, k], ratio[j, k], ratio[i, j + k]
+                if a * b * r * s != c * d * p * q:
+                    raise ValueError(f"gamma table is not associative at (y{i}, y{j}, y{k})")
 
 
 # -- products ----------------------------------------------------------------
@@ -538,6 +545,9 @@ def _shuffle_law(alphabet: Alphabet, phi: PhiTable | None = None) -> Callable:
 
 def _bilinear(p: NCPoly, q: NCPoly, word_mul: Callable | None = None) -> NCPoly:
     p._same_alphabet(q)
+    n = max(map(len, p._num), default=0) + max(map(len, q._num), default=0)
+    if word_mul and n > 800:  # the word recursion takes a frame per letter, of Python's 1000
+        raise ValueError(f"a shuffle of words of {n} letters in all: the limit is 800")
     return NCPoly._of(p.alphabet, _product(p._num, q._num, word_mul), p._den * q._den)
 
 

@@ -18,7 +18,8 @@ duality system of its grade, pi1 and the four dual-basis families on
 triples, truncated polynomial products term by term, grouplike and
 primitive series on a coproduct table built word by word, the linear
 structure, products, coproducts, series products, printers and JSON of the
-polynomial classes on ``Word``-keyed ``Fraction`` dicts,
+polynomial classes on ``Word``-keyed ``Fraction`` dicts, the rationals of JSON
+input read as one ``Fraction`` each,
 the Chen series one word at a time and its pairing as a sum over words, the
 ``eval chen`` table printed row by row from words and values, and an ODE
 solver by recentered Taylor series.  ``pi1_of`` and ``phi_pi1`` are no
@@ -1196,6 +1197,17 @@ def tensor_str_by_words(t):
 def series_str_by_words(coeffs, bound):
     body = " + ".join(f"{c} {word_name(w)}" for w, c in sorted(coeffs.items(), key=lambda t: t[0].sort_key()))
     return f"({body or '0'}) + O(grade {bound + 1})"
+
+
+def json_ratio_by_fraction(value, field):
+    """A rational of JSON input as one ``Fraction`` of the string or integer,
+    the package's reader before it split "p/q" into integers."""
+    if type(value) in (str, int):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field} is not a rational number: {value!r}")
 
 
 def poly_json_by_words(p):

@@ -736,6 +736,38 @@ def test_gamma_entry_that_is_a_boolean_or_float_exits_2(capsys, tmp_path, bad):
     assert f"gamma entry '1,2' is not a rational number: {bad!r}" in err
 
 
+# -- file operands and long shuffles ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("mul", "--law", "shuffle", "@{}", "x0"), ("mul", "--law", "shuffle", "x0", "@{}"), ("pi1", "@{}"),
+     ("coprod", "--law", "conc", "@{}")],
+)
+def test_file_operands_need_an_alphabet(capsys, tmp_path, argv):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps([{"word": "x0 x1", "coeff": "1"}]))
+    verb, *rest = (a.format(path) for a in argv)
+    code, out, err = run(capsys, verb, *rest)
+    assert (code, out, err) == (2, "", "error: file operands (@file.json) need --alphabet\n")
+    code, out, _ = run(capsys, verb, "--alphabet", "x2", *rest)
+    assert code == 0 and "x0 x1" in out
+
+
+def test_shuffles_stop_at_800_letters_in_all(capsys):
+    # the word recursion takes a frame per letter: 800 letters leave room below
+    # Python's 1000 frames, and a shuffle over the limit is refused before it
+    long = " ".join(["x0"] * 799)
+    code, out, _ = run(capsys, "mul", "--law", "shuffle", "--alphabet", "x1", long, "x0")
+    assert (code, out) == (0, "800 " + long + " x0\n")
+    for left, right, n in ((long + " x0", "x0", 801), ("x0", long + " x0", 801), (long, long, 1598)):
+        code, out, err = run(capsys, "mul", "--law", "shuffle", "--alphabet", "x1", left, right)
+        assert (code, out) == (2, "")
+        assert err == f"error: a shuffle of words of {n} letters in all: the limit is 800\n"
+    code, out, err = run(capsys, "mul", "--law", "stuffle", "y1 " * 400 + "y1", "y1 " * 399 + "y1")
+    assert (code, err) == (2, "error: a shuffle of words of 801 letters in all: the limit is 800\n")
+
+
 # -- representation errors name letters and shapes ---------------------------------------
 
 

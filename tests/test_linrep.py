@@ -6,6 +6,7 @@ Lie diagnostics against a floating-point closure with numpy rank estimates.
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -1032,6 +1033,51 @@ def test_linrep_json_round_trip():
     assert again.max_letter_weight == 3
     for w in words_up_to_grading(Y, 3):
         assert again.coeff(w) == ry.coeff(w)
+
+
+@st.composite
+def written_reps(draw):
+    """Representations whose "mu" keys do not sort as their letters: x12
+    (x10 before x2), y to weight 12 (y10 before y2) and y@3 to weight 4;
+    ranks 0-3, entries with unequal denominators, nu or eta possibly zero."""
+    alphabets = [(Alphabet.x(12), None), (Y, 12), (Alphabet.y(color_order=3), 4), (X2, None)]
+    alphabet, bound = draw(st.sampled_from(alphabets))
+    n = draw(st.integers(0, 3))
+    vector = st.lists(ratios, min_size=n, max_size=n)
+    mu = {letter: [draw(vector) for _ in range(n)] for letter in alphabet.letters(max_weight=bound)}
+    nu, eta = ([F(0)] * n if draw(st.integers(0, 3)) == 3 else draw(vector) for _ in range(2))
+    return LinRep(alphabet, nu, mu, eta, bound)
+
+
+@settings(deadline=None, max_examples=60)
+@given(written_reps())
+def test_the_json_text_of_a_representation_is_json_dumps(r):
+    assert r._json_text() == json.dumps(r.to_json(), sort_keys=True)
+    assert r.to_json() == oracles.linrep_to_json_by_fractions(r)
+    assert_same_rep(LinRep.from_json(json.loads(r._json_text())), r)
+
+
+def test_mu_keys_are_read_by_name_or_parsed():
+    # the canonical names of the len(mu) lightest letters are looked up; any
+    # other key is parsed, with the parser's errors and the duplicate check
+    m = [["1/2"]]
+    def rep(alphabet, mu, **extra):
+        return LinRep.from_json({"alphabet": alphabet, "nu": [1], "mu": mu, "eta": [1], **extra})
+
+    assert rep("x3", {"x2": m}).mu == {0: ((0,),), 1: ((0,),), 2: ((F(1, 2),),)}
+    assert rep("y", {"y10": m, " y1 ": [[3]]}).mu[10, 0] == ((F(1, 2),),)
+    assert rep("y@2", {"y2@1": m}, max_letter_weight=2).mu[2, 1] == ((F(1, 2),),)
+    for alphabet, mu, message in (
+        ("x2", {"x0 x1": m}, "representation 'mu' 'x0 x1' is not one letter"),
+        ("x2", {"": m}, "representation 'mu' '' is not one letter"),
+        ("x2", {"x0": m, "x00": m}, "representation 'mu' 'x00' names x0, as another 'mu' key does"),
+        ("y", {"y2@1": m}, "plain y alphabet has no colors: (2, 1)"),
+        ("y@2", {"y1@0": m, "y1": m}, "representation 'mu' 'y1' names y1@0, as another 'mu' key does"),
+        ("x2", {"x0": m, "x1": m, "y1": m}, "expected an x letter, got 'y1'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            rep(alphabet, mu)
+        assert str(info.value) == message
 
 
 # -- the integer form against the Fraction paths -------------------------------------

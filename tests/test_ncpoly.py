@@ -6,6 +6,7 @@ tuples, and dualities are checked coefficient by coefficient.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from oracles import (
     add_by_words,
     binomial_gamma,
     coproduct_by_words,
+    json_ratio_by_fraction,
     non_associative_word_triple,
     pi1_by_fractions,
     poly_json_by_words,
@@ -691,6 +693,76 @@ def test_polynomial_classes_match_the_word_fraction_oracles(data):
     assert P.max_grade() == max((w.grading for w in p), default=0)
     for w in FORM_WORDS[alphabet][:6]:
         assert P.coeff(w) == p.get(w, 0)
+
+
+# -- the one reader and the one writer of rationals --------------------------------
+
+# pieces of rationals as a JSON string may spell them: signs, ASCII and other
+# digits, decimals, exponents, padding, and numbers past int()'s digit limit
+_NUMS = st.text("0123456789", min_size=1, max_size=8) | st.sampled_from(
+    ["", "0", "007", "1.5", ".5", "1e3", "1_000", "\u0661", "\uff13", "\u00b2", "9" * 4301, "0" * 4300 + "1"])
+_DENS = st.text("0123456789", min_size=1, max_size=4) | st.sampled_from(
+    ["", "0", "00", "-2", "+3", "2.5", "\u0663", "7" * 4301])
+RATIONAL_SPELLINGS = st.builds(
+    lambda pad, sign, num, slash, den, end: pad + sign + num + slash + den + end,
+    st.sampled_from(["", "", " ", "\t"]), st.sampled_from(["", "", "-", "+", "--", "-+"]), _NUMS,
+    st.sampled_from(["", "/", "/", "//"]), _DENS, st.sampled_from(["", "", " ", "\n", "x"]),
+)
+JSON_SCALARS = st.one_of(RATIONAL_SPELLINGS, st.text(max_size=8), st.integers(), st.integers(-10**80, 10**80),
+                         st.floats(allow_nan=True), st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
+
+
+@settings(deadline=None, max_examples=600)
+@given(JSON_SCALARS)
+def test_the_rational_reader_gives_fraction_values_or_its_error(value):
+    try:
+        want = json_ratio_by_fraction(value, "entry 'x'")
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            ncpoly._json_ratio(value, "entry 'x'")
+        assert str(info.value) == str(exc)
+        return
+    num, den = ncpoly._json_ratio(value, "entry 'x'")
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) == want
+
+
+X12 = Alphabet.x(12)
+
+
+@st.composite
+def printed_forms(draw):
+    """An NCPoly or a TensorPoly of up to five terms over x2, x12, y or y@3,
+    with letters up to x11 and y12: the empty word, the zero form, negative
+    coefficients and coefficients over unequal denominators among them."""
+    alphabet = draw(st.sampled_from([X2, X12, Y, Alphabet.y(color_order=3)]))
+    letters = alphabet.letters() if alphabet.is_x else alphabet.letters(max_weight=12)
+    words = st.lists(st.sampled_from(letters), max_size=3).map(lambda t: Word(alphabet, tuple(t)))
+    coeffs = st.fractions(-9, 9, max_denominator=6)
+    if draw(st.booleans()):
+        return NCPoly(alphabet, draw(st.dictionaries(words, coeffs, max_size=5)))
+    return TensorPoly(alphabet, draw(st.dictionaries(st.tuples(words, words), coeffs, max_size=5)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(printed_forms())
+def test_the_rational_writer_matches_json_dumps_and_the_fraction_text(form):
+    assert form._json_text() == json.dumps(form.to_json(), sort_keys=True)
+    if isinstance(form, NCPoly):
+        assert str(form) == poly_str_by_words(form.terms) and form.to_json() == poly_json_by_words(form.terms)
+        assert NCPoly.from_json(form.alphabet, form.to_json()) == form
+    else:
+        assert str(form) == tensor_str_by_words(form.terms) and form.to_json() == tensor_json_by_words(form.terms)
+        assert TensorPoly.from_json(form.alphabet, form.to_json()) == form
+
+
+def test_forms_read_unreduced_and_repeated_terms_over_one_denominator():
+    data = [{"word": "x0", "coeff": "6/8"}, {"word": "", "coeff": 2}, {"word": "x0", "coeff": "-1/4"},
+            {"word": "x1", "coeff": "+1/6"}, {"word": "x1", "coeff": " -1/6"}]
+    p = NCPoly.from_json(X2, data)
+    assert p == NCPoly(X2, {xw(""): 2, xw("x0"): Fraction(1, 2)}) and (p._num, p._den) == ({(): 4, (0,): 1}, 2)
+    assert p._json_text() == '[{"coeff": "2/1", "word": "\\u03b5"}, {"coeff": "1/2", "word": "x0"}]'
+    assert NCPoly.from_json(X2, [])._json_text() == "[]" and str(NCPoly.from_json(X2, [])) == "0"
 
 
 @settings(deadline=None, max_examples=60)
