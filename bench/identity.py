@@ -38,12 +38,16 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   only or the first grade) in csv and json, and on a nilpotent one at N 4
   (whose top grades pair to zero), ``eval li`` and ``zeta`` on x1
   and x2 words under ``--sigma "0;2;3"`` (two points, no color order),
-  ``eval li`` at cutoff ``--nmax 0``, ``demo hypergeometric``, and
-  requests that exit 2 (a bad word, a missing file, a malformed
+  ``eval li`` at cutoff ``--nmax 0``, colored ``eval h``, ``zeta`` and
+  ``li`` at cutoff 10000, ``eval li`` at a negative z (``--z=-0.4``),
+  ``eval li`` and ``h`` under the complex point ``--sigma "0;0.6+0.8j"``,
+  ``demo hypergeometric``, and requests that exit 2 (a bad word, a missing file, a malformed
   representation, ``rat star`` on a non-proper series, ``check mxstar``
   and ``check triangular`` on y representations whose weight bound w is
   below N, at N = w+1 to w+3, ``eval zeta`` at ``--nterms`` 0 and -3,
-  ``eval li`` at ``--nmax -2`` and ``eval h`` at ``--n`` 0 and -1);
+  ``eval li`` at ``--nmax -2``, ``eval h`` at ``--n`` 0 and -1, and
+  ``eval h``, ``zeta`` and ``li`` under ``--sigma "0;0.5"``, where rho = 2
+  and the sums overflow double precision);
 * a fixed list of ``check duality`` and ``check diagonal`` calls
   (``check_calls``) on x2, x3, y, y@2 and y@3 at N 1-6 (at most), y also
   with both binomial gamma files and with a gamma file that is associative
@@ -389,6 +393,18 @@ def edge_calls(files: dict) -> list[list[str]]:
         ["eval", "zeta", "--word", "y2", "--nterms", "-3"],
         ["eval", "h", "--word", "y2 y1", "--n", "0"],
         ["eval", "h", "--word", "y2 y1", "--n", "-1"],
+    ] + [
+        # colored power tables at twice the benchmark's largest cutoff, a negative z, a complex point
+        ["eval", "h", "--word", "y2@1 y1@0 y1@2", "--n", "10000", "--roots-of-unity", "3"],
+        ["eval", "zeta", "--word", "y1@1 y2@0", "--nterms", "10000", "--roots-of-unity", "2"],
+        ["eval", "li", "--word", "x1 x0 x2", "--z", "0.7", "--nmax", "10000", "--roots-of-unity", "4"],
+        ["eval", "li", "--word", "x0 x1 x1", "--z=-0.4"],
+        ["eval", "li", "--word", "x1 x0 x1", "--z", "0.45", "--nmax", "3000", "--sigma", "0;0.6+0.8j"],
+        ["eval", "h", "--word", "y2 y1", "--n", "5000", "--sigma", "0;0.6+0.8j"],
+        # rho = 2: the sums overflow double precision, and zeta diverges
+        ["eval", "h", "--word", "y1", "--n", "2000", "--sigma", "0;0.5"],
+        ["eval", "zeta", "--word", "y2", "--nterms", "3000", "--sigma", "0;0.5"],
+        ["eval", "li", "--word", "x1 x1", "--z", "0.4", "--nmax", "2000", "--sigma", "0;0.5"],
     ] + [
         # a set with two nonzero points and no color order: x2 has no y letter
         ["eval", what, "--word", word, "--sigma", "0;2;3", *extra]

@@ -9,7 +9,11 @@ Evaluation strategy: nested sums are computed by the suffix recursion
 H_(y v)(n) = sum_k rho^k k^-s H_v(k-1), vectorized over the cutoff (numpy):
 in float64 when every rho is exactly 1, otherwise in complex with one power
 table per colour; or exactly in rational / cyclotomic-rational arithmetic
-for small cutoffs.
+for small cutoffs.  A power table b^1..b^n (``_powers``) is numpy's own
+complex power, bit for bit: repeated squarings below exponent 100 and
+exp(k log b) from 100 on, as glibc's cpow computes it.  The kernels ignore
+floating-point overflow; a value or error that is not finite is refused by
+the public function, and a polyzeta whose leading |rho| exceeds 1 at entry.
 A numeric request is checked once, by the public function it enters; the
 nested sums below (``_blocks``, ``_harmonic_arrays``, ``_nested_sum``) run
 on letter tuples and check nothing again.
@@ -361,13 +365,35 @@ def _y_request(word: Word, n: int, sigma: SingularitySet | None, cutoff: str = "
         raise ValueError("colored letters need a singularity set")
 
 
+def _powers(base: complex, count: int) -> np.ndarray:
+    """base^1..base^count, bit for bit ``np.power(base, np.arange(1, count + 1))``.
+
+    numpy raises a complex base to an integer exponent below 100 by repeated
+    squaring and from 100 up by libm's cpow, which glibc computes as
+    cexp(k clog(base)); the exponents from 100 take that exp(k log(base)) as
+    one vector exp, in place in the output.
+    """
+    if count < 100 or base == 0:  # log 0 is -inf, and numpy's 0^k is +0
+        return np.power(base, np.arange(1, count + 1))
+    out = np.empty(count, dtype=complex)
+    out[:99] = np.power(base, np.arange(1, 100))
+    tail = out[99:]
+    tail[:] = np.arange(100, count + 1)
+    tail *= np.log(np.complex128(base))
+    np.exp(tail, out=tail)
+    return out
+
+
+@np.errstate(all="ignore")
 def _harmonic_arrays(letters: tuple, n: int, sigma: SingularitySet | None) -> np.ndarray:
     """H values of every suffix of the letter tuple: row r is H_(last r letters)(0..n).
 
     The rows are float64 when every letter's rho is exactly 1 (classical
     letters, or sigma None): each step then adds 1/k^s with no power of rho.
     Otherwise they are complex, rho^1..rho^n is computed once per colour
-    of the word, and a letter whose rho is exactly 1 again takes 1/k^s.
+    of the word (``_powers``: squarings below exponent 100, exp(k log rho)
+    from 100, numpy's cpow), and a letter whose rho is exactly 1 again
+    takes 1/k^s.
     The choice reads the value of rho, never the colour: colour 0 of
     ``roots_of_unity(m)`` has rho = 1 - 2.4e-16i and takes the complex path.
     Either way every value equals, bit for bit, the complex recursion with
@@ -387,19 +413,27 @@ def _harmonic_arrays(letters: tuple, n: int, sigma: SingularitySet | None) -> np
             term = 1 / k**s
         else:
             if c not in powers:
-                powers[c] = np.power(rho, np.arange(1, n + 1))
+                powers[c] = _powers(rho, n)
             term = powers[c] / k**s
         np.cumsum(term * rows[r - 1, :-1], out=rows[r, 1:])
     return rows
 
 
+def _finite(val: ComplexVal, cutoff: str, n: int) -> ComplexVal:
+    """val, refused when its value or error overflowed double precision."""
+    if not (cmath.isfinite(val.value) and math.isfinite(val.err)):
+        raise ValueError(f"overflow: the nested sum is not finite in double precision at {cutoff} = {n}")
+    return val
+
+
 def harmonic_sum(word: Word, n: int, sigma: SingularitySet | None = None) -> ComplexVal:
-    """Extended harmonic sum H_w(n) by the suffix recursion (floating point)."""
+    """Extended harmonic sum H_w(n) by the suffix recursion (floating point);
+    a sum that overflows double precision is refused."""
     _y_request(word, n, sigma)
     rows = _harmonic_arrays(word.letters, n, sigma)
     peak = float(np.abs(rows).max())
     err = 4 * _EPS * n * len(word.letters) * max(1.0, peak)
-    return ComplexVal(complex(rows[-1][n]), err)
+    return _finite(ComplexVal(complex(rows[-1][n]), err), "n", n)
 
 
 def harmonic_sum_exact(word: Word, n: int, sigma: SingularitySet | None = None):
@@ -457,6 +491,7 @@ def _regularize(w: tuple, cache: dict) -> dict[tuple[tuple, int], Fraction]:
     return out
 
 
+@np.errstate(all="ignore")
 def _nested_sum(u: tuple, z: complex, sigma: SingularitySet, nmax: int) -> ComplexVal:
     """Li_u(z) for the x letter tuple u in the pi_Y domain (or empty),
     |z| < min |s_i|."""
@@ -466,8 +501,7 @@ def _nested_sum(u: tuple, z: complex, sigma: SingularitySet, nmax: int) -> Compl
     (s1, c1), suffix = blocks[0], blocks[1:]
     hvals = _harmonic_arrays(suffix, nmax, sigma)[-1] if suffix else np.ones(nmax + 1, dtype=complex)
     rho = sigma.rho_of_color(c1)
-    n = np.arange(1, nmax + 1)
-    terms = np.power(rho * complex(z), n) / n.astype(float) ** s1 * hvals[:-1]
+    terms = _powers(rho * complex(z), nmax) / np.arange(1, nmax + 1, dtype=float) ** s1 * hvals[:-1]
     value = terms.sum()
     peak = float(np.abs(hvals).max())
     r = abs(z) * max(abs(complex(sigma.rho(i))) for i in range(1, sigma.m + 1))
@@ -483,7 +517,8 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
     nonzero z); everything else needs |z| < min(1, min_i |s_i|) strictly and
     is evaluated by nested sums after shuffle regularization of trailing x0
     letters.  The error field carries the geometric tail bound, in
-    |z| max_i |rho_i|, plus rounding.  A cutoff nmax < 0 is refused.
+    |z| max_i |rho_i|, plus rounding.  A cutoff nmax < 0 is refused, and
+    so is a value whose nested sums overflow double precision.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
@@ -517,7 +552,7 @@ def polylog(w: Word, z, sigma: SingularitySet | None = None, nmax: int = 2000) -
         base = _nested_sum(u, z, sigma, nmax)
         factor = logz**j / math.factorial(j)
         total = total + base * complex(factor) * float(c)
-    return total
+    return _finite(total, "nmax", nmax)
 
 
 @dataclass(frozen=True)
@@ -540,7 +575,7 @@ def generating_relation_check(
     yw = pi_Y(w, sigma)
     _y_request(yw, depth, sigma, "depth")
     hvals = _harmonic_arrays(yw.letters, depth, sigma)[-1]
-    powers = np.power(z, np.arange(depth + 1))
+    powers = np.concatenate(([1 + 0j], _powers(z, depth)))
     rhs = complex((hvals * powers).sum())
     peak = float(np.abs(hvals).max())
     zabs = abs(z)
@@ -552,7 +587,9 @@ def polyzeta(w: Word, nterms: int = 10_000, sigma: SingularitySet | None = None)
     """Extended polyzeta: the n -> infinity limit of H_(pi_Y w)(n), estimated
     at a finite cutoff nterms >= 1 with a first-order tail bound.
 
-    Admissibility requires the leading (weight, reciprocal) pair != (1, 1).
+    Admissibility requires the leading (weight, reciprocal) pair != (1, 1),
+    and convergence |rho_1| <= 1 for the leading letter's reciprocal; a sum
+    that overflows double precision is refused.
     """
     if nterms < 1:
         raise ValueError(f"nterms must be >= 1, got {nterms}")
@@ -564,6 +601,8 @@ def polyzeta(w: Word, nterms: int = 10_000, sigma: SingularitySet | None = None)
         return ComplexVal(1.0)
     s1, c1 = yw.letters[0]
     rho1 = sigma.rho_of_color(c1)
+    if abs(rho1) > 1 + 1e-12:
+        raise ValueError(f"divergent request: the leading letter's |rho| = {abs(rho1):.15g} exceeds 1")
     if s1 == 1 and abs(rho1 - 1) < 1e-12:
         raise ValueError("non-admissible word: leading pair (1, 1) diverges")
     rows = _harmonic_arrays(yw.letters, nterms, sigma)
@@ -575,7 +614,7 @@ def polyzeta(w: Word, nterms: int = 10_000, sigma: SingularitySet | None = None)
     else:
         tail = last_term * nterms / abs(1 - rho1)
     rounding = 4 * _EPS * nterms * len(yw.letters) * max(1.0, float(np.abs(hvals).max()))
-    return ComplexVal(complex(hvals[nterms]), tail + rounding)
+    return _finite(ComplexVal(complex(hvals[nterms]), tail + rounding), "nterms", nterms)
 
 
 # -- Chen series by shared-grid quadrature ------------------------------------------

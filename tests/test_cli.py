@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,23 @@ def test_eval_cutoff_out_of_range_exits_2(capsys, argv, name, value):
     code, out, err = run(capsys, "eval", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {name} must be >= {0 if name == 'nmax' else 1}, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["h", "--word", "y1", "--n", "2000"], "overflow: the nested sum is not finite in double precision at n = 2000"),
+        (["zeta", "--word", "y2", "--nterms", "3000"], "divergent request: the leading letter's |rho| = 2 exceeds 1"),
+        (["li", "--word", "x1 x1", "--z", "0.4", "--nmax", "2000"],
+         "overflow: the nested sum is not finite in double precision at nmax = 2000"),
+    ],
+)
+def test_eval_of_a_sum_that_overflows_exits_2_without_a_warning(capsys, argv, message):
+    # rho = 2: rho^k overflows double precision past k = 1023
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise and exit 1
+        code, out, err = run(capsys, "eval", *argv, "--sigma", "0;0.5")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_eval_h_refuses_a_negative_cutoff_and_takes_zero(capsys):

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordseries import hyperlog
 from wordseries.hyperlog import (
@@ -22,6 +24,7 @@ from wordseries.hyperlog import (
     SingularitySet,
     _chen_names,
     _harmonic_arrays,
+    _powers,
     chen_series,
     colored_alphabets,
     generating_relation_check,
@@ -153,8 +156,31 @@ HARMONIC_CASES = [
     (SingularitySet.from_values([0, 2]), ("y1", "y2 y1 y1"), False),
 ]
 HARMONIC_IDS = ["none", "classical", "y@2", "y@3", "y@4", "{0,1+0j}", "{0,2}"]
-# numpy's complex power switches from repeated squaring to libm cpow at 100
-HARMONIC_CUTOFFS = [0, 1, 99, 100, 101, 2000]
+# numpy's complex power switches from repeated squaring to libm cpow at 100;
+# 5000 is the benchmark's cutoff
+HARMONIC_CUTOFFS = [0, 1, 99, 100, 101, 2000, 5000]
+
+# rho z for the m-th roots of unity, m <= 8, and z on both sides of 0
+_ROOT_POINTS = [SingularitySet.roots_of_unity(m).rho_of_color(c) * z
+                for m in range(1, 9) for c in range(m) for z in (0.3, -0.45, 0.9)]
+_POWER_BASES = st.one_of(
+    st.builds(cmath.rect, st.floats(0, 1.2), st.floats(-math.pi, math.pi)),  # every quadrant, |b| to 1.2
+    st.builds(complex, st.floats(-1.2, 1.2), st.sampled_from([0.0, -0.0])),  # real, imaginary +-0
+    st.builds(complex, st.sampled_from([0.0, -0.0]), st.floats(-1.2, 1.2)),
+    st.sampled_from(_ROOT_POINTS),
+    st.sampled_from([0j, complex(-0.0, -0.0)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POWER_BASES, st.sampled_from([0, 1, 2, 3, 98, 99, 100, 101, 5000]))
+def test_powers_equal_numpys_power_byte_for_byte(base, count):
+    # past |b| = 1 the table overflows to inf, and both sides must agree there too
+    with np.errstate(all="ignore"):
+        want = np.power(base, np.arange(1, count + 1))
+        got = _powers(base, count)
+    assert got.dtype == want.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()
 
 
 def _y_words(sigma, texts):
@@ -367,6 +393,24 @@ def test_polyzeta_rejects_divergent():
         polyzeta(xw("x1"))
     with pytest.raises(ValueError, match="admissible"):
         polyzeta(yw("y1 y2"))
+
+
+def test_polyzeta_refuses_a_leading_reciprocal_outside_the_unit_disk():
+    sigma = SingularitySet.from_values([0, 0.5])  # rho = 2
+    with pytest.raises(ValueError, match=r"divergent request: the leading letter's \|rho\| = 2 exceeds 1"):
+        polyzeta(sigma.y_alphabet().parse_word("y2"), 10, sigma)
+    # on the unit circle the sum converges, also where |rho| rounds above 1
+    assert polyzeta(SingularitySet.roots_of_unity(9).y_alphabet().parse_word("y2@1"), 100,
+                    SingularitySet.roots_of_unity(9)).err < 1
+
+
+def test_harmonic_sum_refuses_an_overflow_by_its_cutoff():
+    sigma = SingularitySet.from_values([0, 0.5])
+    w = sigma.y_alphabet().parse_word("y1")
+    assert math.isfinite(harmonic_sum(w, 1000, sigma).real)
+    with np.errstate(all="raise"):  # the kernel ignores its own overflow
+        with pytest.raises(ValueError, match="not finite in double precision at n = 1100"):
+            harmonic_sum(w, 1100, sigma)
 
 
 @pytest.mark.parametrize("nterms", [0, -3])
