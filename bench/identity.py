@@ -27,7 +27,9 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   y@2, entries spelled as JSON integers or unreduced, the empty word, and
   ``rat coeff`` words with a letter beyond the weight bound; ``check
   mxstar`` also on x2 and x3 at N 5 and 6, and on y with weight bound 7
-  under the gamma file {"3,4": "2"} at N 6 and 7, where it FAILs;
+  under the gamma file {"3,4": "2"} at N 6 and 7, where it FAILs; ``check
+  triangular`` also on a rank-4 chain whose order is min(N, 3), with nu at
+  its first and at its last index, at N 0-4;
 * a fixed list of calls on output paths that the benchmark does not take
   (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
   ``eval li`` on words ending in x0 (the shuffle regularization),
@@ -79,8 +81,9 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   (matrices and values as p/q entries, shifts as JSON; one y polynomial
   has two terms with letters beyond the weight bound, so the letter that
   is named is pinned), ``triangular_decompose`` on x2, x3 and y
-  representations (the verdict, the detail and the rebuilt series as p/q
-  entries; a y bound above the weight bound pins its refusal),
+  representations and on the two rank-4 chains at N 0-4 (the verdict, the
+  detail and the rebuilt series as p/q entries; a y bound above the weight
+  bound pins its refusal),
   ``lie_diagnostics`` (its basis as p/q entries and its dimension lists)
   and ``sweedler_membership`` of some of them and of windows of their
   series, changed and unchanged, with and without ``max_rank`` (verdict,
@@ -237,6 +240,10 @@ def _rep(alphabet: str, nu: list, mu: dict, eta: list, weight=None) -> dict:
     return data
 
 
+CHAIN_MU = {"x0": [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, -1, 1], [0, 0, 0, "1/2"]],
+            "x1": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]]}
+
+
 def representations() -> dict:
     """The representation files of ``rep_calls`` and of the library section,
     by name, as JSON objects."""
@@ -256,6 +263,10 @@ def representations() -> dict:
                         [1, 1, 1, 1]),
         "x2up": _rep("x2", [1, h, t], {"x0": [[h, 1, 0], [0, t, 2], [0, 0, 1]],
                                        "x1": [[1, 0, h], [0, 0, 1], [0, 0, "2/3"]]}, [1, 0, 1]),
+        # a rank-4 chain: x0's strict part walks 0 -> 1 -> 2 -> 3, so the
+        # triangular order is min(N, 3), also when nu is e_3
+        "x2chain": _rep("x2", [1, 0, 0, 0], CHAIN_MU, [1, 1, 1, 1]),
+        "x2chain3": _rep("x2", [0, 0, 0, 1], CHAIN_MU, [1, 1, 1, 1]),
         "x3a": _rep("x3", [1, t], {"x0": [[0, 1], [h, 0]], "x2": [[t, 0], [1, 1]]}, [h, 1]),
         "x3up": _rep("x3", [1, 1], {"x0": [[h, 1], [0, 0]], "x1": [[0, 0], [0, t]], "x2": [[1, 1], [0, 1]]}, [1, h]),
         "ya": _rep("y", [1, h], {"y1": [[h, 1], [0, t]], "y3": [[0, 1], [1, 0]]}, [1, 1], 3),
@@ -302,6 +313,9 @@ def rep_calls(files: dict) -> list[list[str]]:
         calls.append(["check", "mxstar", "--N", str(n)] + gamma + rep(name))
     for name, n in (("x2up", 5), ("x3up", 3), ("x2zero", 3), ("x2a", 3)):
         calls.append(["check", "triangular", "--N", str(n)] + rep(name))
+    for name in ("x2chain", "x2chain3"):
+        for n in range(5):
+            calls.append(["check", "triangular", "--N", str(n)] + rep(name))
     for name in ("x2a", "x2b", "x2big", "x2zero", "x2nu0", "x2up"):
         for fmt in ("csv", "json", "text"):
             calls.append(["eval", "output", "--N", "5", "--z0", "0.1", "--z", "0.45", "--format", fmt] + rep(name))
@@ -459,8 +473,9 @@ def library_cases() -> list[tuple[str, tuple]]:
     cases += [(op, name, i) for name, data in reps.items() for op in ("mu", "left", "right")
               for i in range(len(POLYS[data["alphabet"]]))]
     # yproper's weight bound is 2, so its bound 3 pins the refusal
-    cases += [("triangular", name, n) for name, ns in (("x2up", (0, 3, 5)), ("x3up", (2, 4)), ("yproper", (2, 3)))
-              for n in ns]
+    triangular = (("x2up", (0, 3, 5)), ("x3up", (2, 4)), ("yproper", (2, 3)),
+                  ("x2chain", range(5)), ("x2chain3", range(5)))
+    cases += [("triangular", name, n) for name, ns in triangular for n in ns]
     cases += [("lie", name) for name in reps]
     cases += [("rep", name) for name in ("x2a", "x2zero", "x2big", "ya", "y2b")]
     for name, data in reps.items():

@@ -564,7 +564,8 @@ class RelationReport:
 def generating_relation_check(
     w: Word, z: float, depth: int, sigma: SingularitySet | None = None, nmax: int = 2000
 ) -> RelationReport:
-    """|Li_w(z)/(1-z) - sum_{n <= depth} H_(pi_Y w)(n) z^n| with a tail bound."""
+    """|Li_w(z)/(1-z) - sum_{n <= depth} H_(pi_Y w)(n) z^n| with a tail bound;
+    a residual that overflows double precision is refused."""
     if sigma is None:
         sigma = SingularitySet.classical()
     z = complex(z)
@@ -580,7 +581,9 @@ def generating_relation_check(
     peak = float(np.abs(hvals).max())
     zabs = abs(z)
     tail = max(1.0, peak) * zabs ** (depth + 1) / (1 - zabs) + li.err / abs(1 - z)
-    return RelationReport(abs(lhs - rhs), tail)
+    diff = lhs - rhs
+    _finite(ComplexVal(diff, tail), "depth", depth)
+    return RelationReport(abs(diff), tail)
 
 
 def polyzeta(w: Word, nterms: int = 10_000, sigma: SingularitySet | None = None) -> ComplexVal:

@@ -40,8 +40,9 @@ the Lyndon basis polynomials through ``_mu_of_poly``, builds in the walk's
 order the term L'_w (x) mu(R'_w) of the decreasing Lyndon product of
 exp(L_l (x) mu(R_l)) for each word w from those of the two parts that
 ``DualBases._split`` cuts it into, and compares M(w) with those terms
-collected by word, one integer matrix per word.  ``check triangular``
-compares its readout with ``_eval_integers``; both answer with
+collected by word, one integer matrix per word.  ``check triangular`` walks
+nu' through a lift whose blocks count strict steps (M* = (D* N)* D*) and
+compares it with ``_eval_integers``; both checks answer with
 ``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
 are built only at the boundary: one per value returned, and in the read-only
 views ``nu``, ``mu`` and ``eta``.  Words are letter tuples throughout, as
@@ -64,7 +65,6 @@ from .ncpoly import (
     PhiTable,
     TruncSeries,
     _SHUFFLE,
-    _add_term,
     _json_checked,
     _json_fields,
     _json_ratio,
@@ -745,18 +745,6 @@ def lie_diagnostics(r: LinRep) -> LieDiagnostics:
 # -- factorizations of the series -------------------------------------------------
 
 
-def _matpoly_mul(a: list, b: list, bound: int, grading) -> list:
-    """Product of two square matrices whose entries are letter tuple ->
-    coefficient maps, truncated at ``bound`` for the ``grading`` of tuples."""
-    n = len(a)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                _product(a[i][k], b[k][j], None, bound, out[i][j], grading)
-    return out
-
-
 def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = None) -> FactorizationReport:
     """Check M(X*) = decreasing Lyndon product of exp(mu(P_l) S_l) at a truncation.
 
@@ -820,80 +808,62 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, FactorizationReport]:
     """Split M(X) into diagonal + strictly upper parts and rebuild the series.
 
-    Requires every mu(x) upper triangular.  The diagonal star is an entrywise
-    truncated geometric series; the strictly upper remainder makes
-    D(X*) N(X) nilpotent of order at most the rank, and the series is
-    reconstructed as nu (sum of its powers) D(X*) eta, then compared against
-    direct evaluation.
+    Requires every mu(x) upper triangular.  By Conway's star identity
+    M(X)* = (D(X)* N(X))* D(X)*, the series is rebuilt from the parts of
+    M(w) whose index paths take k strict steps (see ``_triangular_check``)
+    and compared against direct evaluation.
     """
     readout, report = _triangular_check(r, bound)
     rebuilt = {w: Fraction(c, r._d ** (len(w) + 2)) for w, c in readout.items()}
     return TruncSeries._of(r.alphabet, bound, rebuilt), report
 
 
+def _lift(r: LinRep, blocks: int) -> tuple[LinRep, list[tuple[int, int]]]:
+    """The lift of ``r`` over ``blocks`` blocks (see ``_triangular_check``) and
+    its states (k, i), index i of block k; over 1, so ``LinRep._of`` keeps it."""
+    states = [(k, i) for k in range(blocks) for i in range(k, r.rank)]
+    rows = {
+        letter: tuple(
+            tuple(m[i][j] if (l, j) == (k, i) or (l == k + 1 and j > i) else 0 for l, j in states)
+            for k, i in states
+        )
+        for letter, m in r._rows.items()
+    }
+    nu = (*r._nu, *[0] * (len(states) - r.rank))
+    return LinRep._of(r.alphabet, 1, nu, rows, tuple(r._eta[i] for _, i in states), r.max_letter_weight), states
+
+
 def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]:
     """The integer core of ``triangular_decompose``: the rebuilt series as
-    letter tuple -> integer over d^(|w|+2), and the report.  Polynomials are
-    letter tuple -> integer maps, built from the integer letter matrices
-    d mu(x): the coefficient of w is the integer over d^|w|.  D(X*) is kept
-    as its diagonal, n series, and T = D(X*) N(X) as n x n entries
-    T_ij = D(X*)_ii N_ij(X).  The powers of T give the nilpotency order, and
-    the row nu' sum_k T^k is gathered as they come, so the readout is
-    sum_j (nu' sum_k T^k)_j D(X*)_jj eta'_j.
+    letter tuple -> integer over d^(|w|+2), and the report.
+
+    The lift holds D(x) on each diagonal block and N(x) from block k to
+    k + 1, nu' in block 0 and eta' in every block; block k of e_i Lambda(w)
+    is row i of M_k(w), the part of M(w) = d^|w| mu(w) whose index paths
+    take k strict steps, so block k needs only the indices k..n-1.  As
+    (D* N)^k D* = sum_w M_k(w) w and D* has constant term 1, the order is the
+    highest block nonzero in the span of the e_i Lambda(w) of grading <=
+    bound: a ``RowSpace`` built grade by grade, the rows new at g being the
+    images under x of those new at g - wt(x).  The readout walks nu' through
+    the lift of order + 1 blocks and is compared with ``_eval_integers``.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     n = r.rank
     for letter, m in r._rows.items():
-        for i in range(n):
-            for j in range(i):
-                if m[i][j] != 0:
-                    raise ValueError(
-                        f"mu({r.alphabet.letter_name(letter)}) is not upper triangular"
-                    )
+        if any(m[i][j] for i in range(n) for j in range(i)):
+            raise ValueError(f"mu({r.alphabet.letter_name(letter)}) is not upper triangular")
     series = r._eval_integers(bound)  # refuses a bound over the word budget before any work
-    alphabet = r.alphabet
-    weight = alphabet.weight
-    diag = [{} for _ in range(n)]
-    strict = [[{} for _ in range(n)] for _ in range(n)]
-    for letter in sorted(r._rows, key=alphabet.letter_key):
-        m = r._rows[letter]
-        lw = (letter,)
-        for i in range(n):
-            if m[i][i]:
-                diag[i][lw] = m[i][i]
-            for j in range(i + 1, n):
-                if m[i][j]:
-                    strict[i][j][lw] = m[i][j]
-
-    # D(X*): the diagonal of the entrywise stars, each a truncated geometric series
-    d_star = []
-    for i in range(n):
-        acc = total = {(): 1}
-        for _ in range(bound):
-            acc = _product(acc, diag[i], bound=bound, grading=weight)
-            if not acc:
-                break
-            total = {**total, **acc}  # acc holds the words of one length only
-        d_star.append(total)
-
-    # T = D(X*) N(X) by rows; the row nu' sum_k T^k gathers as the powers come
-    t = [[_product(d_star[i], strict[i][j], None, bound, grading=weight) for j in range(n)] for i in range(n)]
-    geom = [{(): x} if x else {} for x in r._nu]
-    power, order = t, 0
-    while any(entry for row in power for entry in row):
-        order += 1
-        for x, prow in zip(r._nu, power):
-            if x:
-                for g, p in zip(geom, prow):
-                    for w, c in p.items():
-                        _add_term(g, w, x * c)
-        power = _matpoly_mul(power, t, bound, weight)
-
-    readout: dict = {}  # sum_j (nu' sum_k T^k)_j D(X*)_jj eta'_j, over d^(|w|+2) as the series
-    for g, star, e in zip(geom, d_star, r._eta):
-        if e:
-            _product({w: c * e for w, c in g.items()}, star, None, bound, readout, weight)
+    lift, states = _lift(r, n)
+    steps = [(x, r.alphabet.letter_weight(x)) for x in r.alphabet.letters(max_weight=bound)]
+    space = RowSpace(len(states))
+    fresh = [[e for e in _identity(len(states))[:n] if space.add(e)]]  # the rows new at each grading
+    for g in range(1, bound + 1):
+        images = (v for x, wt in steps if wt <= g for v in lift._walk(fresh[g - wt], (x,)))
+        fresh.append([v for v in images if space.add(v)])
+    order = max((k for row in space._rows for (k, _), x in zip(states, row) if x), default=0)
+    lift, _ = _lift(r, order + 1)
+    readout = {w: c for w, (row,) in lift._walk_all((lift._nu,), bound) if (c := sum(map(mul, row, lift._eta)))}
     ok = readout == series
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return readout, FactorizationReport(ok, detail)

@@ -120,7 +120,7 @@ class Alphabet:
 
     def lex_key(self, letters: tuple) -> tuple:
         """The lexicographic key of the word with these letters."""
-        return letters if self.kind == "x" else tuple(map(self.letter_key, letters))
+        return letters if self.kind == "x" else tuple((-k, c) for k, c in letters)  # letter_key of each letter
 
     def letter_key(self, letter):
         """Sort key realizing the stored total order on letters."""

@@ -930,7 +930,10 @@ def mxstar_by_fractions(r, bound, phi=None, mu_of_poly=mu_of_poly_by_fractions):
 
 def triangular_by_fractions(r, bound):
     """The diagonal / strictly upper split of M(X) with Fraction matrices of
-    polynomials: (rebuilt series, report)."""
+    polynomials: (rebuilt series, report).  An independent reference for
+    ``triangular_decompose``: D(X*) as entrywise truncated geometric series,
+    T = D(X*) N(X) and its matrix powers, multiplied out, where the library
+    reads the order and the readout off a lifted representation."""
     alphabet, n = r.alphabet, r.rank
     one = alphabet.empty_word()
     diag = [{} for _ in range(n)]

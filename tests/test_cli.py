@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from wordseries import cli
 from wordseries.cli import main
 from wordseries.hopf import DualBases
-from wordseries.linrep import LinRep
+from wordseries.linrep import LinRep, triangular_decompose
 from wordseries.ncpoly import NCPoly, _combination
 from wordseries.words import Alphabet
 
@@ -174,6 +174,30 @@ def test_check_verbs(capsys, tmp_path):
     assert code == 0 and "PASS" in out
     code, out, _ = run(capsys, "check", "triangular", "--rep", str(path), "--N", "3")
     assert code == 0 and "PASS" in out
+
+
+# a rank-4 chain: the strict part of x0 walks 0 -> 1 -> 2 -> 3, so a word of
+# k letters takes at most k strict steps and the truncated order is min(N, 3)
+CHAIN_MU = {
+    0: [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, -1, 1], [0, 0, 0, Fraction(1, 2)]],
+    1: [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("nu", [(1, 0, 0, 0), (0, 0, 0, 1)], ids=["nu-at-0", "nu-at-3"])
+def test_check_triangular_prints_the_order_truncated_at_N(capsys, tmp_path, nu):
+    # with nu' = e_3 the walk of nu' takes no strict step, yet the order
+    # counts the strict steps of every row, so it is still min(N, 3)
+    rep = LinRep(Alphabet.x(2), nu, CHAIN_MU, (1, 1, 1, 1))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(rep.to_json()))
+    for n in range(5):
+        order = min(n, 3)
+        code, out, _ = run(capsys, "check", "triangular", "--rep", str(path), "--N", str(n))
+        assert (code, out) == (0, f"triangular decomposition: PASS nilpotency order {order} (rank 4)\n")
+        rebuilt, report = triangular_decompose(rep, n)
+        assert (report.equal, report.detail) == (True, f"nilpotency order {order} (rank 4)")
+        assert rebuilt == rep.eval_truncated(n)
 
 
 @pytest.mark.parametrize(

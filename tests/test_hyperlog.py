@@ -413,6 +413,15 @@ def test_harmonic_sum_refuses_an_overflow_by_its_cutoff():
             harmonic_sum(w, 1100, sigma)
 
 
+def test_generating_relation_refuses_an_overflow_by_its_depth():
+    # rho = 2: the H table of x1 overflows past depth 1023, where the residual was nan
+    sigma = SingularitySet.from_values([0, 0.5])
+    w = sigma.x_alphabet().parse_word("x1")
+    assert generating_relation_check(w, 0.1, 1000, sigma).residual < 1e-12
+    with pytest.raises(ValueError, match="overflow: .* not finite in double precision at depth = 2000"):
+        generating_relation_check(w, 0.1, 2000, sigma)
+
+
 @pytest.mark.parametrize("nterms", [0, -3])
 def test_polyzeta_refuses_a_cutoff_below_one(nterms):
     # the tail bound divides by nterms^s1, and a negative cutoff has no sums

@@ -917,9 +917,9 @@ def test_triangular_detects_a_changed_series(monkeypatch):
 
 
 def test_triangular_check_of_a_dense_representation_is_fast():
-    # both letters with a full upper triangle, so D(X*) and T hold thousands
-    # of terms: each truncated product filters its right factor once per
-    # grading room, not once per term of its left factor
+    # both letters with a full upper triangle, so every word of the 8,191 up
+    # to N 12 has a nonzero coefficient: the order comes from a row space of
+    # at most n^2 lifted rows, and the readout is one walk of the lift
     r = LinRep(X2, (1, F(1, 2)), {0: [[F(1, 2), 1], [0, F(-1, 3)]], 1: [[1, F(1, 2)], [0, 2]]}, (1, 1))
     start = time.perf_counter()
     _, report = linrep._triangular_check(r, 12)

@@ -246,6 +246,13 @@ def test_slices_and_products_equal_the_validated_word(pair, start, stop, step):
         assert derived.sort_key() == validated.sort_key()
 
 
+@given(WORD_PAIRS)
+def test_lex_key_is_the_tuple_of_letter_keys(pair):
+    alphabet, u, v = pair
+    for letters in (u.letters, v.letters, (u * v).letters):
+        assert alphabet.lex_key(letters) == tuple(map(alphabet.letter_key, letters))
+
+
 def test_standard_factorization_properties():
     for l in lyndon_words(X2, 7):
         if len(l) < 2:
