@@ -42,7 +42,7 @@ exp(L_l (x) mu(R_l)) for each word w from those of the two parts that
 ``DualBases._split`` cuts it into, and compares M(w) with those terms
 collected by word, one integer matrix per word.  ``check triangular`` walks
 nu' through a lift whose blocks count strict steps (M* = (D* N)* D*) and
-compares it with ``_eval_integers``; both checks answer with
+compares that readout with ``_eval_integers``; both checks answer with
 ``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
 are built only at the boundary: one per value returned, and in the read-only
 views ``nu``, ``mu`` and ``eta``.  Words are letter tuples throughout, as
@@ -819,8 +819,7 @@ def triangular_decompose(r: LinRep, bound: int) -> tuple[TruncSeries, Factorizat
 
 
 def _lift(r: LinRep, blocks: int) -> tuple[LinRep, list[tuple[int, int]]]:
-    """The lift of ``r`` over ``blocks`` blocks (see ``_triangular_check``) and
-    its states (k, i), index i of block k; over 1, so ``LinRep._of`` keeps it."""
+    """The lift of ``r`` over ``blocks`` blocks, over 1, and its states (k, i); see ``_triangular_check``."""
     states = [(k, i) for k in range(blocks) for i in range(k, r.rank)]
     rows = {
         letter: tuple(
@@ -837,8 +836,8 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
     """The integer core of ``triangular_decompose``: the rebuilt series as
     letter tuple -> integer over d^(|w|+2), and the report.
 
-    The lift holds D(x) on each diagonal block and N(x) from block k to
-    k + 1, nu' in block 0 and eta' in every block; block k of e_i Lambda(w)
+    The lift (``_lift``) holds D(x) on each diagonal block and N(x) from block
+    k to k + 1, nu' in block 0 and eta' in every block; block k of e_i Lambda(w)
     is row i of M_k(w), the part of M(w) = d^|w| mu(w) whose index paths
     take k strict steps, so block k needs only the indices k..n-1.  As
     (D* N)^k D* = sum_w M_k(w) w and D* has constant term 1, the order is the
