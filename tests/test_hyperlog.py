@@ -414,7 +414,7 @@ def test_harmonic_sum_refuses_an_overflow_by_its_cutoff():
 
 
 def test_generating_relation_refuses_an_overflow_by_its_depth():
-    # rho = 2: the H table of x1 overflows past depth 1023, where the residual was nan
+    # rho = 2: the H table of x1 overflows past depth 1023, so the residual is not finite
     sigma = SingularitySet.from_values([0, 0.5])
     w = sigma.x_alphabet().parse_word("x1")
     assert generating_relation_check(w, 0.1, 1000, sigma).residual < 1e-12
