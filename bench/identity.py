@@ -29,7 +29,8 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   mxstar`` also on x2 and x3 at N 5 and 6, and on y with weight bound 7
   under the gamma file {"3,4": "2"} at N 6 and 7, where it FAILs; ``check
   triangular`` also on a rank-4 chain whose order is min(N, 3), with nu at
-  its first and at its last index, at N 0-4;
+  its first and at its last index, at N 0-4, and on a dense rank-2 x2
+  representation (every coefficient nonzero) at N 9 and 10;
 * a fixed list of calls on output paths that the benchmark does not take
   (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
   ``eval li`` on words ending in x0 (the shuffle regularization),
@@ -267,6 +268,8 @@ def representations() -> dict:
         # triangular order is min(N, 3), also when nu is e_3
         "x2chain": _rep("x2", [1, 0, 0, 0], CHAIN_MU, [1, 1, 1, 1]),
         "x2chain3": _rep("x2", [0, 0, 0, 1], CHAIN_MU, [1, 1, 1, 1]),
+        # both letters with a full upper triangle: every word has a nonzero coefficient
+        "x2dense": _rep("x2", [1, h], {"x0": [[h, 1], [0, t]], "x1": [[1, h], [0, 2]]}, [1, 1]),
         "x3a": _rep("x3", [1, t], {"x0": [[0, 1], [h, 0]], "x2": [[t, 0], [1, 1]]}, [h, 1]),
         "x3up": _rep("x3", [1, 1], {"x0": [[h, 1], [0, 0]], "x1": [[0, 0], [0, t]], "x2": [[1, 1], [0, 1]]}, [1, h]),
         "ya": _rep("y", [1, h], {"y1": [[h, 1], [0, t]], "y3": [[0, 1], [1, 0]]}, [1, 1], 3),
@@ -316,6 +319,8 @@ def rep_calls(files: dict) -> list[list[str]]:
     for name in ("x2chain", "x2chain3"):
         for n in range(5):
             calls.append(["check", "triangular", "--N", str(n)] + rep(name))
+    for n in (9, 10):  # an odd and an even top length: |u| = |v| + 1 and |u| = |v|
+        calls.append(["check", "triangular", "--N", str(n)] + rep("x2dense"))
     for name in ("x2a", "x2b", "x2big", "x2zero", "x2nu0", "x2up"):
         for fmt in ("csv", "json", "text"):
             calls.append(["eval", "output", "--N", "5", "--z0", "0.1", "--z", "0.45", "--format", fmt] + rep(name))
@@ -447,7 +452,8 @@ def library_cases() -> list[tuple[str, tuple]]:
     """(label, case) of the library section: calls of functions that no CLI
     verb reaches, on the representations of ``rep_calls`` and on windows of
     their series, then the cases of ``numeric_cases``.  A case is
-    ("word_matrix", rep, word), ("eval", rep, bound) for ``eval_truncated``,
+    ("word_matrix", rep, word), ("eval", rep, bound) for ``eval_truncated``
+    (at each bound listed for the alphabet),
     (op, rep, i) for op "mu", "left" or "right" (``mu_of_poly``,
     ``left_shift``, ``right_shift``) and the i-th polynomial of ``POLYS`` on
     the representation's alphabet, ("triangular", rep, bound) for
@@ -469,7 +475,7 @@ def library_cases() -> list[tuple[str, tuple]]:
     reps = representations()
     bounds = {"x2": (1, 3, 5), "x3": (2, 4), "y": (3, 6), "y@2": (2, 4)}
     cases = [("word_matrix", name, w) for name, data in reps.items() for w in REP_WORDS[data["alphabet"]]]
-    cases += [("eval", name, n) for name, data in reps.items() for n in bounds[data["alphabet"]][:2]]
+    cases += [("eval", name, n) for name, data in reps.items() for n in bounds[data["alphabet"]]]
     cases += [(op, name, i) for name, data in reps.items() for op in ("mu", "left", "right")
               for i in range(len(POLYS[data["alphabet"]]))]
     # yproper's weight bound is 2, so its bound 3 pins the refusal

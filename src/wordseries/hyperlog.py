@@ -643,20 +643,14 @@ class QuadratureConfig:
 
 @functools.lru_cache(maxsize=4)
 def _gl_reference(g: int):
-    """Nodes, weights, and the node-to-node cumulative integration matrix.
+    """Nodes, weights, and the node-to-node cumulative integration matrix,
+    each Legendre projection and integral taken for all g node samples at once.
 
     Cached for a few node counts; the arrays are read-only.
     """
     x, wts = leggauss(g)
-    proj = np.empty((g, g))  # value samples -> Legendre coefficients
-    for k in range(g):
-        pk = np.zeros(g)
-        pk[k] = 1.0
-        proj[k] = (2 * k + 1) / 2 * wts * legval(x, pk)
-    cum = np.empty((g, g))  # cum[j, i]: integral from -1 to x_j of interpolant e_i
-    for i in range(g):
-        coeffs = legint(proj[:, i], lbnd=-1)
-        cum[:, i] = legval(x, coeffs)
+    proj = ((2 * np.arange(g) + 1) / 2)[:, None] * wts * legval(x, np.eye(g))  # value samples -> Legendre coefficients
+    cum = legval(x, legint(proj, lbnd=-1), tensor=True).T.copy()  # cum[j, i]: integral from -1 to x_j of interpolant e_i
     for arr in (x, wts, cum):
         arr.flags.writeable = False
     return x, wts, cum

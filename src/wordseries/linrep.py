@@ -29,20 +29,21 @@ one integer solver, which also gives ``sweedler_membership`` its
 realization: the window is scaled by one lcm, so the Hankel rows are
 integers, and the representation is built by ``LinRep._of``.
 ``lie_diagnostics`` brackets the integer letter matrices d mu(x).
-Evaluation is one walk on integer rows.  ``LinRep._walk`` multiplies rows by
-M(w) one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks the
+Evaluation walks integer rows.  ``LinRep._walk`` multiplies rows by M(w)
+one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks the
 identity, and ``_mu_of_poly`` sums the walks of its terms from the identity,
-in sorted order.  ``LinRep._walk_all`` yields rows M(w) for every word up to a
-grading inside the word budget, each product built from its prefix's: from nu'
-it gives ``_eval_integers``, the series as numerators over d^(|w|+2), and from
-the identity the M(X*) word sum of ``check mxstar``.  That check applies mu to
-the Lyndon basis polynomials through ``_mu_of_poly``, builds in the walk's
-order the term L'_w (x) mu(R'_w) of the decreasing Lyndon product of
-exp(L_l (x) mu(R_l)) for each word w from those of the two parts that
-``DualBases._split`` cuts it into, and compares M(w) with those terms
-collected by word, one integer matrix per word.  ``check triangular`` walks
-nu' through a lift whose blocks count strict steps (M* = (D* N)* D*) and
-compares that readout with ``_eval_integers``; both checks answer with
+in sorted order.  ``LinRep._eval_integers``, the series up to a grading as
+numerators over d^(|w|+2), meets in the middle: nu' M(uv) eta' is the dot of
+the row nu' M(u) with the column M(v) eta', both tabled by length, so each
+word costs one n-term dot.  ``LinRep._walk_all`` gives M(w) for every word up
+to a grading, each from its prefix's product: the M(X*) word sum of ``check
+mxstar``.  That check reads mu of the Lyndon basis polynomials R_l off those
+M(w) through ``_mu_of_poly``, builds in the walk's order the term L'_w (x)
+mu(R'_w) of the decreasing Lyndon product of exp(L_l (x) mu(R_l)) for each
+word w from those of the two parts that ``DualBases._split`` cuts it into,
+and compares M(w) with those terms collected by word, one integer matrix per
+word.  ``check triangular`` compares the series with a lift whose blocks count
+strict steps (M* = (D* N)* D*); both checks answer with
 ``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
 are built only at the boundary: one per value returned, and in the read-only
 views ``nu``, ``mu`` and ``eta``.  Words are letter tuples throughout, as
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from operator import add, mul, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exactlin import RowSpace, coordinates
 from .hopf import DualBases, FactorizationReport
@@ -241,24 +242,31 @@ class LinRep:
             rows = tuple(_times(row, cols) for row in rows)
         return rows
 
-    def _walk_all(self, rows: tuple, bound: int) -> Iterator[tuple[tuple, tuple]]:
-        """(w, rows M(w)) for every letter tuple w of grading <= bound, by
-        length and then by letter, each product built from its prefix's."""
+    def _letters_to(self, bound: int) -> list[tuple]:
+        """(x, weight, rows, columns) of M(x) for the letters x of weight <= bound, in
+        letter order, once a missing letter is named (lightest first, as grading
+        order meets it) and then a bound over the word budget refused."""
         alphabet = self.alphabet
         letters = alphabet.letters(max_weight=bound)
-        # lightest first, so a missing letter is named as grading order meets it
-        cols = {x: self._of_letter(self._cols, x) for x in sorted(letters, key=alphabet.letter_weight)}
+        for x in sorted(letters, key=alphabet.letter_weight):
+            self._of_letter(self._cols, x)
         _check_word_budget(alphabet, bound)
-        steps = [(x, alphabet.letter_weight(x), cols[x]) for x in letters]
-        frontier = [((), 0, rows)]  # (letters, grading, rows M(w)) of the words of one length
-        while frontier:
-            nxt = []
-            for w, grading, m in frontier:
-                yield w, m
-                for x, weight, c in steps:
-                    if grading + weight <= bound:
-                        nxt.append((w + (x,), grading + weight, tuple(_times(row, c) for row in m)))
-            frontier = nxt
+        return [(x, alphabet.letter_weight(x), self._rows[x], self._cols[x]) for x in letters]
+
+    def _walk_all(self, rows: tuple, bound: int) -> dict:
+        """w -> rows M(w) for every letter tuple w of grading <= bound, by
+        length and then by letter, each product built from its prefix's; a
+        length is held as parallel lists of words, gradings and products."""
+        steps, out = self._letters_to(bound), {}
+        words, gradings, products = [()], [0], [rows]
+        while words:
+            out.update(zip(words, products))
+            fits = [(i, x, g + weight, cols) for i, g in enumerate(gradings) for x, weight, _, cols in steps
+                    if g + weight <= bound]  # (prefix, letter, grading, M(x) by columns) of the next length
+            words = [words[i] + (x,) for i, x, _, _ in fits]
+            gradings = [g for _, _, g, _ in fits]
+            products = [tuple(_times(row, cols) for row in products[i]) for i, _, _, cols in fits]
+        return out
 
     def coeff(self, w: Word) -> Fraction:
         if w.alphabet != self.alphabet:
@@ -276,11 +284,31 @@ class LinRep:
 
     def _eval_integers(self, bound: int) -> dict:
         """The nonzero coefficients of grading <= bound, as letter tuple ->
-        numerator nu' M(w) eta' over d^(|w|+2), read off ``_walk_all`` from nu'."""
+        numerator nu' M(w) eta' over d^(|w|+2), by length and then by letter.
+        A word w = uv, |u| = ceil(|w|/2), costs one n-term dot (nu' M(u)) .
+        (M(v) eta'): the rows are tabled by length from their prefixes', and the
+        columns as M(x) (M(v') eta') with v = x v', so both run in letter order.
+        A letter weighs >= 1, so a left half of length k meets >= k - 1 more
+        letters and a right half >= k: each table keeps the halves that fit."""
         if self.alphabet.is_y and (self.max_letter_weight or 0) < bound:
             raise ValueError("materialized letter weights do not cover the bound")
-        eta = self._eta
-        return {w: c for w, (row,) in self._walk_all((self._nu,), bound) if (c := sum(map(mul, row, eta)))}
+        steps = self._letters_to(bound)
+        lefts, rights = [[((), 0, self._nu)]], [[((), 0, self._eta)]]  # per length: (half, grading, vector)
+        for k in range(1, (bound + 1) // 2 + 1):
+            lefts.append([(u + (x,), g + weight, _times(row, cols)) for u, g, row in lefts[-1]
+                          for x, weight, _, cols in steps if g + weight <= bound - k + 1])
+        for k in range(1, bound // 2 + 1):
+            rights.append([((x,) + v, g + weight, _times(col, rows)) for x, weight, rows, _ in steps
+                           for v, g, col in rights[-1] if g + weight <= bound - k])
+        out = {}
+        for length in range(bound + 1):
+            halves = rights[length // 2]
+            for u, g, row in lefts[(length + 1) // 2]:
+                room = bound - g
+                for v, h, col in halves:
+                    if h <= room and (c := sum(map(mul, row, col))):
+                        out[u + v] = c
+        return out
 
     def eval_truncated(self, bound: int) -> TruncSeries:
         """All coefficients of grading <= bound by prefix-sharing traversal."""
@@ -401,19 +429,19 @@ def _common_bound(r1: LinRep, r2: LinRep) -> int | None:
     return min(r1.max_letter_weight or 0, r2.max_letter_weight or 0)
 
 
-def _mu_of_poly(r: LinRep, p: NCPoly) -> tuple[list[list[int]], int]:
+def _mu_of_poly(r: LinRep, p: NCPoly, walked: dict | None = None) -> tuple[list[list[int]], int]:
     """mu extended linearly to polynomials, as an integer matrix over one
-    denominator: the sum of c d^(k-|w|) M(w) over the terms c w, each M(w)
-    walked from the identity in sorted order (so the first term with a
-    missing letter names it), over the polynomial's denominator times d^k,
-    k the longest term's length."""
+    denominator: the sum of c d^(k-|w|) M(w) over the terms c w, over the
+    polynomial's denominator times d^k, k the longest term's length.  M(w)
+    is read from ``walked`` (w -> M(w)) when given, and else walked from the
+    identity in sorted order, so the first term with a missing letter names it."""
     terms, d = p._num, r._d
     longest = max(map(len, terms), default=0)
     identity = _identity(r.rank)
     out = [[0] * r.rank for _ in range(r.rank)]
     for w in sorted(terms):
         c = terms[w] * d ** (longest - len(w))
-        for acc, row in zip(out, r._walk(identity, w)):
+        for acc, row in zip(out, r._walk(identity, w) if walked is None else walked[w]):
             for j, x in enumerate(row):
                 acc[j] += c * x
     return out, p._den * d ** longest
@@ -754,8 +782,8 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     holds M(w), walked from the identity, and the product, with L/R the
     last pair of ``DualBases``, is sum_w L'_w (x) mu(R'_w), one term per
     word w = l1^k1 ... lr^kr, built in the walk's order from the terms of
-    shorter words: L'_l = L_l and mu(R_l) from ``_mu_of_poly`` on a Lyndon
-    word l (applied in decreasing Lyndon order first), and elsewhere, with
+    shorter words: L'_l = L_l and mu(R_l), summed by ``_mu_of_poly`` from the
+    walked M(w), on a Lyndon word l (in decreasing Lyndon order), and elsewhere, with
     w = u v split before its last power (``DualBases._split``), L'_w =
     L'_u * L'_v / k and mu(R'_w) = mu(R'_u) mu(R'_v).  So L'_w is the literal product, powers
     bracketed ((L_l * L_l) * L_l) / 3! and factors taken left to right in
@@ -773,10 +801,10 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     shuffle = _shuffle_law(alphabet, phi)
 
     # w -> M(w), by length and then by letter; the walk names a missing letter, lightest first, before mu meets one
-    lhs = dict(r._walk_all(_identity(r.rank), bound))
+    lhs = r._walk_all(_identity(r.rank), bound)
     factors = {(): ({(): 1}, 1, lhs[()], 1)}  # w -> L'_w, its denominator, mu(R'_w), its denominator
     for l in sorted(chain.from_iterable(_lyndon_letters(alphabet, bound)), key=alphabet.lex_key, reverse=True):
-        factors[l] = (*left_of(l), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l))))
+        factors[l] = (*left_of(l), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l)), lhs))
     for w in lhs:  # each word after the shorter ones, so after the parts that _split cuts it into
         if w not in factors:
             u, v, k = bases._split(w)
@@ -843,8 +871,8 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
     (D* N)^k D* = sum_w M_k(w) w and D* has constant term 1, the order is the
     highest block nonzero in the span of the e_i Lambda(w) of grading <=
     bound: a ``RowSpace`` built grade by grade, the rows new at g being the
-    images under x of those new at g - wt(x).  The readout walks nu' through
-    the lift of order + 1 blocks and is compared with ``_eval_integers``.
+    images under x of those new at g - wt(x).  The readout is
+    ``_eval_integers`` of the lift of order + 1 blocks, compared with that of r.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -862,7 +890,7 @@ def _triangular_check(r: LinRep, bound: int) -> tuple[dict, FactorizationReport]
         fresh.append([v for v in images if space.add(v)])
     order = max((k for row in space._rows for (k, _), x in zip(states, row) if x), default=0)
     lift, _ = _lift(r, order + 1)
-    readout = {w: c for w, (row,) in lift._walk_all((lift._nu,), bound) if (c := sum(map(mul, row, lift._eta)))}
+    readout = lift._eval_integers(bound)
     ok = readout == series
     detail = f"nilpotency order {order} (rank {n})" if ok else "reconstruction differs"
     return readout, FactorizationReport(ok, detail)

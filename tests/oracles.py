@@ -38,6 +38,7 @@ import operator
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legint, legval
 
 from wordseries import exactlin
 from wordseries.hopf import DualBases
@@ -1312,6 +1313,22 @@ def primitive_by_coproduct(series, law, *, phi=None, bound=None, tol=0):
             if not _values_match(table.get((u, v), Fraction(0)), rhs, tol):
                 return False
     return True
+
+
+def gl_reference_by_loops(g):
+    """Gauss-Legendre nodes, weights and the cumulative integration matrix
+    cum[j, i] (the integral from -1 to x_j of the interpolant of e_i), one
+    Legendre projection and one integral per column."""
+    x, wts = leggauss(g)
+    proj = np.empty((g, g))  # value samples -> Legendre coefficients
+    for k in range(g):
+        pk = np.zeros(g)
+        pk[k] = 1.0
+        proj[k] = (2 * k + 1) / 2 * wts * legval(x, pk)
+    cum = np.empty((g, g))
+    for i in range(g):
+        cum[:, i] = legval(x, legint(proj[:, i], lbnd=-1))
+    return x, wts, cum
 
 
 def _chen_values(forms, z0, z, words, panels, g):

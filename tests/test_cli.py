@@ -379,6 +379,29 @@ def test_missing_rep_is_validation_error(capsys):
     assert "--rep" in err or "needs" in err
 
 
+def test_check_triangular_fails_on_a_lift_without_the_strict_part(capsys, tmp_path, monkeypatch):
+    # negative control: a lift that drops N(x) from block k to block k + 1
+    # rebuilds D(X*) alone, which is not the series of the chain
+    from wordseries import linrep
+
+    real = linrep._lift
+
+    def dropped(r, blocks):
+        lift, states = real(r, blocks)
+        rows = {
+            x: tuple(tuple(c if l == k else 0 for (l, _), c in zip(states, row)) for (k, _), row in zip(states, m))
+            for x, m in lift._rows.items()
+        }
+        return LinRep._of(lift.alphabet, lift._d, lift._nu, rows, lift._eta, lift.max_letter_weight), states
+
+    monkeypatch.setattr(linrep, "_lift", dropped)
+    rep = LinRep(Alphabet.x(2), (1, 0, 0, 0), CHAIN_MU, (1, 1, 1, 1))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(rep.to_json()))
+    code, out, _ = run(capsys, "check", "triangular", "--rep", str(path), "--N", "3")
+    assert (code, out) == (1, "triangular decomposition: FAIL reconstruction differs\n")
+
+
 @pytest.mark.parametrize("what", ["mxstar", "triangular"])
 def test_check_without_rep_exits_2(capsys, what):
     code, out, err = run(capsys, "check", what, "--N", "3")

@@ -611,6 +611,17 @@ def test_chen_series_bit_identical_to_per_word_oracle(sigma, bound, z0, z):
         assert bits(got.coeff(w)) == bits(v)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 5, 8, 12, 16, 20, 33])
+def test_gl_reference_is_bit_identical_to_per_column_loops(g):
+    # the projection and its integral are taken for all columns at once;
+    # every array keeps the bits, and the layout, of one call per column
+    from oracles import gl_reference_by_loops
+
+    for got, want in zip(hyperlog._gl_reference(g), gl_reference_by_loops(g)):
+        assert got.shape == want.shape and got.flags.c_contiguous and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("sigma, bound", [(CLASSIC, 5), (SingularitySet.roots_of_unity(3), 3)])
 def test_chen_series_coefficients_come_in_sort_key_order(sigma, bound):
     # `eval chen` prints series.coeffs in iteration order without sorting

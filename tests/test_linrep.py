@@ -142,6 +142,33 @@ def test_eval_truncated_refuses_a_bound_over_the_word_budget():
     assert str(info.value) == "gradings <= 18 over x2 hold 524287 words, over the budget of 262144 words"
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8).flatmap(lambda weight: rational_reps(weight=weight)), st.integers(0, 8))
+def test_integer_evaluation_meets_the_oracle_in_its_key_order(r, bound):
+    # a word of length L splits as u v with |u| = ceil(L / 2), so bounds to 8
+    # meet |u| = |v| and |u| = |v| + 1, and on y pairs whose gradings overshoot
+    if r.alphabet.is_y:
+        bound = min(bound, r.max_letter_weight)
+    got = r._eval_integers(bound)
+    want = eval_truncated_by_fractions(r, bound)._values
+    assert list(got) == list(want)  # by length, then by letter
+    assert {w: Fraction(c, r._d ** (len(w) + 2)) for w, c in got.items()} == want
+
+
+def test_integer_evaluation_refusals_keep_their_order():
+    # the weight bound first, then a missing letter named lightest first,
+    # then the word budget: each bound below is also over the budget
+    r = LinRep(Y, (1,), {(1, 0): [[1]]}, (1,), 2)
+    with pytest.raises(ValueError, match="^materialized letter weights do not cover the bound$"):
+        r._eval_integers(20)
+    gap = LinRep._of(Y, 1, (1,), {(3, 0): ((1,),), (1, 0): ((1,),)}, (1,), 20)  # no y2, nothing over y3
+    with pytest.raises(ValueError, match="^letter y2 is beyond the materialized weight bound$"):
+        gap._eval_integers(20)
+    full = LinRep(Y, (1,), {(1, 0): [[1]]}, (1,), 19)
+    with pytest.raises(ValueError, match=r"^gradings <= 19 over y hold 524288 words, over the budget of 262144 words$"):
+        full._eval_integers(19)
+
+
 def test_eval_truncated_matches_coeff():
     rng = random.Random(7)
     r = random_linrep(X2, 3, rng)
@@ -752,14 +779,15 @@ def test_mxstar_colored_y():
 
 
 def test_mxstar_detects_a_perturbed_factor(monkeypatch):
-    # negative control: perturb mu(P_l) of the first Lyndon factor only
+    # negative control: perturb mu(P_l) of the first Lyndon factor only, as
+    # read from the matrices M(w) that the check has walked
     from wordseries import linrep
 
     real = linrep._mu_of_poly
     seen = []
 
-    def perturbed(r, p):
-        form = real(r, p)
+    def perturbed(r, p, walked):
+        form = real(r, p, walked)
         if not seen:
             seen.append(p)
             form = _integer_plus_identity(form)
@@ -785,11 +813,12 @@ def _integer_plus_identity(form):
 def _perturb_top_grade(real, bound, plus_identity):
     """``real``, a mu of polynomials, with the identity added (by
     ``plus_identity``) to the matrix of the first factor of grade ``bound``,
-    so that the series first differ at that grade."""
+    so that the series first differ at that grade.  The arguments after the
+    polynomial (the library's walked matrices) pass through."""
     seen = []
 
-    def perturbed(r, p):
-        m = real(r, p)
+    def perturbed(r, p, *walked):
+        m = real(r, p, *walked)
         if not seen and p.max_grade() == bound:
             seen.append(p)
             m = plus_identity(m)
@@ -901,17 +930,19 @@ def test_triangular_decompose_matches_the_fraction_oracle(r, bound):
 
 
 def test_triangular_detects_a_changed_series(monkeypatch):
-    # negative control: the integer evaluation that the readout is compared
-    # with gets the coefficient of x0 changed
+    # negative control: the evaluation of r itself, which the lift's readout
+    # is compared with, gets the coefficient of x0 changed; the lift's own
+    # evaluation (the same method) is left as it is
+    r = LinRep(X2, (1, 1), {0: [[1, 0], [0, 2]], 1: [[F(1, 2), 1], [0, 0]]}, (1, 1))
     real = LinRep._eval_integers
 
     def changed(self, bound):
-        coeffs = dict(real(self, bound))
-        coeffs[(0,)] = coeffs.get((0,), 0) + 1
+        coeffs = real(self, bound)
+        if self is r:
+            coeffs[(0,)] = coeffs.get((0,), 0) + 1
         return coeffs
 
     monkeypatch.setattr(LinRep, "_eval_integers", changed)
-    r = LinRep(X2, (1, 1), {0: [[1, 0], [0, 2]], 1: [[F(1, 2), 1], [0, 0]]}, (1, 1))
     _, report = triangular_decompose(r, 3)
     assert (report.equal, report.detail) == (False, "reconstruction differs")
 
@@ -919,7 +950,8 @@ def test_triangular_detects_a_changed_series(monkeypatch):
 def test_triangular_check_of_a_dense_representation_is_fast():
     # both letters with a full upper triangle, so every word of the 8,191 up
     # to N 12 has a nonzero coefficient: the order comes from a row space of
-    # at most n^2 lifted rows, and the readout is one walk of the lift
+    # at most n^2 lifted rows, and the series and the lift's readout each
+    # take one n-term dot per word, of a tabled row and a tabled column
     r = LinRep(X2, (1, F(1, 2)), {0: [[F(1, 2), 1], [0, F(-1, 3)]], 1: [[1, F(1, 2)], [0, 2]]}, (1, 1))
     start = time.perf_counter()
     _, report = linrep._triangular_check(r, 12)
