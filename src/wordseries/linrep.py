@@ -262,7 +262,7 @@ class LinRep:
         while words:
             out.update(zip(words, products))
             fits = [(i, x, g + weight, cols) for i, g in enumerate(gradings) for x, weight, _, cols in steps
-                    if g + weight <= bound]  # (prefix, letter, grading, M(x) by columns) of the next length
+                    if g + weight <= bound]  # (prefix index, letter, grading, M(x) by columns) of the next length
             words = [words[i] + (x,) for i, x, _, _ in fits]
             gradings = [g for _, _, g, _ in fits]
             products = [tuple(_times(row, cols) for row in products[i]) for i, _, _, cols in fits]
