@@ -75,7 +75,12 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   sides of a tensor; file operands without ``--alphabet`` (``mul`` with the
   file first and second, ``pi1`` and ``coprod``), which exit 2; and
   ``mul --law shuffle`` of x0^799 and x0 (passes), of x0^800 and x0 and of
-  x0^990 and x0 (each refused over the 800-letter limit);
+  x0^990 and x0 (each refused over the 800-letter limit); representation
+  files of canonical "p/q" texts (read in one pass) beside rows that mix
+  spellings, a bad nu entry with an unknown or far "mu" key, a value
+  holding a comma, y files whose weight bound leaves out or is below a
+  letter, rank-0 files (x2, and y with a weight bound) and a rank-4 file
+  through every ``rat`` operation, ``check triangular`` and ``check mxstar``;
 * a library section (``library_cases``) for the functions that no verb
   reaches, on those representations: ``LinRep.word_matrix``,
   ``eval_truncated``, ``mu_of_poly``, ``left_shift`` and ``right_shift``
@@ -785,7 +790,12 @@ def io_calls(files: dict) -> list[list[str]]:
     beyond x2, on gamma files of JSON integers and of unreduced values, on
     coproducts whose JSON holds the empty word on both sides, on file operands
     without --alphabet, and on shuffles of 800 letters in all, of 801 and of
-    991; ``files`` as in ``fixed_calls``."""
+    991; and on representation files of canonical "p/q" texts beside others:
+    rows that mix canonical and other spellings, a bad nu entry together with
+    an unknown or far "mu" key (which error prints first), a value holding a
+    comma, y files whose weight bound leaves a letter out or is exceeded,
+    rank-0 files through every ``rat`` operation and a rank-4 file through
+    them and ``rat decompose``; ``files`` as in ``fixed_calls``."""
     calls = []
     for i, value in enumerate(RATIONAL_SPELLINGS):
         files[f"io_rep{i}.json"] = _rep("x2", [value, "1/2"], {"x0": [[1, value], [0, "1/3"]], "x1": [[0, 1], [1, 0]]},
@@ -814,6 +824,47 @@ def io_calls(files: dict) -> list[list[str]]:
         files[f"io_{name}.json"] = data
         calls.append(["rat", "sum", "--rep", f"{{dir}}/io_{name}.json", "--rep", f"{{dir}}/io_{name}.json"])
         calls.append(["rat", "decompose", "--rep", f"{{dir}}/io_{name}.json"])
+    # files of canonical "p/q" texts, which are read in one pass, beside mixed and faulty ones
+    h, t = "1/2", "-1/3"
+    bulk = {
+        "mixed": _rep("x2", ["1/2", 1], {"x0": [["1/2", " 3/4"], ["6/8", 2]], "x1": [["+1", "0/1"], ["1.5", t]]},
+                      ["-0", "2/1"]),
+        "mixed_rows": _rep("x2", [h, t], {"x0": [[h, t], ["007/014", "-2/1"]], "x1": [[1, 0], ["0/1", "3/6"]]},
+                           ["1/1", "0/5"]),
+        "bad_nu_bad_key": _rep("x2", ["1/0", h], {"x0": [[h, t], [t, h]], "z1": [[h, t], [t, h]]}, [h, h]),
+        "bad_nu_far_letter": _rep("x2", [h, "1.5.0"], {"x0": [[h, t], [t, h]], "x5": [[h, t], [t, h]]}, [h, h]),
+        "bad_row_bad_key": _rep("x2", [h, t], {"x0": [[h, "x"], [t, h]], "x0 x1": [[h, t], [t, h]]}, [h, h]),
+        "comma": _rep("x2", ["1/2,1/3"], {"x0": [["1/2"]]}, ["1/1"]),
+        "y_missing": _rep("y", [h, "1/1"], {"y1": [[h, "1/1"], ["0/1", t]], "y3": [["0/1", "1/1"], ["1/1", "0/1"]]},
+                          ["1/1", "1/1"], 3),
+        "y_beyond": _rep("y", [h, "1/1"], {"y1": [[h, "1/1"], ["0/1", t]], "y4": [["0/1", "1/1"], ["1/1", "0/1"]]},
+                         ["1/1", "1/1"], 3),
+        "rank0": {"rank": 0, "alphabet": "x2", "max_letter_weight": None, "nu": [], "mu": {"x0": [], "x1": []},
+                  "eta": []},
+        "rank0_y": {"rank": 0, "alphabet": "y", "max_letter_weight": 2, "nu": [], "mu": {"y1": [], "y2": []},
+                    "eta": []},
+        "rank4": _rep("x2", ["1/1", "0/1", "0/1", "0/1"],
+                      {"x0": [["1/1", "1/1", "0/1", "0/1"], ["0/1", "2/1", "1/1", "0/1"], ["0/1", "0/1", "-1/1", "1/1"],
+                              ["0/1", "0/1", "0/1", h]],
+                       "x1": [["1/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "3/1", "0/1"],
+                              ["0/1", "0/1", "0/1", "1/1"]]}, ["1/1", "1/1", "1/1", t]),
+    }
+    for name, data in bulk.items():
+        files[f"io_{name}.json"] = data
+        rep = ["--rep", f"{{dir}}/io_{name}.json"]
+        word = "y2 y1" if data["alphabet"] == "y" else "x0 x1"
+        calls += [["rat", "coeff", "--word", word, "--format", "text"] + rep, ["rat", "sum"] + rep + rep,
+                  ["rat", "decompose"] + rep, ["check", "mxstar", "--N", "3"] + rep]
+    for name in ("rank0", "rank0_y", "rank4", "y_missing"):
+        rep = ["--rep", f"{{dir}}/io_{name}.json"]
+        word = "y2 y1" if bulk[name]["alphabet"] == "y" else "x0 x1"
+        for fmt in ("json", "text"):
+            calls.append(["rat", "coeff", "--word", word, "--format", fmt] + rep)
+        calls += [["rat", op] + rep for op in ("star", "minimize", "decompose")]
+        calls += [["rat", op] + rep + rep for op in ("sum", "conc", "shuffle")]
+        calls.append(["rat", "phistar"] + rep + rep)
+        calls.append(["rat", "phistar", "--gamma", "{dir}/io_gamma_int.json"] + rep + rep)
+        calls.append(["check", "triangular", "--N", "3"] + rep)
     files["io_gamma_int.json"] = {f"{i},{j}": 2 * math.comb(i + j, i) for i in range(1, 6) for j in range(i, 7 - i)}
     files["io_gamma_unreduced.json"] = {f"{i},{j}": f"{3 * math.comb(i + j, i)}/6" for i in range(1, 6)
                                         for j in range(i, 7 - i)}

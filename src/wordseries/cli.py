@@ -122,8 +122,8 @@ def _sigma(args) -> SingularitySet:
 
 def cmd_lyndon(args) -> tuple[int, str]:
     alphabet = parse_alphabet(args.alphabet)
-    names = [alphabet.name(letters) for grade in _lyndon_letters(alphabet, args.max) for letters in grade]
-    return 0, json.dumps(names) + "\n" if args.format == "json" else "".join(name + "\n" for name in names)
+    names = [name for grade in _lyndon_letters(alphabet, args.max, named=True) for name in grade]
+    return 0, json.dumps(names) + "\n" if args.format == "json" else "\n".join(names) + "\n"
 
 
 def cmd_mul(args) -> tuple[int, str]:

@@ -100,17 +100,17 @@ class DualBases:
 
     # -- the P / S pair, as integer forms (numerators, least denominator) ------
 
-    def _split(self, w: tuple, decreasing: bool = True) -> tuple[tuple, tuple, int] | None:
+    def _split(self, w: tuple, decreasing: bool = True, cuts: list | None = None) -> tuple[tuple, tuple, int] | None:
         """None on the empty word and on a Lyndon word w, else w as (u, v, k):
         v = l^k is the last power of the Lyndon factorization of w in the
         order that a product of exponentials in decreasing (or increasing)
         Lyndon order takes it, u is the rest of w, and k = 1; when that power
         is all of w, v = l and u = l^(k-1).  Off the Lyndon words S_w is
         S_u * S_v / k and P_w is P_u P_v; the diagonal check asks the same of
-        Sigma and Pi."""
+        Sigma and Pi.  ``cuts``: the ``_lyndon_cuts`` of w, if a caller has them."""
         if not w:
             return None
-        cuts = _lyndon_cuts(self.alphabet.lex_key(w))
+        cuts = cuts or _lyndon_cuts(self.alphabet.lex_key(w))
         groups = [(l, len(list(run))) for l, run in itertools.groupby(w[i:j] for i, j in zip(cuts, cuts[1:]))]
         l, k = groups[-1 if decreasing else 0]
         if len(groups) == 1:

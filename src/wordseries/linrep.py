@@ -20,7 +20,8 @@ representation is stored as its integer form only: nu' = d nu, every
 M(x) = d mu(x) by rows and by columns, and eta' = d eta, with d the least
 common denominator of their entries, so that nu mu(w) eta =
 nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts letters).  JSON
-entries cross as integers, through ``ncpoly``'s one reader and one writer; closures,
+entries cross as integers, through ``ncpoly``'s one reader and one writer
+(a file of strings only is read in one pass); closures,
 shifts and splittings put their operands over one denominator, which
 ``LinRep._of`` reduces; minimization carries reachable vectors as integers
 over one denominator and transposes by swapping nu' with eta' and rows with
@@ -70,6 +71,7 @@ from .ncpoly import (
     _json_fields,
     _json_ratio,
     _ratio_text,
+    _ratio_texts,
     _letter_rule,
     _product,
     _reduced,
@@ -77,7 +79,7 @@ from .ncpoly import (
     is_character,
     is_infinitesimal_character,
 )
-from .words import Alphabet, Word, _check_word_budget, _graded_letters, _lyndon_letters, alphabet_text, parse_alphabet
+from .words import Alphabet, Word, _check_word_budget, _graded_letters, _next_cuts, alphabet_text, parse_alphabet
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -134,39 +136,33 @@ def _ratios(values) -> tuple[list[int], list[int]]:
     return [q.numerator for q in qs], [q.denominator for q in qs]
 
 
-def _integer_form(alphabet: Alphabet, nu: tuple, mu: dict, eta: tuple, max_letter_weight: int | None) -> tuple:
-    """Check a representation whose vectors and rows are (numerators,
-    denominators), and return (d, nu', rows, eta', max_letter_weight) over d,
-    the lcm of the denominators.  On y alphabets the weight bound defaults to
-    the heaviest letter of ``mu``; each letter up to it gets a matrix, zero
-    where ``mu`` has none."""
-    n = len(nu[0])
-    if len(eta[0]) != n:
+def _integer_form(alphabet: Alphabet, nu: list, mu: dict, eta: list, max_letter_weight: int | None,
+                  ratio_of: dict) -> tuple:
+    """Check a representation whose entries e are p / q for (p, q) = ratio_of[e], and
+    return (d, nu', rows, eta', max_letter_weight) over d, the lcm of the q.  On y
+    alphabets the weight bound defaults to the heaviest letter of ``mu``; each
+    letter up to it gets a matrix, zero where ``mu`` has none."""
+    n = len(nu)
+    if len(eta) != n:
         raise ValueError("nu and eta disagree on the rank")
     if alphabet.is_y and max_letter_weight is None:
         max_letter_weight = max((k for (k, _) in mu), default=0)
-    zero = [([0] * n, [1] * n)] * n
     matrices = {}
     for letter in alphabet.letters(max_weight=max_letter_weight):  # x: all letters
-        m = mu.get(letter)
-        if m is None:
-            m = zero
-        elif len(m) != n or any(len(nums) != n for nums, _ in m):
+        m = matrices[letter] = mu.get(letter)
+        if m is not None and (len(m) != n or any(len(row) != n for row in m)):
             raise ValueError(f"matrix for {alphabet.letter_name(letter)} is not {n}x{n}")
-        matrices[letter] = m
     for letter in mu:
         if letter not in matrices:
             alphabet.check_letter(letter)
             raise ValueError(f"unexpected letter {alphabet.letter_name(letter)} in mu: "
                              f"max_letter_weight is {max_letter_weight}")
-    vectors = [nu, eta, *chain.from_iterable(matrices.values())]
-    d = math.lcm(*chain.from_iterable(dens for _, dens in vectors))
-
-    def scaled(v: tuple) -> tuple:
-        return tuple(map(mul, v[0], map(d.__floordiv__, v[1])))
-
-    rows = {letter: tuple(map(scaled, m)) for letter, m in matrices.items()}
-    return d, scaled(nu), rows, scaled(eta), max_letter_weight
+    d = math.lcm(*{q for _, q in ratio_of.values()})
+    scaled = {e: p * (d // q) for e, (p, q) in ratio_of.items()}.__getitem__
+    zero = ((0,) * n,) * n
+    vector = lambda v: tuple(map(scaled, v))
+    rows = {letter: zero if m is None else tuple(map(vector, m)) for letter, m in matrices.items()}
+    return d, vector(nu), rows, vector(eta), max_letter_weight
 
 
 class LinRep:
@@ -179,8 +175,11 @@ class LinRep:
     def __init__(self, alphabet: Alphabet, nu: Sequence, mu: dict, eta: Sequence,
                  max_letter_weight: int | None = None):
         """Entries are anything ``Fraction`` takes; checked by ``_integer_form``."""
-        mu = {letter: None if m is None else [_ratios(row) for row in m] for letter, m in mu.items()}
-        self._set(alphabet, *_integer_form(alphabet, _ratios(nu), mu, _ratios(eta), max_letter_weight))
+        mu = {letter: None if m is None else [list(row) for row in m] for letter, m in mu.items()}
+        nu, eta = list(nu), list(eta)
+        entries = [*chain.from_iterable(chain.from_iterable(m for m in mu.values() if m is not None)), *nu, *eta]
+        ratio_of = dict(zip(entries, zip(*_ratios(entries))))
+        self._set(alphabet, *_integer_form(alphabet, nu, mu, eta, max_letter_weight, ratio_of))
 
     @classmethod
     def _of(cls, alphabet: Alphabet, d: int, nu: Sequence[int], rows: dict, eta: Sequence[int],
@@ -363,30 +362,40 @@ class LinRep:
         }
 
     def _json_text(self) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True)``, written directly: all of it is ASCII,
-        and sorting the "mu" items sorts their names, as '"' sorts before any of their letters."""
-        d, name, weight = self._d, self.alphabet.letter_name, self.max_letter_weight
-
-        def texts(v: Sequence[int]) -> str:
-            return '["' + '", "'.join(map(_ratio_text, v, repeat(d))) + '"]' if v else "[]"
-
-        mu = ", ".join(sorted(f'"{name(x)}": [' + ", ".join(map(texts, m)) + "]" for x, m in self._rows.items()))
-        return (f'{{"alphabet": "{alphabet_text(self.alphabet)}", "eta": {texts(self._eta)}, "max_letter_weight": '
-                f'{"null" if weight is None else weight}, "mu": {{{mu}}}, '
-                f'"nu": {texts(self._nu)}, "rank": {self.rank}}}')
+        """``json.dumps(self.to_json(), sort_keys=True)``, written directly as one template
+        filled from one tuple: all of it is ASCII, and the "mu" items sort as their names."""
+        n, weight = self.rank, self.max_letter_weight
+        vector = "[" + ", ".join(['"%s"'] * n) + "]"
+        matrix = "[" + ", ".join([vector] * n) + "]"
+        named = sorted(zip(map(self.alphabet.letter_name, self._rows), self._rows.values()))  # names differ
+        mu = ", ".join(f'"{name}": {matrix}' for name, _ in named)
+        text = (f'{{"alphabet": "{alphabet_text(self.alphabet)}", "eta": {vector}, "max_letter_weight": '
+                f'{"null" if weight is None else weight}, "mu": {{{mu}}}, "nu": {vector}, "rank": {n}}}')
+        values = [*self._eta, *chain.from_iterable(chain.from_iterable(m for _, m in named)), *self._nu]
+        return text % tuple(_ratio_texts(values, self._d))
 
     @classmethod
     def from_json(cls, data: dict) -> "LinRep":
         """The representation of a JSON object; its rationals are strings
         ("p/q", or any text ``Fraction`` takes) or integers.  The field
         "rank", which ``to_json`` writes and a file may leave out, must be
-        the integer length of nu."""
+        the integer length of nu.  A file of strings only is read in one
+        pass; any other, or one in error, entry by entry in order."""
+        try:
+            return cls._read_json(data, None)
+        except (ValueError, TypeError):
+            return cls._read_json(data, _json_ratio)
+
+    @classmethod
+    def _read_json(cls, data: dict, ratio) -> "LinRep":
+        """``from_json``, each entry read by ``ratio`` in order, or with None all at once."""
         kinds = {"alphabet": str, "nu": list, "mu": dict, "eta": list}
         text, nu, mu, eta = _json_fields(data, kinds, "representation")
         alphabet = parse_alphabet(text)
 
-        def vector(value, field: str) -> tuple:  # (numerators, denominators)
-            return tuple(zip(*(_json_ratio(x, field) for x in _json_checked(value, list, field)))) or ((), ())
+        def vector(value, field: str) -> list:
+            values = _json_checked(value, list, field)
+            return [ratio(x, field) for x in values] if ratio else values
 
         # to_json writes the names of the len(mu) lightest letters: look them up, parse other keys
         colors = range(alphabet.color_order or 1)
@@ -409,9 +418,13 @@ class LinRep:
             rank = data["rank"]
             if type(rank) is not int:
                 raise ValueError("representation 'rank' must be an integer")
-            if rank != len(nu[0]):
-                raise ValueError(f"representation 'rank' is {rank}, but 'nu' has {len(nu[0])} entries")
-        return cls._of(alphabet, *_integer_form(alphabet, nu, matrices, eta, weight))
+            if rank != len(nu):
+                raise ValueError(f"representation 'rank' is {rank}, but 'nu' has {len(nu)} entries")
+        entries = [*chain.from_iterable(chain.from_iterable(matrices.values())), *nu, *eta]
+        # at once: each distinct string read once; any other entry (1 == True) fails, to be read in order
+        ratio_of = dict(zip(entries, entries)) if ratio else {
+            e: _json_ratio(e if type(e) is str else None, "") for e in set(entries)}
+        return cls._of(alphabet, *_integer_form(alphabet, nu, matrices, eta, weight, ratio_of))
 
     def __repr__(self) -> str:
         return f"LinRep(rank={self.rank}, alphabet={alphabet_text(self.alphabet)})"
@@ -802,12 +815,15 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     # w -> M(w), by length and then by letter; the walk names a missing letter, lightest first, before mu meets one
     lhs = r._walk_all(_identity(r.rank), bound)
+    cuts = {(): [0]}  # w -> its Lyndon cuts, each from its prefix's, for _split
+    for w in islice(lhs, 1, None):
+        cuts[w] = _next_cuts(alphabet.lex_key(w), cuts[w[:-1]])
     factors = {(): ({(): 1}, 1, lhs[()], 1)}  # w -> L'_w, its denominator, mu(R'_w), its denominator
-    for l in sorted(chain.from_iterable(_lyndon_letters(alphabet, bound)), key=alphabet.lex_key, reverse=True):
+    for l in sorted((w for w, c in cuts.items() if len(c) == 2), key=alphabet.lex_key, reverse=True):
         factors[l] = (*left_of(l), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l)), lhs))
     for w in lhs:  # each word after the shorter ones, so after the parts that _split cuts it into
         if w not in factors:
-            u, v, k = bases._split(w)
+            u, v, k = bases._split(w, cuts=cuts[w])
             (a, da, ma, ea), (b, db, mb, eb) = factors[u], factors[v]
             cols = tuple(zip(*mb))
             factors[w] = (*_reduced(_product(a, b, shuffle), da * db * k), [_times(row, cols) for row in ma], ea * eb)

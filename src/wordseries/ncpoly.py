@@ -33,6 +33,7 @@ are built only at the boundary: the constructors take ``Word``-keyed maps,
 dicts, and every printer names letter tuples through ``Alphabet.name``.
 Forms cross the JSON boundary as integers, read by the one reader of
 rationals, ``_json_ratio``, and written by the one writer, ``_ratio_text``.
+The JSON printers write each distinct value once (``_ratio_texts``).
 
 All identities here are exact.  The one place floating point enters is the
 character tests given a ``tol > 0`` (``_values_match``): there coefficients,
@@ -122,6 +123,12 @@ def _ratio_text(c: int, den: int) -> str:
     """The one writer of rationals: c/den (den > 0) as "p/q" in lowest terms."""
     g = math.gcd(c, den)
     return f"{c // g}/{den // g}"
+
+
+def _ratio_texts(values: list[int], den: int) -> list[str]:
+    """``_ratio_text`` of each value over den, each distinct value written once."""
+    texts = {c: _ratio_text(c, den) for c in set(values)}
+    return list(map(texts.__getitem__, values))
 
 
 def _add_term(d: dict, key, coeff) -> None:
@@ -276,12 +283,13 @@ class _Form:
         ]
 
     def _json_text(self) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True)``, written directly: "coeff"
-        sorts first, and all of it is ASCII but the empty word's "ε"."""
-        name, num, den = self.alphabet.name, self._num, self._den
-        items = (self._json_item % (_ratio_text(num[k], den), *map(name, self._parts(k)))
-                 for k in self._sorted(self.alphabet.sort_key))
-        return "[" + ", ".join(items).replace("ε", "\\u03b5") + "]"
+        """``json.dumps(self.to_json(), sort_keys=True)``, one template filled from one tuple:
+        "coeff" sorts first, and all of it is ASCII but the empty word's "ε"."""
+        keys = self._sorted(self.alphabet.sort_key)
+        coeffs = _ratio_texts([self._num[k] for k in keys], self._den)
+        names = (map(self.alphabet.name, part) for part in zip(*map(self._parts, keys)))  # one column per field
+        text = "[" + ", ".join([self._json_item] * len(keys)) + "]"
+        return (text % tuple(itertools.chain.from_iterable(zip(coeffs, *names)))).replace("ε", "\\u03b5")
 
     @classmethod
     def from_json(cls, alphabet: Alphabet, data: list):

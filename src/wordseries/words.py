@@ -17,8 +17,8 @@ Letters are validated where words enter the package: ``Word(...)`` itself,
 Words derived from validated words (slices, concatenations, enumerations)
 are built unchecked through ``Word._trusted``, their grading carried over
 or summed instead of recomputed.  ``lyndon_words`` wraps the letter tuples
-of a walk over the prenecklaces (``_lyndon_letters``, which the ``lyndon``
-verb names without a ``Word``), so it builds no word it does not return;
+of a walk over the prenecklaces (``_lyndon_letters``, which also names them
+for the ``lyndon`` verb), so it builds no word it does not return;
 ``words_up_to_grading`` wraps ``_graded_letters`` so, and the other modules
 read its tuples instead.  Whether a word is Lyndon, and where its standard
 factorization cuts it, is read off Duval's factorization (``_lyndon_cuts``).
@@ -131,7 +131,9 @@ class Alphabet:
 
     def sort_key(self, letters: tuple) -> tuple:
         """Structural order key of the word with these letters: grading, then lex."""
-        return (self.weight(letters), self.lex_key(letters))
+        if self.kind == "x":
+            return len(letters), letters
+        return sum(k for k, _ in letters), tuple((-k, c) for k, c in letters)
 
     def display_key(self, letters: tuple) -> tuple:
         """Print order: grading, then natural reading order (y1 before y2)."""
@@ -413,9 +415,9 @@ def lyndon_words(alphabet: Alphabet, max_grade: int) -> list[Word]:
     return [Word._trusted(alphabet, letters, n) for n, grade in enumerate(grades) for letters in grade]
 
 
-def _lyndon_letters(alphabet: Alphabet, max_grade: int) -> list[list[tuple]]:
-    """The letter tuples of the Lyndon words of ``lyndon_words``, one list
-    per grading 0..max_grade.
+def _lyndon_letters(alphabet: Alphabet, max_grade: int, named: bool = False) -> list[list]:
+    """The letter tuples of the Lyndon words of ``lyndon_words`` (or their
+    names, ``named``), one list per grading 0..max_grade.
 
     A depth-first walk over the prenecklaces, the prefixes of powers of
     Lyndon words (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms
@@ -425,26 +427,29 @@ def _lyndon_letters(alphabet: Alphabet, max_grade: int) -> list[list[tuple]]:
     Children are visited in increasing letter order, so each grade comes
     out lexicographic.  Letters are compared by their index in
     ``alphabet.letters``.  A prenecklace that starts with the largest letter
-    is a power of it, so that letter is listed alone and not walked.
+    is a power of it, so that letter is listed alone and not walked.  A name
+    grows by " " and a letter's name where a tuple grows by (a,).
     """
     _check_word_budget(alphabet, max_grade)
     if max_grade < 1:
         raise ValueError("max_grade must be >= 1")
-    steps = [(j, a, alphabet.letter_weight(a)) for j, a in enumerate(alphabet.letters(max_weight=max_grade))]
+    letters = alphabet.letters(max_weight=max_grade)
+    firsts = list(map(alphabet.letter_name, letters)) if named else [(a,) for a in letters]
+    steps = [(j, " " + f if named else f, alphabet.letter_weight(a)) for j, (a, f) in enumerate(zip(letters, firsts))]
     tails = [steps[j:] for j in range(len(steps))]  # the steps to letters >= the j-th
-    found: list[list[tuple]] = [[] for _ in range(max_grade + 1)]
+    found: list[list] = [[] for _ in range(max_grade + 1)]
 
-    def walk(word: tuple, indices: tuple, grading: int, p: int) -> None:
-        if p == len(word):
+    def walk(word, indices: tuple, grading: int, p: int) -> None:
+        if p == len(indices):
             found[grading].append(word)
         least = indices[-p]  # the index of w[-p]
-        for j, a, k in tails[least]:
+        for j, step, k in tails[least]:
             if grading + k <= max_grade:
-                walk(word + (a,), indices + (j,), grading + k, p if j == least else len(word) + 1)
+                walk(word + step, indices + (j,), grading + k, p if j == least else len(indices) + 1)
 
-    for j, a, k in steps[:-1]:
-        walk((a,), (j,), k, 1)
-    found[1].append((steps[-1][1],))
+    for (j, _, k), first in zip(steps[:-1], firsts):
+        walk(first, (j,), k, 1)
+    found[1].append(firsts[-1])
     return found
 
 
@@ -473,6 +478,15 @@ def lyndon_factorization(w: Word) -> list[Word]:
     linear time by Duval's algorithm (J. Algorithms 4, 1983)."""
     cuts = _lyndon_cuts(w.lex_key())
     return [w[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
+def _next_cuts(key: tuple, cuts: list[int]) -> list[int]:
+    """``_lyndon_cuts(key)`` from ``cuts``, those of key[:-1]: the last two
+    factors merge while the earlier is smaller (Chen, Fox and Lyndon)."""
+    cuts = cuts + [len(key)]
+    while len(cuts) > 2 and key[cuts[-3]:cuts[-2]] < key[cuts[-2]:]:
+        del cuts[-2]
+    return cuts
 
 
 def _lyndon_cuts(key: tuple) -> list[int]:

@@ -19,7 +19,8 @@ triples, truncated polynomial products term by term, grouplike and
 primitive series on a coproduct table built word by word, the linear
 structure, products, coproducts, series products, printers and JSON of the
 polynomial classes on ``Word``-keyed ``Fraction`` dicts, the rationals of JSON
-input read as one ``Fraction`` each,
+input read as one ``Fraction`` each, representation files read vector by
+vector (the reader that the one-pass read of canonical files must equal),
 the Chen series one word at a time and its pairing as a sum over words, the
 ``eval chen`` table printed row by row from words and values, and an ODE
 solver by recentered Taylor series.  ``pi1_of`` and ``phi_pi1`` are no
@@ -48,6 +49,9 @@ from wordseries.ncpoly import (
     NCPoly,
     PhiTable,
     TruncSeries,
+    _json_checked,
+    _json_fields,
+    _json_ratio,
     _values_match,
     format_fraction,
     conc,
@@ -800,6 +804,64 @@ def linrep_from_json_by_fractions(data):
     vector = lambda values: [Fraction(c) for c in values]
     mu = {alphabet.parse_word(name).letters[0]: [vector(row) for row in rows] for name, rows in data["mu"].items()}
     return LinRep(alphabet, vector(data["nu"]), mu, vector(data["eta"]), data.get("max_letter_weight"))
+
+
+def linrep_from_json_per_vector(data):
+    """A representation JSON object read vector by vector, each entry by
+    ``ncpoly._json_ratio`` and each vector scaled by the lcm of all the
+    denominators: the package's reader before it read canonical files in one
+    pass, errors and their order included."""
+    kinds = {"alphabet": str, "nu": list, "mu": dict, "eta": list}
+    text, nu, mu, eta = _json_fields(data, kinds, "representation")
+    alphabet = parse_alphabet(text)
+
+    def vector(value, field):  # (numerators, denominators)
+        return tuple(zip(*(_json_ratio(x, field) for x in _json_checked(value, list, field)))) or ((), ())
+
+    colors = range(alphabet.color_order or 1)
+    lightest = range(alphabet.size) if alphabet.is_x else ((k, c) for k in itertools.count(1) for c in colors)
+    letter_of = {alphabet.letter_name(x): x for x in itertools.islice(lightest, len(mu))}
+    matrices = {}
+    for name, rows in mu.items():
+        field = f"representation 'mu' {name!r}"
+        letters = (letter_of[name],) if name in letter_of else alphabet.parse_word(name).letters
+        if len(letters) != 1:
+            raise ValueError(f"{field} is not one letter")
+        if letters[0] in matrices:
+            raise ValueError(f"{field} names {alphabet.letter_name(letters[0])}, as another 'mu' key does")
+        matrices[letters[0]] = [vector(row, field) for row in _json_checked(rows, list, field)]
+    weight = data.get("max_letter_weight")
+    if weight is not None and type(weight) is not int:
+        raise ValueError("representation 'max_letter_weight' must be an integer or null")
+    nu, eta = vector(nu, "representation 'nu'"), vector(eta, "representation 'eta'")
+    if "rank" in data:
+        rank = data["rank"]
+        if type(rank) is not int:
+            raise ValueError("representation 'rank' must be an integer")
+        if rank != len(nu[0]):
+            raise ValueError(f"representation 'rank' is {rank}, but 'nu' has {len(nu[0])} entries")
+    n = len(nu[0])
+    if len(eta[0]) != n:
+        raise ValueError("nu and eta disagree on the rank")
+    if alphabet.is_y and weight is None:
+        weight = max((k for (k, _) in matrices), default=0)
+    zero = [([0] * n, [1] * n)] * n
+    full = {}
+    for letter in alphabet.letters(max_weight=weight):
+        m = matrices.get(letter)
+        if m is None:
+            m = zero
+        elif len(m) != n or any(len(nums) != n for nums, _ in m):
+            raise ValueError(f"matrix for {alphabet.letter_name(letter)} is not {n}x{n}")
+        full[letter] = m
+    for letter in matrices:
+        if letter not in full:
+            alphabet.check_letter(letter)
+            raise ValueError(f"unexpected letter {alphabet.letter_name(letter)} in mu: max_letter_weight is {weight}")
+    d = math.lcm(*(q for _, dens in [nu, eta, *itertools.chain.from_iterable(full.values())] for q in dens))
+    scaled = lambda v: tuple(p * (d // q) for p, q in zip(*v))
+    rows = {letter: tuple(map(scaled, m)) for letter, m in full.items()}
+    return LinRep._of(alphabet, d, scaled(nu), rows, scaled(eta), weight)
 
 
 def linrep_to_json_by_fractions(r):

@@ -67,7 +67,7 @@ from wordseries.ncpoly import (
     pi1,
     shuffle,
 )
-from wordseries.words import Alphabet, Word, words_up_to_grading
+from wordseries.words import Alphabet, Word, parse_alphabet, words_up_to_grading
 
 X2 = Alphabet.x(2)
 Y = Alphabet.y()
@@ -1087,6 +1087,93 @@ def test_the_json_text_of_a_representation_is_json_dumps(r):
     assert r._json_text() == json.dumps(r.to_json(), sort_keys=True)
     assert r.to_json() == oracles.linrep_to_json_by_fractions(r)
     assert_same_rep(LinRep.from_json(json.loads(r._json_text())), r)
+
+
+# entries as a file may spell them: the canonical "p/q" that to_json writes,
+# JSON integers, and other texts that the reader of rationals takes
+CANONICAL_ENTRIES = ratios.map(lambda q: f"{q.numerator}/{q.denominator}")
+OTHER_ENTRIES = st.integers(-3, 3) | st.sampled_from(["+1", " 3/4", "6/8", "1.5", "-0/1", "007/014"])
+BAD_ENTRIES = st.sampled_from(["1/0", "1/-2", "x", "", "1/2,1/3", "9" * 4301 + "/1", None, 1.5, True, [1], {}])
+BAD_KEYS = st.sampled_from(["x0 x1", "", "z1", "x9", " x0", "x00", "y1@0", "y2@1", "y9", "y1 y1"])
+
+
+@st.composite
+def boundary_files(draw):
+    """A representation file over x2, x3, y or y@2 of rank 0-3, its entries
+    canonical only or mixed with other spellings, and up to two faults, each
+    a bad entry, a bad "mu" key or a bad shape at a position drawn from all
+    of the file's fields."""
+    text = draw(st.sampled_from(["x2", "x3", "y", "y@2"]))
+    alphabet = parse_alphabet(text)
+    n = draw(st.integers(0, 3))
+    entries = CANONICAL_ENTRIES if draw(st.booleans()) else CANONICAL_ENTRIES | OTHER_ENTRIES
+    vector = lambda: draw(st.lists(entries, min_size=n, max_size=n))
+    bound = None if alphabet.is_x else draw(st.sampled_from([None, 1, 2]))
+    letters = alphabet.letters(max_weight=bound or 2)
+    kept = draw(st.lists(st.sampled_from(letters), unique=True, min_size=1)) if draw(st.booleans()) else letters
+    data = {"alphabet": text, "nu": vector(), "eta": vector(),
+            "mu": {alphabet.letter_name(x): [vector() for _ in range(n)] for x in kept}}
+    if bound is not None or draw(st.booleans()):
+        data["max_letter_weight"] = bound
+    if draw(st.booleans()):
+        data["rank"] = n
+    for _ in range(draw(st.integers(0, 2))):
+        mu = data["mu"] if isinstance(data["mu"], dict) else {}
+        matrices = [m for m in mu.values() if isinstance(m, list)]
+        lists = [v for v in (data["nu"], data["eta"], *itertools.chain.from_iterable(matrices)) if isinstance(v, list)]
+        fault = draw(st.sampled_from(["entry", "key", "shape", "file"]))
+        if fault == "entry" and any(lists):
+            v = draw(st.sampled_from([v for v in lists if v]))
+            v[draw(st.integers(0, len(v) - 1))] = draw(BAD_ENTRIES)
+        elif fault == "key" and mu:
+            names = list(mu)
+            names[draw(st.integers(0, len(names) - 1))] = draw(BAD_KEYS)
+            data["mu"] = dict(zip(names, mu.values()))
+        elif fault == "shape" and lists + matrices:
+            v = draw(st.sampled_from(lists + matrices))
+            v.append(draw(entries)) if draw(st.booleans()) or not v else v.pop()
+        elif fault == "file":
+            key = draw(st.sampled_from(["nu", "eta", "mu", "rank", "max_letter_weight", "alphabet"]))
+            data[key] = draw(st.sampled_from(["1/2", 2, None, [], {}, "x2"]))
+    return data
+
+
+@settings(deadline=None, max_examples=300)
+@given(boundary_files())
+def test_a_file_reads_as_the_per_vector_reader_reads_it(data):
+    # the same representation, or the same first error, as vector by vector
+    try:
+        want = oracles.linrep_from_json_per_vector(data)
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc)) as info:
+            LinRep.from_json(data)
+        assert str(info.value) == str(exc)
+        return
+    got = LinRep.from_json(data)
+    assert got.to_json() == want.to_json()
+    assert_same_rep(got, want)
+    vectors = [data["nu"], data["eta"], *itertools.chain.from_iterable(data["mu"].values())]
+    if all(type(x) is str for x in itertools.chain.from_iterable(vectors)):  # strings only: read in one pass
+        assert LinRep._read_json(data, None).to_json() == want.to_json()
+
+
+def test_a_file_of_strings_reads_each_distinct_string_once():
+    data = {"alphabet": "x2", "nu": ["1/2", "-1/3"], "mu": {"x0": [["1/2", "+1"], [" 3/4", "6/8"]]},
+            "eta": ["-1/3", "1/2"]}
+    with mock.patch.object(linrep, "_json_ratio", wraps=linrep._json_ratio) as reader:
+        got = LinRep.from_json(data).to_json()
+    assert reader.call_count == 5 and got == oracles.linrep_from_json_per_vector(data).to_json()
+    # an entry that is no string (3 == 3/1, but True == 1 is refused), or any error: entry by entry
+    def outcome(read, case):
+        try:
+            return read(case).to_json()
+        except ValueError as exc:
+            return str(exc)
+
+    faulty = {"x0": [["1/2", "y"], [1, 1]], "z1": [[1]]}  # a bad entry before a bad key
+    for spelled in (3, True, 1.0, "1/0", "1/2,1/3", "x"):
+        for case in ({**data, "nu": [spelled, "-1/3"]}, {**data, "nu": [spelled, "-1/3"], "mu": faulty}):
+            assert outcome(LinRep.from_json, case) == outcome(oracles.linrep_from_json_per_vector, case)
 
 
 def test_mu_keys_are_read_by_name_or_parsed():

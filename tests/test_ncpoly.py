@@ -756,6 +756,21 @@ def test_the_rational_writer_matches_json_dumps_and_the_fraction_text(form):
         assert TensorPoly.from_json(form.alphabet, form.to_json()) == form
 
 
+def test_printed_keys_follow_the_sort_key_with_the_empty_word_on_either_side():
+    y3 = Alphabet.y(color_order=3)
+    word = lambda text: y3.parse_word(text)
+    t = TensorPoly(y3, {(word(""), word("y2@1")): Fraction(3, 4), (word("y1@2 y1@0"), word("")): -2,
+                        (word(""), word("")): Fraction(1, 6), (word("y2@1"), word("y1@0")): Fraction(-3, 4),
+                        (word("y1@0"), word("y2@1")): 5})
+    text = t._json_text()
+    assert text == json.dumps(t.to_json(), sort_keys=True) and "\\u03b5" in text
+    printed = [(y3.parse_word(item["left"]).letters, y3.parse_word(item["right"]).letters) for item in t.to_json()]
+    assert printed == sorted(t._num, key=lambda uv: (y3.sort_key(uv[0]), y3.sort_key(uv[1])))
+    p = NCPoly(y3, {word(w): c for w, c in (("y1@1", 2), ("", -1), ("y2@0", Fraction(1, 3)), ("y1@0 y1@2", 4))})
+    assert p._json_text() == json.dumps(p.to_json(), sort_keys=True)
+    assert [y3.parse_word(item["word"]).letters for item in p.to_json()] == sorted(p._num, key=y3.sort_key)
+
+
 def test_forms_read_unreduced_and_repeated_terms_over_one_denominator():
     data = [{"word": "x0", "coeff": "6/8"}, {"word": "", "coeff": 2}, {"word": "x0", "coeff": "-1/4"},
             {"word": "x1", "coeff": "+1/6"}, {"word": "x1", "coeff": " -1/6"}]

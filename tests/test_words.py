@@ -18,6 +18,10 @@ from oracles import (
 from wordseries.words import (
     Alphabet,
     Word,
+    _graded_letters,
+    _lyndon_cuts,
+    _lyndon_letters,
+    _next_cuts,
     is_lyndon,
     lyndon_factorization,
     lyndon_words,
@@ -343,3 +347,33 @@ def test_x1_letter_budget_edge(monkeypatch):
             enumerate_words(X1, 2985)
     monkeypatch.setattr(hopf.DualBases, "_pairs", lambda self: [])  # stop once the words are enumerated
     assert hopf.duality_check(X1, bound=2984) == (2985, [])
+
+
+@pytest.mark.parametrize("text", ["x1", "x2", "x3", "x4", "y", "y@2", "y@3"])
+def test_the_walk_names_the_lyndon_words_it_walks(text):
+    alphabet = parse_alphabet(text)
+    for bound in (1, 2, 5):
+        letters = _lyndon_letters(alphabet, bound)
+        names = _lyndon_letters(alphabet, bound, named=True)
+        assert names == [[alphabet.name(w) for w in grade] for grade in letters]
+    with pytest.raises(ValueError, match="max_grade must be >= 1"):
+        _lyndon_letters(alphabet, 0, named=True)
+
+
+@pytest.mark.parametrize("text", ["x2", "x3", "y", "y@2"])
+def test_cuts_extended_along_a_walk_are_duvals(text):
+    # each word after its prefix, as the walks of check mxstar meet them
+    alphabet = parse_alphabet(text)
+    cuts = {(): [0]}
+    for w in itertools.chain.from_iterable(_graded_letters(alphabet, 6)[1:]):
+        cuts[w] = _next_cuts(alphabet.lex_key(w), cuts[w[:-1]])
+        assert cuts[w] == _lyndon_cuts(alphabet.lex_key(w))
+
+
+@pytest.mark.parametrize("text", ["x1", "x3", "y", "y@3"])
+def test_sort_keys_read_from_letter_tables_keep_the_order(text):
+    # grading, then the letters, heavier y letters first and colours in order
+    alphabet = parse_alphabet(text)
+    for w in itertools.chain.from_iterable(_graded_letters(alphabet, 5)):
+        want = (len(w), w) if alphabet.is_x else (sum(k for k, _ in w), tuple((-k, c) for k, c in w))
+        assert alphabet.sort_key(w) == want and alphabet.lex_key(w) == want[1] and alphabet.weight(w) == want[0]
