@@ -76,7 +76,7 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   file first and second, ``pi1`` and ``coprod``), which exit 2; and
   ``mul --law shuffle`` of x0^799 and x0 (passes), of x0^800 and x0 and of
   x0^990 and x0 (each refused over the 800-letter limit); representation
-  files of canonical "p/q" texts (read in one pass) beside rows that mix
+  files of canonical "p/q" texts (each distinct one read once) beside rows that mix
   spellings, a bad nu entry with an unknown or far "mu" key, a value
   holding a comma, y files whose weight bound leaves out or is below a
   letter, rank-0 files (x2, and y with a weight bound) and a rank-4 file
@@ -824,7 +824,7 @@ def io_calls(files: dict) -> list[list[str]]:
         files[f"io_{name}.json"] = data
         calls.append(["rat", "sum", "--rep", f"{{dir}}/io_{name}.json", "--rep", f"{{dir}}/io_{name}.json"])
         calls.append(["rat", "decompose", "--rep", f"{{dir}}/io_{name}.json"])
-    # files of canonical "p/q" texts, which are read in one pass, beside mixed and faulty ones
+    # files of canonical "p/q" texts, each distinct one read once, beside mixed and faulty ones
     h, t = "1/2", "-1/3"
     bulk = {
         "mixed": _rep("x2", ["1/2", 1], {"x0": [["1/2", " 3/4"], ["6/8", 2]], "x1": [["+1", "0/1"], ["1.5", t]]},

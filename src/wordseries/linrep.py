@@ -21,7 +21,7 @@ M(x) = d mu(x) by rows and by columns, and eta' = d eta, with d the least
 common denominator of their entries, so that nu mu(w) eta =
 nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts letters).  JSON
 entries cross as integers, through ``ncpoly``'s one reader and one writer
-(a file of strings only is read in one pass); closures,
+(each distinct string of a file read once); closures,
 shifts and splittings put their operands over one denominator, which
 ``LinRep._of`` reduces; minimization carries reachable vectors as integers
 over one denominator and transposes by swapping nu' with eta' and rows with
@@ -379,23 +379,20 @@ class LinRep:
         """The representation of a JSON object; its rationals are strings
         ("p/q", or any text ``Fraction`` takes) or integers.  The field
         "rank", which ``to_json`` writes and a file may leave out, must be
-        the integer length of nu.  A file of strings only is read in one
-        pass; any other, or one in error, entry by entry in order."""
-        try:
-            return cls._read_json(data, None)
-        except (ValueError, TypeError):
-            return cls._read_json(data, _json_ratio)
-
-    @classmethod
-    def _read_json(cls, data: dict, ratio) -> "LinRep":
-        """``from_json``, each entry read by ``ratio`` in order, or with None all at once."""
+        the integer length of nu.  Entries are read in order, each distinct
+        string once."""
         kinds = {"alphabet": str, "nu": list, "mu": dict, "eta": list}
         text, nu, mu, eta = _json_fields(data, kinds, "representation")
         alphabet = parse_alphabet(text)
 
+        ratio_of = {}  # entry -> (p, q); a string read once, an integer each time (True == 1 is refused)
+
         def vector(value, field: str) -> list:
             values = _json_checked(value, list, field)
-            return [ratio(x, field) for x in values] if ratio else values
+            for x in values:
+                if type(x) is not str or x not in ratio_of:
+                    ratio_of[x] = _json_ratio(x, field)
+            return values
 
         # to_json writes the names of the len(mu) lightest letters: look them up, parse other keys
         colors = range(alphabet.color_order or 1)
@@ -420,10 +417,6 @@ class LinRep:
                 raise ValueError("representation 'rank' must be an integer")
             if rank != len(nu):
                 raise ValueError(f"representation 'rank' is {rank}, but 'nu' has {len(nu)} entries")
-        entries = [*chain.from_iterable(chain.from_iterable(matrices.values())), *nu, *eta]
-        # at once: each distinct string read once; any other entry (1 == True) fails, to be read in order
-        ratio_of = dict(zip(entries, entries)) if ratio else {
-            e: _json_ratio(e if type(e) is str else None, "") for e in set(entries)}
         return cls._of(alphabet, *_integer_form(alphabet, nu, matrices, eta, weight, ratio_of))
 
     def __repr__(self) -> str:

@@ -131,9 +131,7 @@ class Alphabet:
 
     def sort_key(self, letters: tuple) -> tuple:
         """Structural order key of the word with these letters: grading, then lex."""
-        if self.kind == "x":
-            return len(letters), letters
-        return sum(k for k, _ in letters), tuple((-k, c) for k, c in letters)
+        return (self.weight(letters), self.lex_key(letters))
 
     def display_key(self, letters: tuple) -> tuple:
         """Print order: grading, then natural reading order (y1 before y2)."""

@@ -371,7 +371,7 @@ def test_cuts_extended_along_a_walk_are_duvals(text):
 
 
 @pytest.mark.parametrize("text", ["x1", "x3", "y", "y@3"])
-def test_sort_keys_read_from_letter_tables_keep_the_order(text):
+def test_sort_keys_order_by_grading_then_letters(text):
     # grading, then the letters, heavier y letters first and colours in order
     alphabet = parse_alphabet(text)
     for w in itertools.chain.from_iterable(_graded_letters(alphabet, 5)):
