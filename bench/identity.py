@@ -76,10 +76,10 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   file first and second, ``pi1`` and ``coprod``), which exit 2; and
   ``mul --law shuffle`` of x0^799 and x0 (passes), of x0^800 and x0 and of
   x0^990 and x0 (each refused over the 800-letter limit); representation
-  files of canonical "p/q" texts (each distinct one read once) beside rows that mix
-  spellings, a bad nu entry with an unknown or far "mu" key, a value
-  holding a comma, y files whose weight bound leaves out or is below a
-  letter, rank-0 files (x2, and y with a weight bound) and a rank-4 file
+  files of canonical "p/q" texts (each distinct one read once) beside
+  rows that mix spellings, a bad nu entry with an unknown or far "mu"
+  key, a value holding a comma, y files whose weight bound leaves out or
+  is below a letter, rank-0 files (x2, and y with a weight bound) and a rank-4 file
   through every ``rat`` operation, ``check triangular`` and ``check mxstar``;
 * a library section (``library_cases``) for the functions that no verb
   reaches, on those representations: ``LinRep.word_matrix``,
