@@ -30,7 +30,10 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   under the gamma file {"3,4": "2"} at N 6 and 7, where it FAILs; ``check
   triangular`` also on a rank-4 chain whose order is min(N, 3), with nu at
   its first and at its last index, at N 0-4, and on a dense rank-2 x2
-  representation (every coefficient nonzero) at N 9 and 10;
+  representation (every coefficient nonzero) at N 9 and 10; and ``rat
+  minimize`` alone on x2 shuffles of rank 20 and 30, a rank-6 file with
+  nu = 0, a doubled y@2 series and a rank-8 file whose observable space
+  is proper (``minimize_reps``);
 * a fixed list of calls on output paths that the benchmark does not take
   (``edge_calls``): ``eval li``, ``h`` and ``zeta`` in text format,
   ``eval li`` on words ending in x0 (the shuffle regularization),
@@ -136,6 +139,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -288,6 +292,50 @@ def representations() -> dict:
     }
 
 
+def minimize_reps() -> dict:
+    """The representation files that only ``rat minimize`` reads, by name:
+    x2 shuffles (Kronecker sums) of rank 20 and 30, a rank-6 x2 file with
+    nu = 0, a rank-4 y@2 series added to itself (the forward pass halves
+    it), and a rank-8 x2 file whose reachable space is all of it and whose
+    observable space is half of it."""
+    rng = random.Random(2025)
+    ratio = lambda: Fraction(rng.choice([0, -2, -1, 1, 2]), rng.randint(1, 3))
+    vector = lambda n: [ratio() for _ in range(n)]
+
+    def rand(n: int, letters: list) -> tuple:
+        return vector(n), {x: [vector(n) for _ in range(n)] for x in letters}, vector(n)
+
+    def kron_sum(a: tuple, b: tuple) -> tuple:
+        (n1, m1, e1), (n2, m2, e2) = a, b
+        r1, r2 = len(n1), len(n2)
+        mu = {x: [[(m1[x][i][j] if k == l else 0) + (m2[x][k][l] if i == j else 0)
+                   for j in range(r1) for l in range(r2)] for i in range(r1) for k in range(r2)] for x in m1}
+        return [u * v for u in n1 for v in n2], mu, [u * v for u in e1 for v in e2]
+
+    def block_sum(a: tuple, b: tuple) -> tuple:
+        (n1, m1, e1), (n2, m2, e2) = a, b
+        r1, r2 = len(n1), len(n2)
+        mu = {x: [row + [0] * r2 for row in m1[x]] + [[0] * r1 + row for row in m2[x]] for x in m1}
+        return n1 + n2, mu, e1 + e2
+
+    def as_json(alphabet: str, rep: tuple, weight=None) -> dict:
+        nu, mu, eta = rep
+        text = lambda v: [str(x) for x in v]
+        return _rep(alphabet, text(nu), {x: [text(row) for row in m] for x, m in mu.items()}, text(eta), weight)
+
+    x2, y2 = ["x0", "x1"], ["y1@0", "y1@1", "y2@0", "y2@1"]
+    nu0 = rand(6, x2)
+    half = rand(4, y2)
+    seen = rand(4, x2)
+    return {
+        "min20": as_json("x2", kron_sum(rand(4, x2), rand(5, x2))),
+        "min30": as_json("x2", kron_sum(rand(5, x2), rand(6, x2))),
+        "minnu0": as_json("x2", ([0] * 6, nu0[1], nu0[2])),
+        "miny2": as_json("y@2", block_sum(half, half), 2),
+        "minunseen": as_json("x2", block_sum(seen, (vector(4), seen[1], seen[2]))),
+    }
+
+
 def rep_calls(files: dict) -> list[list[str]]:
     """The fixed list of calls on representation files; ``files`` as in
     ``fixed_calls``."""
@@ -329,6 +377,9 @@ def rep_calls(files: dict) -> list[list[str]]:
     for name in ("x2a", "x2b", "x2big", "x2zero", "x2nu0", "x2up"):
         for fmt in ("csv", "json", "text"):
             calls.append(["eval", "output", "--N", "5", "--z0", "0.1", "--z", "0.45", "--format", fmt] + rep(name))
+    for name, data in minimize_reps().items():
+        files[f"{name}.json"] = data
+        calls.append(["rat", "minimize"] + rep(name))
     return calls
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ncpoly import NCPoly, PhiTable, _combination, _pi1_images, _product, _reduced, _shuffle_law
-from .words import Alphabet, Word, _graded_letters, _lyndon_cuts, _standard_cut
+from .words import Alphabet, Word, _graded_letters, _lyndon_cuts
 
 __all__ = ["DualBases", "FactorizationReport", "diagonal_factorization_check", "duality_check"]
 
@@ -125,9 +125,10 @@ class DualBases:
         split before its last Lyndon power (``_split``)."""
         if len(w) < 2:
             return letter(w[0]) if w else ({(): 1}, 1)
-        split = self._split(w)
-        if split is None:
-            i = _standard_cut(self.alphabet.lex_key(w))
+        key = self.alphabet.lex_key(w)
+        split = self._split(w, cuts=_lyndon_cuts(key))
+        if split is None:  # Lyndon: the right factor is the last Lyndon factor of w[1:]
+            i = 1 + _lyndon_cuts(key[1:])[-2]
             (ps, ds), (pr, dr) = own(w[:i]), own(w[i:])
             return _reduced(_product(pr, {t: -c for t, c in ps.items()}, out=_product(ps, pr)), ds * dr)
         (pu, du), (pv, dv) = own(split[0]), own(split[1])

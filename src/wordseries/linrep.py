@@ -24,11 +24,12 @@ entries cross as integers, through ``ncpoly``'s one reader and one writer
 (each distinct string of a file read once); closures,
 shifts and splittings put their operands over one denominator, which
 ``LinRep._of`` reduces; minimization carries reachable vectors as integers
-over one denominator and transposes by swapping nu' with eta' and rows with
-columns.  Its coordinate vectors come from ``exactlin.coordinates``, the
-one integer solver, which also gives ``sweedler_membership`` its
-realization: the window is scaled by one lcm, so the Hankel rows are
-integers, and the representation is built by ``LinRep._of``.
+and transposes by swapping nu' with eta' and rows with columns.  Its
+forward pass reads coordinates at the pivots of the echelon rows, and its
+backward pass, whose breadth-first basis fixes the output, reads them off
+the tails of the same ``exactlin.RowSpace`` elimination that decides
+independence; so does ``sweedler_membership``, whose window is scaled by
+one lcm so that the Hankel rows are integers.
 ``lie_diagnostics`` brackets the integer letter matrices d mu(x).
 Evaluation walks integer rows.  ``LinRep._walk`` multiplies rows by M(w)
 one letter at a time: ``coeff`` walks nu', ``word_matrix`` walks the
@@ -60,7 +61,7 @@ from itertools import chain, count, islice, repeat
 from operator import add, mul, sub
 from typing import Sequence
 
-from .exactlin import RowSpace, coordinates
+from .exactlin import RowSpace
 from .hopf import DualBases, FactorizationReport
 from .ncpoly import (
     NCPoly,
@@ -122,12 +123,6 @@ def _identity(n: int, c: int = 1) -> tuple:
 def _fractions(m: Sequence[Sequence[int]], den: int) -> tuple:
     """The integer matrix m over the denominator den, as Fractions."""
     return tuple(tuple(Fraction(x, den) for x in row) for row in m)
-
-
-def _lowest(v: Sequence[int], den: int) -> tuple[tuple, int]:
-    """The vector v / den as (V, D) in lowest terms: gcd(D, V) = 1."""
-    g = math.gcd(den, *v)
-    return (tuple(x // g for x in v), den // g) if g > 1 else (tuple(v), den)
 
 
 def _ratios(values) -> tuple[list[int], list[int]]:
@@ -597,29 +592,62 @@ def rat_phi_shuffle(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
 
 
 def _reachability_reduce(r: LinRep) -> LinRep:
-    """Restrict r to the span of the vectors nu mu(w), found breadth first.
-
-    A vector is held as (V, D), V / D in lowest terms, and its image under x
-    is V M(x) / (D d).  Each basis vector's images are kept from the search
-    and expressed in the basis b_j = V_j / D_j by one integer inverse q B^-1
-    of its pivot block: the image U / E has the coordinates D_j z_j / (q E),
-    z = U at the pivots times q B^-1, once z·B = q U is checked.
+    """Restrict r to the span of the vectors nu mu(w), in the basis E_i / q
+    of its reduced echelon rows, E_i being q at pivot p_i and 0 at the other
+    pivots.  A vector u of the span is sum_j u[p_j] E_j / q, so mu'(x)_ij is
+    E_i M(x) at p_j, once q E_i M(x) = sum_j z_j E_j is checked, nu'_i is
+    nu' at p_i and eta'_i is E_i·eta', all over q d: no solve.  Any basis
+    serves the forward pass of ``minimize``: if B becomes P B for an
+    invertible P, each vector B mu(w) eta of the backward pass becomes
+    P B mu(w) eta, so its breadth-first search keeps the same words and
+    the same coordinates, and the result is the same.
     """
     d, cols, n = r._d, r._cols, r.rank
-    space = RowSpace(n)
-    basis = [_lowest(r._nu, d)] if space.add(r._nu) else []
-    images: list[dict] = []
-    while len(images) < len(basis):  # breadth first: basis vectors in order of discovery
-        v, den = basis[len(images)]
-        row = {}
-        for letter, c in cols.items():
-            row[letter] = image = _times(v, c)  # over den·d
-            if len(basis) < n and space.add(image):  # a full basis takes no more
-                basis.append(_lowest(image, den * d))
-        images.append(row)
+    space, found = RowSpace(n), [r._nu]
+    for v in found:  # breadth first; a full space takes no more
+        if len(space) < n and space.add(v):
+            found += (_times(v, c) for c in cols.values())
+    if len(space) in (0, n):
+        return r if space else LinRep.zero(r.alphabet, r.max_letter_weight)
+    pivots = space.pivots
+    q = math.lcm(*(row[p] for row, p in zip(space._rows, pivots)))
+    basis = [[x * (q // row[p]) for x in row] for row, p in zip(space._rows, pivots)]
+    basis_cols = list(zip(*basis))
+
+    def coords(e: list, c: tuple) -> tuple:
+        u = _times(e, c)
+        z = tuple(u[p] for p in pivots)
+        assert all(sum(map(mul, z, col)) == q * x for col, x in zip(basis_cols, u)), "reachable space is not invariant"
+        return z
+
+    rows = {letter: tuple(coords(e, c) for e in basis) for letter, c in cols.items()}
+    eta = tuple(sum(map(mul, e, r._eta)) for e in basis)
+    return LinRep._of(r.alphabet, q * d, tuple(q * r._nu[p] for p in pivots), rows, eta, r.max_letter_weight)
+
+
+def _breadth_first_reduce(r: LinRep) -> LinRep:
+    """Restrict r to the span of the vectors nu mu(w), in the basis of the
+    first ones that a breadth-first search finds, which fixes the bytes of
+    ``minimize``.  A vector is held as (V, D), V / D in lowest terms, and
+    its image under x is V M(x) / (D d).  The m-th basis vector enters the
+    ``RowSpace`` as [V_m | e_m], so the tails (``RowSpace.solver``) give
+    each image U / E the coordinates D_j z_j / (q E) in the basis
+    b_j = V_j / D_j, once z·V = q U is checked.
+    """
+    d, cols, n = r._d, r._cols, r.rank
+    space, found, basis, images = RowSpace(n), [(r._nu, d)], [], []
+    for v, den in found:  # breadth first, until the basis is full
+        if len(basis) == n:
+            break
+        g, m = math.gcd(den, *v), len(basis)
+        v, den = tuple(x // g for x in v), den // g
+        if space.add(v + (0,) * m + (1,) + (0,) * (n - m - 1)):
+            basis.append((v, den))
+            images.append({letter: _times(v, c) for letter, c in cols.items()})  # over den·d
+            found += ((u, den * d) for u in images[-1].values())
     if not basis:
         return LinRep.zero(r.alphabet, r.max_letter_weight)
-    solve, q = coordinates([v for v, _ in basis], space.pivots)
+    solve, q = space.solver([v for v, _ in basis])
     dens = [den for _, den in basis]
     lcm = math.lcm(*dens)
 
@@ -642,9 +670,10 @@ def _transpose(r: LinRep) -> LinRep:
 
 
 def minimize(r: LinRep) -> LinRep:
-    """Minimal representation of the same series: forward reachability basis
-    extraction followed by the mirrored observability reduction (exact, over Q)."""
-    return _transpose(_reachability_reduce(_transpose(_reachability_reduce(r))))
+    """Minimal representation of the same series: reachability in the echelon
+    basis, then the mirrored observability reduction in its breadth-first
+    basis (exact, over Q)."""
+    return _transpose(_breadth_first_reduce(_transpose(_reachability_reduce(r))))
 
 
 # -- deconcatenation splitting -----------------------------------------------------
@@ -953,12 +982,13 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
     def hankel_row(u: tuple) -> list[int]:
         return [window.get(u + v, 0) for v in cols]
 
+    rows_at = list(chain.from_iterable(_graded_letters(series.alphabet, p)))
     space = RowSpace(len(cols))
     basis_words: list[tuple] = []
     basis_rows = []
-    for u in chain.from_iterable(_graded_letters(series.alphabet, p)):
+    for u in rows_at:  # the m-th basis row enters with the unit tail e_m
         row = hankel_row(u)
-        if space.add(row):
+        if space.add(row + [int(j == len(basis_words)) for j in range(len(rows_at))]):
             basis_words.append(u)
             basis_rows.append(row)
     hankel_rank = len(basis_words)
@@ -973,7 +1003,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
         return SweedlerVerdict(True, 0, f"zero series on window {n}", delta_conc_decompose(rep))
 
     # coordinates z / den in the basis rows; the realization is over den·scale
-    solve, den = coordinates(basis_rows, space.pivots)
+    solve, den = space.solver(basis_rows)
     rows = {}
     for letter in series.alphabet.letters(max_weight=wmax):
         m = []

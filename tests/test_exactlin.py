@@ -1,10 +1,11 @@
 """Exact elimination on integer rows against Gauss-Jordan over Fraction.
 
 ``RowSpace`` must hold the oracle's reduced echelon form exactly (each row
-R with pivot p read as R / R[p]) with the same pivot columns, and
-``coordinates`` must give z with z·B = q·w wherever the oracle solves
-x·B = w, with z / q its solution, and None or ValueError where the oracle
-has none.  Matrices are small and rational, built to hold zero rows,
+R with pivot p read as R / R[p]) with the same pivot columns.  Fed each
+independent row B_m with the unit tail e_m, its ``solver`` must give z with
+z·B = q·w wherever the oracle solves x·B = w, with z / q its solution, and
+None where the oracle has none; rows that the oracle finds dependent (a
+singular block) must not enter.  Matrices are small and rational, built to hold zero rows,
 repeated rows and combinations of earlier rows; the library gets them as
 integer rows, each scaled by a nonzero integer multiple of its least
 common denominator.
@@ -14,13 +15,11 @@ import copy
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from oracles import FractionRowSpace, inverse_gauss_jordan, solve_gauss_jordan
-from wordseries import exactlin
 from wordseries.exactlin import RowSpace
 
 ZERO = Fraction(0)
@@ -59,6 +58,17 @@ def rref(space: RowSpace) -> list[list[Fraction]]:
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(space._rows, space.pivots)]
 
 
+def tailed(space: RowSpace, rows) -> list:
+    """The rows that enlarge ``space``, the m-th of them fed with the unit
+    tail e_m of width len(rows)."""
+    basis = []
+    for v in rows:
+        m = len(basis)
+        if space.add([*v, *(int(j == m) for j in range(len(rows)))]):
+            basis.append(v)
+    return basis
+
+
 def combination(z, basis) -> list:
     """z·B for a row z and the rows of B."""
     return [sum(x * y for x, y in zip(z, col)) for col in zip(*basis)]
@@ -71,13 +81,15 @@ def test_coordinates_invert_the_pivot_block_like_gauss_jordan(a):
     n = len(a)
     scale = math.lcm(*(Fraction(x).denominator for row in a for x in row))
     basis = [[int(scale * Fraction(x)) for x in row] for row in a]
+    space = RowSpace(n)
+    entered = tailed(space, basis)
     try:
         want = inverse_gauss_jordan(a)
     except ValueError:
-        with pytest.raises(ValueError, match="singular"):
-            exactlin.coordinates(basis, range(n))
+        assert len(entered) < n  # singular: some row is a combination of the others
         return
-    solve, q = exactlin.coordinates(basis, range(n))
+    assert entered == basis and space.pivots == list(range(n))
+    solve, q = space.solver(basis)
     got = tuple(tuple(Fraction(scale * x, q) for x in solve(e)) for e in oracles.identity(n))
     assert got == want
     assert oracles.mat_mul(a, got) == oracles.identity(n)
@@ -104,10 +116,12 @@ def test_rowspace_matches_fraction_rowspace(vectors, data):
 def test_coordinates_match_a_solve_in_the_basis(vectors, data):
     # inside the span z·B = q·w with z / q the oracle's solution; outside, None
     space = RowSpace(len(vectors[0]))
-    basis = [row for row in (integers(v, data.draw(multipliers)) for v in vectors) if space.add(row)]
+    basis = tailed(space, [integers(v, data.draw(multipliers)) for v in vectors])
     if not basis:
         return
-    solve, q = exactlin.coordinates(basis, space.pivots)
+    ncols = space.ncols
+    assert all(row[:ncols] == combination(row[ncols:ncols + len(basis)], basis) for row in space._rows)  # R = T·B
+    solve, q = space.solver(basis)
     if data.draw(st.booleans()):  # inside the span
         x = data.draw(st.lists(entries, min_size=len(basis), max_size=len(basis)))
         w = integers(combination(x, basis), data.draw(multipliers))
@@ -125,7 +139,7 @@ def test_coordinates_match_a_solve_in_the_basis(vectors, data):
 def test_empty_inputs():
     space = RowSpace(0)
     assert not space.add(()) and space.pivots == [] and len(space) == 0
-    solve, q = exactlin.coordinates([], [])
+    solve, q = RowSpace(2).solver([])
     assert q == 1
     assert solve([0, 0]) == []
     assert solve([0, 1]) is None
@@ -141,16 +155,20 @@ def test_zero_duplicate_and_dependent_rows():
 
 
 def test_inconsistent_system_and_singular_inverse():
-    # z·B = q·w outside the span of B is None; a singular pivot block is refused
-    solve, q = exactlin.coordinates([(1, 2, 0), (0, 0, 1)], [0, 2])
-    assert q == 1
+    # z·B = q·w outside the span of B is None; dependent rows do not enter,
+    # and the space picks its own pivots, so no pivot block is singular
+    space = RowSpace(3)
+    basis = tailed(space, [(1, 2, 0), (0, 0, 1)])
+    solve, q = space.solver(basis)
+    assert space.pivots == [0, 2] and q == 1
     assert solve((1, 3, 5)) is None
     assert solve((2, 4, 5)) == [2, 5]
-    solve, q = exactlin.coordinates([(2, 0), (0, 3)], [0, 1])
+    space = RowSpace(2)
+    solve, q = space.solver(tailed(space, [(2, 0), (0, 3)]))
     assert (solve((4, 1)), q) == ([12, 2], 6)
-    for rows, pivots in ((((1, 2), (2, 4)), [0, 1]), (((1, 2, 0), (0, 0, 1)), [0, 1]), (((0,),), [0])):
-        with pytest.raises(ValueError, match="singular"):
-            exactlin.coordinates(rows, pivots)
+    for rows, pivots in ((((1, 2), (2, 4)), [0]), (((0,),), [])):
+        space = RowSpace(len(rows[0]))
+        assert tailed(space, rows) == list(rows[:len(pivots)]) and space.pivots == pivots
 
 
 def test_large_heights_stay_exact():
@@ -158,7 +176,9 @@ def test_large_heights_stay_exact():
     big = Fraction(10**40 + 7, 3**30)
     a = ((big, 1, Fraction(1, 10**20)), (2, big, 5), (Fraction(-1, 7), 3, big))
     basis = [integers(row) for row in a]
-    solve, q = exactlin.coordinates(basis, range(3))
+    space = RowSpace(3)
+    assert tailed(space, basis) == basis
+    solve, q = space.solver(basis)
     for v in ((1, 2, 3), (big, -big, Fraction(1, 3**30))):
         w = integers(v)
         z = solve(w)

@@ -485,3 +485,15 @@ def test_duality_check_matches_the_fraction_oracle(data):
         want = duality_by_fractions(alphabet, phi, bound)
     assert got == want
     assert (got[1][-1][1] is None) == (perturbation == "none"), got
+
+
+@pytest.mark.parametrize("alphabet, phi", [(X2, None), (Alphabet.x(3), None), (Y, STUFFLE),
+                                           (Alphabet.y(color_order=2), STUFFLE)])
+def test_every_word_to_grade_six_matches_the_fraction_oracle(alphabet, phi):
+    # the bracket recursion cuts each word once: P, S, and Pi and Sigma on y,
+    # against the oracle's standard and Lyndon factorizations
+    bases, oracle = DualBases(alphabet, phi), dual_bases_by_fractions(alphabet, phi)
+    families = ["p", "s"] + (["pi", "sigma"] if phi is not None else [])
+    for w in words_up_to_grading(alphabet, 6):
+        for family in families:
+            assert getattr(bases, family)(w) == getattr(oracle, family)(w), (family, w)

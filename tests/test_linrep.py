@@ -463,11 +463,35 @@ def rational_linrep(alphabet, rank, rng, bound=None):
     return LinRep(alphabet, [pick() for _ in range(rank)], mu, [pick() for _ in range(rank)], bound)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 3])  # seed 2 draws nu = 0 for a rank-3 factor
-def test_minimize_matches_per_vector_solve_oracle(seed):
-    from oracles import minimize_per_vector_solve
+def block_sum(a: LinRep, b: LinRep) -> LinRep:
+    """The direct sum of two representations on one alphabet."""
+    n, k = a.rank, b.rank
+    mu = {x: [list(row) + [F(0)] * k for row in a.mu[x]] + [[F(0)] * n + list(row) for row in b.mu[x]]
+          for x in a.mu}
+    return LinRep(a.alphabet, a.nu + b.nu, mu, a.eta + b.eta, a.max_letter_weight)
 
-    rng = random.Random(seed)
+
+def oracle_cases(case) -> list[tuple[LinRep, int]]:
+    """(representation, minimal rank) pairs for the per-vector solve oracle:
+    a seed's rank-9 Kronecker product and rank-16 doubled y series, or a
+    named case."""
+    rng = random.Random(case if isinstance(case, int) else 7)
+    if case == "nu0":
+        r = rational_linrep(X2, 4, rng)
+        return [(LinRep(X2, [0] * 4, r.mu, r.eta), 0)]
+    if case == "zero":
+        return [(LinRep.zero(X2), 0), (LinRep(X2, (1,), {0: [[1]], 1: [[0]]}, (0,)), 0)]
+    if case == "y2":
+        y2 = Alphabet.y(color_order=2)
+        c = rational_linrep(y2, 4, rng, bound=2)
+        return [(c, 4), (rat_sum(c, c), 4)]
+    if case == "drops":  # all of the space is reachable, half of it is observable
+        c = rational_linrep(X2, 4, rng)
+        other = LinRep(X2, rational_linrep(X2, 4, rng).nu, c.mu, c.eta)
+        return [(block_sum(c, other), 4)]
+    if case == "shuffle20":
+        a, b = rational_linrep(X2, 4, rng), rational_linrep(X2, 5, rng)
+        return [(rat_shuffle(a, b), 20)]
     a, b = rational_linrep(X2, 3, rng), rational_linrep(X2, 3, rng)
     kron9 = LinRep(
         X2,
@@ -476,16 +500,52 @@ def test_minimize_matches_per_vector_solve_oracle(seed):
         oracles.kron_vec(a.eta, b.eta),
     )
     c = rational_linrep(Y, 8, rng, bound=2)
-    doubled = rat_sum(c, c)
-    assert (kron9.rank, doubled.rank) == (9, 16)
-    for r, rank in ((kron9, 9), (doubled, 8)):
+    return [(kron9, 9), (rat_sum(c, c), 8)]
+
+
+# seed 2 draws nu = 0 for a rank-3 factor
+@pytest.mark.parametrize("case", [0, 1, 3, "nu0", "zero", "y2", "drops", "shuffle20"])
+def test_minimize_matches_per_vector_solve_oracle(case):
+    from oracles import minimize_per_vector_solve
+
+    for r, rank in oracle_cases(case):
         got = minimize(r)
         assert got.rank == rank
         assert got.to_json() == minimize_per_vector_solve(r).to_json()
 
 
-def test_minimize_asserts_an_invariant_reachable_space(monkeypatch):
-    # a space that stops growing after one vector leaves nu mu(x) outside it
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10**6), st.sampled_from(["kron", "sum", "drops", "y2"]))
+def test_minimize_does_not_depend_on_the_basis(seed, kind):
+    # (nu P^-1, P mu(x) P^-1, P eta) for an invertible integer P: same JSON
+    rng = random.Random(seed)
+    r = oracle_cases(seed % 4)[0][0] if kind == "kron" else {
+        "sum": lambda: rat_sum(*(rational_linrep(X2, 3, rng),) * 2),
+        "drops": lambda: oracle_cases("drops")[0][0],
+        "y2": lambda: oracle_cases("y2")[1][0],
+    }[kind]()
+    n = r.rank
+    while True:
+        p = tuple(tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n))
+        try:
+            inv = oracles.inverse_gauss_jordan(p)
+            break
+        except ValueError:
+            continue
+    moved = LinRep(
+        r.alphabet,
+        oracles.vec_mat(r.nu, inv),
+        {x: oracles.mat_mul(oracles.mat_mul(p, m), inv) for x, m in r.mu.items()},
+        oracles.mat_vec(p, r.eta),
+        r.max_letter_weight,
+    )
+    assert minimize(moved).to_json() == minimize(r).to_json()
+
+
+@pytest.mark.parametrize("stage", ["forward", "backward"])
+def test_minimize_asserts_an_invariant_reachable_space(monkeypatch, stage):
+    # a space that stops growing after one vector leaves nu mu(x) outside it,
+    # in the forward pass, or in the backward pass when the forward one is skipped
     from wordseries import linrep
 
     class OneVector(exactlin.RowSpace):
@@ -493,6 +553,8 @@ def test_minimize_asserts_an_invariant_reachable_space(monkeypatch):
             return not len(self) and super().add(v)
 
     monkeypatch.setattr(linrep, "RowSpace", OneVector)
+    if stage == "backward":
+        monkeypatch.setattr(linrep, "_reachability_reduce", lambda r: r)
     r = LinRep(X2, (1, 0), {0: [[0, 1], [0, 0]], 1: [[0, 0], [0, 0]]}, (0, 1))
     with pytest.raises(AssertionError, match="reachable space is not invariant"):
         minimize(r)
