@@ -639,9 +639,9 @@ def _breadth_first_reduce(r: LinRep) -> LinRep:
     for v, den in found:  # breadth first, until the basis is full
         if len(basis) == n:
             break
-        g, m = math.gcd(den, *v), len(basis)
+        g = math.gcd(den, *v)
         v, den = tuple(x // g for x in v), den // g
-        if space.add(v + (0,) * m + (1,) + (0,) * (n - m - 1)):
+        if space.add([*v, *(int(j == len(basis)) for j in range(n))]):
             basis.append((v, den))
             images.append({letter: _times(v, c) for letter, c in cols.items()})  # over den·d
             found += ((u, den * d) for u in images[-1].values())
@@ -988,7 +988,7 @@ def sweedler_membership(obj, *, max_rank: int | None = None) -> SweedlerVerdict:
     basis_rows = []
     for u in rows_at:  # the m-th basis row enters with the unit tail e_m
         row = hankel_row(u)
-        if space.add(row + [int(j == len(basis_words)) for j in range(len(rows_at))]):
+        if space.add([*row, *(int(j == len(basis_words)) for j in range(len(rows_at)))]):
             basis_words.append(u)
             basis_rows.append(row)
     hankel_rank = len(basis_words)
