@@ -594,13 +594,13 @@ def rat_phi_shuffle(r1: LinRep, r2: LinRep, phi: PhiTable) -> LinRep:
 def _reachability_reduce(r: LinRep) -> LinRep:
     """Restrict r to the span of the vectors nu mu(w), in the basis E_i / q
     of its reduced echelon rows, E_i being q at pivot p_i and 0 at the other
-    pivots.  A vector u of the span is sum_j u[p_j] E_j / q, so mu'(x)_ij is
-    E_i M(x) at p_j, once q E_i M(x) = sum_j z_j E_j is checked, nu'_i is
-    nu' at p_i and eta'_i is E_i·eta', all over q d: no solve.  Any basis
-    serves the forward pass of ``minimize``: if B becomes P B for an
-    invertible P, each vector B mu(w) eta of the backward pass becomes
-    P B mu(w) eta, so its breadth-first search keeps the same words and
-    the same coordinates, and the result is the same.
+    pivots.  A vector u of the span is sum_j u[p_j] E_j / q, so the result
+    is mu(x)_ij = (E_i M(x))[p_j], once q E_i M(x) = sum_j z_j E_j is
+    checked, nu_i = q nu'[p_i] and eta_i = E_i·eta', all over q d: no solve.
+    Any basis serves the forward pass of ``minimize``: if B becomes P B for
+    an invertible P, each vector B mu(w) eta of the backward pass becomes
+    P B mu(w) eta, so its breadth-first search keeps the same words and the
+    same coordinates, and the result is the same.
     """
     d, cols, n = r._d, r._cols, r.rank
     space, found = RowSpace(n), [r._nu]
