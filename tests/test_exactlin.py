@@ -5,10 +5,10 @@ R with pivot p read as R / R[p]) with the same pivot columns.  Fed each
 independent row B_m with the unit tail e_m, its ``solver`` must give z with
 z·B = q·w wherever the oracle solves x·B = w, with z / q its solution, and
 None where the oracle has none; rows that the oracle finds dependent (a
-singular block) must not enter.  Matrices are small and rational, built to hold zero rows,
-repeated rows and combinations of earlier rows; the library gets them as
-integer rows, each scaled by a nonzero integer multiple of its least
-common denominator.
+singular block) must not enter.  Matrices are small and rational, built to
+hold zero rows, repeated rows and combinations of earlier rows; the library
+gets them as integer rows, each scaled by a nonzero integer multiple of its
+least common denominator.
 """
 
 import copy
