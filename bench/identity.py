@@ -109,7 +109,11 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``words_up_to_grading`` on x1, x3, y, y@2 and y@3 at N -1 to 5, and its
   word count on x1 at N 2984 and 2985 (the letter budget's edge);
   ``is_lyndon`` and ``standard_factorization`` (value or refusal) on every
-  word and on every Lyndon word of x2 and y up to grading 8; and the text
+  word and on every Lyndon word of x2 and y up to grading 8; the verdict
+  and detail of ``diagonal_factorization_check`` in increasing order
+  (``decreasing=False``, which no verb asks for) on x2 and x3, on y with
+  the stuffle and with gamma(i, j) = C(i+j, i)/2, and on y@2 with the
+  stuffle, each at N 4-6; and the text
   and JSON of tensors read from JSON with the empty word on either side and
   on both;
 * a numeric library section (``numeric_cases``): ``harmonic_sum``,
@@ -524,7 +528,10 @@ def library_cases() -> list[tuple[str, tuple]]:
     ("words", alphabet, bound) for the names of ``words_up_to_grading``,
     ("lyndon_tests", alphabet, which) for ``is_lyndon`` and
     ``standard_factorization`` on every word ("words") or every Lyndon word
-    ("lyndon") of grading <= 8, ("word_count", alphabet, bound) for the
+    ("lyndon") of grading <= 8, ("increasing", alphabet, table, bound) for
+    the verdict and detail of ``diagonal_factorization_check`` with
+    ``decreasing=False`` (table None, "stuffle" or "half", the c = 1/2
+    binomial table), ("word_count", alphabet, bound) for the
     number of words of ``words_up_to_grading``, ("tensor", i) for the text
     and the JSON of the i-th of ``TENSORS`` read by ``TensorPoly.from_json``,
     and the cases of ``character_cases``."""
@@ -549,6 +556,8 @@ def library_cases() -> list[tuple[str, tuple]]:
     cases += [("chen", "classical", 3), ("chen", "roots2", 2), ("word_sum", "y@2", 4)]
     cases += [("words", a, n) for a in ("x1", "x3", "y", "y@2", "y@3") for n in range(-1, 6)]
     cases += [("lyndon_tests", a, which) for a in ("x2", "y") for which in ("words", "lyndon")]
+    increasing = (("x2", None), ("x3", None), ("y", "stuffle"), ("y", "half"), ("y@2", "stuffle"))
+    cases += [("increasing", a, table, n) for a, table in increasing for n in (4, 5, 6)]
     cases += [("word_count", "x1", n) for n in (2984, 2985)]
     cases += [("tensor", i) for i in range(len(TENSORS))]
     cases += character_cases()
@@ -767,6 +776,13 @@ def _library_text(case: tuple, reps: dict) -> str:
         alphabet, data = TENSORS[args[0]]
         t = TensorPoly.from_json(parse_alphabet(alphabet), data)
         return f"{t}\n{json.dumps(t.to_json(), sort_keys=True)}"
+    if kind == "increasing":
+        from wordseries.hopf import diagonal_factorization_check
+        from wordseries.ncpoly import PhiTable
+
+        tables = {None: None, "stuffle": PhiTable.stuffle(), "half": PhiTable.from_json(binomial_gamma(Fraction(1, 2)))}
+        report = diagonal_factorization_check(parse_alphabet(args[0]), tables[args[1]], args[2], decreasing=False)
+        return f"{report.equal} {report.detail}"
     if kind == "word_count":
         return str(len(words_up_to_grading(parse_alphabet(args[0]), args[1])))
     if kind == "lyndon_tests":

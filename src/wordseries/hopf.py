@@ -20,6 +20,7 @@ words the families are built that way too: S_w = S_u * S_v / k and
 P_w = P_u P_v, with w = u v split before its last Lyndon power
 (``DualBases._split``).  The M(X*) check of ``linrep`` forms the product
 itself, with mu(P_l) on the right, through the same split of each word.
+Each split reads the Lyndon cuts of the word that ``DualBases._cuts`` holds.
 
 Inside, words are letter tuples and each basis element is an integer form,
 (numerators, d) with d the least common denominator: ``DualBases`` fills
@@ -61,8 +62,8 @@ class DualBases:
         self._shuffle = _shuffle_law(alphabet)
         # pi1 of single words; one evaluator, so all letters share its caches
         self._pi1_image = _pi1_images(alphabet, phi) if phi is not None else None
-        # the integer forms below are memoized per instance, by letter tuple
-        for name in ("_p", "_s", "_pi", "_sigma", "_letter_image", "_contract"):
+        # the cuts and the integer forms below are memoized per instance, by letter tuple
+        for name in ("_cuts", "_p", "_s", "_pi", "_sigma", "_letter_image", "_contract"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
     # -- public accessors: the cached forms as polynomials ----------------------
@@ -100,23 +101,32 @@ class DualBases:
 
     # -- the P / S pair, as integer forms (numerators, least denominator) ------
 
-    def _split(self, w: tuple, decreasing: bool = True, cuts: list | None = None) -> tuple[tuple, tuple, int] | None:
+    def _cuts(self, w: tuple) -> list[int]:
+        return _lyndon_cuts(self.alphabet.lex_key(w))
+
+    def _split(self, w: tuple, decreasing: bool = True) -> tuple[tuple, tuple, int] | None:
         """None on the empty word and on a Lyndon word w, else w as (u, v, k):
         v = l^k is the last power of the Lyndon factorization of w in the
         order that a product of exponentials in decreasing (or increasing)
         Lyndon order takes it, u is the rest of w, and k = 1; when that power
         is all of w, v = l and u = l^(k-1).  Off the Lyndon words S_w is
         S_u * S_v / k and P_w is P_u P_v; the diagonal check asks the same of
-        Sigma and Pi.  ``cuts``: the ``_lyndon_cuts`` of w, if a caller has them."""
+        Sigma and Pi."""
         if not w:
             return None
-        cuts = cuts or _lyndon_cuts(self.alphabet.lex_key(w))
-        groups = [(l, len(list(run))) for l, run in itertools.groupby(w[i:j] for i, j in zip(cuts, cuts[1:]))]
-        l, k = groups[-1 if decreasing else 0]
-        if len(groups) == 1:
-            return (l * (k - 1), l, k) if k > 1 else None
-        n = k * len(l)
-        return (w[:-n], w[-n:], 1) if decreasing else (w[n:], w[:n], 1)
+        cuts = self._cuts(w)
+        if decreasing:
+            l, j = w[cuts[-2]:], len(cuts) - 2
+            while j and w[cuts[j - 1]:cuts[j]] == l:
+                j -= 1
+        else:
+            l, j = w[:cuts[1]], 1
+            while j < len(cuts) - 1 and w[cuts[j]:cuts[j + 1]] == l:
+                j += 1
+        if j in (0, len(cuts) - 1):
+            return (l * (len(cuts) - 2), l, len(cuts) - 1) if len(cuts) > 2 else None
+        i = cuts[j]
+        return (w[:i], w[i:], 1) if decreasing else (w[i:], w[:i], 1)
 
     def _bracketed(self, w: tuple, own, letter) -> tuple[dict, int]:
         """The bracket recursion of P through ``own``, the family's cached
@@ -125,10 +135,9 @@ class DualBases:
         split before its last Lyndon power (``_split``)."""
         if len(w) < 2:
             return letter(w[0]) if w else ({(): 1}, 1)
-        key = self.alphabet.lex_key(w)
-        split = self._split(w, cuts=_lyndon_cuts(key))
+        split = self._split(w)
         if split is None:  # Lyndon: the right factor is the last Lyndon factor of w[1:]
-            i = 1 + _lyndon_cuts(key[1:])[-2]
+            i = 1 + self._cuts(w[1:])[-2]
             (ps, ds), (pr, dr) = own(w[:i]), own(w[i:])
             return _reduced(_product(pr, {t: -c for t, c in ps.items()}, out=_product(ps, pr)), ds * dr)
         (pu, du), (pv, dv) = own(split[0]), own(split[1])

@@ -80,7 +80,7 @@ from .ncpoly import (
     is_character,
     is_infinitesimal_character,
 )
-from .words import Alphabet, Word, _check_word_budget, _graded_letters, _next_cuts, alphabet_text, parse_alphabet
+from .words import Alphabet, Word, _check_word_budget, _graded_letters, alphabet_text, parse_alphabet
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -825,6 +825,7 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     the order of the exponentials, and a table that is not associative
     fails as the multiplied-out product does.  Over the lcm of their
     denominators, the terms give sum_w <L'_w, v> mu(R'_w) at each word v.
+    The Lyndon words and the splits read the cuts that ``DualBases._cuts`` holds.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -837,15 +838,12 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     # w -> M(w), by length and then by letter; the walk names a missing letter, lightest first, before mu meets one
     lhs = r._walk_all(_identity(r.rank), bound)
-    cuts = {(): [0]}  # w -> its Lyndon cuts, each from its prefix's, for _split
-    for w in islice(lhs, 1, None):
-        cuts[w] = _next_cuts(alphabet.lex_key(w), cuts[w[:-1]])
     factors = {(): ({(): 1}, 1, lhs[()], 1)}  # w -> L'_w, its denominator, mu(R'_w), its denominator
-    for l in sorted((w for w, c in cuts.items() if len(c) == 2), key=alphabet.lex_key, reverse=True):
+    for l in sorted((w for w in lhs if len(bases._cuts(w)) == 2), key=alphabet.lex_key, reverse=True):
         factors[l] = (*left_of(l), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l)), lhs))
     for w in lhs:  # each word after the shorter ones, so after the parts that _split cuts it into
         if w not in factors:
-            u, v, k = bases._split(w, cuts=cuts[w])
+            u, v, k = bases._split(w)
             (a, da, ma, ea), (b, db, mb, eb) = factors[u], factors[v]
             cols = tuple(zip(*mb))
             factors[w] = (*_reduced(_product(a, b, shuffle), da * db * k), [_times(row, cols) for row in ma], ea * eb)

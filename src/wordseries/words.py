@@ -21,7 +21,8 @@ of a walk over the prenecklaces (``_lyndon_letters``, which also names them
 for the ``lyndon`` verb), so it builds no word it does not return;
 ``words_up_to_grading`` wraps ``_graded_letters`` so, and the other modules
 read its tuples instead.  Whether a word is Lyndon, and where its standard
-factorization cuts it, is read off Duval's factorization (``_lyndon_cuts``).
+factorization cuts it, is read off Duval's factorization (``_lyndon_cuts``);
+``hopf.DualBases._cuts`` holds those cuts for the Lyndon products.
 
 Words print through one printer, ``Alphabet.name``, which names a tuple of
 letters from a table of letter names that the alphabet fills on first use.
@@ -476,15 +477,6 @@ def lyndon_factorization(w: Word) -> list[Word]:
     linear time by Duval's algorithm (J. Algorithms 4, 1983)."""
     cuts = _lyndon_cuts(w.lex_key())
     return [w[i:j] for i, j in zip(cuts, cuts[1:])]
-
-
-def _next_cuts(key: tuple, cuts: list[int]) -> list[int]:
-    """``_lyndon_cuts(key)`` from ``cuts``, those of key[:-1]: the last two
-    factors merge while the earlier is smaller (Chen, Fox and Lyndon)."""
-    cuts = cuts + [len(key)]
-    while len(cuts) > 2 and key[cuts[-3]:cuts[-2]] < key[cuts[-2]:]:
-        del cuts[-2]
-    return cuts
 
 
 def _lyndon_cuts(key: tuple) -> list[int]:

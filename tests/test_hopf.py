@@ -29,7 +29,14 @@ from wordseries.ncpoly import (
     pi1,
     shuffle,
 )
-from wordseries.words import Alphabet, lyndon_words, words_up_to_grading
+from wordseries.words import (
+    Alphabet,
+    is_lyndon,
+    lyndon_factorization,
+    lyndon_words,
+    parse_alphabet,
+    words_up_to_grading,
+)
 
 X2 = Alphabet.x(2)
 Y = Alphabet.y()
@@ -497,3 +504,30 @@ def test_every_word_to_grade_six_matches_the_fraction_oracle(alphabet, phi):
     for w in words_up_to_grading(alphabet, 6):
         for family in families:
             assert getattr(bases, family)(w) == getattr(oracle, family)(w), (family, w)
+
+
+def split_by_factorization(w, decreasing):
+    """(u, v, k) read off the public Lyndon factorization of w: v the power
+    of the factor taken last (first) in decreasing (increasing) order."""
+    runs = [(l.letters, len(list(run))) for l, run in itertools.groupby(lyndon_factorization(w))]
+    if decreasing:
+        runs.reverse()
+    (l, k), rest = runs[0], runs[1:]
+    if not rest:
+        return (l * (k - 1), l, k) if k > 1 else None
+    others = tuple(itertools.chain.from_iterable(f * c for f, c in (reversed(rest) if decreasing else rest)))
+    return others, l * k, 1
+
+
+@pytest.mark.parametrize("text", ["x2", "x3", "y", "y@2"])
+def test_split_takes_the_lyndon_power_at_either_end(text):
+    # every word to grade 6, in both orders of the exponentials; a Lyndon
+    # word is not split, and neither is the empty word
+    alphabet = parse_alphabet(text)
+    bases = DualBases(alphabet)
+    assert bases._split((), True) is None and bases._split((), False) is None
+    for w in words_up_to_grading(alphabet, 6)[1:]:
+        for decreasing in (True, False):
+            split = bases._split(w.letters, decreasing)
+            assert split == split_by_factorization(w, decreasing), (w, decreasing)
+            assert (split is None) == is_lyndon(w), (w, decreasing)

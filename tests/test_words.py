@@ -21,7 +21,6 @@ from wordseries.words import (
     _graded_letters,
     _lyndon_cuts,
     _lyndon_letters,
-    _next_cuts,
     is_lyndon,
     lyndon_factorization,
     lyndon_words,
@@ -358,16 +357,6 @@ def test_the_walk_names_the_lyndon_words_it_walks(text):
         assert names == [[alphabet.name(w) for w in grade] for grade in letters]
     with pytest.raises(ValueError, match="max_grade must be >= 1"):
         _lyndon_letters(alphabet, 0, named=True)
-
-
-@pytest.mark.parametrize("text", ["x2", "x3", "y", "y@2"])
-def test_cuts_extended_along_a_walk_are_duvals(text):
-    # each word after its prefix, as the walks of check mxstar meet them
-    alphabet = parse_alphabet(text)
-    cuts = {(): [0]}
-    for w in itertools.chain.from_iterable(_graded_letters(alphabet, 6)[1:]):
-        cuts[w] = _next_cuts(alphabet.lex_key(w), cuts[w[:-1]])
-        assert cuts[w] == _lyndon_cuts(alphabet.lex_key(w))
 
 
 @pytest.mark.parametrize("text", ["x1", "x3", "y", "y@3"])
