@@ -19,7 +19,6 @@ from wordseries.words import (
     Alphabet,
     Word,
     _graded_letters,
-    _lyndon_cuts,
     _lyndon_letters,
     is_lyndon,
     lyndon_factorization,
