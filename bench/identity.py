@@ -26,8 +26,10 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   zero nu or eta, a denominator lcm above 10^12, x3, y with a weight bound,
   y@2, entries spelled as JSON integers or unreduced, the empty word, and
   ``rat coeff`` words with a letter beyond the weight bound; ``check
-  mxstar`` also on x2 and x3 at N 5 and 6, and on y with weight bound 7
-  under the gamma file {"3,4": "2"} at N 6 and 7, where it FAILs; ``check
+  mxstar`` also on x2 and x3 at N 5 and 6, on y with weight bound 7
+  under the gamma file {"3,4": "2"} at N 6 and 7, where it FAILs, and on
+  y@2 with weight bound 7 under the same file at N 5-7, where it FAILs at
+  7 on a colored letter; ``check
   triangular`` also on a rank-4 chain whose order is min(N, 3), with nu at
   its first and at its last index, at N 0-4, and on a dense rank-2 x2
   representation (every coefficient nonzero) at N 9 and 10; and ``rat
@@ -50,7 +52,8 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   ``demo hypergeometric``, and requests that exit 2 (a bad word, a missing file, a malformed
   representation, ``rat star`` on a non-proper series, ``check mxstar``
   and ``check triangular`` on y representations whose weight bound w is
-  below N, at N = w+1 to w+3, ``eval zeta`` at ``--nterms`` 0 and -3,
+  below N, at N = w+1 to w+3, ``check mxstar`` on one of them at N 19 and
+  40, over the word budget, ``eval zeta`` at ``--nterms`` 0 and -3,
   ``eval li`` at ``--nmax -2``, ``eval h`` at ``--n`` 0 and -1, and
   ``eval h``, ``zeta`` and ``li`` under ``--sigma "0;0.5"``, where rho = 2
   and the sums overflow double precision);
@@ -367,9 +370,13 @@ def rep_calls(files: dict) -> list[list[str]]:
     for name, n in (("x2a", 3), ("x2big", 3), ("x2zero", 2), ("x3a", 2), ("ya", 3), ("yb", 2), ("y2a", 2)):
         for gamma in gammas if reps[name]["alphabet"].startswith("y") else [[]]:
             calls.append(["check", "mxstar", "--N", str(n)] + gamma + rep(name))
-    # more Lyndon factors, and a gamma file that fails at weight 7
-    for name, n in (("x2b", 5), ("x2b", 6), ("x3up", 5), ("x3up", 6), ("y7", 6), ("y7", 7)):
-        gamma = ["--gamma", "{dir}/gamma34.json"] if name == "y7" else []
+    # more Lyndon factors, and a gamma file that fails at weight 7, also on colored letters
+    files["y2w7.json"] = _rep("y@2", ["1/2", 1], {"y1@0": [["1/2", 1], [0, "-1/3"]], "y1@1": [[0, 1], [1, 0]],
+                                                  "y3@0": [[1, 0], ["-1/3", "1/2"]], "y4@1": [["1/5", 0], [0, 1]],
+                                                  "y7@0": [["-1/3", 1], ["1/2", 0]]}, [1, "-1/3"], 7)
+    for name, n in (("x2b", 5), ("x2b", 6), ("x3up", 5), ("x3up", 6), ("y7", 6), ("y7", 7),
+                    ("y2w7", 5), ("y2w7", 6), ("y2w7", 7)):
+        gamma = ["--gamma", "{dir}/gamma34.json"] if name in ("y7", "y2w7") else []
         calls.append(["check", "mxstar", "--N", str(n)] + gamma + rep(name))
     for name, n in (("x2up", 5), ("x3up", 3), ("x2zero", 3), ("x2a", 3)):
         calls.append(["check", "triangular", "--N", str(n)] + rep(name))
@@ -428,6 +435,9 @@ def edge_calls(files: dict) -> list[list[str]]:
     ] + [
         ["check", "mxstar", "--N", str(w + k), "--rep", "{dir}/" + name + ".json"]
         for name, w in (("yb", 2), ("ya", 3), ("y2a", 2)) for k in (1, 2, 3)
+    ] + [
+        # over the word budget too: the missing letter is named first
+        ["check", "mxstar", "--N", str(n), "--rep", "{dir}/yb.json"] for n in (19, 40)
     ] + [
         # cutoffs around 100, where numpy's complex power leaves repeated squaring
         argv + [flag, str(n)]

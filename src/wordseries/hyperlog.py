@@ -150,9 +150,7 @@ class CycloRational:
         self.order = order
         self.coeffs = {}
         for c, q in (coeffs or {}).items():
-            q = Fraction(q)
-            if q:
-                self.coeffs[c % order] = self.coeffs.get(c % order, ZERO) + q
+            _add_term(self.coeffs, c % order, Fraction(q))
 
     @classmethod
     def root_power(cls, order: int, power: int) -> "CycloRational":

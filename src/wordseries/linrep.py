@@ -37,15 +37,16 @@ identity, and ``_mu_of_poly`` sums the walks of its terms from the identity,
 in sorted order.  ``LinRep._eval_integers``, the series up to a grading as
 numerators over d^(|w|+2), meets in the middle: nu' M(uv) eta' is the dot of
 the row nu' M(u) with the column M(v) eta', both tabled by length, so each
-word costs one n-term dot.  ``LinRep._walk_all`` gives M(w) for every word up
-to a grading, each from its prefix's product: the M(X*) word sum of ``check
-mxstar``.  That check reads mu of the Lyndon basis polynomials R_l off those
-M(w) through ``_mu_of_poly``, builds in the walk's order the term L'_w (x)
-mu(R'_w) of the decreasing Lyndon product of exp(L_l (x) mu(R_l)) for each
-word w from those of the two parts that ``DualBases._split`` cuts it into,
-and compares M(w) with those terms collected by word, one integer matrix per
-word.  ``check triangular`` compares the series with a lift whose blocks count
-strict steps (M* = (D* N)* D*); both checks answer with
+word costs one n-term dot.  The M(X*) word sum of ``check mxstar`` holds
+M(w) for every word up to a grading, walked in the grading order of
+``words._graded_letters``, each from its prefix's product.  That check reads
+mu of the Lyndon basis polynomials R_l off those M(w) through
+``_mu_of_poly``, builds in the walk's order the term L'_w (x) mu(R'_w) of the
+decreasing Lyndon product of exp(L_l (x) mu(R_l)) for each word w from those
+of the two parts that ``DualBases._split`` cuts it into, and compares M(w)
+with those terms collected by word, one integer matrix per word, up to the
+first word that differs.  ``check triangular`` compares the series with a
+lift whose blocks count strict steps (M* = (D* N)* D*); both checks answer with
 ``hopf.FactorizationReport``, which this module re-exports.  So ``Fraction``s
 are built only at the boundary: one per value returned, and in the read-only
 views ``nu``, ``mu`` and ``eta``.  Words are letter tuples throughout, as
@@ -246,21 +247,6 @@ class LinRep:
             self._of_letter(self._cols, x)
         _check_word_budget(alphabet, bound)
         return [(x, alphabet.letter_weight(x), self._rows[x], self._cols[x]) for x in letters]
-
-    def _walk_all(self, rows: tuple, bound: int) -> dict:
-        """w -> rows M(w) for every letter tuple w of grading <= bound, by
-        length and then by letter, each product built from its prefix's; a
-        length is held as parallel lists of words, gradings and products."""
-        steps, out = self._letters_to(bound), {}
-        words, gradings, products = [()], [0], [rows]
-        while words:
-            out.update(zip(words, products))
-            fits = [(i, x, g + weight, cols) for i, g in enumerate(gradings) for x, weight, _, cols in steps
-                    if g + weight <= bound]  # (prefix index, letter, grading, M(x) by columns) of the next length
-            words = [words[i] + (x,) for i, x, _, _ in fits]
-            gradings = [g for _, _, g, _ in fits]
-            products = [tuple(_times(row, cols) for row in products[i]) for i, _, _, cols in fits]
-        return out
 
     def coeff(self, w: Word) -> Fraction:
         if w.alphabet != self.alphabet:
@@ -814,17 +800,19 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     On y alphabets with a gamma table the Pi/Sigma pair and the phi-shuffle
     take the place of P/S and the shuffle.  Each side is one integer matrix
     per word, so equal sides give equal readouts nu M(w) eta: the word sum
-    holds M(w), walked from the identity, and the product, with L/R the
+    holds M(w), walked from the identity in the grading order of
+    ``words._graded_letters``, and the product, with L/R the
     last pair of ``DualBases``, is sum_w L'_w (x) mu(R'_w), one term per
     word w = l1^k1 ... lr^kr, built in the walk's order from the terms of
-    shorter words: L'_l = L_l and mu(R_l), summed by ``_mu_of_poly`` from the
+    lighter words: L'_l = L_l and mu(R_l), summed by ``_mu_of_poly`` from the
     walked M(w), on a Lyndon word l (in decreasing Lyndon order), and elsewhere, with
     w = u v split before its last power (``DualBases._split``), L'_w =
     L'_u * L'_v / k and mu(R'_w) = mu(R'_u) mu(R'_v).  So L'_w is the literal product, powers
     bracketed ((L_l * L_l) * L_l) / 3! and factors taken left to right in
     the order of the exponentials, and a table that is not associative
     fails as the multiplied-out product does.  Over the lcm of their
-    denominators, the terms give sum_w <L'_w, v> mu(R'_w) at each word v.
+    denominators, the terms give sum_w <L'_w, v> mu(R'_w) at each word v,
+    compared in the walk's order up to the first word that differs.
     The Lyndon words and the splits read the cuts that ``DualBases._cuts`` holds.
     """
     if bound < 1:
@@ -836,12 +824,15 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     _, left_of, right_of = bases._pairs()[-1]
     shuffle = _shuffle_law(alphabet, phi)
 
-    # w -> M(w), by length and then by letter; the walk names a missing letter, lightest first, before mu meets one
-    lhs = r._walk_all(_identity(r.rank), bound)
+    # w -> M(w) in grading order, each from its prefix's; the letters first name a missing one, lightest first
+    letter_cols = {x: cols for x, _, _, cols in r._letters_to(bound)}
+    lhs = {(): _identity(r.rank)}
+    for w in chain.from_iterable(_graded_letters(alphabet, bound)[1:]):
+        lhs[w] = tuple(_times(row, letter_cols[w[-1]]) for row in lhs[w[:-1]])
     factors = {(): ({(): 1}, 1, lhs[()], 1)}  # w -> L'_w, its denominator, mu(R'_w), its denominator
     for l in sorted((w for w in lhs if len(bases._cuts(w)) == 2), key=alphabet.lex_key, reverse=True):
         factors[l] = (*left_of(l), *_mu_of_poly(r, NCPoly._of(alphabet, *right_of(l)), lhs))
-    for w in lhs:  # each word after the shorter ones, so after the parts that _split cuts it into
+    for w in lhs:  # each word after the lighter ones, so after the parts that _split cuts it into
         if w not in factors:
             u, v, k = bases._split(w)
             (a, da, ma, ea), (b, db, mb, eb) = factors[u], factors[v]
@@ -858,14 +849,9 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
 
     dpow = [r._d ** k for k in range(bound + 1)]  # a word of grading <= bound has <= bound letters
     zero = _identity(r.rank, 0)
-    differ = [
-        w
-        for w in lhs.keys() | rhs.keys()
-        if any(x * scale != y * dpow[len(w)] for p, q in zip(lhs.get(w, zero), rhs.get(w, zero)) for x, y in zip(p, q))
-    ]
-    if differ:
-        first = alphabet.name(min(differ, key=alphabet.sort_key))
-        return FactorizationReport(False, f"matrix series differ; first differing word: {first}")
+    for w, m in lhs.items():  # grading order is sort_key order, so the first differing word comes first
+        if any(x * scale != y * dpow[len(w)] for p, q in zip(m, rhs.get(w, zero)) for x, y in zip(p, q)):
+            return FactorizationReport(False, f"matrix series differ; first differing word: {alphabet.name(w)}")
     return FactorizationReport(True)
 
 

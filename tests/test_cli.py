@@ -409,9 +409,10 @@ def test_check_without_rep_exits_2(capsys, what):
     assert err == f"error: 'check {what}' needs --rep\n"
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 19, 40])
 def test_mxstar_beyond_the_weight_bound_names_the_next_letter(capsys, tmp_path, n):
-    # weight bound 2: every grading above it first meets y3, however high N is
+    # weight bound 2: every grading above it first meets y3, however high N is,
+    # also at N 19 and 40, where the word budget would refuse the bound
     rep = LinRep.from_poly(NCPoly.from_word(Alphabet.y().parse_word("y2 y1")), max_letter_weight=2)
     path = tmp_path / "y.json"
     path.write_text(json.dumps(rep.to_json()))

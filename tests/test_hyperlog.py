@@ -143,6 +143,15 @@ def test_harmonic_colored_exact():
     assert abs(approx.value - float(expected)) <= max(approx.err, 1e-13)
 
 
+def test_cyclo_rational_drops_exponents_that_cancel_mod_m():
+    # zeta^0 and zeta^2 are one class mod 2: their coefficients 1 and -1 sum to zero
+    zero = CycloRational(2, {0: 1, 2: -1})
+    assert not zero
+    assert zero == CycloRational(2)
+    assert repr(zero) == "(0 | ζ^m=1, m=2)"
+    assert CycloRational(3, {1: 1, 4: 2}) == CycloRational(3, {1: 3})
+
+
 # (sigma, y words, whether every rho is exactly 1): classical words of depth
 # 1-4; colored words with repeated colours and colour 0, whose rho is
 # 1 - 2.4e-16i; an explicit set whose rho is 1 + 0j, and one whose rho is 1/2
