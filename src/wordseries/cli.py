@@ -48,7 +48,7 @@ from .linrep import (
     rat_star,
     rat_sum,
 )
-from .ncpoly import NCPoly, PhiTable, TensorPoly, conc, coproduct, format_fraction, phi_shuffle, pi1, shuffle
+from .ncpoly import NCPoly, PhiTable, TensorPoly, _ratio_text, conc, coproduct, phi_shuffle, pi1, shuffle
 from .words import Alphabet, _lyndon_letters, parse_alphabet
 
 __all__ = ["main"]
@@ -209,7 +209,7 @@ def cmd_rat(args) -> tuple[int, str]:
         if args.word is None:
             raise ValueError("'rat coeff' needs --word")
         w = reps[0].alphabet.parse_word(args.word)
-        text = format_fraction(reps[0].coeff(w))
+        text = _ratio_text(*reps[0].coeff(w).as_integer_ratio())
         if args.format == "json":
             text = json.dumps({"word": str(w), "coeff": text})
     elif args.op == "decompose":

@@ -255,7 +255,8 @@ class SingularitySet:
     @functools.cached_property
     def _rho_complex(self) -> tuple:
         """rho_i as a complex for i >= 1 (None at i = 0), computed once for
-        the integrands that the quadrature evaluates at every node."""
+        ``rho_of_color`` and the integrands that the quadrature evaluates at
+        every node."""
         return (None,) + tuple(complex(self.rho(i)) for i in range(1, self.m + 1))
 
     # -- color conventions ----------------------------------------------------
@@ -277,7 +278,8 @@ class SingularitySet:
         return 1 if self.m >= 1 else 0
 
     def rho_of_color(self, c: int) -> complex:
-        return complex(self.rho(self.index_of_color(c)))
+        i = self.index_of_color(c)
+        return self._rho_complex[i] if i else self.rho(i)  # index 0 on a set with no point: rho refuses it
 
     def x_alphabet(self) -> Alphabet:
         return Alphabet.x(self.m + 1)
@@ -562,8 +564,12 @@ class RelationReport:
 def generating_relation_check(
     w: Word, z: float, depth: int, sigma: SingularitySet | None = None, nmax: int = 2000
 ) -> RelationReport:
-    """|Li_w(z)/(1-z) - sum_{n <= depth} H_(pi_Y w)(n) z^n| with a tail bound;
-    a residual that overflows double precision is refused."""
+    """|Li_w(z)/(1-z) - sum_{n <= depth} H_(pi_Y w)(n) z^n| with a tail bound:
+    |H_v(n) z^n| <= b(n) = r^n (1 + ln n)^d / d! for the d letters of v and
+    r = |z| prod max(1, |rho|) over them, summed past the depth until the
+    ratio q = b(n+1)/b(n), which falls with n, is below 1 and closed by
+    b(n) / (1 - q), plus Li's error over |1-z|.  A request with r >= 1 and
+    a residual that overflows double precision are refused."""
     if sigma is None:
         sigma = SingularitySet.classical()
     z = complex(z)
@@ -573,12 +579,21 @@ def generating_relation_check(
     lhs = li.value / (1 - z)
     yw = pi_Y(w, sigma)
     _y_request(yw, depth, sigma, "depth")
+    d = len(yw.letters)
+    r = abs(z) * math.prod(max(1.0, abs(sigma.rho_of_color(c))) for _, c in yw.letters)
+    if r >= 1:
+        raise ValueError(f"divergent request: the relation's tail needs |z| prod max(1, |rho|) < 1, not {r:.15g}")
     hvals = _harmonic_arrays(yw.letters, depth, sigma)[-1]
     powers = np.concatenate(([1 + 0j], _powers(z, depth)))
     rhs = complex((hvals * powers).sum())
-    peak = float(np.abs(hvals).max())
-    zabs = abs(z)
-    tail = max(1.0, peak) * zabs ** (depth + 1) / (1 - zabs) + li.err / abs(1 - z)
+    n = depth + 1
+    term = r**n * math.prod((1 + math.log(n)) / k for k in range(1, d + 1))  # b(n)
+    tail = 0.0
+    while (q := r * ((1 + math.log(n + 1)) / (1 + math.log(n))) ** d) >= 1:
+        tail += term
+        term *= q
+        n += 1
+    tail += term / (1 - q) + li.err / abs(1 - z)
     diff = lhs - rhs
     _finite(ComplexVal(diff, tail), "depth", depth)
     return RelationReport(abs(diff), tail)

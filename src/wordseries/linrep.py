@@ -21,7 +21,8 @@ M(x) = d mu(x) by rows and by columns, and eta' = d eta, with d the least
 common denominator of their entries, so that nu mu(w) eta =
 nu' M(w) eta' / d^(|w|+2) with integer M(w) (|w| counts letters).  JSON
 entries cross as integers, through ``ncpoly``'s one reader and one writer
-(each distinct string of a file read once); closures,
+of rationals (each distinct string of a file read once), and
+``LinRep._json_text`` is the one writer of the format; closures,
 shifts and splittings put their operands over one denominator, which
 ``LinRep._of`` reduces; minimization carries reachable vectors as integers
 and transposes by swapping nu' with eta' and rows with columns.  Its
@@ -55,10 +56,11 @@ views ``nu``, ``mu`` and ``eta``.  Words are letter tuples throughout, as
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -72,7 +74,6 @@ from .ncpoly import (
     _json_checked,
     _json_fields,
     _json_ratio,
-    _ratio_text,
     _ratio_texts,
     _letter_rule,
     _product,
@@ -325,26 +326,12 @@ class LinRep:
     # -- serialization ------------------------------------------------------------
 
     def to_json(self) -> dict:
-        d, alphabet = self._d, self.alphabet
-
-        def texts(v: Sequence[int]) -> list[str]:
-            return list(map(_ratio_text, v, repeat(d)))
-
-        return {
-            "rank": self.rank,
-            "alphabet": alphabet_text(alphabet),
-            "max_letter_weight": self.max_letter_weight,
-            "nu": texts(self._nu),
-            "mu": {
-                alphabet.letter_name(letter): [texts(row) for row in m]
-                for letter, m in sorted(self._rows.items(), key=lambda kv: alphabet.letter_key(kv[0]))
-            },
-            "eta": texts(self._eta),
-        }
+        return json.loads(self._json_text())
 
     def _json_text(self) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True)``, written directly as one template
-        filled from one tuple: all of it is ASCII, and the "mu" items sort as their names."""
+        """The JSON object of "alphabet", "eta", "max_letter_weight", "mu" (one
+        matrix per letter name), "nu" and "rank", keys sorted: one template
+        filled from one tuple, all of it ASCII."""
         n, weight = self.rank, self.max_letter_weight
         vector = "[" + ", ".join(['"%s"'] * n) + "]"
         matrix = "[" + ", ".join([vector] * n) + "]"
@@ -359,7 +346,7 @@ class LinRep:
     def from_json(cls, data: dict) -> "LinRep":
         """The representation of a JSON object; its rationals are strings
         ("p/q", or any text ``Fraction`` takes) or integers.  The field
-        "rank", which ``to_json`` writes and a file may leave out, must be
+        "rank", which ``_json_text`` writes and a file may leave out, must be
         the integer length of nu.  Entries are read in order, each distinct
         string once."""
         kinds = {"alphabet": str, "nu": list, "mu": dict, "eta": list}
@@ -375,7 +362,7 @@ class LinRep:
                     ratio_of[x] = _json_ratio(x, field)
             return values
 
-        # to_json writes the names of the len(mu) lightest letters: look them up, parse other keys
+        # _json_text writes the names of the len(mu) lightest letters: look them up, parse other keys
         colors = range(alphabet.color_order or 1)
         lightest = range(alphabet.size) if alphabet.is_x else ((k, c) for k in count(1) for c in colors)
         letter_of = {alphabet.letter_name(x): x for x in islice(lightest, len(mu))}

@@ -33,7 +33,8 @@ are built only at the boundary: the constructors take ``Word``-keyed maps,
 dicts, and every printer names letter tuples through ``Alphabet.name``.
 Forms cross the JSON boundary as integers, read by the one reader of
 rationals, ``_json_ratio``, and written by the one writer, ``_ratio_text``.
-The JSON printers write each distinct value once (``_ratio_texts``).
+``_json_text`` is the one writer of the polynomial and tensor formats, each
+distinct value written once (``_ratio_texts``); ``to_json`` reads it back.
 
 All identities here are exact.  The one place floating point enters is the
 character tests given a ``tol > 0`` (``_values_match``): there coefficients,
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 from fractions import Fraction
@@ -69,17 +71,7 @@ __all__ = [
     "TruncSeries",
     "is_character",
     "is_infinitesimal_character",
-    "format_fraction",
-    "parse_fraction",
 ]
-
-
-def format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # -- reading JSON input: each error names the field it rejects ---------------
@@ -113,7 +105,7 @@ def _json_ratio(value, field: str) -> tuple[int, int]:
         try:  # int() and Fraction raise ValueError past the digit limit of int(str)
             if value.isascii() and p.removeprefix("-").isdigit() and q.isdigit() and (den := int(q)):
                 return int(p), den
-            return parse_fraction(value).as_integer_ratio()
+            return Fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"{field} is not a rational number: {value!r}")
@@ -276,15 +268,11 @@ class _Form:
     # -- JSON form ---------------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        name, num, den = self.alphabet.name, self._num, self._den
-        return [
-            {**dict(zip(self._fields, map(name, self._parts(k)))), "coeff": _ratio_text(num[k], den)}
-            for k in self._sorted(self.alphabet.sort_key)
-        ]
+        return json.loads(self._json_text())
 
     def _json_text(self) -> str:
-        """``json.dumps(self.to_json(), sort_keys=True)``, one template filled from one tuple:
-        "coeff" sorts first, and all of it is ASCII but the empty word's "ε"."""
+        """The JSON list of the terms in ``sort_key`` order, keys sorted, from one template
+        filled from one tuple: "coeff" sorts first, and all of it is ASCII but the empty word's "ε"."""
         keys = self._sorted(self.alphabet.sort_key)
         coeffs = _ratio_texts([self._num[k] for k in keys], self._den)
         names = (map(self.alphabet.name, part) for part in zip(*map(self._parts, keys)))  # one column per field
@@ -449,38 +437,29 @@ class PhiTable:
 # -- products ----------------------------------------------------------------
 
 
-def _product(p_terms: Mapping, q_terms: Mapping, word_mul: Callable | None = None,
-             bound: int | None = None, out: dict | None = None, grading: Callable | None = None) -> dict:
+def _product(p_terms: Mapping, q_terms: Mapping, word_mul: Callable | None = None, out: dict | None = None) -> dict:
     """The one bilinear loop behind every product in the package.
 
-    For each pair of terms (u, a), (v, b) with grading(u) + grading(v) <=
-    ``bound`` (every pair when ``bound`` is None), add a * b * c to ``out``
-    for each (w, c) in ``word_mul(u, v)``.  ``word_mul`` None is
-    concatenation of letter tuples, done inline.  Keys need not be words
-    when ``word_mul`` is given: pairs of letter tuples in the coproducts,
-    color exponents in the cyclotomic numbers.  Terms accumulate into
-    ``out`` when given, else into a fresh map, which is returned.
+    For each pair of terms (u, a), (v, b), add a * b * c to ``out`` for each
+    (w, c) in ``word_mul(u, v)``.  ``word_mul`` None is concatenation of
+    letter tuples, done inline.  Keys need not be words when ``word_mul`` is
+    given: pairs of letter tuples in the coproducts, color exponents in the
+    cyclotomic numbers.  Terms accumulate into ``out`` when given, else into
+    a fresh map, which is returned.
     """
     out = {} if out is None else out
-    if bound is not None:
-        q_graded = [(grading(v), v, b) for v, b in q_terms.items()]
-        # the terms of q of grading <= room, in q's order, listed once per room
-        fitting = functools.cache(lambda room: [(v, b) for g, v, b in q_graded if g <= room])
-    for u, a in p_terms.items():
-        if bound is None:
-            pairs = q_terms.items()
-        else:
-            pairs = fitting(bound - grading(u))
-        if word_mul is None:
-            for v, b in pairs:
+    if word_mul is None:
+        for u, a in p_terms.items():
+            for v, b in q_terms.items():
                 w = u + v
                 c = out.get(w, 0) + a * b
                 if c:
                     out[w] = c
                 else:
                     out.pop(w, None)
-            continue
-        for v, b in pairs:
+        return out
+    for u, a in p_terms.items():
+        for v, b in q_terms.items():
             ab = a * b
             for w, c in word_mul(u, v):
                 c = out.get(w, 0) + ab * c
@@ -802,7 +781,13 @@ class TruncSeries:
         """Cauchy (concatenation) product at the common bound."""
         _one_alphabet(self.alphabet, other.alphabet, "series")
         bound = min(self.bound, other.bound)
-        terms = _product(self._values, other._values, bound=bound, grading=self.alphabet.weight)
+        weight = self.alphabet.weight
+        graded = [(weight(v), v, b) for v, b in other._values.items()]
+        # the terms of other of grading <= room, in its order, listed once per room
+        fitting = functools.cache(lambda room: {v: b for g, v, b in graded if g <= room})
+        terms = {}
+        for u, a in self._values.items():
+            _product({u: a}, fitting(bound - weight(u)), out=terms)
         return TruncSeries._of(self.alphabet, bound, terms)
 
     def __eq__(self, other) -> bool:

@@ -53,7 +53,6 @@ from wordseries.ncpoly import (
     _json_fields,
     _json_ratio,
     _values_match,
-    format_fraction,
     conc,
     coproduct,
     delta_phi,
@@ -865,8 +864,9 @@ def linrep_from_json_per_vector(data):
 
 
 def linrep_to_json_by_fractions(r):
-    """The JSON object of a representation, printed from its Fraction views."""
-    texts = lambda values: [format_fraction(c) for c in values]
+    """The JSON object of a representation, printed from its Fraction views
+    as "p/q" in lowest terms."""
+    texts = lambda values: [f"{c.numerator}/{c.denominator}" for c in values]
     mu = r.mu
     return {
         "rank": r.rank,

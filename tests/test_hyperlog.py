@@ -381,6 +381,32 @@ def test_generating_relation():
     assert r0.residual == 0
 
 
+@pytest.mark.parametrize("name, text, z", [
+    ("classical", "x1", 0.5),
+    ("classical", "x1", 0.9),
+    ("classical", "x0 x1", 0.3),
+    ("classical", "x0 x1", 0.5),
+    ("roots2", "x2 x1", 0.5),
+    ("0;2", "x0 x1", 0.9),
+])
+def test_generating_relation_tail_bound_holds_at_every_depth(name, text, z):
+    # H_(pi_Y w)(n) grows past the depth (harmonic numbers for x1), so the
+    # rest of the series is not bounded by the largest H up to the depth
+    sigma = {"classical": CLASSIC, "roots2": SingularitySet.roots_of_unity(2),
+             "0;2": SingularitySet.from_values([0, 2])}[name]
+    w = sigma.x_alphabet().parse_word(text)
+    for depth in range(60):
+        report = generating_relation_check(w, z, depth, sigma)
+        assert report.residual <= report.tail_bound, depth
+
+
+def test_generating_relation_refuses_a_tail_whose_bounds_do_not_fall():
+    # rho = 2 on both letters of x1 x1: H grows like 4^n, and 4 * 0.3 >= 1
+    sigma = SingularitySet.from_values([0, 0.5])
+    with pytest.raises(ValueError, match=r"divergent request: .* not 1\.2"):
+        generating_relation_check(sigma.x_alphabet().parse_word("x1 x1"), 0.3, 10, sigma, nmax=50)
+
+
 def test_generating_relation_all_words_grade_four():
     for w in words_up_to_grading(X2, 4):
         if w and w.letters[-1] != 0:
