@@ -17,9 +17,11 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   calls on x2, x3, y and y@2, in text and JSON, with the stuffle and with a
   binomial gamma file (gamma(i, j) = c C(i+j, i) for c = 2 and c = 1/2), and
   with polynomial operands read from files; ``basis --family Pi`` and
-  ``Sigma`` also on Lyndon and non-Lyndon y words of weight 7 and 8 under
-  the gamma file {"3,4": "2"}, which is not associative there, and ``basis
-  --family Pi`` on y@2 words of weight 7 and 8 with the c = 2 file;
+  ``Sigma`` on y and y@2 also with a byte-equal copy of the c = 2 file,
+  read as a second table equal to the first, and on Lyndon and non-Lyndon
+  y words of weight 7 and 8 under the gamma file {"3,4": "2"}, which is
+  not associative there, and ``basis --family Pi`` on y@2 words of weight
+  7 and 8 with the c = 2 file;
 * a fixed list of calls on representation files (``rep_calls``): all eight
   ``rat`` operations, ``check mxstar``, ``check triangular`` and
   ``eval output``, on representations the generator never writes: rank 0,
@@ -59,8 +61,9 @@ Each checkout runs the same fixed set of invocations with its own ``src``:
   and the sums overflow double precision);
 * a fixed list of ``check duality`` and ``check diagonal`` calls
   (``check_calls``) on x2, x3, y, y@2 and y@3 at N 1-6 (at most), y also
-  with both binomial gamma files and with a gamma file that is associative
-  only to weight 6, at N 6 and 7, and one gamma file that exits 2;
+  with both binomial gamma files and the copy of the c = 2 one, with a
+  gamma file that is associative only to weight 6, at N 6 and 7, and with
+  one gamma file that exits 2;
 * a fixed list of requests for help and of requests that argparse rejects
   or reads its own way (``front_calls``): ``--help`` of the top parser and
   of each of the nine verbs; no arguments, ``frobnicate``, ``Lyndon`` and
@@ -192,8 +195,10 @@ def fixed_calls(files: dict) -> list[list[str]]:
     files["gamma2.json"] = binomial_gamma(Fraction(2))
     files["gammahalf.json"] = binomial_gamma(Fraction(1, 2))
     files["gamma34.json"] = {"3,4": "2"}  # associative to weight 6 only
+    files["gamma2copy.json"] = binomial_gamma(Fraction(2))  # byte-equal to gamma2.json
     files["x2poly.json"], files["ypoly.json"], files["y2poly.json"] = (POLYS[a][0] for a in ("x2", "y", "y@2"))
     gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
+    copy = ["--gamma", "{dir}/gamma2copy.json"]  # a second table equal to the c = 2 one
     words = {
         "x2": ["x0", "x0 x1", "x1 x0 x0 x1", "x0 x1 x0 x1 x1 x1", "x1 x1 x0 x0 x1 x0 x1"],
         "x3": ["x2 x0", "x0 x2 x1", "x1 x0 x2 x2 x0"],
@@ -212,7 +217,7 @@ def fixed_calls(files: dict) -> list[list[str]]:
         for w in ws:
             for fmt in ("json", "text"):
                 for family in ("P", "S", "Pi", "Sigma") if y else ("P", "S"):
-                    for gamma in gammas if y else [[]]:
+                    for gamma in gammas + [copy] if family in ("Pi", "Sigma") else gammas if y else [[]]:
                         calls.append(["basis", "--family", family, "--word", w, "--alphabet", alpha,
                                       "--format", fmt] + gamma)
                 for gamma in gammas if y else [[]]:
@@ -504,13 +509,15 @@ def edge_calls(files: dict) -> list[list[str]]:
 
 def check_calls(files: dict) -> list[list[str]]:
     """The fixed list of ``check duality`` and ``check diagonal`` calls: x2
-    and y (the stuffle and both binomial gamma files) at N 1-6, x3 and y@2 at
-    N 1-5, y@3 at N 1-4, y with the gamma file {"3,4": "2"} (associative to
-    weight 6 only) at N 6 and 7, and with {"2,3": "2"}, which its reader
-    refuses (exit 2); ``files`` as in ``fixed_calls``, which writes the
-    binomial gamma files and the {"3,4": "2"} one."""
+    and y (the stuffle, both binomial gamma files and the copy of the c = 2
+    one) at N 1-6, x3 and y@2 at N 1-5, y@3 at N 1-4, y with the gamma file
+    {"3,4": "2"} (associative to weight 6 only) at N 6 and 7, and with
+    {"2,3": "2"}, which its reader refuses (exit 2); ``files`` as in
+    ``fixed_calls``, which writes the binomial gamma files, the copy and
+    the {"3,4": "2"} one."""
     files["gamma23.json"] = {"2,3": "2"}
-    gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"]]
+    gammas = [[], ["--gamma", "{dir}/gamma2.json"], ["--gamma", "{dir}/gammahalf.json"],
+              ["--gamma", "{dir}/gamma2copy.json"]]
     runs = [("x2", [], range(1, 7))] + [("y", gamma, range(1, 7)) for gamma in gammas]
     runs += [("x3", [], range(1, 6)), ("y@2", [], range(1, 6)), ("y@3", [], range(1, 5)),
              ("y", ["--gamma", "{dir}/gamma34.json"], (6, 7)), ("y", ["--gamma", "{dir}/gamma23.json"], (4,))]

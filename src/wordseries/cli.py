@@ -23,7 +23,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .hopf import DualBases, diagonal_factorization_check, duality_check
+from .hopf import _bases, diagonal_factorization_check, duality_check
 from .hyperlog import (
     ComplexVal,
     FormFamily,
@@ -161,7 +161,7 @@ def cmd_basis(args) -> tuple[int, str]:
     family = args.family
     if family in ("Pi", "Sigma") and not alphabet.is_y:
         raise ValueError("Pi/Sigma live on a y alphabet")
-    bases = DualBases(alphabet, _load_gamma(args) if alphabet.is_y else None)
+    bases = _bases(alphabet, _load_gamma(args) if alphabet.is_y else None)
     element = {
         "P": bases.p,
         "S": bases.s,

@@ -31,6 +31,14 @@ letter tuples of ``words._graded_letters``.  The public accessors ``p``,
 ``s``, ``pi`` and ``sigma`` wrap the cached forms as ``NCPoly``s without a
 copy, since that is the form an ``NCPoly`` stores; the checks build no
 ``Word``, and a ``Fraction`` only for the pairing a failure reports.
+
+The pairs are fixed by the alphabet and the gamma table, so the requests of
+one process share them: ``_bases`` keeps the ``DualBases`` of the 8 pairs
+(alphabet, table) used last, tables compared by value, and the checks here,
+``linrep``'s M(X*) check and the CLI's ``basis`` read theirs from it.  A
+fill gives the same forms whichever request made it, so results do not
+depend on what the cache holds, and what it retains is at most 8
+instances' forms.  ``DualBases(...)`` builds a private instance.
 """
 
 from __future__ import annotations
@@ -51,7 +59,10 @@ class DualBases:
 
     The caches are keyed by letter tuples and hold integer forms; one
     instance is pinned to one alphabet and one gamma table.  Fills are
-    idempotent, so concurrent readers at worst repeat a computation.
+    idempotent, so concurrent readers at worst repeat a computation.  The
+    methods are wrapped when the instance is built, so a patch of the class
+    reaches the instances built after it; ``_bases`` shares one instance
+    per (alphabet, table) among at most 8 and is cleared by ``cache_clear()``.
     """
 
     def __init__(self, alphabet: Alphabet, phi: PhiTable | None = None):
@@ -210,13 +221,18 @@ class DualBases:
         return _combination(((c, *self._contract(v)) for v, c in terms.items()), den)
 
 
+# the shared instances: one per (alphabet, table), the 8 used last; called
+# positionally, as (alphabet, phi), so that equal requests make equal keys
+_bases = functools.lru_cache(maxsize=8)(DualBases)
+
+
 def duality_check(alphabet: Alphabet, phi: PhiTable | None = None, bound: int = 4) -> tuple[int, list[tuple]]:
     """<L_u, R_v> = [u = v] for each dual pair L/R of ``DualBases`` on the
     words of grade <= bound: the number of words and, pair by pair up to
     the first that fails, (name, None) or (name, what failed)."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    bases = DualBases(alphabet, phi)
+    bases = _bases(alphabet, phi)
     grades = _graded_letters(alphabet, bound)
     verdicts = []
     for name, left, right in bases._pairs():
@@ -306,7 +322,7 @@ def diagonal_factorization_check(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    bases = DualBases(alphabet, phi)
+    bases = _bases(alphabet, phi)
     name, left_of, right_of = bases._pairs()[-1]
     families = name.split("/")
     grades = [[(u, *left_of(u), *right_of(u)) for u in grade] for grade in _graded_letters(alphabet, bound)]

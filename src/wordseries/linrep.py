@@ -65,7 +65,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .exactlin import RowSpace
-from .hopf import DualBases, FactorizationReport
+from .hopf import FactorizationReport, _bases
 from .ncpoly import (
     NCPoly,
     PhiTable,
@@ -605,33 +605,39 @@ def _breadth_first_reduce(r: LinRep) -> LinRep:
     its image under x is V M(x) / (D d).  The m-th basis vector enters the
     ``RowSpace`` as [V_m | e_m], so the tails (``RowSpace.solver``) give
     each image U / E the coordinates D_j z_j / (q E) in the basis
-    b_j = V_j / D_j, once z·V = q U is checked.
+    b_j = V_j / D_j, once z·V = q U is checked.  An image that entered the
+    basis as b_j is b_j: its coordinates are e_j, with no solve.
     """
     d, cols, n = r._d, r._cols, r.rank
-    space, found, basis, images = RowSpace(n), [(r._nu, d)], [], []
-    for v, den in found:  # breadth first, until the basis is full
+    space, found, basis, images = RowSpace(n), [(r._nu, d, None)], [], []
+    entered = {}  # (i, letter) -> j: the image of b_i under the letter entered as b_j
+    for v, den, source in found:  # breadth first, until the basis is full
         if len(basis) == n:
             break
         g = math.gcd(den, *v)
         v, den = tuple(x // g for x in v), den // g
         if space.add([*v, *(int(j == len(basis)) for j in range(n))]):
+            entered[source] = len(basis)
             basis.append((v, den))
             images.append({letter: _times(v, c) for letter, c in cols.items()})  # over den·d
-            found += ((u, den * d) for u in images[-1].values())
+            found += ((u, den * d, (len(images) - 1, letter)) for letter, u in images[-1].items())
     if not basis:
         return LinRep.zero(r.alphabet, r.max_letter_weight)
     solve, q = space.solver([v for v, _ in basis])
     dens = [den for _, den in basis]
     lcm = math.lcm(*dens)
+    total = q * d * lcm
 
-    def coords(u: tuple, k: int) -> tuple:  # over q d lcm(D_j), for u over D_i d and k = lcm(D_j) / D_i
-        z = solve(u)
+    def coords(i: int, letter, k: int) -> tuple:  # over q d lcm(D_j), for u over D_i d and k = lcm(D_j) / D_i
+        j = entered.get((i, letter))
+        if j is not None:
+            return tuple(total if t == j else 0 for t in range(len(basis)))
+        z = solve(images[i][letter])
         assert z is not None, "reachable space is not invariant"
         return tuple(k * dj * zj for dj, zj in zip(dens, z))
 
     scales = [lcm // den for den in dens]
-    rows = {letter: tuple(coords(row[letter], k) for row, k in zip(images, scales)) for letter in cols}
-    total = q * d * lcm
+    rows = {letter: tuple(coords(i, letter, k) for i, k in enumerate(scales)) for letter in cols}
     nu = (total,) + (0,) * (len(basis) - 1)
     eta = tuple(q * k * sum(map(mul, v, r._eta)) for (v, _), k in zip(basis, scales))
     return LinRep._of(r.alphabet, total, nu, rows, eta, r.max_letter_weight)
@@ -807,7 +813,7 @@ def mxstar_factorization_check(r: LinRep, bound: int, *, phi: PhiTable | None = 
     alphabet = r.alphabet
     if alphabet.is_y and phi is None:
         raise ValueError("a y-alphabet factorization needs the gamma table")
-    bases = DualBases(alphabet, phi)
+    bases = _bases(alphabet, phi)
     _, left_of, right_of = bases._pairs()[-1]
     shuffle = _shuffle_law(alphabet, phi)
 

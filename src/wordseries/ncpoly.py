@@ -380,6 +380,9 @@ class PhiTable:
     (Hoffman, *Quasi-shuffle products*, 2000, Thm 2.1), which is checked on
     all letter triples of total weight <= ``validate_to`` at construction
     (the color group is associative on its own, so plain y letters suffice).
+    Tables compare and hash by (entries, default), so equal tables, each
+    ``PhiTable.stuffle()`` and each read of one gamma file, share a key of
+    the dual bases that ``hopf`` keeps; a table is not changed once built.
     """
 
     def __init__(self, entries: Mapping[tuple[int, int], Fraction] | None = None,
@@ -419,6 +422,12 @@ class PhiTable:
                 raise ValueError(f"gamma key {key!r} is not of the form 'i,j'") from None
             entries[(i, j)] = Fraction(*_json_ratio(val, f"gamma entry {key!r}"))
         return cls(entries)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PhiTable) and (self.entries, self.default) == (other.entries, other.default)
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.entries.items()), self.default))
 
     def gamma(self, i: int, j: int) -> Fraction:
         return self.entries.get((min(i, j), max(i, j)), self.default)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordseries import cli
+from wordseries import cli, hopf
 from wordseries.cli import main
 from wordseries.hopf import DualBases
 from wordseries.linrep import LinRep, triangular_decompose
@@ -494,6 +494,7 @@ def test_check_duality_passes_and_fails_on_a_perturbed_sigma(capsys, monkeypatch
         return out
 
     monkeypatch.setattr(DualBases, "_sigma", perturbed)
+    hopf._bases.cache_clear()  # the unpatched bases of the first run are shared
     code, out, _ = run(capsys, "check", "duality", "--alphabet", "y", "--N", "4")
     assert code == 1
     assert out.splitlines()[-1] == "duality Sigma/Pi: FAIL at <y2 y1, y3> = 1/2"
@@ -533,6 +534,7 @@ def test_check_diagonal_fail_line_names_words_and_rationals(capsys, monkeypatch)
         return out
 
     monkeypatch.setattr(DualBases, "_pi", perturbed)
+    hopf._bases.cache_clear()  # the unpatched bases of the first run are shared
     code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--N", "4")
     assert code == 1
     assert out == "diagonal factorization: FAIL Sigma/Pi duality at <y1 y2, y2 y1> = 1/2\n"
@@ -548,6 +550,63 @@ def test_check_diagonal_needs_no_associativity_past_the_validated_weight(capsys,
     assert (code, out) == (0, "diagonal factorization: PASS (grade <= 6)\n")
     code, out, _ = run(capsys, "check", "diagonal", "--alphabet", "y", "--gamma", str(path), "--N", "7")
     assert (code, out) == (1, "diagonal factorization: FAIL Sigma(y3 y1 y3) is not the product of its Lyndon factors\n")
+
+
+def _shared_bases_requests(tmp_path) -> list[list[str]]:
+    """Requests that read the dual bases the process shares (``hopf._bases``):
+    basis and the duality, diagonal and M(X*) checks on x2, x3 and y, with
+    the stuffle, a binomial gamma file, a byte-equal copy of that file and
+    {"3,4": "2"}, which is not associative at weight 7."""
+    binomial = json.dumps({f"{i},{j}": str(2 * math.comb(i + j, i)) for i in range(1, 7) for j in range(i, 13 - i)})
+    (tmp_path / "binomial.json").write_text(binomial)
+    (tmp_path / "copy.json").write_text(binomial)
+    (tmp_path / "g34.json").write_text(json.dumps({"3,4": "2"}))
+    x2 = LinRep(Alphabet.x(2), (1, 0), {0: [[0, 1], [0, 0]], 1: [[1, 0], [0, 1]]}, (1, 1))
+    y = LinRep.from_poly(NCPoly.from_word(Alphabet.y().parse_word("y1 y2")) + NCPoly.from_word(
+        Alphabet.y().parse_word("y3")), max_letter_weight=4)
+    (tmp_path / "x2.json").write_text(json.dumps(x2.to_json()))
+    (tmp_path / "y.json").write_text(json.dumps(y.to_json()))
+    binomial, copy, g34 = (["--gamma", str(tmp_path / name)] for name in ("binomial.json", "copy.json", "g34.json"))
+    basis = [("P", "x2", "x1 x0 x0 x1", []), ("S", "x2", "x0 x1 x0 x1 x1", []), ("S", "x3", "x2 x0 x1", []),
+             ("Pi", "y", "y2 y1 y1", []), ("Sigma", "y", "y1 y2 y2 y1", []), ("Sigma", "y", "y2 y2 y1 y1", binomial),
+             ("Sigma", "y", "y2 y2 y1 y1", copy), ("Pi", "y", "y3 y1", copy), ("Sigma", "y", "y4 y3", g34),
+             ("Pi", "y", "y3 y4 y1", g34), ("Pi", "x2", "x0 x1", [])]
+    checks = [("duality", "x2", 4, []), ("diagonal", "x2", 4, []), ("duality", "x3", 3, []),
+              ("duality", "y", 4, []), ("diagonal", "y", 4, []), ("duality", "y", 4, binomial),
+              ("diagonal", "y", 4, copy), ("diagonal", "y", 7, g34), ("duality", "y", 5, g34)]
+    mxstar = [("x2.json", 4, []), ("y.json", 4, []), ("y.json", 4, copy), ("y.json", 4, binomial)]
+    return ([["basis", "--family", f, "--alphabet", a, "--word", w, "--format", "json"] + g for f, a, w, g in basis]
+            + [["check", what, "--alphabet", a, "--N", str(n)] + g for what, a, n, g in checks]
+            + [["check", "mxstar", "--rep", str(tmp_path / rep), "--N", str(n)] + g for rep, n, g in mxstar])
+
+
+def test_requests_give_the_same_bytes_whatever_the_shared_bases_hold(capsys, tmp_path):
+    requests = _shared_bases_requests(tmp_path)
+    in_order = [run(capsys, *argv) for argv in requests]
+    assert hopf._bases.cache_info().hits >= 10 and hopf._bases.cache_info().currsize <= 8
+    hopf._bases.cache_clear()
+    reversed_order = [run(capsys, *argv) for argv in reversed(requests)][::-1]
+    each_cold = []
+    for argv in requests:
+        hopf._bases.cache_clear()
+        each_cold.append(run(capsys, *argv))
+    assert in_order == reversed_order == each_cold
+    codes = [code for code, _, _ in in_order]
+    assert codes == [0] * 10 + [2] + [0] * 7 + [1] + [0] * 5  # Pi on x2; the diagonal at weight 7 under {"3,4": "2"}
+    assert in_order[10][2] == "error: Pi/Sigma live on a y alphabet\n"
+
+
+def test_a_warm_cache_keeps_the_refusals(capsys):
+    over = ("check", "duality", "--alphabet", "y", "--N", "40")
+    cold = run(capsys, *over)
+    for alphabet in ("y", "x2"):
+        assert run(capsys, "check", "duality", "--alphabet", alphabet, "--N", "4")[0] == 0
+    assert hopf._bases.cache_info().currsize == 2
+    assert run(capsys, *over) == cold
+    assert cold[:2] == (2, "") and "1099511627776 words" in cold[2] and "budget" in cold[2]
+    for family in ("Pi", "Sigma"):  # a gamma table on an x alphabet
+        assert run(capsys, "basis", "--family", family, "--alphabet", "x2", "--word", "x0 x1") == (
+            2, "", "error: Pi/Sigma live on a y alphabet\n")
 
 
 def test_gamma_file_that_is_not_an_object_exits_2(capsys, tmp_path):

@@ -19,6 +19,7 @@ from oracles import (
     sigma_by_inverse,
 )
 
+from wordseries import hopf
 from wordseries.hopf import DualBases, diagonal_factorization_check, duality_check
 from wordseries.ncpoly import (
     NCPoly,
@@ -163,6 +164,36 @@ def test_pi_requires_phi():
         DualBases(Y).pi(Y.parse_word("y1"))
     with pytest.raises(ValueError):
         DualBases(X2, STUFFLE)
+
+
+def test_the_shared_bases_hold_at_most_eight():
+    assert hopf._bases.cache_info().maxsize == 8
+    for size in range(1, 10):  # 9 distinct keys, through a check that reads them
+        assert duality_check(Alphabet.x(size), None, 1)[1] == [("S/P", None)]
+    assert hopf._bases.cache_info().currsize == 8
+    first = hopf._bases(Alphabet.x(2), None)  # x1, the oldest key, went; x2 stays
+    assert hopf._bases.cache_info().currsize == 8 and hopf._bases.cache_info().hits == 1
+    assert hopf._bases(Alphabet.x(2), None) is first
+
+
+def test_the_shared_bases_are_keyed_by_the_value_of_the_table():
+    stuffle = hopf._bases(Y, PhiTable.stuffle())
+    assert hopf._bases(Y, PhiTable.stuffle()) is stuffle
+    assert hopf._bases(Y, PhiTable.from_json({})) is stuffle  # an empty gamma file
+    assert hopf._bases(Y, PhiTable.zero()) is not stuffle
+    assert hopf._bases(Alphabet.y(color_order=2), PhiTable.stuffle()) is not stuffle
+    assert hopf._bases.cache_info().currsize == 3
+
+
+def test_a_warm_cache_still_refuses_a_gamma_table_on_an_x_alphabet():
+    assert duality_check(X2, None, 3)[1] == [("S/P", None)]
+    assert diagonal_factorization_check(X2, None, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^a gamma table only makes sense on a y alphabet$"):
+            duality_check(X2, STUFFLE, 3)
+        with pytest.raises(ValueError, match="^a gamma table only makes sense on a y alphabet$"):
+            diagonal_factorization_check(X2, STUFFLE, 3)
+    assert hopf._bases.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("family", ["pi", "sigma"])
@@ -488,6 +519,7 @@ def test_duality_check_matches_the_fraction_oracle(data):
         return terms, den
 
     with mock.patch.object(DualBases, method, perturbed):
+        hopf._bases.cache_clear()  # each example's patch reaches fresh bases
         got = duality_check(alphabet, phi, bound)
         want = duality_by_fractions(alphabet, phi, bound)
     assert got == want

@@ -222,6 +222,23 @@ def test_phi_table_symmetry():
     assert PhiTable({(1, 2): 7}, validate_to=0).gamma(2, 1) == 7
 
 
+def test_phi_tables_compare_and_hash_by_entries_and_default():
+    # equal tables make one key of the shared dual bases (hopf._bases)
+    a = PhiTable({(1, 2): Fraction(1, 2), (3, 3): 2}, validate_to=0)
+    b = PhiTable({(2, 1): "2/4", (3, 3): Fraction(4, 2)}, validate_to=0)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert PhiTable.stuffle() == PhiTable.stuffle() and hash(PhiTable.stuffle()) == hash(PhiTable.stuffle())
+    binomial = {(i, j): math.comb(i + j, i) for i in range(1, 7) for j in range(i, 13 - i)}
+    read = PhiTable.from_json({f"{i},{j}": str(c) for (i, j), c in binomial.items()})
+    assert read == PhiTable.from_json({f"{j},{i}": f"{2 * c}/2" for (i, j), c in binomial.items()})
+    assert hash(read) == hash(PhiTable.from_json({f"{j},{i}": f"{2 * c}/2" for (i, j), c in binomial.items()}))
+    assert PhiTable.stuffle() != PhiTable.zero()
+    assert a != PhiTable({(1, 2): Fraction(1, 2)}, validate_to=0)  # an entry more
+    assert a != PhiTable({(1, 2): Fraction(1, 2), (3, 3): 2}, default=0, validate_to=0)  # another default
+    assert PhiTable({(1, 1): 1}, validate_to=0) != PhiTable.stuffle()  # the same gamma, other entries
+    assert PhiTable.stuffle() != None and PhiTable.stuffle() != {}  # noqa: E711
+
+
 @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 2), (0, 0)])
 def test_phi_table_refuses_weights_below_1(pair):
     # no letter pair has such weights, so the entry would be silently unused
