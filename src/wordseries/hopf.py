@@ -61,8 +61,10 @@ class DualBases:
     instance is pinned to one alphabet and one gamma table.  Fills are
     idempotent, so concurrent readers at worst repeat a computation.  The
     methods are wrapped when the instance is built, so a patch of the class
-    reaches the instances built after it; ``_bases`` shares one instance
-    per (alphabet, table) among at most 8 and is cleared by ``cache_clear()``.
+    reaches the instances built after it.  ``_bases`` shares one instance
+    per (alphabet, table) among the requests of a process, at most 8 of
+    them, so it retains at most 8 instances' forms; results do not depend
+    on what it holds, and ``_bases.cache_clear()`` empties it.
     """
 
     def __init__(self, alphabet: Alphabet, phi: PhiTable | None = None):

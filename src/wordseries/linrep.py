@@ -628,7 +628,7 @@ def _breadth_first_reduce(r: LinRep) -> LinRep:
     lcm = math.lcm(*dens)
     total = q * d * lcm
 
-    def coords(i: int, letter, k: int) -> tuple:  # over q d lcm(D_j), for u over D_i d and k = lcm(D_j) / D_i
+    def coords(i: int, letter, k: int) -> tuple:  # of the image of b_i, over q d lcm(D_j); k = lcm(D_j) / D_i
         j = entered.get((i, letter))
         if j is not None:
             return tuple(total if t == j else 0 for t in range(len(basis)))
